@@ -117,11 +117,12 @@ def test_bench_apps_fastpath(ipsc, archive, record_metrics):
     and the apps' own validation surface must do it with zero event
     engine boots."""
     from repro.analysis.validation import validate_policy
-    from repro.core.programs import pattern_program
+    from repro.core.programs import _pattern_program, pattern_program
     from repro.plan import ModelPolicy
     from repro.sim.fastpath import _compile_program, batch_program_times
 
-    # cold fast path: include program compilation costs
+    # cold fast path: include program build and compilation costs
+    _pattern_program.cache_clear()
     _compile_program.cache_clear()
 
     t0 = time.perf_counter()

@@ -45,6 +45,7 @@ routes them to the reservation replay instead.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Sequence, Union
 
 from repro.core.schedule import (
@@ -282,7 +283,15 @@ _PATTERN_BUILDERS = {
     ("broadcast", "direct"): broadcast_direct_steps,
     ("scatter", "halving"): scatter_halving_steps,
     ("scatter", "direct"): scatter_direct_steps,
+    ("allgather", "doubling"): allgather_doubling_steps,
+    ("allgather", "exchange"): allgather_exchange_steps,
 }
+
+#: patterns whose builders take a ``root``
+_ROOTED_PATTERNS = ("broadcast", "scatter")
+
+#: the one algorithm whose builder takes a ``partition``
+_PARTITIONED = ("allgather", "exchange")
 
 
 def pattern_program(
@@ -295,29 +304,54 @@ def pattern_program(
 ) -> CommProgram:
     """The :class:`CommProgram` for one §9 pattern algorithm.
 
-    ``partition`` applies only to allgather's ``exchange`` algorithm;
-    ``root`` to the rooted patterns (broadcast, scatter).
+    ``partition`` applies only to allgather's ``exchange`` algorithm
+    (``None`` means the single-phase ``(d,)``); ``root`` only to the
+    rooted patterns (broadcast, scatter).  Passing either to an
+    algorithm that does not take it raises :class:`ValueError`.
+
+    Programs are memoized per process: equal arguments (a list or a
+    tuple partition alike) return the *same* immutable program, so
+    callers share one step stream instead of rebuilding it.
 
     >>> pattern_program("broadcast", "binomial", 3).n_steps
     4
     >>> pattern_program("allgather", "doubling", 3).name
     'allgather/doubling'
+    >>> pattern_program("scatter", "direct", 5) is pattern_program("scatter", "direct", 5)
+    True
     """
-    if pattern == "allgather":
-        if algorithm == "doubling":
-            return allgather_doubling_steps(d)
-        if algorithm == "exchange":
-            return allgather_exchange_steps(d, partition)
-        raise ValueError(
-            f"unknown allgather algorithm {algorithm!r}; "
-            f"expected 'doubling' or 'exchange'"
-        )
-    try:
-        builder = _PATTERN_BUILDERS[(pattern, algorithm)]
-    except KeyError:
+    if (pattern, algorithm) not in _PATTERN_BUILDERS:
         raise ValueError(
             f"no program for pattern {pattern!r} algorithm {algorithm!r}; "
-            f"have {sorted(_PATTERN_BUILDERS)} plus allgather "
-            f"doubling/exchange"
-        ) from None
-    return builder(d, root)
+            f"have {sorted(_PATTERN_BUILDERS)}"
+        )
+    check_dimension(d, minimum=1)
+    if (pattern, algorithm) == _PARTITIONED:
+        partition = check_partition(partition if partition is not None else (d,), d)
+    elif partition is not None:
+        raise ValueError(
+            f"{pattern}/{algorithm} takes no partition, got partition={partition!r}"
+        )
+    if pattern in _ROOTED_PATTERNS:
+        check_node(root, d)
+    elif root != 0:
+        raise ValueError(f"{pattern}/{algorithm} takes no root, got root={root!r}")
+    else:
+        root = None
+    return _pattern_program(pattern, algorithm, d, partition, root)
+
+
+@lru_cache(maxsize=512)
+def _pattern_program(
+    pattern: str,
+    algorithm: str,
+    d: int,
+    partition: tuple[int, ...] | None,
+    root: int | None,
+) -> CommProgram:
+    builder = _PATTERN_BUILDERS[(pattern, algorithm)]
+    if partition is not None:
+        return builder(d, partition)
+    if root is not None:
+        return builder(d, root)
+    return builder(d)

@@ -47,6 +47,7 @@ def test_gitignore_covers_bytecode_everywhere():
         "src/repro/__pycache__/cli.cpython-311.pyc",
         "tests/__pycache__/x.pyc",
         "benchmarks/output/BENCH_service_throughput.json",
+        "benchmarks/output/bench_fastpath.txt",
         "runtime.sock",
     ]
     try:
