@@ -92,19 +92,10 @@ PATTERN_SWEEP = tuple(
 
 
 def run_event_patterns(ipsc) -> list[float]:
-    from repro.patterns import (
-        simulate_allgather,
-        simulate_broadcast,
-        simulate_scatter,
-    )
+    from repro.patterns import simulate_pattern
 
-    simulators = {
-        "broadcast": simulate_broadcast,
-        "scatter": simulate_scatter,
-        "allgather": simulate_allgather,
-    }
     return [
-        simulators[pattern](d, m, ipsc, algorithm=algorithm)[0]
+        simulate_pattern(pattern, algorithm, d, m, ipsc)[0]
         for pattern, algorithm, d, m in PATTERN_SWEEP
     ]
 

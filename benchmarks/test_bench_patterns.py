@@ -11,9 +11,7 @@ from __future__ import annotations
 
 from repro.comm.program import simulate_exchange
 from repro.model.optimizer import best_partition
-from repro.patterns.allgather import simulate_allgather
-from repro.patterns.broadcast import simulate_broadcast
-from repro.patterns.scatter import scatter_direct_time, scatter_time, simulate_scatter
+from repro.patterns import scatter_direct_time, scatter_time, simulate_pattern
 
 
 def test_bench_patterns_vs_exchange(benchmark, ipsc, archive):
@@ -21,9 +19,9 @@ def test_bench_patterns_vs_exchange(benchmark, ipsc, archive):
 
     def measure_all():
         return {
-            "broadcast": simulate_broadcast(d, m, ipsc)[0],
-            "scatter": simulate_scatter(d, m, ipsc)[0],
-            "allgather": simulate_allgather(d, m, ipsc)[0],
+            "broadcast": simulate_pattern("broadcast", "binomial", d, m, ipsc)[0],
+            "scatter": simulate_pattern("scatter", "halving", d, m, ipsc)[0],
+            "allgather": simulate_pattern("allgather", "doubling", d, m, ipsc)[0],
         }
 
     times = benchmark.pedantic(measure_all, rounds=1, iterations=1)

@@ -26,7 +26,7 @@ from repro.core.traffic import best_partition_for_traffic, uniform_traffic
 from repro.core.variants import ORDERINGS, multiphase_schedule_ordered
 from repro.model.optimizer import best_partition
 from repro.model.params import ipsc860
-from repro.patterns import simulate_allgather, simulate_broadcast, simulate_scatter
+from repro.patterns import simulate_pattern
 
 
 def fmt(partition) -> str:
@@ -43,9 +43,9 @@ def main() -> None:
     choice = best_partition(m, d, params)
     bound = simulate_exchange(d, m, choice.partition, params).time_us
     rows = [
-        ("one-to-all broadcast", simulate_broadcast(d, m, params)[0]),
-        ("one-to-all personalized", simulate_scatter(d, m, params)[0]),
-        ("all-to-all broadcast", simulate_allgather(d, m, params)[0]),
+        ("one-to-all broadcast", simulate_pattern("broadcast", "binomial", d, m, params)[0]),
+        ("one-to-all personalized", simulate_pattern("scatter", "halving", d, m, params)[0]),
+        ("all-to-all broadcast", simulate_pattern("allgather", "doubling", d, m, params)[0]),
         (f"complete exchange {fmt(choice.partition)}", bound),
     ]
     for name, t in rows:

@@ -242,21 +242,11 @@ def _simulate_pattern_event(
     params: MachineParams,
 ) -> float:
     """Run one pattern selection on the event engine (spot-check mode)."""
-    if pattern == "broadcast":
-        from repro.patterns.broadcast import simulate_broadcast
+    from repro.patterns.execute import simulate_pattern
 
-        return simulate_broadcast(d, int(m), params, algorithm=algorithm)[0]
-    if pattern == "scatter":
-        from repro.patterns.scatter import simulate_scatter
-
-        return simulate_scatter(d, int(m), params, algorithm=algorithm)[0]
-    if pattern == "allgather":
-        from repro.patterns.allgather import simulate_allgather
-
-        return simulate_allgather(
-            d, int(m), params, algorithm=algorithm, partition=partition
-        )[0]
-    raise ValueError(f"unknown pattern {pattern!r}")  # pragma: no cover
+    return simulate_pattern(
+        pattern, algorithm, d, int(m), params, partition=partition
+    )[0]
 
 
 def _append_row(

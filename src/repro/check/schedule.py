@@ -34,19 +34,24 @@ the ``repro check --schedules`` driver.
 
 from __future__ import annotations
 
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
 from repro.check.report import CheckReport, Violation
 from repro.core.partitions import partitions
 from repro.core.programs import (
+    PATTERN_TABLE,
     BarrierStep,
     LocalShuffleStep,
     PairStep,
+    PatternAlgorithm,
+    Round,
     SendStep,
     exchange_steps,
     pattern_program,
+    pattern_rounds,
+    replay_pattern,
 )
 from repro.core.schedule import (
     ExchangeStep,
@@ -72,7 +77,7 @@ from repro.sim.fastpath import (
     naive_step_circuits,
 )
 from repro.util.bitops import popcount
-from repro.util.validation import check_dimension, check_partition
+from repro.util.validation import check_dimension, check_node, check_partition
 
 __all__ = [
     "CHECK_DIMS",
@@ -85,6 +90,7 @@ __all__ = [
     "verify_pattern",
     "verify_plan_decision",
     "verify_program_coefficients",
+    "verify_rounds",
     "verify_schedule",
 ]
 
@@ -611,195 +617,82 @@ def verify_schedule(d: int, partition: Sequence[int] | None = None) -> list[Viol
 # ----------------------------------------------------------------------
 # §9 pattern programs
 # ----------------------------------------------------------------------
-#: pattern -> algorithms the static verifier certifies
-PATTERN_ALGORITHMS: Mapping[str, tuple[str, ...]] = {
-    "broadcast": ("binomial", "direct"),
-    "scatter": ("halving", "direct"),
-    "allgather": ("doubling",),
-}
-
-
 def pattern_variants() -> list[tuple[str, str]]:
-    """Every ``(pattern, algorithm)`` pair the verifier can certify."""
-    return [
-        (pattern, algorithm)
-        for pattern, algorithms in PATTERN_ALGORITHMS.items()
-        for algorithm in algorithms
-    ]
+    """Every ``(pattern, algorithm)`` pair the verifier can certify: the
+    declared algorithms with a round schedule (the exchange-backed
+    allgather is a complete exchange; :func:`verify_schedule` certifies
+    it on its partition)."""
+    return [key for key, row in PATTERN_TABLE.items() if row.schedule != "exchange"]
 
 
 def verify_pattern(
     pattern: str, algorithm: str, d: int, *, root: int = 0
 ) -> list[Violation]:
-    """Certify one §9 pattern program's static schedule.
+    """Certify one §9 pattern algorithm's declared schedule.
 
-    Derives the per-step circuit sets the SPMD programs of
-    :mod:`repro.patterns` hold, proves each step edge/port-disjoint and
-    route-legal, and proves delivery: broadcast informs every node
-    exactly once, scatter lands every block at its owner, allgather
-    ends with every node holding every origin.  (The allgather
-    ``exchange`` variant is a complete exchange; certify it with
-    :func:`verify_schedule` on its partition.)
+    Expands the :data:`~repro.core.programs.PATTERN_TABLE` row into the
+    rounds the SPMD interpreter runs, proves each round's circuit set
+    edge/port-disjoint and route-legal, and proves delivery by
+    replaying abstract block holdings: no block reaches a node twice,
+    and every node ends holding exactly the blocks its pattern
+    delivers (the root's message, its own block, every origin).
     """
     check_dimension(d, minimum=1)
-    target = f"pattern {pattern}/{algorithm} d={d} root={root}"
-    n = 1 << d
-    builders = {
-        ("broadcast", "binomial"): _binomial_broadcast_steps,
-        ("broadcast", "direct"): _direct_root_steps,
-        ("scatter", "halving"): _halving_scatter_steps,
-        ("scatter", "direct"): _direct_root_steps,
-        ("allgather", "doubling"): _doubling_allgather_steps,
-    }
-    try:
-        builder = builders[(pattern, algorithm)]
-    except KeyError:
+    check_node(root, d)
+    row = PATTERN_TABLE.get((pattern, algorithm))
+    if row is None or row.schedule == "exchange":
         raise ValueError(
             f"cannot statically verify pattern {pattern!r} algorithm "
-            f"{algorithm!r}; have {sorted(builders)}"
-        ) from None
-    circuit_steps, delivery_violations = builder(d, root, target)
-    violations = verify_circuit_steps(circuit_steps, d, target=target)
-    violations.extend(delivery_violations)
-    return violations
+            f"{algorithm!r}; have {pattern_variants()}"
+        )
+    return verify_rounds(
+        row, pattern_rounds(row, d, root), d, root,
+        target=f"pattern {pattern}/{algorithm} d={d} root={root}",
+    )
 
 
-def _binomial_broadcast_steps(
-    d: int, root: int, target: str
-) -> tuple[list[list[Circuit]], list[Violation]]:
-    """Subcube-doubling broadcast: step ``j`` doubles the informed set."""
+def verify_rounds(
+    row: PatternAlgorithm,
+    rounds: Sequence[Round],
+    d: int,
+    root: int,
+    *,
+    target: str,
+) -> list[Violation]:
+    """Circuit and delivery proof for ``rounds`` under ``row``'s block
+    semantics (:func:`verify_pattern` on the declared rounds)."""
     n = 1 << d
-    informed = {root}
-    steps: list[list[Circuit]] = []
-    violations: list[Violation] = []
-    for j in range(d):
-        circuits = [
-            (node, node ^ (1 << j))
-            for node in sorted(informed)
-            if (node ^ root) < (1 << j)
-        ]
-        for src, dst in circuits:
-            if dst in informed:
-                violations.append(Violation(
-                    check="pattern-delivery",
-                    target=target,
-                    message=f"node {dst} informed twice (step {j})",
-                    step_index=j,
-                    counterexample={"node": dst, "step": j},
-                    fix_hint="the binomial tree reaches each node exactly once",
-                ))
-        informed.update(dst for _, dst in circuits)
-        steps.append(circuits)
-    if len(informed) != n:
-        missing = sorted(set(range(n)) - informed)
+    violations = verify_circuit_steps(
+        [rnd.circuits(root) for rnd in rounds], d, target=target
+    )
+    held, repeats = replay_pattern(row, rounds, d, root, lambda key: None)
+    for index, node, keys in repeats:
         violations.append(Violation(
-            check="pattern-delivery",
+            check="block-duplicated",
             target=target,
-            message=f"{len(missing)} node(s) never informed",
-            counterexample={"missing": missing[:8]},
-            fix_hint="after d doubling steps the informed set must be the cube",
+            message=f"blocks {keys[:4]} arrive twice at node {node}",
+            step_index=index,
+            counterexample={"node": node, "blocks": keys[:8]},
+            fix_hint="each block reaches a node at most once",
         ))
-    return steps, violations
-
-
-def _direct_root_steps(
-    d: int, root: int, target: str
-) -> tuple[list[list[Circuit]], list[Violation]]:
-    """Direct-circuit broadcast/scatter: the root circuits to every
-    node in turn, serialized at its port (one circuit per step)."""
-    n = 1 << d
-    steps = [[(root, dst)] for dst in range(n) if dst != root]
-    reached = {root} | {dst for (_, dst), in steps}
-    violations: list[Violation] = []
-    if len(reached) != n:
-        violations.append(Violation(
-            check="pattern-delivery",
-            target=target,
-            message="direct-circuit sweep misses nodes",
-            counterexample={"missing": sorted(set(range(n)) - reached)[:8]},
-        ))
-    return steps, violations
-
-
-def _halving_scatter_steps(
-    d: int, root: int, target: str
-) -> tuple[list[list[Circuit]], list[Violation]]:
-    """Recursive-halving scatter down the binomial tree."""
-    n = 1 << d
-    holdings: dict[int, set[int]] = {root: set(range(n))}
-    steps: list[list[Circuit]] = []
-    violations: list[Violation] = []
-    for step_index, j in enumerate(range(d - 1, -1, -1)):
-        circuits: list[Circuit] = []
-        moved: dict[int, set[int]] = {}
-        for node in sorted(holdings):
-            relative = node ^ root
-            if (relative & ((1 << (j + 1)) - 1)) or (relative & (1 << j)):
-                continue
-            moving = {dest for dest in holdings[node] if (dest ^ root) & (1 << j)}
-            if moving:
-                partner = node ^ (1 << j)
-                circuits.append((node, partner))
-                moved[partner] = moving
-                holdings[node] -= moving
-        for partner, blocks in moved.items():
-            already = holdings.setdefault(partner, set())
-            duplicated = already & blocks
-            if duplicated:
-                violations.append(Violation(
-                    check="block-duplicated",
-                    target=target,
-                    message=f"blocks {sorted(duplicated)[:4]} arrive twice "
-                            f"at node {partner}",
-                    step_index=step_index,
-                    counterexample={"node": partner,
-                                    "blocks": sorted(duplicated)[:8]},
-                ))
-            already |= blocks
-        steps.append(circuits)
     for node in range(n):
-        held = holdings.get(node, set())
-        if held != {node}:
+        wanted = set(row.semantics.ends(node, root, n))
+        if set(held[node]) != wanted:
             violations.append(Violation(
                 check="block-undelivered",
                 target=target,
-                message=f"node {node} ends holding {sorted(held)[:4]} "
-                        f"instead of exactly its own block",
-                counterexample={"node": node, "holds": sorted(held)[:8]},
-                fix_hint="recursive halving must land block j at node j",
-            ))
-            break
-    return steps, violations
-
-
-def _doubling_allgather_steps(
-    d: int, root: int, target: str
-) -> tuple[list[list[Circuit]], list[Violation]]:
-    """Recursive-doubling allgather: full neighbour pairing per step."""
-    n = 1 << d
-    holdings = [{node} for node in range(n)]
-    steps: list[list[Circuit]] = []
-    violations: list[Violation] = []
-    for j in range(d):
-        circuits = [(node, node ^ (1 << j)) for node in range(n)]
-        snapshot = [set(h) for h in holdings]
-        for node in range(n):
-            holdings[node] |= snapshot[node ^ (1 << j)]
-        steps.append(circuits)
-    for node in range(n):
-        if holdings[node] != set(range(n)):
-            violations.append(Violation(
-                check="block-undelivered",
-                target=target,
-                message=f"node {node} gathered only "
-                        f"{len(holdings[node])}/{n} origins",
+                message=f"node {node} ends holding {sorted(held[node])[:4]} "
+                        f"instead of {sorted(wanted)[:4]}",
                 counterexample={
                     "node": node,
-                    "missing": sorted(set(range(n)) - holdings[node])[:8],
+                    "missing": sorted(wanted - set(held[node]))[:8],
+                    "stray": sorted(set(held[node]) - wanted)[:8],
                 },
+                fix_hint="the rounds must leave every node holding exactly "
+                         "the blocks its pattern delivers",
             ))
             break
-    return steps, violations
+    return violations
 
 
 # ----------------------------------------------------------------------

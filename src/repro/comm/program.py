@@ -17,14 +17,18 @@ Implementation notes mirroring paper §7:
 * shuffles perform the actual numpy permutation *and* charge ρ per
   byte of the full buffer.
 
-The step streams these SPMD programs execute also exist declaratively:
-:func:`repro.core.programs.exchange_steps` /
-:func:`repro.core.programs.naive_rotation_steps` mirror
-``exchange_program`` / ``naive_program`` as
-:class:`~repro.core.programs.CommProgram` chains, which
+The fast path prices the same schedules without booting the engine:
+:func:`repro.core.programs.exchange_steps` lowers the
+:func:`~repro.core.schedule.multiphase_schedule` step list that
+``exchange_program`` executes to a
+:class:`~repro.core.programs.CommProgram` chain, which
 :func:`repro.sim.fastpath.compile_program` prices in one numpy pass at
 float equality with the runs here — the default path everywhere; the
-event-engine replay below is the byte-verifying oracle.
+event-engine replay below is the byte-verifying oracle.  (The naive
+rotation's chain, :func:`repro.core.programs.naive_rotation_steps`, is
+contended and priced by the reservation replay.)  The §9 patterns are
+not run here: each is one declaration in :mod:`repro.core.programs`,
+run by :func:`repro.patterns.simulate_pattern`.
 """
 
 from __future__ import annotations

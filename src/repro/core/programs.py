@@ -36,6 +36,21 @@ longest one — every forwarding node's chain accumulates the identical
 float suffix, so the root chain's ``cumsum`` equals the engine's
 makespan *exactly*, not just asymptotically.
 
+§9 pattern algorithms
+---------------------
+Every broadcast, scatter and allgather algorithm is declared once, as
+one :class:`PatternAlgorithm` row of :data:`PATTERN_TABLE`: the
+pattern's :class:`BlockSemantics` (who starts and ends holding which
+blocks) paired with a schedule (a tree over single-bit masks, direct
+root circuits, pairwise swaps, or the complete exchange).  Everything
+else is derived from the row — :func:`pattern_rounds` expands it into
+rounds (:class:`Round`), :func:`replay_pattern` moves blocks along them,
+:func:`pattern_program` evaluates the root's chain, and the consumers
+are the static certificate (:func:`repro.check.schedule.verify_pattern`),
+the data-level collectives and the SPMD interpreter of
+:mod:`repro.patterns`, so the circuits the certificate proves are the
+circuits the engine runs and the chain the fast path prices.
+
 Programs with ``contended=True`` (the naive rotation baseline) have no
 lockstep closed form — their cost is link/port serialization — and are
 refused by the compiler; :func:`repro.sim.fastpath.batch_program_times`
@@ -46,7 +61,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Sequence, Union
+from typing import Any, Callable, Mapping, Sequence, Union
 
 from repro.core.schedule import (
     ExchangeStep,
@@ -58,21 +73,23 @@ from repro.util.bitops import popcount
 from repro.util.validation import check_dimension, check_node, check_partition
 
 __all__ = [
+    "BLOCK_SEMANTICS",
     "BarrierStep",
+    "BlockSemantics",
     "CommProgram",
     "LocalShuffleStep",
+    "PATTERN_TABLE",
     "PairStep",
+    "PatternAlgorithm",
     "ProgramStep",
+    "Round",
     "SendStep",
-    "allgather_doubling_steps",
-    "allgather_exchange_steps",
-    "broadcast_binomial_steps",
-    "broadcast_direct_steps",
     "exchange_steps",
     "naive_rotation_steps",
     "pattern_program",
-    "scatter_direct_steps",
-    "scatter_halving_steps",
+    "pattern_rounds",
+    "replay_pattern",
+    "resolve_pattern",
 ]
 
 
@@ -196,102 +213,230 @@ def naive_rotation_steps(d: int) -> CommProgram:
 
 
 # ----------------------------------------------------------------------
-# §9 pattern programs
+# §9 pattern algorithms: one declaration each
 # ----------------------------------------------------------------------
-def broadcast_binomial_steps(d: int, root: int = 0) -> CommProgram:
-    """Binomial (subcube-doubling) broadcast: the root's send chain.
+@dataclass(frozen=True)
+class BlockSemantics:
+    """What a pattern moves, as integer block keys.
 
-    Step ``j`` forwards the whole message across dimension ``j``; every
-    reached node's forwarding chain accumulates the same per-step
-    duration ``λ + τ·m + δ``, so the root chain is the exact makespan.
+    ``starts(node, root, n)`` / ``ends(node, root, n)`` are the keys a
+    node holds before the first round and must hold after the last.
+    A *personal* block has one owner: it leaves its sender and only
+    travels towards the node it is for.  Other blocks are copied.
+    ``rooted`` patterns take a ``root``.
     """
-    check_dimension(d, minimum=1)
-    check_node(root, d)
-    steps: list[ProgramStep] = [BarrierStep()]
-    steps.extend(
-        SendStep(src=root, dst=root ^ (1 << j), bytes_per_m=1) for j in range(d)
-    )
-    return CommProgram(name="broadcast/binomial", d=d, steps=tuple(steps))
+
+    starts: Callable[[int, int, int], Sequence[int]]
+    ends: Callable[[int, int, int], Sequence[int]]
+    personal: bool = False
+    rooted: bool = True
 
 
-def broadcast_direct_steps(d: int, root: int = 0) -> CommProgram:
-    """Direct-circuit broadcast: the root circuits to every node in
-    turn (ascending destination order, as the SPMD program sends),
-    serialized at its own port."""
-    check_dimension(d, minimum=1)
-    check_node(root, d)
-    steps: list[ProgramStep] = [BarrierStep()]
-    steps.extend(
-        SendStep(src=root, dst=dst, bytes_per_m=1)
-        for dst in range(1 << d)
-        if dst != root
-    )
-    return CommProgram(name="broadcast/direct", d=d, steps=tuple(steps))
-
-
-def scatter_halving_steps(d: int, root: int = 0) -> CommProgram:
-    """Recursive-halving scatter: the root's chain, dimensions high to
-    low; step over dimension ``j`` forwards the ``2**j`` blocks bound
-    for the other subcube."""
-    check_dimension(d, minimum=1)
-    check_node(root, d)
-    steps: list[ProgramStep] = [BarrierStep()]
-    steps.extend(
-        SendStep(src=root, dst=root ^ (1 << j), bytes_per_m=1 << j)
-        for j in range(d - 1, -1, -1)
-    )
-    return CommProgram(name="scatter/halving", d=d, steps=tuple(steps))
-
-
-def scatter_direct_steps(d: int, root: int = 0) -> CommProgram:
-    """Direct-circuit scatter: one block to every node in turn — the
-    same chain shape as the direct broadcast, one block per circuit."""
-    check_dimension(d, minimum=1)
-    check_node(root, d)
-    steps: list[ProgramStep] = [BarrierStep()]
-    steps.extend(
-        SendStep(src=root, dst=dst, bytes_per_m=1)
-        for dst in range(1 << d)
-        if dst != root
-    )
-    return CommProgram(name="scatter/direct", d=d, steps=tuple(steps))
-
-
-def allgather_doubling_steps(d: int) -> CommProgram:
-    """Recursive-doubling allgather: ``d`` synchronized neighbour
-    exchanges of doubling size ``m·2**j`` — fully lockstep."""
-    check_dimension(d, minimum=1)
-    steps: list[ProgramStep] = [BarrierStep()]
-    steps.extend(PairStep(shift=1 << j, bytes_per_m=1 << j) for j in range(d))
-    return CommProgram(name="allgather/doubling", d=d, steps=tuple(steps))
-
-
-def allgather_exchange_steps(
-    d: int, partition: Sequence[int] | None = None
-) -> CommProgram:
-    """Allgather realized as a complete exchange at ``partition`` —
-    the exchange program under the pattern's name."""
-    base = exchange_steps(d, partition)
-    return CommProgram(
-        name="allgather/exchange", d=d, steps=base.steps, partition=base.partition
-    )
-
-
-#: pattern/algorithm -> builder, the compiler-facing §9 registry
-_PATTERN_BUILDERS = {
-    ("broadcast", "binomial"): broadcast_binomial_steps,
-    ("broadcast", "direct"): broadcast_direct_steps,
-    ("scatter", "halving"): scatter_halving_steps,
-    ("scatter", "direct"): scatter_direct_steps,
-    ("allgather", "doubling"): allgather_doubling_steps,
-    ("allgather", "exchange"): allgather_exchange_steps,
+#: pattern -> block semantics
+BLOCK_SEMANTICS: Mapping[str, BlockSemantics] = {
+    # the root's one message, replicated to every node
+    "broadcast": BlockSemantics(
+        starts=lambda node, root, n: (root,) if node == root else (),
+        ends=lambda node, root, n: (root,),
+    ),
+    # the root's n personal blocks, block x bound for node x
+    "scatter": BlockSemantics(
+        starts=lambda node, root, n: range(n) if node == root else (),
+        ends=lambda node, root, n: (node,),
+        personal=True,
+    ),
+    # one block per origin, collected by every node
+    "allgather": BlockSemantics(
+        starts=lambda node, root, n: (node,),
+        ends=lambda node, root, n: range(n),
+        rooted=False,
+    ),
 }
 
-#: patterns whose builders take a ``root``
-_ROOTED_PATTERNS = ("broadcast", "scatter")
 
-#: the one algorithm whose builder takes a ``partition``
-_PARTITIONED = ("allgather", "exchange")
+@dataclass(frozen=True)
+class PatternAlgorithm:
+    """One §9 algorithm: a pattern's block semantics plus a schedule.
+
+    ``schedule`` is ``"tree"`` (every holder forwards across one
+    single-bit mask per round, ascending, or from the top bit down
+    with ``descending``), ``"direct"`` (the root circuits to every node
+    in ascending order), ``"pairwise"`` (every node swaps across
+    ascending masks) or ``"exchange"`` (the complete exchange at a
+    partition, run through ``Communicator.Alltoall``).
+    """
+
+    pattern: str
+    algorithm: str
+    schedule: str
+    descending: bool = False
+
+    @property
+    def name(self) -> str:
+        return f"{self.pattern}/{self.algorithm}"
+
+    @property
+    def semantics(self) -> BlockSemantics:
+        return BLOCK_SEMANTICS[self.pattern]
+
+
+#: (pattern, algorithm) -> its one declaration
+PATTERN_TABLE: Mapping[tuple[str, str], PatternAlgorithm] = {
+    (row.pattern, row.algorithm): row
+    for row in (
+        PatternAlgorithm("broadcast", "binomial", "tree"),
+        PatternAlgorithm("broadcast", "direct", "direct"),
+        PatternAlgorithm("scatter", "halving", "tree", descending=True),
+        PatternAlgorithm("scatter", "direct", "direct"),
+        PatternAlgorithm("allgather", "doubling", "pairwise"),
+        PatternAlgorithm("allgather", "exchange", "exchange"),
+    )
+}
+
+
+@dataclass(frozen=True)
+class Round:
+    """One round of a declared schedule, relative to the root.
+
+    The senders are the nodes ``root ^ s`` for every submask ``s`` of
+    ``sources``; each sends across ``mask`` to ``sender ^ mask``.  A
+    ``pairwise`` round has every node as a sender, so partners swap.
+    ``reach`` holds the bits a receiver still forwards across in later
+    rounds: its downstream is ``{dst ^ r : r a submask of reach}``.
+    ``tag`` labels the round's messages.
+    """
+
+    mask: int
+    sources: int
+    reach: int
+    tag: int
+    pairwise: bool = False
+
+    def sends(self, relative: int) -> bool:
+        """Whether node ``root ^ relative`` sends this round."""
+        return relative & ~self.sources == 0
+
+    def receives(self, relative: int) -> bool:
+        """Whether node ``root ^ relative`` receives this round."""
+        return self.sends(relative ^ self.mask)
+
+    def circuits(self, root: int) -> list[tuple[int, int]]:
+        """Every ``(src, dst)`` circuit the round holds, by source."""
+        senders: list[int] = []
+        sub = self.sources
+        while True:
+            senders.append(root ^ sub)
+            if sub == 0:
+                break
+            sub = (sub - 1) & self.sources
+        return sorted((src, src ^ self.mask) for src in senders)
+
+    def take(self, held: dict[int, Any], dst: int, personal: bool) -> dict[int, Any]:
+        """The blocks a sender passes to ``dst``: all it holds, or — for
+        personal blocks — those bound for ``dst``'s downstream, which
+        then leave the sender."""
+        if not personal:
+            return dict(held)
+        moving = {key: block for key, block in held.items()
+                  if (key ^ dst) & ~self.reach == 0}
+        for key in moving:
+            del held[key]
+        return moving
+
+
+def pattern_rounds(row: PatternAlgorithm, d: int, root: int) -> tuple[Round, ...]:
+    """Expand a declared tree, direct or pairwise schedule into rounds."""
+    n = 1 << d
+    if row.schedule == "direct":
+        return tuple(
+            Round(mask=root ^ dst, sources=0, reach=0, tag=0)
+            for dst in range(n)
+            if dst != root
+        )
+    if row.schedule not in ("tree", "pairwise"):
+        raise ValueError(f"{row.name} has no round schedule")
+    pairwise = row.schedule == "pairwise"
+    rounds: list[Round] = []
+    crossed = 0
+    for j in range(d - 1, -1, -1) if row.descending else range(d):
+        mask = 1 << j
+        rounds.append(Round(
+            mask=mask,
+            sources=n - 1 if pairwise else crossed,
+            reach=(n - 1) & ~crossed & ~mask,
+            tag=j,
+            pairwise=pairwise,
+        ))
+        crossed |= mask
+    return tuple(rounds)
+
+
+def replay_pattern(
+    row: PatternAlgorithm,
+    rounds: Sequence[Round],
+    d: int,
+    root: int,
+    block: Callable[[int], Any],
+) -> tuple[list[dict[int, Any]], list[tuple[int, int, list[int]]]]:
+    """Move blocks along ``rounds`` on every node at once.
+
+    Each node starts with ``{key: block(key)}`` for its starting keys;
+    every circuit of a round reads the holdings from before the round.
+    Returns each node's final holdings and every repeated arrival as
+    ``(round index, node, keys)``.
+    """
+    n = 1 << d
+    semantics = row.semantics
+    held = [
+        {key: block(key) for key in semantics.starts(node, root, n)}
+        for node in range(n)
+    ]
+    repeats: list[tuple[int, int, list[int]]] = []
+    for index, rnd in enumerate(rounds):
+        moves = [
+            (dst, rnd.take(held[src], dst, semantics.personal))
+            for src, dst in rnd.circuits(root)
+        ]
+        for dst, blocks in moves:
+            again = sorted(held[dst].keys() & blocks.keys())
+            if again:
+                repeats.append((index, dst, again))
+            held[dst].update(blocks)
+    return held, repeats
+
+
+def resolve_pattern(
+    pattern: str,
+    algorithm: str,
+    d: int,
+    *,
+    partition: Sequence[int] | None = None,
+    root: int = 0,
+) -> tuple[PatternAlgorithm, tuple[int, ...] | None, int]:
+    """Validate one algorithm's arguments: ``(row, partition, root)``.
+
+    ``partition`` applies only to an exchange schedule (``None`` means
+    the single-phase ``(d,)``), ``root`` only to rooted patterns;
+    passing either where it does not apply raises :class:`ValueError`.
+    """
+    row = PATTERN_TABLE.get((pattern, algorithm))
+    if row is None:
+        raise ValueError(
+            f"no program for pattern {pattern!r} algorithm {algorithm!r}; "
+            f"have {sorted(PATTERN_TABLE)}"
+        )
+    check_dimension(d, minimum=1)
+    if row.schedule == "exchange":
+        partition = check_partition(partition if partition is not None else (d,), d)
+    elif partition is not None:
+        raise ValueError(
+            f"{row.name} takes no partition, got partition={partition!r}"
+        )
+    if row.semantics.rooted:
+        check_node(root, d)
+    elif root != 0:
+        raise ValueError(f"{row.name} takes no root, got root={root!r}")
+    return row, partition, root
 
 
 def pattern_program(
@@ -304,10 +449,9 @@ def pattern_program(
 ) -> CommProgram:
     """The :class:`CommProgram` for one §9 pattern algorithm.
 
-    ``partition`` applies only to allgather's ``exchange`` algorithm
-    (``None`` means the single-phase ``(d,)``); ``root`` only to the
-    rooted patterns (broadcast, scatter).  Passing either to an
-    algorithm that does not take it raises :class:`ValueError`.
+    The chain is the root's: a barrier, then one send (or pairwise
+    swap) per round, carrying the blocks the declaration says the root
+    passes on.  Arguments are checked by :func:`resolve_pattern`.
 
     Programs are memoized per process: equal arguments (a list or a
     tuple partition alike) return the *same* immutable program, so
@@ -320,24 +464,9 @@ def pattern_program(
     >>> pattern_program("scatter", "direct", 5) is pattern_program("scatter", "direct", 5)
     True
     """
-    if (pattern, algorithm) not in _PATTERN_BUILDERS:
-        raise ValueError(
-            f"no program for pattern {pattern!r} algorithm {algorithm!r}; "
-            f"have {sorted(_PATTERN_BUILDERS)}"
-        )
-    check_dimension(d, minimum=1)
-    if (pattern, algorithm) == _PARTITIONED:
-        partition = check_partition(partition if partition is not None else (d,), d)
-    elif partition is not None:
-        raise ValueError(
-            f"{pattern}/{algorithm} takes no partition, got partition={partition!r}"
-        )
-    if pattern in _ROOTED_PATTERNS:
-        check_node(root, d)
-    elif root != 0:
-        raise ValueError(f"{pattern}/{algorithm} takes no root, got root={root!r}")
-    else:
-        root = None
+    _, partition, root = resolve_pattern(
+        pattern, algorithm, d, partition=partition, root=root
+    )
     return _pattern_program(pattern, algorithm, d, partition, root)
 
 
@@ -347,11 +476,24 @@ def _pattern_program(
     algorithm: str,
     d: int,
     partition: tuple[int, ...] | None,
-    root: int | None,
+    root: int,
 ) -> CommProgram:
-    builder = _PATTERN_BUILDERS[(pattern, algorithm)]
-    if partition is not None:
-        return builder(d, partition)
-    if root is not None:
-        return builder(d, root)
-    return builder(d)
+    row = PATTERN_TABLE[(pattern, algorithm)]
+    if row.schedule == "exchange":
+        base = exchange_steps(d, partition)
+        return CommProgram(
+            name=row.name, d=d, steps=base.steps, partition=base.partition
+        )
+    semantics = row.semantics
+    held = len(semantics.starts(root, root, 1 << d))
+    steps: list[ProgramStep] = [BarrierStep()]
+    for rnd in pattern_rounds(row, d, root):
+        # the root sends every round; personal blocks go only to the
+        # receiver's downstream, copied blocks all go
+        blocks = 1 << popcount(rnd.reach) if semantics.personal else held
+        if rnd.pairwise:
+            steps.append(PairStep(shift=rnd.mask, bytes_per_m=blocks))
+            held += blocks  # the partner held as many as the root
+        else:
+            steps.append(SendStep(src=root, dst=root ^ rnd.mask, bytes_per_m=blocks))
+    return CommProgram(name=row.name, d=d, steps=tuple(steps))

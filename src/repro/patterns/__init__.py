@@ -5,65 +5,35 @@ personalized, and one-to-all broadcast patterns [Johnsson & Ho] fare
 under the same machine model, noting that the complete exchange —
 being the densest requirement — upper-bounds them all.  This
 subpackage implements the three patterns (data-level, cost model, and
-simulated programs), plus circuit-switched variants that exploit long
+simulated runs), plus circuit-switched variants that exploit long
 circuits the way the paper's optimal exchange does, and verifies the
 upper-bound relationship.
 
-Every pattern algorithm also exists as a declarative
-:class:`~repro.core.programs.CommProgram` step stream (re-exported
-here: :func:`pattern_program` and the per-algorithm builders), which
-:func:`repro.sim.fastpath.compile_program` prices in one numpy pass at
-float equality with the SPMD simulations in this package — the planner
-scores candidates with that fast path and the event engine only runs
-as a spot-check.
+Each pattern algorithm is declared once, as a row of
+:data:`repro.core.programs.PATTERN_TABLE`.  Four consumers derive from
+that row: the priced chain :func:`pattern_program` returns (which
+:func:`repro.sim.fastpath.compile_program` prices in one numpy pass),
+the static certificate of :func:`repro.check.schedule.verify_pattern`,
+the data-level :func:`broadcast` / :func:`scatter` / :func:`allgather`,
+and :func:`simulate_pattern`, one SPMD interpreter on the event engine.
+The planner scores candidates on the fast path and the event engine
+only runs as a spot-check.
 """
 
-from repro.core.programs import (
-    allgather_doubling_steps,
-    allgather_exchange_steps,
-    broadcast_binomial_steps,
-    broadcast_direct_steps,
-    pattern_program,
-    scatter_direct_steps,
-    scatter_halving_steps,
-)
-from repro.patterns.allgather import (
-    allgather,
-    allgather_exchange_time,
-    allgather_time,
-    simulate_allgather,
-)
-from repro.patterns.broadcast import (
-    broadcast,
-    broadcast_direct_time,
-    broadcast_time,
-    simulate_broadcast,
-)
-from repro.patterns.scatter import (
-    scatter,
-    scatter_direct_time,
-    scatter_time,
-    simulate_scatter,
-)
+from repro.core.programs import pattern_program
+from repro.patterns.allgather import allgather, allgather_time
+from repro.patterns.broadcast import broadcast, broadcast_time
+from repro.patterns.execute import simulate_pattern
+from repro.patterns.scatter import scatter, scatter_direct_time, scatter_time
 
 __all__ = [
     "allgather",
-    "allgather_doubling_steps",
-    "allgather_exchange_steps",
-    "allgather_exchange_time",
     "allgather_time",
     "broadcast",
-    "broadcast_binomial_steps",
-    "broadcast_direct_steps",
-    "broadcast_direct_time",
     "broadcast_time",
     "pattern_program",
     "scatter",
-    "scatter_direct_steps",
     "scatter_direct_time",
-    "scatter_halving_steps",
     "scatter_time",
-    "simulate_allgather",
-    "simulate_broadcast",
-    "simulate_scatter",
+    "simulate_pattern",
 ]

@@ -15,27 +15,21 @@ Predicted time::
 Moving the same total volume per node as the complete exchange's
 minimum but with only ``d`` startups — the structural advantage §9
 hints simpler patterns can exploit.
+
+The doubling schedule and its exchange-backed rival are declared once,
+in :data:`repro.core.programs.PATTERN_TABLE`; run either on the
+simulated machine with :func:`repro.patterns.simulate_pattern`.
 """
 
 from __future__ import annotations
 
-from typing import Generator, Sequence
-
 import numpy as np
 
 from repro.model.params import MachineParams
-from repro.sim.machine import RunResult, SimulatedHypercube
-from repro.sim.node import NodeContext
+from repro.patterns.execute import deliver
 from repro.util.validation import check_dimension
 
-__all__ = [
-    "allgather",
-    "allgather_exchange_program",
-    "allgather_exchange_time",
-    "allgather_program",
-    "allgather_time",
-    "simulate_allgather",
-]
+__all__ = ["allgather", "allgather_time"]
 
 
 def allgather(contributions: np.ndarray, d: int) -> list[np.ndarray]:
@@ -55,18 +49,8 @@ def allgather(contributions: np.ndarray, d: int) -> list[np.ndarray]:
     contributions = np.asarray(contributions)
     if contributions.shape[0] != n:
         raise ValueError(f"need {n} contributions, got {contributions.shape[0]}")
-    # holdings[x]: dict origin -> block
-    holdings = [{x: contributions[x].copy()} for x in range(n)]
-    for j in range(d):
-        snapshot = [dict(h) for h in holdings]
-        for node in range(n):
-            partner = node ^ (1 << j)
-            holdings[node].update(snapshot[partner])
-    out = []
-    for node in range(n):
-        assert set(holdings[node]) == set(range(n)), f"node {node} missed blocks"
-        out.append(np.stack([holdings[node][o] for o in range(n)]))
-    return out
+    held = deliver("allgather", "doubling", d, 0, lambda key: contributions[key].copy())
+    return [np.stack([mine[origin] for origin in range(n)]) for mine in held]
 
 
 def allgather_time(m: float, d: int, params: MachineParams) -> float:
@@ -78,105 +62,3 @@ def allgather_time(m: float, d: int, params: MachineParams) -> float:
         + params.byte_time * m * (n - 1)
         + params.global_sync_time(d)
     )
-
-
-def allgather_exchange_time(
-    m: float, d: int, partition: Sequence[int], params: MachineParams
-) -> float:
-    """Allgather realized as a complete exchange of ``m``-byte blocks
-    (every node sends its contribution to every destination): exactly
-    the multiphase model at that partition.  Pays the exchange's
-    startup count for the pattern's volume — the planner's candidate
-    that loses to recursive doubling, kept scored so the selection is
-    checked, not assumed."""
-    from repro.model.cost import multiphase_time
-
-    return multiphase_time(m, d, tuple(partition), params)
-
-
-def allgather_exchange_program(
-    ctx: NodeContext,
-    *,
-    contribution: np.ndarray,
-    partition: Sequence[int] | None = None,
-    planner=None,
-) -> Generator:
-    """SPMD program: allgather via the complete exchange — every row of
-    the send matrix is this node's contribution, so rank ``x`` ends
-    with block ``j`` in row ``j``.  Routes through
-    :meth:`repro.comm.communicator.Communicator.Alltoall`, so a
-    planner can pick the exchange algorithm per ``(d, m)``."""
-    from repro.comm.communicator import Communicator
-
-    comm = Communicator(ctx)
-    rows = np.tile(np.asarray(contribution, dtype=np.uint8), (ctx.n, 1))
-    gathered = yield from comm.Alltoall(rows, partition=partition, planner=planner)
-    return gathered
-
-
-def allgather_program(ctx: NodeContext, *, contribution: np.ndarray) -> Generator:
-    """SPMD program: d synchronized neighbour exchanges of doubling size."""
-    yield ctx.barrier()
-    mine: dict[int, np.ndarray] = {ctx.rank: np.asarray(contribution)}
-    for j in range(ctx.d):
-        partner = ctx.rank ^ (1 << j)
-        nbytes = int(sum(np.asarray(b).nbytes for b in mine.values()))
-        received = yield ctx.exchange(partner, dict(mine), nbytes=nbytes, tag=j)
-        mine.update(received)
-    return np.stack([mine[o] for o in range(ctx.n)])
-
-
-def simulate_allgather(
-    d: int,
-    m: int,
-    params: MachineParams,
-    *,
-    algorithm: str = "doubling",
-    partition: Sequence[int] | None = None,
-    planner=None,
-) -> tuple[float, RunResult]:
-    """Measure an allgather algorithm; results byte-verified.
-
-    ``algorithm`` is ``"doubling"`` (recursive doubling),
-    ``"exchange"`` (via the complete exchange, honouring
-    ``partition``/``planner``), or ``"auto"`` (model-selected via
-    :func:`repro.plan.plan_pattern`, the planner pricing the exchange
-    candidate's partition).
-    """
-    check_dimension(d)
-    if algorithm == "auto":
-        from repro.plan.patterns import plan_pattern
-
-        decision = plan_pattern("allgather", float(m), d, params, planner=planner)
-        algorithm = decision.algorithm
-        if partition is None:
-            partition = decision.partition
-    n = 1 << d
-    rng = np.random.default_rng(999)
-    contributions = rng.integers(0, 256, size=(n, max(m, 0)), dtype=np.uint8)
-    machine = SimulatedHypercube(d, params)
-
-    if algorithm == "doubling":
-        def program(ctx):
-            return allgather_program(ctx, contribution=contributions[ctx.rank])
-    elif algorithm == "exchange":
-        # the Alltoall selection inputs are mutually exclusive; prefer
-        # the live planner, falling back to the decided partition
-        exchange_planner = planner
-        exchange_partition = None if planner is not None else partition
-
-        def program(ctx):
-            return allgather_exchange_program(
-                ctx, contribution=contributions[ctx.rank],
-                partition=exchange_partition, planner=exchange_planner,
-            )
-    else:
-        raise ValueError(
-            f"unknown allgather algorithm {algorithm!r}; "
-            f"expected 'doubling', 'exchange', or 'auto'"
-        )
-
-    run = machine.run(program)
-    for rank, got in enumerate(run.node_results):
-        assert np.array_equal(got, contributions), f"node {rank} gathered wrong data"
-    return run.time, run

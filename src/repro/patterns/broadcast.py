@@ -10,28 +10,21 @@ machine each step costs ``λ + τ·m + δ``.
 Total predicted time: ``t_bcast(m, d) = d·(λ + τ·m + δ)`` — far below
 the complete-exchange bound, as §3's upper-bound argument requires
 (tested in :mod:`tests.patterns.test_bounds`).
+
+The schedule itself is declared once, in
+:data:`repro.core.programs.PATTERN_TABLE`; run it on the simulated
+machine with :func:`repro.patterns.simulate_pattern`.
 """
 
 from __future__ import annotations
 
-from typing import Generator
-
 import numpy as np
 
 from repro.model.params import MachineParams
-from repro.sim.machine import RunResult, SimulatedHypercube
-from repro.sim.node import NodeContext
-from repro.util.bitops import popcount
-from repro.util.validation import check_dimension, check_node
+from repro.patterns.execute import deliver
+from repro.util.validation import check_dimension
 
-__all__ = [
-    "broadcast",
-    "broadcast_direct_program",
-    "broadcast_direct_time",
-    "broadcast_program",
-    "broadcast_time",
-    "simulate_broadcast",
-]
+__all__ = ["broadcast", "broadcast_time"]
 
 
 def broadcast(message: np.ndarray, root: int, d: int) -> list[np.ndarray]:
@@ -46,20 +39,9 @@ def broadcast(message: np.ndarray, root: int, d: int) -> list[np.ndarray]:
     >>> [o.tolist() for o in out]
     [[1, 2], [1, 2], [1, 2], [1, 2]]
     """
-    check_dimension(d)
-    check_node(root, d)
-    n = 1 << d
     message = np.asarray(message)
-    holds: list[np.ndarray | None] = [None] * n
-    holds[root] = message.copy()
-    for j in range(d):
-        for node in range(n):
-            relative = node ^ root
-            if holds[node] is not None and relative < (1 << j):
-                partner = node ^ (1 << j)
-                holds[partner] = holds[node].copy()
-    assert all(h is not None for h in holds), "binomial schedule failed to cover the cube"
-    return holds  # type: ignore[return-value]
+    held = deliver("broadcast", "binomial", d, root, lambda key: message)
+    return [blocks[root].copy() for blocks in held]
 
 
 def broadcast_time(m: float, d: int, params: MachineParams) -> float:
@@ -69,97 +51,3 @@ def broadcast_time(m: float, d: int, params: MachineParams) -> float:
     return d * (params.latency + params.byte_time * m + params.hop_time) + (
         params.global_sync_time(d)
     )
-
-
-def broadcast_direct_time(m: float, d: int, params: MachineParams) -> float:
-    """Direct-circuit broadcast: the root sends the whole message to
-    every node in turn, serialized at its port:
-    ``Σ_{i=1..n-1} (λ + τ·m + δ·popcount(i))`` plus global sync.
-
-    The binomial tree always wins on this model (``d`` startups versus
-    ``2**d - 1``); keeping the loser scored makes the planner's
-    selection checkable rather than assumed.
-    """
-    check_dimension(d)
-    n = 1 << d
-    startups = (n - 1) * (params.latency + params.byte_time * m)
-    distance = params.hop_time * sum(popcount(i) for i in range(1, n))
-    return startups + distance + params.global_sync_time(d)
-
-
-def broadcast_direct_program(
-    ctx: NodeContext, *, message: np.ndarray | None, root: int
-) -> Generator:
-    """SPMD program for the direct-circuit broadcast (FORCED
-    discipline): every non-root posts one receive from the root, the
-    root sends the full message to each node in turn."""
-    if ctx.rank != root:
-        yield ctx.post_recv(root, tag=0)
-    yield ctx.barrier()
-    if ctx.rank == root:
-        for dst in range(ctx.n):
-            if dst != root:
-                yield ctx.send(dst, message, int(np.asarray(message).nbytes), tag=0)
-        return message
-    data = yield ctx.recv(root, tag=0)
-    return data
-
-
-def broadcast_program(ctx: NodeContext, *, message: np.ndarray | None, root: int) -> Generator:
-    """SPMD node program for the binomial broadcast.
-
-    Uses plain FORCED sends (one-directional traffic needs no pairwise
-    synchronization) with receives posted up front, §7.3 style.
-    """
-    relative = ctx.rank ^ root
-    data = message
-    # the step in which this node is reached: position of its highest
-    # relative bit (root is reached at 'step -1')
-    if relative:
-        arrival_step = relative.bit_length() - 1
-        src = ctx.rank ^ (1 << arrival_step)
-        yield ctx.post_recv(src, tag=arrival_step)
-    yield ctx.barrier()
-    if relative:
-        data = yield ctx.recv(src, tag=arrival_step)
-    start = relative.bit_length() if relative else 0
-    for j in range(start, ctx.d):
-        if relative < (1 << j):
-            partner = ctx.rank ^ (1 << j)
-            yield ctx.send(partner, data, int(np.asarray(data).nbytes), tag=j)
-    return data
-
-
-def simulate_broadcast(
-    d: int, m: int, params: MachineParams, *, root: int = 0, algorithm: str = "binomial"
-) -> tuple[float, RunResult]:
-    """Measure a broadcast algorithm on the simulated machine.
-
-    ``algorithm`` is ``"binomial"`` (subcube doubling), ``"direct"``
-    (root circuits to every node), or ``"auto"`` (model-selected via
-    :func:`repro.plan.plan_pattern`).  Returns
-    ``(virtual_time_us, run_result)``; every node's payload is
-    verified equal to the root's message.
-    """
-    check_dimension(d)
-    check_node(root, d)
-    if algorithm == "auto":
-        from repro.plan.patterns import plan_pattern
-
-        algorithm = plan_pattern("broadcast", float(m), d, params).algorithm
-    programs = {"binomial": broadcast_program, "direct": broadcast_direct_program}
-    if algorithm not in programs:
-        raise ValueError(
-            f"unknown broadcast algorithm {algorithm!r}; "
-            f"expected 'binomial', 'direct', or 'auto'"
-        )
-    message = np.arange(m, dtype=np.int64).astype(np.uint8)
-    machine = SimulatedHypercube(d, params)
-    run = machine.run(programs[algorithm], message=message, root=root)
-
-    def as_array(x):
-        return np.asarray(x, dtype=np.uint8)
-
-    for rank, got in enumerate(run.node_results):
-        assert np.array_equal(as_array(got), message), f"node {rank} got a wrong copy"
-    return run.time, run

@@ -17,28 +17,22 @@ in the spirit of the paper's pair:
   forward buffering at intermediate nodes, not speed — an asymmetry
   with the exchange (where *every* node is a source) that the pattern
   benchmark quantifies.
+
+Both schedules are declared once, in
+:data:`repro.core.programs.PATTERN_TABLE`; run them on the simulated
+machine with :func:`repro.patterns.simulate_pattern`.
 """
 
 from __future__ import annotations
 
-from typing import Generator
-
 import numpy as np
 
 from repro.model.params import MachineParams
-from repro.sim.machine import RunResult, SimulatedHypercube
-from repro.sim.node import NodeContext
+from repro.patterns.execute import deliver
 from repro.util.bitops import popcount
-from repro.util.validation import check_dimension, check_node
+from repro.util.validation import check_dimension
 
-__all__ = [
-    "scatter",
-    "scatter_direct_program",
-    "scatter_direct_time",
-    "scatter_program",
-    "scatter_time",
-    "simulate_scatter",
-]
+__all__ = ["scatter", "scatter_direct_time", "scatter_time"]
 
 
 def scatter(blocks: np.ndarray, root: int, d: int) -> list[np.ndarray]:
@@ -54,39 +48,12 @@ def scatter(blocks: np.ndarray, root: int, d: int) -> list[np.ndarray]:
     [[0, 1], [2, 3], [4, 5], [6, 7]]
     """
     check_dimension(d)
-    check_node(root, d)
     n = 1 << d
     blocks = np.asarray(blocks)
     if blocks.shape[0] != n:
         raise ValueError(f"root must hold {n} blocks, got {blocks.shape[0]}")
-    # holdings[x] = dict dest -> block currently buffered at node x
-    holdings: list[dict[int, np.ndarray]] = [dict() for _ in range(n)]
-    holdings[root] = {j: blocks[j].copy() for j in range(n)}
-    for step, j in enumerate(range(d - 1, -1, -1)):
-        for node in range(n):
-            relative = node ^ root
-            # nodes active at this step are those already reached:
-            # relative has no bits at or below j+... they hold a
-            # contiguous (in relative terms) range of destinations
-            if holdings[node] and (relative & ((1 << (j + 1)) - 1)) == 0:
-                partner = node ^ (1 << j)
-                moving = {
-                    dest: blk
-                    for dest, blk in holdings[node].items()
-                    if (dest ^ root) & (1 << j)
-                } if not (relative & (1 << j)) else {}
-                # only the lower subcube holder forwards the upper half
-                if moving:
-                    for dest in moving:
-                        del holdings[node][dest]
-                    holdings[partner].update(moving)
-    out = []
-    for node in range(n):
-        assert set(holdings[node]) == {node}, (
-            f"node {node} ended with destinations {sorted(holdings[node])}"
-        )
-        out.append(holdings[node][node])
-    return out
+    held = deliver("scatter", "halving", d, root, lambda key: blocks[key].copy())
+    return [mine[node] for node, mine in enumerate(held)]
 
 
 def scatter_time(m: float, d: int, params: MachineParams) -> float:
@@ -111,87 +78,3 @@ def scatter_direct_time(m: float, d: int, params: MachineParams) -> float:
     startups = (n - 1) * (params.latency + params.byte_time * m)
     distance = params.hop_time * sum(popcount(i) for i in range(1, n))
     return startups + distance + params.global_sync_time(d)
-
-
-def scatter_program(ctx: NodeContext, *, blocks: np.ndarray | None, root: int) -> Generator:
-    """SPMD program for recursive-halving scatter (FORCED discipline)."""
-    n, d = ctx.n, ctx.d
-    relative = ctx.rank ^ root
-    if relative:
-        # dimensions are processed from high to low, so a node is first
-        # reached across the LOWEST set bit of its relative address
-        arrival_j = (relative & -relative).bit_length() - 1
-        src = ctx.rank ^ (1 << arrival_j)
-        yield ctx.post_recv(src, tag=arrival_j)
-    yield ctx.barrier()
-
-    if relative == 0:
-        mine: dict[int, np.ndarray] = {j: np.asarray(blocks)[j] for j in range(n)}
-    else:
-        received = yield ctx.recv(src, tag=arrival_j)
-        mine = dict(received)
-
-    # forward lower-dimension halves (steps proceed from high dims down;
-    # we participate in steps below our arrival dimension)
-    top = arrival_j if relative else d
-    for j in range(top - 1, -1, -1):
-        moving = {dest: blk for dest, blk in mine.items() if (dest ^ root) & (1 << j)}
-        if moving:
-            for dest in moving:
-                del mine[dest]
-            nbytes = int(sum(np.asarray(b).nbytes for b in moving.values()))
-            yield ctx.send(ctx.rank ^ (1 << j), moving, nbytes, tag=j)
-    assert set(mine) == {ctx.rank}
-    return mine[ctx.rank]
-
-
-def scatter_direct_program(
-    ctx: NodeContext, *, blocks: np.ndarray | None, root: int
-) -> Generator:
-    """SPMD program for the direct-circuit scatter: the root opens a
-    circuit to every node in turn and sends just that node's block
-    (no store-and-forward buffering at intermediate nodes)."""
-    if ctx.rank != root:
-        yield ctx.post_recv(root, tag=0)
-    yield ctx.barrier()
-    if ctx.rank == root:
-        mine = np.asarray(blocks)
-        for dst in range(ctx.n):
-            if dst != root:
-                yield ctx.send(dst, mine[dst], int(mine[dst].nbytes), tag=0)
-        return mine[root]
-    block = yield ctx.recv(root, tag=0)
-    return block
-
-
-def simulate_scatter(
-    d: int, m: int, params: MachineParams, *, root: int = 0, algorithm: str = "halving"
-) -> tuple[float, RunResult]:
-    """Measure a scatter algorithm; blocks byte-verified.
-
-    ``algorithm`` is ``"halving"`` (recursive halving down the
-    binomial tree), ``"direct"`` (root circuits), or ``"auto"``
-    (model-selected via :func:`repro.plan.plan_pattern`).
-    """
-    check_dimension(d)
-    check_node(root, d)
-    if algorithm == "auto":
-        from repro.plan.patterns import plan_pattern
-
-        algorithm = plan_pattern("scatter", float(m), d, params).algorithm
-    programs = {"halving": scatter_program, "direct": scatter_direct_program}
-    if algorithm not in programs:
-        raise ValueError(
-            f"unknown scatter algorithm {algorithm!r}; "
-            f"expected 'halving', 'direct', or 'auto'"
-        )
-    n = 1 << d
-    rng = np.random.default_rng(12345)
-    blocks = rng.integers(0, 256, size=(n, m), dtype=np.uint8)
-    machine = SimulatedHypercube(d, params)
-    run = machine.run(programs[algorithm], blocks=blocks, root=root)
-    for rank, got in enumerate(run.node_results):
-        assert np.array_equal(np.asarray(got, dtype=np.uint8), blocks[rank]), (
-            f"node {rank} received the wrong block"
-        )
-    return run.time, run

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from repro.core.programs import BLOCK_SEMANTICS, PATTERN_TABLE, pattern_program
 from repro.model.params import MachineParams
 from repro.plan.planner import CollectivePlanner
 from repro.util.validation import check_block_size, check_dimension
@@ -29,7 +30,7 @@ from repro.util.validation import check_block_size, check_dimension
 __all__ = ["PATTERNS", "PatternDecision", "pattern_candidates", "plan_pattern"]
 
 #: patterns the planner can select algorithms for
-PATTERNS = ("broadcast", "scatter", "allgather")
+PATTERNS = tuple(BLOCK_SEMANTICS)
 
 
 @dataclass(frozen=True)
@@ -62,45 +63,38 @@ def pattern_candidates(
     the compiled fast path's — float-equal with what the event engine
     would measure for that algorithm's program.
     """
-    from repro.core.programs import pattern_program
     from repro.sim.fastpath import program_time
 
     check_dimension(d, minimum=1)
     m = check_block_size(m)
+    rows = [row for row in PATTERN_TABLE.values() if row.pattern == pattern]
+    if not rows:
+        raise ValueError(f"unknown pattern {pattern!r}; expected one of {PATTERNS}")
 
-    def price(algorithm: str, partition: tuple[int, ...] | None = None) -> float:
-        program = pattern_program(pattern, algorithm, d, partition=partition)
-        return program_time(program, m, params)
+    scored: list[tuple[str, float, tuple[int, ...] | None]] = []
+    for row in rows:
+        partition: tuple[int, ...] | None = None
+        if row.schedule == "exchange":
+            partition = _exchange_partition(m, d, params, planner)
+            if partition is None:
+                continue
+        program = pattern_program(pattern, row.algorithm, d, partition=partition)
+        scored.append((row.algorithm, program_time(program, m, params), partition))
+    return scored
 
-    if pattern == "broadcast":
-        return [
-            ("binomial", price("binomial"), None),
-            ("direct", price("direct"), None),
-        ]
-    if pattern == "scatter":
-        return [
-            ("halving", price("halving"), None),
-            ("direct", price("direct"), None),
-        ]
-    if pattern == "allgather":
-        if planner is not None:
-            decision = planner.decide(d, m)
-            if decision.partition is None:
-                # the planner chose the naive rotation schedule, whose
-                # contended cost is not what the lockstep exchange
-                # program would pay — an 'exchange' candidate here
-                # would be priced as an algorithm that would not run
-                return [("doubling", price("doubling"), None)]
-            partition = decision.partition
-        else:
-            from repro.model.optimizer import best_partition
 
-            partition = best_partition(m, d, params).partition
-        return [
-            ("doubling", price("doubling"), None),
-            ("exchange", price("exchange", partition), partition),
-        ]
-    raise ValueError(f"unknown pattern {pattern!r}; expected one of {PATTERNS}")
+def _exchange_partition(
+    m: float, d: int, params: MachineParams, planner: CollectivePlanner | None
+) -> tuple[int, ...] | None:
+    """The partition an exchange-backed candidate runs at."""
+    if planner is None:
+        from repro.model.optimizer import best_partition
+
+        return best_partition(m, d, params).partition
+    # a naive decision's contended cost is not what the lockstep
+    # exchange program would pay — an 'exchange' candidate would be
+    # priced as an algorithm that would not run
+    return planner.decide(d, m).partition
 
 
 def plan_pattern(

@@ -482,8 +482,8 @@ def compile_program(program: CommProgram) -> CompiledProgram:
     rotation) have no lockstep closed form and are refused; price them
     with :func:`naive_exchange_time` / :func:`batch_program_times`.
 
-    >>> from repro.core.programs import broadcast_binomial_steps
-    >>> compile_program(broadcast_binomial_steps(3)).n_steps
+    >>> from repro.core.programs import pattern_program
+    >>> compile_program(pattern_program("broadcast", "binomial", 3)).n_steps
     4
     """
     if program.contended:
@@ -510,9 +510,9 @@ def program_time(program: CommProgram, m: float, params: MachineParams) -> float
 
     >>> from repro.core.programs import pattern_program
     >>> from repro.model.params import ipsc860
-    >>> from repro.patterns import simulate_broadcast
+    >>> from repro.patterns import simulate_pattern
     >>> fast = program_time(pattern_program("broadcast", "binomial", 4), 24, ipsc860())
-    >>> fast == simulate_broadcast(4, 24, ipsc860(), algorithm="binomial")[0]
+    >>> fast == simulate_pattern("broadcast", "binomial", 4, 24, ipsc860())[0]
     True
     """
     return float(program_times(program, [m], params)[0])

@@ -21,9 +21,15 @@ from repro.check import (
     verify_program_coefficients,
     verify_schedule,
 )
-from repro.check.schedule import check_schedules, pattern_variants
+from repro.check.schedule import check_schedules, pattern_variants, verify_rounds
 from repro.core.partitions import partitions
-from repro.core.programs import SendStep, exchange_steps, pattern_program
+from repro.core.programs import (
+    PATTERN_TABLE,
+    SendStep,
+    exchange_steps,
+    pattern_program,
+    pattern_rounds,
+)
 from repro.core.schedule import ExchangeStep, multiphase_schedule
 from repro.plan.decision import PlanDecision
 from repro.sim.fastpath import compile_program, compile_schedule
@@ -241,6 +247,38 @@ class TestPatterns:
     def test_unknown_variant_raises(self):
         with pytest.raises(ValueError, match="allgather"):
             verify_pattern("allgather", "ring", 3)
+
+    def test_exchange_backed_variant_is_left_to_verify_schedule(self):
+        assert ("allgather", "exchange") not in pattern_variants()
+        with pytest.raises(ValueError, match="exchange"):
+            verify_pattern("allgather", "exchange", 3)
+
+
+class TestDeliveryProof:
+    """The generic abstract-holdings proof rejects broken rounds."""
+
+    def test_dropped_round_is_undelivered(self):
+        row = PATTERN_TABLE[("scatter", "halving")]
+        rounds = pattern_rounds(row, 3, 0)
+        violations = verify_rounds(row, rounds[:-1], 3, 0, target="t")
+        assert [v.check for v in violations] == ["block-undelivered"]
+        # node 0 still holds the block the last round would forward
+        assert violations[0].counterexample == {"node": 0, "missing": [], "stray": [1]}
+
+    def test_repeated_round_is_duplicated(self):
+        row = PATTERN_TABLE[("broadcast", "binomial")]
+        rounds = pattern_rounds(row, 3, 2)
+        violations = verify_rounds(row, rounds + rounds[-1:], 3, 2, target="t")
+        assert {v.check for v in violations} == {"block-duplicated"}
+        assert {v.step_index for v in violations} == {3}
+
+    def test_schedule_must_suit_the_semantics(self):
+        tree = PATTERN_TABLE[("broadcast", "binomial")]
+        allgather = dataclasses.replace(tree, pattern="allgather")
+        violations = verify_rounds(
+            allgather, pattern_rounds(tree, 3, 0), 3, 0, target="t"
+        )
+        assert [v.check for v in violations] == ["block-undelivered"]
 
 
 class TestPlanDecisions:

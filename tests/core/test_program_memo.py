@@ -2,10 +2,11 @@
 
 ``pattern_program`` memoizes on its normalized key ``(pattern,
 algorithm, d, partition, root)``.  These tests pin that a memoized
-program equals what its public builder makes, that a repeat call hands
-back the very same object, that list and tuple partitions share one
-entry, that bad arguments raise on every call (so an error is never
-cached), and that the memo stays within its bound.
+program equals the hand-written oracle chain of
+:mod:`tests.core.pattern_oracle`, that a repeat call hands back the
+very same object, that list and tuple partitions share one entry, that
+bad arguments raise on every call (so an error is never cached), and
+that the memo stays within its bound.
 """
 
 from __future__ import annotations
@@ -14,25 +15,25 @@ import pytest
 
 from repro.core import programs
 from repro.core.partitions import compositions
-from repro.core.programs import (
+from repro.core.programs import pattern_program
+from tests.core.pattern_oracle import (
+    ROOTED_ORACLES,
     allgather_doubling_steps,
     allgather_exchange_steps,
-    broadcast_binomial_steps,
-    broadcast_direct_steps,
-    pattern_program,
-    scatter_direct_steps,
-    scatter_halving_steps,
 )
-
-ROOTED_BUILDERS = {
-    ("broadcast", "binomial"): broadcast_binomial_steps,
-    ("broadcast", "direct"): broadcast_direct_steps,
-    ("scatter", "halving"): scatter_halving_steps,
-    ("scatter", "direct"): scatter_direct_steps,
-}
 
 MEMO = programs._pattern_program
 BOUND = MEMO.cache_parameters()["maxsize"]
+
+#: every root below 2**8; at larger cubes a spread of roots
+ROOTS_CAP = 8
+
+
+def roots(d: int) -> list[int]:
+    n = 1 << d
+    if d <= ROOTS_CAP:
+        return list(range(n))
+    return sorted({0, 1, n // 2, n - 2, n - 1})
 
 
 def assert_memoized(program, expected, again):
@@ -41,14 +42,14 @@ def assert_memoized(program, expected, again):
     assert MEMO.cache_info().currsize <= BOUND
 
 
-@pytest.mark.parametrize("d", range(1, 9))
-@pytest.mark.parametrize("pattern, algorithm", sorted(ROOTED_BUILDERS))
+@pytest.mark.parametrize("d", range(1, 11))
+@pytest.mark.parametrize("pattern, algorithm", sorted(ROOTED_ORACLES))
 def test_rooted_programs_match_their_builders(pattern, algorithm, d):
-    builder = ROOTED_BUILDERS[(pattern, algorithm)]
-    for root in range(1 << d):
+    oracle = ROOTED_ORACLES[(pattern, algorithm)]
+    for root in roots(d):
         assert_memoized(
             pattern_program(pattern, algorithm, d, root=root),
-            builder(d, root),
+            oracle(d, root),
             pattern_program(pattern, algorithm, d, root=root),
         )
     assert pattern_program(pattern, algorithm, d) is pattern_program(
@@ -56,7 +57,7 @@ def test_rooted_programs_match_their_builders(pattern, algorithm, d):
     )
 
 
-@pytest.mark.parametrize("d", range(1, 9))
+@pytest.mark.parametrize("d", range(1, 11))
 def test_allgather_doubling_matches_its_builder(d):
     assert_memoized(
         pattern_program("allgather", "doubling", d),
@@ -65,7 +66,7 @@ def test_allgather_doubling_matches_its_builder(d):
     )
 
 
-@pytest.mark.parametrize("d", range(1, 9))
+@pytest.mark.parametrize("d", range(1, 11))
 def test_allgather_exchange_matches_its_builder(d):
     for parts in compositions(d):
         program = pattern_program("allgather", "exchange", d, partition=parts)

@@ -17,9 +17,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.model.optimizer import best_partition
-from repro.patterns.allgather import allgather_time, simulate_allgather
-from repro.patterns.broadcast import broadcast_time, simulate_broadcast
-from repro.patterns.scatter import scatter_direct_time, scatter_time, simulate_scatter
+from repro.patterns import (
+    allgather_time,
+    broadcast_time,
+    scatter_direct_time,
+    scatter_time,
+    simulate_pattern,
+)
 
 
 class TestModelBounds:
@@ -45,6 +49,6 @@ class TestSimulatedBounds:
         from repro.comm.program import simulate_exchange
 
         bound = simulate_exchange(d, m, best_partition(m, d, ipsc).partition, ipsc).time_us
-        assert simulate_broadcast(d, m, ipsc)[0] <= bound
-        assert simulate_scatter(d, m, ipsc)[0] <= bound
-        assert simulate_allgather(d, m, ipsc)[0] <= bound
+        assert simulate_pattern("broadcast", "binomial", d, m, ipsc)[0] <= bound
+        assert simulate_pattern("scatter", "halving", d, m, ipsc)[0] <= bound
+        assert simulate_pattern("allgather", "doubling", d, m, ipsc)[0] <= bound

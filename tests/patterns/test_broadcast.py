@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.patterns.broadcast import broadcast, broadcast_time, simulate_broadcast
+from repro.patterns import broadcast, broadcast_time, simulate_pattern
 
 
 class TestDataLevel:
@@ -52,7 +52,7 @@ class TestModel:
 class TestSimulated:
     @pytest.mark.parametrize("d,m", [(1, 8), (3, 16), (5, 40)])
     def test_time_matches_model(self, d, m, ipsc):
-        t, _ = simulate_broadcast(d, m, ipsc)
+        t, _ = simulate_pattern("broadcast", "binomial", d, m, ipsc)
         assert t == pytest.approx(broadcast_time(m, d, ipsc))
 
     @settings(deadline=None, max_examples=10)
@@ -61,11 +61,11 @@ class TestSimulated:
         from repro.model.params import ipsc860
 
         root = data.draw(st.integers(min_value=0, max_value=(1 << d) - 1))
-        t, run = simulate_broadcast(d, 16, ipsc860(), root=root)
+        t, run = simulate_pattern("broadcast", "binomial", d, 16, ipsc860(), root=root)
         assert t == pytest.approx(broadcast_time(16, d, ipsc860()))
 
     def test_no_contention(self, ipsc):
-        _, run = simulate_broadcast(5, 64, ipsc)
+        _, run = simulate_pattern("broadcast", "binomial", 5, 64, ipsc)
         # the binomial tree is contention-free even with port
         # serialization: each node sends/receives sequentially anyway
         assert run.trace.total_contention_wait == 0.0

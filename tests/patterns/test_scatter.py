@@ -7,12 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.patterns.scatter import (
-    scatter,
-    scatter_direct_time,
-    scatter_time,
-    simulate_scatter,
-)
+from repro.patterns import scatter, scatter_direct_time, scatter_time, simulate_pattern
 
 
 class TestDataLevel:
@@ -70,8 +65,13 @@ class TestModels:
 class TestSimulated:
     @pytest.mark.parametrize("d,m", [(1, 8), (3, 16), (5, 40)])
     def test_time_matches_model(self, d, m, ipsc):
-        t, _ = simulate_scatter(d, m, ipsc)
+        t, _ = simulate_pattern("scatter", "halving", d, m, ipsc)
         assert t == pytest.approx(scatter_time(m, d, ipsc))
+
+    @pytest.mark.parametrize("d,m", [(1, 8), (3, 16), (5, 40)])
+    def test_direct_time_matches_model(self, d, m, ipsc):
+        t, _ = simulate_pattern("scatter", "direct", d, m, ipsc)
+        assert t == pytest.approx(scatter_direct_time(m, d, ipsc))
 
     @settings(deadline=None, max_examples=8)
     @given(st.integers(min_value=1, max_value=4), st.data())
@@ -79,5 +79,5 @@ class TestSimulated:
         from repro.model.params import ipsc860
 
         root = data.draw(st.integers(min_value=0, max_value=(1 << d) - 1))
-        # simulate_scatter verifies payloads internally
-        simulate_scatter(d, 12, ipsc860(), root=root)
+        # simulate_pattern verifies payloads internally
+        simulate_pattern("scatter", "halving", d, 12, ipsc860(), root=root)

@@ -312,42 +312,42 @@ class TestPatternsPlanning:
 
     @pytest.mark.parametrize("algorithm", ["binomial", "direct", "auto"])
     def test_simulated_broadcast_verifies_under_every_algorithm(self, ipsc, algorithm):
-        from repro.patterns import simulate_broadcast
+        from repro.patterns import simulate_pattern
 
-        time_us, _ = simulate_broadcast(3, 16, ipsc, algorithm=algorithm)
+        time_us, _ = simulate_pattern("broadcast", algorithm, 3, 16, ipsc)
         assert time_us > 0
 
     @pytest.mark.parametrize("algorithm", ["halving", "direct", "auto"])
     def test_simulated_scatter_verifies_under_every_algorithm(self, ipsc, algorithm):
-        from repro.patterns import simulate_scatter
+        from repro.patterns import simulate_pattern
 
-        time_us, _ = simulate_scatter(3, 16, ipsc, algorithm=algorithm)
+        time_us, _ = simulate_pattern("scatter", algorithm, 3, 16, ipsc)
         assert time_us > 0
 
     @pytest.mark.parametrize("algorithm", ["doubling", "exchange", "auto"])
     def test_simulated_allgather_verifies_under_every_algorithm(self, ipsc, algorithm):
-        from repro.patterns import simulate_allgather
+        from repro.patterns import simulate_pattern
 
-        time_us, _ = simulate_allgather(3, 16, ipsc, algorithm=algorithm)
+        time_us, _ = simulate_pattern("allgather", algorithm, 3, 16, ipsc)
         assert time_us > 0
 
     def test_allgather_exchange_honours_planner(self, ipsc):
-        from repro.patterns import simulate_allgather
+        from repro.patterns import simulate_pattern
 
         planner = CollectivePlanner(ModelPolicy(ipsc))
-        time_us, run = simulate_allgather(
-            3, 16, ipsc, algorithm="exchange", planner=planner
+        time_us, run = simulate_pattern(
+            "allgather", "exchange", 3, 16, ipsc, planner=planner
         )
         assert time_us > 0
         assert planner.stats.policy_calls == 1
         assert len(run.trace.plan_decisions) == 1
 
     def test_direct_variants_cost_more_startups(self, ipsc):
-        from repro.patterns import simulate_broadcast, simulate_scatter
+        from repro.patterns import simulate_pattern
 
-        t_tree, _ = simulate_broadcast(4, 16, ipsc)
-        t_direct, _ = simulate_broadcast(4, 16, ipsc, algorithm="direct")
+        t_tree, _ = simulate_pattern("broadcast", "binomial", 4, 16, ipsc)
+        t_direct, _ = simulate_pattern("broadcast", "direct", 4, 16, ipsc)
         assert t_direct > t_tree
-        t_halving, _ = simulate_scatter(4, 16, ipsc)
-        t_direct, _ = simulate_scatter(4, 16, ipsc, algorithm="direct")
+        t_halving, _ = simulate_pattern("scatter", "halving", 4, 16, ipsc)
+        t_direct, _ = simulate_pattern("scatter", "direct", 4, 16, ipsc)
         assert t_direct > t_halving

@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 
 from repro.core.programs import pattern_program
 from repro.model.params import MachineParams, hypothetical, ipsc860
-from repro.patterns import simulate_allgather, simulate_broadcast, simulate_scatter
+from repro.patterns import simulate_pattern
 from repro.sim.fastpath import program_time
 
 #: every compiled pattern variant and the event-engine run that checks it
@@ -36,11 +36,7 @@ PRESETS = {"ipsc860": ipsc860, "hypothetical": hypothetical}
 
 
 def _simulate_event(pattern: str, algorithm: str, d: int, m: int, params) -> float:
-    if pattern == "broadcast":
-        return simulate_broadcast(d, m, params, algorithm=algorithm)[0]
-    if pattern == "scatter":
-        return simulate_scatter(d, m, params, algorithm=algorithm)[0]
-    return simulate_allgather(d, m, params, algorithm=algorithm)[0]
+    return simulate_pattern(pattern, algorithm, d, m, params)[0]
 
 
 class TestDeterministicSweep:

@@ -3,7 +3,7 @@
 The fast path's program compiler lowers any contention-free
 :class:`~repro.core.programs.CommProgram` to coefficient arrays and
 prices whole batches in one numpy pass.  These tests pin the compiler's
-structure: builder step streams, coefficient extraction, batching,
+structure: the step streams ``pattern_program`` derives, coefficient extraction, batching,
 validation errors, and degenerate shapes.  Exact agreement with the
 event engine lives in ``test_program_agreement.py``.
 """
@@ -18,16 +18,11 @@ from repro.core.programs import (
     CommProgram,
     LocalShuffleStep,
     PairStep,
+    PATTERN_TABLE,
     SendStep,
-    allgather_doubling_steps,
-    allgather_exchange_steps,
-    broadcast_binomial_steps,
-    broadcast_direct_steps,
     exchange_steps,
     naive_rotation_steps,
     pattern_program,
-    scatter_direct_steps,
-    scatter_halving_steps,
 )
 from repro.sim.fastpath import (
     KIND_BARRIER,
@@ -47,7 +42,7 @@ from repro.util.bitops import popcount
 
 class TestBuilders:
     def test_broadcast_binomial_is_barrier_plus_d_sends(self):
-        program = broadcast_binomial_steps(4)
+        program = pattern_program("broadcast", "binomial", 4)
         assert program.name == "broadcast/binomial"
         assert isinstance(program.steps[0], BarrierStep)
         sends = program.steps[1:]
@@ -58,18 +53,18 @@ class TestBuilders:
             assert step.hops == 1
 
     def test_broadcast_direct_hops_follow_popcount(self):
-        program = broadcast_direct_steps(3)
+        program = pattern_program("broadcast", "direct", 3)
         sends = [s for s in program.steps if isinstance(s, SendStep)]
         assert len(sends) == 7
         assert [s.hops for s in sends] == [popcount(dst) for dst in range(1, 8)]
 
     def test_scatter_halving_halves_the_payload(self):
-        program = scatter_halving_steps(4)
+        program = pattern_program("scatter", "halving", 4)
         sends = [s for s in program.steps if isinstance(s, SendStep)]
         assert [s.bytes_per_m for s in sends] == [8, 4, 2, 1]
 
     def test_allgather_doubling_doubles_the_payload(self):
-        program = allgather_doubling_steps(4)
+        program = pattern_program("allgather", "doubling", 4)
         pairs = [s for s in program.steps if isinstance(s, PairStep)]
         assert [p.bytes_per_m for p in pairs] == [1, 2, 4, 8]
         assert [p.shift for p in pairs] == [1, 2, 4, 8]
@@ -83,7 +78,7 @@ class TestBuilders:
                 )
 
     def test_allgather_exchange_wraps_the_exchange(self, ipsc):
-        program = allgather_exchange_steps(4, (2, 2))
+        program = pattern_program("allgather", "exchange", 4, partition=(2, 2))
         assert program.name == "allgather/exchange"
         assert program.partition == (2, 2)
         assert program_time(program, 16.0, ipsc) > 0
@@ -98,9 +93,10 @@ class TestBuilders:
             pattern_program("broadcast", "telepathy", 3)
 
     def test_programs_are_hashable_and_cached(self):
-        a = compile_program(broadcast_binomial_steps(5))
-        b = compile_program(broadcast_binomial_steps(5))
-        assert a is b  # lru_cache on structurally equal frozen programs
+        program = pattern_program("broadcast", "binomial", 5)
+        copy = CommProgram(name=program.name, d=program.d, steps=tuple(program.steps))
+        # lru_cache on structurally equal frozen programs
+        assert compile_program(copy) is compile_program(program)
 
 
 class TestCompile:
@@ -150,7 +146,7 @@ class TestCompile:
 
 class TestPricing:
     def test_program_times_is_vectorized_program_time(self, ipsc):
-        program = scatter_halving_steps(4)
+        program = pattern_program("scatter", "halving", 4)
         ms = [0.0, 1.0, 8.0, 40.0, 160.0]
         batch = program_times(program, ms, ipsc)
         assert batch.shape == (5,)
@@ -162,21 +158,15 @@ class TestPricing:
         assert program_timeline(empty, 40.0, ipsc).total == 0.0
 
     def test_timeline_chains_without_gaps(self, ipsc):
-        timeline = program_timeline(broadcast_binomial_steps(3), 16.0, ipsc)
+        program = pattern_program("broadcast", "binomial", 3)
+        timeline = program_timeline(program, 16.0, ipsc)
         assert timeline.start[0] == 0.0
         assert np.array_equal(timeline.start[1:], timeline.finish[:-1])
-        assert timeline.total == program_time(broadcast_binomial_steps(3), 16.0, ipsc)
+        assert timeline.total == program_time(program, 16.0, ipsc)
 
     def test_dimension_one_and_zero_bytes(self, ipsc):
-        for builder in (
-            broadcast_binomial_steps,
-            broadcast_direct_steps,
-            scatter_halving_steps,
-            scatter_direct_steps,
-            allgather_doubling_steps,
-            exchange_steps,
-        ):
-            program = builder(1)
+        programs = [pattern_program(*key, 1) for key in PATTERN_TABLE]
+        for program in programs + [exchange_steps(1)]:
             assert program_time(program, 0.0, ipsc) >= 0.0
             assert program_time(program, 1.0, ipsc) >= program_time(
                 program, 0.0, ipsc
@@ -186,9 +176,9 @@ class TestPricing:
 class TestBatchProgramTimes:
     def test_heterogeneous_batch_aligns_with_configs(self, ipsc):
         configs = [
-            (broadcast_binomial_steps(4), 16.0),
-            (scatter_halving_steps(3), 8.0),
-            (broadcast_binomial_steps(4), 40.0),
+            (pattern_program("broadcast", "binomial", 4), 16.0),
+            (pattern_program("scatter", "halving", 3), 8.0),
+            (pattern_program("broadcast", "binomial", 4), 40.0),
             (exchange_steps(5, (3, 2)), 24.0),
         ]
         batch = batch_program_times(configs, ipsc)
@@ -199,11 +189,11 @@ class TestBatchProgramTimes:
     def test_naive_fallback_uses_reservation_replay(self, ipsc):
         configs = [
             (naive_rotation_steps(3), 16.0),
-            (broadcast_binomial_steps(3), 16.0),
+            (pattern_program("broadcast", "binomial", 3), 16.0),
         ]
         batch = batch_program_times(configs, ipsc)
         assert batch[0] == naive_exchange_time(3, 16.0, ipsc)
-        assert batch[1] == program_time(broadcast_binomial_steps(3), 16.0, ipsc)
+        assert batch[1] == program_time(configs[1][0], 16.0, ipsc)
 
     def test_unknown_contended_program_refused(self, ipsc):
         rogue = CommProgram(name="rogue", d=2, steps=(), contended=True)

@@ -80,6 +80,8 @@ DOCTEST_MODULES = [
     "repro.patterns.broadcast",
     "repro.patterns.scatter",
     "repro.patterns.allgather",
+    "repro.patterns.execute",
+    "repro.core.programs",
 ]
 
 
