@@ -22,8 +22,8 @@ from typing import Any, Generator, Sequence
 
 import numpy as np
 
-from repro.core.blocks import BlockBuffer
-from repro.core.schedule import ExchangeStep, PhaseStart, ShuffleStep, multiphase_schedule
+from repro.comm.program import exchange_program, naive_program
+from repro.core.schedule import multiphase_schedule
 from repro.plan.decision import algorithm_name
 from repro.sim.node import NodeContext
 from repro.sim.trace import PlanRecord
@@ -154,30 +154,14 @@ class Communicator:
                     f"{algorithm_name(tuple(partition))!r}, not {algorithm!r}"
                 )
         parts = check_partition(partition if partition is not None else (d,), d)
-        buf = BlockBuffer.from_rows(ctx.rank, d, rows)
-        total_bytes = m * n
-        steps = multiphase_schedule(d, parts)
-        for index, step in enumerate(steps):
-            if isinstance(step, PhaseStart):
-                yield ctx.mark_phase(step.phase_index)
-                yield ctx.barrier()
-            elif isinstance(step, ExchangeStep):
-                partner = step.partner(ctx.rank)
-                partner_coord = (partner >> step.group.lo) & ((1 << step.group.width) - 1)
-                outgoing = buf.extract_for_coordinate(step.group, partner_coord)
-                received = yield ctx.exchange(
-                    partner, outgoing, nbytes=outgoing.nbytes, tag=tag_base + index
-                )
-                buf.insert(received)
-            elif isinstance(step, ShuffleStep):
-                yield ctx.shuffle(total_bytes)
+        buf = yield from exchange_program(
+            ctx, steps=multiphase_schedule(d, parts), rows=rows, tag_base=tag_base
+        )
         return buf.result_rows()
 
     def _naive_alltoall(self, rows: np.ndarray, *, tag_base: int) -> Generator:
         """Rotation-order exchange of user rows — the contended §2
         baseline, reachable as a policy target.  One shared schedule
         implementation: :func:`repro.comm.program.naive_program`."""
-        from repro.comm.program import naive_program
-
         buf = yield from naive_program(self.ctx, rows=rows, tag_base=tag_base)
         return buf.result_rows()

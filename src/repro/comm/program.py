@@ -17,6 +17,16 @@ Implementation notes mirroring paper §7:
 * shuffles perform the actual numpy permutation *and* charge ρ per
   byte of the full buffer.
 
+The tag engine's buffer is fixed-slot: each exchange step copies the
+partner-bound slots out (:meth:`~repro.core.blocks.BlockBuffer.take`)
+and overwrites those same slots with the partner's blocks
+(:meth:`~repro.core.blocks.BlockBuffer.put`), so a node holds its ``n``
+blocks throughout and no step reallocates the buffer.  The final check
+is one pass per node: the expected payloads come from
+:func:`~repro.core.blocks.payload_rows` as one ``(n, m)`` matrix and
+are compared whole.  :func:`exchange_program` is the one multiphase
+loop; ``Communicator.Alltoall`` runs it on user rows.
+
 The fast path prices the same schedules without booting the engine:
 :func:`repro.core.programs.exchange_steps` lowers the
 :func:`~repro.core.schedule.multiphase_schedule` step list that
@@ -69,20 +79,34 @@ def exchange_program(
     ctx: NodeContext,
     *,
     steps: Sequence[Step],
-    m: int,
+    m: int | None = None,
+    rows=None,
     engine: str = "tags",
+    tag_base: int = 0,
 ) -> Generator:
     """SPMD node program executing a compiled exchange schedule.
 
+    Pass ``m`` for pattern payloads, or ``rows`` (``(n, m)`` uint8, row
+    ``j`` bound for rank ``j``) to exchange user data — the one
+    multiphase loop, shared by ``simulate_exchange`` and
+    ``Communicator.Alltoall``.  Step ``i`` is tagged ``tag_base + i``.
     Returns the node's final buffer (verified by the caller).
     """
+    if (m is None) == (rows is None):
+        raise ValueError("pass exactly one of m (pattern payload) or rows (user data)")
     if engine == "tags":
-        buf: BlockBuffer | LayoutBuffer = BlockBuffer.initial(ctx.rank, ctx.d, m)
+        buf: BlockBuffer | LayoutBuffer = (
+            BlockBuffer.from_rows(ctx.rank, ctx.d, rows) if m is None
+            else BlockBuffer.initial(ctx.rank, ctx.d, m)
+        )
     elif engine == "layout":
-        buf = LayoutBuffer(ctx.rank, ctx.d, m)
+        buf = (
+            LayoutBuffer.from_rows(ctx.rank, ctx.d, rows) if m is None
+            else LayoutBuffer(ctx.rank, ctx.d, m)
+        )
     else:
         raise ValueError(f"unknown engine {engine!r}; expected 'tags' or 'layout'")
-    total_bytes = m * ctx.n
+    total_bytes = buf.m * ctx.n
 
     for index, step in enumerate(steps):
         if isinstance(step, PhaseStart):
@@ -91,16 +115,16 @@ def exchange_program(
         elif isinstance(step, ExchangeStep):
             partner = step.partner(ctx.rank)
             partner_coord = (partner >> step.group.lo) & ((1 << step.group.width) - 1)
+            tag = tag_base + index
             if isinstance(buf, BlockBuffer):
-                outgoing = buf.extract_for_coordinate(step.group, partner_coord)
-                received = yield ctx.exchange(
-                    partner, outgoing, nbytes=outgoing.nbytes, tag=index
-                )
-                buf.insert(received)
+                slots = buf.slots_for_coordinate(step.group, partner_coord)
+                outgoing = buf.take(slots)
+                received = yield ctx.exchange(partner, outgoing, nbytes=outgoing.nbytes, tag=tag)
+                buf.put(slots, received)
             else:
                 outgoing = buf.take_run(step.group, partner_coord)
                 received = yield ctx.exchange(
-                    partner, outgoing, nbytes=outgoing[2].size, tag=index
+                    partner, outgoing, nbytes=outgoing[2].size, tag=tag
                 )
                 buf.put_run(step.group, partner_coord, *received)
         elif isinstance(step, ShuffleStep):
@@ -349,14 +373,17 @@ def naive_program(
     from repro.hypercube.subcube import BitGroup
 
     whole = BitGroup(lo=0, width=ctx.d)
+    # the block received at step s refills the slot sent at step s
+    sent_slots = {}
     for s in range(1, n):
         dst = (ctx.rank + s) % n
-        outgoing = buf.extract_for_coordinate(whole, dst)
+        sent_slots[s] = buf.slots_for_coordinate(whole, dst)
+        outgoing = buf.take(sent_slots[s])
         yield ctx.send(dst, outgoing, outgoing.nbytes, tag=tag_base + s, forced=True)
     for s in range(1, n):
         src = (ctx.rank - s) % n
         received = yield ctx.recv(src, tag=tag_base + s)
-        buf.insert(received)
+        buf.put(sent_slots[s], received)
     return buf
 
 

@@ -10,7 +10,11 @@ messages.
 
 The buffer is deliberately *rule-oriented* rather than layout-oriented:
 blocks are selected by destination bit fields (the invariant the
-algorithms maintain), independent of physical position.  The companion
+algorithms maintain), independent of physical position.  It is also
+*fixed-slot*: a node always holds ``n`` blocks, an exchange step copies
+out the slots bound for the partner (:meth:`BlockBuffer.take`) and
+overwrites those same slots with what the partner sends back
+(:meth:`BlockBuffer.put`), so no step reallocates the buffer.  The companion
 :mod:`repro.core.shuffle` module implements the physically-contiguous
 layout discipline of the real machine; the two are cross-validated in
 the test suite.
@@ -21,16 +25,19 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from repro.hypercube.subcube import BitGroup
 from repro.util.bitops import bit_field
 from repro.util.validation import check_dimension, check_node
 
-__all__ = ["BlockBuffer", "BlockSet", "payload_pattern"]
+__all__ = ["BlockBuffer", "BlockSet", "payload_pattern", "payload_rows"]
 
 #: Modulus for the deterministic payload pattern.  A prime below 256 so
 #: that distinct (origin, dest, offset) triples rarely collide.
 _PATTERN_MOD = 251
+#: ``7 * 36 == 252``, so 36 is the inverse of the ramp step 7 mod 251.
+_SEVEN_INVERSE = 36
 
 
 def payload_pattern(origin: int, dest: int, m: int, d: int) -> np.ndarray:
@@ -45,6 +52,38 @@ def payload_pattern(origin: int, dest: int, m: int, d: int) -> np.ndarray:
     n = 1 << d
     base = (origin * n + dest) * 31
     return ((base + np.arange(m, dtype=np.int64) * 7) % _PATTERN_MOD).astype(np.uint8)
+
+
+def payload_rows(origins: np.ndarray, dests: np.ndarray, m: int, d: int) -> np.ndarray:
+    """All the payloads of a batch of blocks in one pass.
+
+    Row ``i`` of the ``(len(origins), m)`` result equals
+    ``payload_pattern(origins[i], dests[i], m, d)``.  With ``36`` the
+    inverse of ``7`` mod 251, byte ``j`` of a row is
+    ``(31 * tag + 7 * j) % 251 == 7 * (s + j) % 251`` for
+    ``s = 31 * 36 * tag % 251``: every row is a length-``m`` window of
+    one shared ramp, so the rows are gathered as uint8 windows with no
+    wider ``(B, m)`` temporaries.
+
+    >>> payload_rows(np.array([1, 2]), np.array([3, 0]), 5, 2).tolist() == [
+    ...     payload_pattern(1, 3, 5, 2).tolist(), payload_pattern(2, 0, 5, 2).tolist()]
+    True
+    """
+    if m < 0:
+        raise ValueError(f"block size must be >= 0, got {m}")
+    n = 1 << d
+    tags = np.asarray(origins, dtype=np.int64) * n + np.asarray(dests, dtype=np.int64)
+    starts = tags % _PATTERN_MOD * (31 * _SEVEN_INVERSE) % _PATTERN_MOD
+    ramp = (np.arange(m + _PATTERN_MOD) * 7 % _PATTERN_MOD).astype(np.uint8)
+    return sliding_window_view(ramp, m)[starts]
+
+
+def first_mismatch(payload: np.ndarray, expected: np.ndarray) -> int | None:
+    """Index of the first row where ``payload`` differs from ``expected``
+    (``None`` when they are equal): one whole-matrix comparison."""
+    if np.array_equal(payload, expected):
+        return None
+    return int(np.argmax((payload != expected).any(axis=1)))
 
 
 @dataclass
@@ -121,10 +160,7 @@ class BlockBuffer:
         n = 1 << d
         origins = np.full(n, node, dtype=np.int64)
         dests = np.arange(n, dtype=np.int64)
-        payload = np.empty((n, m), dtype=np.uint8)
-        for dest in range(n):
-            payload[dest] = payload_pattern(node, dest, m, d)
-        return cls(node, d, m, BlockSet(origins, dests, payload))
+        return cls(node, d, m, BlockSet(origins, dests, payload_rows(origins, dests, m, d)))
 
     @classmethod
     def from_rows(cls, node: int, d: int, rows: np.ndarray) -> "BlockBuffer":
@@ -168,38 +204,41 @@ class BlockBuffer:
     # ------------------------------------------------------------------
     # exchange operations
     # ------------------------------------------------------------------
-    def extract_for_coordinate(self, group: BitGroup, coordinate: int) -> BlockSet:
-        """Remove and return all blocks whose dest has ``coordinate`` in
-        ``group``.
+    def slots_for_coordinate(self, group: BitGroup, coordinate: int) -> np.ndarray:
+        """Slots (row indices, ascending) of the blocks whose dest has
+        ``coordinate`` in ``group``.
 
         This is the multiphase send rule: in a phase on ``group``, the
         blocks bound for subcube partner ``p`` are exactly those whose
-        destination agrees with ``p`` on the group bits.  The extracted
-        set is the *effective block* of the paper: ``m * 2**(d - d_i)``
+        destination agrees with ``p`` on the group bits.  Taken together
+        they form the *effective block* of the paper: ``m * 2**(d - d_i)``
         bytes when called mid-phase on a consistent buffer.
         """
-        mask = self._field(self._blocks.dests, group) == coordinate
-        return self._extract(mask)
+        return np.nonzero(self._field(self._blocks.dests, group) == coordinate)[0]
 
-    def extract_for_dest_bit(self, bit_index: int, bit_value: int) -> BlockSet:
-        """Remove and return blocks whose dest bit ``bit_index`` equals
-        ``bit_value`` — the Standard Exchange step rule."""
-        mask = ((self._blocks.dests >> bit_index) & 1) == bit_value
-        return self._extract(mask)
+    def take(self, slots: np.ndarray) -> BlockSet:
+        """Copy the blocks in ``slots`` out as a :class:`BlockSet`.
 
-    def insert(self, incoming: BlockSet) -> None:
-        """Add received blocks to the buffer."""
+        The buffer is unchanged: the slots keep their blocks until
+        :meth:`put` overwrites them with the partner's.
+        """
+        blocks = self._blocks
+        return BlockSet(blocks.origins[slots], blocks.dests[slots], blocks.payload[slots])
+
+    def put(self, slots: np.ndarray, incoming: BlockSet) -> None:
+        """Overwrite the blocks in ``slots`` with received ``incoming``,
+        row for row; the buffer keeps its ``n`` slots."""
+        if incoming.n_blocks != len(slots):
+            raise ValueError(f"received {incoming.n_blocks} blocks for {len(slots)} slots")
         if incoming.payload.shape[1:] != (self.m,):
             raise ValueError(
                 f"received payload rows of width {incoming.payload.shape[1:]}, "
                 f"expected ({self.m},)"
             )
         blocks = self._blocks
-        self._blocks = BlockSet(
-            np.concatenate([blocks.origins, incoming.origins]),
-            np.concatenate([blocks.dests, incoming.dests]),
-            np.concatenate([blocks.payload, incoming.payload]),
-        )
+        blocks.origins[slots] = incoming.origins
+        blocks.dests[slots] = incoming.dests
+        blocks.payload[slots] = incoming.payload
 
     # ------------------------------------------------------------------
     # verification
@@ -227,23 +266,27 @@ class BlockBuffer:
         """
         n = 1 << self.d
         blocks = self._blocks
-        assert blocks.n_blocks == n, (
-            f"node {self.node}: holds {blocks.n_blocks} blocks, expected {n}"
-        )
+        if blocks.n_blocks != n:
+            raise AssertionError(
+                f"node {self.node}: holds {blocks.n_blocks} blocks, expected {n}"
+            )
         wrong_dest = blocks.dests != self.node
-        assert not wrong_dest.any(), (
-            f"node {self.node}: {int(wrong_dest.sum())} blocks with foreign destinations "
-            f"{np.unique(blocks.dests[wrong_dest]).tolist()}"
-        )
+        if wrong_dest.any():
+            raise AssertionError(
+                f"node {self.node}: {int(wrong_dest.sum())} blocks with foreign destinations "
+                f"{np.unique(blocks.dests[wrong_dest]).tolist()}"
+            )
         origins = np.sort(blocks.origins)
-        assert np.array_equal(origins, np.arange(n)), (
-            f"node {self.node}: origins {origins.tolist()} are not a permutation of 0..{n - 1}"
-        )
+        if not np.array_equal(origins, np.arange(n)):
+            raise AssertionError(
+                f"node {self.node}: origins {origins.tolist()} are not a permutation of 0..{n - 1}"
+            )
         if check_payload and self.m > 0:
-            for i in range(blocks.n_blocks):
-                expected = payload_pattern(int(blocks.origins[i]), self.node, self.m, self.d)
-                assert np.array_equal(blocks.payload[i], expected), (
-                    f"node {self.node}: payload of block from {int(blocks.origins[i])} corrupted"
+            expected = payload_rows(blocks.origins, blocks.dests, self.m, self.d)
+            bad = first_mismatch(blocks.payload, expected)
+            if bad is not None:
+                raise AssertionError(
+                    f"node {self.node}: payload of block from {int(blocks.origins[bad])} corrupted"
                 )
 
     def result_rows(self) -> np.ndarray:
@@ -262,13 +305,6 @@ class BlockBuffer:
     @staticmethod
     def _field(labels: np.ndarray, group: BitGroup) -> np.ndarray:
         return (labels >> group.lo) & ((1 << group.width) - 1)
-
-    def _extract(self, mask: np.ndarray) -> BlockSet:
-        blocks = self._blocks
-        out = BlockSet(blocks.origins[mask], blocks.dests[mask], blocks.payload[mask])
-        keep = ~mask
-        self._blocks = BlockSet(blocks.origins[keep], blocks.dests[keep], blocks.payload[keep])
-        return out
 
     def coordinate(self, group: BitGroup) -> int:
         """This node's coordinate within its subcube for ``group``."""

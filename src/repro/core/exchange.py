@@ -216,11 +216,10 @@ def _naive_rows_exchange(rows: list[np.ndarray], d: int) -> list[np.ndarray]:
     buffers = [BlockBuffer.from_rows(x, d, rows[x]) for x in range(n)]
     whole = BitGroup(lo=0, width=d)
     for s in range(1, n):
-        extracted = {
-            x: buffers[x].extract_for_coordinate(whole, (x + s) % n) for x in range(n)
-        }
+        slots = [buffers[x].slots_for_coordinate(whole, (x + s) % n) for x in range(n)]
+        taken = [buffers[x].take(slots[x]) for x in range(n)]
         for x in range(n):
-            buffers[x].insert(extracted[(x - s) % n])
+            buffers[x].put(slots[x], taken[(x - s) % n])
     for buf in buffers:
         buf.verify_complete_exchange_result(check_payload=False)
     return [buffers[x].result_rows() for x in range(n)]
@@ -302,17 +301,19 @@ def _apply_exchange(
     shift = step.offset << group.lo
     outcome.n_exchange_steps += 1
     if engine == "tags":
-        # Extract both directions first (the machine's exchanges are
-        # concurrent and symmetric), then insert.
-        extracted: dict[int, BlockSet] = {}
+        # Take both directions first (the machine's exchanges are
+        # concurrent and symmetric), then put each partner's blocks into
+        # the slots just taken.
+        slots: dict[int, np.ndarray] = {}
+        taken_sets: dict[int, BlockSet] = {}
         for node in range(n):
             partner = node ^ shift
             partner_coord = (partner >> group.lo) & ((1 << group.width) - 1)
-            extracted[node] = buffers[node].extract_for_coordinate(group, partner_coord)
+            slots[node] = buffers[node].slots_for_coordinate(group, partner_coord)
+            taken_sets[node] = buffers[node].take(slots[node])
         for node in range(n):
-            partner = node ^ shift
-            buffers[node].insert(extracted[partner])
-        outcome.bytes_sent_per_node += extracted[0].nbytes
+            buffers[node].put(slots[node], taken_sets[node ^ shift])
+        outcome.bytes_sent_per_node += taken_sets[0].nbytes
     else:
         taken: dict[int, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
         for node in range(n):

@@ -176,10 +176,11 @@ def validate_contention_free(steps: Sequence[Step], d: int) -> None:
         if not isinstance(step, ExchangeStep):
             continue
         report = analyze_contention(schedule_circuits(step, d))
-        assert report.edge_contention_free, (
-            f"step {idx} (phase {step.phase_index}, offset {step.offset}): "
-            f"edge contention on {sorted(map(str, report.edge_conflicts))}"
-        )
+        if not report.edge_contention_free:
+            raise AssertionError(
+                f"step {idx} (phase {step.phase_index}, offset {step.offset}): "
+                f"edge contention on {sorted(map(str, report.edge_conflicts))}"
+            )
 
 
 @lru_cache(maxsize=512)

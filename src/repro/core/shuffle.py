@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.core.blocks import first_mismatch, payload_rows
 from repro.hypercube.subcube import BitGroup
 from repro.util.bitops import bit_field, rotate_bits_left, rotate_bits_right
 from repro.util.validation import check_dimension, check_node
@@ -102,13 +103,9 @@ class LayoutBuffer:
         self.m = int(m)
         n = 1 << d
         # Initial layout: index == destination (phase-1 invariant).
-        from repro.core.blocks import payload_pattern
-
-        self.payload = np.empty((n, m), dtype=np.uint8)
-        for dest in range(n):
-            self.payload[dest] = payload_pattern(node, dest, m, d)
         self.origins = np.full(n, node, dtype=np.int64)
         self.dests = np.arange(n, dtype=np.int64)
+        self.payload = payload_rows(self.origins, self.dests, m, d)
 
     @classmethod
     def from_rows(cls, node: int, d: int, rows: np.ndarray) -> "LayoutBuffer":
@@ -191,10 +188,11 @@ class LayoutBuffer:
         top = np.arange(n) >> (self.d - w)
         coords = (self.dests >> group.lo) & ((1 << w) - 1)
         mismatch = top != coords
-        assert not mismatch.any(), (
-            f"node {self.node}: layout invariant broken at {int(mismatch.sum())} rows "
-            f"for phase group lo={group.lo} width={w}"
-        )
+        if mismatch.any():
+            raise AssertionError(
+                f"node {self.node}: layout invariant broken at {int(mismatch.sum())} rows "
+                f"for phase group lo={group.lo} width={w}"
+            )
 
     def is_origin_sorted_result(self) -> bool:
         """True iff the buffer is the correct final state: row ``j``
@@ -207,21 +205,20 @@ class LayoutBuffer:
     def verify_final(self, *, check_payload: bool = True) -> None:
         """Assert the final origin-sorted state, byte-checking payloads."""
         n = self.n_blocks
-        assert np.array_equal(self.origins, np.arange(n)), (
-            f"node {self.node}: final layout not origin-sorted: {self.origins.tolist()}"
-        )
-        assert (self.dests == self.node).all(), (
-            f"node {self.node}: holds blocks for other destinations "
-            f"{np.unique(self.dests[self.dests != self.node]).tolist()}"
-        )
+        if not np.array_equal(self.origins, np.arange(n)):
+            raise AssertionError(
+                f"node {self.node}: final layout not origin-sorted: {self.origins.tolist()}"
+            )
+        if not (self.dests == self.node).all():
+            raise AssertionError(
+                f"node {self.node}: holds blocks for other destinations "
+                f"{np.unique(self.dests[self.dests != self.node]).tolist()}"
+            )
         if check_payload and self.m > 0:
-            from repro.core.blocks import payload_pattern
-
-            for origin in range(n):
-                expected = payload_pattern(origin, self.node, self.m, self.d)
-                assert np.array_equal(self.payload[origin], expected), (
-                    f"node {self.node}: payload from origin {origin} corrupted"
-                )
+            expected = payload_rows(self.origins, self.dests, self.m, self.d)
+            bad = first_mismatch(self.payload, expected)
+            if bad is not None:
+                raise AssertionError(f"node {self.node}: payload from origin {bad} corrupted")
 
     def coordinate(self, group: BitGroup) -> int:
         """This node's coordinate within its subcube for ``group``."""

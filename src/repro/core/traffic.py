@@ -159,7 +159,8 @@ def route_traffic_batch(
     # routing proof: all traffic must now sit at its destination row
     off_diagonal = pending.copy()
     off_diagonal[:, nodes, nodes] = 0.0
-    assert not off_diagonal.any(), "multiphase routing left traffic undelivered"
+    if off_diagonal.any():
+        raise AssertionError("multiphase routing left traffic undelivered")
     return steps_out
 
 

@@ -64,7 +64,8 @@ def assert_exchange_correct(
     """Assert ``recv_rows`` is the complete exchange of ``send_rows``,
     reporting the first few defects on failure."""
     defects = exchange_defect(send_rows, recv_rows)
-    assert not defects, (
-        f"complete exchange incorrect at {len(defects)} (receiver, origin) pairs; "
-        f"first few: {defects[:8]}"
-    )
+    if defects:
+        raise AssertionError(
+            f"complete exchange incorrect at {len(defects)} (receiver, origin) pairs; "
+            f"first few: {defects[:8]}"
+        )

@@ -54,10 +54,11 @@ def deliver(
     row = PATTERN_TABLE[(pattern, algorithm)]
     held, repeats = replay_pattern(row, pattern_rounds(row, d, root), d, root, block)
     n = 1 << d
-    assert not repeats and all(
+    if repeats or not all(
         set(blocks) == set(row.semantics.ends(node, root, n))
         for node, blocks in enumerate(held)
-    ), f"{row.name} failed to deliver"
+    ):
+        raise AssertionError(f"{row.name} failed to deliver")
     return held
 
 
@@ -185,7 +186,8 @@ def simulate_pattern(
         )
     for rank, held in enumerate(run.node_results):
         keys = row.semantics.ends(rank, root, n)
-        assert set(held) == set(keys) and all(
+        if set(held) != set(keys) or not all(
             np.array_equal(held[key], blocks[key]) for key in keys
-        ), f"node {rank} ended {row.name} with the wrong blocks"
+        ):
+            raise AssertionError(f"node {rank} ended {row.name} with the wrong blocks")
     return run.time, run

@@ -117,6 +117,8 @@ class Network:
 
     def check_links_alive(self, links: set) -> None:
         """Raise if any link of a prospective circuit has failed."""
+        if not self._failed:
+            return
         from repro.sim.engine import SimulationError
 
         dead = [link for link in links if isinstance(link, Link) and link in self._failed]

@@ -4,7 +4,8 @@ from __future__ import annotations
 
 import pytest
 
-from repro.comm.program import simulate_exchange, simulate_naive_exchange
+from repro.comm.program import exchange_program, simulate_exchange, simulate_naive_exchange
+from repro.core.blocks import BlockBuffer
 from repro.core.partitions import partitions
 from repro.model.cost import multiphase_time
 
@@ -56,6 +57,29 @@ class TestDataIntegrity:
         # n/2 pairs per step -> n records per step
         expected = ((1 << d) - 1) * (1 << d)
         assert result.trace.n_transmissions == expected
+
+    @pytest.mark.parametrize("run", [
+        lambda ipsc: simulate_exchange(3, 8, (2, 1), ipsc),
+        lambda ipsc: simulate_exchange(3, 8, (3,), ipsc),
+        lambda ipsc: simulate_naive_exchange(3, 8, ipsc),
+    ])
+    def test_dropped_put_fails_verification(self, run, ipsc, monkeypatch):
+        """A slot taken but never refilled keeps a foreign block."""
+        put = BlockBuffer.put
+        calls = []
+
+        def drop_one(self, slots, incoming):
+            calls.append(self.node)
+            if len(calls) != 5:
+                put(self, slots, incoming)
+
+        monkeypatch.setattr(BlockBuffer, "put", drop_one)
+        with pytest.raises(AssertionError, match="foreign destinations"):
+            run(ipsc)
+
+    def test_needs_exactly_one_payload_source(self, ipsc):
+        with pytest.raises(ValueError, match="exactly one"):
+            next(exchange_program(None, steps=(), m=None, rows=None))
 
     def test_engines_same_time(self, ipsc):
         a = simulate_exchange(4, 16, (2, 2), ipsc, engine="tags")

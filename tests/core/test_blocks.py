@@ -2,13 +2,21 @@
 
 from __future__ import annotations
 
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.core.blocks import BlockBuffer, BlockSet, payload_pattern
+from repro.core.blocks import BlockBuffer, BlockSet, payload_pattern, payload_rows
+from repro.core.schedule import ExchangeStep, multiphase_schedule
 from repro.hypercube.subcube import BitGroup
+
+SRC = str(Path(__file__).resolve().parents[2] / "src")
 
 
 class TestPayloadPattern:
@@ -34,6 +42,30 @@ class TestPayloadPattern:
         assert p.shape == (m,)
         if m:
             assert p.max() < 251
+
+
+class TestPayloadRows:
+    @pytest.mark.parametrize("m", [0, 1, 7, 400])
+    @pytest.mark.parametrize("d", range(8))
+    def test_equals_stacked_payload_pattern(self, d, m):
+        n = 1 << d
+        if d <= 4:
+            origins, dests = np.divmod(np.arange(n * n), n)
+        else:
+            rng = np.random.default_rng(d)
+            origins = np.concatenate([[0, n - 1, 0, n - 1], rng.integers(0, n, 200)])
+            dests = np.concatenate([[0, n - 1, n - 1, 0], rng.integers(0, n, 200)])
+        rows = payload_rows(origins, dests, m, d)
+        expected = np.stack(
+            [payload_pattern(int(o), int(t), m, d) for o, t in zip(origins, dests)]
+        )
+        assert rows.dtype == np.uint8
+        assert rows.shape == (len(origins), m)
+        assert np.array_equal(rows, expected)
+
+    def test_rejects_negative_size(self):
+        with pytest.raises(ValueError):
+            payload_rows(np.zeros(1, np.int64), np.zeros(1, np.int64), -1, 3)
 
 
 class TestBlockSet:
@@ -70,35 +102,47 @@ class TestBlockBuffer:
         assert buf.total_bytes == 0
         assert buf.n_blocks == 4
 
-    def test_extract_for_coordinate(self):
+    def test_slots_for_coordinate(self):
         buf = BlockBuffer.initial(node=0, d=3, m=2)
         group = BitGroup(lo=1, width=2)  # bits 2,1
-        taken = buf.extract_for_coordinate(group, 0b01)
+        slots = buf.slots_for_coordinate(group, 0b01)
         # dests with bits 2,1 == 01 are {2, 3}
-        assert sorted(taken.dests.tolist()) == [2, 3]
-        assert buf.n_blocks == 6
+        assert slots.tolist() == [2, 3]
+        taken = buf.take(slots)
+        assert taken.dests.tolist() == [2, 3]
         # effective block size = m * 2**(d - d_i)
         assert taken.nbytes == 2 * (1 << (3 - 2))
 
-    def test_extract_for_dest_bit(self):
-        buf = BlockBuffer.initial(node=0, d=3, m=1)
-        taken = buf.extract_for_dest_bit(2, 1)
-        assert sorted(taken.dests.tolist()) == [4, 5, 6, 7]
+    def test_take_copies_and_keeps_the_slots(self):
+        buf = BlockBuffer.initial(node=0, d=3, m=2)
+        slots = buf.slots_for_coordinate(BitGroup(lo=2, width=1), 1)
+        assert slots.tolist() == [4, 5, 6, 7]
+        taken = buf.take(slots)
+        taken.payload[:] = 0
+        assert buf.n_blocks == 8
+        assert buf.is_complete_exchange_result() is False
+        assert np.array_equal(buf.payload[4], payload_pattern(0, 4, 2, 3))
 
-    def test_insert_rejects_wrong_width(self):
+    def test_put_rejects_wrong_width(self):
         buf = BlockBuffer.initial(node=0, d=2, m=4)
         bad = BlockSet(np.zeros(1, np.int64), np.zeros(1, np.int64), np.zeros((1, 3), np.uint8))
-        with pytest.raises(ValueError):
-            buf.insert(bad)
+        with pytest.raises(ValueError, match="width"):
+            buf.put(np.array([1]), bad)
 
-    def test_extract_insert_roundtrip(self):
+    def test_put_rejects_count_mismatch(self):
+        buf = BlockBuffer.initial(node=0, d=2, m=4)
+        taken = buf.take(buf.slots_for_coordinate(BitGroup(lo=1, width=1), 1))
+        with pytest.raises(ValueError, match="2 blocks for 1 slots"):
+            buf.put(np.array([3]), taken)
+
+    def test_take_put_roundtrip(self):
         buf = BlockBuffer.initial(node=1, d=3, m=4)
-        group = BitGroup(lo=0, width=3)
-        taken = buf.extract_for_coordinate(group, 5)
-        assert buf.n_blocks == 7
-        buf.insert(taken)
+        before = buf.payload.copy()
+        slots = buf.slots_for_coordinate(BitGroup(lo=0, width=3), 5)
+        buf.put(slots, buf.take(slots))
         assert buf.n_blocks == 8
-        assert sorted(buf.dests.tolist()) == list(range(8))
+        assert buf.dests.tolist() == list(range(8))
+        assert np.array_equal(buf.payload, before)
 
     def test_from_rows(self):
         rows = np.arange(16, dtype=np.uint8).reshape(4, 4)
@@ -153,10 +197,16 @@ class TestVerification:
         buf.verify_complete_exchange_result(check_payload=False)
 
     def test_detects_wrong_count(self):
-        buf = BlockBuffer.initial(node=0, d=2, m=2)
-        group = BitGroup(lo=0, width=2)
-        buf.extract_for_coordinate(group, 3)
+        full = self._final_buffer(0, 2, 2)
+        buf = BlockBuffer(0, 2, 2, full.take(np.arange(3)))
         with pytest.raises(AssertionError, match="holds"):
+            buf.verify_complete_exchange_result()
+
+    def test_reports_first_corrupted_row(self):
+        buf = self._final_buffer(3, 3, 8)
+        buf.payload[5, 0] ^= 1
+        buf.payload[2, 7] ^= 1
+        with pytest.raises(AssertionError, match="payload of block from 2 corrupted"):
             buf.verify_complete_exchange_result()
 
     def test_result_rows_ordering(self):
@@ -169,3 +219,135 @@ class TestVerification:
     def test_initial_state_is_not_a_result(self):
         buf = BlockBuffer.initial(node=1, d=2, m=2)
         assert not buf.is_complete_exchange_result()
+
+
+def _slot_exchange(d, m, partition, tamper=None):
+    """Lockstep multiphase exchange of pattern payloads on the slot API.
+
+    ``tamper(k, node, slots, incoming)`` sees every put of exchange step
+    ``k`` and returns the ``(slots, incoming)`` to put instead, or
+    ``None`` to drop the put.
+    """
+    n = 1 << d
+    bufs = [BlockBuffer.initial(x, d, m) for x in range(n)]
+    steps = [s for s in multiphase_schedule(d, partition) if isinstance(s, ExchangeStep)]
+    for k, step in enumerate(steps):
+        shift = step.offset << step.group.lo
+        slots = [
+            bufs[x].slots_for_coordinate(step.group, bufs[x ^ shift].coordinate(step.group))
+            for x in range(n)
+        ]
+        taken = [bufs[x].take(slots[x]) for x in range(n)]
+        for x in range(n):
+            put = (slots[x], taken[x ^ shift])
+            if tamper is not None:
+                put = tamper(k, x, *put)
+            if put is not None:
+                bufs[x].put(*put)
+    return bufs
+
+
+def _failing_nodes(bufs):
+    return [buf.node for buf in bufs if not buf.is_complete_exchange_result()]
+
+
+class TestSlotNegativeControls:
+    """Each way of misusing take/put must fail verification."""
+
+    D, M, PARTITION = 3, 8, (2, 1)
+
+    def test_clean_exchange_verifies(self):
+        assert _failing_nodes(_slot_exchange(self.D, self.M, self.PARTITION)) == []
+
+    def test_dropped_put_fails(self):
+        def drop(k, node, slots, incoming):
+            return None if (k, node) == (1, 5) else (slots, incoming)
+
+        bufs = _slot_exchange(self.D, self.M, self.PARTITION, drop)
+        assert 5 in _failing_nodes(bufs)
+        with pytest.raises(AssertionError, match="foreign destinations"):
+            bufs[5].verify_complete_exchange_result()
+
+    def test_put_into_wrong_slots_fails(self):
+        def misplace(k, node, slots, incoming):
+            if (k, node) == (0, 2):
+                slots = (slots + 1) % (1 << self.D)
+            return slots, incoming
+
+        assert _failing_nodes(_slot_exchange(self.D, self.M, self.PARTITION, misplace))
+
+    def test_swapped_payload_row_fails(self):
+        def swap(k, node, slots, incoming):
+            # the last exchange step, so node 6 keeps the swapped rows
+            if (k, node) == (3, 6):
+                payload = incoming.payload[::-1].copy()
+                incoming = BlockSet(incoming.origins, incoming.dests, payload)
+            return slots, incoming
+
+        bufs = _slot_exchange(self.D, self.M, self.PARTITION, swap)
+        assert _failing_nodes(bufs) == [6]
+        with pytest.raises(AssertionError, match="corrupted"):
+            bufs[6].verify_complete_exchange_result()
+        # the tags are right: only the payload check sees the swap
+        bufs[6].verify_complete_exchange_result(check_payload=False)
+
+    def test_count_mismatch_in_put_fails(self):
+        def short(k, node, slots, incoming):
+            return slots[:-1], incoming
+
+        with pytest.raises(ValueError, match="blocks for"):
+            _slot_exchange(self.D, self.M, self.PARTITION, short)
+
+
+OPTIMIZED_CHECKS = """
+import numpy as np
+from repro.core.blocks import BlockBuffer
+from repro.core.exchange import run_exchange
+from repro.core.shuffle import LayoutBuffer
+from repro.core.verify import assert_exchange_correct
+from repro.hypercube.subcube import BitGroup
+
+def must_fail(label, check, match):
+    try:
+        check()
+    except AssertionError as exc:
+        if match not in str(exc):
+            raise SystemExit(f"{label}: wrong message {exc}")
+    else:
+        raise SystemExit(f"{label}: verification passed under -O")
+
+start = BlockBuffer.initial(1, 3, 8)
+start.payload[2, 3] ^= 1
+must_fail("pre-exchange buffer", start.verify_complete_exchange_result, "foreign")
+if start.is_complete_exchange_result():
+    raise SystemExit("pre-exchange buffer: is_complete_exchange_result() is True")
+
+tags = run_exchange(3, 8, (2, 1)).buffers[4]
+tags.payload[5, 0] ^= 1
+must_fail("tag buffer", tags.verify_complete_exchange_result, "corrupted")
+
+layout = run_exchange(3, 8, (2, 1), engine="layout").buffers[4]
+layout.payload[5, 0] ^= 1
+must_fail("layout buffer", layout.verify_final, "corrupted")
+
+shuffled = LayoutBuffer(0, 3, 2)
+shuffled.shuffle(1)
+must_fail("layout invariant",
+          lambda: shuffled.check_phase_start_invariant(BitGroup(lo=1, width=2)),
+          "layout invariant")
+
+send = [np.arange(8, dtype=np.uint8).reshape(2, 4) + x for x in range(2)]
+must_fail("user rows", lambda: assert_exchange_correct(send, send), "incorrect")
+print("ok")
+"""
+
+
+def test_verification_survives_python_optimize():
+    """``python -O`` strips ``assert``; the byte checks must not be asserts."""
+    result = subprocess.run(
+        [sys.executable, "-O", "-c", textwrap.dedent(OPTIMIZED_CHECKS)],
+        env={"PYTHONPATH": SRC, "PATH": "/usr/bin:/bin"},
+        capture_output=True, text=True, timeout=120,
+    )
+    assert result.returncode == 0, result.stderr + result.stdout
+    assert result.stdout.strip() == "ok"
