@@ -31,7 +31,6 @@ from repro.check.schedule import (
     check_schedules,
     verify_block_conservation,
     verify_circuit_steps,
-    verify_fastpath_coefficients,
     verify_pattern,
     verify_plan_decision,
     verify_program_coefficients,
@@ -47,7 +46,6 @@ __all__ = [
     "run_rules",
     "verify_block_conservation",
     "verify_circuit_steps",
-    "verify_fastpath_coefficients",
     "verify_pattern",
     "verify_plan_decision",
     "verify_program_coefficients",

@@ -21,10 +21,12 @@ program, and planner-emitted collective — without invoking
   duplicated steps as vacuous transfers, wrong offsets as misrouted
   blocks;
 * **coefficient fidelity** — the fast path's compiled per-step
-  coefficients (:class:`repro.sim.fastpath.CompiledSchedule` for
-  exchange schedules, :class:`repro.sim.fastpath.CompiledProgram` for
-  the §9 pattern programs) must structurally match the step stream
-  they claim to price.
+  coefficients (:class:`repro.sim.fastpath.CompiledProgram`, the one
+  compiled form of the exchange and of every §9 pattern program) must
+  structurally match the program step stream they claim to price, and
+  an exchange-backed program's must also match the
+  :func:`~repro.core.schedule.multiphase_schedule` step list of its
+  partition — the schedule the data engines actually execute.
 
 Every function returns plain :class:`~repro.check.report.Violation`
 lists so callers can compose them into one
@@ -48,7 +50,6 @@ from repro.core.programs import (
     PatternAlgorithm,
     Round,
     SendStep,
-    exchange_steps,
     pattern_program,
     pattern_rounds,
     replay_pattern,
@@ -71,7 +72,6 @@ from repro.sim.fastpath import (
     KIND_SEND,
     KIND_SHUFFLE,
     CompiledProgram,
-    CompiledSchedule,
     compile_program,
     compile_schedule,
     naive_step_circuits,
@@ -86,7 +86,6 @@ __all__ = [
     "pattern_variants",
     "verify_block_conservation",
     "verify_circuit_steps",
-    "verify_fastpath_coefficients",
     "verify_pattern",
     "verify_plan_decision",
     "verify_program_coefficients",
@@ -417,89 +416,32 @@ def verify_block_conservation(
 # ----------------------------------------------------------------------
 # fast-path coefficient fidelity
 # ----------------------------------------------------------------------
-def verify_fastpath_coefficients(compiled: CompiledSchedule) -> list[Violation]:
-    """Prove compiled fast-path coefficients match their step stream.
-
-    Recomputes, independently from the step dataclasses, the per-step
-    kind code, byte multiplier, and hop count that
-    :func:`repro.sim.fastpath.compile_schedule` should have produced,
-    and compares structurally.  Also proves the compiled step tuple is
-    the canonical :func:`~repro.core.schedule.multiphase_schedule`
-    stream for its ``(d, partition)`` — the fast path must price the
-    schedule the executors actually run.
-    """
-    target = f"fastpath {_schedule_target(compiled.d, compiled.partition)}"
-    violations: list[Violation] = []
-    canonical = tuple(multiphase_schedule(compiled.d, compiled.partition))
-    if compiled.steps != canonical:
-        violations.append(Violation(
-            check="coeff-mismatch",
-            target=target,
-            message="compiled step stream is not the canonical schedule "
-                    f"for d={compiled.d} partition {compiled.partition}",
-            counterexample={"n_compiled": len(compiled.steps),
-                            "n_canonical": len(canonical)},
-            fix_hint="recompile via repro.sim.fastpath.compile_schedule",
-        ))
-    arrays = (compiled.kinds, compiled.bytes_per_m, compiled.hops)
-    if any(len(array) != len(compiled.steps) for array in arrays):
-        violations.append(Violation(
-            check="coeff-mismatch",
-            target=target,
-            message="coefficient arrays and step stream disagree in length",
-            counterexample={"n_steps": len(compiled.steps),
-                            "array_lengths": [len(a) for a in arrays]},
-        ))
-        return violations
-    for index, step in enumerate(compiled.steps):
-        if isinstance(step, PhaseStart):
-            kind, nbytes, hops = KIND_BARRIER, 0, 0
-        elif isinstance(step, ExchangeStep):
-            kind = KIND_EXCHANGE
-            nbytes = 2 ** (compiled.d - step.group.width)
-            hops = popcount(step.offset)
-        elif isinstance(step, ShuffleStep):
-            kind, nbytes, hops = KIND_SHUFFLE, 2 ** compiled.d, 0
-        else:
-            violations.append(Violation(
-                check="coeff-mismatch",
-                target=target,
-                message=f"unknown step type {type(step).__name__}",
-                step_index=index,
-            ))
-            continue
-        got = (int(compiled.kinds[index]), int(compiled.bytes_per_m[index]),
-               int(compiled.hops[index]))
-        if got != (kind, nbytes, hops):
-            violations.append(Violation(
-                check="coeff-mismatch",
-                target=target,
-                message=f"step {index} ({type(step).__name__}) compiled to "
-                        f"kind/bytes/hops {got}, expected {(kind, nbytes, hops)}",
-                step_index=index,
-                counterexample={"compiled": list(got),
-                                "expected": [kind, nbytes, hops]},
-                fix_hint="the affine timing coefficients must mirror the step "
-                         "stream term for term",
-            ))
-    return violations
-
-
 def verify_program_coefficients(compiled: CompiledProgram) -> list[Violation]:
     """Prove a compiled program's coefficients match its step stream.
 
-    The :class:`~repro.sim.fastpath.CompiledProgram` analogue of
-    :func:`verify_fastpath_coefficients`: recomputes, independently
-    from the program step dataclasses, the per-step kind code, byte
-    multiplier, and hop count :func:`repro.sim.fastpath.compile_program`
-    should have produced — ``coeff-mismatch`` violations otherwise —
-    and proves each step structurally legal (endpoints inside the cube,
-    no self-sends, pair shifts in range: ``program-structure``).
+    Recomputes, independently from the program step dataclasses, the
+    per-step kind code, byte multiplier, and hop count
+    :func:`repro.sim.fastpath.compile_program` should have produced —
+    ``coeff-mismatch`` violations otherwise — and proves each step
+    structurally legal (endpoints inside the cube, no self-sends, pair
+    shifts in range: ``program-structure``).
+
+    An exchange-backed program (``program.partition`` set: the
+    ``exchange`` program and ``allgather/exchange``) must also price
+    the schedule the data engines execute: its coefficients are
+    recomputed from :func:`~repro.core.schedule.multiphase_schedule`
+    on that partition, independently of
+    :func:`~repro.core.programs.exchange_steps`, so a program carrying
+    another partition's steps is a ``coeff-mismatch``.
     """
     program = compiled.program
     target = f"fastpath program {program.name} d={program.d}"
     n = 1 << program.d
     violations: list[Violation] = []
+    if program.partition is not None:
+        violations.extend(
+            _verify_schedule_coefficients(compiled, program.partition, target)
+        )
     arrays = (compiled.kinds, compiled.bytes_per_m, compiled.hops)
     if any(len(array) != len(program.steps) for array in arrays):
         violations.append(Violation(
@@ -573,6 +515,56 @@ def verify_program_coefficients(compiled: CompiledProgram) -> list[Violation]:
     return violations
 
 
+def _verify_schedule_coefficients(
+    compiled: CompiledProgram, partition: tuple[int, ...], target: str
+) -> list[Violation]:
+    """The coefficients of an exchange-backed program, checked against
+    the multiphase schedule of its ``partition``."""
+    d = compiled.d
+    try:
+        steps = multiphase_schedule(d, partition)
+    except (TypeError, ValueError) as exc:
+        return [Violation(
+            check="program-structure",
+            target=target,
+            message=f"partition {partition!r} is not a partition of d={d}: {exc}",
+            counterexample={"partition": list(partition)},
+            fix_hint="an exchange-backed program carries a partition of its cube",
+        )]
+    expected: list[tuple[int, int, int]] = []
+    for step in steps:
+        if isinstance(step, PhaseStart):
+            expected.append((KIND_BARRIER, 0, 0))
+        elif isinstance(step, ExchangeStep):
+            expected.append(
+                (KIND_EXCHANGE, 2 ** (d - step.group.width), popcount(step.offset))
+            )
+        else:
+            expected.append((KIND_SHUFFLE, 2 ** d, 0))
+    got = list(zip(compiled.kinds.tolist(), compiled.bytes_per_m.tolist(),
+                   compiled.hops.tolist()))
+    if got == expected:
+        return []
+    index = next(
+        (i for i, pair in enumerate(zip(got, expected)) if pair[0] != pair[1]),
+        min(len(got), len(expected)),
+    )
+    return [Violation(
+        check="coeff-mismatch",
+        target=target,
+        message=f"compiled coefficients depart from the multiphase schedule "
+                f"of partition {format_partition(partition)} at step {index}",
+        step_index=index,
+        counterexample={
+            "compiled": list(got[index]) if index < len(got) else None,
+            "expected": list(expected[index]) if index < len(expected) else None,
+            "n_compiled": len(got),
+            "n_expected": len(expected),
+        },
+        fix_hint="price the exchange with repro.sim.fastpath.compile_schedule",
+    )]
+
+
 # ----------------------------------------------------------------------
 # whole-schedule certificates
 # ----------------------------------------------------------------------
@@ -597,20 +589,18 @@ def verify_schedule(d: int, partition: Sequence[int] | None = None) -> list[Viol
     """Certify one compiled ``(d, partition)`` exchange schedule.
 
     ``partition=None`` selects the single-phase ``(d,)`` schedule.
-    Covers circuit disjointness, route legality, block conservation,
-    and fast-path coefficient fidelity — of both the compiled schedule
-    and its program-compiler lowering (the two fast paths must agree
-    with the step stream *and* each other); an empty list is a
-    certificate.
+    Covers circuit disjointness, route legality and block conservation
+    of the step list the data engines execute, and coefficient fidelity
+    of the one compiled form the fast path prices —
+    :func:`repro.sim.fastpath.compile_schedule`, the exchange's
+    :class:`~repro.core.programs.CommProgram` — against its own steps
+    and against that step list; an empty list is a certificate.
     """
     check_dimension(d, minimum=1)
     parts = check_partition(partition if partition is not None else (d,), d)
     steps = multiphase_schedule(d, parts)
     violations = verify_schedule_steps(steps, d, target=_schedule_target(d, parts))
-    violations.extend(verify_fastpath_coefficients(compile_schedule(d, parts)))
-    violations.extend(
-        verify_program_coefficients(compile_program(exchange_steps(d, parts)))
-    )
+    violations.extend(verify_program_coefficients(compile_schedule(d, parts)))
     return violations
 
 

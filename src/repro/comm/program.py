@@ -31,10 +31,13 @@ The fast path prices the same schedules without booting the engine:
 :func:`repro.core.programs.exchange_steps` lowers the
 :func:`~repro.core.schedule.multiphase_schedule` step list that
 ``exchange_program`` executes to a
-:class:`~repro.core.programs.CommProgram` chain, which
-:func:`repro.sim.fastpath.compile_program` prices in one numpy pass at
-float equality with the runs here — the default path everywhere; the
-event-engine replay below is the byte-verifying oracle.  (The naive
+:class:`~repro.core.programs.CommProgram` chain — the exchange's one
+compiled form — which :mod:`repro.sim.fastpath` prices in one numpy
+pass at float equality with the runs here (``fast=True`` below returns
+its :class:`~repro.sim.fastpath.ProgramTimeline`).  That is the default
+path everywhere; the event-engine replay below is the byte-verifying
+oracle, and :func:`repro.check.verify_schedule` certifies the step list
+and the compiled program against each other.  (The naive
 rotation's chain, :func:`repro.core.programs.naive_rotation_steps`, is
 contended and priced by the reservation replay.)  The §9 patterns are
 not run here: each is one declaration in :mod:`repro.core.programs`,
@@ -53,7 +56,7 @@ from repro.model.params import MachineParams
 from repro.sim.machine import RunResult, SimulatedHypercube
 from repro.sim.node import NodeContext
 from repro.sim.trace import PlanRecord, Trace
-from repro.util.validation import check_dimension, check_partition
+from repro.util.validation import check_dimension, check_message_size, check_partition
 
 __all__ = [
     "SimulatedExchange",
@@ -154,8 +157,9 @@ class SimulatedExchange:
     #: the planner decision behind this run, when a planner chose the
     #: algorithm (``None`` for directly requested partitions)
     decision: Any = None
-    #: the fast path's per-step :class:`~repro.sim.fastpath.ScheduleTimeline`
-    #: (``None`` on event-engine runs and naive fast-path timings)
+    #: the fast path's per-step :class:`~repro.sim.fastpath.ProgramTimeline`
+    #: of the exchange program (``None`` on event-engine runs and naive
+    #: fast-path timings)
     timeline: Any = None
 
     @property
@@ -196,7 +200,10 @@ def simulate_exchange(
     engine (:mod:`repro.sim.fastpath`) instead of booting coroutine
     processes — float-identical for these contention-free schedules,
     orders of magnitude cheaper, but no data moves (``verify`` is
-    ignored; there are no buffers to check).
+    ignored; there are no buffers to check), so ``m`` may be
+    fractional.  The event engine moves ``m``-byte blocks: there an
+    ``m`` that is not a non-negative int raises :class:`ValueError`
+    before the machine boots.
 
     A ``fault_plan`` (:class:`repro.sim.faults.FaultPlan`) degrades the
     machine; only the event engine understands one — the lockstep fast
@@ -227,6 +234,7 @@ def simulate_exchange(
             run=None,
             timeline=timeline,
         )
+    check_message_size(m)
     steps = multiphase_schedule(d, parts)
     machine = SimulatedHypercube(d, params, fault_plan=fault_plan)
     run = machine.run(exchange_program, steps=steps, m=m, engine=engine)
@@ -268,7 +276,9 @@ def simulate_planned_exchange(
     instead of being replayed on the event machine: float-identical on
     contention-free schedules, reservation-replay pricing for the
     naive baseline, no data movement (``verify`` is ignored).  The
-    plan record still lands in the result's trace.
+    plan record still lands in the result's trace.  On the event engine
+    ``m`` must be a non-negative int; it is checked before the planner
+    is asked.
 
     >>> from repro.model.params import ipsc860
     >>> from repro.plan import CollectivePlanner, ModelPolicy
@@ -281,6 +291,8 @@ def simulate_planned_exchange(
     """
     check_dimension(d, minimum=1)
     _check_fault_plan_engine(fault_plan, fast)
+    if not fast:
+        check_message_size(m)
     decision = planner.decide(d, m)
     if fast:
         from repro.sim.fastpath import exchange_timeline, naive_exchange_time
@@ -400,7 +412,8 @@ def simulate_naive_exchange(
     With ``fast=True`` the contended timing comes from the fast path's
     reservation replay (:func:`repro.sim.fastpath.naive_exchange_time`)
     — same greedy link/port serialization, no coroutines, no data
-    movement (``verify`` is ignored).
+    movement (``verify`` is ignored).  On the event engine ``m`` must
+    be a non-negative int.
     """
     check_dimension(d, minimum=1)
     if fast:
@@ -415,6 +428,7 @@ def simulate_naive_exchange(
             trace=Trace(),
             run=None,
         )
+    check_message_size(m)
     machine = SimulatedHypercube(d, params)
     run = machine.run(naive_program, m=m)
     result = SimulatedExchange(

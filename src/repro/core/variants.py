@@ -31,12 +31,11 @@ hop sequence the orderings differ by.
 
 from __future__ import annotations
 
+from dataclasses import replace
 from typing import Sequence
 
-from repro.core.schedule import ExchangeStep, PhaseStart, ShuffleStep, Step
-from repro.hypercube.subcube import phase_bit_groups
+from repro.core.schedule import ExchangeStep, PhaseStart, Step, multiphase_schedule
 from repro.util.bitops import gray_code, popcount
-from repro.util.validation import check_partition
 
 __all__ = [
     "ORDERINGS",
@@ -78,19 +77,20 @@ def multiphase_schedule_ordered(
 ) -> list[Step]:
     """The multiphase schedule with a chosen within-phase offset order.
 
-    ``ordering='index'`` reproduces
-    :func:`repro.core.schedule.multiphase_schedule` exactly.
+    Built from :func:`repro.core.schedule.multiphase_schedule` (which
+    runs each phase's offsets in index order) by reordering each
+    phase's exchange steps, so ``ordering='index'`` reproduces it
+    exactly.
     """
-    parts = check_partition(partition, d)
-    groups = phase_bit_groups(parts, d)
-    k = len(parts)
-    steps: list[Step] = []
-    for i, (di, group) in enumerate(zip(parts, groups)):
-        steps.append(PhaseStart(phase_index=i, group=group, n_exchanges=(1 << di) - 1))
-        for offset in offset_order(di, ordering):
-            steps.append(ExchangeStep(phase_index=i, group=group, offset=offset))
-        if k > 1:
-            steps.append(ShuffleStep(phase_index=i, times=di))
+    steps = multiphase_schedule(d, partition)
+    order: list[int] = []
+    for index, step in enumerate(steps):
+        if isinstance(step, PhaseStart):
+            order = offset_order(step.group.width, ordering)
+        elif isinstance(step, ExchangeStep):
+            # in index order offset o is the phase's o-th exchange; put
+            # the ordering's o-th offset there
+            steps[index] = replace(step, offset=order[step.offset - 1])
     return steps
 
 

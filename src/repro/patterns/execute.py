@@ -20,7 +20,6 @@ The rounds the interpreter walks are the ones
 
 from __future__ import annotations
 
-import numbers
 from typing import Any, Callable, Generator, Sequence
 
 import numpy as np
@@ -36,7 +35,7 @@ from repro.core.programs import (
 from repro.model.params import MachineParams
 from repro.sim.machine import RunResult, SimulatedHypercube
 from repro.sim.node import NodeContext
-from repro.util.validation import check_dimension, check_node
+from repro.util.validation import check_dimension, check_message_size, check_node
 
 __all__ = ["deliver", "pattern_node", "simulate_pattern"]
 
@@ -145,8 +144,7 @@ def simulate_pattern(
     >>> run.trace.n_transmissions
     7
     """
-    if isinstance(m, bool) or not isinstance(m, numbers.Integral) or m < 0:
-        raise ValueError(f"m must be a non-negative int, got m={m!r}")
+    check_message_size(m)
     if planner is not None:
         if pattern != "allgather" or algorithm not in ("exchange", "auto"):
             raise ValueError(

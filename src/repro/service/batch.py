@@ -24,7 +24,6 @@ stored table's answer, whose switch points are located to ~1e-3 bytes.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Iterable, Sequence
 
@@ -79,8 +78,6 @@ def check_query_values(d: int, m: float) -> None:
     rule so the stdio loop and the socket server cannot drift apart."""
     check_dimension(d, minimum=1)
     check_block_size(m)
-    if not math.isfinite(m):
-        raise ValueError(f"block size must be finite, got {m}")
 
 
 def queries_from_arrays(

@@ -10,12 +10,10 @@ calibrated by :class:`repro.model.params.MachineParams`.
 from repro.sim.engine import Delay, Engine, Process, Request, SimulationError
 from repro.sim.fastpath import (
     CompiledProgram,
-    CompiledSchedule,
     NaiveContentionSummary,
     NaiveSend,
     NaiveTimeline,
     ProgramTimeline,
-    ScheduleTimeline,
     batch_exchange_times,
     batch_program_times,
     compile_program,
@@ -52,7 +50,6 @@ from repro.sim.trace import (
 __all__ = [
     "BarrierRecord",
     "CompiledProgram",
-    "CompiledSchedule",
     "CrossTraffic",
     "Delay",
     "Engine",
@@ -70,7 +67,6 @@ __all__ = [
     "Request",
     "RetryRecord",
     "RunResult",
-    "ScheduleTimeline",
     "ShuffleRecord",
     "SimulatedHypercube",
     "SimulationError",

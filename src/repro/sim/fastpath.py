@@ -1,4 +1,4 @@
-"""Vectorized lockstep fast path for schedule timing.
+"""Vectorized lockstep fast path for program timing.
 
 Bokhari's exchange schedules are *lockstep*: every node executes the
 same step list, each step has the same duration on every node (the
@@ -9,31 +9,31 @@ simulated run is therefore computable in closed form, one cumulative
 sum over the step durations, without booting coroutine processes (the
 same observation that lets implicit lockstep simulations replace
 event-driven ones wholesale).  This module is that closed form,
-vectorized with numpy over steps × block sizes:
+vectorized with numpy over steps × block sizes.
 
+There is one compiler.  :func:`compile_program` lowers any
+contention-free :class:`repro.core.programs.CommProgram` — the
+exchange, the §9 pattern programs (broadcast binomial/direct, scatter
+halving/direct, allgather doubling/exchange), or any other
+barrier/send/pair/shuffle chain — to per-step coefficient arrays
+(:class:`CompiledProgram`).  One-way ``SendStep`` rows price with the
+plain constants (``λ + τ·nbytes + δ·h``), pairwise ``PairStep`` rows
+with the §7.4 effective constants, exactly as
+:class:`repro.sim.node.Node` combines them, and ``cumsum`` accumulates
+the rows in the engine's dispatch order — so prices agree with the
+event engine to **float equality** (``==``, not approx).
+
+* :func:`program_time` / :func:`program_times` /
+  :func:`program_timeline` / :func:`batch_program_times` — price any
+  compiled program.  Contended programs (the naive rotation) are
+  refused by the compiler; :func:`batch_program_times` routes them to
+  the reservation replay.
 * :func:`exchange_time` / :func:`exchange_times` /
-  :func:`exchange_timeline` — total and per-step start/finish times of
-  a multiphase/standard/single-phase schedule.  These agree with
-  :func:`repro.comm.program.simulate_exchange` to **float equality**
-  (``==``, not approx): the same constants are combined in the same
-  order the event engine combines them, and ``cumsum`` accumulates
-  steps in the engine's dispatch order.
-* :func:`batch_exchange_times` — one array pass per distinct
-  ``(d, partition)`` group over a whole batch of ``(d, m, partition)``
-  configurations (the validation-sweep workhorse).
-* :func:`compile_program` / :func:`program_time` /
-  :func:`program_times` / :func:`program_timeline` /
-  :func:`batch_program_times` — the same lowering generalized to *any*
-  :class:`repro.core.programs.CommProgram` step stream: the exchange,
-  the §9 pattern programs (broadcast binomial/direct, scatter
-  halving/direct, allgather doubling/exchange), and any future
-  barrier/send/pair/shuffle chain.  One-way ``SendStep`` rows price
-  with the plain constants (``λ + τ·nbytes + δ·h``), pairwise
-  ``PairStep`` rows with the §7.4 effective constants, exactly as
-  :class:`repro.sim.node.Node` combines them — float equality with the
-  event engine holds for every compiled program.  Contended programs
-  (the naive rotation) are refused by the compiler;
-  :func:`batch_program_times` routes them to the reservation replay.
+  :func:`exchange_timeline` / :func:`batch_exchange_times` — the
+  complete exchange by ``(d, partition)``.  They read the exchange's
+  program, :func:`repro.core.programs.exchange_steps`, compiled once
+  per ``(d, partition)`` by :func:`compile_schedule`, and agree with
+  :func:`repro.comm.program.simulate_exchange` to float equality.
 * :func:`naive_exchange_time` / :func:`naive_timeline` — the
   *contended* naive rotation baseline, priced by replaying the event
   engine's greedy link/port reservation discipline over the send
@@ -59,6 +59,7 @@ data movement, and arbitrary node programs.
 from __future__ import annotations
 
 import heapq
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Sequence
@@ -71,13 +72,7 @@ from repro.core.programs import (
     LocalShuffleStep,
     PairStep,
     SendStep,
-)
-from repro.core.schedule import (
-    ExchangeStep,
-    PhaseStart,
-    ShuffleStep,
-    Step,
-    multiphase_schedule,
+    exchange_steps,
 )
 from repro.hypercube.contention import (
     ScheduleConflicts,
@@ -87,16 +82,14 @@ from repro.hypercube.contention import (
 from repro.hypercube.routing import ecube_path_edges
 from repro.model.params import MachineParams
 from repro.util.bitops import popcount
-from repro.util.validation import check_dimension, check_partition
+from repro.util.validation import check_block_size, check_dimension, check_partition
 
 __all__ = [
     "CompiledProgram",
-    "CompiledSchedule",
     "NaiveContentionSummary",
     "NaiveSend",
     "NaiveTimeline",
     "ProgramTimeline",
-    "ScheduleTimeline",
     "batch_exchange_times",
     "batch_program_times",
     "compile_program",
@@ -113,7 +106,7 @@ __all__ = [
     "program_times",
 ]
 
-#: step-kind codes of a compiled schedule / program
+#: step-kind codes of a compiled program
 KIND_BARRIER, KIND_EXCHANGE, KIND_SHUFFLE, KIND_SEND = 0, 1, 2, 3
 
 
@@ -127,19 +120,21 @@ def _step_durations(
 ) -> np.ndarray:
     """Per-step durations for each block size: shape ``(S, M)``.
 
-    The shared lowering kernel behind :class:`CompiledSchedule` and
-    :class:`CompiledProgram`.  Arithmetic mirrors the event engine term
-    for term and in the same order (latency + ``τ·nbytes`` first, hop
-    term added last), so integral block sizes reproduce its float
-    results exactly.  Pairwise rows use the §7.4 effective constants
-    (``λ_x``, ``δ_x``); one-way FORCED rows the plain ones (``λ``,
-    ``δ``); barriers cost ``γ·d``; shuffles ``ρ`` per byte.
+    Arithmetic mirrors the event engine term for term and in the same
+    order (latency + ``τ·nbytes`` first, hop term added last), so
+    integral block sizes reproduce its float results exactly.  Pairwise
+    rows use the §7.4 effective constants (``λ_x``, ``δ_x``); one-way
+    FORCED rows the plain ones (``λ``, ``δ``); barriers cost ``γ·d``;
+    shuffles ``ρ`` per byte.
     """
     ms_arr = np.asarray(ms, dtype=np.float64)
     if ms_arr.ndim != 1:
         raise ValueError(f"ms must be one-dimensional, got shape {ms_arr.shape}")
-    if ms_arr.size and float(ms_arr.min()) < 0:
-        raise ValueError("block sizes must be >= 0")
+    # a Python pass, not numpy reductions: pricing mostly asks for one
+    # size, where this is several times cheaper (NaN fails the test too)
+    for m in ms_arr.tolist():
+        if not 0 <= m < math.inf:
+            raise ValueError(f"block sizes must be finite and >= 0, got {m}")
     out = np.zeros((len(kinds), ms_arr.size), dtype=np.float64)
     barrier = kinds == KIND_BARRIER
     out[barrier, :] = params.global_sync_time(d)
@@ -165,207 +160,30 @@ def _step_durations(
 
 
 # ----------------------------------------------------------------------
-# contention-free schedules: closed-form lockstep timing
-# ----------------------------------------------------------------------
-@dataclass(frozen=True)
-class CompiledSchedule:
-    """A schedule reduced to per-step timing coefficients.
-
-    For every step the duration on the calibrated machine is an affine
-    function of the block size ``m``:
-
-    * ``PhaseStart``  — ``γ·d``  (the global synchronization);
-    * ``ExchangeStep`` — ``λ_x + τ·(m·2**(d-d_i)) + δ_x·h`` with ``h``
-      the step's hop count;
-    * ``ShuffleStep`` — ``ρ·(m·2**d)``.
-
-    ``bytes_per_m`` holds the per-step byte multiplier (effective
-    block for exchanges, full buffer for shuffles, 0 for barriers) and
-    ``hops`` the exchange hop counts, so :meth:`durations` evaluates a
-    whole block-size batch in one vectorized pass.
-    """
-
-    d: int
-    partition: tuple[int, ...]
-    steps: tuple[Step, ...]
-    kinds: np.ndarray
-    bytes_per_m: np.ndarray
-    hops: np.ndarray
-
-    @property
-    def n_steps(self) -> int:
-        return len(self.steps)
-
-    def durations(self, ms: Sequence[float], params: MachineParams) -> np.ndarray:
-        """Per-step durations for each block size: shape ``(S, M)``.
-
-        Arithmetic mirrors the event engine term for term and in the
-        same order (``λ_x + τ·nbytes`` first, hop term added last), so
-        integral block sizes reproduce its float results exactly.
-        """
-        return _step_durations(
-            self.d, self.kinds, self.bytes_per_m, self.hops, ms, params
-        )
-
-    def totals(self, ms: Sequence[float], params: MachineParams) -> np.ndarray:
-        """Total exchange time per block size (``cumsum`` accumulation,
-        matching the engine's sequential clock advance)."""
-        durations = self.durations(ms, params)
-        if durations.shape[0] == 0:
-            return np.zeros(durations.shape[1], dtype=np.float64)
-        return durations.cumsum(axis=0)[-1]
-
-    def timeline(self, m: float, params: MachineParams) -> "ScheduleTimeline":
-        """Per-step start/finish times of one lockstep run."""
-        durations = self.durations([m], params)[:, 0]
-        finish = durations.cumsum()
-        start = np.concatenate(([0.0], finish[:-1]))
-        return ScheduleTimeline(
-            d=self.d, m=float(m), partition=self.partition,
-            steps=self.steps, start=start, finish=finish,
-        )
-
-
-@dataclass(frozen=True)
-class ScheduleTimeline:
-    """Start/finish instants of every step of one lockstep run.
-
-    Because the schedule is lockstep, these arrays describe *every*
-    node simultaneously; ``finish[-1]`` is the run's makespan.
-    """
-
-    d: int
-    m: float
-    partition: tuple[int, ...]
-    steps: tuple[Step, ...]
-    start: np.ndarray
-    finish: np.ndarray
-
-    @property
-    def total(self) -> float:
-        """The makespan (equals ``simulate_exchange(...).time_us``)."""
-        return float(self.finish[-1]) if len(self.finish) else 0.0
-
-
-@lru_cache(maxsize=512)
-def _compile_schedule(d: int, partition: tuple[int, ...]) -> CompiledSchedule:
-    steps = tuple(multiphase_schedule(d, partition))
-    kinds = np.empty(len(steps), dtype=np.int8)
-    bytes_per_m = np.zeros(len(steps), dtype=np.int64)
-    hops = np.zeros(len(steps), dtype=np.int64)
-    for i, step in enumerate(steps):
-        if isinstance(step, PhaseStart):
-            kinds[i] = KIND_BARRIER
-        elif isinstance(step, ExchangeStep):
-            kinds[i] = KIND_EXCHANGE
-            bytes_per_m[i] = 1 << (d - step.group.width)
-            hops[i] = step.hops
-        elif isinstance(step, ShuffleStep):
-            kinds[i] = KIND_SHUFFLE
-            bytes_per_m[i] = 1 << d
-        else:  # pragma: no cover - defensive
-            raise TypeError(f"unknown step type {type(step).__name__}")
-    kinds.setflags(write=False)
-    bytes_per_m.setflags(write=False)
-    hops.setflags(write=False)
-    return CompiledSchedule(
-        d=d, partition=partition, steps=steps,
-        kinds=kinds, bytes_per_m=bytes_per_m, hops=hops,
-    )
-
-
-def compile_schedule(d: int, partition: Sequence[int] | None = None) -> CompiledSchedule:
-    """Compile (and memoize) the timing coefficients of a schedule.
-
-    ``partition=None`` selects the single-phase ``(d,)`` schedule, like
-    :func:`repro.comm.program.simulate_exchange` does.
-    """
-    check_dimension(d, minimum=1)
-    parts = check_partition(partition if partition is not None else (d,), d)
-    return _compile_schedule(d, parts)
-
-
-def exchange_times(
-    d: int,
-    ms: Sequence[float],
-    partition: Sequence[int] | None,
-    params: MachineParams,
-) -> np.ndarray:
-    """Lockstep exchange times for a batch of block sizes on one schedule."""
-    return compile_schedule(d, partition).totals(ms, params)
-
-
-def exchange_time(
-    d: int,
-    m: float,
-    partition: Sequence[int] | None,
-    params: MachineParams,
-) -> float:
-    """Total time of one contention-free exchange, closed form.
-
-    Equals the event engine's measured virtual time exactly:
-
-    >>> from repro.model.params import ipsc860
-    >>> from repro.comm.program import simulate_exchange
-    >>> fast = exchange_time(4, 24, (2, 2), ipsc860())
-    >>> fast == simulate_exchange(4, 24, (2, 2), ipsc860()).time_us
-    True
-    """
-    return float(exchange_times(d, [m], partition, params)[0])
-
-
-def exchange_timeline(
-    d: int,
-    m: float,
-    partition: Sequence[int] | None,
-    params: MachineParams,
-) -> ScheduleTimeline:
-    """Per-step start/finish timeline of one contention-free exchange."""
-    return compile_schedule(d, partition).timeline(m, params)
-
-
-def batch_exchange_times(
-    configs: Sequence[tuple[int, float, Sequence[int] | None]],
-    params: MachineParams,
-) -> np.ndarray:
-    """Exchange times for a heterogeneous batch of configurations.
-
-    ``configs`` holds ``(d, m, partition)`` triples; ``partition`` of
-    ``None`` selects the *naive rotation baseline* (priced with the
-    contention-aware replay), anything else the lockstep closed form.
-    Configurations sharing a ``(d, partition)`` schedule are evaluated
-    in one vectorized pass; the result is aligned with ``configs``.
-    """
-    out = np.empty(len(configs), dtype=np.float64)
-    groups: dict[tuple[int, tuple[int, ...]], list[int]] = {}
-    for index, (d, m, partition) in enumerate(configs):
-        if partition is None:
-            out[index] = naive_exchange_time(d, m, params)
-            continue
-        check_dimension(d, minimum=1)
-        parts = check_partition(partition, d)
-        groups.setdefault((d, parts), []).append(index)
-    for (d, parts), indices in groups.items():
-        ms = [configs[i][1] for i in indices]
-        out[indices] = compile_schedule(d, parts).totals(ms, params)
-    return out
-
-
-# ----------------------------------------------------------------------
-# the general program compiler: any CommProgram, one numpy pass
+# the program compiler: any CommProgram, one numpy pass
 # ----------------------------------------------------------------------
 @dataclass(frozen=True)
 class CompiledProgram:
     """A :class:`~repro.core.programs.CommProgram` reduced to timing
     coefficients.
 
-    The same affine-in-``m`` lowering as :class:`CompiledSchedule`,
-    extended with one-way ``KIND_SEND`` rows (``λ + τ·nbytes + δ·h``,
-    the plain constants — FORCED one-way traffic pays no pairwise
-    handshake).  ``totals`` accumulates the rows with ``cumsum`` in
-    program order, which is the event engine's dispatch order along the
-    program's critical-path chain, so the result equals the engine's
-    makespan to float equality.
+    For every step the duration on the calibrated machine is an affine
+    function of the block size ``m``:
+
+    * ``BarrierStep`` — ``γ·d`` (the global synchronization);
+    * ``PairStep`` — ``λ_x + τ·(bytes_per_m·m) + δ_x·h``, the §7.4
+      effective constants;
+    * ``SendStep`` — ``λ + τ·(bytes_per_m·m) + δ·h``, the plain
+      constants (FORCED one-way traffic pays no pairwise handshake);
+    * ``LocalShuffleStep`` — ``ρ·(bytes_per_m·m)``.
+
+    ``kinds`` holds the ``KIND_*`` code of each step, ``bytes_per_m``
+    its byte multiplier (0 for barriers) and ``hops`` its circuit
+    length, so :meth:`durations` evaluates a whole block-size batch in
+    one vectorized pass.  ``totals`` accumulates the rows with
+    ``cumsum`` in program order, which is the event engine's dispatch
+    order along the program's critical-path chain, so the result equals
+    the engine's makespan to float equality.
     """
 
     program: CommProgram
@@ -408,7 +226,8 @@ class CompiledProgram:
 class ProgramTimeline:
     """Start/finish instants along a program's critical-path chain.
 
-    For lockstep programs these describe every node; for rooted trees
+    For lockstep programs (the exchange, allgather doubling) these
+    describe every node simultaneously; for rooted trees
     (broadcast/scatter) they describe the root's chain, whose last
     finish is still the run's exact makespan (forwarding chains end at
     the same float — see :mod:`repro.core.programs`).
@@ -425,8 +244,9 @@ class ProgramTimeline:
         return float(self.finish[-1]) if len(self.finish) else 0.0
 
 
-@lru_cache(maxsize=512)
-def _compile_program(program: CommProgram) -> CompiledProgram:
+def _lower_program(program: CommProgram) -> CompiledProgram:
+    """Lower a program's step stream to coefficient arrays, checking
+    each step structurally (the one step-to-coefficient lowering)."""
     n = 1 << program.d
     kinds = np.empty(program.n_steps, dtype=np.int8)
     bytes_per_m = np.zeros(program.n_steps, dtype=np.int64)
@@ -470,6 +290,11 @@ def _compile_program(program: CommProgram) -> CompiledProgram:
     return CompiledProgram(
         program=program, kinds=kinds, bytes_per_m=bytes_per_m, hops=hops
     )
+
+
+@lru_cache(maxsize=512)
+def _compile_program(program: CommProgram) -> CompiledProgram:
+    return _lower_program(program)
 
 
 def compile_program(program: CommProgram) -> CompiledProgram:
@@ -556,6 +381,97 @@ def batch_program_times(
 
 
 # ----------------------------------------------------------------------
+# the complete exchange: its program, compiled once per (d, partition)
+# ----------------------------------------------------------------------
+@lru_cache(maxsize=512)
+def _compile_schedule(d: int, partition: tuple[int, ...]) -> CompiledProgram:
+    return _lower_program(exchange_steps(d, partition))
+
+
+def compile_schedule(d: int, partition: Sequence[int] | None = None) -> CompiledProgram:
+    """Compile (and memoize) the exchange program of ``(d, partition)``.
+
+    The result is the :class:`CompiledProgram` of
+    :func:`repro.core.programs.exchange_steps`; ``partition=None``
+    selects the single-phase ``(d,)`` schedule, like
+    :func:`repro.comm.program.simulate_exchange` does.
+
+    >>> from repro.core.programs import exchange_steps
+    >>> compile_schedule(4, (2, 2)).program == exchange_steps(4, (2, 2))
+    True
+    """
+    check_dimension(d, minimum=1)
+    parts = check_partition(partition if partition is not None else (d,), d)
+    return _compile_schedule(d, parts)
+
+
+def exchange_times(
+    d: int,
+    ms: Sequence[float],
+    partition: Sequence[int] | None,
+    params: MachineParams,
+) -> np.ndarray:
+    """Lockstep exchange times for a batch of block sizes on one schedule."""
+    return compile_schedule(d, partition).totals(ms, params)
+
+
+def exchange_time(
+    d: int,
+    m: float,
+    partition: Sequence[int] | None,
+    params: MachineParams,
+) -> float:
+    """Total time of one contention-free exchange, closed form.
+
+    Equals the event engine's measured virtual time exactly:
+
+    >>> from repro.model.params import ipsc860
+    >>> from repro.comm.program import simulate_exchange
+    >>> fast = exchange_time(4, 24, (2, 2), ipsc860())
+    >>> fast == simulate_exchange(4, 24, (2, 2), ipsc860()).time_us
+    True
+    """
+    return float(exchange_times(d, [m], partition, params)[0])
+
+
+def exchange_timeline(
+    d: int,
+    m: float,
+    partition: Sequence[int] | None,
+    params: MachineParams,
+) -> ProgramTimeline:
+    """Per-step start/finish timeline of one contention-free exchange."""
+    return compile_schedule(d, partition).timeline(m, params)
+
+
+def batch_exchange_times(
+    configs: Sequence[tuple[int, float, Sequence[int] | None]],
+    params: MachineParams,
+) -> np.ndarray:
+    """Exchange times for a heterogeneous batch of configurations.
+
+    ``configs`` holds ``(d, m, partition)`` triples; ``partition`` of
+    ``None`` selects the *naive rotation baseline* (priced with the
+    contention-aware replay), anything else the lockstep closed form.
+    Configurations sharing a ``(d, partition)`` schedule are evaluated
+    in one vectorized pass; the result is aligned with ``configs``.
+    """
+    out = np.empty(len(configs), dtype=np.float64)
+    groups: dict[tuple[int, tuple[int, ...]], list[int]] = {}
+    for index, (d, m, partition) in enumerate(configs):
+        if partition is None:
+            out[index] = naive_exchange_time(d, m, params)
+            continue
+        check_dimension(d, minimum=1)
+        parts = check_partition(partition, d)
+        groups.setdefault((d, parts), []).append(index)
+    for (d, parts), indices in groups.items():
+        ms = [configs[i][1] for i in indices]
+        out[indices] = compile_schedule(d, parts).totals(ms, params)
+    return out
+
+
+# ----------------------------------------------------------------------
 # the contended naive baseline: reservation replay
 # ----------------------------------------------------------------------
 @dataclass(frozen=True)
@@ -629,8 +545,7 @@ def _naive_replay(
     virtual time, so the makespan is the last grant's completion.
     """
     check_dimension(d, minimum=1)
-    if m < 0:
-        raise ValueError(f"block size must be >= 0, got {m}")
+    check_block_size(m)
     n = 1 << d
     resources = _naive_resources(d)
     free_at: dict[object, float] = {}

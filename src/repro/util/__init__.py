@@ -27,6 +27,7 @@ from repro.util.bitops import (
 from repro.util.validation import (
     check_block_size,
     check_dimension,
+    check_message_size,
     check_node,
     check_partition,
 )
@@ -51,6 +52,7 @@ __all__ = [
     "set_bit",
     "check_block_size",
     "check_dimension",
+    "check_message_size",
     "check_node",
     "check_partition",
 ]

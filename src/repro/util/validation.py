@@ -7,11 +7,14 @@ consistent and the call sites one line long.
 
 from __future__ import annotations
 
+import math
+import numbers
 from collections.abc import Sequence
 
 __all__ = [
     "check_block_size",
     "check_dimension",
+    "check_message_size",
     "check_node",
     "check_partition",
 ]
@@ -56,19 +59,32 @@ def check_node(node: int, d: int) -> int:
     return node
 
 
-def check_block_size(m: int | float, *, allow_zero: bool = True) -> float:
+def check_block_size(m: float, *, allow_zero: bool = True) -> float:
     """Validate a block size in bytes and return it as a float.
 
     The cost model is continuous in ``m`` (the paper sweeps 0–400
-    bytes), so fractional sizes are accepted for analysis; the
-    data-movement engine separately requires integral sizes.
+    bytes), so any finite real is accepted for analysis — numpy
+    scalars included, bools not; the data-movement engine separately
+    requires integral sizes (:func:`check_message_size`).
     """
-    if isinstance(m, bool) or not isinstance(m, (int, float)):
+    # plain int/float first: the numbers.Real ABC check alone is slow
+    if isinstance(m, bool) or not isinstance(m, (int, float, numbers.Real)):
         raise TypeError(f"block size must be a number, got {type(m).__name__}")
+    bound = ">= 0" if allow_zero else "> 0"
+    if not math.isfinite(m):
+        raise ValueError(f"block size must be finite and {bound}, got {m}")
     if m < 0 or (m == 0 and not allow_zero):
-        bound = ">= 0" if allow_zero else "> 0"
         raise ValueError(f"block size must be {bound}, got {m}")
     return float(m)
+
+
+def check_message_size(m: int) -> int:
+    """Validate a block size the data-movement engine can run: a
+    non-negative int (numpy integers included, bools not).  Raises
+    :class:`ValueError` naming ``m``."""
+    if isinstance(m, bool) or not isinstance(m, numbers.Integral) or m < 0:
+        raise ValueError(f"m must be a non-negative int, got m={m!r}")
+    return m
 
 
 def check_partition(partition: Sequence[int], d: int) -> tuple[int, ...]:

@@ -15,7 +15,6 @@ import pytest
 from repro.check import (
     verify_block_conservation,
     verify_circuit_steps,
-    verify_fastpath_coefficients,
     verify_pattern,
     verify_plan_decision,
     verify_program_coefficients,
@@ -146,16 +145,20 @@ class TestBlockConservation:
         assert any(v.check == "step-domain" for v in violations)
 
 
-class TestFastpathCoefficients:
+class TestExchangeProgramCoefficients:
+    """The exchange's one compiled form, certified against its own steps
+    and against the multiphase schedule of its partition."""
+
     @pytest.mark.parametrize("parts", [(4,), (2, 2), (1, 1, 1, 1), (1, 3)])
     def test_compiled_schedules_certify(self, parts):
-        assert verify_fastpath_coefficients(compile_schedule(4, parts)) == []
+        assert verify_program_coefficients(compile_schedule(4, parts)) == []
 
     def test_forged_hops_rejected(self):
         compiled = compile_schedule(4, (2, 2))
         forged = dataclasses.replace(compiled, hops=compiled.hops.copy())
         forged.hops[3] += 1
-        violations = verify_fastpath_coefficients(forged)
+        violations = verify_program_coefficients(forged)
+        assert violations
         assert all(v.check == "coeff-mismatch" for v in violations)
         assert any(v.step_index == 3 for v in violations)
 
@@ -164,16 +167,45 @@ class TestFastpathCoefficients:
         forged = dataclasses.replace(
             compiled, bytes_per_m=compiled.bytes_per_m * 2
         )
-        violations = verify_fastpath_coefficients(forged)
+        violations = verify_program_coefficients(forged)
         assert any(v.check == "coeff-mismatch" for v in violations)
 
     def test_foreign_step_stream_rejected(self):
         compiled = compile_schedule(4, (2, 2))
         forged = dataclasses.replace(
-            compiled, steps=tuple(multiphase_schedule(4, (1, 3)))
+            compiled, program=dataclasses.replace(
+                compiled.program, steps=exchange_steps(4, (1, 3)).steps
+            )
         )
-        violations = verify_fastpath_coefficients(forged)
+        violations = verify_program_coefficients(forged)
         assert any(v.check == "coeff-mismatch" for v in violations)
+
+    def test_foreign_program_compiled_whole_rejected(self):
+        """Steps and arrays agree with each other, but they are another
+        partition's: only the schedule check can see it."""
+        program = dataclasses.replace(
+            exchange_steps(4, (2, 2)), steps=exchange_steps(4, (1, 3)).steps
+        )
+        violations = verify_program_coefficients(compile_program(program))
+        assert [v.check for v in violations] == ["coeff-mismatch"]
+
+    def test_allgather_exchange_with_foreign_steps_rejected(self):
+        program = dataclasses.replace(
+            pattern_program("allgather", "exchange", 4, partition=(1, 3)),
+            steps=exchange_steps(4, (3, 1)).steps,
+        )
+        violations = verify_program_coefficients(compile_program(program))
+        assert [v.check for v in violations] == ["coeff-mismatch"]
+        assert violations[0].step_index == 1
+
+    def test_allgather_exchange_program_certifies(self):
+        program = pattern_program("allgather", "exchange", 4, partition=(1, 3))
+        assert verify_program_coefficients(compile_program(program)) == []
+
+    def test_illegal_carried_partition_rejected(self):
+        program = dataclasses.replace(exchange_steps(4, (2, 2)), partition=(3, 3))
+        violations = verify_program_coefficients(compile_program(program))
+        assert [v.check for v in violations] == ["program-structure"]
 
 
 class TestProgramCoefficients:

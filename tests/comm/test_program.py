@@ -4,10 +4,17 @@ from __future__ import annotations
 
 import pytest
 
-from repro.comm.program import exchange_program, simulate_exchange, simulate_naive_exchange
+from repro.comm.program import (
+    exchange_program,
+    simulate_exchange,
+    simulate_naive_exchange,
+    simulate_planned_exchange,
+)
 from repro.core.blocks import BlockBuffer
 from repro.core.partitions import partitions
 from repro.model.cost import multiphase_time
+from repro.patterns import simulate_pattern
+from repro.sim.fastpath import exchange_time
 
 
 class TestModelAgreement:
@@ -138,3 +145,31 @@ class TestValidation:
     def test_rejects_unknown_engine(self, ipsc):
         with pytest.raises(ValueError, match="engine"):
             simulate_exchange(3, 8, (3,), ipsc, engine="bogus")
+
+
+class _RefusingPlanner:
+    """A planner that must not be asked: ``m`` is checked first."""
+
+    def decide(self, d, m):
+        raise AssertionError("planner asked before m was checked")
+
+
+EVENT_ENGINE_ENTRY_POINTS = {
+    "exchange": lambda m, p: simulate_exchange(3, m, (3,), p),
+    "planned": lambda m, p: simulate_planned_exchange(3, m, _RefusingPlanner(), p),
+    "naive": lambda m, p: simulate_naive_exchange(3, m, p),
+    "pattern": lambda m, p: simulate_pattern("broadcast", "binomial", 3, m, p),
+}
+
+
+class TestEventEngineBlockSize:
+    @pytest.mark.parametrize("entry", sorted(EVENT_ENGINE_ENTRY_POINTS))
+    @pytest.mark.parametrize("m", [40.0, 2.5, True, -3])
+    def test_bad_m_is_a_value_error_naming_m(self, ipsc, entry, m):
+        with pytest.raises(ValueError, match="m="):
+            EVENT_ENGINE_ENTRY_POINTS[entry](m, ipsc)
+
+    def test_fast_path_still_prices_fractional_m(self, ipsc):
+        fast = simulate_exchange(3, 2.5, (3,), ipsc, fast=True)
+        assert fast.time_us == exchange_time(3, 2.5, (3,), ipsc)
+        assert simulate_naive_exchange(3, 2.5, ipsc, fast=True).time_us > 0

@@ -3,6 +3,7 @@ hull of optimality (Figures 4-6)."""
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -77,6 +78,11 @@ class TestBestPartition:
         choice = best_partition(m, d, p)
         brute = min(multiphase_time(m, d, part, p) for part in partitions(d))
         assert choice.time == pytest.approx(brute)
+
+
+class TestNumpyBlockSizes:
+    def test_numpy_int_block_size_is_accepted(self, ipsc):
+        assert best_partition(np.int64(40), 7, ipsc) == best_partition(40, 7, ipsc)
 
 
 class TestHull:

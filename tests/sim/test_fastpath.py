@@ -22,10 +22,18 @@ from repro.comm.program import (
     simulate_naive_exchange,
     simulate_planned_exchange,
 )
-from repro.core.schedule import ExchangeStep, PhaseStart, ShuffleStep
+from repro.core.partitions import partitions
+from repro.core.programs import (
+    BarrierStep,
+    LocalShuffleStep,
+    PairStep,
+    exchange_steps,
+)
 from repro.model.params import hypothetical, ipsc860
 from repro.plan import CollectivePlanner, ContentionPolicy, FixedPolicy
 from repro.sim.fastpath import (
+    _compile_program,
+    _compile_schedule,
     batch_exchange_times,
     compile_schedule,
     exchange_time,
@@ -184,24 +192,25 @@ class TestNaiveAgreement:
 
 class TestTimelines:
     def test_per_step_timeline_matches_event_trace(self, ipsc):
-        """Exchange-step finish times equal the trace's transmission
-        ends; barrier finishes equal the barrier releases."""
+        """Pair-step finish times equal the trace's transmission ends;
+        barrier finishes equal the barrier releases."""
         d, m, partition = 4, 24, (2, 2)
         timeline = exchange_timeline(d, m, partition, ipsc)
         event = simulate_exchange(d, m, partition, ipsc)
+        steps = timeline.program.steps
         barrier_finishes = [
-            t for step, t in zip(timeline.steps, timeline.finish)
-            if isinstance(step, PhaseStart)
+            t for step, t in zip(steps, timeline.finish)
+            if isinstance(step, BarrierStep)
         ]
         assert barrier_finishes == [b.t_release for b in event.trace.barriers]
         exchange_finishes = {
-            float(t) for step, t in zip(timeline.steps, timeline.finish)
-            if isinstance(step, ExchangeStep)
+            float(t) for step, t in zip(steps, timeline.finish)
+            if isinstance(step, PairStep)
         }
         assert exchange_finishes == {t.t_end for t in event.trace.transmissions}
         shuffle_finishes = [
-            t for step, t in zip(timeline.steps, timeline.finish)
-            if isinstance(step, ShuffleStep)
+            t for step, t in zip(steps, timeline.finish)
+            if isinstance(step, LocalShuffleStep)
         ]
         assert set(shuffle_finishes) == {s.t_end for s in event.trace.shuffles}
         assert timeline.total == event.time_us
@@ -214,6 +223,24 @@ class TestTimelines:
 
     def test_compiled_schedule_is_memoized(self):
         assert compile_schedule(6, (3, 3)) is compile_schedule(6, (3, 3))
+
+
+class TestOneCompiledForm:
+    """The exchange is priced only as its CommProgram."""
+
+    @pytest.mark.parametrize("d", range(1, 9))
+    def test_compiled_schedule_is_the_exchange_program(self, d):
+        for parts in partitions(d):
+            assert compile_schedule(d, parts).program == exchange_steps(d, parts)
+
+    def test_exchange_compile_is_one_cache_miss(self):
+        _compile_schedule.cache_clear()
+        before = _compile_program.cache_info()
+        compile_schedule(7, (4, 2, 1))
+        compile_schedule(7, (4, 2, 1))
+        info = _compile_schedule.cache_info()
+        assert (info.misses, info.hits) == (1, 1)
+        assert _compile_program.cache_info() == before
 
 
 class TestBatch:
@@ -246,6 +273,15 @@ class TestBatch:
             exchange_times(4, [8, -1], (2, 2), ipsc)
         with pytest.raises(ValueError):
             naive_exchange_time(3, -1, ipsc)
+
+    @pytest.mark.parametrize("m", [float("nan"), float("inf")])
+    def test_non_finite_block_size_rejected(self, ipsc, m):
+        with pytest.raises(ValueError, match="finite"):
+            exchange_time(3, m, (3,), ipsc)
+        with pytest.raises(ValueError, match="finite"):
+            exchange_times(4, [8, m], (2, 2), ipsc)
+        with pytest.raises(ValueError, match="finite"):
+            naive_exchange_time(3, m, ipsc)
 
 
 class TestFastSimulateVariants:

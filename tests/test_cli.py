@@ -57,6 +57,12 @@ class TestCommands:
         with pytest.raises(ValueError):
             main(["simulate", "4", "24", "3", "2"])
 
+    @pytest.mark.parametrize("size, pattern", [("nan", "scatter"), ("inf", "broadcast")])
+    def test_plan_rejects_non_finite_block_size(self, size, pattern, capsys):
+        with pytest.raises(ValueError, match="finite"):
+            main(["plan", "7", size, "--pattern", pattern])
+        assert "chosen" not in capsys.readouterr().out
+
     def test_demo(self, capsys):
         assert main(["demo"]) == 0
         out = capsys.readouterr().out

@@ -2,12 +2,14 @@
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 from repro.util.validation import (
     MAX_DIMENSION,
     check_block_size,
     check_dimension,
+    check_message_size,
     check_node,
     check_partition,
 )
@@ -77,6 +79,29 @@ class TestCheckBlockSize:
             check_block_size("24")
         with pytest.raises(TypeError):
             check_block_size(True)
+
+    @pytest.mark.parametrize("m", [float("nan"), float("inf"), -float("inf"),
+                                   np.float64("nan")])
+    def test_rejects_non_finite(self, m):
+        with pytest.raises(ValueError, match="finite and >= 0"):
+            check_block_size(m)
+
+    def test_accepts_numpy_numbers(self):
+        assert check_block_size(np.int64(40)) == 40.0
+        assert check_block_size(np.float32(2.5)) == 2.5
+        assert type(check_block_size(np.int64(40))) is float
+
+
+class TestCheckMessageSize:
+    def test_accepts_non_negative_ints(self):
+        assert check_message_size(0) == 0
+        assert check_message_size(40) == 40
+        assert check_message_size(np.int64(4)) == 4
+
+    @pytest.mark.parametrize("m", [40.0, 2.5, True, -3, "8", None])
+    def test_rejects_the_rest_naming_m(self, m):
+        with pytest.raises(ValueError, match="m="):
+            check_message_size(m)
 
 
 class TestCheckPartition:
