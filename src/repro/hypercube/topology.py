@@ -105,7 +105,8 @@ class Hypercube:
         return isinstance(node, int) and 0 <= node < self.n_nodes
 
     def validate_node(self, node: int) -> int:
-        """Check a node label, raising with context on failure."""
+        """Check a node label, raising with context on failure; returns
+        it as a plain ``int``."""
         return check_node(node, self._d)
 
     # ------------------------------------------------------------------
@@ -113,20 +114,20 @@ class Hypercube:
     # ------------------------------------------------------------------
     def neighbor(self, node: int, dim: int) -> int:
         """The neighbour of ``node`` across dimension ``dim``."""
-        self.validate_node(node)
+        node = self.validate_node(node)
         if not 0 <= dim < self._d:
             raise ValueError(f"dimension {dim} out of range for a {self._d}-cube")
         return flip_bit(node, dim)
 
     def neighbors(self, node: int) -> Iterator[int]:
         """All ``d`` neighbours of ``node``."""
-        self.validate_node(node)
+        node = self.validate_node(node)
         return (flip_bit(node, j) for j in range(self._d))
 
     def are_adjacent(self, a: int, b: int) -> bool:
         """True iff ``a`` and ``b`` are connected by a link."""
-        self.validate_node(a)
-        self.validate_node(b)
+        a = self.validate_node(a)
+        b = self.validate_node(b)
         return popcount(a ^ b) == 1
 
     def links(self) -> Iterator[Link]:
@@ -140,8 +141,8 @@ class Hypercube:
     # ------------------------------------------------------------------
     def distance(self, a: int, b: int) -> int:
         """Hop distance between ``a`` and ``b`` (Hamming distance)."""
-        self.validate_node(a)
-        self.validate_node(b)
+        a = self.validate_node(a)
+        b = self.validate_node(b)
         return popcount(a ^ b)
 
     def average_distance(self) -> float:

@@ -9,6 +9,13 @@ sending the request's result back into the generator.
 Determinism: events at equal times fire in schedule order (a
 monotonically increasing sequence number breaks ties), so simulations
 are exactly reproducible — a property the regression tests rely on.
+
+Waits that complete at one instant by construction — both partners of
+a pairwise exchange, every waiter released by a barrier — share one
+:class:`SharedCompletion` event that resumes them in order.  Separate
+events at one time with consecutive sequence numbers would fire back
+to back (anything a resume schedules gets a later number), so the
+shared event replays exactly the same resumptions with one heap entry.
 """
 
 from __future__ import annotations
@@ -16,7 +23,7 @@ from __future__ import annotations
 import heapq
 from typing import Any, Callable, Generator, Iterable
 
-__all__ = ["Engine", "Process", "Request", "SimulationError"]
+__all__ = ["Engine", "Process", "Request", "SharedCompletion", "SimulationError"]
 
 
 class SimulationError(RuntimeError):
@@ -172,6 +179,31 @@ class Process:
         self._advance(lambda: self.generator.throw(exc))
 
 
+class SharedCompletion:
+    """One event completing several waits at the same instant.
+
+    Fires its :meth:`Process.resume_callback` members in order; each
+    member keeps its own token check, so a member whose wait was
+    superseded by :meth:`Process.fail` — even by an earlier member's
+    resumption — is skipped just before its turn.  The event counts as
+    :attr:`cancelled` only once every member is, and the event loop
+    then drops it like any stale completion.
+    """
+
+    __slots__ = ("members",)
+
+    def __init__(self, members: list[Callable[[], None]]) -> None:
+        self.members = members
+
+    @property
+    def cancelled(self) -> bool:
+        return all(member.cancelled for member in self.members)
+
+    def __call__(self) -> None:
+        for member in self.members:
+            member()
+
+
 class Engine:
     """The event loop: a heap of ``(time, seq, callback)`` entries."""
 
@@ -191,7 +223,10 @@ class Engine:
     # ------------------------------------------------------------------
     @property
     def n_events(self) -> int:
-        """Number of events dispatched so far (for stats and loop caps)."""
+        """Number of events dispatched so far (for stats and loop caps).
+
+        A :class:`SharedCompletion` counts as one event however many
+        processes it resumes; cancelled events are never counted."""
         return self._n_events
 
     @property

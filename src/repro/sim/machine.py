@@ -5,6 +5,15 @@ synchronization services, boots one SPMD program per node, and resolves
 the requests the programs yield.  The result of a run carries the
 virtual makespan, every node's return value, and the full trace.
 
+Both partners of a pairwise exchange finish at the grant's end, and
+every barrier waiter leaves at the release instant, so each is
+completed by one :class:`~repro.sim.engine.SharedCompletion` event
+that resumes the processes in the order one event each would fire them
+(the second-arriving partner first; barrier waiters in arrival order).
+Such events would sit at the same time with consecutive sequence
+numbers, so nothing could run between them: sharing one leaves the
+trace unchanged and costs one event per exchange pair and per barrier.
+
 Example
 -------
 >>> from repro.model.params import ipsc860
@@ -25,7 +34,7 @@ from typing import Any, Callable, Generator
 
 from repro.hypercube.topology import Hypercube
 from repro.model.params import MachineParams
-from repro.sim.engine import Delay, Engine, Process, Request, SimulationError
+from repro.sim.engine import Delay, Engine, Process, Request, SharedCompletion, SimulationError
 from repro.sim.faults import CrossTraffic, FaultPlan
 from repro.sim.node import (
     BarrierReq,
@@ -219,10 +228,10 @@ class SimulatedHypercube:
         grant = self.network.start_exchange(
             self.engine.now, me, other, request.nbytes, other_req.nbytes, request.tag
         )
-        self.engine.at(grant.t_end, process.resume_callback(other_req.payload))
-        self.engine.at(
-            grant.t_end, other_proc.resume_callback(request.payload, token=other_token)
-        )
+        self.engine.at(grant.t_end, SharedCompletion([
+            process.resume_callback(other_req.payload),
+            other_proc.resume_callback(request.payload, token=other_token),
+        ]))
 
     def _do_send(self, request: SendReq, process: Process) -> None:
         src = request.ctx.rank
@@ -280,14 +289,19 @@ class SimulatedHypercube:
         state.blocked_recvs.append((request, process, process.wait_token()))
 
     def _do_barrier(self, process: Process) -> None:
-        # drop waiters that were failed while parked: they must count
-        # neither toward the release threshold nor as participants
-        live = [w for w in self._barrier_waiters if w[0].wait_is_current(w[1])]
-        live.append((process, process.wait_token(), self.engine.now))
-        self._barrier_waiters = live
-        if len(self._barrier_waiters) < self.cube.n_nodes:
-            return
         waiters = self._barrier_waiters
+        waiters.append((process, process.wait_token(), self.engine.now))
+        if len(waiters) < self.cube.n_nodes:
+            return
+        # drop waiters that were failed while parked: they must count
+        # neither toward the release threshold nor as participants.
+        # Staleness is permanent and live <= total, so filtering only
+        # once the total reaches n decides exactly as filtering on
+        # every arrival would.
+        waiters = [w for w in waiters if w[0].wait_is_current(w[1])]
+        if len(waiters) < self.cube.n_nodes:
+            self._barrier_waiters = waiters
+            return
         self._barrier_waiters = []
         release = self.engine.now + self.params.global_sync_time(self.cube.dimension)
         self.trace.record_barrier(
@@ -297,8 +311,9 @@ class SimulatedHypercube:
                 n_participants=len(waiters),
             )
         )
-        for proc, token, _ in waiters:
-            self.engine.at(release, proc.resume_callback(None, token=token))
+        self.engine.at(release, SharedCompletion(
+            [proc.resume_callback(None, token=token) for proc, token, _ in waiters]
+        ))
 
     def _do_shuffle(self, request: ShuffleReq, process: Process) -> None:
         duration = self.params.shuffle_time(request.nbytes) * self.compute_scale(

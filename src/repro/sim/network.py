@@ -24,13 +24,23 @@ a *port* resource at each endpoint, so overlapping unsynchronized
 traffic at a node serializes; synchronized exchanges bypass the ports.
 This is what makes contention-oblivious schedules pay the full
 penalty the paper warns about.
+
+Circuits are read off a per-dimension table of interned
+:class:`~repro.hypercube.topology.Link` objects (built once per cube
+dimension) by flipping the differing bits lowest first — the e-cube
+route of :func:`~repro.hypercube.routing.ecube_path_edges`, without
+building and validating a fresh ``Link`` per hop.  The links are equal
+and hash alike, and every consumer reduces a circuit's link set with
+``max``, ``min`` or ``sorted``, so neither the table nor set iteration
+order can move a float of the trace.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
-from repro.hypercube.routing import ecube_hops, ecube_path_edges
+from repro.hypercube.routing import ecube_hops
 from repro.hypercube.topology import Hypercube, Link
 from repro.model.params import MachineParams
 from repro.sim.faults import MAX_RETRY_ATTEMPTS, FaultPlan
@@ -45,6 +55,27 @@ class Grant:
 
     t_start: float
     t_end: float
+
+
+@lru_cache(maxsize=None)
+def _link_table(d: int) -> tuple[tuple[Link, ...], ...]:
+    """``table[j][node]`` is the directed link ``node -> node ^ 2**j``
+    of a ``d``-cube (``d * 2**d`` links, each built once)."""
+    return tuple(
+        tuple(Link(node, node ^ (1 << j)) for node in range(1 << d)) for j in range(d)
+    )
+
+
+def _add_ecube_links(links: set[Link], table: tuple[tuple[Link, ...], ...],
+                     src: int, dst: int) -> None:
+    """Add the links of the e-cube route ``src -> dst`` to ``links``."""
+    node = src
+    diff = src ^ dst
+    while diff:
+        bit = diff & -diff
+        links.add(table[bit.bit_length() - 1][node])
+        node ^= bit
+        diff ^= bit
 
 
 class Network:
@@ -207,14 +238,22 @@ class Network:
     # ------------------------------------------------------------------
     def circuit_links(self, src: int, dst: int) -> set[Link]:
         """Directed links held by the circuit ``src -> dst``."""
-        self.cube.validate_node(src)
-        self.cube.validate_node(dst)
-        return set(ecube_path_edges(src, dst))
+        src = self.cube.validate_node(src)
+        dst = self.cube.validate_node(dst)
+        links: set[Link] = set()
+        _add_ecube_links(links, _link_table(self.cube.dimension), src, dst)
+        return links
 
     def exchange_links(self, a: int, b: int) -> set[Link]:
         """Links held by a full-duplex pairwise exchange: both e-cube
         directions (their edge sets differ in general)."""
-        return self.circuit_links(a, b) | self.circuit_links(b, a)
+        a = self.cube.validate_node(a)
+        b = self.cube.validate_node(b)
+        table = _link_table(self.cube.dimension)
+        links: set[Link] = set()
+        _add_ecube_links(links, table, a, b)
+        _add_ecube_links(links, table, b, a)
+        return links
 
     # ------------------------------------------------------------------
     # timing model

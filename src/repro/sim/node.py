@@ -208,7 +208,7 @@ class NodeContext:
              forced: bool = True) -> SendReq:
         """Blocking one-way send (``csend``); completes when the
         message has left the wire."""
-        self.machine.cube.validate_node(dst)
+        dst = self.machine.cube.validate_node(dst)
         if dst == self.rank:
             raise ValueError(f"node {self.rank}: cannot send to self")
         return SendReq(self, dst, payload, nbytes, tag, forced)
@@ -216,20 +216,20 @@ class NodeContext:
     def recv(self, src: int | None = None, *, tag: int = 0) -> RecvReq:
         """Blocking receive; yields the matching payload."""
         if src is not None:
-            self.machine.cube.validate_node(src)
+            src = self.machine.cube.validate_node(src)
         return RecvReq(self, src, tag)
 
     def post_recv(self, src: int | None = None, *, tag: int = 0) -> PostRecvReq:
         """Post a receive without blocking (required before FORCED
         traffic arrives, §7.3)."""
         if src is not None:
-            self.machine.cube.validate_node(src)
+            src = self.machine.cube.validate_node(src)
         return PostRecvReq(self, src, tag)
 
     def exchange(self, partner: int, payload: Any, nbytes: int, *, tag: int = 0) -> ExchangeReq:
         """Pairwise synchronized exchange (§7.2); yields the partner's
         payload when the concurrent bidirectional transfer completes."""
-        self.machine.cube.validate_node(partner)
+        partner = self.machine.cube.validate_node(partner)
         if partner == self.rank:
             raise ValueError(f"node {self.rank}: cannot exchange with self")
         return ExchangeReq(self, partner, payload, nbytes, tag)

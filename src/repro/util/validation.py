@@ -51,9 +51,12 @@ def check_dimension(d: int, *, minimum: int = 0) -> int:
 
 
 def check_node(node: int, d: int) -> int:
-    """Validate a node label for a cube of dimension ``d``."""
-    if not isinstance(node, int) or isinstance(node, bool):
+    """Validate a node label for a cube of dimension ``d`` and return
+    it as a plain ``int`` (numpy integers included, bools not)."""
+    # plain int first: the numbers.Integral ABC check alone is slow
+    if isinstance(node, bool) or not isinstance(node, (int, numbers.Integral)):
         raise TypeError(f"node label must be an int, got {type(node).__name__}")
+    node = int(node)
     if not 0 <= node < (1 << d):
         raise ValueError(f"node label {node} out of range for a {d}-cube (0..{(1 << d) - 1})")
     return node

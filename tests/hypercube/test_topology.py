@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -54,6 +55,20 @@ class TestStructure:
         assert cube.neighbor(0b1010, 3) == 0b0010
         with pytest.raises(ValueError):
             cube.neighbor(0, 4)
+
+    def test_numpy_labels_accepted_as_plain_ints(self):
+        cube = Hypercube(3)
+        for label in (np.int64(2), np.int32(2), np.uint8(2)):
+            neighbor = cube.neighbor(label, 0)
+            assert neighbor == 3 and type(neighbor) is int
+            assert sorted(cube.neighbors(label)) == [0, 3, 6]
+            assert cube.are_adjacent(label, np.int64(6))
+            assert cube.distance(label, np.uint8(5)) == 3
+            assert type(cube.validate_node(label)) is int
+        with pytest.raises(TypeError):
+            cube.neighbor(True, 0)
+        with pytest.raises(ValueError):
+            cube.neighbor(np.int64(8), 0)
 
     def test_adjacency(self):
         cube = Hypercube(5)

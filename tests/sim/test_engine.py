@@ -449,6 +449,119 @@ class TestFailInMachineQueues:
         assert record.n_participants == 2
 
 
+class TestSharedCompletionUnderFail:
+    """Both exchange partners, and every barrier waiter, are completed
+    by one shared event; fail() on some members must leave the others'
+    completions intact and drop the event only when all are gone."""
+
+    def _exchange_pair(self, machine):
+        def program(ctx):
+            try:
+                got = yield ctx.exchange(ctx.rank ^ 1, payload=f"p{ctx.rank}", nbytes=4)
+            except SimulationError:
+                got = yield ctx.delay(50.0)  # new wait; must complete intact
+                return ("recovered", got)
+            return got
+
+        return [
+            machine.engine.spawn(program(ctx), name=f"node{ctx.rank}")
+            for ctx in machine.contexts
+        ]
+
+    @pytest.mark.parametrize("victim", [0, 1])
+    def test_fail_one_exchange_partner_in_flight(self, victim):
+        """Rank 1 arrives second, so it is the shared event's first
+        member: failing either member must leave the survivor's
+        completion at t_end with the partner's payload."""
+        from repro.model.params import ipsc860
+        from repro.sim.machine import SimulatedHypercube
+
+        params = ipsc860()
+        machine = SimulatedHypercube(1, params)
+        procs = self._exchange_pair(machine)
+        t_end = params.exchange_time(4, 1)
+        assert t_end > 1.0
+        machine.engine.schedule(1.0, lambda: procs[victim].fail(SimulationError("cut")))
+        final = machine.engine.run()
+        survivor = procs[1 - victim]
+        assert survivor.result == f"p{victim}"
+        assert survivor.end_time == t_end
+        assert procs[victim].result == ("recovered", None)
+        assert procs[victim].end_time == 51.0
+        assert final == max(t_end, 51.0)
+        # two starts, the fail, one shared completion, the victim's delay
+        assert machine.engine.n_events == 5
+
+    def test_fail_both_exchange_partners_drops_the_event(self):
+        """With every member cancelled the shared event neither fires
+        nor advances the clock, nor counts as dispatched."""
+        from repro.model.params import ipsc860
+        from repro.sim.machine import SimulatedHypercube
+
+        params = ipsc860()
+        machine = SimulatedHypercube(1, params)
+
+        def program(ctx):
+            try:
+                yield ctx.exchange(ctx.rank ^ 1, payload=None, nbytes=4)
+            except SimulationError:
+                return "aborted"
+            return "exchanged"
+
+        procs = [
+            machine.engine.spawn(program(ctx), name=f"node{ctx.rank}")
+            for ctx in machine.contexts
+        ]
+        machine.engine.schedule(1.0, lambda: procs[0].fail(SimulationError("cut")))
+        machine.engine.schedule(2.0, lambda: procs[1].fail(SimulationError("cut")))
+        final = machine.engine.run()
+        assert [p.result for p in procs] == ["aborted", "aborted"]
+        assert final == 2.0  # not params.exchange_time(4, 1)
+        assert final < params.exchange_time(4, 1)
+        assert machine.engine.n_events == 4  # two starts, two fails
+
+    def test_fail_one_barrier_waiter_after_release_scheduled(self):
+        """The survivors of a released barrier resume at the release
+        instant in arrival order; the failed waiter's new wait runs
+        on its own clock."""
+        from repro.model.params import ipsc860
+        from repro.sim.machine import SimulatedHypercube
+
+        params = ipsc860()
+        machine = SimulatedHypercube(2, params)
+        arrival_delay = {0: 3.0, 1: 0.5, 2: 2.0, 3: 1.0}  # arrival order 1, 3, 2, 0
+        resumed = []
+
+        def program(ctx):
+            yield ctx.delay(arrival_delay[ctx.rank])
+            try:
+                yield ctx.barrier()
+            except SimulationError:
+                yield ctx.delay(100.0)
+                return "recovered"
+            resumed.append(ctx.rank)
+            return "released"
+
+        procs = [
+            machine.engine.spawn(program(ctx), name=f"node{ctx.rank}")
+            for ctx in machine.contexts
+        ]
+        release = 3.0 + params.global_sync_time(2)
+        machine.engine.schedule(4.0, lambda: procs[2].fail(SimulationError("cut")))
+        final = machine.engine.run()
+        assert resumed == [1, 3, 0]
+        for rank in (0, 1, 3):
+            assert procs[rank].result == "released"
+            assert procs[rank].end_time == release
+        assert procs[2].result == "recovered"
+        assert procs[2].end_time == 104.0
+        assert final == max(release, 104.0)
+        (record,) = machine.trace.barriers
+        assert record.t_first_arrival == 0.5
+        assert record.t_release == release
+        assert record.n_participants == 4
+
+
 class TestStaleEventCancellation:
     def test_stale_events_do_not_inflate_makespan(self):
         """A superseded wait's scheduled completion is dropped from the

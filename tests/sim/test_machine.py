@@ -3,8 +3,11 @@ barriers, and determinism."""
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
+from repro.core.partitions import partitions
+from repro.core.schedule import ExchangeStep, PhaseStart, ShuffleStep, multiphase_schedule
 from repro.model.params import ipsc860
 from repro.sim.engine import SimulationError
 from repro.sim.machine import SimulatedHypercube
@@ -32,6 +35,30 @@ class TestExchange:
 
         result = machine.run(program)
         assert result.time == pytest.approx(params.exchange_time(40, 3))
+
+    def test_numpy_labels_become_plain_ints(self):
+        """Request builders store the validated plain int, so numpy
+        labels exchange like ints and trace records hold ints."""
+        machine = SimulatedHypercube(2, ipsc860())
+
+        def program(ctx):
+            other = np.int64(ctx.rank ^ 1)
+            data = yield ctx.exchange(other, payload=ctx.rank, nbytes=8)
+            return data
+
+        result = machine.run(program)
+        assert result.node_results == [1, 0, 3, 2]
+        for record in result.trace.transmissions:
+            assert type(record.src) is int and type(record.dst) is int
+        ctx = machine.contexts[0]
+        assert type(ctx.exchange(np.uint8(2), None, 0).partner) is int
+        assert type(ctx.send(np.int32(1), None, 0).dst) is int
+        assert type(ctx.recv(np.int64(3)).src) is int
+        assert type(ctx.post_recv(np.uint8(1)).src) is int
+        with pytest.raises(ValueError):
+            ctx.exchange(np.int64(4), None, 0)
+        with pytest.raises(TypeError):
+            ctx.send(True, None, 0)
 
     def test_self_exchange_rejected(self):
         machine = SimulatedHypercube(2, ipsc860())
@@ -229,3 +256,31 @@ class TestDeterminism:
             ]
 
         assert run_once() == run_once()
+
+
+def _expected_events(d: int, partition: tuple[int, ...]) -> int:
+    """Events of one multiphase exchange: a start per node; per phase a
+    zero-delay phase mark per node plus one barrier release; one
+    completion per exchanging pair; a resumption per node per shuffle."""
+    n = 1 << d
+    per_step = {PhaseStart: n + 1, ExchangeStep: n // 2, ShuffleStep: n}
+    return n + sum(per_step[type(step)] for step in multiphase_schedule(d, partition))
+
+
+class TestEventCount:
+    """Each exchange pair and each barrier completes with one shared
+    event, so the count follows from the schedule alone."""
+
+    @pytest.mark.parametrize("d,partition", [
+        pytest.param(d, p, id=f"d{d}-" + "-".join(map(str, p)))
+        for d, p in [
+            *((d, p) for d in range(1, 7) for p in partitions(d)),
+            (7, (4, 3)),
+            (7, (1,) * 7),
+        ]
+    ])
+    def test_n_events_follows_schedule(self, d, partition):
+        from repro.comm import simulate_exchange
+
+        result = simulate_exchange(d, 0, partition, ipsc860())
+        assert result.run.n_events == _expected_events(d, partition)

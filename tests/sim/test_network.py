@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
+from repro.hypercube.routing import ecube_path_edges
 from repro.hypercube.topology import Hypercube, Link
 from repro.model.params import ipsc860
 from repro.sim.network import Network
@@ -53,6 +55,25 @@ class TestPaths:
     def test_validates_nodes(self, net):
         with pytest.raises(ValueError):
             net.circuit_links(0, 99)
+        with pytest.raises(ValueError):
+            net.exchange_links(99, 0)
+        with pytest.raises(TypeError):
+            net.exchange_links(0, True)
+
+    @pytest.mark.parametrize("d", range(1, 7))
+    def test_link_table_walk_equals_ecube_path_edges(self, d):
+        """The interned link table yields exactly the e-cube route's
+        links, for every ordered pair (self-pairs included)."""
+        net = Network(Hypercube(d), ipsc860(), Trace())
+        for a in range(1 << d):
+            for b in range(1 << d):
+                forward = set(ecube_path_edges(a, b))
+                assert net.circuit_links(a, b) == forward
+                assert net.exchange_links(a, b) == forward | set(ecube_path_edges(b, a))
+
+    def test_numpy_labels_route_like_ints(self, net):
+        assert net.circuit_links(np.int64(2), np.uint8(23)) == net.circuit_links(2, 23)
+        assert net.exchange_links(np.int32(0), np.int64(3)) == net.exchange_links(0, 3)
 
 
 class TestTiming:

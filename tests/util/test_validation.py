@@ -59,6 +59,26 @@ class TestCheckNode:
         with pytest.raises(TypeError):
             check_node(False, 3)
 
+    @pytest.mark.parametrize("label", [np.int64(5), np.int32(5), np.uint8(5)])
+    def test_accepts_numpy_integers_as_plain_int(self, label):
+        node = check_node(label, 3)
+        assert node == 5
+        assert type(node) is int
+
+    def test_numpy_labels_still_range_checked(self):
+        with pytest.raises(ValueError):
+            check_node(np.int64(8), 3)
+        with pytest.raises(ValueError):
+            check_node(np.int32(-1), 3)
+        with pytest.raises(ValueError):
+            check_node(np.uint8(200), 3)
+        with pytest.raises(TypeError):
+            check_node(np.bool_(True), 3)
+        with pytest.raises(TypeError):
+            check_node(True, 3)
+        with pytest.raises(TypeError):
+            check_node(np.float64(1.0), 3)
+
 
 class TestCheckBlockSize:
     def test_accepts_numbers(self):
