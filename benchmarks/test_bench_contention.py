@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from repro.comm.program import simulate_exchange, simulate_naive_exchange
 from repro.core.partitions import partitions
-from repro.core.schedule import multiphase_schedule, validate_contention_free
+from repro.core.programs import PATTERN_TABLE, pattern_rounds
 from repro.hypercube.contention import analyze_contention
 from repro.util.bitops import bit_reverse
 
@@ -22,10 +22,13 @@ from repro.util.bitops import bit_reverse
 def test_bench_static_contention_validation(benchmark, archive):
     """Time the exhaustive static check over all p(6) schedules."""
 
+    row = PATTERN_TABLE[("alltoall", "multiphase")]
+
     def validate_all():
         checked = 0
         for partition in partitions(6):
-            validate_contention_free(multiphase_schedule(6, partition), 6)
+            for rnd in pattern_rounds(row, 6, 0, partition=partition):
+                assert analyze_contention(rnd.circuits(0)).edge_contention_free
             checked += 1
         return checked
 

@@ -14,9 +14,9 @@ Usage::
 
 from __future__ import annotations
 
-from repro.core.exchange import ExchangeOutcome, _apply_exchange
-from repro.core.schedule import ExchangeStep, PhaseStart, ShuffleStep, multiphase_schedule
+from repro.core.programs import PATTERN_TABLE, pattern_rounds
 from repro.core.shuffle import LayoutBuffer
+from repro.util.bitops import popcount
 
 D, PARTITION = 3, (2, 1)
 
@@ -35,8 +35,11 @@ def tableau(buffers) -> str:
 
 
 def main() -> None:
-    buffers = [LayoutBuffer(node, D, 1) for node in range(1 << D)]
-    outcome = ExchangeOutcome(buffers=buffers)
+    n = 1 << D
+    buffers = [LayoutBuffer(node, D, 1) for node in range(n)]
+    rounds = pattern_rounds(
+        PATTERN_TABLE[("alltoall", "multiphase")], D, 0, partition=PARTITION
+    )
 
     print("Figure 3: multiphase exchange, d=3, partition {2,1}")
     print("columns are nodes; each cell is origin:dest of the block held there")
@@ -44,21 +47,27 @@ def main() -> None:
     print("initial state (block index == destination):")
     print(tableau(buffers))
 
-    for step in multiphase_schedule(D, PARTITION):
-        if isinstance(step, PhaseStart):
+    for rnd in rounds:
+        phase = [r for r in rounds if r.phase == rnd.phase]
+        if rnd is phase[0]:
+            bits = ~rnd.reach & (n - 1)
+            hi, lo = bits.bit_length() - 1, (bits & -bits).bit_length() - 1
             print(
-                f"\n=> partial exchange, bits {step.group.hi}..{step.group.lo} "
-                f"(superblocks of {1 << (D - step.group.width)} block(s), "
-                f"{step.n_exchanges} pairwise exchanges)"
+                f"\n=> partial exchange, bits {hi}..{lo} "
+                f"(superblocks of {1 << (D - popcount(bits))} block(s), "
+                f"{len(phase)} pairwise exchanges)"
             )
-        elif isinstance(step, ExchangeStep):
-            _apply_exchange(step, buffers, 1 << D, "layout", outcome)
-        elif isinstance(step, ShuffleStep):
+        # every node sends the run bound for its partner, then refills
+        # the vacated run with what the partner sent
+        moves = [(dst, buffers[src].send(rnd, dst)) for src, dst in rnd.circuits(0)]
+        for dst, blocks in moves:
+            buffers[dst].receive(blocks)
+        if rnd is phase[-1] and rnd.times:
             print("after the partial exchange:")
             print(tableau(buffers))
             for buf in buffers:
-                buf.shuffle(step.times)
-            print(f"\n=> {step.times}-shuffle (rotate block-index bits left {step.times})")
+                buf.shuffle(rnd.times)
+            print(f"\n=> {rnd.times}-shuffle (rotate block-index bits left {rnd.times})")
             print(tableau(buffers))
 
     for buf in buffers:

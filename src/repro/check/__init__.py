@@ -29,7 +29,6 @@ from repro.check.report import CheckReport, Violation
 from repro.check.rules import RULES, LintRule, run_rules
 from repro.check.schedule import (
     check_schedules,
-    verify_block_conservation,
     verify_circuit_steps,
     verify_pattern,
     verify_plan_decision,
@@ -44,7 +43,6 @@ __all__ = [
     "Violation",
     "check_schedules",
     "run_rules",
-    "verify_block_conservation",
     "verify_circuit_steps",
     "verify_pattern",
     "verify_plan_decision",

@@ -2,11 +2,14 @@
 
 Lifts the per-step contention oracle of
 :mod:`repro.hypercube.contention` to whole-schedule certificates for
-every compiled ``(d, partition)`` exchange schedule, §9 pattern
-program, and planner-emitted collective — without invoking
-:mod:`repro.sim.engine`.  Four invariant families:
+every declared algorithm — the complete exchange at every
+``(d, partition)``, each §9 pattern, and the collectives the planner
+emits — without invoking :mod:`repro.sim.engine`.  Every certificate
+is computed from the rounds the engines run
+(:func:`repro.core.programs.pattern_rounds`).  Four invariant
+families:
 
-* **circuit disjointness** — every step's circuit set is edge-disjoint
+* **circuit disjointness** — every round's circuit set is edge-disjoint
   (no two circuits share a directed link under e-cube) *and*
   port-disjoint (no node sources or sinks two circuits at once); a
   failure names the shared resource and the circuits holding it;
@@ -14,19 +17,19 @@ program, and planner-emitted collective — without invoking
   source, ends at its destination, flips exactly one bit per hop, and
   crosses dimensions in strictly ascending order (the fixed routing
   every contention conclusion rests on);
-* **block conservation** — an abstract (tag-only) replay of the step
-  stream proves every block departs and arrives exactly once per
-  phase-slice and that every node ends holding exactly the blocks
-  destined for it: dropped steps surface as undelivered blocks,
-  duplicated steps as vacuous transfers, wrong offsets as misrouted
-  blocks;
+* **delivery** — :func:`repro.core.programs.replay_pattern`, the
+  lockstep loop the data engines run, replays abstract holdings and
+  proves that every circuit carries a block, no block reaches a node
+  twice, and every node ends holding exactly its pattern's blocks:
+  dropped rounds surface as undelivered blocks, duplicated rounds as
+  vacuous circuits;
 * **coefficient fidelity** — the fast path's compiled per-step
   coefficients (:class:`repro.sim.fastpath.CompiledProgram`, the one
   compiled form of the exchange and of every §9 pattern program) must
   structurally match the program step stream they claim to price, and
   an exchange-backed program's must also match the
   :func:`~repro.core.schedule.multiphase_schedule` step list of its
-  partition — the schedule the data engines actually execute.
+  partition, recomputed independently of the rounds.
 
 Every function returns plain :class:`~repro.check.report.Violation`
 lists so callers can compose them into one
@@ -36,15 +39,17 @@ the ``repro check --schedules`` driver.
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
-
-import numpy as np
+from collections import Counter
+from itertools import groupby
+from typing import Callable, Iterable, Sequence
 
 from repro.check.report import CheckReport, Violation
+from repro.core.blocks import BlockBuffer
 from repro.core.partitions import partitions
 from repro.core.programs import (
     PATTERN_TABLE,
     BarrierStep,
+    KeyHoldings,
     LocalShuffleStep,
     PairStep,
     PatternAlgorithm,
@@ -53,17 +58,11 @@ from repro.core.programs import (
     pattern_program,
     pattern_rounds,
     replay_pattern,
+    resolve_pattern,
 )
-from repro.core.schedule import (
-    ExchangeStep,
-    PhaseStart,
-    ShuffleStep,
-    Step,
-    multiphase_schedule,
-    schedule_circuits,
-)
-from repro.hypercube.contention import analyze_contention
+from repro.core.schedule import ExchangeStep, PhaseStart, multiphase_schedule
 from repro.hypercube.routing import ecube_path_edges
+from repro.hypercube.topology import Link
 from repro.model.params import PRESETS, MachineParams
 from repro.plan.decision import PlanDecision, format_partition
 from repro.sim.fastpath import (
@@ -84,7 +83,6 @@ __all__ = [
     "CHECK_SIZES",
     "check_schedules",
     "pattern_variants",
-    "verify_block_conservation",
     "verify_circuit_steps",
     "verify_pattern",
     "verify_plan_decision",
@@ -113,31 +111,33 @@ def verify_circuit_steps(
     d: int,
     *,
     target: str,
-    step_indices: Sequence[int] | None = None,
 ) -> list[Violation]:
     """Prove every step's circuit set route-legal and edge/port-disjoint.
 
     ``circuit_steps[i]`` is the set of ``(src, dst)`` circuits held
-    simultaneously during step ``i``; ``step_indices`` maps each entry
-    back to its position in a larger step stream for provenance.
-    Self-circuits (``src == dst``) hold no resources and are ignored,
+    simultaneously during step ``i``.  Self-circuits (``src == dst``) hold no resources and are ignored,
     matching :func:`~repro.hypercube.contention.analyze_contention`.
+    Each circuit is routed once; its link list serves route legality,
+    edge loads and the counterexample's holders.
     """
     check_dimension(d, minimum=1)
     n = 1 << d
     violations: list[Violation] = []
-    for position, raw_circuits in enumerate(circuit_steps):
-        index = step_indices[position] if step_indices is not None else position
-        circuits = [(src, dst) for src, dst in raw_circuits if src != dst]
-        for src, dst in circuits:
-            violations.extend(_verify_route(src, dst, n, target, index))
-        violations.extend(_verify_ports(circuits, target, index))
-        violations.extend(_verify_edges(circuits, target, index))
+    for index, raw_circuits in enumerate(circuit_steps):
+        routed: list[tuple[Circuit, list[Link]]] = []
+        for src, dst in raw_circuits:
+            if src == dst:
+                continue
+            edges = ecube_path_edges(src, dst) if src >= 0 and dst >= 0 else []
+            routed.append(((src, dst), edges))
+            violations.extend(_verify_route(src, dst, edges, n, target, index))
+        violations.extend(_verify_ports([c for c, _ in routed], target, index))
+        violations.extend(_verify_edges(routed, target, index))
     return violations
 
 
 def _verify_route(
-    src: int, dst: int, n: int, target: str, index: int
+    src: int, dst: int, edges: Sequence[Link], n: int, target: str, index: int
 ) -> list[Violation]:
     """Route legality: in-range endpoints, one ascending bit per hop."""
     if not (0 <= src < n and 0 <= dst < n):
@@ -149,7 +149,6 @@ def _verify_route(
             counterexample={"src": src, "dst": dst, "n_nodes": n},
             fix_hint="schedule offsets/groups must stay inside the cube's label bits",
         )]
-    edges = ecube_path_edges(src, dst)
     violations: list[Violation] = []
     previous_dim = -1
     current = src
@@ -212,203 +211,26 @@ def _verify_ports(
 
 
 def _verify_edges(
-    circuits: Sequence[Circuit], target: str, index: int
+    routed: Sequence[tuple[Circuit, list[Link]]], target: str, index: int
 ) -> list[Violation]:
     """Edge disjointness, with the sharing circuits as counterexample."""
-    report = analyze_contention(circuits)
+    load = Counter(edge for _, edges in routed for edge in edges)
+    conflicts = sorted(
+        ((link, count) for link, count in load.items() if count > 1),
+        key=lambda kv: str(kv[0]),
+    )
     violations: list[Violation] = []
-    for link, load in sorted(report.edge_conflicts.items(), key=lambda kv: str(kv[0])):
-        holders = [
-            circuit for circuit in circuits
-            if link in ecube_path_edges(*circuit)
-        ]
+    for link, count in conflicts:
+        holders = [circuit for circuit, edges in routed if link in edges]
         violations.append(Violation(
             check="edge-contention",
             target=target,
-            message=f"link {link} is held by {load} circuits at once",
+            message=f"link {link} is held by {count} circuits at once",
             step_index=index,
-            counterexample={"link": str(link), "load": load,
+            counterexample={"link": str(link), "load": count,
                             "circuits": [list(c) for c in holders]},
             fix_hint="simultaneous circuits must use disjoint e-cube links "
                      "(paper §2: edge contention is disastrous)",
-        ))
-    return violations
-
-
-# ----------------------------------------------------------------------
-# block conservation: abstract tag-only replay of the step stream
-# ----------------------------------------------------------------------
-def verify_block_conservation(
-    steps: Sequence[Step], d: int, *, target: str
-) -> list[Violation]:
-    """Prove the step stream delivers every block exactly once.
-
-    Replays the schedule on a ``(origin, dest) -> holder`` matrix (the
-    functional abstraction of the block buffers: no payload, just
-    placement).  Invariants proven:
-
-    * within each phase, every block whose destination's subcube
-      coordinate differs from its holder's departs **exactly once**
-      (``block-duplicated`` / ``block-undelivered`` otherwise), and
-      blocks already home never move;
-    * every exchange step moves at least one block somewhere in the
-      cube (``vacuous-step`` — the signature of a duplicated step);
-    * at each phase end every block sits at its destination coordinate
-      within the phase's bit group (``block-misrouted``);
-    * after the final step every node holds exactly the blocks destined
-      for it (``block-undelivered`` with the block's actual location).
-
-    Because every exchange is a symmetric swap of disjoint slices,
-    departures equal arrivals by construction, so proving departures
-    exact proves the paper's "each block is transmitted exactly once
-    per phase" conservation law.
-    """
-    check_dimension(d, minimum=1)
-    n = 1 << d
-    dest = np.broadcast_to(np.arange(n), (n, n))          # dest[o, b] = b
-    holder = np.tile(np.arange(n)[:, None], (1, n))       # holder[o, b] = o
-    violations: list[Violation] = []
-
-    phase_group = None
-    phase_index = -1
-    departs: np.ndarray | None = None
-    expected: np.ndarray | None = None
-
-    def close_phase() -> None:
-        if phase_group is None:
-            return
-        assert departs is not None and expected is not None
-        lo, width = phase_group.lo, phase_group.width
-        mask = (1 << width) - 1
-        dup = departs > expected
-        missing = departs < expected
-        stray = ((holder >> lo) & mask) != ((dest >> lo) & mask)
-        for kind, where, message, hint in (
-            ("block-duplicated", dup,
-             "departed more than once within phase {p}",
-             "a block must be transmitted exactly once per phase"),
-            ("block-undelivered", missing,
-             "never departed during phase {p} despite a differing "
-             "subcube coordinate",
-             "every off-coordinate block must be exchanged during its phase"),
-            ("block-misrouted", stray,
-             "ended phase {p} at the wrong subcube coordinate",
-             "phase exchanges must deliver blocks to their coordinate "
-             "in the phase's bit group"),
-        ):
-            origins, blocks = np.nonzero(where)
-            if origins.size:
-                origin, block = int(origins[0]), int(blocks[0])
-                violations.append(Violation(
-                    check=kind,
-                    target=target,
-                    message=f"block ({origin}->{block}) "
-                            + message.format(p=phase_index),
-                    counterexample={
-                        "origin": origin, "dest": block,
-                        "held_by": int(holder[origin, block]),
-                        "phase": phase_index,
-                        "n_affected_blocks": int(origins.size),
-                    },
-                    fix_hint=hint,
-                ))
-
-    for index, step in enumerate(steps):
-        if isinstance(step, PhaseStart):
-            close_phase()
-            phase_group = step.group
-            phase_index = step.phase_index
-            if step.group.hi >= d:
-                violations.append(Violation(
-                    check="step-domain",
-                    target=target,
-                    message=f"phase bit group {step.group} exceeds the "
-                            f"{d}-cube's label bits",
-                    step_index=index,
-                    counterexample={"lo": step.group.lo, "width": step.group.width},
-                    fix_hint="bit groups must stay within 0..d-1",
-                ))
-                return violations
-            lo, width = step.group.lo, step.group.width
-            mask = (1 << width) - 1
-            expected = (((holder >> lo) & mask) != ((dest >> lo) & mask)).astype(np.int64)
-            departs = np.zeros((n, n), dtype=np.int64)
-        elif isinstance(step, ExchangeStep):
-            if phase_group is None or departs is None:
-                violations.append(Violation(
-                    check="phase-structure",
-                    target=target,
-                    message="exchange step before any phase start",
-                    step_index=index,
-                    fix_hint="every phase must open with a PhaseStart barrier "
-                             "(FORCED messages are fatal without it, §7.3)",
-                ))
-                continue
-            lo, width = step.group.lo, step.group.width
-            mask = (1 << width) - 1
-            shift = step.offset << lo
-            if step.group.hi >= d:
-                violations.append(Violation(
-                    check="step-domain",
-                    target=target,
-                    message=f"exchange bit group {step.group} exceeds the "
-                            f"{d}-cube's label bits",
-                    step_index=index,
-                    counterexample={"lo": lo, "width": width, "offset": step.offset},
-                    fix_hint="bit groups must stay within 0..d-1",
-                ))
-                continue
-            if step.group != phase_group:
-                violations.append(Violation(
-                    check="phase-structure",
-                    target=target,
-                    message=f"exchange step uses bit group {step.group} inside "
-                            f"a phase on {phase_group}",
-                    step_index=index,
-                    fix_hint="all exchanges of a phase operate on the phase's bit group",
-                ))
-                continue
-            moving = ((dest >> lo) & mask) == (((holder ^ shift) >> lo) & mask)
-            if not moving.any():
-                violations.append(Violation(
-                    check="vacuous-step",
-                    target=target,
-                    message=f"exchange step (offset {step.offset}) moves no "
-                            f"blocks — its slice was already exchanged",
-                    step_index=index,
-                    counterexample={"offset": step.offset, "lo": lo, "width": width},
-                    fix_hint="duplicated offsets re-run an already-completed "
-                             "exchange; each offset appears once per phase",
-                ))
-                continue
-            departs += moving
-            holder = np.where(moving, holder ^ shift, holder)
-        elif isinstance(step, ShuffleStep):
-            continue  # local permutation: no block changes nodes
-        else:
-            violations.append(Violation(
-                check="phase-structure",
-                target=target,
-                message=f"unknown step type {type(step).__name__}",
-                step_index=index,
-            ))
-    close_phase()
-
-    final_stray = holder != dest
-    origins, blocks = np.nonzero(final_stray)
-    if origins.size:
-        origin, block = int(origins[0]), int(blocks[0])
-        violations.append(Violation(
-            check="block-undelivered",
-            target=target,
-            message=f"block ({origin}->{block}) ends at node "
-                    f"{int(holder[origin, block])}, not its destination",
-            counterexample={
-                "origin": origin, "dest": block,
-                "held_by": int(holder[origin, block]),
-                "n_affected_blocks": int(origins.size),
-            },
-            fix_hint="the phases must jointly cover every label bit exactly once",
         ))
     return violations
 
@@ -426,13 +248,13 @@ def verify_program_coefficients(compiled: CompiledProgram) -> list[Violation]:
     structurally legal (endpoints inside the cube, no self-sends, pair
     shifts in range: ``program-structure``).
 
-    An exchange-backed program (``program.partition`` set: the
-    ``exchange`` program and ``allgather/exchange``) must also price
-    the schedule the data engines execute: its coefficients are
+    An exchange-backed program (``program.partition`` set:
+    ``alltoall/multiphase`` and ``allgather/exchange``) must also
+    price the schedule the data engines execute: its coefficients are
     recomputed from :func:`~repro.core.schedule.multiphase_schedule`
-    on that partition, independently of
-    :func:`~repro.core.programs.exchange_steps`, so a program carrying
-    another partition's steps is a ``coeff-mismatch``.
+    on that partition, independently of the rounds the chain is
+    derived from, so a program carrying another partition's steps is
+    a ``coeff-mismatch``.
     """
     program = compiled.program
     target = f"fastpath program {program.name} d={program.d}"
@@ -566,78 +388,61 @@ def _verify_schedule_coefficients(
 
 
 # ----------------------------------------------------------------------
-# whole-schedule certificates
+# declared algorithms: the exchange and the §9 patterns
 # ----------------------------------------------------------------------
-def verify_schedule_steps(
-    steps: Sequence[Step], d: int, *, target: str
-) -> list[Violation]:
-    """All step-stream invariants for one schedule: circuits + blocks."""
-    exchange_positions = [
-        index for index, step in enumerate(steps) if isinstance(step, ExchangeStep)
-    ]
-    circuit_steps = [
-        list(schedule_circuits(steps[index], d)) for index in exchange_positions
-    ]
-    violations = verify_circuit_steps(
-        circuit_steps, d, target=target, step_indices=exchange_positions
-    )
-    violations.extend(verify_block_conservation(steps, d, target=target))
-    return violations
-
-
 def verify_schedule(d: int, partition: Sequence[int] | None = None) -> list[Violation]:
-    """Certify one compiled ``(d, partition)`` exchange schedule.
+    """Certify the complete exchange at one ``(d, partition)``.
 
     ``partition=None`` selects the single-phase ``(d,)`` schedule.
-    Covers circuit disjointness, route legality and block conservation
-    of the step list the data engines execute, and coefficient fidelity
-    of the one compiled form the fast path prices —
-    :func:`repro.sim.fastpath.compile_schedule`, the exchange's
-    :class:`~repro.core.programs.CommProgram` — against its own steps
-    and against that step list; an empty list is a certificate.
+    Covers the declared rounds (:func:`verify_pattern`) and the
+    coefficient fidelity of the exchange's one compiled form,
+    :func:`repro.sim.fastpath.compile_schedule`; an empty list is a
+    certificate.
     """
     check_dimension(d, minimum=1)
     parts = check_partition(partition if partition is not None else (d,), d)
-    steps = multiphase_schedule(d, parts)
-    violations = verify_schedule_steps(steps, d, target=_schedule_target(d, parts))
+    violations = verify_pattern("alltoall", "multiphase", d, partition=parts)
     violations.extend(verify_program_coefficients(compile_schedule(d, parts)))
     return violations
 
 
-# ----------------------------------------------------------------------
-# §9 pattern programs
-# ----------------------------------------------------------------------
 def pattern_variants() -> list[tuple[str, str]]:
-    """Every ``(pattern, algorithm)`` pair the verifier can certify: the
-    declared algorithms with a round schedule (the exchange-backed
-    allgather is a complete exchange; :func:`verify_schedule` certifies
-    it on its partition)."""
-    return [key for key, row in PATTERN_TABLE.items() if row.schedule != "exchange"]
+    """Every §9 ``(pattern, algorithm)`` pair the verifier can certify:
+    the multiphase rows are the complete exchange, which
+    :func:`verify_schedule` certifies on its partition."""
+    return [key for key, row in PATTERN_TABLE.items() if row.schedule != "multiphase"]
 
 
 def verify_pattern(
-    pattern: str, algorithm: str, d: int, *, root: int = 0
+    pattern: str,
+    algorithm: str,
+    d: int,
+    *,
+    root: int = 0,
+    partition: Sequence[int] | None = None,
 ) -> list[Violation]:
-    """Certify one §9 pattern algorithm's declared schedule.
+    """Certify one declared algorithm's schedule: expand the
+    :data:`~repro.core.programs.PATTERN_TABLE` row into the rounds the
+    engines run and prove them with :func:`verify_rounds`.
 
-    Expands the :data:`~repro.core.programs.PATTERN_TABLE` row into the
-    rounds the SPMD interpreter runs, proves each round's circuit set
-    edge/port-disjoint and route-legal, and proves delivery by
-    replaying abstract block holdings: no block reaches a node twice,
-    and every node ends holding exactly the blocks its pattern
-    delivers (the root's message, its own block, every origin).
+    ``partition`` (default ``(d,)``) applies to the complete exchange,
+    ``alltoall/multiphase``, whose violations name its schedule;
+    ``allgather/exchange`` runs as that exchange and is certified as it.
     """
-    check_dimension(d, minimum=1)
-    check_node(root, d)
     row = PATTERN_TABLE.get((pattern, algorithm))
-    if row is None or row.schedule == "exchange":
+    if row is None or (row.schedule == "multiphase" and row.pattern != "alltoall"):
         raise ValueError(
             f"cannot statically verify pattern {pattern!r} algorithm "
-            f"{algorithm!r}; have {pattern_variants()}"
+            f"{algorithm!r}; have {pattern_variants() + [('alltoall', 'multiphase')]}"
         )
+    _, partition, _ = resolve_pattern(pattern, algorithm, d, partition=partition)
+    check_node(root, d)
+    target = (
+        f"pattern {pattern}/{algorithm} d={d} root={root}" if partition is None
+        else _schedule_target(d, partition)
+    )
     return verify_rounds(
-        row, pattern_rounds(row, d, root), d, root,
-        target=f"pattern {pattern}/{algorithm} d={d} root={root}",
+        row, pattern_rounds(row, d, root, partition=partition), d, root, target=target
     )
 
 
@@ -650,12 +455,25 @@ def verify_rounds(
     target: str,
 ) -> list[Violation]:
     """Circuit and delivery proof for ``rounds`` under ``row``'s block
-    semantics (:func:`verify_pattern` on the declared rounds)."""
+    semantics (:func:`verify_pattern` on the declared rounds).
+
+    Delivery replays :func:`~repro.core.programs.replay_pattern` on
+    dict keys or, for exchange rounds that swap across every node, on
+    fixed zero-byte :class:`~repro.core.blocks.BlockBuffer` slots.
+    Rounds leaving the cube are rejected on their circuits alone.
+    """
     n = 1 << d
-    violations = verify_circuit_steps(
-        [rnd.circuits(root) for rnd in rounds], d, target=target
-    )
-    held, repeats = replay_pattern(row, rounds, d, root, lambda key: None)
+    circuit_steps = [rnd.circuits(root) for rnd in rounds]
+    violations = verify_circuit_steps(circuit_steps, d, target=target)
+    if any(not (0 <= src < n and 0 <= dst < n)
+           for circuits in circuit_steps for src, dst in circuits):
+        return violations
+    semantics = row.semantics
+    if row.pattern == "alltoall" and all(len(c) == n for c in circuit_steps):
+        holdings: list = [BlockBuffer.initial(node, d, 0) for node in range(n)]
+    else:
+        holdings = [KeyHoldings(row, node, root, d, lambda key: None) for node in range(n)]
+    empty, repeats = replay_pattern(rounds, holdings, root)
     for index, node, keys in repeats:
         violations.append(Violation(
             check="block-duplicated",
@@ -665,19 +483,34 @@ def verify_rounds(
             counterexample={"node": node, "blocks": keys[:8]},
             fix_hint="each block reaches a node at most once",
         ))
+    for index, idle in groupby(empty, key=lambda circuit: circuit[0]):
+        circuits = [[src, dst] for _, src, dst in idle]
+        violations.append(Violation(
+            check="vacuous-step",
+            target=target,
+            message=f"round {index} holds {len(circuits)} circuits that "
+                    f"carry no block",
+            step_index=index,
+            counterexample={"circuits": circuits[:8], "n_vacuous": len(circuits)},
+            fix_hint="a circuit that moves nothing re-runs a finished "
+                     "round; each round appears once",
+        ))
     for node in range(n):
-        wanted = set(row.semantics.ends(node, root, n))
-        if set(held[node]) != wanted:
+        wanted = set(semantics.ends(node, root, n))
+        held = set(holdings[node].keys())
+        if held != wanted:
+            missing = sorted(wanted - held)
+            counterexample = {
+                "node": node, "missing": missing[:8], "stray": sorted(held - wanted)[:8],
+            }
+            if missing:
+                counterexample.update(zip(semantics.key_fields, divmod(missing[0], n)))
             violations.append(Violation(
                 check="block-undelivered",
                 target=target,
-                message=f"node {node} ends holding {sorted(held[node])[:4]} "
+                message=f"node {node} ends holding {sorted(held)[:4]} "
                         f"instead of {sorted(wanted)[:4]}",
-                counterexample={
-                    "node": node,
-                    "missing": sorted(wanted - set(held[node]))[:8],
-                    "stray": sorted(set(held[node]) - wanted)[:8],
-                },
+                counterexample=counterexample,
                 fix_hint="the rounds must leave every node holding exactly "
                          "the blocks its pattern delivers",
             ))
@@ -697,21 +530,19 @@ def verify_plan_decision(decision: PlanDecision) -> list[Violation]:
     every rotation step in isolation is link-clean and port-disjoint
     (its slowness comes from drift, not from an illegal schedule).
     """
+    return _verify_plan_decision(decision, verify_schedule)
+
+
+def _verify_plan_decision(
+    decision: PlanDecision,
+    schedule_check: Callable[[int, tuple[int, ...]], list[Violation]],
+) -> list[Violation]:
+    """:func:`verify_plan_decision` with a (memoized) ``schedule_check``."""
     target = f"plan d={decision.d} m={decision.m:g} {decision.algorithm}"
     if decision.algorithm == "naive":
         n = 1 << decision.d
         rotation = [naive_step_circuits(decision.d, s) for s in range(1, n)]
-        return [
-            Violation(
-                check=violation.check, target=target,
-                message=violation.message, step_index=violation.step_index,
-                counterexample=violation.counterexample,
-                fix_hint=violation.fix_hint,
-            )
-            for violation in verify_circuit_steps(
-                rotation, decision.d, target=target
-            )
-        ]
+        return verify_circuit_steps(rotation, decision.d, target=target)
     try:
         parts = check_partition(decision.partition, decision.d)
     except (TypeError, ValueError) as exc:
@@ -723,7 +554,7 @@ def verify_plan_decision(decision: PlanDecision) -> list[Violation]:
             counterexample={"partition": list(decision.partition or ())},
             fix_hint="planner policies must emit partitions summing to d",
         )]
-    return verify_schedule(decision.d, parts)
+    return schedule_check(decision.d, parts)
 
 
 # ----------------------------------------------------------------------
@@ -738,7 +569,7 @@ def check_schedules(
     """Statically certify every schedule the library can emit.
 
     For each dimension: every partition's exchange schedule (circuits,
-    conservation, fast-path coefficients), every §9 pattern program,
+    delivery, fast-path coefficients), every §9 pattern program,
     and — per machine preset — the collectives the model policy
     actually emits at the sampled block sizes (exchange decisions and
     pattern selections).  Returns a merged report; ``report.ok`` is
@@ -750,11 +581,18 @@ def check_schedules(
     report = CheckReport()
     preset_names = sorted(PRESETS) if presets is None else list(presets)
     verified: dict[tuple[int, tuple[int, ...]], bool] = {}
+    schedule_violations: dict[tuple[int, tuple[int, ...]], list[Violation]] = {}
+
+    def verify_once(d: int, parts: tuple[int, ...]) -> list[Violation]:
+        key = (d, parts)
+        if key not in schedule_violations:
+            schedule_violations[key] = verify_schedule(d, parts)
+        return list(schedule_violations[key])
 
     def certify_schedule(d: int, parts: tuple[int, ...]) -> bool:
         key = (d, parts)
         if key not in verified:
-            violations = verify_schedule(d, parts)
+            violations = verify_once(d, parts)
             for violation in violations:
                 report.add(violation)
             verified[key] = not violations
@@ -784,7 +622,7 @@ def check_schedules(
         for d in dims:
             for m in block_sizes:
                 decision = policy.decide(d, float(m))
-                violations = verify_plan_decision(decision)
+                violations = _verify_plan_decision(decision, verify_once)
                 for violation in violations:
                     report.add(violation)
                 if not violations:

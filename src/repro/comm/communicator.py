@@ -27,7 +27,7 @@ from repro.core.schedule import multiphase_schedule
 from repro.plan.decision import algorithm_name
 from repro.sim.node import NodeContext
 from repro.sim.trace import PlanRecord
-from repro.util.validation import check_partition
+from repro.util.validation import check_byte_rows, check_partition
 
 __all__ = ["Communicator"]
 
@@ -113,7 +113,7 @@ class Communicator:
         """
         ctx = self.ctx
         d, n = ctx.d, ctx.n
-        rows = np.ascontiguousarray(send_rows, dtype=np.uint8)
+        rows = check_byte_rows(send_rows, ctx.rank)
         if rows.ndim != 2 or rows.shape[0] != n:
             raise ValueError(f"rank {ctx.rank}: expected ({n}, m) send rows, got {rows.shape}")
         m = rows.shape[1]

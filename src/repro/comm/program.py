@@ -28,16 +28,18 @@ are compared whole.  :func:`exchange_program` is the one multiphase
 loop; ``Communicator.Alltoall`` runs it on user rows.
 
 The fast path prices the same schedules without booting the engine:
-:func:`repro.core.programs.exchange_steps` lowers the
-:func:`~repro.core.schedule.multiphase_schedule` step list that
-``exchange_program`` executes to a
+the exchange is declared once, as the ``alltoall/multiphase`` row of
+:data:`repro.core.programs.PATTERN_TABLE`, whose rounds are expanded
+from the :func:`~repro.core.schedule.multiphase_schedule` step list
+that ``exchange_program`` executes and lowered to a
 :class:`~repro.core.programs.CommProgram` chain — the exchange's one
 compiled form — which :mod:`repro.sim.fastpath` prices in one numpy
 pass at float equality with the runs here (``fast=True`` below returns
 its :class:`~repro.sim.fastpath.ProgramTimeline`).  That is the default
 path everywhere; the event-engine replay below is the byte-verifying
-oracle, and :func:`repro.check.verify_schedule` certifies the step list
-and the compiled program against each other.  (The naive
+oracle, and :func:`repro.check.verify_schedule` certifies the rounds
+and checks the compiled program against the step list, which this
+SPMD loop still walks.  (The naive
 rotation's chain, :func:`repro.core.programs.naive_rotation_steps`, is
 contended and priced by the reservation replay.)  The §9 patterns are
 not run here: each is one declaration in :mod:`repro.core.programs`,
@@ -120,7 +122,7 @@ def exchange_program(
             partner_coord = (partner >> step.group.lo) & ((1 << step.group.width) - 1)
             tag = tag_base + index
             if isinstance(buf, BlockBuffer):
-                slots = buf.slots_for_coordinate(step.group, partner_coord)
+                slots = buf.slots_for(partner, ~step.group.mask)
                 outgoing = buf.take(slots)
                 received = yield ctx.exchange(partner, outgoing, nbytes=outgoing.nbytes, tag=tag)
                 buf.put(slots, received)
@@ -382,14 +384,11 @@ def naive_program(
         src = (ctx.rank - s) % n
         yield ctx.post_recv(src, tag=tag_base + s)
     yield ctx.barrier()
-    from repro.hypercube.subcube import BitGroup
-
-    whole = BitGroup(lo=0, width=ctx.d)
     # the block received at step s refills the slot sent at step s
     sent_slots = {}
     for s in range(1, n):
         dst = (ctx.rank + s) % n
-        sent_slots[s] = buf.slots_for_coordinate(whole, dst)
+        sent_slots[s] = buf.slots_for(dst, 0)
         outgoing = buf.take(sent_slots[s])
         yield ctx.send(dst, outgoing, outgoing.nbytes, tag=tag_base + s, forced=True)
     for s in range(1, n):

@@ -33,11 +33,9 @@ from repro.core.schedule import (
     ShuffleStep,
     multiphase_schedule,
     optimal_schedule,
-    schedule_circuits,
     schedule_stats,
     schedule_stats_cache_info,
     standard_schedule,
-    validate_contention_free,
 )
 from repro.core.shuffle import LayoutBuffer, apply_shuffle, shuffle_permutation
 from repro.core.standard import standard_exchange, standard_partition
@@ -92,7 +90,6 @@ __all__ = [
     "run_exchange_on_rows",
     "run_naive_exchange_on_rows",
     "run_planned_exchange_on_rows",
-    "schedule_circuits",
     "schedule_stats",
     "schedule_stats_cache_info",
     "shuffle_permutation",
@@ -100,5 +97,4 @@ __all__ = [
     "standard_partition",
     "standard_schedule",
     "total_transmissions",
-    "validate_contention_free",
 ]

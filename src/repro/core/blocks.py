@@ -14,22 +14,26 @@ algorithms maintain), independent of physical position.  It is also
 *fixed-slot*: a node always holds ``n`` blocks, an exchange step copies
 out the slots bound for the partner (:meth:`BlockBuffer.take`) and
 overwrites those same slots with what the partner sends back
-(:meth:`BlockBuffer.put`), so no step reallocates the buffer.  The companion
-:mod:`repro.core.shuffle` module implements the physically-contiguous
-layout discipline of the real machine; the two are cross-validated in
-the test suite.
+(:meth:`BlockBuffer.put`), so no step reallocates the buffer; as
+holdings of :func:`repro.core.programs.replay_pattern` it does both per
+round (:meth:`BlockBuffer.send`, :meth:`BlockBuffer.receive`).  The
+companion :mod:`repro.core.shuffle` module implements the
+physically-contiguous layout discipline of the real machine; the two
+are cross-validated in the test suite.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from repro.hypercube.subcube import BitGroup
-from repro.util.bitops import bit_field
 from repro.util.validation import check_dimension, check_node
+
+if TYPE_CHECKING:
+    from repro.core.programs import Round
 
 __all__ = ["BlockBuffer", "BlockSet", "payload_pattern", "payload_rows"]
 
@@ -108,6 +112,9 @@ class BlockSet:
 
     @property
     def n_blocks(self) -> int:
+        return len(self.origins)
+
+    def __len__(self) -> int:
         return len(self.origins)
 
     @property
@@ -201,20 +208,26 @@ class BlockBuffer:
     def total_bytes(self) -> int:
         return self._blocks.nbytes
 
+    def keys(self) -> list[int]:
+        """The held blocks as ``alltoall`` keys ``origin·n + dest``."""
+        blocks = self._blocks
+        return (blocks.origins * (1 << self.d) + blocks.dests).tolist()
+
     # ------------------------------------------------------------------
     # exchange operations
     # ------------------------------------------------------------------
-    def slots_for_coordinate(self, group: BitGroup, coordinate: int) -> np.ndarray:
-        """Slots (row indices, ascending) of the blocks whose dest has
-        ``coordinate`` in ``group``.
+    def slots_for(self, dst: int, reach: int) -> np.ndarray:
+        """Slots (row indices, ascending) of the blocks bound for
+        ``dst``'s downstream ``{dst ^ r : r a submask of reach}``: the
+        one slot rule, :meth:`repro.core.programs.Round.take`'s.
 
-        This is the multiphase send rule: in a phase on ``group``, the
-        blocks bound for subcube partner ``p`` are exactly those whose
-        destination agrees with ``p`` on the group bits.  Taken together
-        they form the *effective block* of the paper: ``m * 2**(d - d_i)``
-        bytes when called mid-phase on a consistent buffer.
+        In a multiphase round ``reach`` is every bit outside the phase's
+        group, so the slots hold the paper's *effective block* for the
+        partner, ``m * 2**(d - d_i)`` bytes; ``reach = 0`` selects the
+        blocks for ``dst`` itself.
         """
-        return np.nonzero(self._field(self._blocks.dests, group) == coordinate)[0]
+        bits = ~reach
+        return ((self._blocks.dests & bits) == (dst & bits)).nonzero()[0]
 
     def take(self, slots: np.ndarray) -> BlockSet:
         """Copy the blocks in ``slots`` out as a :class:`BlockSet`.
@@ -223,7 +236,9 @@ class BlockBuffer:
         :meth:`put` overwrites them with the partner's.
         """
         blocks = self._blocks
-        return BlockSet(blocks.origins[slots], blocks.dests[slots], blocks.payload[slots])
+        return BlockSet(
+            blocks.origins[slots], blocks.dests[slots], blocks.payload.take(slots, axis=0)
+        )
 
     def put(self, slots: np.ndarray, incoming: BlockSet) -> None:
         """Overwrite the blocks in ``slots`` with received ``incoming``,
@@ -240,13 +255,23 @@ class BlockBuffer:
         blocks.dests[slots] = incoming.dests
         blocks.payload[slots] = incoming.payload
 
+    def send(self, rnd: "Round", dst: int) -> BlockSet:
+        """Holdings call (:func:`repro.core.programs.replay_pattern`):
+        take the blocks for ``dst``, vacating their slots."""
+        self._vacated = self.slots_for(dst, rnd.reach)
+        return self.take(self._vacated)
+
+    def receive(self, blocks: BlockSet) -> tuple[()]:
+        """Holdings call: refill the slots :meth:`send` vacated."""
+        self.put(self._vacated, blocks)
+        return ()
+
+    def shuffle(self, times: int) -> None:
+        """Tags are position-free: a shuffle moves nothing."""
+
     # ------------------------------------------------------------------
     # verification
     # ------------------------------------------------------------------
-    def dest_field_values(self, group: BitGroup) -> np.ndarray:
-        """Distinct group-coordinates among held destinations (sorted)."""
-        return np.unique(self._field(self._blocks.dests, group))
-
     def is_complete_exchange_result(self) -> bool:
         """True iff this buffer is a correct post-exchange state."""
         try:
@@ -302,14 +327,6 @@ class BlockBuffer:
     # ------------------------------------------------------------------
     # internals
     # ------------------------------------------------------------------
-    @staticmethod
-    def _field(labels: np.ndarray, group: BitGroup) -> np.ndarray:
-        return (labels >> group.lo) & ((1 << group.width) - 1)
-
-    def coordinate(self, group: BitGroup) -> int:
-        """This node's coordinate within its subcube for ``group``."""
-        return bit_field(self.node, group.lo, group.width)
-
     def __repr__(self) -> str:
         return (
             f"BlockBuffer(node={self.node}, d={self.d}, m={self.m}, "

@@ -1,11 +1,13 @@
-"""Abstract (un-timed) execution of exchange schedules.
+"""Abstract (un-timed) execution of the complete exchange.
 
-This module moves real bytes according to a compiled schedule, without
-the discrete-event machinery: all nodes advance in lockstep, one step
-at a time.  It is the fast path for correctness testing and for the
-application kernels when no timing is required, and it doubles as the
-reference oracle for the simulator (both must produce byte-identical
-results).
+This module moves real bytes along the rounds of the exchange's one
+declaration, the ``alltoall/multiphase`` row of
+:data:`repro.core.programs.PATTERN_TABLE`, without the discrete-event
+machinery: :func:`~repro.core.programs.replay_pattern` advances all
+nodes in lockstep, one round at a time.  It is the fast path for
+correctness testing and for the application kernels when no timing is
+required, and it doubles as the reference oracle for the simulator
+(both must produce byte-identical results).
 
 Two interchangeable data engines are provided:
 
@@ -21,21 +23,26 @@ them step by step.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Literal, Sequence
 
 import numpy as np
 
-from repro.core.blocks import BlockBuffer, BlockSet
-from repro.core.schedule import (
-    ExchangeStep,
-    PhaseStart,
-    ShuffleStep,
-    Step,
-    multiphase_schedule,
+from repro.core.blocks import BlockBuffer
+from repro.core.programs import (
+    PATTERN_TABLE,
+    PairStep,
+    pattern_program,
+    pattern_rounds,
+    replay_pattern,
 )
 from repro.core.shuffle import LayoutBuffer
-from repro.util.validation import check_dimension, check_partition
+from repro.util.validation import (
+    check_byte_rows,
+    check_dimension,
+    check_message_size,
+    check_partition,
+)
 
 __all__ = [
     "ExchangeOutcome",
@@ -62,15 +69,11 @@ class ExchangeOutcome:
     bytes_sent_per_node:
         Payload bytes each node transmitted (identical across nodes by
         symmetry).
-    trace:
-        Per-step records ``(step_index, kind, detail)`` for debugging
-        and for the Figure 3 walkthrough example.
     """
 
     buffers: list
     n_exchange_steps: int = 0
     bytes_sent_per_node: int = 0
-    trace: list[tuple[int, str, str]] = field(default_factory=list)
 
     def verify(self, *, check_payload: bool = True) -> None:
         """Assert every node holds a correct complete-exchange result."""
@@ -95,7 +98,6 @@ def run_exchange(
     partition: Sequence[int] | None = None,
     *,
     engine: Engine = "tags",
-    record_trace: bool = False,
 ) -> ExchangeOutcome:
     """Execute a complete exchange with pattern payloads and verify it.
 
@@ -104,16 +106,13 @@ def run_exchange(
     d:
         Cube dimension (``2**d`` nodes).
     m:
-        Block size in bytes.
+        Block size in bytes, a non-negative int.
     partition:
         Multiphase partition; defaults to ``(d,)`` (the single-phase
         Optimal Circuit-Switched algorithm).
     engine:
         ``"tags"`` (rule-based oracle) or ``"layout"`` (contiguous
         superblock engine with explicit shuffles).
-    record_trace:
-        Keep a human-readable per-step trace (used by the Figure 3
-        walkthrough).
 
     >>> outcome = run_exchange(3, 8, (2, 1))
     >>> outcome.verify()
@@ -121,8 +120,8 @@ def run_exchange(
     4
     """
     check_dimension(d, minimum=1)
+    check_message_size(m)
     parts = check_partition(partition if partition is not None else (d,), d)
-    steps = multiphase_schedule(d, parts)
     n = 1 << d
     if engine == "tags":
         buffers: list = [BlockBuffer.initial(node, d, m) for node in range(n)]
@@ -130,7 +129,7 @@ def run_exchange(
         buffers = [LayoutBuffer(node, d, m) for node in range(n)]
     else:
         raise ValueError(f"unknown engine {engine!r}; expected 'tags' or 'layout'")
-    outcome = _execute(steps, buffers, d, engine, record_trace)
+    outcome = _replay(buffers, d, parts)
     outcome.verify()
     return outcome
 
@@ -163,21 +162,34 @@ def _rows_exchange(
     """Multiphase exchange of already-normalized rows (``d >= 1``)."""
     n = len(rows)
     parts = check_partition(partition if partition is not None else (d,), d)
-    steps = multiphase_schedule(d, parts)
     if engine == "tags":
         buffers: list = [BlockBuffer.from_rows(x, d, rows[x]) for x in range(n)]
     elif engine == "layout":
         buffers = [LayoutBuffer.from_rows(x, d, rows[x]) for x in range(n)]
     else:
         raise ValueError(f"unknown engine {engine!r}; expected 'tags' or 'layout'")
-    outcome = _execute(steps, buffers, d, engine, record_trace=False)
+    outcome = _replay(buffers, d, parts)
     outcome.verify(check_payload=False)
     return [outcome.result_rows(x) for x in range(n)]
 
 
+def _replay(buffers: list, d: int, parts: tuple[int, ...]) -> ExchangeOutcome:
+    """Run the declared exchange's rounds over ``buffers``."""
+    rounds = pattern_rounds(PATTERN_TABLE[("alltoall", "multiphase")], d, 0, partition=parts)
+    replay_pattern(rounds, buffers)
+    chain = pattern_program("alltoall", "multiphase", d, partition=parts).steps
+    return ExchangeOutcome(
+        buffers=buffers,
+        n_exchange_steps=len(rounds),
+        bytes_sent_per_node=buffers[0].m * sum(
+            step.bytes_per_m for step in chain if isinstance(step, PairStep)
+        ),
+    )
+
+
 def _normalize_rows(send_rows: Sequence[np.ndarray] | np.ndarray) -> tuple[list[np.ndarray], int]:
     """Validate user send rows; returns ``(rows, d)``."""
-    rows = [np.ascontiguousarray(r, dtype=np.uint8) for r in send_rows]
+    rows = [check_byte_rows(r, x) for x, r in enumerate(send_rows)]
     n = len(rows)
     if n == 0 or (n & (n - 1)):
         raise ValueError(f"number of nodes must be a power of two, got {n}")
@@ -210,13 +222,10 @@ def run_naive_exchange_on_rows(
 
 def _naive_rows_exchange(rows: list[np.ndarray], d: int) -> list[np.ndarray]:
     """Rotation-order exchange of already-normalized rows (``d >= 1``)."""
-    from repro.hypercube.subcube import BitGroup
-
     n = 1 << d
     buffers = [BlockBuffer.from_rows(x, d, rows[x]) for x in range(n)]
-    whole = BitGroup(lo=0, width=d)
     for s in range(1, n):
-        slots = [buffers[x].slots_for_coordinate(whole, (x + s) % n) for x in range(n)]
+        slots = [buffers[x].slots_for((x + s) % n, 0) for x in range(n)]
         taken = [buffers[x].take(slots[x]) for x in range(n)]
         for x in range(n):
             buffers[x].put(slots[x], taken[(x - s) % n])
@@ -246,82 +255,3 @@ def run_planned_exchange_on_rows(
     if decision.algorithm == "naive":
         return _naive_rows_exchange(rows, d)
     return _rows_exchange(rows, d, decision.partition, engine)
-
-
-# ----------------------------------------------------------------------
-# lockstep execution
-# ----------------------------------------------------------------------
-def _execute(
-    steps: list[Step],
-    buffers: list,
-    d: int,
-    engine: Engine,
-    record_trace: bool,
-) -> ExchangeOutcome:
-    outcome = ExchangeOutcome(buffers=buffers)
-    n = 1 << d
-    for idx, step in enumerate(steps):
-        if isinstance(step, PhaseStart):
-            if engine == "layout":
-                for buf in buffers:
-                    buf.check_phase_start_invariant(step.group)
-            if record_trace:
-                outcome.trace.append(
-                    (idx, "phase", f"phase {step.phase_index}: bits "
-                     f"{step.group.hi}..{step.group.lo}, {step.n_exchanges} exchanges")
-                )
-        elif isinstance(step, ExchangeStep):
-            _apply_exchange(step, buffers, n, engine, outcome)
-            if record_trace:
-                outcome.trace.append(
-                    (idx, "exchange", f"offset {step.offset} (<< {step.group.lo}), "
-                     f"{step.hops} hops")
-                )
-        elif isinstance(step, ShuffleStep):
-            if engine == "layout":
-                for buf in buffers:
-                    buf.shuffle(step.times)
-            # The tag engine is position-free; shuffles are no-ops for
-            # data placement (their cost is charged by the simulator).
-            if record_trace:
-                outcome.trace.append((idx, "shuffle", f"{step.times} elementary shuffles"))
-        else:  # pragma: no cover - defensive
-            raise TypeError(f"unknown step type {type(step).__name__}")
-    return outcome
-
-
-def _apply_exchange(
-    step: ExchangeStep,
-    buffers: list,
-    n: int,
-    engine: Engine,
-    outcome: ExchangeOutcome,
-) -> None:
-    group = step.group
-    shift = step.offset << group.lo
-    outcome.n_exchange_steps += 1
-    if engine == "tags":
-        # Take both directions first (the machine's exchanges are
-        # concurrent and symmetric), then put each partner's blocks into
-        # the slots just taken.
-        slots: dict[int, np.ndarray] = {}
-        taken_sets: dict[int, BlockSet] = {}
-        for node in range(n):
-            partner = node ^ shift
-            partner_coord = (partner >> group.lo) & ((1 << group.width) - 1)
-            slots[node] = buffers[node].slots_for_coordinate(group, partner_coord)
-            taken_sets[node] = buffers[node].take(slots[node])
-        for node in range(n):
-            buffers[node].put(slots[node], taken_sets[node ^ shift])
-        outcome.bytes_sent_per_node += taken_sets[0].nbytes
-    else:
-        taken: dict[int, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
-        for node in range(n):
-            partner = node ^ shift
-            partner_coord = (partner >> group.lo) & ((1 << group.width) - 1)
-            taken[node] = buffers[node].take_run(group, partner_coord)
-        for node in range(n):
-            partner = node ^ shift
-            partner_coord = (partner >> group.lo) & ((1 << group.width) - 1)
-            buffers[node].put_run(group, partner_coord, *taken[partner])
-        outcome.bytes_sent_per_node += taken[0][2].size

@@ -21,7 +21,7 @@ from __future__ import annotations
 from typing import Sequence
 
 from repro.core.exchange import ExchangeOutcome, run_exchange
-from repro.core.schedule import Step, multiphase_schedule
+from repro.core.schedule import multiphase_schedule
 from repro.util.validation import check_partition
 
 __all__ = [
@@ -71,7 +71,6 @@ def multiphase_exchange(
     partition: Sequence[int],
     *,
     engine: str = "tags",
-    record_trace: bool = False,
 ) -> ExchangeOutcome:
     """Run a verified multiphase exchange with pattern payloads.
 
@@ -79,11 +78,4 @@ def multiphase_exchange(
     >>> outcome.n_exchange_steps   # two phases of 2**2 - 1 exchanges
     6
     """
-    return run_exchange(
-        d, m, partition, engine=engine, record_trace=record_trace  # type: ignore[arg-type]
-    )
-
-
-def schedule(d: int, partition: Sequence[int]) -> list[Step]:
-    """The compiled multiphase step sequence for ``partition``."""
-    return multiphase_schedule(d, partition)
+    return run_exchange(d, m, partition, engine=engine)  # type: ignore[arg-type]

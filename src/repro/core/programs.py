@@ -36,20 +36,22 @@ longest one — every forwarding node's chain accumulates the identical
 float suffix, so the root chain's ``cumsum`` equals the engine's
 makespan *exactly*, not just asymptotically.
 
-§9 pattern algorithms
----------------------
-Every broadcast, scatter and allgather algorithm is declared once, as
-one :class:`PatternAlgorithm` row of :data:`PATTERN_TABLE`: the
-pattern's :class:`BlockSemantics` (who starts and ends holding which
-blocks) paired with a schedule (a tree over single-bit masks, direct
-root circuits, pairwise swaps, or the complete exchange).  Everything
-else is derived from the row — :func:`pattern_rounds` expands it into
-rounds (:class:`Round`), :func:`replay_pattern` moves blocks along them,
-:func:`pattern_program` evaluates the root's chain, and the consumers
-are the static certificate (:func:`repro.check.schedule.verify_pattern`),
-the data-level collectives and the SPMD interpreter of
+Declared algorithms
+-------------------
+The paper's complete exchange and every §9 broadcast, scatter and
+allgather algorithm is declared once, as one :class:`PatternAlgorithm`
+row of :data:`PATTERN_TABLE`: the pattern's :class:`BlockSemantics`
+(who starts and ends holding which blocks) paired with a schedule (a
+tree over single-bit masks, direct root circuits, pairwise swaps, or
+the multiphase exchange's partial exchanges).  Everything else is
+derived from the row — :func:`pattern_rounds` expands it into rounds
+(:class:`Round`), :func:`replay_pattern`, the one lockstep loop, moves
+blocks along them, :func:`pattern_program` evaluates the root's chain,
+and the consumers are the static certificate
+(:func:`repro.check.schedule.verify_pattern`), the data-level
+exchange and collectives and the SPMD interpreter of
 :mod:`repro.patterns`, so the circuits the certificate proves are the
-circuits the engine runs and the chain the fast path prices.
+circuits the engines run and the chain the fast path prices.
 
 Programs with ``contended=True`` (the naive rotation baseline) have no
 lockstep closed form — their cost is link/port serialization — and are
@@ -63,12 +65,7 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Any, Callable, Mapping, Sequence, Union
 
-from repro.core.schedule import (
-    ExchangeStep,
-    PhaseStart,
-    ShuffleStep,
-    multiphase_schedule,
-)
+from repro.core.schedule import ExchangeStep, ShuffleStep, Step, multiphase_schedule
 from repro.util.bitops import popcount
 from repro.util.validation import check_dimension, check_node, check_partition
 
@@ -77,6 +74,7 @@ __all__ = [
     "BarrierStep",
     "BlockSemantics",
     "CommProgram",
+    "KeyHoldings",
     "LocalShuffleStep",
     "PATTERN_TABLE",
     "PairStep",
@@ -84,7 +82,7 @@ __all__ = [
     "ProgramStep",
     "Round",
     "SendStep",
-    "exchange_steps",
+    "exchange_rounds",
     "naive_rotation_steps",
     "pattern_program",
     "pattern_rounds",
@@ -166,36 +164,8 @@ class CommProgram:
 
 
 # ----------------------------------------------------------------------
-# exchange programs (lowered from the compiled schedules)
+# the naive rotation baseline
 # ----------------------------------------------------------------------
-def exchange_steps(d: int, partition: Sequence[int] | None = None) -> CommProgram:
-    """The multiphase complete exchange as a program step stream.
-
-    Lowers :func:`repro.core.schedule.multiphase_schedule` step for
-    step: ``PhaseStart`` → barrier, ``ExchangeStep`` → pairwise swap of
-    the effective block ``m·2**(d-d_i)``, ``ShuffleStep`` → one local
-    pass over the full ``m·2**d`` buffer.  ``partition=None`` selects
-    the single-phase ``(d,)`` schedule, like
-    :func:`repro.comm.program.simulate_exchange`.
-    """
-    check_dimension(d, minimum=1)
-    parts = check_partition(partition if partition is not None else (d,), d)
-    steps: list[ProgramStep] = []
-    for step in multiphase_schedule(d, parts):
-        if isinstance(step, PhaseStart):
-            steps.append(BarrierStep())
-        elif isinstance(step, ExchangeStep):
-            steps.append(PairStep(
-                shift=step.offset << step.group.lo,
-                bytes_per_m=1 << (d - step.group.width),
-            ))
-        elif isinstance(step, ShuffleStep):
-            steps.append(LocalShuffleStep(bytes_per_m=1 << d))
-        else:  # pragma: no cover - defensive
-            raise TypeError(f"unknown step type {type(step).__name__}")
-    return CommProgram(name="exchange", d=d, steps=tuple(steps), partition=parts)
-
-
 def naive_rotation_steps(d: int) -> CommProgram:
     """The naive rotation baseline, marked contended.
 
@@ -213,7 +183,7 @@ def naive_rotation_steps(d: int) -> CommProgram:
 
 
 # ----------------------------------------------------------------------
-# §9 pattern algorithms: one declaration each
+# declared algorithms: one PATTERN_TABLE row each
 # ----------------------------------------------------------------------
 @dataclass(frozen=True)
 class BlockSemantics:
@@ -223,13 +193,16 @@ class BlockSemantics:
     node holds before the first round and must hold after the last.
     A *personal* block has one owner: it leaves its sender and only
     travels towards the node it is for.  Other blocks are copied.
-    ``rooted`` patterns take a ``root``.
+    ``rooted`` patterns take a ``root``.  ``key_fields`` names the
+    parts of ``divmod(key, n)`` for counterexamples when a key packs
+    two labels.
     """
 
     starts: Callable[[int, int, int], Sequence[int]]
     ends: Callable[[int, int, int], Sequence[int]]
     personal: bool = False
     rooted: bool = True
+    key_fields: tuple[str, ...] = ()
 
 
 #: pattern -> block semantics
@@ -251,19 +224,28 @@ BLOCK_SEMANTICS: Mapping[str, BlockSemantics] = {
         ends=lambda node, root, n: range(n),
         rooted=False,
     ),
+    # the complete exchange: block o·n + x travels from origin o to
+    # node x, so the low d bits of a key are its destination
+    "alltoall": BlockSemantics(
+        starts=lambda node, root, n: range(node * n, node * n + n),
+        ends=lambda node, root, n: range(node, n * n, n),
+        personal=True,
+        rooted=False,
+        key_fields=("origin", "dest"),
+    ),
 }
 
 
 @dataclass(frozen=True)
 class PatternAlgorithm:
-    """One §9 algorithm: a pattern's block semantics plus a schedule.
+    """One algorithm: a pattern's block semantics plus a schedule.
 
     ``schedule`` is ``"tree"`` (every holder forwards across one
     single-bit mask per round, ascending, or from the top bit down
     with ``descending``), ``"direct"`` (the root circuits to every node
     in ascending order), ``"pairwise"`` (every node swaps across
-    ascending masks) or ``"exchange"`` (the complete exchange at a
-    partition, run through ``Communicator.Alltoall``).
+    ascending masks) or ``"multiphase"`` (the paper's complete
+    exchange at a partition, :func:`exchange_rounds`).
     """
 
     pattern: str
@@ -289,7 +271,8 @@ PATTERN_TABLE: Mapping[tuple[str, str], PatternAlgorithm] = {
         PatternAlgorithm("scatter", "halving", "tree", descending=True),
         PatternAlgorithm("scatter", "direct", "direct"),
         PatternAlgorithm("allgather", "doubling", "pairwise"),
-        PatternAlgorithm("allgather", "exchange", "exchange"),
+        PatternAlgorithm("allgather", "exchange", "multiphase"),
+        PatternAlgorithm("alltoall", "multiphase", "multiphase"),
     )
 }
 
@@ -303,7 +286,10 @@ class Round:
     ``pairwise`` round has every node as a sender, so partners swap.
     ``reach`` holds the bits a receiver still forwards across in later
     rounds: its downstream is ``{dst ^ r : r a submask of reach}``.
-    ``tag`` labels the round's messages.
+    ``tag`` labels the round's messages.  ``phase`` numbers the
+    round's phase: a phase opens with a barrier and, when ``times`` is
+    non-zero, closes with ``times`` elementary shuffles (every round
+    of a phase records the same ``times``).
     """
 
     mask: int
@@ -311,6 +297,8 @@ class Round:
     reach: int
     tag: int
     pairwise: bool = False
+    phase: int = 0
+    times: int = 0
 
     def sends(self, relative: int) -> bool:
         """Whether node ``root ^ relative`` sends this round."""
@@ -344,9 +332,49 @@ class Round:
         return moving
 
 
-def pattern_rounds(row: PatternAlgorithm, d: int, root: int) -> tuple[Round, ...]:
-    """Expand a declared tree, direct or pairwise schedule into rounds."""
+def exchange_rounds(steps: Sequence[Step], d: int) -> tuple[Round, ...]:
+    """The rounds of a multiphase step list (or a reordering of it from
+    :mod:`repro.core.variants`) on a ``d``-cube.
+
+    Exchange step ``i`` becomes a pairwise round across
+    ``offset << group.lo``, tagged ``i``, whose ``reach`` is every bit
+    outside the phase's group: :meth:`Round.take` then moves exactly
+    the blocks whose destination matches the partner on the group's
+    bits, the paper's effective block of ``m·2**(d - d_i)`` bytes.
+
+    >>> [(r.mask, r.phase, r.times) for r in exchange_rounds(multiphase_schedule(3, (2, 1)), 3)]
+    [(2, 0, 2), (4, 0, 2), (6, 0, 2), (1, 1, 1)]
+    """
     n = 1 << d
+    closing = {step.phase_index: step.times for step in steps if isinstance(step, ShuffleStep)}
+    return tuple(
+        Round(
+            mask=step.offset << step.group.lo,
+            sources=n - 1,
+            reach=~step.group.mask,
+            tag=index,
+            pairwise=True,
+            phase=step.phase_index,
+            times=closing.get(step.phase_index, 0),
+        )
+        for index, step in enumerate(steps)
+        if isinstance(step, ExchangeStep)
+    )
+
+
+def pattern_rounds(
+    row: PatternAlgorithm,
+    d: int,
+    root: int,
+    *,
+    partition: Sequence[int] | None = None,
+) -> tuple[Round, ...]:
+    """Expand a declared schedule into rounds; ``partition`` (default
+    ``(d,)``) applies to the multiphase schedule only."""
+    n = 1 << d
+    if row.schedule == "multiphase":
+        parts = partition if partition is not None else (d,)
+        return exchange_rounds(multiphase_schedule(d, parts), d)
     if row.schedule == "direct":
         return tuple(
             Round(mask=root ^ dst, sources=0, reach=0, tag=0)
@@ -371,38 +399,70 @@ def pattern_rounds(row: PatternAlgorithm, d: int, root: int) -> tuple[Round, ...
     return tuple(rounds)
 
 
-def replay_pattern(
-    row: PatternAlgorithm,
-    rounds: Sequence[Round],
-    d: int,
-    root: int,
-    block: Callable[[int], Any],
-) -> tuple[list[dict[int, Any]], list[tuple[int, int, list[int]]]]:
-    """Move blocks along ``rounds`` on every node at once.
+def _closes_phase(rounds: Sequence[Round], index: int) -> bool:
+    return index + 1 == len(rounds) or rounds[index + 1].phase != rounds[index].phase
 
-    Each node starts with ``{key: block(key)}`` for its starting keys;
-    every circuit of a round reads the holdings from before the round.
-    Returns each node's final holdings and every repeated arrival as
-    ``(round index, node, keys)``.
+
+class KeyHoldings(dict):
+    """Dict holdings ``{key: block}`` of :func:`replay_pattern`, for any
+    row and block type, starting with ``node``'s blocks of ``row``,
+    ``block(key)`` each."""
+
+    def __init__(
+        self, row: PatternAlgorithm, node: int, root: int, d: int,
+        block: Callable[[int], Any],
+    ) -> None:
+        super().__init__(
+            (key, block(key)) for key in row.semantics.starts(node, root, 1 << d)
+        )
+        self.personal = row.semantics.personal
+
+    def send(self, rnd: Round, dst: int) -> dict[int, Any]:
+        return rnd.take(self, dst, self.personal)
+
+    def receive(self, blocks: Mapping[int, Any]) -> list[int]:
+        again = sorted(self.keys() & blocks.keys())
+        self.update(blocks)
+        return again
+
+    def shuffle(self, times: int) -> None:
+        """Keys are position-free: nothing moves."""
+
+
+def replay_pattern(
+    rounds: Sequence[Round],
+    holdings: Sequence[Any],
+    root: int = 0,
+) -> tuple[list[tuple[int, int, int]], list[tuple[int, int, list[int]]]]:
+    """Move blocks along ``rounds`` on every node at once: the one
+    lockstep loop.
+
+    ``holdings[node]`` (:class:`KeyHoldings`, or the fixed slots of a
+    :class:`~repro.core.blocks.BlockBuffer` or runs of a
+    :class:`~repro.core.shuffle.LayoutBuffer`) answers ``send(rnd,
+    dst)`` with the blocks for ``dst``, ``receive(blocks)`` with the
+    keys that arrived twice, and ``shuffle(times)`` when a phase
+    closes.  Every circuit reads the holdings from before its round.
+    Returns the circuits that carried no block, ``(round index, src,
+    dst)``, and the repeated arrivals, ``(round index, node, keys)``.
     """
-    n = 1 << d
-    semantics = row.semantics
-    held = [
-        {key: block(key) for key in semantics.starts(node, root, n)}
-        for node in range(n)
-    ]
+    empty: list[tuple[int, int, int]] = []
     repeats: list[tuple[int, int, list[int]]] = []
     for index, rnd in enumerate(rounds):
         moves = [
-            (dst, rnd.take(held[src], dst, semantics.personal))
+            (src, dst, holdings[src].send(rnd, dst))
             for src, dst in rnd.circuits(root)
         ]
-        for dst, blocks in moves:
-            again = sorted(held[dst].keys() & blocks.keys())
+        for src, dst, blocks in moves:
+            if not len(blocks):
+                empty.append((index, src, dst))
+            again = holdings[dst].receive(blocks)
             if again:
                 repeats.append((index, dst, again))
-            held[dst].update(blocks)
-    return held, repeats
+        if rnd.times and _closes_phase(rounds, index):
+            for held in holdings:
+                held.shuffle(rnd.times)
+    return empty, repeats
 
 
 def resolve_pattern(
@@ -415,9 +475,10 @@ def resolve_pattern(
 ) -> tuple[PatternAlgorithm, tuple[int, ...] | None, int]:
     """Validate one algorithm's arguments: ``(row, partition, root)``.
 
-    ``partition`` applies only to an exchange schedule (``None`` means
-    the single-phase ``(d,)``), ``root`` only to rooted patterns;
-    passing either where it does not apply raises :class:`ValueError`.
+    ``partition`` applies only to the multiphase schedule (``None``
+    means the single-phase ``(d,)``), ``root`` only to rooted
+    patterns; passing either where it does not apply raises
+    :class:`ValueError`.
     """
     row = PATTERN_TABLE.get((pattern, algorithm))
     if row is None:
@@ -426,7 +487,7 @@ def resolve_pattern(
             f"have {sorted(PATTERN_TABLE)}"
         )
     check_dimension(d, minimum=1)
-    if row.schedule == "exchange":
+    if row.schedule == "multiphase":
         partition = check_partition(partition if partition is not None else (d,), d)
     elif partition is not None:
         raise ValueError(
@@ -447,11 +508,13 @@ def pattern_program(
     partition: Sequence[int] | None = None,
     root: int = 0,
 ) -> CommProgram:
-    """The :class:`CommProgram` for one §9 pattern algorithm.
+    """The :class:`CommProgram` for one declared algorithm.
 
     The chain is the root's: a barrier, then one send (or pairwise
     swap) per round, carrying the blocks the declaration says the root
-    passes on.  Arguments are checked by :func:`resolve_pattern`.
+    passes on.  A multiphase chain opens every phase with a barrier
+    and closes a shuffling phase with one pass over the whole buffer.
+    Arguments are checked by :func:`resolve_pattern`.
 
     Programs are memoized per process: equal arguments (a list or a
     tuple partition alike) return the *same* immutable program, so
@@ -463,6 +526,8 @@ def pattern_program(
     'allgather/doubling'
     >>> pattern_program("scatter", "direct", 5) is pattern_program("scatter", "direct", 5)
     True
+    >>> pattern_program("alltoall", "multiphase", 3, partition=(2, 1)).n_steps
+    8
     """
     _, partition, root = resolve_pattern(
         pattern, algorithm, d, partition=partition, root=root
@@ -479,15 +544,24 @@ def _pattern_program(
     root: int,
 ) -> CommProgram:
     row = PATTERN_TABLE[(pattern, algorithm)]
-    if row.schedule == "exchange":
-        base = exchange_steps(d, partition)
-        return CommProgram(
-            name=row.name, d=d, steps=base.steps, partition=base.partition
-        )
+    rounds = pattern_rounds(row, d, root, partition=partition)
+    steps: list[ProgramStep] = []
+    if row.schedule == "multiphase":
+        # every node's chain; a round swaps 2**(d - d_i) blocks
+        n = 1 << d
+        for index, rnd in enumerate(rounds):
+            if index == 0 or rounds[index - 1].phase != rnd.phase:
+                steps.append(BarrierStep())
+            steps.append(PairStep(
+                shift=rnd.mask, bytes_per_m=1 << popcount(rnd.reach & (n - 1))
+            ))
+            if rnd.times and _closes_phase(rounds, index):
+                steps.append(LocalShuffleStep(bytes_per_m=n))
+        return CommProgram(name=row.name, d=d, steps=tuple(steps), partition=partition)
     semantics = row.semantics
     held = len(semantics.starts(root, root, 1 << d))
-    steps: list[ProgramStep] = [BarrierStep()]
-    for rnd in pattern_rounds(row, d, root):
+    steps.append(BarrierStep())
+    for rnd in rounds:
         # the root sends every round; personal blocks go only to the
         # receiver's downstream, copied blocks all go
         blocks = 1 << popcount(rnd.reach) if semantics.personal else held

@@ -1,16 +1,16 @@
 """Transmission schedules for the exchange algorithms.
 
 An exchange algorithm is compiled to a flat sequence of *steps* that
-every node executes in lockstep.  The same step list drives three
-consumers:
+every node executes in lockstep.  The step list is the one source of
+the complete exchange's schedule:
 
-* the abstract executor (:mod:`repro.core.exchange`) that applies the
-  data movement directly to block buffers,
-* the simulator programs (:mod:`repro.comm.program`) that replay the
-  steps on the discrete-event machine,
-* the static analysers, which expand each exchange step into the set of
-  circuits held simultaneously and check them contention-free
-  (:func:`schedule_circuits`, :func:`validate_contention_free`).
+* :func:`repro.core.programs.exchange_rounds` expands it into the
+  rounds of the ``alltoall/multiphase`` declaration, which drive the
+  abstract executor (:mod:`repro.core.exchange`), the static
+  certificate (:mod:`repro.check.schedule`) and the fast path's
+  priced chain;
+* the simulator programs (:mod:`repro.comm.program`) replay the steps
+  on the discrete-event machine.
 
 Step vocabulary
 ---------------
@@ -32,10 +32,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterator, Sequence, Union
+from typing import Sequence, Union
 
-from repro.hypercube.contention import analyze_contention
-from repro.hypercube.routing import ecube_hops
 from repro.hypercube.subcube import BitGroup, phase_bit_groups
 from repro.util.bitops import popcount
 from repro.util.validation import check_dimension, check_partition
@@ -47,11 +45,9 @@ __all__ = [
     "Step",
     "multiphase_schedule",
     "optimal_schedule",
-    "schedule_circuits",
     "schedule_stats",
     "schedule_stats_cache_info",
     "standard_schedule",
-    "validate_contention_free",
 ]
 
 
@@ -61,7 +57,6 @@ class PhaseStart:
 
     phase_index: int
     group: BitGroup
-    n_exchanges: int
 
 
 @dataclass(frozen=True)
@@ -126,8 +121,7 @@ def multiphase_schedule(d: int, partition: Sequence[int]) -> list[Step]:
     k = len(parts)
     steps: list[Step] = []
     for i, (di, group) in enumerate(zip(parts, groups)):
-        n_exchanges = (1 << di) - 1
-        steps.append(PhaseStart(phase_index=i, group=group, n_exchanges=n_exchanges))
+        steps.append(PhaseStart(phase_index=i, group=group))
         for offset in range(1, 1 << di):
             steps.append(ExchangeStep(phase_index=i, group=group, offset=offset))
         if k > 1:
@@ -151,38 +145,8 @@ def optimal_schedule(d: int) -> list[Step]:
 
 
 # ----------------------------------------------------------------------
-# static analysis
+# aggregate statistics
 # ----------------------------------------------------------------------
-def schedule_circuits(step: ExchangeStep, d: int) -> Iterator[tuple[int, int]]:
-    """All circuits held simultaneously during one exchange step.
-
-    Each unordered pair contributes both directed circuits (the
-    exchange is full-duplex).
-    """
-    shift = step.offset << step.group.lo
-    for node in range(1 << d):
-        yield (node, node ^ shift)
-
-
-def validate_contention_free(steps: Sequence[Step], d: int) -> None:
-    """Assert that every exchange step of a schedule is edge-contention
-    free under e-cube routing.
-
-    This is the Schmiermund–Seidel property the whole construction
-    rests on; it holds for every phase of every partition because a
-    directed link determines the (source, offset) pair that may use it.
-    """
-    for idx, step in enumerate(steps):
-        if not isinstance(step, ExchangeStep):
-            continue
-        report = analyze_contention(schedule_circuits(step, d))
-        if not report.edge_contention_free:
-            raise AssertionError(
-                f"step {idx} (phase {step.phase_index}, offset {step.offset}): "
-                f"edge contention on {sorted(map(str, report.edge_conflicts))}"
-            )
-
-
 @lru_cache(maxsize=512)
 def _schedule_stats_basis(steps: tuple[Step, ...], d: int) -> tuple[int, int, int, int, int]:
     """The block-size-independent aggregates of a schedule.
@@ -235,7 +199,3 @@ def schedule_stats_cache_info():
     """Hit/miss counters of the memoized schedule aggregates."""
     return _schedule_stats_basis.cache_info()
 
-
-def exchange_distance(src: int, dst: int) -> int:
-    """Hop distance of the circuit ``src -> dst`` (e-cube path length)."""
-    return ecube_hops(src, dst)

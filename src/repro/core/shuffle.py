@@ -29,12 +29,17 @@ is cross-validated against.
 
 from __future__ import annotations
 
+from typing import TYPE_CHECKING
+
 import numpy as np
 
-from repro.core.blocks import first_mismatch, payload_rows
+from repro.core.blocks import BlockSet, first_mismatch, payload_rows
 from repro.hypercube.subcube import BitGroup
-from repro.util.bitops import bit_field, rotate_bits_left, rotate_bits_right
+from repro.util.bitops import popcount, rotate_bits_left, rotate_bits_right
 from repro.util.validation import check_dimension, check_node
+
+if TYPE_CHECKING:
+    from repro.core.programs import Round
 
 __all__ = [
     "LayoutBuffer",
@@ -169,6 +174,32 @@ class LayoutBuffer:
         self.dests[sl] = dests
         self.payload[sl] = payload
 
+    def send(self, rnd: "Round", dst: int) -> BlockSet:
+        """Holdings call (:func:`repro.core.programs.replay_pattern`):
+        copy out the run of ``dst``'s coordinate in the round's bit
+        group (the cube bits outside ``rnd.reach``), vacating it.
+        Raises if the run holds blocks for another coordinate."""
+        mask = ~rnd.reach & ((1 << self.d) - 1)
+        group = BitGroup(lo=(mask & -mask).bit_length() - 1, width=popcount(mask))
+        if group.mask != mask:
+            raise ValueError(f"round group {mask:#b} is not a contiguous bit group")
+        run = group.coordinate(dst)
+        origins, dests, payload = self.take_run(group, run)
+        if (((dests >> group.lo) & ((1 << group.width) - 1)) != run).any():
+            raise AssertionError(
+                f"node {self.node}: layout invariant broken: run {run} holds "
+                f"blocks for other coordinates of phase group lo={group.lo} "
+                f"width={group.width}"
+            )
+        self._vacated = (group, run)
+        return BlockSet(origins, dests, payload)
+
+    def receive(self, blocks: BlockSet) -> tuple[()]:
+        """Holdings call: install the partner's run where :meth:`send`
+        vacated one."""
+        self.put_run(*self._vacated, blocks.origins, blocks.dests, blocks.payload)
+        return ()
+
     def shuffle(self, times: int) -> None:
         """Apply ``times`` elementary shuffles (index-bit left rotations)."""
         idx = shuffle_gather_indices(self.d, times)
@@ -177,31 +208,8 @@ class LayoutBuffer:
         self.dests = self.dests[idx]
 
     # ------------------------------------------------------------------
-    # invariant checking
+    # verification
     # ------------------------------------------------------------------
-    def check_phase_start_invariant(self, group: BitGroup) -> None:
-        """Assert the top ``group.width`` index bits equal the dest
-        coordinate in ``group`` — i.e. sends for this phase are
-        contiguous runs."""
-        w = group.width
-        n = self.n_blocks
-        top = np.arange(n) >> (self.d - w)
-        coords = (self.dests >> group.lo) & ((1 << w) - 1)
-        mismatch = top != coords
-        if mismatch.any():
-            raise AssertionError(
-                f"node {self.node}: layout invariant broken at {int(mismatch.sum())} rows "
-                f"for phase group lo={group.lo} width={w}"
-            )
-
-    def is_origin_sorted_result(self) -> bool:
-        """True iff the buffer is the correct final state: row ``j``
-        holds the block from origin ``j`` addressed to this node."""
-        n = self.n_blocks
-        if not np.array_equal(self.origins, np.arange(n)):
-            return False
-        return bool((self.dests == self.node).all())
-
     def verify_final(self, *, check_payload: bool = True) -> None:
         """Assert the final origin-sorted state, byte-checking payloads."""
         n = self.n_blocks
@@ -219,10 +227,6 @@ class LayoutBuffer:
             bad = first_mismatch(self.payload, expected)
             if bad is not None:
                 raise AssertionError(f"node {self.node}: payload from origin {bad} corrupted")
-
-    def coordinate(self, group: BitGroup) -> int:
-        """This node's coordinate within its subcube for ``group``."""
-        return bit_field(self.node, group.lo, group.width)
 
     def __repr__(self) -> str:
         return f"LayoutBuffer(node={self.node}, d={self.d}, m={self.m})"

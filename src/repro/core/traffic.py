@@ -51,7 +51,7 @@ from typing import Sequence
 import numpy as np
 
 from repro.core.partitions import partitions
-from repro.core.schedule import ExchangeStep, PhaseStart, ShuffleStep, multiphase_schedule
+from repro.core.programs import PATTERN_TABLE, pattern_rounds
 from repro.model.params import MachineParams
 from repro.util.bitops import log2_exact
 from repro.util.validation import check_dimension, check_partition
@@ -140,22 +140,16 @@ def route_traffic_batch(
     # pending[b, holder, dest] = bytes currently at holder bound for dest
     pending = stack.copy()
     steps_out: list[tuple[int, int, np.ndarray]] = []
-    for step in multiphase_schedule(d, parts):
-        if isinstance(step, (PhaseStart, ShuffleStep)):
-            continue
-        assert isinstance(step, ExchangeStep)
-        group = step.group
-        shift = step.offset << group.lo
-        dest_coords = (nodes >> group.lo) & ((1 << group.width) - 1)
-        partner = nodes ^ shift
-        # ship[holder, dest]: dest's group coordinate matches the
-        # holder's partner's — the holder's own coordinate differs, so
-        # its self-block never ships
-        ship = dest_coords[None, :] == dest_coords[partner][:, None]
+    for rnd in pattern_rounds(PATTERN_TABLE[("alltoall", "multiphase")], d, 0, partition=parts):
+        partner = nodes ^ rnd.mask
+        # ship[holder, dest]: Round.take's rule, dest matches the
+        # holder's partner on the phase's group bits (outside reach);
+        # the holder's own coordinate differs, so its self-block stays
+        ship = ((partner[:, None] ^ nodes[None, :]) & ~rnd.reach) == 0
         moved = pending * ship[None, :, :]
         loads = moved.sum(axis=-1)
         pending = pending - moved + moved[:, partner, :]
-        steps_out.append((step.phase_index, shift, loads))
+        steps_out.append((rnd.phase, rnd.mask, loads))
     # routing proof: all traffic must now sit at its destination row
     off_diagonal = pending.copy()
     off_diagonal[:, nodes, nodes] = 0.0

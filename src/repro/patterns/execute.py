@@ -9,8 +9,8 @@ This module runs a row two ways:
   :func:`~repro.patterns.allgather.allgather` are thin wrappers over it;
 * :func:`simulate_pattern` boots :func:`pattern_node`, one generic SPMD
   interpreter, on :class:`~repro.sim.machine.SimulatedHypercube` and
-  byte-verifies every node's final blocks.  The exchange-backed
-  allgather runs through
+  byte-verifies every node's final blocks.  The multiphase rows (the
+  complete exchange and the exchange-backed allgather) run through
   :meth:`repro.comm.communicator.Communicator.Alltoall` instead.
 
 The rounds the interpreter walks are the ones
@@ -26,6 +26,7 @@ import numpy as np
 
 from repro.core.programs import (
     PATTERN_TABLE,
+    KeyHoldings,
     PatternAlgorithm,
     Round,
     pattern_rounds,
@@ -42,7 +43,7 @@ __all__ = ["deliver", "pattern_node", "simulate_pattern"]
 
 def deliver(
     pattern: str, algorithm: str, d: int, root: int, block: Callable[[int], Any]
-) -> list[dict[int, Any]]:
+) -> list[KeyHoldings]:
     """Every node's final blocks, by key, after one declared algorithm.
 
     ``block(key)`` makes each starting block.  ``d = 0`` runs zero
@@ -51,9 +52,10 @@ def deliver(
     check_dimension(d)
     check_node(root, d)
     row = PATTERN_TABLE[(pattern, algorithm)]
-    held, repeats = replay_pattern(row, pattern_rounds(row, d, root), d, root, block)
+    held = [KeyHoldings(row, node, root, d, block) for node in range(1 << d)]
+    empty, repeats = replay_pattern(pattern_rounds(row, d, root), held, root)
     n = 1 << d
-    if repeats or not all(
+    if empty or repeats or not all(
         set(blocks) == set(row.semantics.ends(node, root, n))
         for node, blocks in enumerate(held)
     ):
@@ -103,18 +105,21 @@ def pattern_node(
 
 
 def _exchange_node(
-    ctx: NodeContext, *, blocks: np.ndarray, partition, planner
+    ctx: NodeContext, *, row: PatternAlgorithm, blocks: np.ndarray, partition, planner
 ) -> Generator:
-    """Allgather through the complete exchange: every row of the send
-    matrix is this node's block, so rank ``x`` ends with block ``j`` in
-    row ``j``."""
+    """A multiphase row through the complete exchange: the node's
+    starting blocks fill its send matrix (an allgather block goes to
+    every node), and the row received from origin ``o`` is the node's
+    ``o``-th ending block."""
     from repro.comm.communicator import Communicator
 
-    rows = np.tile(blocks[ctx.rank], (ctx.n, 1))
+    semantics = row.semantics
+    sent = blocks[list(semantics.starts(ctx.rank, 0, ctx.n))]
     gathered = yield from Communicator(ctx).Alltoall(
-        rows, partition=partition, planner=planner
+        np.broadcast_to(sent, (ctx.n, blocks.shape[1])),
+        partition=partition, planner=planner,
     )
-    return dict(enumerate(gathered))
+    return dict(zip(semantics.ends(ctx.rank, 0, ctx.n), gathered))
 
 
 def simulate_pattern(
@@ -128,12 +133,14 @@ def simulate_pattern(
     partition: Sequence[int] | None = None,
     planner=None,
 ) -> tuple[float, RunResult]:
-    """Measure one §9 algorithm on the simulated machine, byte-verified.
+    """Measure one declared algorithm on the simulated machine,
+    byte-verified.
 
     ``algorithm`` is a declared algorithm of ``pattern`` or ``"auto"``
-    (model-selected via :func:`repro.plan.plan_pattern`).  ``root``
-    applies to broadcast and scatter, ``partition`` to allgather's
-    ``exchange``, ``planner`` only to allgather's ``exchange`` and
+    (model-selected via :func:`repro.plan.plan_pattern` for the §9
+    patterns).  ``root`` applies to broadcast and scatter,
+    ``partition`` to the multiphase rows (allgather's ``exchange`` and
+    ``alltoall/multiphase``), ``planner`` only to allgather's ``exchange`` and
     ``auto``: there a :class:`repro.plan.CollectivePlanner` picks the
     exchange partition.  An argument that does not apply raises
     :class:`ValueError`, as does an ``m`` that is not a non-negative
@@ -169,12 +176,16 @@ def simulate_pattern(
         pattern, algorithm, d, partition=partition, root=root
     )
     n = 1 << d
-    blocks = np.random.default_rng(12345).integers(0, 256, size=(n, int(m)), dtype=np.uint8)
+    # block ``key`` is row ``key``: n of them, or n·n for the exchange
+    n_keys = max(n, 1 + max(max(row.semantics.ends(x, root, n)) for x in range(n)))
+    blocks = np.random.default_rng(12345).integers(
+        0, 256, size=(n_keys, int(m)), dtype=np.uint8
+    )
     machine = SimulatedHypercube(d, params)
-    if row.schedule == "exchange":
+    if row.schedule == "multiphase":
         # the Alltoall selection inputs are mutually exclusive
         run = machine.run(
-            _exchange_node, blocks=blocks,
+            _exchange_node, row=row, blocks=blocks,
             partition=None if planner is not None else partition, planner=planner,
         )
     else:

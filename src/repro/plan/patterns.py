@@ -22,15 +22,16 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.core.programs import BLOCK_SEMANTICS, PATTERN_TABLE, pattern_program
+from repro.core.programs import PATTERN_TABLE, pattern_program
 from repro.model.params import MachineParams
 from repro.plan.planner import CollectivePlanner
 from repro.util.validation import check_block_size, check_dimension
 
 __all__ = ["PATTERNS", "PatternDecision", "pattern_candidates", "plan_pattern"]
 
-#: patterns the planner can select algorithms for
-PATTERNS = tuple(BLOCK_SEMANTICS)
+#: patterns the planner can select algorithms for (the complete
+#: exchange has its own planner, :class:`repro.plan.CollectivePlanner`)
+PATTERNS = ("broadcast", "scatter", "allgather")
 
 
 @dataclass(frozen=True)
@@ -67,14 +68,14 @@ def pattern_candidates(
 
     check_dimension(d, minimum=1)
     m = check_block_size(m)
-    rows = [row for row in PATTERN_TABLE.values() if row.pattern == pattern]
-    if not rows:
+    if pattern not in PATTERNS:
         raise ValueError(f"unknown pattern {pattern!r}; expected one of {PATTERNS}")
+    rows = [row for row in PATTERN_TABLE.values() if row.pattern == pattern]
 
     scored: list[tuple[str, float, tuple[int, ...] | None]] = []
     for row in rows:
         partition: tuple[int, ...] | None = None
-        if row.schedule == "exchange":
+        if row.schedule == "multiphase":
             partition = _exchange_partition(m, d, params, planner)
             if partition is None:
                 continue

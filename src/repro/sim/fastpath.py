@@ -31,8 +31,9 @@ event engine to **float equality** (``==``, not approx).
 * :func:`exchange_time` / :func:`exchange_times` /
   :func:`exchange_timeline` / :func:`batch_exchange_times` — the
   complete exchange by ``(d, partition)``.  They read the exchange's
-  program, :func:`repro.core.programs.exchange_steps`, compiled once
-  per ``(d, partition)`` by :func:`compile_schedule`, and agree with
+  program, the ``alltoall/multiphase`` row of
+  :data:`repro.core.programs.PATTERN_TABLE`, compiled once per
+  ``(d, partition)`` by :func:`compile_schedule`, and agree with
   :func:`repro.comm.program.simulate_exchange` to float equality.
 * :func:`naive_exchange_time` / :func:`naive_timeline` — the
   *contended* naive rotation baseline, priced by replaying the event
@@ -72,7 +73,7 @@ from repro.core.programs import (
     LocalShuffleStep,
     PairStep,
     SendStep,
-    exchange_steps,
+    pattern_program,
 )
 from repro.hypercube.contention import (
     ScheduleConflicts,
@@ -385,19 +386,23 @@ def batch_program_times(
 # ----------------------------------------------------------------------
 @lru_cache(maxsize=512)
 def _compile_schedule(d: int, partition: tuple[int, ...]) -> CompiledProgram:
-    return _lower_program(exchange_steps(d, partition))
+    return _lower_program(
+        pattern_program("alltoall", "multiphase", d, partition=partition)
+    )
 
 
 def compile_schedule(d: int, partition: Sequence[int] | None = None) -> CompiledProgram:
     """Compile (and memoize) the exchange program of ``(d, partition)``.
 
-    The result is the :class:`CompiledProgram` of
-    :func:`repro.core.programs.exchange_steps`; ``partition=None``
-    selects the single-phase ``(d,)`` schedule, like
-    :func:`repro.comm.program.simulate_exchange` does.
+    The result is the :class:`CompiledProgram` of the declared
+    exchange, ``pattern_program("alltoall", "multiphase", d,
+    partition=partition)``; ``partition=None`` selects the single-phase
+    ``(d,)`` schedule, like :func:`repro.comm.program.simulate_exchange`
+    does.
 
-    >>> from repro.core.programs import exchange_steps
-    >>> compile_schedule(4, (2, 2)).program == exchange_steps(4, (2, 2))
+    >>> from repro.core.programs import pattern_program
+    >>> program = pattern_program("alltoall", "multiphase", 4, partition=(2, 2))
+    >>> compile_schedule(4, (2, 2)).program == program
     True
     """
     check_dimension(d, minimum=1)

@@ -11,8 +11,11 @@ import math
 import numbers
 from collections.abc import Sequence
 
+import numpy as np
+
 __all__ = [
     "check_block_size",
+    "check_byte_rows",
     "check_dimension",
     "check_message_size",
     "check_node",
@@ -93,7 +96,8 @@ def check_message_size(m: int) -> int:
 def check_partition(partition: Sequence[int], d: int) -> tuple[int, ...]:
     """Validate a multiphase partition ``D = (d1, ..., dk)`` of ``d``.
 
-    The parts must be positive integers summing to ``d``.  Order is
+    The parts must be positive integers (numpy integers included,
+    returned as plain ints; bools not) summing to ``d``.  Order is
     preserved (the paper notes the sequence of dimensions is
     unimportant for cost, but the data-movement engine honours the
     given order, so we keep it).
@@ -102,11 +106,35 @@ def check_partition(partition: Sequence[int], d: int) -> tuple[int, ...]:
     parts = tuple(partition)
     if not parts:
         raise ValueError("partition must contain at least one part")
+    numpy_parts = False
     for part in parts:
-        if not isinstance(part, int) or isinstance(part, bool):
-            raise TypeError(f"partition parts must be ints, got {type(part).__name__}")
+        # plain int first: this is the compile hot path, and the
+        # numbers.Integral ABC check alone is slow
+        if type(part) is not int:
+            if isinstance(part, bool) or not isinstance(part, numbers.Integral):
+                raise TypeError(f"partition parts must be ints, got {type(part).__name__}")
+            numpy_parts = True
         if part <= 0:
             raise ValueError(f"partition parts must be positive, got {part}")
+    if numpy_parts:
+        parts = tuple(map(int, parts))
     if sum(parts) != d:
         raise ValueError(f"partition {parts} sums to {sum(parts)}, expected cube dimension {d}")
     return parts
+
+
+def check_byte_rows(rows, node: int) -> np.ndarray:
+    """Validate one node's send rows as bytes (uint8, or integers all in
+    0..255) and return them as a contiguous uint8 array.  Anything else
+    raises :class:`ValueError` naming the node and the dtype: a cast
+    would wrap or truncate values, breaking ``recv[x][j] == send[j][x]``."""
+    array = np.asarray(rows)
+    if array.dtype != np.uint8 and (
+        array.dtype.kind not in "iu"
+        or (array.size and (array.min() < 0 or array.max() > 255))
+    ):
+        raise ValueError(
+            f"node {node}: send rows must be bytes (uint8, or integers in "
+            f"0..255), got dtype {array.dtype}"
+        )
+    return np.ascontiguousarray(array, dtype=np.uint8)

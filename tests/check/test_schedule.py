@@ -13,7 +13,6 @@ import dataclasses
 import pytest
 
 from repro.check import (
-    verify_block_conservation,
     verify_circuit_steps,
     verify_pattern,
     verify_plan_decision,
@@ -25,7 +24,7 @@ from repro.core.partitions import partitions
 from repro.core.programs import (
     PATTERN_TABLE,
     SendStep,
-    exchange_steps,
+    exchange_rounds,
     pattern_program,
     pattern_rounds,
 )
@@ -34,9 +33,16 @@ from repro.plan.decision import PlanDecision
 from repro.sim.fastpath import compile_program, compile_schedule
 from repro.util.bitops import bit_reverse
 
+ALLTOALL = PATTERN_TABLE[("alltoall", "multiphase")]
 
-def exchange_positions(steps):
-    return [i for i, s in enumerate(steps) if isinstance(s, ExchangeStep)]
+
+def exchange(d, partition=None):
+    """The exchange's program at ``partition``."""
+    return pattern_program("alltoall", "multiphase", d, partition=partition)
+
+
+def alltoall_rounds(d, partition):
+    return pattern_rounds(ALLTOALL, d, 0, partition=partition)
 
 
 class TestCleanSchedulesCertify:
@@ -83,66 +89,75 @@ class TestCircuitChecks:
         violations = verify_circuit_steps([[(0, 99)]], 4, target="t")
         assert [v.check for v in violations] == ["ecube-route"]
 
-    def test_step_indices_provenance(self):
-        d = 3
+    def test_step_index_provenance(self):
+        d = 4
         bad = [(x, bit_reverse(x, d)) for x in range(1 << d)]
-        violations = verify_circuit_steps(
-            [bad], d, target="t", step_indices=[17]
-        )
-        assert all(v.step_index == 17 for v in violations)
+        violations = verify_circuit_steps([[], [(0, 1)], bad], d, target="t")
+        assert violations
+        assert all(v.step_index == 2 for v in violations)
 
     def test_self_circuits_ignored(self):
         assert verify_circuit_steps([[(2, 2), (5, 5)]], 3, target="t") == []
 
 
-class TestBlockConservation:
-    def test_clean_schedule_conserves(self):
-        steps = multiphase_schedule(5, (2, 3))
-        assert verify_block_conservation(steps, 5, target="t") == []
+class TestExchangeDelivery:
+    """Corrupted exchange rounds, rejected by the generic delivery proof."""
 
-    def test_dropped_step_is_undelivered(self):
-        d = 4
-        steps = multiphase_schedule(d, (2, 2))
-        drop = exchange_positions(steps)[2]
-        corrupted = steps[:drop] + steps[drop + 1:]
-        violations = verify_block_conservation(corrupted, d, target="t")
-        kinds = {v.check for v in violations}
-        assert "block-undelivered" in kinds
-        missing = next(v for v in violations if v.check == "block-undelivered")
-        # counterexample pins a concrete lost block
-        assert {"origin", "dest"} <= set(missing.counterexample)
+    def test_clean_rounds_deliver(self):
+        assert verify_rounds(ALLTOALL, alltoall_rounds(5, (2, 3)), 5, 0, target="t") == []
 
-    def test_duplicated_step_is_vacuous(self):
-        d = 4
-        steps = multiphase_schedule(d, (2, 2))
-        dup = exchange_positions(steps)[1]
-        corrupted = steps[: dup + 1] + [steps[dup]] + steps[dup + 1:]
-        violations = verify_block_conservation(corrupted, d, target="t")
+    def test_dropped_round_is_undelivered(self):
+        rounds = alltoall_rounds(4, (2, 2))
+        corrupted = rounds[:2] + rounds[3:]
+        violations = verify_rounds(ALLTOALL, corrupted, 4, 0, target="t")
+        assert [v.check for v in violations] == ["block-undelivered"]
+        # the counterexample pins a concrete lost block: node 0 never
+        # swapped with 12 across the dropped mask, so 12's block for 0
+        # is missing
+        assert rounds[2].mask == 12
+        example = violations[0].counterexample
+        assert (example["node"], example["origin"], example["dest"]) == (0, 12, 0)
+        assert 12 * 16 + 0 in example["missing"]
+
+    def test_duplicated_round_is_vacuous(self):
+        rounds = alltoall_rounds(4, (2, 2))
+        corrupted = rounds[:2] + rounds[1:]
+        violations = verify_rounds(ALLTOALL, corrupted, 4, 0, target="t")
         assert [v.check for v in violations] == ["vacuous-step"]
-        assert violations[0].step_index == dup + 1
+        assert violations[0].step_index == 2
+        # every one of the 16 circuits re-runs a finished swap
+        assert violations[0].counterexample["n_vacuous"] == 16
 
     def test_repeated_offset_is_rejected(self):
-        d = 4
         steps = [
             dataclasses.replace(s, offset=1)
             if isinstance(s, ExchangeStep) and s.offset == 2
             else s
-            for s in multiphase_schedule(d, (2, 2))
+            for s in multiphase_schedule(4, (2, 2))
         ]
-        violations = verify_block_conservation(steps, d, target="t")
+        violations = verify_rounds(ALLTOALL, exchange_rounds(steps, 4), 4, 0, target="t")
         kinds = {v.check for v in violations}
-        assert "vacuous-step" in kinds  # the second offset-1 step moves nothing
+        assert "vacuous-step" in kinds  # the second offset-1 round moves nothing
         assert "block-undelivered" in kinds  # offset-2 blocks never travel
 
-    def test_exchange_before_phase_start_rejected(self):
-        steps = multiphase_schedule(3, (3,))
-        violations = verify_block_conservation(steps[1:], 3, target="t")
-        assert any(v.check == "phase-structure" for v in violations)
+    def test_out_of_cube_mask_is_an_ecube_route(self):
+        rounds = alltoall_rounds(4, (2, 2))
+        corrupted = (dataclasses.replace(rounds[0], mask=16),) + rounds[1:]
+        violations = verify_rounds(ALLTOALL, corrupted, 4, 0, target="t")
+        assert violations
+        assert {v.check for v in violations} == {"ecube-route"}
+        assert {v.step_index for v in violations} == {0}
 
-    def test_oversized_group_rejected(self):
-        steps = multiphase_schedule(4, (4,))
-        violations = verify_block_conservation(steps, 3, target="t")
-        assert any(v.check == "step-domain" for v in violations)
+    def test_rounds_of_a_larger_cube_are_rejected(self):
+        violations = verify_rounds(ALLTOALL, alltoall_rounds(4, (4,)), 3, 0, target="t")
+        assert violations
+        assert {v.check for v in violations} == {"ecube-route"}
+
+    def test_rounds_that_do_not_swap_every_node_replay_on_keys(self):
+        """Fixed slots need full swaps; other rounds replay on dicts."""
+        tree = pattern_rounds(PATTERN_TABLE[("scatter", "halving")], 3, 0)
+        violations = verify_rounds(ALLTOALL, tree, 3, 0, target="t")
+        assert "block-undelivered" in {v.check for v in violations}
 
 
 class TestExchangeProgramCoefficients:
@@ -174,7 +189,7 @@ class TestExchangeProgramCoefficients:
         compiled = compile_schedule(4, (2, 2))
         forged = dataclasses.replace(
             compiled, program=dataclasses.replace(
-                compiled.program, steps=exchange_steps(4, (1, 3)).steps
+                compiled.program, steps=exchange(4, (1, 3)).steps
             )
         )
         violations = verify_program_coefficients(forged)
@@ -184,7 +199,7 @@ class TestExchangeProgramCoefficients:
         """Steps and arrays agree with each other, but they are another
         partition's: only the schedule check can see it."""
         program = dataclasses.replace(
-            exchange_steps(4, (2, 2)), steps=exchange_steps(4, (1, 3)).steps
+            exchange(4, (2, 2)), steps=exchange(4, (1, 3)).steps
         )
         violations = verify_program_coefficients(compile_program(program))
         assert [v.check for v in violations] == ["coeff-mismatch"]
@@ -192,7 +207,7 @@ class TestExchangeProgramCoefficients:
     def test_allgather_exchange_with_foreign_steps_rejected(self):
         program = dataclasses.replace(
             pattern_program("allgather", "exchange", 4, partition=(1, 3)),
-            steps=exchange_steps(4, (3, 1)).steps,
+            steps=exchange(4, (3, 1)).steps,
         )
         violations = verify_program_coefficients(compile_program(program))
         assert [v.check for v in violations] == ["coeff-mismatch"]
@@ -203,7 +218,7 @@ class TestExchangeProgramCoefficients:
         assert verify_program_coefficients(compile_program(program)) == []
 
     def test_illegal_carried_partition_rejected(self):
-        program = dataclasses.replace(exchange_steps(4, (2, 2)), partition=(3, 3))
+        program = dataclasses.replace(exchange(4, (2, 2)), partition=(3, 3))
         violations = verify_program_coefficients(compile_program(program))
         assert [v.check for v in violations] == ["program-structure"]
 
@@ -217,7 +232,7 @@ class TestProgramCoefficients:
 
     @pytest.mark.parametrize("parts", [None, (2, 2), (1, 1, 1, 1)])
     def test_compiled_exchange_program_certifies(self, parts):
-        compiled = compile_program(exchange_steps(4, parts))
+        compiled = compile_program(exchange(4, parts))
         assert verify_program_coefficients(compiled) == []
 
     def test_forged_hops_rejected(self):
@@ -284,6 +299,24 @@ class TestPatterns:
         assert ("allgather", "exchange") not in pattern_variants()
         with pytest.raises(ValueError, match="exchange"):
             verify_pattern("allgather", "exchange", 3)
+
+    def test_exchange_certifies_as_its_schedule(self):
+        assert ("alltoall", "multiphase") not in pattern_variants()
+        assert verify_pattern("alltoall", "multiphase", 4, partition=(2, 2)) == []
+        assert verify_pattern("alltoall", "multiphase", 4) == verify_schedule(4) == []
+
+    def test_partition_only_for_the_exchange(self):
+        with pytest.raises(ValueError, match="partition"):
+            verify_pattern("broadcast", "binomial", 3, partition=(3,))
+        with pytest.raises(ValueError, match="sums to"):
+            verify_pattern("alltoall", "multiphase", 3, partition=(2, 2))
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 4])
+    def test_every_declared_circuit_carries_a_block(self, d):
+        """The vacuous-step check holds for every row, at every root."""
+        for pattern, algorithm in pattern_variants():
+            for root in range(1 << d):
+                assert verify_pattern(pattern, algorithm, d, root=root) == []
 
 
 class TestDeliveryProof:

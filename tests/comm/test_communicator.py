@@ -107,6 +107,34 @@ class TestAlltoall:
         with pytest.raises(ValueError, match="send rows"):
             machine.run(program)
 
+    @pytest.mark.parametrize("rows", [
+        np.full((4, 4), 256, dtype=np.int64),
+        np.full((4, 4), -1.7),
+    ])
+    def test_alltoall_rejects_rows_that_are_not_bytes(self, rows):
+        machine = SimulatedHypercube(2, ipsc860())
+
+        def program(ctx):
+            comm = Communicator(ctx)
+            yield from comm.Alltoall(rows)
+
+        with pytest.raises(ValueError, match=f"node 0: .*{rows.dtype}"):
+            machine.run(program)
+
+    def test_alltoall_accepts_integer_bytes(self):
+        machine = SimulatedHypercube(2, ipsc860())
+        send = [np.arange(8).reshape(4, 2) + 4 * rank for rank in range(4)]
+
+        def program(ctx):
+            comm = Communicator(ctx)
+            recv = yield from comm.Alltoall(send[ctx.rank])
+            return recv
+
+        result = machine.run(program)
+        assert_exchange_correct(
+            [rows.astype(np.uint8) for rows in send], result.node_results
+        )
+
     def test_alltoall_rejects_bad_partition(self):
         machine = SimulatedHypercube(2, ipsc860())
 

@@ -1,8 +1,9 @@
-"""Hand-written §9 pattern chains: the test-side oracle.
+"""Hand-written program chains: the test-side oracle.
 
-``repro.core.programs.pattern_program`` derives every pattern chain
-from one declaration per algorithm.  These builders spell each chain
-out by hand, independently of that table, so the tests can pin the
+``repro.core.programs.pattern_program`` derives every chain — the
+complete exchange's and each §9 pattern's — from one declaration per
+algorithm.  These builders spell each chain out by hand, independently
+of that table and of the schedule compiler, so the tests can pin the
 derived chains step for step.
 """
 
@@ -13,10 +14,10 @@ from typing import Sequence
 from repro.core.programs import (
     BarrierStep,
     CommProgram,
+    LocalShuffleStep,
     PairStep,
     ProgramStep,
     SendStep,
-    exchange_steps,
 )
 
 
@@ -73,14 +74,37 @@ def allgather_doubling_steps(d: int) -> CommProgram:
     return CommProgram(name="allgather/doubling", d=d, steps=tuple(steps))
 
 
+def multiphase_exchange_steps(
+    d: int,
+    partition: Sequence[int] | None = None,
+    name: str = "alltoall/multiphase",
+) -> CommProgram:
+    """The paper's multiphase exchange: phase ``i`` claims the next
+    ``d_i`` label bits from the top, opens with a barrier, swaps
+    ``m·2**(d - d_i)`` bytes with every offset ``1 .. 2**d_i - 1`` of
+    those bits, and — when there is more than one phase — closes with
+    one shuffle pass over the whole ``m·2**d`` buffer."""
+    parts = tuple(partition) if partition is not None else (d,)
+    steps: list[ProgramStep] = []
+    hi = d
+    for di in parts:
+        lo = hi - di
+        steps.append(BarrierStep())
+        steps.extend(
+            PairStep(shift=offset << lo, bytes_per_m=1 << (d - di))
+            for offset in range(1, 1 << di)
+        )
+        if len(parts) > 1:
+            steps.append(LocalShuffleStep(bytes_per_m=1 << d))
+        hi = lo
+    return CommProgram(name=name, d=d, steps=tuple(steps), partition=parts)
+
+
 def allgather_exchange_steps(
     d: int, partition: Sequence[int] | None = None
 ) -> CommProgram:
     """Allgather as a complete exchange at ``partition``."""
-    base = exchange_steps(d, partition)
-    return CommProgram(
-        name="allgather/exchange", d=d, steps=base.steps, partition=base.partition
-    )
+    return multiphase_exchange_steps(d, partition, name="allgather/exchange")
 
 
 #: rooted (pattern, algorithm) -> oracle builder taking ``(d, root)``
@@ -101,6 +125,8 @@ def oracle_program(
     root: int = 0,
 ) -> CommProgram:
     """The hand-written chain for any declared algorithm."""
+    if (pattern, algorithm) == ("alltoall", "multiphase"):
+        return multiphase_exchange_steps(d, partition)
     if (pattern, algorithm) == ("allgather", "exchange"):
         return allgather_exchange_steps(d, partition)
     if (pattern, algorithm) == ("allgather", "doubling"):

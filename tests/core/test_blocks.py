@@ -13,6 +13,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.core.blocks import BlockBuffer, BlockSet, payload_pattern, payload_rows
+from repro.core.programs import Round
 from repro.core.schedule import ExchangeStep, multiphase_schedule
 from repro.hypercube.subcube import BitGroup
 
@@ -102,10 +103,10 @@ class TestBlockBuffer:
         assert buf.total_bytes == 0
         assert buf.n_blocks == 4
 
-    def test_slots_for_coordinate(self):
+    def test_slots_for_a_group_coordinate(self):
         buf = BlockBuffer.initial(node=0, d=3, m=2)
         group = BitGroup(lo=1, width=2)  # bits 2,1
-        slots = buf.slots_for_coordinate(group, 0b01)
+        slots = buf.slots_for(0b010, ~group.mask)
         # dests with bits 2,1 == 01 are {2, 3}
         assert slots.tolist() == [2, 3]
         taken = buf.take(slots)
@@ -115,7 +116,7 @@ class TestBlockBuffer:
 
     def test_take_copies_and_keeps_the_slots(self):
         buf = BlockBuffer.initial(node=0, d=3, m=2)
-        slots = buf.slots_for_coordinate(BitGroup(lo=2, width=1), 1)
+        slots = buf.slots_for(4, ~BitGroup(lo=2, width=1).mask)
         assert slots.tolist() == [4, 5, 6, 7]
         taken = buf.take(slots)
         taken.payload[:] = 0
@@ -131,18 +132,27 @@ class TestBlockBuffer:
 
     def test_put_rejects_count_mismatch(self):
         buf = BlockBuffer.initial(node=0, d=2, m=4)
-        taken = buf.take(buf.slots_for_coordinate(BitGroup(lo=1, width=1), 1))
+        taken = buf.take(buf.slots_for(2, ~BitGroup(lo=1, width=1).mask))
         with pytest.raises(ValueError, match="2 blocks for 1 slots"):
             buf.put(np.array([3]), taken)
 
     def test_take_put_roundtrip(self):
         buf = BlockBuffer.initial(node=1, d=3, m=4)
         before = buf.payload.copy()
-        slots = buf.slots_for_coordinate(BitGroup(lo=0, width=3), 5)
+        slots = buf.slots_for(5, 0)
         buf.put(slots, buf.take(slots))
         assert buf.n_blocks == 8
         assert buf.dests.tolist() == list(range(8))
         assert np.array_equal(buf.payload, before)
+
+    def test_slots_for_reach_zero_is_one_destination(self):
+        buf = BlockBuffer.initial(node=2, d=3, m=1)
+        assert [buf.slots_for(dst, 0).tolist() for dst in range(8)] == [[j] for j in range(8)]
+
+    def test_keys_are_origin_times_n_plus_dest(self):
+        buf = BlockBuffer.initial(node=2, d=2, m=1)
+        assert buf.keys() == [8, 9, 10, 11]
+
 
     def test_from_rows(self):
         rows = np.arange(16, dtype=np.uint8).reshape(4, 4)
@@ -157,9 +167,38 @@ class TestBlockBuffer:
         with pytest.raises(ValueError):
             BlockBuffer.from_rows(0, 2, np.zeros((3, 4), np.uint8))
 
-    def test_coordinate(self):
-        buf = BlockBuffer.initial(node=0b0110, d=4, m=1)
-        assert buf.coordinate(BitGroup(lo=1, width=2)) == 0b11
+
+class TestHoldings:
+    """BlockBuffer as replay_pattern holdings: fixed slots."""
+
+    ROUND = Round(mask=0b10, sources=7, reach=~0b110, tag=0, pairwise=True)
+
+    def test_send_vacates_and_receive_refills(self):
+        a, b = BlockBuffer.initial(0, 3, 2), BlockBuffer.initial(2, 3, 2)
+        to_b, to_a = a.send(self.ROUND, 2), b.send(self.ROUND, 0)
+        # the blocks bound for the partner's coordinate on bits 2..1
+        assert to_b.dests.tolist() == [2, 3] and to_a.dests.tolist() == [0, 1]
+        assert a.receive(to_a) == () and b.receive(to_b) == ()
+        assert a.dests.tolist() == [0, 1, 0, 1, 4, 5, 6, 7]
+        assert a.origins.tolist() == [0, 0, 2, 2, 0, 0, 0, 0]
+        assert a.n_blocks == 8
+
+    def test_receive_rejects_a_count_mismatch(self):
+        a, b = BlockBuffer.initial(0, 3, 2), BlockBuffer.initial(1, 3, 2)
+        a.send(self.ROUND, 2)
+        with pytest.raises(ValueError, match="4 blocks for 2 slots"):
+            a.receive(b.take(np.arange(4)))
+
+    def test_receive_rejects_a_width_mismatch(self):
+        a, b = BlockBuffer.initial(0, 3, 2), BlockBuffer.initial(2, 3, 3)
+        a.send(self.ROUND, 2)
+        with pytest.raises(ValueError, match="width"):
+            a.receive(b.send(self.ROUND, 0))
+
+    def test_shuffle_moves_nothing(self):
+        buf = BlockBuffer.initial(1, 3, 2)
+        buf.shuffle(2)
+        assert buf.dests.tolist() == list(range(8))
 
 
 class TestVerification:
@@ -234,7 +273,7 @@ def _slot_exchange(d, m, partition, tamper=None):
     for k, step in enumerate(steps):
         shift = step.offset << step.group.lo
         slots = [
-            bufs[x].slots_for_coordinate(step.group, bufs[x ^ shift].coordinate(step.group))
+            bufs[x].slots_for(x ^ shift, ~step.group.mask)
             for x in range(n)
         ]
         taken = [bufs[x].take(slots[x]) for x in range(n)]
@@ -303,9 +342,9 @@ OPTIMIZED_CHECKS = """
 import numpy as np
 from repro.core.blocks import BlockBuffer
 from repro.core.exchange import run_exchange
+from repro.core.programs import Round
 from repro.core.shuffle import LayoutBuffer
 from repro.core.verify import assert_exchange_correct
-from repro.hypercube.subcube import BitGroup
 
 def must_fail(label, check, match):
     try:
@@ -332,9 +371,8 @@ must_fail("layout buffer", layout.verify_final, "corrupted")
 
 shuffled = LayoutBuffer(0, 3, 2)
 shuffled.shuffle(1)
-must_fail("layout invariant",
-          lambda: shuffled.check_phase_start_invariant(BitGroup(lo=1, width=2)),
-          "layout invariant")
+first_round = Round(mask=2, sources=7, reach=~6, tag=1, pairwise=True)
+must_fail("layout invariant", lambda: shuffled.send(first_round, 2), "layout invariant")
 
 send = [np.arange(8, dtype=np.uint8).reshape(2, 4) + x for x in range(2)]
 must_fail("user rows", lambda: assert_exchange_correct(send, send), "incorrect")

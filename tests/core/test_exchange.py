@@ -55,12 +55,6 @@ class TestStepAccounting:
         # all-ones: d transmissions of m * 2**(d-1)
         assert run_exchange(d, m, (1,) * d).bytes_sent_per_node == d * m * (1 << (d - 1))
 
-    def test_trace_recording(self):
-        outcome = run_exchange(3, 4, (2, 1), record_trace=True)
-        kinds = [k for _, k, _ in outcome.trace]
-        assert kinds.count("phase") == 2
-        assert kinds.count("exchange") == 4
-        assert kinds.count("shuffle") == 2
 
 
 class TestEdgeCases:
@@ -85,6 +79,20 @@ class TestEdgeCases:
     def test_bad_partition_rejected(self):
         with pytest.raises(ValueError):
             run_exchange(3, 4, (2, 2))
+
+    @pytest.mark.parametrize("m", [2.5, -1, True, "8"])
+    def test_bad_block_size_rejected_up_front(self, m):
+        with pytest.raises(ValueError, match="m must be a non-negative int"):
+            run_exchange(3, m, (2, 1))
+
+    def test_numpy_block_size_accepted(self):
+        run_exchange(3, np.int64(4), (2, 1)).verify()
+
+    @pytest.mark.parametrize("dtype", [np.int64, np.int32, np.uint8])
+    def test_numpy_partition_parts(self, dtype):
+        outcome = run_exchange(3, 4, np.array([2, 1], dtype=dtype))
+        outcome.verify()
+        assert outcome.n_exchange_steps == 4
 
 
 class TestOrderIndependence:
@@ -139,3 +147,35 @@ class TestUserData:
         send[1] = np.zeros((3, 4), dtype=np.uint8)
         with pytest.raises(ValueError):
             run_exchange_on_rows(send)
+
+
+class TestUserRowValidation:
+    """Rows must already be bytes: a cast would wrap or truncate them."""
+
+    def test_out_of_range_integers_rejected(self):
+        rows = np.arange(12).reshape(2, 2, 3) + 250
+        with pytest.raises(ValueError, match="node 1: .*dtype int64"):
+            run_exchange_on_rows(rows, (1,))
+
+    def test_negative_integers_rejected(self):
+        rows = np.zeros((2, 2, 3), dtype=np.int16)
+        rows[0, 1, 2] = -1
+        with pytest.raises(ValueError, match="node 0: .*dtype int16"):
+            run_exchange_on_rows(rows, (1,))
+
+    def test_floats_rejected(self):
+        rows = np.full((2, 2, 3), -1.7)
+        with pytest.raises(ValueError, match="node 0: .*dtype float64"):
+            run_exchange_on_rows(rows, (1,))
+
+    def test_in_range_integers_exchanged_exactly(self):
+        rows = (np.arange(24).reshape(2, 2, 6) * 10).astype(np.int64)
+        recv = run_exchange_on_rows(rows, (1,))
+        for x in range(2):
+            for j in range(2):
+                assert recv[x][j].tolist() == rows[j][x].tolist()
+
+    def test_lists_of_small_ints_accepted(self):
+        rows = [[[1, 2], [3, 4]], [[5, 6], [7, 255]]]
+        recv = run_exchange_on_rows(rows, (1,))
+        assert recv[1].tolist() == [[3, 4], [7, 255]]

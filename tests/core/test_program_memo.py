@@ -20,6 +20,7 @@ from tests.core.pattern_oracle import (
     ROOTED_ORACLES,
     allgather_doubling_steps,
     allgather_exchange_steps,
+    multiphase_exchange_steps,
 )
 
 MEMO = programs._pattern_program
@@ -84,6 +85,20 @@ def test_allgather_exchange_matches_its_builder(d):
     )
 
 
+@pytest.mark.parametrize("d", range(1, 11))
+def test_exchange_matches_its_builder(d):
+    """The chain derived from the exchange's rounds is the paper's."""
+    for parts in compositions(d):
+        assert_memoized(
+            pattern_program("alltoall", "multiphase", d, partition=parts),
+            multiphase_exchange_steps(d, parts),
+            pattern_program("alltoall", "multiphase", d, partition=list(parts)),
+        )
+    assert pattern_program("alltoall", "multiphase", d) is pattern_program(
+        "alltoall", "multiphase", d, partition=(d,)
+    )
+
+
 def test_partition_order_is_kept():
     forward = pattern_program("allgather", "exchange", 5, partition=(3, 2))
     backward = pattern_program("allgather", "exchange", 5, partition=[2, 3])
@@ -112,6 +127,8 @@ BAD_ARGUMENTS = [
     (("allgather", "exchange", 3), {"partition": (2, 2)}, ValueError, "sums to"),
     (("allgather", "exchange", 3), {"partition": (3, 0)}, ValueError, "positive"),
     (("allgather", "exchange", 3), {"partition": ()}, ValueError, "at least one"),
+    (("alltoall", "multiphase", 3), {"root": 1}, ValueError, "root"),
+    (("alltoall", "multiphase", 3), {"partition": (1, 1)}, ValueError, "sums to"),
 ]
 
 

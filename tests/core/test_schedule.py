@@ -5,18 +5,18 @@ from __future__ import annotations
 import pytest
 from hypothesis import given, settings
 
+from repro.check import verify_pattern
 from repro.core.partitions import partitions
+from repro.core.programs import exchange_rounds
 from repro.core.schedule import (
     ExchangeStep,
     PhaseStart,
     ShuffleStep,
     multiphase_schedule,
     optimal_schedule,
-    schedule_circuits,
     schedule_stats,
     schedule_stats_cache_info,
     standard_schedule,
-    validate_contention_free,
 )
 from repro.hypercube.subcube import BitGroup
 from tests.conftest import small_cube_cases
@@ -84,33 +84,40 @@ class TestCompilation:
 
 
 class TestCircuits:
+    """An exchange step's circuits are its round's (Round.circuits)."""
+
     def test_circuit_count(self):
         step = ExchangeStep(phase_index=0, group=BitGroup(lo=0, width=2), offset=3)
-        circuits = list(schedule_circuits(step, 4))
+        (rnd,) = exchange_rounds([step], 4)
+        circuits = rnd.circuits(0)
         assert len(circuits) == 16
         # every node appears exactly once as a source
         assert sorted(c[0] for c in circuits) == list(range(16))
+        assert circuits == [(x, step.partner(x)) for x in range(16)]
 
     def test_circuits_stay_in_subcube_dimensions(self):
         step = ExchangeStep(phase_index=0, group=BitGroup(lo=1, width=2), offset=2)
-        for src, dst in schedule_circuits(step, 4):
+        (rnd,) = exchange_rounds([step], 4)
+        for src, dst in rnd.circuits(0):
             assert (src ^ dst) & ~step.group.mask == 0
 
 
 class TestContentionValidation:
+    """Every exchange certifies: circuits contention-free, blocks delivered."""
+
     @settings(deadline=None)
     @given(small_cube_cases())
-    def test_random_partitions_contention_free(self, case):
+    def test_random_partitions_certify(self, case):
         d, partition = case
-        validate_contention_free(multiphase_schedule(d, partition), d)
+        assert verify_pattern("alltoall", "multiphase", d, partition=partition) == []
 
     def test_all_partitions_d6(self):
         for partition in partitions(6):
-            validate_contention_free(multiphase_schedule(6, partition), 6)
+            assert verify_pattern("alltoall", "multiphase", 6, partition=partition) == []
 
     def test_d7_extremes(self):
         for partition in ((7,), (1,) * 7, (4, 3), (3, 2, 2)):
-            validate_contention_free(multiphase_schedule(7, partition), 7)
+            assert verify_pattern("alltoall", "multiphase", 7, partition=partition) == []
 
 
 class TestStats:

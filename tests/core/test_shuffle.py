@@ -9,6 +9,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.core.exchange import run_exchange
+from repro.core.programs import Round
 from repro.core.shuffle import (
     LayoutBuffer,
     apply_shuffle,
@@ -94,26 +95,27 @@ class TestFigure3:
         ]
 
     def _run_until(self, n_exchange_steps: int, shuffles: int):
-        """Execute the {2,1} schedule step by step on layout buffers."""
-        from repro.core.schedule import ExchangeStep, ShuffleStep, multiphase_schedule
-        from repro.core.exchange import _apply_exchange, ExchangeOutcome
+        """Replay the {2,1} exchange's rounds round by round on layout
+        buffers, stopping once both quotas are filled."""
+        import dataclasses
 
+        from repro.core.programs import PATTERN_TABLE, pattern_rounds, replay_pattern
+
+        row = PATTERN_TABLE[("alltoall", "multiphase")]
+        rounds = pattern_rounds(row, 3, 0, partition=(2, 1))
         buffers = [LayoutBuffer(node, 3, 1) for node in range(8)]
-        outcome = ExchangeOutcome(buffers=buffers)
         done_x, done_s = 0, 0
-        # execute the schedule strictly in order, stopping once both
-        # quotas are filled
-        for step in multiphase_schedule(3, (2, 1)):
-            if isinstance(step, ExchangeStep):
-                if done_x == n_exchange_steps:
-                    break
-                _apply_exchange(step, buffers, 8, "layout", outcome)
-                done_x += 1
-            elif isinstance(step, ShuffleStep):
+        for index, rnd in enumerate(rounds):
+            if done_x == n_exchange_steps:
+                break
+            # one round at a time, its phase's closing shuffle held back
+            replay_pattern([dataclasses.replace(rnd, times=0)], buffers)
+            done_x += 1
+            if index + 1 == len(rounds) or rounds[index + 1].phase != rnd.phase:
                 if done_s == shuffles:
                     break
                 for buf in buffers:
-                    buf.shuffle(step.times)
+                    buf.shuffle(rnd.times)
                 done_s += 1
         assert (done_x, done_s) == (n_exchange_steps, shuffles)
         return buffers
@@ -138,10 +140,11 @@ class TestFigure3:
         buffers = self._run_until(n_exchange_steps=3, shuffles=1)
         tableau = self._tableau(buffers)
         assert tableau[0] == [(0, 0), (2, 0), (4, 0), (6, 0), (0, 1), (2, 1), (4, 1), (6, 1)]
-        # phase-2 invariant holds everywhere: top bit of index == dest bit 0
-        group = BitGroup(lo=0, width=1)
+        # phase-2 invariant holds everywhere: top bit of index == dest
+        # bit 0, so every node's run for its bit-0 partner is contiguous
+        phase2 = Round(mask=1, sources=7, reach=~1, tag=5, pairwise=True)
         for buf in buffers:
-            buf.check_phase_start_invariant(group)
+            assert buf.send(phase2, buf.node ^ 1).dests.tolist() == [buf.node ^ 1] * 4
 
     def test_after_second_partial_exchange(self):
         """Figure 3, bottom-right: node 0 holds 0:0 2:0 4:0 6:0 1:0 3:0 5:0 7:0."""
@@ -177,7 +180,7 @@ class TestLayoutBuffer:
         buf = LayoutBuffer(0, 3, 2)
         buf.shuffle(1)  # initial layout shuffled is wrong for phase on top bits
         with pytest.raises(AssertionError, match="layout invariant"):
-            buf.check_phase_start_invariant(BitGroup(lo=1, width=2))
+            buf.send(TestLayoutHoldings.ROUND, 2)
 
     def test_verify_final_detects_corruption(self):
         out = run_exchange(3, 4, (2, 1), engine="layout")
@@ -193,6 +196,28 @@ class TestLayoutBuffer:
         assert np.array_equal(buf.payload, rows)
         assert buf.dests.tolist() == [0, 1, 2, 3]
 
-    def test_coordinate(self):
-        buf = LayoutBuffer(0b101, 3, 1)
-        assert buf.coordinate(BitGroup(lo=0, width=2)) == 0b01
+
+class TestLayoutHoldings:
+    """LayoutBuffer as replay_pattern holdings: contiguous runs."""
+
+    # the first round of the {2, 1} exchange: bits 2..1, offset 1
+    ROUND = Round(mask=0b010, sources=7, reach=~0b110, tag=1, pairwise=True)
+
+    def test_send_takes_the_partner_run_and_receive_refills_it(self):
+        a, b = LayoutBuffer(0, 3, 1), LayoutBuffer(2, 3, 1)
+        to_b, to_a = a.send(self.ROUND, 2), b.send(self.ROUND, 0)
+        assert to_b.dests.tolist() == [2, 3] and len(to_b) == 2
+        assert a.receive(to_a) == () and b.receive(to_b) == ()
+        assert a.origins.tolist() == [0, 0, 2, 2, 0, 0, 0, 0]
+        assert a.dests.tolist() == [0, 1, 0, 1, 4, 5, 6, 7]
+
+    def test_send_refuses_a_split_bit_group(self):
+        split = Round(mask=0b001, sources=7, reach=~0b101, tag=0, pairwise=True)
+        with pytest.raises(ValueError, match="contiguous"):
+            LayoutBuffer(0, 3, 1).send(split, 1)
+
+    def test_receive_refuses_a_wrong_sized_run(self):
+        a, b = LayoutBuffer(0, 3, 1), LayoutBuffer(1, 3, 2)
+        a.send(self.ROUND, 2)
+        with pytest.raises(ValueError, match="superblock"):
+            a.receive(b.send(self.ROUND, 3))

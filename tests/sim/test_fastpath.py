@@ -27,7 +27,7 @@ from repro.core.programs import (
     BarrierStep,
     LocalShuffleStep,
     PairStep,
-    exchange_steps,
+    pattern_program,
 )
 from repro.model.params import hypothetical, ipsc860
 from repro.plan import CollectivePlanner, ContentionPolicy, FixedPolicy
@@ -45,6 +45,7 @@ from repro.sim.fastpath import (
     naive_timeline,
 )
 from tests.conftest import small_cube_cases
+from tests.core.pattern_oracle import multiphase_exchange_steps
 
 PRESET_PARAMS = (ipsc860(), hypothetical())
 
@@ -231,7 +232,9 @@ class TestOneCompiledForm:
     @pytest.mark.parametrize("d", range(1, 9))
     def test_compiled_schedule_is_the_exchange_program(self, d):
         for parts in partitions(d):
-            assert compile_schedule(d, parts).program == exchange_steps(d, parts)
+            program = pattern_program("alltoall", "multiphase", d, partition=parts)
+            assert compile_schedule(d, parts).program == program
+            assert program == multiphase_exchange_steps(d, parts)
 
     def test_exchange_compile_is_one_cache_miss(self):
         _compile_schedule.cache_clear()

@@ -20,7 +20,6 @@ from repro.core.programs import (
     PairStep,
     PATTERN_TABLE,
     SendStep,
-    exchange_steps,
     naive_rotation_steps,
     pattern_program,
 )
@@ -71,7 +70,7 @@ class TestBuilders:
 
     def test_exchange_program_matches_exchange_time(self, ipsc):
         for d, partition in ((3, None), (4, (2, 2)), (5, (3, 2))):
-            program = exchange_steps(d, partition)
+            program = pattern_program("alltoall", "multiphase", d, partition=partition)
             for m in (0.0, 1.0, 40.0):
                 assert program_time(program, m, ipsc) == exchange_time(
                     d, m, partition, ipsc
@@ -166,7 +165,7 @@ class TestPricing:
 
     def test_dimension_one_and_zero_bytes(self, ipsc):
         programs = [pattern_program(*key, 1) for key in PATTERN_TABLE]
-        for program in programs + [exchange_steps(1)]:
+        for program in programs:
             assert program_time(program, 0.0, ipsc) >= 0.0
             assert program_time(program, 1.0, ipsc) >= program_time(
                 program, 0.0, ipsc
@@ -179,7 +178,7 @@ class TestBatchProgramTimes:
             (pattern_program("broadcast", "binomial", 4), 16.0),
             (pattern_program("scatter", "halving", 3), 8.0),
             (pattern_program("broadcast", "binomial", 4), 40.0),
-            (exchange_steps(5, (3, 2)), 24.0),
+            (pattern_program("alltoall", "multiphase", 5, partition=(3, 2)), 24.0),
         ]
         batch = batch_program_times(configs, ipsc)
         assert batch.shape == (4,)

@@ -19,6 +19,8 @@ one only when an output change is intended::
         > tests/golden/check_schedules_d2-5.json
     PYTHONPATH=src python -m tests.test_golden_outputs \\
         > tests/golden/event_traces.json
+    PYTHONPATH=src python examples/figure3_walkthrough.py \\
+        > tests/golden/figure3_walkthrough.txt
 
 ``event_traces.json`` pins the event engine itself: one SHA-256 per
 byte-verified exchange over ``repr(trace)`` and the makespan's
@@ -26,12 +28,16 @@ byte-verified exchange over ``repr(trace)`` and the makespan's
 machine presets, plus the naive rotation.  It was written before the
 engine learned to complete an exchange pair and a barrier with one
 event each, a change that must not move a single trace record.
+``figure3_walkthrough.txt`` is the paper's Figure 3, block by block; it
+was written before the walkthrough stepped the exchange's declared
+rounds instead of its step list.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import runpy
 import sys
 from pathlib import Path
 
@@ -55,6 +61,12 @@ GOLDEN = Path(__file__).resolve().parent / "golden"
 def test_output_matches_golden(argv, golden, capsys):
     assert main(argv) == 0
     assert capsys.readouterr().out == (GOLDEN / golden).read_text()
+
+
+def test_figure3_walkthrough_matches_golden(capsys):
+    script = Path(__file__).resolve().parent.parent / "examples" / "figure3_walkthrough.py"
+    runpy.run_path(str(script), run_name="__main__")
+    assert capsys.readouterr().out == (GOLDEN / "figure3_walkthrough.txt").read_text()
 
 
 def _run_digest(result) -> str:

@@ -8,6 +8,7 @@ import pytest
 from repro.util.validation import (
     MAX_DIMENSION,
     check_block_size,
+    check_byte_rows,
     check_dimension,
     check_message_size,
     check_node,
@@ -146,3 +147,49 @@ class TestCheckPartition:
     def test_rejects_non_int_parts(self):
         with pytest.raises(TypeError):
             check_partition((1.5, 1.5), 3)
+
+    @pytest.mark.parametrize("dtype", [np.int64, np.int32, np.uint8])
+    def test_numpy_parts_become_plain_ints(self, dtype):
+        parts = check_partition(np.array([2, 1], dtype=dtype), 3)
+        assert parts == (2, 1)
+        assert all(type(part) is int for part in parts)
+        assert check_partition((dtype(2), 1), 3) == (2, 1)
+
+    def test_rejects_bool_parts(self):
+        with pytest.raises(TypeError, match="bool"):
+            check_partition((True, True, 1), 3)
+        with pytest.raises(TypeError, match="bool"):
+            check_partition((np.bool_(True), 2), 3)
+
+    def test_numpy_partition_prices_and_simulates(self, ipsc):
+        from repro.comm.program import simulate_exchange
+        from repro.sim.fastpath import exchange_time
+
+        parts = np.array([2, 1])
+        assert exchange_time(3, 8.0, parts, ipsc) == exchange_time(3, 8.0, (2, 1), ipsc)
+        assert simulate_exchange(3, 8, parts, ipsc).partition == (2, 1)
+
+
+class TestCheckByteRows:
+    def test_uint8_passes_through(self):
+        rows = np.arange(6, dtype=np.uint8).reshape(2, 3)
+        assert check_byte_rows(rows, 0) is rows
+
+    @pytest.mark.parametrize("dtype", [np.int64, np.int8, np.uint16])
+    def test_integers_in_byte_range_pass(self, dtype):
+        rows = np.array([[0, 1], [127, 100]], dtype=dtype)
+        out = check_byte_rows(rows, 3)
+        assert out.dtype == np.uint8
+        assert out.tolist() == rows.tolist()
+
+    @pytest.mark.parametrize("values,dtype", [
+        ([[256]], np.int64),
+        ([[-1]], np.int64),
+        ([[0.0]], np.float64),
+        ([[1.0]], np.float32),
+        ([[True]], np.bool_),
+    ])
+    def test_everything_else_raises_naming_node_and_dtype(self, values, dtype):
+        rows = np.array(values, dtype=dtype)
+        with pytest.raises(ValueError, match=f"node 5: .*{np.dtype(dtype)}"):
+            check_byte_rows(rows, 5)
