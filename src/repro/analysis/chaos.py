@@ -30,6 +30,7 @@ from dataclasses import dataclass, field
 from typing import Sequence
 
 from repro.comm.program import exchange_program
+from repro.core.blocks import BlockBuffer
 from repro.core.schedule import multiphase_schedule
 from repro.model.optimizer import best_partition
 from repro.model.params import MachineParams, PRESETS
@@ -144,8 +145,7 @@ def run_degraded_workload(
         run = machine.run(exchange_program, steps=steps, m=m, engine="tags")
         observed = run.time - t_begin
         if verify:
-            for buf in run.node_results:
-                buf.verify_complete_exchange_result()
+            BlockBuffer.verify_all(run.node_results)
         if partitions and partition != partitions[-1]:
             n_switches += 1
         partitions.append(partition)

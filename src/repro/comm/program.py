@@ -22,10 +22,13 @@ partner-bound slots out (:meth:`~repro.core.blocks.BlockBuffer.take`)
 and overwrites those same slots with the partner's blocks
 (:meth:`~repro.core.blocks.BlockBuffer.put`), so a node holds its ``n``
 blocks throughout and no step reallocates the buffer.  The final check
-is one pass per node: the expected payloads come from
-:func:`~repro.core.blocks.payload_rows` as one ``(n, m)`` matrix and
-are compared whole.  :func:`exchange_program` is the one multiphase
-loop; ``Communicator.Alltoall`` runs it on user rows.
+(:meth:`~repro.core.blocks.BlockBuffer.verify_all`) stacks many
+nodes' buffers per pass, a few hundred kilobytes at a time: the
+expected payloads come from :func:`~repro.core.blocks.payload_rows` as
+one matrix and are compared whole, and a failing chunk is re-checked
+node by node so the first failing rank raises its own message.
+:func:`exchange_program` is the one multiphase loop;
+``Communicator.Alltoall`` runs it on user rows.
 
 The fast path prices the same schedules without booting the engine:
 the exchange is declared once, as the ``alltoall/multiphase`` row of
@@ -52,6 +55,7 @@ from dataclasses import dataclass
 from typing import Any, Generator, Sequence
 
 from repro.core.blocks import BlockBuffer
+from repro.core.exchange import ExchangeOutcome
 from repro.core.schedule import ExchangeStep, PhaseStart, ShuffleStep, Step, multiphase_schedule
 from repro.core.shuffle import LayoutBuffer
 from repro.model.params import MachineParams
@@ -112,28 +116,36 @@ def exchange_program(
     else:
         raise ValueError(f"unknown engine {engine!r}; expected 'tags' or 'layout'")
     total_bytes = buf.m * ctx.n
-
+    rank = ctx.rank
+    tags = isinstance(buf, BlockBuffer)
+    # an exchange step's group is shared by its whole phase: derive the
+    # group's constants when the group changes, not on every step
+    group = None
     for index, step in enumerate(steps):
-        if isinstance(step, PhaseStart):
-            yield ctx.mark_phase(step.phase_index)
-            yield ctx.barrier()
-        elif isinstance(step, ExchangeStep):
-            partner = step.partner(ctx.rank)
-            partner_coord = (partner >> step.group.lo) & ((1 << step.group.width) - 1)
-            tag = tag_base + index
-            if isinstance(buf, BlockBuffer):
-                slots = buf.slots_for(partner, ~step.group.mask)
+        if isinstance(step, ExchangeStep):
+            if step.group is not group:
+                group = step.group
+                lo, reach, coord_mask = group.lo, ~group.mask, (1 << group.width) - 1
+            partner = rank ^ (step.offset << lo)
+            if tags:
+                slots = buf.slots_for(partner, reach)
                 outgoing = buf.take(slots)
-                received = yield ctx.exchange(partner, outgoing, nbytes=outgoing.nbytes, tag=tag)
+                received = yield ctx.exchange(
+                    partner, outgoing, nbytes=outgoing.nbytes, tag=tag_base + index
+                )
                 buf.put(slots, received)
             else:
-                outgoing = buf.take_run(step.group, partner_coord)
+                partner_coord = (partner >> lo) & coord_mask
+                outgoing = buf.take_run(group, partner_coord)
                 received = yield ctx.exchange(
-                    partner, outgoing, nbytes=outgoing[2].size, tag=tag
+                    partner, outgoing, nbytes=outgoing[2].size, tag=tag_base + index
                 )
-                buf.put_run(step.group, partner_coord, *received)
+                buf.put_run(group, partner_coord, *received)
+        elif isinstance(step, PhaseStart):
+            ctx.mark_phase(step.phase_index)
+            yield ctx.barrier()
         elif isinstance(step, ShuffleStep):
-            if isinstance(buf, LayoutBuffer):
+            if not tags:
                 buf.shuffle(step.times)
             yield ctx.shuffle(total_bytes)
         else:  # pragma: no cover - defensive
@@ -175,11 +187,7 @@ class SimulatedExchange:
                 "fast-path timings move no data, so there is nothing to "
                 "byte-verify; rerun with fast=False for a verified exchange"
             )
-        for buf in self.run.node_results:
-            if isinstance(buf, LayoutBuffer):
-                buf.verify_final(check_payload=check_payload)
-            else:
-                buf.verify_complete_exchange_result(check_payload=check_payload)
+        ExchangeOutcome(self.run.node_results).verify(check_payload=check_payload)
 
 
 def simulate_exchange(

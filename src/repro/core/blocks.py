@@ -25,7 +25,7 @@ are cross-validated in the test suite.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -42,6 +42,12 @@ __all__ = ["BlockBuffer", "BlockSet", "payload_pattern", "payload_rows"]
 _PATTERN_MOD = 251
 #: ``7 * 36 == 252``, so 36 is the inverse of the ramp step 7 mod 251.
 _SEVEN_INVERSE = 36
+#: Bytes of payload and tags one pass of :meth:`BlockBuffer.verify_all`
+#: stacks.  The pass holds the stack, the expected rows and their
+#: comparison at once, so its temporaries stay near 1 MB whatever the
+#: cube and block size (larger chunks also fall out of cache and run
+#: slower at d = 7, m = 400).
+_VERIFY_CHUNK_BYTES = 1 << 18
 
 
 def payload_pattern(origin: int, dest: int, m: int, d: int) -> np.ndarray:
@@ -312,6 +318,46 @@ class BlockBuffer:
             if bad is not None:
                 raise AssertionError(
                     f"node {self.node}: payload of block from {int(blocks.origins[bad])} corrupted"
+                )
+
+    @staticmethod
+    def verify_all(buffers: "Sequence[BlockBuffer]", *, check_payload: bool = True) -> None:
+        """:meth:`verify_complete_exchange_result` for every buffer of a
+        run, checking many nodes per numpy pass.
+
+        The buffers are stacked in chunks of about
+        ``_VERIFY_CHUNK_BYTES`` of payload and tags, each checked with a
+        few whole-array comparisons.  A chunk that fails is re-checked
+        one buffer at a time, in order, so the first failing buffer
+        raises exactly its own message.  Buffers of unequal shape are
+        checked one at a time.
+        """
+        if not buffers:
+            return
+        d, m = buffers[0].d, buffers[0].m
+        n = 1 << d
+        if any(buf.d != d or buf.m != m or buf.n_blocks != n for buf in buffers):
+            for buf in buffers:
+                buf.verify_complete_exchange_result(check_payload=check_payload)
+            return
+        chunk = max(1, _VERIFY_CHUNK_BYTES // (n * (m + 16)))
+        sorted_origins = np.arange(n)
+        for start in range(0, len(buffers), chunk):
+            part = buffers[start:start + chunk]
+            nodes = np.array([buf.node for buf in part])
+            origins = np.stack([buf.origins for buf in part])
+            dests = np.stack([buf.dests for buf in part])
+            ok = bool((dests == nodes[:, None]).all()) and bool(
+                (np.sort(origins, axis=1) == sorted_origins).all()
+            )
+            if ok and check_payload and m > 0:
+                expected = payload_rows(origins.ravel(), dests.ravel(), m, d)
+                ok = np.array_equal(np.concatenate([buf.payload for buf in part]), expected)
+            if not ok:
+                for buf in part:
+                    buf.verify_complete_exchange_result(check_payload=check_payload)
+                raise AssertionError(  # pragma: no cover - the passes above agree
+                    f"nodes {nodes.tolist()} failed the stacked check but none alone"
                 )
 
     def result_rows(self) -> np.ndarray:

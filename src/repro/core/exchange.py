@@ -76,12 +76,16 @@ class ExchangeOutcome:
     bytes_sent_per_node: int = 0
 
     def verify(self, *, check_payload: bool = True) -> None:
-        """Assert every node holds a correct complete-exchange result."""
-        for buf in self.buffers:
-            if isinstance(buf, LayoutBuffer):
+        """Assert every node holds a correct complete-exchange result.
+
+        Tag buffers are checked many nodes per pass
+        (:meth:`~repro.core.blocks.BlockBuffer.verify_all`); either way
+        the first failing rank raises its own message."""
+        if self.buffers and isinstance(self.buffers[0], LayoutBuffer):
+            for buf in self.buffers:
                 buf.verify_final(check_payload=check_payload)
-            else:
-                buf.verify_complete_exchange_result(check_payload=check_payload)
+        else:
+            BlockBuffer.verify_all(self.buffers, check_payload=check_payload)
 
     def result_rows(self, node: int) -> np.ndarray:
         """Received blocks of ``node`` ordered by origin, ``(n, m)``."""

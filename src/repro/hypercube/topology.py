@@ -107,6 +107,8 @@ class Hypercube:
     def validate_node(self, node: int) -> int:
         """Check a node label, raising with context on failure; returns
         it as a plain ``int``."""
+        if type(node) is int and 0 <= node < 1 << self._d:
+            return node  # the common case, without check_node's call
         return check_node(node, self._d)
 
     # ------------------------------------------------------------------
@@ -131,10 +133,34 @@ class Hypercube:
         return popcount(a ^ b) == 1
 
     def links(self) -> Iterator[Link]:
-        """All directed links of the cube."""
+        """All directed links of the cube, in :meth:`link_index` order."""
         for node in self.nodes():
             for dim in range(self._d):
                 yield Link(node, flip_bit(node, dim))
+
+    def link_index(self, link: Link) -> int:
+        """Dense id ``src·d + dimension`` of a directed link of this
+        cube: its position in :meth:`links`, in ``range(n_links)``.
+
+        ``Link`` only checks adjacency, so a link of some larger cube
+        (``Link(8, 9)`` in a 3-cube) is rejected here rather than given
+        an id that aliases another resource."""
+        if not (self.contains(link.src) and self.contains(link.dst)):
+            raise ValueError(
+                f"link {link} does not exist in a {self._d}-cube "
+                f"(nodes 0..{self.n_nodes - 1})"
+            )
+        return link.src * self._d + link.dimension
+
+    def link_at(self, index: int) -> Link:
+        """The directed link whose :meth:`link_index` is ``index``."""
+        if not 0 <= index < self.n_links:
+            raise ValueError(
+                f"link index {index} out of range for a {self._d}-cube "
+                f"(0..{self.n_links - 1})"
+            )
+        src, dim = divmod(index, self._d)
+        return Link(src, flip_bit(src, dim))
 
     # ------------------------------------------------------------------
     # metrics

@@ -21,6 +21,7 @@ shared event replays exactly the same resumptions with one heap entry.
 from __future__ import annotations
 
 import heapq
+import weakref
 from typing import Any, Callable, Generator, Iterable
 
 __all__ = ["Engine", "Process", "Request", "SharedCompletion", "SimulationError"]
@@ -69,7 +70,11 @@ class Process:
     """
 
     def __init__(self, engine: "Engine", generator: Generator[Request, Any, Any], name: str) -> None:
-        self.engine = engine
+        #: the owning engine, held weakly: the engine keeps its
+        #: processes, and a strong link back would make every finished
+        #: run a reference cycle (engine, processes, their results)
+        #: that only the cycle collector frees
+        self.engine = weakref.proxy(engine)
         self.generator = generator
         self.name = name
         self.finished = False
@@ -85,10 +90,6 @@ class Process:
         #: advance so superseded events neither fire nor advance the
         #: clock (keeping run()'s makespan honest after a fail())
         self._pending: list[Any] = []
-
-    def start(self) -> None:
-        """Schedule the first resumption at the current time."""
-        self.engine.schedule(0.0, self.resume_callback(None))
 
     def _advance(self, step: Callable[[], Request]) -> None:
         """Drive the generator one step (send or throw) and wire up
@@ -245,11 +246,24 @@ class Engine:
         self.schedule(time - self.now, callback)
 
     def spawn(self, generator: Generator[Request, Any, Any], name: str = "proc") -> Process:
-        """Register and start a new process."""
-        process = Process(self, generator, name)
-        self._processes.append(process)
-        process.start()
-        return process
+        """Register a new process; it starts at the current time."""
+        return self.spawn_group([(generator, name)])[0]
+
+    def spawn_group(
+        self, named: Iterable[tuple[Generator[Request, Any, Any], str]]
+    ) -> list[Process]:
+        """Register several ``(generator, name)`` processes that start at
+        the current time, in order.
+
+        Separate :meth:`spawn` calls would queue one start each, at this
+        instant with consecutive sequence numbers; one
+        :class:`SharedCompletion` resumes them in the same order, so the
+        run is identical and costs one event instead of one per process.
+        """
+        processes = [Process(self, generator, name) for generator, name in named]
+        self._processes.extend(processes)
+        self.schedule(0.0, SharedCompletion([p.resume_callback(None) for p in processes]))
+        return processes
 
     def run(self, *, until: float | None = None, max_events: int = 50_000_000) -> float:
         """Dispatch events until the heap drains (or limits hit).

@@ -158,7 +158,9 @@ class FaultPlan:
     #: backoff cap (µs); delays double from the base up to this
     retry_cap_us: float = 800.0
     seed: int | None = None
-    #: lookup tables, derived in ``__post_init__``
+    #: lookup tables, derived in ``__post_init__``; links are keyed by
+    #: their dense id (:meth:`~repro.hypercube.topology.Hypercube.link_index`),
+    #: the id the network's reservation table uses
     _degraded: dict = field(default_factory=dict, repr=False, compare=False)
     _compute: dict = field(default_factory=dict, repr=False, compare=False)
     _outage_map: dict = field(default_factory=dict, repr=False, compare=False)
@@ -174,14 +176,14 @@ class FaultPlan:
         for record in self.degradations:
             cube.validate_node(record.link.src)
             cube.validate_node(record.link.dst)
-            self._degraded[record.link] = record
+            self._degraded[cube.link_index(record.link)] = record
         for straggler in self.stragglers:
             cube.validate_node(straggler.node)
             self._compute[straggler.node] = straggler.compute_scale
         for outage in self.outages:
             cube.validate_node(outage.link.src)
             cube.validate_node(outage.link.dst)
-            self._outage_map.setdefault(outage.link, []).append(outage)
+            self._outage_map.setdefault(cube.link_index(outage.link), []).append(outage)
         for flow in self.cross_traffic:
             cube.validate_node(flow.src)
             cube.validate_node(flow.dst)
@@ -196,22 +198,37 @@ class FaultPlan:
             self.degradations or self.stragglers or self.outages or self.cross_traffic
         )
 
+    def _link_id(self, link: Link) -> int:
+        """Table key of ``link``; a link of another cube gets ``-1``,
+        which no record carries."""
+        try:
+            return Hypercube(self.d).link_index(link)
+        except ValueError:
+            return -1
+
     def link_scales(self, link: Link) -> tuple[float, float]:
         """``(latency_scale, bandwidth_scale)`` of one directed link."""
-        record = self._degraded.get(link)
+        record = self._degraded.get(self._link_id(link))
         if record is None:
             return (1.0, 1.0)
         return (record.latency_scale, record.bandwidth_scale)
 
     def path_scales(self, links: Iterable[object]) -> tuple[float, float]:
-        """Worst-case scales along a circuit: the slowest link gates it."""
+        """Worst-case scales along a circuit: the slowest link gates it.
+        Entries that are not links (e.g. endpoint ports) are ignored."""
+        return self.path_scales_by_id(
+            self._link_id(link) for link in links if isinstance(link, Link)
+        )
+
+    def path_scales_by_id(self, link_ids: Iterable[int]) -> tuple[float, float]:
+        """:meth:`path_scales` of a circuit given as link ids."""
         lat = bw = 1.0
-        for link in links:
-            if isinstance(link, Link):
-                record = self._degraded.get(link)
-                if record is not None:
-                    lat = max(lat, record.latency_scale)
-                    bw = max(bw, record.bandwidth_scale)
+        degraded = self._degraded
+        for link_id in link_ids:
+            record = degraded.get(link_id)
+            if record is not None:
+                lat = max(lat, record.latency_scale)
+                bw = max(bw, record.bandwidth_scale)
         return (lat, bw)
 
     def compute_scale(self, node: int) -> float:
@@ -220,7 +237,11 @@ class FaultPlan:
 
     def down_until(self, link: Link, t: float) -> float | None:
         """Heal time if ``link`` is inside an outage window at ``t``."""
-        for outage in self._outage_map.get(link, ()):
+        return self.down_until_by_id(self._link_id(link), t)
+
+    def down_until_by_id(self, link_id: int, t: float) -> float | None:
+        """:meth:`down_until` of the link with id ``link_id``."""
+        for outage in self._outage_map.get(link_id, ()):
             if outage.covers(t):
                 return outage.t_heal
         return None

@@ -14,6 +14,18 @@ Such events would sit at the same time with consecutive sequence
 numbers, so nothing could run between them: sharing one leaves the
 trace unchanged and costs one event per exchange pair and per barrier.
 
+The node processes start the same way: their starts would be
+consecutive zero-delay events at boot, queued before any cross-traffic
+flow is spawned, so one shared start event resumes them in rank order.
+A phase mark costs no virtual time and takes no event at all:
+:meth:`NodeContext.mark_phase` is called, not yielded, and records the
+instant the first node reaches the phase.  A multiphase exchange thus
+dispatches ``1 + phases + n/2·(exchange steps) + n·(shuffle steps)``
+events.  The machine's remaining zero-delay events are a posted
+receive's resume, the delivery of an already buffered message, and the
+start of each cross-traffic flow; none occurs in a fault-free
+multiphase exchange.
+
 Example
 -------
 >>> from repro.model.params import ipsc860
@@ -40,7 +52,6 @@ from repro.sim.node import (
     BarrierReq,
     ExchangeReq,
     NodeContext,
-    PhaseMarkReq,
     PostRecvReq,
     RecvReq,
     SendReq,
@@ -125,10 +136,10 @@ class SimulatedHypercube:
     def run(self, program: ProgramFactory, **kwargs: Any) -> RunResult:
         """Boot ``program(ctx, **kwargs)`` on every node and simulate to
         completion."""
-        processes = []
-        for ctx in self.contexts:
-            generator = program(ctx, **kwargs) if kwargs else program(ctx)
-            processes.append(self.engine.spawn(generator, name=f"node{ctx.rank}"))
+        processes = self.engine.spawn_group([
+            (program(ctx, **kwargs) if kwargs else program(ctx), f"node{ctx.rank}")
+            for ctx in self.contexts
+        ])
         self._spawn_cross_traffic()
         time = self.engine.run()
         extras: dict[str, Any] = {}
@@ -200,13 +211,15 @@ class SimulatedHypercube:
             self._do_barrier(process)
         elif isinstance(request, ShuffleReq):
             self._do_shuffle(request, process)
-        elif isinstance(request, PhaseMarkReq):
-            if request.phase_index not in self._phase_marked:
-                self._phase_marked.add(request.phase_index)
-                self.trace.mark_phase(request.phase_index, self.engine.now)
-            self.engine.schedule(0.0, process.resume_callback(None))
         else:  # pragma: no cover - defensive
             raise SimulationError(f"unknown request type {type(request).__name__}")
+
+    def mark_phase(self, phase_index: int) -> None:
+        """Record phase ``phase_index`` at the current instant, once
+        (:meth:`NodeContext.mark_phase`; later nodes are no-ops)."""
+        if phase_index not in self._phase_marked:
+            self._phase_marked.add(phase_index)
+            self.trace.mark_phase(phase_index, self.engine.now)
 
     # ------------------------------------------------------------------
     def _do_exchange(self, request: ExchangeReq, process: Process) -> None:

@@ -25,20 +25,26 @@ traffic at a node serializes; synchronized exchanges bypass the ports.
 This is what makes contention-oblivious schedules pay the full
 penalty the paper warns about.
 
-Circuits are read off a per-dimension table of interned
-:class:`~repro.hypercube.topology.Link` objects (built once per cube
-dimension) by flipping the differing bits lowest first — the e-cube
-route of :func:`~repro.hypercube.routing.ecube_path_edges`, without
-building and validating a fresh ``Link`` per hop.  The links are equal
-and hash alike, and every consumer reduces a circuit's link set with
-``max``, ``min`` or ``sorted``, so neither the table nor set iteration
-order can move a float of the trace.
+One reservation table holds every resource as a flat list of free-at
+times indexed by integer id: the directed link ``src -> src ^ 2**dim``
+is slot ``src·d + dim`` (its
+:meth:`~repro.hypercube.topology.Hypercube.link_index`, ``d·2**d``
+link slots), and the port of node ``v`` is slot ``d·2**d + v``.  A
+transfer walks its e-cube route as these ids, flipping the differing
+bits lowest first — the route of
+:func:`~repro.hypercube.routing.ecube_path_edges` — so the hot path
+neither builds nor hashes a ``Link``.  ``Link`` objects appear only
+where one is observable: the public :meth:`Network.reserve`,
+:meth:`Network.link_free_at`, :meth:`Network.circuit_links` and
+:meth:`Network.exchange_links`, :meth:`Network.fail_link`, and the
+gating link a :class:`~repro.sim.trace.RetryRecord` names.  Every
+consumer reduces a circuit's slots with ``max`` or ``min``, so the
+walk order cannot move a float of the trace.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 from repro.hypercube.routing import ecube_hops
 from repro.hypercube.topology import Hypercube, Link
@@ -57,23 +63,14 @@ class Grant:
     t_end: float
 
 
-@lru_cache(maxsize=None)
-def _link_table(d: int) -> tuple[tuple[Link, ...], ...]:
-    """``table[j][node]`` is the directed link ``node -> node ^ 2**j``
-    of a ``d``-cube (``d * 2**d`` links, each built once)."""
-    return tuple(
-        tuple(Link(node, node ^ (1 << j)) for node in range(1 << d)) for j in range(d)
-    )
-
-
-def _add_ecube_links(links: set[Link], table: tuple[tuple[Link, ...], ...],
-                     src: int, dst: int) -> None:
-    """Add the links of the e-cube route ``src -> dst`` to ``links``."""
+def _add_ecube_ids(ids: list[int], d: int, src: int, dst: int) -> None:
+    """Append the link ids (:meth:`Hypercube.link_index`) of the e-cube
+    route ``src -> dst`` of a ``d``-cube to ``ids``."""
     node = src
     diff = src ^ dst
     while diff:
         bit = diff & -diff
-        links.add(table[bit.bit_length() - 1][node])
+        ids.append(node * d + bit.bit_length() - 1)
         node ^= bit
         diff ^= bit
 
@@ -101,28 +98,19 @@ class Network:
         #: byte-identical to the fault-free network (the zero-overhead
         #: benchmark pins this)
         self.fault_plan = fault_plan
-        #: next-free times of reservable resources: directed links plus
-        #: per-node ports (keyed ("port", node))
-        self._free_at: dict[object, float] = {}
-        #: failed directed links (fault injection): a circuit routed
-        #: through one of these cannot be established
-        self._failed: set[Link] = set()
+        self._d = cube.dimension
+        #: slot of node 0's port; the link slots come before it
+        self._port_base = cube.n_links
+        #: next-free time of every reservable resource, by id: the
+        #: ``d·2**d`` directed links, then one port per node
+        self._free_at: list[float] = [0.0] * (cube.n_links + cube.n_nodes)
+        #: ids of failed directed links (fault injection): a circuit
+        #: routed through one of these cannot be established
+        self._failed: set[int] = set()
 
     # ------------------------------------------------------------------
     # fault injection
     # ------------------------------------------------------------------
-    def _validate_link(self, link: Link) -> None:
-        """Reject links whose endpoints fall outside this cube.
-
-        ``Link`` only checks adjacency, so e.g. ``Link(8, 9)`` is a
-        perfectly valid link object — of some *larger* cube.  Accepting
-        it here would silently no-op the injected fault."""
-        if not (self.cube.contains(link.src) and self.cube.contains(link.dst)):
-            raise ValueError(
-                f"link {link} does not exist in a {self.cube.dimension}-cube "
-                f"(nodes 0..{self.cube.n_nodes - 1})"
-            )
-
     def fail_link(self, link: Link, *, both_directions: bool = True) -> None:
         """Mark a link as failed.  e-cube routing is fixed, so circuits
         through a failed link cannot be re-routed; attempting one raises
@@ -133,35 +121,56 @@ class Network:
         Manual failures are *permanent* until :meth:`restore_link`;
         scheduled transient outages (a :class:`FaultPlan`'s
         ``LinkOutage`` windows) are instead survived by block-and-retry
-        in :meth:`await_links_alive`."""
-        self._validate_link(link)
-        self._failed.add(link)
+        when the circuit is established.
+
+        A link of a larger cube (``Link`` only checks adjacency) is
+        rejected rather than silently ignored."""
+        self._failed.add(self.cube.link_index(link))
         if both_directions:
-            self._failed.add(link.reverse)
+            self._failed.add(self.cube.link_index(link.reverse))
 
     def restore_link(self, link: Link, *, both_directions: bool = True) -> None:
         """Clear a previously injected link failure."""
-        self._validate_link(link)
-        self._failed.discard(link)
+        self._failed.discard(self.cube.link_index(link))
         if both_directions:
-            self._failed.discard(link.reverse)
+            self._failed.discard(self.cube.link_index(link.reverse))
 
-    def check_links_alive(self, links: set) -> None:
+    def _establish(
+        self, t_ready: float, ids: list[int], *, src: int, dst: int, tag: int
+    ) -> tuple[float, float, float]:
+        """Apply the fault gates to the circuit ``ids`` ready at
+        ``t_ready``; returns ``(t_ready, lat_scale, bw_scale)``.
+
+        A manually failed link raises; a :class:`FaultPlan` outage is
+        waited out (:meth:`_await_alive`); degraded links scale the
+        transfer by the worst link on the path.  Without faults this is
+        ``(t_ready, 1.0, 1.0)``."""
+        if self._failed:
+            self._check_alive(ids)
+        plan = self.fault_plan
+        if plan is None:
+            return t_ready, 1.0, 1.0
+        if plan.outages:
+            t_ready = self._await_alive(t_ready, ids, src=src, dst=dst, tag=tag)
+        if not plan.degradations:
+            return t_ready, 1.0, 1.0
+        lat_scale, bw_scale = plan.path_scales_by_id(ids)
+        return t_ready, lat_scale, bw_scale
+
+    def _check_alive(self, ids: list[int]) -> None:
         """Raise if any link of a prospective circuit has failed."""
-        if not self._failed:
-            return
-        from repro.sim.engine import SimulationError
-
-        dead = [link for link in links if isinstance(link, Link) and link in self._failed]
+        dead = [self.cube.link_at(i) for i in ids if i in self._failed]
         if dead:
+            from repro.sim.engine import SimulationError
+
             raise SimulationError(
                 "circuit requires failed link(s) "
                 + ", ".join(sorted(map(str, dead)))
                 + "; e-cube routing is fixed, no alternative path exists"
             )
 
-    def await_links_alive(
-        self, t_ready: float, links: set, *, src: int, dst: int, tag: int
+    def _await_alive(
+        self, t_ready: float, ids: list[int], *, src: int, dst: int, tag: int
     ) -> float:
         """Block-and-retry until no path link sits inside a scheduled
         outage window; returns the (possibly delayed) ready time.
@@ -170,23 +179,20 @@ class Network:
         ever coming), a :class:`FaultPlan` outage is *transient*: the
         sender holds the block, waits a deterministic capped backoff,
         and looks again.  Every wait is recorded as a
-        :class:`~repro.sim.trace.RetryRecord` so a chaos sweep can
-        prove zero blocks were lost.  Aliveness is judged at the ready
-        instant; a window opening *after* the circuit is granted does
-        not tear it down (circuit establishment is the vulnerable step,
-        not the streaming transfer).
+        :class:`~repro.sim.trace.RetryRecord` naming the smallest down
+        ``Link`` (in ``(src, dst)`` order, which is not id order), so a
+        chaos sweep can prove zero blocks were lost.  Aliveness is
+        judged at the ready instant; a window opening *after* the
+        circuit is granted does not tear it down (circuit establishment
+        is the vulnerable step, not the streaming transfer).
         """
         plan = self.fault_plan
-        if plan is None or not plan.outages:
-            return t_ready
         t = t_ready
         for attempt in range(MAX_RETRY_ATTEMPTS):
-            gating: Link | None = None
-            for link in links:
-                if isinstance(link, Link) and plan.down_until(link, t) is not None:
-                    gating = link if gating is None else min(gating, link)
-            if gating is None:
+            down = [i for i in ids if plan.down_until_by_id(i, t) is not None]
+            if not down:
                 return t
+            gating = min(self.cube.link_at(i) for i in down)
             t_retry = t + plan.backoff_us(attempt)
             self.trace.record_retry(
                 RetryRecord(
@@ -211,26 +217,41 @@ class Network:
     # link reservation
     # ------------------------------------------------------------------
     def link_free_at(self, link: Link) -> float:
-        return self._free_at.get(link, 0.0)
+        return self._free_at[self.cube.link_index(link)]
 
     @staticmethod
     def port(node: int) -> tuple[str, int]:
         """The endpoint-serialization resource of ``node`` (§7.2)."""
         return ("port", node)
 
+    def _resource_id(self, resource: object) -> int:
+        """Table slot of a :class:`Link` or a :meth:`port`."""
+        if isinstance(resource, Link):
+            return self.cube.link_index(resource)
+        if isinstance(resource, tuple) and len(resource) == 2 and resource[0] == "port":
+            return self._port_base + self.cube.validate_node(resource[1])
+        raise TypeError(f"not a reservable resource: {resource!r}")
+
     def reserve(self, t_ready: float, links: set[object], duration: float) -> Grant:
-        """Grant all ``links`` for ``duration`` starting no earlier than
-        ``t_ready``; returns the granted interval.
+        """Grant all ``links`` (links and :meth:`port` resources) for
+        ``duration`` starting no earlier than ``t_ready``; returns the
+        granted interval.
 
         Contention-free schedules always get ``t_start == t_ready``
         (asserted by the tests for every paper schedule).
         """
+        return self._reserve(t_ready, [self._resource_id(r) for r in links], duration)
+
+    def _reserve(self, t_ready: float, ids: list[int], duration: float) -> Grant:
+        """:meth:`reserve` on table slots."""
+        free_at = self._free_at
         t_start = t_ready
-        for link in links:
-            t_start = max(t_start, self.link_free_at(link))
+        for i in ids:
+            if free_at[i] > t_start:  # max(), without the call
+                t_start = free_at[i]
         t_end = t_start + duration
-        for link in links:
-            self._free_at[link] = t_end
+        for i in ids:
+            free_at[i] = t_end
         return Grant(t_start=t_start, t_end=t_end)
 
     # ------------------------------------------------------------------
@@ -238,22 +259,25 @@ class Network:
     # ------------------------------------------------------------------
     def circuit_links(self, src: int, dst: int) -> set[Link]:
         """Directed links held by the circuit ``src -> dst``."""
-        src = self.cube.validate_node(src)
-        dst = self.cube.validate_node(dst)
-        links: set[Link] = set()
-        _add_ecube_links(links, _link_table(self.cube.dimension), src, dst)
-        return links
+        ids: list[int] = []
+        _add_ecube_ids(ids, self._d, self.cube.validate_node(src), self.cube.validate_node(dst))
+        return {self.cube.link_at(i) for i in ids}
 
     def exchange_links(self, a: int, b: int) -> set[Link]:
         """Links held by a full-duplex pairwise exchange: both e-cube
         directions (their edge sets differ in general)."""
+        return {self.cube.link_at(i) for i in self._exchange_ids(a, b)}
+
+    def _exchange_ids(self, a: int, b: int) -> list[int]:
+        """Link ids of both e-cube directions between ``a`` and ``b``
+        (disjoint: a route ``a -> b`` leaves each flipped bit's node
+        with ``a``'s value of that bit, the route back with ``b``'s)."""
         a = self.cube.validate_node(a)
         b = self.cube.validate_node(b)
-        table = _link_table(self.cube.dimension)
-        links: set[Link] = set()
-        _add_ecube_links(links, table, a, b)
-        _add_ecube_links(links, table, b, a)
-        return links
+        ids: list[int] = []
+        _add_ecube_ids(ids, self._d, a, b)
+        _add_ecube_ids(ids, self._d, b, a)
+        return ids
 
     # ------------------------------------------------------------------
     # timing model
@@ -305,14 +329,6 @@ class Network:
             + p.exchange_hop_time * hops
         )
 
-    def path_scales(self, links: set) -> tuple[float, float]:
-        """Worst-case ``(lat_scale, bw_scale)`` along a circuit, from
-        the active fault plan (``(1.0, 1.0)`` without one)."""
-        plan = self.fault_plan
-        if plan is None or not plan.degradations:
-            return (1.0, 1.0)
-        return plan.path_scales(links)
-
     # ------------------------------------------------------------------
     # transfers (reserve + record)
     # ------------------------------------------------------------------
@@ -320,34 +336,10 @@ class Network:
         self, t_ready: float, src: int, dst: int, nbytes: int, tag: int, *, forced: bool
     ) -> Grant:
         """Reserve the circuit for a one-way message and record it."""
-        hops = ecube_hops(src, dst)
-        circuit = self.circuit_links(src, dst)
-        self.check_links_alive(circuit)
-        t_ready = self.await_links_alive(t_ready, circuit, src=src, dst=dst, tag=tag)
-        lat_scale, bw_scale = self.path_scales(circuit)
-        duration = self.message_duration(
-            nbytes, hops, forced=forced, lat_scale=lat_scale, bw_scale=bw_scale
+        return self._start_one_way(
+            t_ready, src, dst, nbytes, tag, forced=forced,
+            kind="forced" if forced else "unforced",
         )
-        resources: set[object] = set(circuit)
-        # Un-synchronized messages serialize with other traffic at both
-        # endpoints (§7.2); synchronized exchanges do not pay this.
-        resources.add(self.port(src))
-        resources.add(self.port(dst))
-        grant = self.reserve(t_ready, resources, duration)
-        self.trace.record_transmission(
-            TransmissionRecord(
-                src=src,
-                dst=dst,
-                nbytes=nbytes,
-                hops=hops,
-                t_request=t_ready,
-                t_start=grant.t_start,
-                t_end=grant.t_end,
-                kind="forced" if forced else "unforced",
-                tag=tag,
-            )
-        )
-        return grant
 
     def start_cross_message(
         self, t_ready: float, src: int, dst: int, nbytes: int
@@ -358,18 +350,26 @@ class Network:
         (links + endpoint ports, so it genuinely contends with the
         workload) but is recorded with ``kind="cross"`` / ``tag=-1`` so
         traces keep workload and background traffic separable."""
+        return self._start_one_way(t_ready, src, dst, nbytes, -1, forced=True, kind="cross")
+
+    def _start_one_way(
+        self, t_ready: float, src: int, dst: int, nbytes: int, tag: int, *,
+        forced: bool, kind: str,
+    ) -> Grant:
+        src = self.cube.validate_node(src)
+        dst = self.cube.validate_node(dst)
         hops = ecube_hops(src, dst)
-        circuit = self.circuit_links(src, dst)
-        self.check_links_alive(circuit)
-        t_ready = self.await_links_alive(t_ready, circuit, src=src, dst=dst, tag=-1)
-        lat_scale, bw_scale = self.path_scales(circuit)
+        ids: list[int] = []
+        _add_ecube_ids(ids, self._d, src, dst)
+        t_ready, lat_scale, bw_scale = self._establish(t_ready, ids, src=src, dst=dst, tag=tag)
         duration = self.message_duration(
-            nbytes, hops, forced=True, lat_scale=lat_scale, bw_scale=bw_scale
+            nbytes, hops, forced=forced, lat_scale=lat_scale, bw_scale=bw_scale
         )
-        resources: set[object] = set(circuit)
-        resources.add(self.port(src))
-        resources.add(self.port(dst))
-        grant = self.reserve(t_ready, resources, duration)
+        # Un-synchronized messages serialize with other traffic at both
+        # endpoints (§7.2); synchronized exchanges do not pay this.
+        ids.append(self._port_base + src)
+        ids.append(self._port_base + dst)
+        grant = self._reserve(t_ready, ids, duration)
         self.trace.record_transmission(
             TransmissionRecord(
                 src=src,
@@ -379,8 +379,8 @@ class Network:
                 t_request=t_ready,
                 t_start=grant.t_start,
                 t_end=grant.t_end,
-                kind="cross",
-                tag=-1,
+                kind=kind,
+                tag=tag,
             )
         )
         return grant
@@ -394,15 +394,13 @@ class Network:
         The concurrent bidirectional transfer completes when the larger
         payload does.
         """
+        ids = self._exchange_ids(a, b)
         hops = ecube_hops(a, b)
-        links = self.exchange_links(a, b)
-        self.check_links_alive(links)
-        t_ready = self.await_links_alive(t_ready, links, src=a, dst=b, tag=tag)
-        lat_scale, bw_scale = self.path_scales(links)
+        t_ready, lat_scale, bw_scale = self._establish(t_ready, ids, src=a, dst=b, tag=tag)
         duration = self.exchange_duration(
             max(nbytes_a, nbytes_b), hops, lat_scale=lat_scale, bw_scale=bw_scale
         )
-        grant = self.reserve(t_ready, links, duration)
+        grant = self._reserve(t_ready, ids, duration)
         for src, dst, nbytes in ((a, b, nbytes_a), (b, a, nbytes_b)):
             self.trace.record_transmission(
                 TransmissionRecord(

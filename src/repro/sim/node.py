@@ -22,6 +22,7 @@ Message semantics follow the iPSC-860 (paper §7.1):
 
 from __future__ import annotations
 
+import weakref
 from collections import deque
 from dataclasses import dataclass
 from typing import Any
@@ -33,7 +34,6 @@ __all__ = [
     "ExchangeReq",
     "NodeContext",
     "NodeState",
-    "PhaseMarkReq",
     "PostRecvReq",
     "RecvReq",
     "SendReq",
@@ -163,22 +163,20 @@ class ShuffleReq(_MachineRequest):
         self.nbytes = int(nbytes)
 
 
-class PhaseMarkReq(_MachineRequest):
-    def __init__(self, ctx: "NodeContext", phase_index: int) -> None:
-        super().__init__(ctx)
-        self.phase_index = phase_index
-
-
 class NodeContext:
     """The API surface a node program codes against.
 
-    Each method builds a request to ``yield``; the value of the yield
-    expression is the request's result (received payload for
-    ``recv``/``exchange``, ``None`` otherwise).
+    Each method but :meth:`mark_phase` builds a request to ``yield``;
+    the value of the yield expression is the request's result (received
+    payload for ``recv``/``exchange``, ``None`` otherwise).
     """
 
     def __init__(self, machine, rank: int) -> None:
-        self.machine = machine
+        #: the owning machine, held weakly for the reason
+        #: :attr:`Process.engine <repro.sim.engine.Process>` is: the
+        #: machine keeps its contexts, so a finished run is freed by
+        #: reference counting, trace and buffers included
+        self.machine = weakref.proxy(machine)
         self.rank = rank
         self.state = NodeState(rank)
 
@@ -243,9 +241,13 @@ class NodeContext:
         caller performs the actual numpy permutation itself."""
         return ShuffleReq(self, nbytes)
 
-    def mark_phase(self, phase_index: int) -> PhaseMarkReq:
-        """Record a phase boundary in the trace (zero cost)."""
-        return PhaseMarkReq(self, phase_index)
+    def mark_phase(self, phase_index: int) -> None:
+        """Record a phase boundary in the trace at the current instant.
+
+        Called, not yielded: the mark costs no virtual time, so it takes
+        no event either — the program goes straight on to its next
+        request.  The first node to reach a phase marks it."""
+        self.machine.mark_phase(phase_index)
 
 
 def require(condition: bool, message: str) -> None:

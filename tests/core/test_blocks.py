@@ -290,6 +290,76 @@ def _failing_nodes(bufs):
     return [buf.node for buf in bufs if not buf.is_complete_exchange_result()]
 
 
+def _first_message(bufs, *, check_payload=True):
+    """The message the one-buffer-at-a-time check raises first."""
+    for buf in bufs:
+        try:
+            buf.verify_complete_exchange_result(check_payload=check_payload)
+        except AssertionError as exc:
+            return str(exc)
+    return None
+
+
+def _corrupt(bufs, kind, node):
+    if kind == "dest":
+        bufs[node].dests[1] ^= 1
+    elif kind == "origin":
+        bufs[node].origins[1] = bufs[node].origins[0]
+    else:
+        bufs[node].payload[2, 3] ^= 0xFF
+
+
+class TestVerifyAll:
+    """Many nodes per pass, the message of the first failing rank."""
+
+    D, M, PARTITION = 4, 8, (2, 2)
+
+    @pytest.fixture(params=[1, 16 * 24 * 3, 1 << 20], ids=["per-node", "chunks-of-3", "one-pass"])
+    def chunk_bytes(self, request, monkeypatch):
+        from repro.core import blocks
+
+        monkeypatch.setattr(blocks, "_VERIFY_CHUNK_BYTES", request.param)
+
+    def test_accepts_every_final_buffer(self, chunk_bytes):
+        BlockBuffer.verify_all(_slot_exchange(self.D, self.M, self.PARTITION))
+        BlockBuffer.verify_all(_slot_exchange(self.D, 0, self.PARTITION))
+        BlockBuffer.verify_all([])
+
+    @pytest.mark.parametrize("kind", ["dest", "origin", "payload"])
+    @pytest.mark.parametrize("nodes", [(0,), (7,), (15,), (4, 5), (11, 2)])
+    def test_raises_the_first_failing_rank(self, chunk_bytes, kind, nodes):
+        bufs = _slot_exchange(self.D, self.M, self.PARTITION)
+        for node in nodes:
+            _corrupt(bufs, kind, node)
+        expected = _first_message(bufs)
+        assert f"node {min(nodes)}:" in expected
+        with pytest.raises(AssertionError) as excinfo:
+            BlockBuffer.verify_all(bufs)
+        assert str(excinfo.value) == expected
+
+    def test_mixed_faults_keep_rank_order(self, chunk_bytes):
+        bufs = _slot_exchange(self.D, self.M, self.PARTITION)
+        _corrupt(bufs, "payload", 3)
+        _corrupt(bufs, "dest", 9)
+        with pytest.raises(AssertionError, match="node 3: payload of block from"):
+            BlockBuffer.verify_all(bufs)
+        # without the payload check only node 9 fails
+        with pytest.raises(AssertionError, match="node 9: 1 blocks with foreign"):
+            BlockBuffer.verify_all(bufs, check_payload=False)
+
+    def test_payload_check_can_be_skipped(self, chunk_bytes):
+        bufs = _slot_exchange(self.D, self.M, self.PARTITION)
+        _corrupt(bufs, "payload", 6)
+        BlockBuffer.verify_all(bufs, check_payload=False)
+
+    def test_unequal_buffers_are_checked_one_at_a_time(self, chunk_bytes):
+        bufs = _slot_exchange(self.D, self.M, self.PARTITION)
+        bufs[5] = BlockBuffer(5, self.D, self.M, bufs[5].take(np.arange(15)))
+        _corrupt(bufs, "payload", 8)
+        with pytest.raises(AssertionError, match="node 5: holds 15 blocks, expected 16"):
+            BlockBuffer.verify_all(bufs)
+
+
 class TestSlotNegativeControls:
     """Each way of misusing take/put must fail verification."""
 

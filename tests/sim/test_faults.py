@@ -3,11 +3,12 @@ plus the seeded :class:`~repro.sim.faults.FaultPlan` chaos layer."""
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 from repro.comm.program import exchange_program, simulate_exchange
 from repro.core.schedule import multiphase_schedule
-from repro.hypercube.topology import Link
+from repro.hypercube.topology import Hypercube, Link
 from repro.model.params import ipsc860
 from repro.sim.engine import SimulationError
 from repro.sim.faults import (
@@ -18,6 +19,8 @@ from repro.sim.faults import (
     Straggler,
 )
 from repro.sim.machine import SimulatedHypercube
+from repro.sim.network import Network
+from repro.sim.trace import Trace
 
 
 class TestLinkFailure:
@@ -187,6 +190,90 @@ class TestFaultPlanConstruction:
             ),
         )
         assert plan.path_scales([Link(0, 1), Link(1, 3)]) == (2.0, 4.0)
+
+
+def _outage_probes(plan: FaultPlan) -> list[float]:
+    """Instants at, inside and just outside every outage window."""
+    probes = {0.0, 1e9}
+    for o in plan.outages:
+        probes |= {o.t_fail, o.t_heal, (o.t_fail + o.t_heal) / 2,
+                   float(np.nextafter(o.t_fail, 0.0)), float(np.nextafter(o.t_heal, 0.0))}
+    return sorted(probes)
+
+
+class TestLinkIds:
+    """The network's reservation table and the plan's lookups key a
+    directed link by its id ``src·d + dim``; each id lookup must equal
+    the ``Link`` lookup it replaces."""
+
+    def test_id_order_is_not_link_order(self):
+        cube = Hypercube(2)
+        assert Link(3, 1) < Link(3, 2)
+        assert cube.link_index(Link(3, 1)) == 7 > cube.link_index(Link(3, 2)) == 6
+        assert [cube.link_at(i) for i in range(cube.n_links)] == list(cube.links())
+
+    @pytest.mark.parametrize("d", range(1, 5))
+    def test_generated_plan_lookups_by_id_equal_link_lookups(self, d):
+        plan = FaultPlan.generate(
+            d, seed=2024 + d, degraded_link_fraction=0.5, link_failure_rate=0.5,
+            horizon_us=2_000.0, outage_duration_range_us=(100.0, 600.0),
+        )
+        cube = Hypercube(d)
+        probes = _outage_probes(plan)
+        for link in cube.links():
+            link_id = cube.link_index(link)
+            assert cube.link_at(link_id) == link
+            assert plan.path_scales_by_id([link_id]) == plan.path_scales([link])
+            assert plan.path_scales([link]) == plan.link_scales(link)
+            for t in probes:
+                assert plan.down_until_by_id(link_id, t) == plan.down_until(link, t)
+        net = Network(cube, ipsc860(), Trace(), fault_plan=plan)
+        for a in cube.nodes():
+            for b in cube.nodes():
+                links = net.exchange_links(a, b)
+                ids = [cube.link_index(link) for link in links]
+                # endpoint ports are not links and scale nothing
+                assert plan.path_scales_by_id(ids) == plan.path_scales(links | {net.port(a)})
+
+    def test_one_directional_records_keep_their_direction(self):
+        """Generated plans hit both directions of a wire alike; records
+        on one direction only must not leak onto the other, nor onto a
+        link whose id is adjacent."""
+        plan = FaultPlan(
+            d=2,
+            degradations=(LinkDegradation(Link(3, 1), 2.0, 3.0),),
+            outages=(LinkOutage(Link(3, 2), 10.0, 20.0),),
+        )
+        cube = Hypercube(2)
+        for link in cube.links():
+            link_id = cube.link_index(link)
+            scales = (2.0, 3.0) if link == Link(3, 1) else (1.0, 1.0)
+            assert plan.path_scales_by_id([link_id]) == plan.link_scales(link) == scales
+            heal = 20.0 if link == Link(3, 2) else None
+            assert plan.down_until_by_id(link_id, 15.0) == plan.down_until(link, 15.0) == heal
+        assert plan.link_scales(Link(4, 5)) == (1.0, 1.0)  # another cube's link
+        assert plan.down_until(Link(4, 5), 15.0) is None
+
+    def test_retry_names_the_smallest_down_link(self):
+        """With several links of a circuit down, the retry record names
+        the smallest ``Link`` in ``(src, dst)`` order, not the smallest
+        id."""
+        links = (Link(3, 1), Link(3, 2))
+        plan = FaultPlan(d=2, outages=tuple(LinkOutage(link, 0.0, 60.0) for link in links))
+        net = Network(Hypercube(2), ipsc860(), Trace(), fault_plan=plan)
+        ids = sorted(net.cube.link_index(link) for link in links)
+        assert net._await_alive(0.0, ids, src=3, dst=0, tag=5) == 150.0
+        assert [r.link for r in net.trace.retries] == ["3->1", "3->1"]
+
+    def test_exchange_blocked_on_every_link_names_the_smallest(self):
+        cube = Hypercube(3)
+        net = Network(cube, ipsc860(), Trace())
+        circuit = net.exchange_links(1, 6)
+        plan = FaultPlan(d=3, outages=tuple(LinkOutage(link, 0.0, 60.0) for link in circuit))
+        net = Network(cube, ipsc860(), Trace(), fault_plan=plan)
+        grant = net.start_exchange(0.0, 1, 6, 8, 8, tag=0)
+        assert grant.t_start == 150.0
+        assert {r.link for r in net.trace.retries} == {str(min(circuit))}
 
 
 class TestFaultPlanGeneration:
@@ -380,3 +467,52 @@ class TestCrossTraffic:
         contended = SimulatedHypercube(1, params, fault_plan=plan).run(program)
         clean = SimulatedHypercube(1, params).run(program)
         assert contended.time > clean.time
+
+    def test_cross_traffic_contends_with_an_exchange(self):
+        """A pairwise exchange shares the one reservation table with
+        background traffic: a cross message holding the 0->1 wire
+        delays the exchange until it leaves."""
+        params = ipsc860()
+        flow = CrossTraffic(src=0, dst=1, nbytes=4096, period_us=1.0, n_messages=1)
+        plan = FaultPlan(d=1, cross_traffic=(flow,))
+
+        def program(ctx):
+            yield ctx.delay(1.0)  # let the cross message grab the link
+            got = yield ctx.exchange(ctx.rank ^ 1, payload=ctx.rank, nbytes=8)
+            return got
+
+        contended = SimulatedHypercube(1, params, fault_plan=plan).run(program)
+        clean = SimulatedHypercube(1, params).run(program)
+        (cross,) = [t for t in contended.trace.transmissions if t.kind == "cross"]
+        exchange = [t for t in contended.trace.transmissions if t.kind == "exchange"]
+        assert len(exchange) == 2
+        assert cross.t_start == 0.0
+        assert all(t.t_request == 1.0 and t.t_start == cross.t_end for t in exchange)
+        assert contended.time == cross.t_end + params.exchange_time(8, 1)
+        assert contended.time > clean.time
+        assert contended.node_results == clean.node_results == [1, 0]
+
+    def test_unsynchronized_message_then_exchange_serialize(self):
+        """An UNFORCED message 2 -> 1 holds the e-cube links 2->3 and
+        3->1; the 1 <-> 3 exchange needs 3->1, so it waits for the
+        message to leave the wire."""
+        params = ipsc860()
+
+        def program(ctx):
+            if ctx.rank == 2:
+                yield ctx.send(1, payload="m", nbytes=4096, tag=7, forced=False)
+            elif ctx.rank in (1, 3):
+                yield ctx.delay(1.0)
+                yield ctx.exchange(ctx.rank ^ 2, payload=ctx.rank, nbytes=8)
+                if ctx.rank == 1:
+                    return (yield ctx.recv(2, tag=7))
+            else:
+                yield ctx.delay(0.0)
+
+        result = SimulatedHypercube(2, params).run(program)
+        (message,) = [t for t in result.trace.transmissions if t.kind == "unforced"]
+        exchange = [t for t in result.trace.transmissions if t.kind == "exchange"]
+        assert message.t_start == 0.0
+        assert len(exchange) == 2
+        assert all(t.t_start == message.t_end > t.t_request == 1.0 for t in exchange)
+        assert result.node_results[1] == "m"

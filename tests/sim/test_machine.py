@@ -230,15 +230,35 @@ class TestShuffleAndPhases:
         assert len(result.trace.shuffles) == 2  # one per node
 
     def test_phase_marks_deduplicated(self):
+        """``mark_phase`` is called, not yielded: the first node to
+        reach a phase marks it, and later nodes add nothing."""
         machine = SimulatedHypercube(2, ipsc860())
 
         def program(ctx):
-            yield ctx.mark_phase(0)
+            assert ctx.mark_phase(0) is None
             yield ctx.barrier()
-            yield ctx.mark_phase(1)
+            ctx.mark_phase(1)
 
         result = machine.run(program)
         assert [p for p, _ in result.trace.phase_marks] == [0, 1]
+
+    def test_phase_mark_carries_the_instant_it_was_reached(self):
+        """A mark takes the time the first node reached it and costs no
+        event: one shared start, four delays, one barrier release."""
+        params = ipsc860()
+        machine = SimulatedHypercube(2, params)
+
+        def program(ctx):
+            ctx.mark_phase(0)
+            yield ctx.delay(10.0 * (ctx.rank + 1))
+            ctx.mark_phase(1)  # node 0 first, at t = 10
+            yield ctx.barrier()
+            ctx.mark_phase(2)
+
+        result = machine.run(program)
+        release = 40.0 + params.global_sync_time(2)
+        assert result.trace.phase_marks == [(0, 0.0), (1, 10.0), (2, release)]
+        assert result.n_events == 1 + 4 + 1
 
 
 class TestDeterminism:
@@ -259,17 +279,19 @@ class TestDeterminism:
 
 
 def _expected_events(d: int, partition: tuple[int, ...]) -> int:
-    """Events of one multiphase exchange: a start per node; per phase a
-    zero-delay phase mark per node plus one barrier release; one
-    completion per exchanging pair; a resumption per node per shuffle."""
+    """Events of one multiphase exchange, ``1 + phases + n/2·(exchange
+    steps) + n·(shuffle steps)``: one shared start; per phase one
+    barrier release (the phase mark takes none); one completion per
+    exchanging pair; a resumption per node per shuffle."""
     n = 1 << d
-    per_step = {PhaseStart: n + 1, ExchangeStep: n // 2, ShuffleStep: n}
-    return n + sum(per_step[type(step)] for step in multiphase_schedule(d, partition))
+    per_step = {PhaseStart: 1, ExchangeStep: n // 2, ShuffleStep: n}
+    return 1 + sum(per_step[type(step)] for step in multiphase_schedule(d, partition))
 
 
 class TestEventCount:
-    """Each exchange pair and each barrier completes with one shared
-    event, so the count follows from the schedule alone."""
+    """The node processes start from one shared event, phase marks take
+    no event, and each exchange pair and each barrier completes with one
+    shared event, so the count follows from the schedule alone."""
 
     @pytest.mark.parametrize("d,partition", [
         pytest.param(d, p, id=f"d{d}-" + "-".join(map(str, p)))
@@ -284,3 +306,36 @@ class TestEventCount:
 
         result = simulate_exchange(d, 0, partition, ipsc860())
         assert result.run.n_events == _expected_events(d, partition)
+
+
+class TestOwnership:
+    """A machine owns its contexts and its engine owns its processes;
+    the links back are weak, so a finished run is freed by reference
+    counting, trace and buffers included, without the cycle collector."""
+
+    @pytest.mark.parametrize("faulty", [False, True], ids=["clean", "fault-plan"])
+    def test_finished_run_is_freed_without_the_cycle_collector(self, faulty):
+        import gc
+        import weakref
+
+        from repro.comm.program import exchange_program
+        from repro.sim.faults import FaultPlan
+
+        plan = FaultPlan.generate(
+            3, seed=5, degraded_link_fraction=0.5, link_failure_rate=0.5,
+            horizon_us=2_000.0, cross_traffic_flows=2,
+        ) if faulty else None
+        gc.disable()
+        try:
+            machine = SimulatedHypercube(3, ipsc860(), fault_plan=plan)
+            result = machine.run(
+                exchange_program, steps=multiphase_schedule(3, (2, 1)), m=8
+            )
+            assert len(result.trace.transmissions) > 0
+            owned = [machine, machine.engine, machine.network, machine.trace,
+                     machine.contexts[0], *machine.engine.processes, *result.node_results]
+            refs = [weakref.ref(obj) for obj in owned]
+            del machine, result, owned
+            assert [r() for r in refs if r() is not None] == []
+        finally:
+            gc.enable()

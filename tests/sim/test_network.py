@@ -62,8 +62,8 @@ class TestPaths:
 
     @pytest.mark.parametrize("d", range(1, 7))
     def test_link_table_walk_equals_ecube_path_edges(self, d):
-        """The interned link table yields exactly the e-cube route's
-        links, for every ordered pair (self-pairs included)."""
+        """The walk over the link-id table yields exactly the e-cube
+        route's links, for every ordered pair (self-pairs included)."""
         net = Network(Hypercube(d), ipsc860(), Trace())
         for a in range(1 << d):
             for b in range(1 << d):
@@ -133,6 +133,31 @@ class TestTransfers:
         net.start_message(0.0, 0, 1, 0, tag=0, forced=True)  # holds port 0
         grant = net.start_exchange(0.0, 0, 2, 8, 8, tag=0)
         assert grant.t_start == 0.0
+
+    def test_message_and_exchange_share_one_table(self, net):
+        """A one-way message and a pairwise exchange over a common link
+        serialize in either order."""
+        message = net.start_message(0.0, 0, 3, 1000, tag=0, forced=True)  # 0->1->3
+        exchange = net.start_exchange(0.0, 1, 3, 8, 8, tag=1)  # needs 1->3
+        assert exchange.t_start == message.t_end
+        first = net.start_exchange(0.0, 4, 5, 500, 500, tag=2)
+        second = net.start_message(0.0, 5, 4, 0, tag=3, forced=True)  # needs 5->4
+        assert second.t_start == first.t_end
+
+    def test_reserve_accepts_links_and_ports(self, net):
+        net.reserve(0.0, {Link(0, 1), net.port(7)}, 30.0)
+        assert net.link_free_at(Link(0, 1)) == 30.0
+        assert net.link_free_at(Link(1, 0)) == 0.0
+        grant = net.start_message(0.0, 7, 6, 0, tag=0, forced=True)  # port 7 busy
+        assert grant.t_start == 30.0
+
+    def test_reserve_rejects_foreign_resources(self, net):
+        with pytest.raises(ValueError, match="5-cube"):
+            net.reserve(0.0, {Link(32, 33)}, 1.0)
+        with pytest.raises(ValueError):
+            net.reserve(0.0, {net.port(32)}, 1.0)
+        with pytest.raises(TypeError, match="reservable"):
+            net.reserve(0.0, {("wire", 0)}, 1.0)
 
     def test_contention_wait_recorded(self, net):
         net.start_message(0.0, 0, 1, 1000, tag=0, forced=True)
