@@ -58,7 +58,7 @@ class Communicator:
              tag: int = 0, forced: bool = True) -> Generator:
         """Blocking send.  ``nbytes`` defaults to ``buf.nbytes`` for
         array-likes."""
-        size = int(nbytes if nbytes is not None else getattr(buf, "nbytes", 0))
+        size = nbytes if nbytes is not None else getattr(buf, "nbytes", 0)
         yield self.ctx.send(dest, buf, size, tag=tag, forced=forced)
 
     def Recv(self, source: int | None = None, *, tag: int = 0) -> Generator:
@@ -73,7 +73,7 @@ class Communicator:
     def Sendrecv(self, buf: Any, partner: int, *, nbytes: int | None = None,
                  tag: int = 0) -> Generator:
         """Pairwise synchronized exchange; returns the partner's payload."""
-        size = int(nbytes if nbytes is not None else getattr(buf, "nbytes", 0))
+        size = nbytes if nbytes is not None else getattr(buf, "nbytes", 0)
         payload = yield self.ctx.exchange(partner, buf, size, tag=tag)
         return payload
 

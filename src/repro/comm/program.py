@@ -21,8 +21,13 @@ The tag engine's buffer is fixed-slot: each exchange step copies the
 partner-bound slots out (:meth:`~repro.core.blocks.BlockBuffer.take`)
 and overwrites those same slots with the partner's blocks
 (:meth:`~repro.core.blocks.BlockBuffer.put`), so a node holds its ``n``
-blocks throughout and no step reallocates the buffer.  The final check
-(:meth:`~repro.core.blocks.BlockBuffer.verify_all`) stacks many
+blocks throughout and no step reallocates the buffer.  At step (group
+G, partner p) those are the slots whose G coordinate equals p's (one
+row of :meth:`~repro.core.blocks.BlockBuffer.coordinate_slots` per
+phase): a phase rewrites only the G coordinate of a destination and a
+step refills exactly the slots it sent.  A wrong slot plan fails the
+final check (:meth:`~repro.core.blocks.BlockBuffer.verify_all`), which
+stacks many
 nodes' buffers per pass, a few hundred kilobytes at a time: the
 expected payloads come from :func:`~repro.core.blocks.payload_rows` as
 one matrix and are compared whole, and a failing chunk is re-checked
@@ -125,17 +130,19 @@ def exchange_program(
         if isinstance(step, ExchangeStep):
             if step.group is not group:
                 group = step.group
-                lo, reach, coord_mask = group.lo, ~group.mask, (1 << group.width) - 1
+                lo, coord_mask = group.lo, (1 << group.width) - 1
+                if tags:
+                    slot_rows = buf.coordinate_slots(lo, group.width)
             partner = rank ^ (step.offset << lo)
+            partner_coord = (partner >> lo) & coord_mask
             if tags:
-                slots = buf.slots_for(partner, reach)
+                slots = slot_rows[partner_coord]
                 outgoing = buf.take(slots)
                 received = yield ctx.exchange(
                     partner, outgoing, nbytes=outgoing.nbytes, tag=tag_base + index
                 )
                 buf.put(slots, received)
             else:
-                partner_coord = (partner >> lo) & coord_mask
                 outgoing = buf.take_run(group, partner_coord)
                 received = yield ctx.exchange(
                     partner, outgoing, nbytes=outgoing[2].size, tag=tag_base + index

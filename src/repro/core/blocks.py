@@ -16,7 +16,14 @@ out the slots bound for the partner (:meth:`BlockBuffer.take`) and
 overwrites those same slots with what the partner sends back
 (:meth:`BlockBuffer.put`), so no step reallocates the buffer; as
 holdings of :func:`repro.core.programs.replay_pattern` it does both per
-round (:meth:`BlockBuffer.send`, :meth:`BlockBuffer.receive`).  The
+round (:meth:`BlockBuffer.send`, :meth:`BlockBuffer.receive`).
+
+Fixed slots give a multiphase step its slots without reading a tag: at
+step (group G, partner p) they are the slots whose G coordinate equals
+p's (:meth:`BlockBuffer.coordinate_slots`), since a phase rewrites only
+the G coordinate of a destination and a step refills exactly the slots
+it sent.  Pattern holdings and the naive rotation scan the tags
+(:meth:`BlockBuffer.slots_for`).  The
 companion :mod:`repro.core.shuffle` module implements the
 physically-contiguous layout discipline of the real machine; the two
 are cross-validated in the test suite.
@@ -234,6 +241,19 @@ class BlockBuffer:
         """
         bits = ~reach
         return ((self._blocks.dests & bits) == (dst & bits)).nonzero()[0]
+
+    def coordinate_slots(self, lo: int, width: int) -> np.ndarray:
+        """Slot matrix of a phase on bits ``lo .. lo + width - 1``: row
+        ``c`` holds, ascending, the slots whose group coordinate is ``c``.
+
+        At each step of the phase the row of the partner's coordinate
+        (not the step's offset) is what :meth:`slots_for` would find; see
+        the module docstring for why.
+        """
+        n = 1 << self.d
+        rows, cols = 1 << width, n >> width
+        grid = np.arange(n).reshape(cols >> lo, rows, 1 << lo)
+        return grid.transpose(1, 0, 2).reshape(rows, cols)
 
     def take(self, slots: np.ndarray) -> BlockSet:
         """Copy the blocks in ``slots`` out as a :class:`BlockSet`.

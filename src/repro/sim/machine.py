@@ -5,26 +5,17 @@ synchronization services, boots one SPMD program per node, and resolves
 the requests the programs yield.  The result of a run carries the
 virtual makespan, every node's return value, and the full trace.
 
-Both partners of a pairwise exchange finish at the grant's end, and
-every barrier waiter leaves at the release instant, so each is
-completed by one :class:`~repro.sim.engine.SharedCompletion` event
-that resumes the processes in the order one event each would fire them
-(the second-arriving partner first; barrier waiters in arrival order).
-Such events would sit at the same time with consecutive sequence
-numbers, so nothing could run between them: sharing one leaves the
-trace unchanged and costs one event per exchange pair and per barrier.
-
-The node processes start the same way: their starts would be
-consecutive zero-delay events at boot, queued before any cross-traffic
-flow is spawned, so one shared start event resumes them in rank order.
-A phase mark costs no virtual time and takes no event at all:
-:meth:`NodeContext.mark_phase` is called, not yielded, and records the
-instant the first node reaches the phase.  A multiphase exchange thus
-dispatches ``1 + phases + n/2·(exchange steps) + n·(shuffle steps)``
-events.  The machine's remaining zero-delay events are a posted
-receive's resume, the delivery of an already buffered message, and the
-start of each cross-traffic flow; none occurs in a fault-free
-multiphase exchange.
+Waits that end at one instant share one
+:class:`~repro.sim.engine.SharedCompletion` event, resumed in the order
+separate events would fire: both partners of an exchange (the
+second-arriving first), every barrier waiter (arrival order) and the
+node starts (rank order, before any cross-traffic flow).  A phase mark
+(:meth:`NodeContext.mark_phase`) is called, not yielded, and takes no
+event.  A multiphase exchange thus dispatches
+``1 + phases + n/2·(exchange steps) + n·(shuffle steps)`` events; the
+other zero-delay events (a posted receive's resume, a buffered
+message's delivery, a cross-traffic flow's start) never occur in a
+fault-free multiphase exchange.
 
 Example
 -------
@@ -238,10 +229,10 @@ class SimulatedHypercube:
                 f"exchange mismatch: node {me} wants partner {other}, "
                 f"node {other_req.ctx.rank} wants {other_req.partner} (tag {request.tag})"
             )
-        grant = self.network.start_exchange(
+        record = self.network._exchange(  # noqa: SLF001 - partners checked by ctx.exchange
             self.engine.now, me, other, request.nbytes, other_req.nbytes, request.tag
         )
-        self.engine.at(grant.t_end, SharedCompletion([
+        self.engine.at(record.t_end, SharedCompletion([
             process.resume_callback(other_req.payload),
             other_proc.resume_callback(request.payload, token=other_token),
         ]))

@@ -26,27 +26,19 @@ This is what makes contention-oblivious schedules pay the full
 penalty the paper warns about.
 
 One reservation table holds every resource as a flat list of free-at
-times indexed by integer id: the directed link ``src -> src ^ 2**dim``
-is slot ``src·d + dim`` (its
-:meth:`~repro.hypercube.topology.Hypercube.link_index`, ``d·2**d``
-link slots), and the port of node ``v`` is slot ``d·2**d + v``.  A
-transfer walks its e-cube route as these ids, flipping the differing
-bits lowest first — the route of
-:func:`~repro.hypercube.routing.ecube_path_edges` — so the hot path
-neither builds nor hashes a ``Link``.  ``Link`` objects appear only
-where one is observable: the public :meth:`Network.reserve`,
-:meth:`Network.link_free_at`, :meth:`Network.circuit_links` and
-:meth:`Network.exchange_links`, :meth:`Network.fail_link`, and the
-gating link a :class:`~repro.sim.trace.RetryRecord` names.  Every
-consumer reduces a circuit's slots with ``max`` or ``min``, so the
-walk order cannot move a float of the trace.
+times: the directed link ``src -> src ^ 2**dim`` is slot ``src·d + dim``
+(:meth:`~repro.hypercube.topology.Hypercube.link_index`) and node
+``v``'s port is slot ``d·2**d + v``.  Transfers walk their e-cube routes
+as these ids, lowest differing bit first, and build a ``Link`` only
+where one is observable: the public link API, :meth:`Network.fail_link`
+and a :class:`~repro.sim.trace.RetryRecord`.  Consumers reduce a
+circuit's slots with ``max`` or ``min``, so walk order moves no float.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.hypercube.routing import ecube_hops
 from repro.hypercube.topology import Hypercube, Link
 from repro.model.params import MachineParams
 from repro.sim.faults import MAX_RETRY_ATTEMPTS, FaultPlan
@@ -240,10 +232,12 @@ class Network:
         Contention-free schedules always get ``t_start == t_ready``
         (asserted by the tests for every paper schedule).
         """
-        return self._reserve(t_ready, [self._resource_id(r) for r in links], duration)
+        t_start = self._reserve(t_ready, [self._resource_id(r) for r in links], duration)
+        return Grant(t_start=t_start, t_end=t_start + duration)
 
-    def _reserve(self, t_ready: float, ids: list[int], duration: float) -> Grant:
-        """:meth:`reserve` on table slots."""
+    def _reserve(self, t_ready: float, ids: list[int], duration: float) -> float:
+        """:meth:`reserve` on table slots; returns the grant's start
+        (it ends at ``t_start + duration``)."""
         free_at = self._free_at
         t_start = t_ready
         for i in ids:
@@ -252,7 +246,7 @@ class Network:
         t_end = t_start + duration
         for i in ids:
             free_at[i] = t_end
-        return Grant(t_start=t_start, t_end=t_end)
+        return t_start
 
     # ------------------------------------------------------------------
     # path helpers
@@ -266,14 +260,14 @@ class Network:
     def exchange_links(self, a: int, b: int) -> set[Link]:
         """Links held by a full-duplex pairwise exchange: both e-cube
         directions (their edge sets differ in general)."""
-        return {self.cube.link_at(i) for i in self._exchange_ids(a, b)}
+        ids = self._exchange_ids(self.cube.validate_node(a), self.cube.validate_node(b))
+        return {self.cube.link_at(i) for i in ids}
 
     def _exchange_ids(self, a: int, b: int) -> list[int]:
-        """Link ids of both e-cube directions between ``a`` and ``b``
-        (disjoint: a route ``a -> b`` leaves each flipped bit's node
-        with ``a``'s value of that bit, the route back with ``b``'s)."""
-        a = self.cube.validate_node(a)
-        b = self.cube.validate_node(b)
+        """Link ids of both e-cube directions between the node labels
+        ``a`` and ``b`` (disjoint: a route ``a -> b`` leaves each
+        flipped bit's node with ``a``'s value of that bit, the route
+        back with ``b``'s)."""
         ids: list[int] = []
         _add_ecube_ids(ids, self._d, a, b)
         _add_ecube_ids(ids, self._d, b, a)
@@ -358,7 +352,7 @@ class Network:
     ) -> Grant:
         src = self.cube.validate_node(src)
         dst = self.cube.validate_node(dst)
-        hops = ecube_hops(src, dst)
+        hops = (src ^ dst).bit_count()
         ids: list[int] = []
         _add_ecube_ids(ids, self._d, src, dst)
         t_ready, lat_scale, bw_scale = self._establish(t_ready, ids, src=src, dst=dst, tag=tag)
@@ -369,7 +363,8 @@ class Network:
         # endpoints (§7.2); synchronized exchanges do not pay this.
         ids.append(self._port_base + src)
         ids.append(self._port_base + dst)
-        grant = self._reserve(t_ready, ids, duration)
+        t_start = self._reserve(t_ready, ids, duration)
+        grant = Grant(t_start=t_start, t_end=t_start + duration)
         self.trace.record_transmission(
             TransmissionRecord(
                 src=src,
@@ -392,27 +387,31 @@ class Network:
 
         ``t_ready`` is the rendezvous instant (both partners present).
         The concurrent bidirectional transfer completes when the larger
-        payload does.
+        payload does.  A node cannot exchange with itself.
         """
+        a = self.cube.validate_node(a)
+        b = self.cube.validate_node(b)
+        if a == b:
+            raise ValueError(f"node {a} cannot exchange with itself")
+        record = self._exchange(t_ready, a, b, nbytes_a, nbytes_b, tag)
+        return Grant(t_start=record.t_start, t_end=record.t_end)
+
+    def _exchange(
+        self, t_ready: float, a: int, b: int, nbytes_a: int, nbytes_b: int, tag: int
+    ) -> TransmissionRecord:
+        """:meth:`start_exchange` on checked, distinct ``a`` and ``b``;
+        returns the ``a -> b`` record."""
         ids = self._exchange_ids(a, b)
-        hops = ecube_hops(a, b)
+        hops = (a ^ b).bit_count()
         t_ready, lat_scale, bw_scale = self._establish(t_ready, ids, src=a, dst=b, tag=tag)
         duration = self.exchange_duration(
             max(nbytes_a, nbytes_b), hops, lat_scale=lat_scale, bw_scale=bw_scale
         )
-        grant = self._reserve(t_ready, ids, duration)
-        for src, dst, nbytes in ((a, b, nbytes_a), (b, a, nbytes_b)):
-            self.trace.record_transmission(
-                TransmissionRecord(
-                    src=src,
-                    dst=dst,
-                    nbytes=nbytes,
-                    hops=hops,
-                    t_request=t_ready,
-                    t_start=grant.t_start,
-                    t_end=grant.t_end,
-                    kind="exchange",
-                    tag=tag,
-                )
-            )
-        return grant
+        t_start = self._reserve(t_ready, ids, duration)
+        t_end = t_start + duration
+        record = TransmissionRecord(a, b, nbytes_a, hops, t_ready, t_start, t_end, "exchange", tag)
+        self.trace.record_transmission(record)
+        self.trace.record_transmission(
+            TransmissionRecord(b, a, nbytes_b, hops, t_ready, t_start, t_end, "exchange", tag)
+        )
+        return record

@@ -22,12 +22,13 @@ Message semantics follow the iPSC-860 (paper §7.1):
 
 from __future__ import annotations
 
+import numbers
 import weakref
 from collections import deque
 from dataclasses import dataclass
 from typing import Any
 
-from repro.sim.engine import Delay, Engine, Process, Request, SimulationError
+from repro.sim.engine import Delay, Engine, Process, Request
 
 __all__ = [
     "BarrierReq",
@@ -111,6 +112,8 @@ class NodeState:
 class _MachineRequest(Request):
     """A request resolved by the owning machine's services."""
 
+    __slots__ = ("ctx",)
+
     def __init__(self, ctx: "NodeContext") -> None:
         self.ctx = ctx
 
@@ -119,17 +122,21 @@ class _MachineRequest(Request):
 
 
 class SendReq(_MachineRequest):
+    __slots__ = ("dst", "payload", "nbytes", "tag", "forced")
+
     def __init__(self, ctx: "NodeContext", dst: int, payload: Any, nbytes: int,
                  tag: int, forced: bool) -> None:
         super().__init__(ctx)
         self.dst = dst
         self.payload = payload
-        self.nbytes = int(nbytes)
+        self.nbytes = nbytes
         self.tag = tag
         self.forced = forced
 
 
 class RecvReq(_MachineRequest):
+    __slots__ = ("src", "tag")
+
     def __init__(self, ctx: "NodeContext", src: int | None, tag: int) -> None:
         super().__init__(ctx)
         self.src = src
@@ -137,6 +144,8 @@ class RecvReq(_MachineRequest):
 
 
 class PostRecvReq(_MachineRequest):
+    __slots__ = ("src", "tag")
+
     def __init__(self, ctx: "NodeContext", src: int | None, tag: int) -> None:
         super().__init__(ctx)
         self.src = src
@@ -144,23 +153,27 @@ class PostRecvReq(_MachineRequest):
 
 
 class ExchangeReq(_MachineRequest):
+    __slots__ = ("partner", "payload", "nbytes", "tag")
+
     def __init__(self, ctx: "NodeContext", partner: int, payload: Any, nbytes: int,
                  tag: int) -> None:
         super().__init__(ctx)
         self.partner = partner
         self.payload = payload
-        self.nbytes = int(nbytes)
+        self.nbytes = nbytes
         self.tag = tag
 
 
 class BarrierReq(_MachineRequest):
-    pass
+    __slots__ = ()
 
 
 class ShuffleReq(_MachineRequest):
+    __slots__ = ("nbytes",)
+
     def __init__(self, ctx: "NodeContext", nbytes: int) -> None:
         super().__init__(ctx)
-        self.nbytes = int(nbytes)
+        self.nbytes = nbytes
 
 
 class NodeContext:
@@ -179,6 +192,8 @@ class NodeContext:
         self.machine = weakref.proxy(machine)
         self.rank = rank
         self.state = NodeState(rank)
+        #: the cube holds no link back: no reference cycle
+        self._validate_node = machine.cube.validate_node
 
     # -- structure ------------------------------------------------------
     @property
@@ -206,30 +221,34 @@ class NodeContext:
              forced: bool = True) -> SendReq:
         """Blocking one-way send (``csend``); completes when the
         message has left the wire."""
-        dst = self.machine.cube.validate_node(dst)
+        dst = self._validate_node(dst)
         if dst == self.rank:
             raise ValueError(f"node {self.rank}: cannot send to self")
+        if type(nbytes) is not int or nbytes < 0:
+            nbytes = self._byte_count(nbytes)
         return SendReq(self, dst, payload, nbytes, tag, forced)
 
     def recv(self, src: int | None = None, *, tag: int = 0) -> RecvReq:
         """Blocking receive; yields the matching payload."""
         if src is not None:
-            src = self.machine.cube.validate_node(src)
+            src = self._validate_node(src)
         return RecvReq(self, src, tag)
 
     def post_recv(self, src: int | None = None, *, tag: int = 0) -> PostRecvReq:
         """Post a receive without blocking (required before FORCED
         traffic arrives, §7.3)."""
         if src is not None:
-            src = self.machine.cube.validate_node(src)
+            src = self._validate_node(src)
         return PostRecvReq(self, src, tag)
 
     def exchange(self, partner: int, payload: Any, nbytes: int, *, tag: int = 0) -> ExchangeReq:
         """Pairwise synchronized exchange (§7.2); yields the partner's
         payload when the concurrent bidirectional transfer completes."""
-        partner = self.machine.cube.validate_node(partner)
+        partner = self._validate_node(partner)
         if partner == self.rank:
             raise ValueError(f"node {self.rank}: cannot exchange with self")
+        if type(nbytes) is not int or nbytes < 0:
+            nbytes = self._byte_count(nbytes)
         return ExchangeReq(self, partner, payload, nbytes, tag)
 
     def barrier(self) -> BarrierReq:
@@ -239,7 +258,17 @@ class NodeContext:
     def shuffle(self, nbytes: int) -> ShuffleReq:
         """Local permutation pass over ``nbytes`` at ρ per byte; the
         caller performs the actual numpy permutation itself."""
+        if type(nbytes) is not int or nbytes < 0:
+            nbytes = self._byte_count(nbytes)
         return ShuffleReq(self, nbytes)
+
+    def _byte_count(self, nbytes: Any) -> int:
+        """``nbytes`` as a plain int; a bool, fraction or negative raises."""
+        if isinstance(nbytes, bool) or not isinstance(nbytes, numbers.Integral) or nbytes < 0:
+            raise ValueError(
+                f"node {self.rank}: nbytes must be a non-negative int, got {nbytes!r}"
+            )
+        return int(nbytes)
 
     def mark_phase(self, phase_index: int) -> None:
         """Record a phase boundary in the trace at the current instant.
@@ -249,8 +278,3 @@ class NodeContext:
         request.  The first node to reach a phase marks it."""
         self.machine.mark_phase(phase_index)
 
-
-def require(condition: bool, message: str) -> None:
-    """Internal invariant helper that fails the simulation loudly."""
-    if not condition:
-        raise SimulationError(message)

@@ -21,13 +21,14 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TransmissionRecord:
     """One message or pairwise exchange on the wire.
 
     ``t_request`` is when the sender asked for the circuit,
     ``t_start`` when every link of the path was granted (the difference
     is contention wait), ``t_end`` when the transfer completed.
+    Slotted: two are built per exchange pair.
     """
 
     src: int

@@ -13,6 +13,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.core.blocks import BlockBuffer, BlockSet, payload_pattern, payload_rows
+from repro.core.partitions import compositions, partitions
 from repro.core.programs import Round
 from repro.core.schedule import ExchangeStep, multiphase_schedule
 from repro.hypercube.subcube import BitGroup
@@ -406,6 +407,88 @@ class TestSlotNegativeControls:
 
         with pytest.raises(ValueError, match="blocks for"):
             _slot_exchange(self.D, self.M, self.PARTITION, short)
+
+
+def _phase_orders(d):
+    """Every ordered partition of ``d`` up to d = 6; the partitions of 7."""
+    return list(compositions(d) if d <= 6 else partitions(d))
+
+
+def _check_slot_rule(bufs, partition):
+    """Drive ``bufs`` (one per rank) through the multiphase exchange by
+    the tag rule, asserting at every exchange step and rank that the
+    phase's coordinate row equals the tag scan."""
+    d = bufs[0].d
+    n = 1 << d
+    steps = [s for s in multiphase_schedule(d, partition) if isinstance(s, ExchangeStep)]
+    rows = {}
+    for step in steps:
+        group = step.group
+        coord_mask = (1 << group.width) - 1
+        shift = step.offset << group.lo
+        slots = []
+        for x in range(n):
+            if (x, group) not in rows:
+                rows[x, group] = bufs[x].coordinate_slots(group.lo, group.width)
+            partner = x ^ shift
+            by_tags = bufs[x].slots_for(partner, ~group.mask)
+            by_coordinate = rows[x, group][(partner >> group.lo) & coord_mask]
+            # not a bare assert: this file also runs under python -O
+            np.testing.assert_array_equal(by_coordinate, by_tags, err_msg=f"{partition} {step} {x}")
+            slots.append(by_tags)
+        taken = [bufs[x].take(slots[x]) for x in range(n)]
+        for x in range(n):
+            bufs[x].put(slots[x], taken[x ^ shift])
+    return bufs
+
+
+class TestCoordinateSlots:
+    """The partner-coordinate slot rule the exchange program uses equals
+    the tag rule at every step of every phase order."""
+
+    def test_matrix_shape_and_rows(self):
+        rows = BlockBuffer.initial(0, 4, 1).coordinate_slots(1, 2)
+        np.testing.assert_array_equal(
+            rows, [[0, 1, 8, 9], [2, 3, 10, 11], [4, 5, 12, 13], [6, 7, 14, 15]]
+        )
+
+    @pytest.mark.parametrize("d", range(1, 8))
+    def test_equals_the_tag_rule_on_pattern_buffers(self, d):
+        for partition in _phase_orders(d):
+            bufs = [BlockBuffer.initial(x, d, 2) for x in range(1 << d)]
+            BlockBuffer.verify_all(_check_slot_rule(bufs, partition))
+
+    @pytest.mark.parametrize("d", range(1, 6))
+    def test_equals_the_tag_rule_on_user_rows(self, d):
+        n = 1 << d
+        rng = np.random.default_rng(d)
+        send = rng.integers(0, 256, size=(n, n, 3), dtype=np.uint8)
+        for partition in _phase_orders(d):
+            bufs = [BlockBuffer.from_rows(x, d, send[x]) for x in range(n)]
+            _check_slot_rule(bufs, partition)
+            for x, buf in enumerate(bufs):
+                np.testing.assert_array_equal(buf.result_rows(), send[:, x], err_msg=f"{partition}")
+
+    def test_rows_keyed_by_offset_fail_verification(self, monkeypatch):
+        """Mutant: the exchange program indexing its rows by the step
+        offset instead of the partner's coordinate misroutes blocks, and
+        the final check names foreign destinations."""
+        from repro.comm import simulate_exchange
+        from repro.model.params import ipsc860
+
+        coordinate_slots = BlockBuffer.coordinate_slots
+
+        def keyed_by_offset(self, lo, width):
+            rows = coordinate_slots(self, lo, width)
+            own = (self.node >> lo) & ((1 << width) - 1)
+            # the program looks up row (own ^ offset): hand it row offset
+            return rows[np.arange(1 << width) ^ own]
+
+        assert simulate_exchange(4, 8, (2, 2), ipsc860()).run is not None
+        monkeypatch.setattr(BlockBuffer, "coordinate_slots", keyed_by_offset)
+        mutant = simulate_exchange(4, 8, (2, 2), ipsc860(), verify=False)
+        with pytest.raises(AssertionError, match="foreign destinations"):
+            mutant.verify()
 
 
 OPTIMIZED_CHECKS = """

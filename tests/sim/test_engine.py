@@ -4,7 +4,35 @@ from __future__ import annotations
 
 import pytest
 
-from repro.sim.engine import Delay, Engine, SimulationError
+from repro.sim.engine import Delay, Engine, Request, SharedCompletion, SimulationError
+
+
+class _Park(Request):
+    """A wait nothing completes: the test resumes it by hand."""
+
+    __slots__ = ()
+
+    def activate(self, engine, process):
+        pass
+
+
+def _parked(engine, name):
+    """A started process parked on a :class:`_Park`; a fail() is caught
+    and parks it again, so each fail supersedes the current wait."""
+
+    def proc():
+        got = []
+        while True:
+            try:
+                got.append((yield _Park()))
+            except SimulationError:
+                got.append("failed")
+            if len(got) == 2:
+                return got
+
+    process = engine.spawn(proc(), name=name)
+    process.resume(None)  # start it by hand (its start event goes stale)
+    return process
 
 
 class TestScheduling:
@@ -560,6 +588,75 @@ class TestSharedCompletionUnderFail:
         assert record.t_first_arrival == 0.5
         assert record.t_release == release
         assert record.n_participants == 4
+
+
+class TestResumeCallback:
+    """A resume callback is one slotted object: it exposes ``cancelled``,
+    fires only for the wait it was made for, and a shared completion
+    skips and cancels its members one by one."""
+
+    def test_fields_and_slots(self):
+        engine = Engine()
+        process = _parked(engine, "p")
+        callback = process.resume_callback("v")
+        assert not hasattr(callback, "__dict__")
+        assert (callback.process, callback.value, callback.cancelled) == (process, "v", False)
+        assert callback.epoch == process.wait_token()
+        assert not hasattr(Delay(1.0), "__dict__")
+
+    def test_fires_for_its_wait_only(self):
+        engine = Engine()
+        process = _parked(engine, "p")
+        callback = process.resume_callback("first")
+        callback()
+        assert callback.cancelled  # the wait it completed has ended
+        callback()  # inert: must not resume the process's next wait
+        assert not process.finished
+        stale = process.resume_callback("late", token=callback.epoch)
+        assert stale.cancelled
+        stale()
+        process.resume_callback("second")()
+        assert process.result == ["first", "second"]
+
+    def test_inert_once_superseded_by_fail(self):
+        engine = Engine()
+        process = _parked(engine, "p")
+        callback = process.resume_callback("lost")
+        process.fail(SimulationError("cut"))
+        assert callback.cancelled
+        callback()
+        assert not process.finished
+        process.resume_callback("kept")()
+        assert process.result == ["failed", "kept"]
+
+    def test_shared_completion_cancels_member_by_member(self):
+        engine = Engine()
+        first, second = _parked(engine, "a"), _parked(engine, "b")
+        event = SharedCompletion([first.resume_callback(1), second.resume_callback(2)])
+        first.fail(SimulationError("cut"))
+        assert [m.cancelled for m in event.members] == [True, False]
+        assert not event.cancelled
+        event()
+        assert second.finished is False and first.finished is False
+        assert [m.cancelled for m in event.members] == [True, True]
+        assert event.cancelled
+        first.resume_callback(3)()
+        second.resume_callback(4)()
+        assert (first.result, second.result) == (["failed", 3], [2, 4])
+
+    def test_all_cancelled_shared_completion_is_dropped(self):
+        engine = Engine()
+        first, second = _parked(engine, "a"), _parked(engine, "b")
+        before = engine.n_events
+        engine.schedule(5.0, SharedCompletion(
+            [first.resume_callback(1), second.resume_callback(2)]
+        ))
+        first.fail(SimulationError("cut"))
+        second.fail(SimulationError("cut"))
+        first.resume_callback(None)()
+        second.resume_callback(None)()
+        assert engine.run() == 0.0  # the stale event neither fired nor moved the clock
+        assert engine.n_events == before
 
 
 class TestStaleEventCancellation:

@@ -69,6 +69,44 @@ class TestExchange:
         with pytest.raises(ValueError, match="exchange with self"):
             machine.run(program)
 
+    @pytest.mark.parametrize("nbytes", [2.9, -1, True, np.float64(8.0), np.int64(-3)])
+    @pytest.mark.parametrize("builder", ["send", "exchange", "shuffle"])
+    def test_bad_byte_counts_rejected(self, builder, nbytes):
+        """A fraction, a negative count or a bool is refused when the
+        request is built, naming the node, instead of being truncated
+        into the trace or failing later as a scheduling error."""
+        machine = SimulatedHypercube(2, ipsc860())
+        ctx = machine.contexts[3]
+        build = {
+            "send": lambda: ctx.send(1, None, nbytes),
+            "exchange": lambda: ctx.exchange(1, None, nbytes),
+            "shuffle": lambda: ctx.shuffle(nbytes),
+        }[builder]
+        with pytest.raises(ValueError, match=r"node 3: nbytes must be a non-negative int"):
+            build()
+
+    def test_requests_are_slotted(self):
+        machine = SimulatedHypercube(2, ipsc860())
+        ctx = machine.contexts[0]
+        for request in (ctx.send(1, None, 8), ctx.recv(1), ctx.post_recv(), ctx.barrier(),
+                        ctx.exchange(2, None, 8), ctx.shuffle(8), ctx.delay(1.0)):
+            assert not hasattr(request, "__dict__"), type(request).__name__
+
+    def test_numpy_byte_counts_become_plain_ints(self):
+        machine = SimulatedHypercube(1, ipsc860())
+
+        def program(ctx):
+            yield ctx.exchange(ctx.rank ^ 1, payload=None, nbytes=np.int64(24))
+            yield ctx.shuffle(np.uint16(8))
+
+        result = machine.run(program)
+        assert [r.nbytes for r in result.trace.transmissions] == [24, 24]
+        assert all(type(r.nbytes) is int for r in result.trace.transmissions)
+        assert all(type(s.nbytes) is int for s in result.trace.shuffles)
+        ctx = machine.contexts[0]
+        assert type(ctx.send(1, None, np.int32(5)).nbytes) is int
+        assert ctx.send(1, None, 0).nbytes == 0
+
     def test_mismatched_partners_deadlock(self):
         machine = SimulatedHypercube(1, ipsc860())
 

@@ -116,6 +116,25 @@ class TestTransfers:
         assert {(r.src, r.dst) for r in records} == {(0, 7), (7, 0)}
         assert all(r.kind == "exchange" for r in records)
 
+    def test_start_exchange_rejects_a_self_exchange(self, net):
+        """A node cannot exchange with itself: the call raises before it
+        reserves or records anything."""
+        with pytest.raises(ValueError, match="node 6 cannot exchange with itself"):
+            net.start_exchange(0.0, 6, 6, 16, 16, tag=0)
+        with pytest.raises(ValueError, match="node 6 cannot exchange with itself"):
+            net.start_exchange(0.0, np.int64(6), 6, 16, 16, tag=0)
+        assert net.trace.transmissions == []
+        assert net.link_free_at(Link(6, 7)) == 0.0
+
+    def test_start_exchange_grant_matches_its_records(self, net):
+        net.start_exchange(0.0, 0, 3, 1000, 8, tag=0)
+        grant = net.start_exchange(0.0, 1, 3, 8, 16, tag=1)  # shares 1->3 with 0->3
+        assert grant.t_start > 0.0
+        for record in net.trace.transmissions[-2:]:
+            assert (record.t_request, record.t_start, record.t_end) == (
+                0.0, grant.t_start, grant.t_end)
+            assert record.hops == 1
+
     def test_exchange_duration_driven_by_larger_payload(self, net):
         grant = net.start_exchange(0.0, 0, 1, 10, 500, tag=0)
         assert grant.t_end - grant.t_start == pytest.approx(net.exchange_duration(500, 1))

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import dataclasses
+
 import pytest
 
 from repro.sim.trace import BarrierRecord, ShuffleRecord, Trace, TransmissionRecord
@@ -19,6 +21,51 @@ class TestRecords:
         r = rec(t_req=1.0, t_start=3.0, t_end=8.0)
         assert r.wait == 2.0
         assert r.duration == 5.0
+
+
+class TestTransmissionRecordContract:
+    """The record is slotted for speed; its dataclass contract, and so
+    the golden trace digests built from its repr, are unchanged."""
+
+    @staticmethod
+    def _unslotted():
+        """The same fields as a plain frozen dataclass, as the record
+        was declared before it was slotted."""
+        fields = [(f.name, f.type, f) for f in dataclasses.fields(TransmissionRecord)]
+        fields = [(name, kind, dataclasses.field(default=f.default)) for name, kind, f in fields]
+        return dataclasses.make_dataclass("TransmissionRecord", fields, frozen=True)
+
+    def test_frozen(self):
+        r = rec()
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            r.t_end = 9.0
+        with pytest.raises((dataclasses.FrozenInstanceError, AttributeError, TypeError)):
+            r.extra = 1
+
+    def test_slotted(self):
+        assert not hasattr(rec(), "__dict__")
+        assert TransmissionRecord.__slots__ == tuple(
+            f.name for f in dataclasses.fields(TransmissionRecord)
+        )
+
+    def test_equality_and_hash(self):
+        a = rec(t_req=1.0, t_start=3.0, t_end=8.0)
+        b = rec(t_req=1.0, t_start=3.0, t_end=8.0)
+        assert a == b and hash(a) == hash(b)
+        assert a != rec(t_req=1.0, t_start=3.0, t_end=8.5)
+        assert len({a, b, rec()}) == 2
+        assert hash(a) == hash(tuple(getattr(a, f.name) for f in dataclasses.fields(a)))
+
+    def test_repr_is_byte_identical_to_the_unslotted_dataclass(self):
+        plain = self._unslotted()
+        for record in (rec(), rec(src=5, dst=2, nbytes=0, hops=2, t_req=0.1, t_start=1 / 3,
+                                  t_end=2e-7, kind="forced")):
+            values = {f.name: getattr(record, f.name) for f in dataclasses.fields(record)}
+            assert repr(record) == repr(plain(**values))
+        assert repr(rec()) == (
+            "TransmissionRecord(src=0, dst=1, nbytes=10, hops=1, t_request=0.0, "
+            "t_start=0.0, t_end=5.0, kind='exchange', tag=0)"
+        )
 
 
 class TestTraceStats:
