@@ -67,13 +67,19 @@ def main() -> None:
 
     # -- 3. schedule-order variants --------------------------------------
     print("\nwithin-phase offset orderings (d=4, partition {2,2}):")
-    from repro.comm.program import exchange_program
+    from functools import partial
+
+    from repro.core.blocks import BlockBuffer
+    from repro.core.programs import exchange_rounds
+    from repro.patterns.execute import pattern_node
     from repro.sim.machine import SimulatedHypercube
 
     for ordering in ORDERINGS:
-        steps = multiphase_schedule_ordered(4, (2, 2), ordering)
+        rounds = exchange_rounds(multiphase_schedule_ordered(4, (2, 2), ordering), 4)
         machine = SimulatedHypercube(4, params)
-        run = machine.run(exchange_program, steps=steps, m=16, engine="tags")
+        run = machine.run(
+            pattern_node, rounds=rounds, holdings=partial(BlockBuffer.initial, d=4, m=16)
+        )
         for buf in run.node_results:
             buf.verify_complete_exchange_result()
         print(f"  {ordering:14s} {run.time * 1e-6:.5f} s  (byte-verified)")

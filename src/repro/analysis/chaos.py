@@ -27,13 +27,15 @@ always yields the identical report.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Sequence
 
-from repro.comm.program import exchange_program
 from repro.core.blocks import BlockBuffer
+from repro.core.programs import exchange_rounds
 from repro.core.schedule import multiphase_schedule
 from repro.model.optimizer import best_partition
 from repro.model.params import MachineParams, PRESETS
+from repro.patterns.execute import pattern_node
 from repro.plan.decision import format_partition
 from repro.plan.policies import AdaptivePolicy, FixedPolicy, ModelPolicy, PlanningPolicy
 from repro.sim.faults import FaultPlan
@@ -140,9 +142,11 @@ def run_degraded_workload(
                 f"workloads race partition schedules only"
             )
         partition = decision.partition
-        steps = multiphase_schedule(d, partition)
         t_begin = machine.engine.now
-        run = machine.run(exchange_program, steps=steps, m=m, engine="tags")
+        run = machine.run(
+            pattern_node, rounds=exchange_rounds(multiphase_schedule(d, partition), d),
+            holdings=partial(BlockBuffer.initial, d=d, m=m),
+        )
         observed = run.time - t_begin
         if verify:
             BlockBuffer.verify_all(run.node_results)

@@ -44,7 +44,7 @@ from itertools import groupby
 from typing import Callable, Iterable, Sequence
 
 from repro.check.report import CheckReport, Violation
-from repro.core.blocks import BlockBuffer
+from repro.core.blocks import BlockBuffer, BlockSet
 from repro.core.partitions import partitions
 from repro.core.programs import (
     PATTERN_TABLE,
@@ -446,6 +446,16 @@ def verify_pattern(
     )
 
 
+class _TagSlots(BlockBuffer):
+    """Fixed slots that find a round's blocks by scanning their tags,
+    so a corrupted round sends what the tags say rather than the slots
+    a correct schedule would have refilled."""
+
+    def send(self, rnd: Round, dst: int) -> BlockSet:
+        self._vacated = self.slots_for(dst, rnd.reach)
+        return self.take(self._vacated)
+
+
 def verify_rounds(
     row: PatternAlgorithm,
     rounds: Sequence[Round],
@@ -459,7 +469,8 @@ def verify_rounds(
 
     Delivery replays :func:`~repro.core.programs.replay_pattern` on
     dict keys or, for exchange rounds that swap across every node, on
-    fixed zero-byte :class:`~repro.core.blocks.BlockBuffer` slots.
+    fixed zero-byte :class:`~repro.core.blocks.BlockBuffer` slots found
+    by their tags.
     Rounds leaving the cube are rejected on their circuits alone.
     """
     n = 1 << d
@@ -470,7 +481,7 @@ def verify_rounds(
         return violations
     semantics = row.semantics
     if row.pattern == "alltoall" and all(len(c) == n for c in circuit_steps):
-        holdings: list = [BlockBuffer.initial(node, d, 0) for node in range(n)]
+        holdings: list = [_TagSlots.initial(node, d, 0) for node in range(n)]
     else:
         holdings = [KeyHoldings(row, node, root, d, lambda key: None) for node in range(n)]
     empty, repeats = replay_pattern(rounds, holdings, root)

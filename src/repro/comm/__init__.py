@@ -11,7 +11,6 @@ so the algorithm (standard / multiphase / naive) is selected per
 from repro.comm.communicator import Communicator
 from repro.comm.program import (
     SimulatedExchange,
-    exchange_program,
     naive_program,
     simulate_exchange,
     simulate_naive_exchange,
@@ -21,7 +20,6 @@ from repro.comm.program import (
 __all__ = [
     "Communicator",
     "SimulatedExchange",
-    "exchange_program",
     "naive_program",
     "simulate_exchange",
     "simulate_naive_exchange",

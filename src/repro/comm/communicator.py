@@ -2,9 +2,11 @@
 
 Node programs can code against :class:`Communicator` instead of the raw
 request API; its methods are generators meant for ``yield from``, with
-naming that follows the mpi4py conventions of the session's HPC guides
-(capitalized methods move buffers; ``Alltoall`` and ``Alltoallv``-like
-entry points accept numpy arrays).
+naming that follows the mpi4py conventions (capitalized methods move
+buffers; ``Alltoall`` and ``Alltoallv``-like entry points accept numpy
+arrays).  ``Alltoall`` is the complete exchange's declared row run by
+the one SPMD interpreter,
+:func:`repro.patterns.execute.pattern_node`, on the node's user rows.
 
 Example node program::
 
@@ -18,12 +20,16 @@ Example node program::
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Any, Generator, Sequence
 
 import numpy as np
 
-from repro.comm.program import exchange_program, naive_program
+from repro.comm.program import naive_program
+from repro.core.blocks import BlockBuffer
+from repro.core.programs import exchange_rounds
 from repro.core.schedule import multiphase_schedule
+from repro.patterns.execute import pattern_node
 from repro.plan.decision import algorithm_name
 from repro.sim.node import NodeContext
 from repro.sim.trace import PlanRecord
@@ -109,7 +115,13 @@ class Communicator:
         * ``partition`` — an explicit multiphase partition (defaults to
           the single-phase Optimal Circuit-Switched algorithm).
 
-        All ranks must agree on the selection inputs.
+        All ranks must agree on the selection inputs.  A multiphase
+        exchange runs :func:`repro.patterns.execute.pattern_node` over
+        the ``alltoall/multiphase`` rounds with the rows in fixed-slot
+        :class:`~repro.core.blocks.BlockBuffer` holdings; a round is
+        tagged ``tag_base`` plus its step's index in the
+        :func:`~repro.core.schedule.multiphase_schedule` step list, and
+        step ``s`` of the naive rotation ``tag_base + s``.
         """
         ctx = self.ctx
         d, n = ctx.d, ctx.n
@@ -154,14 +166,16 @@ class Communicator:
                     f"{algorithm_name(tuple(partition))!r}, not {algorithm!r}"
                 )
         parts = check_partition(partition if partition is not None else (d,), d)
-        buf = yield from exchange_program(
-            ctx, steps=multiphase_schedule(d, parts), rows=rows, tag_base=tag_base
+        buf = yield from pattern_node(
+            ctx, rounds=exchange_rounds(multiphase_schedule(d, parts), d),
+            holdings=partial(BlockBuffer.from_rows, d=d, rows=rows), tag_base=tag_base,
         )
         return buf.result_rows()
 
     def _naive_alltoall(self, rows: np.ndarray, *, tag_base: int) -> Generator:
         """Rotation-order exchange of user rows — the contended §2
         baseline, reachable as a policy target.  One shared schedule
-        implementation: :func:`repro.comm.program.naive_program`."""
+        implementation: :func:`repro.comm.program.naive_program`, which
+        keeps its own loop (it does not decompose into rounds)."""
         buf = yield from naive_program(self.ctx, rows=rows, tag_base=tag_base)
         return buf.result_rows()

@@ -1,10 +1,17 @@
-"""Replay of exchange schedules on the simulated machine.
+"""The complete exchange on the simulated machine.
 
-Bridges the compiled step lists of :mod:`repro.core.schedule` to the
-discrete-event machine: every node runs the same step list, performing
-real block movement (either data engine) while the simulator charges
-wire, shuffle, and synchronization time.  The result is simultaneously
-a *measurement* (virtual µs) and a byte-verified exchange.
+The exchange is declared once, as the ``alltoall/multiphase`` row of
+:data:`repro.core.programs.PATTERN_TABLE`: its rounds are expanded
+from the :func:`~repro.core.schedule.multiphase_schedule` step list
+(:func:`~repro.core.programs.exchange_rounds`; each round records its
+phase and that phase's closing shuffle).  :func:`simulate_exchange`
+boots :func:`repro.patterns.execute.pattern_node`, the one SPMD
+interpreter every declared row runs on, over those rounds: every node
+moves real blocks (either data engine,
+:func:`~repro.core.exchange.engine_buffer`) while the simulator
+charges wire, shuffle and synchronization time.  The result is at
+once a *measurement* (virtual µs) and a byte-verified exchange.
+``Communicator.Alltoall`` runs the same interpreter on user rows.
 
 Implementation notes mirroring paper §7:
 
@@ -17,53 +24,42 @@ Implementation notes mirroring paper §7:
 * shuffles perform the actual numpy permutation *and* charge ρ per
   byte of the full buffer.
 
-The tag engine's buffer is fixed-slot: each exchange step copies the
-partner-bound slots out (:meth:`~repro.core.blocks.BlockBuffer.take`)
-and overwrites those same slots with the partner's blocks
-(:meth:`~repro.core.blocks.BlockBuffer.put`), so a node holds its ``n``
-blocks throughout and no step reallocates the buffer.  At step (group
-G, partner p) those are the slots whose G coordinate equals p's (one
-row of :meth:`~repro.core.blocks.BlockBuffer.coordinate_slots` per
-phase): a phase rewrites only the G coordinate of a destination and a
-step refills exactly the slots it sent.  A wrong slot plan fails the
-final check (:meth:`~repro.core.blocks.BlockBuffer.verify_all`), which
-stacks many
-nodes' buffers per pass, a few hundred kilobytes at a time: the
-expected payloads come from :func:`~repro.core.blocks.payload_rows` as
-one matrix and are compared whole, and a failing chunk is re-checked
-node by node so the first failing rank raises its own message.
-:func:`exchange_program` is the one multiphase loop;
-``Communicator.Alltoall`` runs it on user rows.
+The tag engine's buffer is fixed-slot
+(:meth:`~repro.core.blocks.BlockBuffer.send` takes a round's slots by
+the partner's coordinate, :meth:`~repro.core.blocks.BlockBuffer.receive`
+refills them).  A wrong slot plan fails the final check
+(:meth:`~repro.core.blocks.BlockBuffer.verify_all`), which stacks many
+nodes' buffers per pass, a few hundred kilobytes at a time, and
+re-checks a failing chunk node by node so the first failing rank
+raises its own message.
 
-The fast path prices the same schedules without booting the engine:
-the exchange is declared once, as the ``alltoall/multiphase`` row of
-:data:`repro.core.programs.PATTERN_TABLE`, whose rounds are expanded
-from the :func:`~repro.core.schedule.multiphase_schedule` step list
-that ``exchange_program`` executes and lowered to a
-:class:`~repro.core.programs.CommProgram` chain — the exchange's one
-compiled form — which :mod:`repro.sim.fastpath` prices in one numpy
-pass at float equality with the runs here (``fast=True`` below returns
-its :class:`~repro.sim.fastpath.ProgramTimeline`).  That is the default
-path everywhere; the event-engine replay below is the byte-verifying
-oracle, and :func:`repro.check.verify_schedule` certifies the rounds
-and checks the compiled program against the step list, which this
-SPMD loop still walks.  (The naive
-rotation's chain, :func:`repro.core.programs.naive_rotation_steps`, is
-contended and priced by the reservation replay.)  The §9 patterns are
-not run here: each is one declaration in :mod:`repro.core.programs`,
-run by :func:`repro.patterns.simulate_pattern`.
+The fast path prices the same rounds without booting the engine: they
+are lowered to a :class:`~repro.core.programs.CommProgram` chain — the
+exchange's one compiled form — which :mod:`repro.sim.fastpath` prices
+in one numpy pass at float equality with the runs here (``fast=True``
+below returns its :class:`~repro.sim.fastpath.ProgramTimeline`).  That
+is the default path everywhere; the event-engine run is the
+byte-verifying oracle, and :func:`repro.check.verify_schedule`
+certifies the rounds.  The naive rotation, :func:`naive_program`, is
+the one exchange that keeps its own loop: it sends all its messages
+before receiving any, so it does not decompose into rounds (its chain,
+:func:`repro.core.programs.naive_rotation_steps`, is contended and
+priced by the reservation replay).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import Any, Generator, Sequence
 
 from repro.core.blocks import BlockBuffer
-from repro.core.exchange import ExchangeOutcome
-from repro.core.schedule import ExchangeStep, PhaseStart, ShuffleStep, Step, multiphase_schedule
+from repro.core.exchange import ExchangeOutcome, engine_buffer
+from repro.core.programs import exchange_rounds
+from repro.core.schedule import multiphase_schedule
 from repro.core.shuffle import LayoutBuffer
 from repro.model.params import MachineParams
+from repro.patterns.execute import pattern_node
 from repro.sim.machine import RunResult, SimulatedHypercube
 from repro.sim.node import NodeContext
 from repro.sim.trace import PlanRecord, Trace
@@ -71,93 +67,11 @@ from repro.util.validation import check_dimension, check_message_size, check_par
 
 __all__ = [
     "SimulatedExchange",
-    "exchange_program",
     "naive_program",
     "simulate_exchange",
     "simulate_naive_exchange",
     "simulate_planned_exchange",
 ]
-
-
-def _check_fault_plan_engine(fault_plan, fast: bool) -> None:
-    """The lockstep fast path models the uniform machine only; pricing
-    a degraded machine there would silently ignore the plan."""
-    if fast and fault_plan is not None and not fault_plan.is_empty:
-        raise ValueError(
-            "fault plans require the event engine: pass fast=False "
-            "(the fast path assumes a uniform, failure-free machine)"
-        )
-
-
-def exchange_program(
-    ctx: NodeContext,
-    *,
-    steps: Sequence[Step],
-    m: int | None = None,
-    rows=None,
-    engine: str = "tags",
-    tag_base: int = 0,
-) -> Generator:
-    """SPMD node program executing a compiled exchange schedule.
-
-    Pass ``m`` for pattern payloads, or ``rows`` (``(n, m)`` uint8, row
-    ``j`` bound for rank ``j``) to exchange user data — the one
-    multiphase loop, shared by ``simulate_exchange`` and
-    ``Communicator.Alltoall``.  Step ``i`` is tagged ``tag_base + i``.
-    Returns the node's final buffer (verified by the caller).
-    """
-    if (m is None) == (rows is None):
-        raise ValueError("pass exactly one of m (pattern payload) or rows (user data)")
-    if engine == "tags":
-        buf: BlockBuffer | LayoutBuffer = (
-            BlockBuffer.from_rows(ctx.rank, ctx.d, rows) if m is None
-            else BlockBuffer.initial(ctx.rank, ctx.d, m)
-        )
-    elif engine == "layout":
-        buf = (
-            LayoutBuffer.from_rows(ctx.rank, ctx.d, rows) if m is None
-            else LayoutBuffer(ctx.rank, ctx.d, m)
-        )
-    else:
-        raise ValueError(f"unknown engine {engine!r}; expected 'tags' or 'layout'")
-    total_bytes = buf.m * ctx.n
-    rank = ctx.rank
-    tags = isinstance(buf, BlockBuffer)
-    # an exchange step's group is shared by its whole phase: derive the
-    # group's constants when the group changes, not on every step
-    group = None
-    for index, step in enumerate(steps):
-        if isinstance(step, ExchangeStep):
-            if step.group is not group:
-                group = step.group
-                lo, coord_mask = group.lo, (1 << group.width) - 1
-                if tags:
-                    slot_rows = buf.coordinate_slots(lo, group.width)
-            partner = rank ^ (step.offset << lo)
-            partner_coord = (partner >> lo) & coord_mask
-            if tags:
-                slots = slot_rows[partner_coord]
-                outgoing = buf.take(slots)
-                received = yield ctx.exchange(
-                    partner, outgoing, nbytes=outgoing.nbytes, tag=tag_base + index
-                )
-                buf.put(slots, received)
-            else:
-                outgoing = buf.take_run(group, partner_coord)
-                received = yield ctx.exchange(
-                    partner, outgoing, nbytes=outgoing[2].size, tag=tag_base + index
-                )
-                buf.put_run(group, partner_coord, *received)
-        elif isinstance(step, PhaseStart):
-            ctx.mark_phase(step.phase_index)
-            yield ctx.barrier()
-        elif isinstance(step, ShuffleStep):
-            if not tags:
-                buf.shuffle(step.times)
-            yield ctx.shuffle(total_bytes)
-        else:  # pragma: no cover - defensive
-            raise TypeError(f"unknown step type {type(step).__name__}")
-    return buf
 
 
 @dataclass
@@ -220,7 +134,8 @@ def simulate_exchange(
     ignored; there are no buffers to check), so ``m`` may be
     fractional.  The event engine moves ``m``-byte blocks: there an
     ``m`` that is not a non-negative int raises :class:`ValueError`
-    before the machine boots.
+    before the machine boots, as does an unknown ``engine`` on either
+    path.
 
     A ``fault_plan`` (:class:`repro.sim.faults.FaultPlan`) degrades the
     machine; only the event engine understands one — the lockstep fast
@@ -236,33 +151,49 @@ def simulate_exchange(
     """
     check_dimension(d, minimum=1)
     parts = check_partition(partition if partition is not None else (d,), d)
-    _check_fault_plan_engine(fault_plan, fast)
+    buffer = _check_run(m, engine, fast, fault_plan)
+    return _exchange(d, m, parts, params, buffer, verify=verify, fast=fast, fault_plan=fault_plan)
+
+
+def _check_run(m, engine: str, fast: bool, fault_plan) -> type[BlockBuffer] | type[LayoutBuffer]:
+    """Check a run's arguments before anything is priced or booted;
+    returns the data engine's buffer class."""
+    buffer = engine_buffer(engine)
+    if fast and fault_plan is not None and not fault_plan.is_empty:
+        # the lockstep fast path models the uniform machine only;
+        # pricing a degraded machine there would ignore the plan
+        raise ValueError(
+            "fault plans require the event engine: pass fast=False "
+            "(the fast path assumes a uniform, failure-free machine)"
+        )
+    if not fast:
+        check_message_size(m)
+    return buffer
+
+
+def _exchange(d, m, parts, params, buffer, *, verify, fast, fault_plan) -> SimulatedExchange:
+    """The multiphase exchange at ``parts``: priced on the fast path,
+    or run by the one SPMD interpreter on the declared row's rounds."""
     if fast:
         from repro.sim.fastpath import exchange_timeline
 
         timeline = exchange_timeline(d, m, parts, params)
         return SimulatedExchange(
-            d=d,
-            m=m,
-            partition=parts,
-            params_name=params.name,
-            time_us=timeline.total,
-            trace=Trace(),
-            run=None,
-            timeline=timeline,
+            d=d, m=m, partition=parts, params_name=params.name,
+            time_us=timeline.total, trace=Trace(), run=None, timeline=timeline,
         )
-    check_message_size(m)
-    steps = multiphase_schedule(d, parts)
-    machine = SimulatedHypercube(d, params, fault_plan=fault_plan)
-    run = machine.run(exchange_program, steps=steps, m=m, engine=engine)
+    run = SimulatedHypercube(d, params, fault_plan=fault_plan).run(
+        pattern_node,
+        rounds=exchange_rounds(multiphase_schedule(d, parts), d),
+        holdings=partial(buffer.initial, d=d, m=m),
+    )
+    return _measured(d, m, parts, params, run, verify)
+
+
+def _measured(d, m, partition, params, run: RunResult, verify: bool) -> SimulatedExchange:
     result = SimulatedExchange(
-        d=d,
-        m=m,
-        partition=parts,
-        params_name=params.name,
-        time_us=run.time,
-        trace=run.trace,
-        run=run,
+        d=d, m=m, partition=partition, params_name=params.name,
+        time_us=run.time, trace=run.trace, run=run,
     )
     if verify:
         result.verify()
@@ -287,15 +218,15 @@ def simulate_planned_exchange(
     standard, multiphase, single-phase, or the naive rotation baseline
     — is recorded in the run's trace (``trace.plan_decisions``) and
     attached to the result, so a measured time can always be traced
-    back to why that algorithm ran.
+    back to why that algorithm ran; the run itself is
+    :func:`simulate_exchange`'s or :func:`simulate_naive_exchange`'s.
 
     With ``fast=True`` the decision is priced by the fast-path engine
     instead of being replayed on the event machine: float-identical on
     contention-free schedules, reservation-replay pricing for the
     naive baseline, no data movement (``verify`` is ignored).  The
-    plan record still lands in the result's trace.  On the event engine
-    ``m`` must be a non-negative int; it is checked before the planner
-    is asked.
+    arguments (``m`` on the event engine, ``engine`` and the fault
+    plan on either path) are checked before the planner is asked.
 
     >>> from repro.model.params import ipsc860
     >>> from repro.plan import CollectivePlanner, ModelPolicy
@@ -307,55 +238,17 @@ def simulate_planned_exchange(
     1
     """
     check_dimension(d, minimum=1)
-    _check_fault_plan_engine(fault_plan, fast)
-    if not fast:
-        check_message_size(m)
+    buffer = _check_run(m, engine, fast, fault_plan)
     decision = planner.decide(d, m)
-    if fast:
-        from repro.sim.fastpath import exchange_timeline, naive_exchange_time
-
-        trace = Trace()
-        trace.record_plan(PlanRecord.from_decision(decision))
-        timeline = None
-        if decision.algorithm == "naive":
-            partition: tuple[int, ...] = ()
-            time_us = naive_exchange_time(d, m, params)
-        else:
-            partition = check_partition(decision.partition, d)
-            timeline = exchange_timeline(d, m, partition, params)
-            time_us = timeline.total
-        return SimulatedExchange(
-            d=d,
-            m=m,
-            partition=partition,
-            params_name=params.name,
-            time_us=time_us,
-            trace=trace,
-            run=None,
-            decision=decision,
-            timeline=timeline,
-        )
-    machine = SimulatedHypercube(d, params, fault_plan=fault_plan)
-    machine.trace.record_plan(PlanRecord.from_decision(decision))
     if decision.algorithm == "naive":
-        run = machine.run(naive_program, m=m)
-        partition: tuple[int, ...] = ()
+        result = _naive(d, m, params, verify=verify, fast=fast, fault_plan=fault_plan)
     else:
-        partition = check_partition(decision.partition, d)
-        steps = multiphase_schedule(d, partition)
-        run = machine.run(exchange_program, steps=steps, m=m, engine=engine)
-    result = SimulatedExchange(
-        d=d,
-        m=m,
-        partition=partition,
-        params_name=params.name,
-        time_us=run.time,
-        trace=run.trace,
-        run=run,
-        decision=decision,
-    )
-    if verify:
-        result.verify()
+        parts = check_partition(decision.partition, d)
+        result = _exchange(
+            d, m, parts, params, buffer, verify=verify, fast=fast, fault_plan=fault_plan
+        )
+    result.trace.record_plan(PlanRecord.from_decision(decision))
+    result.decision = decision
     return result
 
 
@@ -430,30 +323,20 @@ def simulate_naive_exchange(
     be a non-negative int.
     """
     check_dimension(d, minimum=1)
+    if not fast:
+        check_message_size(m)
+    return _naive(d, m, params, verify=verify, fast=fast, fault_plan=None)
+
+
+def _naive(d, m, params, *, verify, fast, fault_plan) -> SimulatedExchange:
+    """The naive rotation: priced by the reservation replay, or run
+    byte-verified on the event engine."""
     if fast:
         from repro.sim.fastpath import naive_exchange_time
 
         return SimulatedExchange(
-            d=d,
-            m=m,
-            partition=(),
-            params_name=params.name,
-            time_us=naive_exchange_time(d, m, params),
-            trace=Trace(),
-            run=None,
+            d=d, m=m, partition=(), params_name=params.name,
+            time_us=naive_exchange_time(d, m, params), trace=Trace(), run=None,
         )
-    check_message_size(m)
-    machine = SimulatedHypercube(d, params)
-    run = machine.run(naive_program, m=m)
-    result = SimulatedExchange(
-        d=d,
-        m=m,
-        partition=(),
-        params_name=params.name,
-        time_us=run.time,
-        trace=run.trace,
-        run=run,
-    )
-    if verify:
-        result.verify()
-    return result
+    run = SimulatedHypercube(d, params, fault_plan=fault_plan).run(naive_program, m=m)
+    return _measured(d, m, (), params, run, verify)

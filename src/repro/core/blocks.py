@@ -15,16 +15,18 @@ algorithms maintain), independent of physical position.  It is also
 out the slots bound for the partner (:meth:`BlockBuffer.take`) and
 overwrites those same slots with what the partner sends back
 (:meth:`BlockBuffer.put`), so no step reallocates the buffer; as
-holdings of :func:`repro.core.programs.replay_pattern` it does both per
-round (:meth:`BlockBuffer.send`, :meth:`BlockBuffer.receive`).
+holdings of the lockstep :func:`repro.core.programs.replay_pattern`
+and of the SPMD :func:`repro.patterns.execute.pattern_node` it does
+both per round (:meth:`BlockBuffer.send`, :meth:`BlockBuffer.receive`).
 
-Fixed slots give a multiphase step its slots without reading a tag: at
-step (group G, partner p) they are the slots whose G coordinate equals
-p's (:meth:`BlockBuffer.coordinate_slots`), since a phase rewrites only
-the G coordinate of a destination and a step refills exactly the slots
-it sent.  Pattern holdings and the naive rotation scan the tags
-(:meth:`BlockBuffer.slots_for`).  The
-companion :mod:`repro.core.shuffle` module implements the
+Fixed slots give a multiphase round its slots without reading a tag:
+across group G to partner p they are the slots whose G coordinate
+equals p's (:meth:`BlockBuffer.send`, one memoized slot matrix per
+cube and group), since a phase rewrites only the G coordinate of a
+destination and a round refills exactly the slots it sent.  The naive
+rotation and the schedule certificate, which must judge rounds that
+break that invariant, scan the tags (:meth:`BlockBuffer.slots_for`).
+The companion :mod:`repro.core.shuffle` module implements the
 physically-contiguous layout discipline of the real machine; the two
 are cross-validated in the test suite.
 """
@@ -32,11 +34,13 @@ are cross-validated in the test suite.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
+from repro.util.bitops import popcount
 from repro.util.validation import check_dimension, check_node
 
 if TYPE_CHECKING:
@@ -141,6 +145,24 @@ class BlockSet:
         return BlockSet(self.origins[order], self.dests[order], self.payload[order])
 
 
+@cache
+def _coordinate_slots(d: int, reach: int) -> tuple[int, int, tuple[np.ndarray, ...]]:
+    """``(lo, 2**w - 1, rows)`` for the group of cube bits outside
+    ``reach``, ``lo .. lo + w - 1``: ``rows[c]`` holds, ascending, the
+    slots whose group coordinate is ``c`` (the rows of one read-only
+    ``(2**w, n >> w)`` matrix, kept as arrays so a lookup builds no
+    view)."""
+    n = 1 << d
+    mask = ~reach & (n - 1)
+    lo, width = (mask & -mask).bit_length() - 1, popcount(mask)
+    if not mask or mask != ((1 << width) - 1) << lo:
+        raise ValueError(f"round group {mask:#b} is not a contiguous bit group")
+    grid = np.arange(n).reshape(n >> width >> lo, 1 << width, 1 << lo)
+    rows = grid.transpose(1, 0, 2).reshape(1 << width, n >> width)
+    rows.setflags(write=False)
+    return lo, (1 << width) - 1, tuple(rows)
+
+
 class BlockBuffer:
     """Per-node block store for a complete exchange.
 
@@ -231,29 +253,13 @@ class BlockBuffer:
     # ------------------------------------------------------------------
     def slots_for(self, dst: int, reach: int) -> np.ndarray:
         """Slots (row indices, ascending) of the blocks bound for
-        ``dst``'s downstream ``{dst ^ r : r a submask of reach}``: the
-        one slot rule, :meth:`repro.core.programs.Round.take`'s.
-
-        In a multiphase round ``reach`` is every bit outside the phase's
-        group, so the slots hold the paper's *effective block* for the
-        partner, ``m * 2**(d - d_i)`` bytes; ``reach = 0`` selects the
-        blocks for ``dst`` itself.
+        ``dst``'s downstream ``{dst ^ r : r a submask of reach}``, found
+        by scanning the tags: :meth:`repro.core.programs.Round.take`'s
+        rule.  ``reach = 0`` selects the blocks for ``dst`` itself, as
+        the naive rotation does.
         """
         bits = ~reach
         return ((self._blocks.dests & bits) == (dst & bits)).nonzero()[0]
-
-    def coordinate_slots(self, lo: int, width: int) -> np.ndarray:
-        """Slot matrix of a phase on bits ``lo .. lo + width - 1``: row
-        ``c`` holds, ascending, the slots whose group coordinate is ``c``.
-
-        At each step of the phase the row of the partner's coordinate
-        (not the step's offset) is what :meth:`slots_for` would find; see
-        the module docstring for why.
-        """
-        n = 1 << self.d
-        rows, cols = 1 << width, n >> width
-        grid = np.arange(n).reshape(cols >> lo, rows, 1 << lo)
-        return grid.transpose(1, 0, 2).reshape(rows, cols)
 
     def take(self, slots: np.ndarray) -> BlockSet:
         """Copy the blocks in ``slots`` out as a :class:`BlockSet`.
@@ -269,7 +275,7 @@ class BlockBuffer:
     def put(self, slots: np.ndarray, incoming: BlockSet) -> None:
         """Overwrite the blocks in ``slots`` with received ``incoming``,
         row for row; the buffer keeps its ``n`` slots."""
-        if incoming.n_blocks != len(slots):
+        if len(incoming.origins) != len(slots):
             raise ValueError(f"received {incoming.n_blocks} blocks for {len(slots)} slots")
         if incoming.payload.shape[1:] != (self.m,):
             raise ValueError(
@@ -282,10 +288,19 @@ class BlockBuffer:
         blocks.payload[slots] = incoming.payload
 
     def send(self, rnd: "Round", dst: int) -> BlockSet:
-        """Holdings call (:func:`repro.core.programs.replay_pattern`):
-        take the blocks for ``dst``, vacating their slots."""
-        self._vacated = self.slots_for(dst, rnd.reach)
-        return self.take(self._vacated)
+        """Holdings call (:func:`repro.core.programs.replay_pattern`,
+        :func:`repro.patterns.execute.pattern_node`): take the blocks
+        for ``dst``'s downstream, vacating their slots.
+
+        The round's group is the cube bits outside ``rnd.reach``; the
+        slots are those whose group coordinate is ``dst``'s, which in a
+        multiphase exchange hold exactly what :meth:`slots_for` would
+        find (module docstring): the paper's *effective block* for the
+        partner, ``m * 2**(d - d_i)`` bytes.
+        """
+        lo, coordinate, rows = _coordinate_slots(self.d, rnd.reach)
+        slots = self._vacated = rows[(dst >> lo) & coordinate]
+        return self.take(slots)
 
     def receive(self, blocks: BlockSet) -> tuple[()]:
         """Holdings call: refill the slots :meth:`send` vacated."""

@@ -18,7 +18,8 @@ Two interchangeable data engines are provided:
   explicit shuffle permutations (paper Figure 3).
 
 Both end origin-sorted and byte-verified; the test suite cross-checks
-them step by step.
+them step by step.  :func:`engine_buffer` maps an engine name to its
+buffer class, here and on the simulated machine.
 """
 
 from __future__ import annotations
@@ -46,6 +47,7 @@ from repro.util.validation import (
 
 __all__ = [
     "ExchangeOutcome",
+    "engine_buffer",
     "run_exchange",
     "run_exchange_on_rows",
     "run_naive_exchange_on_rows",
@@ -53,6 +55,22 @@ __all__ = [
 ]
 
 Engine = Literal["tags", "layout"]
+
+
+def engine_buffer(engine: str) -> type[BlockBuffer] | type[LayoutBuffer]:
+    """The buffer class of a data engine: ``initial(node, d, m)`` builds
+    a node's pattern payloads, ``from_rows(node, d, rows)`` its user
+    data.  Every entry point that takes ``engine=`` checks it here
+    before it prices or boots anything.
+
+    >>> engine_buffer("layout").__name__
+    'LayoutBuffer'
+    """
+    if engine == "tags":
+        return BlockBuffer
+    if engine == "layout":
+        return LayoutBuffer
+    raise ValueError(f"unknown engine {engine!r}; expected 'tags' or 'layout'")
 
 
 @dataclass
@@ -126,14 +144,8 @@ def run_exchange(
     check_dimension(d, minimum=1)
     check_message_size(m)
     parts = check_partition(partition if partition is not None else (d,), d)
-    n = 1 << d
-    if engine == "tags":
-        buffers: list = [BlockBuffer.initial(node, d, m) for node in range(n)]
-    elif engine == "layout":
-        buffers = [LayoutBuffer(node, d, m) for node in range(n)]
-    else:
-        raise ValueError(f"unknown engine {engine!r}; expected 'tags' or 'layout'")
-    outcome = _replay(buffers, d, parts)
+    buffer = engine_buffer(engine)
+    outcome = _replay([buffer.initial(node, d, m) for node in range(1 << d)], d, parts)
     outcome.verify()
     return outcome
 
@@ -151,28 +163,23 @@ def run_exchange_on_rows(
     equal to ``send_rows[j][x]`` — the defining equation of the complete
     exchange (and of the block matrix transpose, Figure 2).
     """
+    buffer = engine_buffer(engine)
     rows, d = _normalize_rows(send_rows)
     if d == 0:
         return [rows[0].copy()]
-    return _rows_exchange(rows, d, partition, engine)
+    return _rows_exchange(rows, d, partition, buffer)
 
 
 def _rows_exchange(
     rows: list[np.ndarray],
     d: int,
     partition: Sequence[int] | None,
-    engine: Engine,
+    buffer: type[BlockBuffer] | type[LayoutBuffer],
 ) -> list[np.ndarray]:
     """Multiphase exchange of already-normalized rows (``d >= 1``)."""
     n = len(rows)
     parts = check_partition(partition if partition is not None else (d,), d)
-    if engine == "tags":
-        buffers: list = [BlockBuffer.from_rows(x, d, rows[x]) for x in range(n)]
-    elif engine == "layout":
-        buffers = [LayoutBuffer.from_rows(x, d, rows[x]) for x in range(n)]
-    else:
-        raise ValueError(f"unknown engine {engine!r}; expected 'tags' or 'layout'")
-    outcome = _replay(buffers, d, parts)
+    outcome = _replay([buffer.from_rows(x, d, rows[x]) for x in range(n)], d, parts)
     outcome.verify(check_payload=False)
     return [outcome.result_rows(x) for x in range(n)]
 
@@ -252,10 +259,11 @@ def run_planned_exchange_on_rows(
     partition per ``(d, m)`` at call time.  This is the data-layer
     entry point the apps route through.
     """
+    buffer = engine_buffer(engine)
     rows, d = _normalize_rows(send_rows)
     if d == 0:
         return [rows[0].copy()]
     decision = planner.decide(d, rows[0].shape[1])
     if decision.algorithm == "naive":
         return _naive_rows_exchange(rows, d)
-    return _rows_exchange(rows, d, decision.partition, engine)
+    return _rows_exchange(rows, d, decision.partition, buffer)

@@ -404,8 +404,9 @@ def _closes_phase(rounds: Sequence[Round], index: int) -> bool:
 
 
 class KeyHoldings(dict):
-    """Dict holdings ``{key: block}`` of :func:`replay_pattern`, for any
-    row and block type, starting with ``node``'s blocks of ``row``,
+    """Dict holdings ``{key: block}`` of :func:`replay_pattern` and of
+    the SPMD :func:`repro.patterns.execute.pattern_node`, for any row
+    and block type, starting with ``node``'s blocks of ``row``,
     ``block(key)`` each."""
 
     def __init__(

@@ -113,6 +113,12 @@ class LayoutBuffer:
         self.payload = payload_rows(self.origins, self.dests, m, d)
 
     @classmethod
+    def initial(cls, node: int, d: int, m: int) -> "LayoutBuffer":
+        """The pre-exchange layout with pattern payloads, as
+        :meth:`repro.core.blocks.BlockBuffer.initial`."""
+        return cls(node, d, m)
+
+    @classmethod
     def from_rows(cls, node: int, d: int, rows: np.ndarray) -> "LayoutBuffer":
         """Initial layout from user data; row ``j`` goes to node ``j``."""
         n = 1 << d

@@ -1,4 +1,4 @@
-"""Running the declared §9 algorithms, on data and on the simulator.
+"""Running the declared algorithms, on data and on the simulator.
 
 Every algorithm is one row of :data:`repro.core.programs.PATTERN_TABLE`.
 This module runs a row two ways:
@@ -7,23 +7,31 @@ This module runs a row two ways:
   node at once; the data-level :func:`~repro.patterns.broadcast.broadcast`,
   :func:`~repro.patterns.scatter.scatter` and
   :func:`~repro.patterns.allgather.allgather` are thin wrappers over it;
-* :func:`simulate_pattern` boots :func:`pattern_node`, one generic SPMD
-  interpreter, on :class:`~repro.sim.machine.SimulatedHypercube` and
-  byte-verifies every node's final blocks.  The multiphase rows (the
-  complete exchange and the exchange-backed allgather) run through
-  :meth:`repro.comm.communicator.Communicator.Alltoall` instead.
+* :func:`pattern_node` is the one SPMD interpreter of every row on
+  :class:`~repro.sim.machine.SimulatedHypercube`: the §9 rows through
+  :func:`simulate_pattern`, which byte-verifies every node's final
+  blocks, and the complete exchange through
+  :func:`repro.comm.program.simulate_exchange`, the chaos workloads
+  and :meth:`repro.comm.communicator.Communicator.Alltoall` on user
+  rows.  The multiphase rows of :func:`simulate_pattern` (the complete
+  exchange and the exchange-backed allgather) go through ``Alltoall``.
 
-The rounds the interpreter walks are the ones
-:func:`repro.check.schedule.verify_pattern` certifies and
-:func:`repro.core.programs.pattern_program` prices.
+The interpreter walks the rounds :func:`repro.check.schedule.verify_pattern`
+certifies and :func:`repro.core.programs.pattern_program` prices, with
+the holdings protocol of the lockstep
+:func:`~repro.core.programs.replay_pattern`.
 """
 
 from __future__ import annotations
 
-from typing import Any, Callable, Generator, Sequence
+from functools import partial
+from itertools import groupby
+from operator import attrgetter
+from typing import Any, Callable, Generator, Mapping, Sequence
 
 import numpy as np
 
+from repro.core.blocks import BlockSet
 from repro.core.programs import (
     PATTERN_TABLE,
     KeyHoldings,
@@ -63,44 +71,58 @@ def deliver(
     return held
 
 
-def _nbytes(blocks: dict[int, np.ndarray]) -> int:
+def _nbytes(blocks: BlockSet | Mapping[int, np.ndarray]) -> int:
+    if type(blocks) is BlockSet:
+        return blocks.payload.size
     return int(sum(block.nbytes for block in blocks.values()))
 
 
 def pattern_node(
     ctx: NodeContext,
     *,
-    row: PatternAlgorithm,
     rounds: Sequence[Round],
-    root: int,
-    blocks: np.ndarray,
+    holdings: Callable[[int], Any],
+    root: int = 0,
+    tag_base: int = 0,
 ) -> Generator:
-    """SPMD program for one declared algorithm (FORCED discipline).
+    """The one SPMD program for every declared row (FORCED discipline).
 
-    The node takes its starting blocks from ``blocks`` (row ``key`` is
-    block ``key``), posts every receive it will get, synchronizes, then
-    walks the rounds: a pairwise round is one ``ctx.exchange``, a
-    one-way round a receive or a send.  Returns its final blocks by key.
+    ``holdings(rank)`` builds the node's starting holdings — the
+    :class:`~repro.core.programs.KeyHoldings`,
+    :class:`~repro.core.blocks.BlockBuffer` or
+    :class:`~repro.core.shuffle.LayoutBuffer` protocol of
+    :func:`~repro.core.programs.replay_pattern`.  The node posts every
+    one-way receive it will get, then walks the rounds phase by phase:
+    a phase opens with its mark and a barrier, a pairwise round is one
+    ``ctx.exchange``, a one-way round a receive or a send, each tagged
+    ``tag_base + rnd.tag``, and a shuffling phase closes by shuffling
+    the holdings and charging a pass over the node's ``n·m`` bytes.
+    Returns the node's final holdings.
     """
-    personal = row.semantics.personal
-    held = {key: blocks[key] for key in row.semantics.starts(ctx.rank, root, ctx.n)}
-    relative = ctx.rank ^ root
+    rank = ctx.rank
+    held = holdings(rank)
+    send, receive = held.send, held.receive
+    relative = rank ^ root
     for rnd in rounds:
         if not rnd.pairwise and rnd.receives(relative):
-            yield ctx.post_recv(ctx.rank ^ rnd.mask, tag=rnd.tag)
-    yield ctx.barrier()
-    for rnd in rounds:
-        partner = ctx.rank ^ rnd.mask
-        if rnd.pairwise:
-            outgoing = rnd.take(held, partner, personal)
-            held.update((yield ctx.exchange(
-                partner, outgoing, nbytes=_nbytes(outgoing), tag=rnd.tag
-            )))
-        elif rnd.receives(relative):
-            held.update((yield ctx.recv(partner, tag=rnd.tag)))
-        elif rnd.sends(relative):
-            outgoing = rnd.take(held, partner, personal)
-            yield ctx.send(partner, outgoing, _nbytes(outgoing), tag=rnd.tag)
+            yield ctx.post_recv(rank ^ rnd.mask, tag=tag_base + rnd.tag)
+    for phase, phase_rounds in groupby(rounds, key=attrgetter("phase")):
+        ctx.mark_phase(phase)
+        yield ctx.barrier()
+        for rnd in phase_rounds:
+            partner = rank ^ rnd.mask
+            tag = tag_base + rnd.tag
+            if rnd.pairwise:
+                outgoing = send(rnd, partner)
+                receive((yield ctx.exchange(partner, outgoing, nbytes=_nbytes(outgoing), tag=tag)))
+            elif rnd.receives(relative):
+                receive((yield ctx.recv(partner, tag=tag)))
+            elif rnd.sends(relative):
+                outgoing = send(rnd, partner)
+                yield ctx.send(partner, outgoing, _nbytes(outgoing), tag=tag)
+        if rnd.times:  # every round of a phase records its closing shuffle
+            held.shuffle(rnd.times)
+            yield ctx.shuffle(held.m * ctx.n)
     return held
 
 
@@ -190,8 +212,8 @@ def simulate_pattern(
         )
     else:
         run = machine.run(
-            pattern_node, row=row, rounds=pattern_rounds(row, d, root),
-            root=root, blocks=blocks,
+            pattern_node, rounds=pattern_rounds(row, d, root), root=root,
+            holdings=partial(KeyHoldings, row, root=root, d=d, block=blocks.__getitem__),
         )
     for rank, held in enumerate(run.node_results):
         keys = row.semantics.ends(rank, root, n)

@@ -2,18 +2,23 @@
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 from repro.comm.program import (
-    exchange_program,
+    naive_program,
     simulate_exchange,
     simulate_naive_exchange,
     simulate_planned_exchange,
 )
 from repro.core.blocks import BlockBuffer
+from repro.core.exchange import run_exchange, run_exchange_on_rows, run_planned_exchange_on_rows
 from repro.core.partitions import partitions
 from repro.model.cost import multiphase_time
+from repro.model.params import ipsc860
 from repro.patterns import simulate_pattern
+from repro.plan import CollectivePlanner, FixedPolicy, ModelPolicy
+from repro.sim.engine import Engine
 from repro.sim.fastpath import exchange_time
 
 
@@ -86,7 +91,7 @@ class TestDataIntegrity:
 
     def test_needs_exactly_one_payload_source(self, ipsc):
         with pytest.raises(ValueError, match="exactly one"):
-            next(exchange_program(None, steps=(), m=None, rows=None))
+            next(naive_program(None, m=None, rows=None))
 
     def test_engines_same_time(self, ipsc):
         a = simulate_exchange(4, 16, (2, 2), ipsc, engine="tags")
@@ -145,6 +150,54 @@ class TestValidation:
     def test_rejects_unknown_engine(self, ipsc):
         with pytest.raises(ValueError, match="engine"):
             simulate_exchange(3, 8, (3,), ipsc, engine="bogus")
+
+
+def _naive_planner():
+    return CollectivePlanner(FixedPolicy(naive=True))
+
+
+def _model_planner():
+    return CollectivePlanner(ModelPolicy(ipsc860()))
+
+
+#: every entry point that takes engine=, with the planner it asks
+UNKNOWN_ENGINE_PATHS = {
+    "exchange": (None, lambda planner: simulate_exchange(
+        3, 8, (2, 1), ipsc860(), engine="bogus")),
+    "exchange-fast": (None, lambda planner: simulate_exchange(
+        3, 8, (2, 1), ipsc860(), engine="bogus", fast=True)),
+    "planned": (_model_planner, lambda planner: simulate_planned_exchange(
+        3, 8, planner, ipsc860(), engine="bogus")),
+    "planned-fast": (_model_planner, lambda planner: simulate_planned_exchange(
+        3, 8, planner, ipsc860(), engine="bogus", fast=True)),
+    "planned-naive": (_naive_planner, lambda planner: simulate_planned_exchange(
+        3, 8, planner, ipsc860(), engine="bogus")),
+    "planned-naive-fast": (_naive_planner, lambda planner: simulate_planned_exchange(
+        3, 8, planner, ipsc860(), engine="bogus", fast=True)),
+    "rows": (None, lambda planner: run_exchange_on_rows(
+        np.zeros((4, 4, 2), np.uint8), engine="bogus")),
+    "rows-one-node": (None, lambda planner: run_exchange_on_rows(
+        np.zeros((1, 1, 2), np.uint8), engine="bogus")),
+    "rows-planned-naive": (_naive_planner, lambda planner: run_planned_exchange_on_rows(
+        np.zeros((4, 4, 2), np.uint8), planner, engine="bogus")),
+    "pattern-payloads": (None, lambda planner: run_exchange(3, 8, engine="bogus")),
+}
+
+
+class TestUnknownEngine:
+    """``engine=`` is checked once, up front: an unknown name raises
+    before a planner decides, a path prices or a machine boots."""
+
+    @pytest.mark.parametrize("path", sorted(UNKNOWN_ENGINE_PATHS))
+    def test_rejected_before_anything_runs(self, path):
+        make_planner, run = UNKNOWN_ENGINE_PATHS[path]
+        planner = make_planner() if make_planner else None
+        boots = Engine.boot_count
+        with pytest.raises(ValueError, match="unknown engine 'bogus'"):
+            run(planner)
+        assert Engine.boot_count == boots
+        if planner is not None:
+            assert planner.stats.decisions == 0
 
 
 class _RefusingPlanner:

@@ -14,8 +14,9 @@ from hypothesis import strategies as st
 
 from repro.core.blocks import BlockBuffer, BlockSet, payload_pattern, payload_rows
 from repro.core.partitions import compositions, partitions
-from repro.core.programs import Round
+from repro.core.programs import Round, exchange_rounds
 from repro.core.schedule import ExchangeStep, multiphase_schedule
+from repro.core.variants import ORDERINGS, multiphase_schedule_ordered
 from repro.hypercube.subcube import BitGroup
 
 SRC = str(Path(__file__).resolve().parents[2] / "src")
@@ -414,49 +415,62 @@ def _phase_orders(d):
     return list(compositions(d) if d <= 6 else partitions(d))
 
 
-def _check_slot_rule(bufs, partition):
-    """Drive ``bufs`` (one per rank) through the multiphase exchange by
-    the tag rule, asserting at every exchange step and rank that the
-    phase's coordinate row equals the tag scan."""
-    d = bufs[0].d
-    n = 1 << d
-    steps = [s for s in multiphase_schedule(d, partition) if isinstance(s, ExchangeStep)]
-    rows = {}
-    for step in steps:
-        group = step.group
-        coord_mask = (1 << group.width) - 1
-        shift = step.offset << group.lo
-        slots = []
+def _check_slot_rule(bufs, rounds):
+    """Drive ``bufs`` (one per rank) through ``rounds`` with
+    :meth:`BlockBuffer.send`, asserting at every round and rank that
+    the slots it vacates, found by the partner's coordinate, are the
+    ones the tag rule finds."""
+    n = len(bufs)
+    for index, rnd in enumerate(rounds):
+        sent = []
         for x in range(n):
-            if (x, group) not in rows:
-                rows[x, group] = bufs[x].coordinate_slots(group.lo, group.width)
-            partner = x ^ shift
-            by_tags = bufs[x].slots_for(partner, ~group.mask)
-            by_coordinate = rows[x, group][(partner >> group.lo) & coord_mask]
+            partner = x ^ rnd.mask
+            by_tags = bufs[x].slots_for(partner, rnd.reach)
+            sent.append(bufs[x].send(rnd, partner))
             # not a bare assert: this file also runs under python -O
-            np.testing.assert_array_equal(by_coordinate, by_tags, err_msg=f"{partition} {step} {x}")
-            slots.append(by_tags)
-        taken = [bufs[x].take(slots[x]) for x in range(n)]
+            np.testing.assert_array_equal(
+                bufs[x]._vacated, by_tags, err_msg=f"round {index} {rnd} rank {x}"
+            )
         for x in range(n):
-            bufs[x].put(slots[x], taken[x ^ shift])
+            bufs[x].receive(sent[x ^ rnd.mask])
     return bufs
 
 
-class TestCoordinateSlots:
-    """The partner-coordinate slot rule the exchange program uses equals
-    the tag rule at every step of every phase order."""
+def _rounds(d, partition, ordering="index"):
+    return exchange_rounds(multiphase_schedule_ordered(d, partition, ordering), d)
 
-    def test_matrix_shape_and_rows(self):
-        rows = BlockBuffer.initial(0, 4, 1).coordinate_slots(1, 2)
+
+class TestCoordinateSlots:
+    """The partner-coordinate slot rule of :meth:`BlockBuffer.send`
+    equals the tag rule at every round of every phase order and offset
+    ordering."""
+
+    def test_rows_of_a_group(self):
+        # group bits 2..1 of a 4-cube: coordinate c holds the slots
+        # whose bits 2..1 read c
+        rnd = Round(mask=0b010, sources=15, reach=~0b110, tag=0, pairwise=True)
+        held = [BlockBuffer.initial(0, 4, 1).send(rnd, c << 1).dests for c in range(4)]
         np.testing.assert_array_equal(
-            rows, [[0, 1, 8, 9], [2, 3, 10, 11], [4, 5, 12, 13], [6, 7, 14, 15]]
+            held, [[0, 1, 8, 9], [2, 3, 10, 11], [4, 5, 12, 13], [6, 7, 14, 15]]
         )
+
+    def test_a_group_that_is_not_contiguous_is_rejected(self):
+        rnd = Round(mask=0b101, sources=7, reach=~0b101, tag=0, pairwise=True)
+        with pytest.raises(ValueError, match="contiguous"):
+            BlockBuffer.initial(0, 3, 1).send(rnd, 5)
 
     @pytest.mark.parametrize("d", range(1, 8))
     def test_equals_the_tag_rule_on_pattern_buffers(self, d):
         for partition in _phase_orders(d):
             bufs = [BlockBuffer.initial(x, d, 2) for x in range(1 << d)]
-            BlockBuffer.verify_all(_check_slot_rule(bufs, partition))
+            BlockBuffer.verify_all(_check_slot_rule(bufs, _rounds(d, partition)))
+
+    @pytest.mark.parametrize("ordering", ORDERINGS)
+    @pytest.mark.parametrize("d", range(1, 7))
+    def test_equals_the_tag_rule_in_every_ordering(self, d, ordering):
+        for partition in partitions(d):
+            bufs = [BlockBuffer.initial(x, d, 2) for x in range(1 << d)]
+            BlockBuffer.verify_all(_check_slot_rule(bufs, _rounds(d, partition, ordering)))
 
     @pytest.mark.parametrize("d", range(1, 6))
     def test_equals_the_tag_rule_on_user_rows(self, d):
@@ -465,27 +479,25 @@ class TestCoordinateSlots:
         send = rng.integers(0, 256, size=(n, n, 3), dtype=np.uint8)
         for partition in _phase_orders(d):
             bufs = [BlockBuffer.from_rows(x, d, send[x]) for x in range(n)]
-            _check_slot_rule(bufs, partition)
+            _check_slot_rule(bufs, _rounds(d, partition))
             for x, buf in enumerate(bufs):
                 np.testing.assert_array_equal(buf.result_rows(), send[:, x], err_msg=f"{partition}")
 
     def test_rows_keyed_by_offset_fail_verification(self, monkeypatch):
-        """Mutant: the exchange program indexing its rows by the step
-        offset instead of the partner's coordinate misroutes blocks, and
-        the final check names foreign destinations."""
+        """Mutant: slots looked up by the round's offset instead of the
+        partner's coordinate misroute blocks, and the final check names
+        foreign destinations."""
         from repro.comm import simulate_exchange
         from repro.model.params import ipsc860
 
-        coordinate_slots = BlockBuffer.coordinate_slots
+        send = BlockBuffer.send
 
-        def keyed_by_offset(self, lo, width):
-            rows = coordinate_slots(self, lo, width)
-            own = (self.node >> lo) & ((1 << width) - 1)
-            # the program looks up row (own ^ offset): hand it row offset
-            return rows[np.arange(1 << width) ^ own]
+        def keyed_by_offset(self, rnd, dst):
+            # the coordinate of dst ^ node is the offset's
+            return send(self, rnd, dst ^ self.node)
 
         assert simulate_exchange(4, 8, (2, 2), ipsc860()).run is not None
-        monkeypatch.setattr(BlockBuffer, "coordinate_slots", keyed_by_offset)
+        monkeypatch.setattr(BlockBuffer, "send", keyed_by_offset)
         mutant = simulate_exchange(4, 8, (2, 2), ipsc860(), verify=False)
         with pytest.raises(AssertionError, match="foreign destinations"):
             mutant.verify()

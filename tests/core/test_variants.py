@@ -95,15 +95,20 @@ class TestSimulatedOrderings:
     def test_same_total_time_in_lockstep(self, ordering, ipsc):
         """With pairwise-synchronized lockstep steps the total time is
         ordering-invariant (the per-step costs commute)."""
-        from repro.comm.program import exchange_program
+        from functools import partial
+
+        from repro.patterns.execute import pattern_node
         from repro.sim.machine import SimulatedHypercube
 
+        holdings = partial(BlockBuffer.initial, d=4, m=16)
         steps = multiphase_schedule_ordered(4, (2, 2), ordering)
         machine = SimulatedHypercube(4, ipsc)
-        run = machine.run(exchange_program, steps=steps, m=16, engine="tags")
+        run = machine.run(pattern_node, rounds=exchange_rounds(steps, 4), holdings=holdings)
         baseline_steps = multiphase_schedule(4, (2, 2))
         machine2 = SimulatedHypercube(4, ipsc)
-        run2 = machine2.run(exchange_program, steps=baseline_steps, m=16, engine="tags")
+        run2 = machine2.run(
+            pattern_node, rounds=exchange_rounds(baseline_steps, 4), holdings=holdings
+        )
         assert run.time == pytest.approx(run2.time)
         for buf in run.node_results:
             buf.verify_complete_exchange_result()

@@ -3,13 +3,18 @@ plus the seeded :class:`~repro.sim.faults.FaultPlan` chaos layer."""
 
 from __future__ import annotations
 
+from functools import partial
+
 import numpy as np
 import pytest
 
-from repro.comm.program import exchange_program, simulate_exchange
+from repro.comm.program import simulate_exchange
+from repro.core.blocks import BlockBuffer
+from repro.core.programs import exchange_rounds
 from repro.core.schedule import multiphase_schedule
 from repro.hypercube.topology import Hypercube, Link
 from repro.model.params import ipsc860
+from repro.patterns.execute import pattern_node
 from repro.sim.engine import SimulationError
 from repro.sim.faults import (
     CrossTraffic,
@@ -100,9 +105,11 @@ class TestExchangeUnderFaults:
         raise, never deliver a quietly-wrong result."""
         machine = SimulatedHypercube(3, ipsc860())
         machine.network.fail_link(Link(5, 7))
-        steps = multiphase_schedule(3, (2, 1))
+        rounds = exchange_rounds(multiphase_schedule(3, (2, 1)), 3)
         with pytest.raises(SimulationError, match="failed link"):
-            machine.run(exchange_program, steps=steps, m=8, engine="tags")
+            machine.run(
+                pattern_node, rounds=rounds, holdings=partial(BlockBuffer.initial, d=3, m=8)
+            )
 
     def test_every_single_link_is_load_bearing(self):
         """For the single-phase exchange on d=2, failing each of the 8
@@ -113,9 +120,11 @@ class TestExchangeUnderFaults:
         for link in Hypercube(2).links():
             machine = SimulatedHypercube(2, ipsc860())
             machine.network.fail_link(link, both_directions=False)
-            steps = multiphase_schedule(2, (2,))
+            rounds = exchange_rounds(multiphase_schedule(2, (2,)), 2)
             with pytest.raises(SimulationError):
-                machine.run(exchange_program, steps=steps, m=4, engine="tags")
+                machine.run(
+                    pattern_node, rounds=rounds, holdings=partial(BlockBuffer.initial, d=2, m=4)
+                )
 
 
 class TestLinkGuards:

@@ -356,7 +356,11 @@ class TestOwnership:
         import gc
         import weakref
 
-        from repro.comm.program import exchange_program
+        from functools import partial
+
+        from repro.core.blocks import BlockBuffer
+        from repro.core.programs import exchange_rounds
+        from repro.patterns.execute import pattern_node
         from repro.sim.faults import FaultPlan
 
         plan = FaultPlan.generate(
@@ -367,7 +371,8 @@ class TestOwnership:
         try:
             machine = SimulatedHypercube(3, ipsc860(), fault_plan=plan)
             result = machine.run(
-                exchange_program, steps=multiphase_schedule(3, (2, 1)), m=8
+                pattern_node, rounds=exchange_rounds(multiphase_schedule(3, (2, 1)), 3),
+                holdings=partial(BlockBuffer.initial, d=3, m=8),
             )
             assert len(result.trace.transmissions) > 0
             owned = [machine, machine.engine, machine.network, machine.trace,

@@ -19,6 +19,8 @@ one only when an output change is intended::
         > tests/golden/check_schedules_d2-5.json
     PYTHONPATH=src python -m tests.test_golden_outputs \\
         > tests/golden/event_traces.json
+    PYTHONPATH=src python -m tests.test_golden_outputs interpreter \\
+        > tests/golden/interpreter_traces.json
     PYTHONPATH=src python examples/figure3_walkthrough.py \\
         > tests/golden/figure3_walkthrough.txt
 
@@ -28,6 +30,13 @@ byte-verified exchange over ``repr(trace)`` and the makespan's
 machine presets, plus the naive rotation.  It was written before the
 engine learned to complete an exchange pair and a barrier with one
 event each, a change that must not move a single trace record.
+``interpreter_traces.json`` pins, by the same scheme, the runs that
+moved onto the declared rows' one SPMD interpreter: the layout
+engine's exchanges, both multiphase rows of ``simulate_pattern`` at
+every partition, a planner-driven exchange per preset, one exchange
+per offset ordering and every §9 row.  It was written while the
+exchange still had its own step-list loop; a §9 row's digest leaves
+out ``phase_marks``, the one record the interpreter adds there.
 ``figure3_walkthrough.txt`` is the paper's Figure 3, block by block; it
 was written before the walkthrough stepped the exchange's declared
 rounds instead of its step list.
@@ -35,18 +44,27 @@ rounds instead of its step list.
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import json
 import runpy
 import sys
+from functools import partial
 from pathlib import Path
 
 import pytest
 
 from repro.cli import main
-from repro.comm import simulate_exchange, simulate_naive_exchange
+from repro.comm import simulate_exchange, simulate_naive_exchange, simulate_planned_exchange
+from repro.core.blocks import BlockBuffer
 from repro.core.partitions import partitions
-from repro.model.params import PRESETS
+from repro.core.programs import exchange_rounds
+from repro.core.variants import ORDERINGS, multiphase_schedule_ordered
+from repro.model.params import PRESETS, ipsc860
+from repro.patterns import simulate_pattern
+from repro.patterns.execute import pattern_node
+from repro.plan import CollectivePlanner, ModelPolicy
+from repro.sim.machine import SimulatedHypercube
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 
@@ -70,7 +88,11 @@ def test_figure3_walkthrough_matches_golden(capsys):
 
 
 def _run_digest(result) -> str:
-    text = repr(result.trace) + result.time_us.hex()
+    return _trace_digest(result.trace, result.time_us)
+
+
+def _trace_digest(trace, time_us: float) -> str:
+    text = repr(trace) + time_us.hex()
     return hashlib.sha256(text.encode()).hexdigest()
 
 
@@ -95,6 +117,75 @@ def test_event_traces_match_golden():
     assert event_trace_digests() == golden
 
 
+#: the §9 rows that do not run through the complete exchange
+_SECTION9_ROWS = (
+    ("broadcast", "binomial"),
+    ("broadcast", "direct"),
+    ("scatter", "halving"),
+    ("scatter", "direct"),
+    ("allgather", "doubling"),
+)
+
+
+def interpreter_trace_digests() -> dict[str, str]:
+    """SHA-256 of every pinned run of the declared rows' rounds on the
+    event engine, by the same scheme as :func:`event_trace_digests`:
+    the layout engine's exchanges, both multiphase rows of
+    :func:`simulate_pattern` at every partition, a planner-driven
+    exchange per preset, one exchange per offset ordering, and every
+    §9 row at roots 0 and ``n - 1``.  A §9 row's digest sets the
+    trace's ``phase_marks`` aside, after checking that they are the
+    one mark of phase 0 at time 0."""
+    digests = {}
+    for preset, factory in PRESETS.items():
+        params = factory()
+        for d in range(2, 6):
+            n = 1 << d
+            for m in (0, 40):
+                for partition in partitions(d):
+                    result = simulate_exchange(d, m, partition, params, engine="layout")
+                    digests[f"{preset} d={d} {partition} m={m} layout"] = _run_digest(result)
+                    for pattern in ("alltoall", "allgather"):
+                        algorithm = "multiphase" if pattern == "alltoall" else "exchange"
+                        time_us, run = simulate_pattern(
+                            pattern, algorithm, d, m, params, partition=partition
+                        )
+                        digests[f"{preset} d={d} {pattern}/{algorithm} {partition} m={m}"] = (
+                            _trace_digest(run.trace, time_us)
+                        )
+                for pattern, algorithm in _SECTION9_ROWS:
+                    for root in (0, n - 1) if pattern != "allgather" else (0,):
+                        time_us, run = simulate_pattern(
+                            pattern, algorithm, d, m, params, root=root
+                        )
+                        # the one phase the interpreter marks, at the start
+                        assert run.trace.phase_marks == [(0, 0.0)]
+                        trace = dataclasses.replace(run.trace, phase_marks=[])
+                        digests[f"{preset} d={d} {pattern}/{algorithm} root={root} m={m}"] = (
+                            _trace_digest(trace, time_us)
+                        )
+        planner = CollectivePlanner(ModelPolicy(params))
+        result = simulate_planned_exchange(5, 40, planner, params)
+        digests[f"{preset} d=5 planned m=40"] = _run_digest(result)
+    params = ipsc860()
+    for ordering in ORDERINGS:
+        rounds = exchange_rounds(multiphase_schedule_ordered(5, (3, 2), ordering), 5)
+        run = SimulatedHypercube(5, params).run(
+            pattern_node, rounds=rounds, holdings=partial(BlockBuffer.initial, d=5, m=16)
+        )
+        BlockBuffer.verify_all(run.node_results)
+        digests[f"ipsc860 d=5 (3, 2) m=16 {ordering}"] = _trace_digest(run.trace, run.time)
+    return digests
+
+
+def test_interpreter_traces_match_golden():
+    golden = json.loads((GOLDEN / "interpreter_traces.json").read_text())
+    assert interpreter_trace_digests() == golden
+
+
 if __name__ == "__main__":
-    json.dump(event_trace_digests(), sys.stdout, indent=1, sort_keys=True)
+    digests = interpreter_trace_digests() if sys.argv[1:] == ["interpreter"] else (
+        event_trace_digests()
+    )
+    json.dump(digests, sys.stdout, indent=1, sort_keys=True)
     sys.stdout.write("\n")
