@@ -29,7 +29,9 @@ families:
   structurally match the program step stream they claim to price, and
   an exchange-backed program's must also match the
   :func:`~repro.core.schedule.multiphase_schedule` step list of its
-  partition, recomputed independently of the rounds.
+  partition, recomputed independently of the rounds; the naive
+  rotation's sends-first replay must grant exactly its certified
+  circuits, never two on one link or port at once.
 
 Every function returns plain :class:`~repro.check.report.Violation`
 lists so callers can compose them into one
@@ -49,6 +51,7 @@ from repro.core.partitions import partitions
 from repro.core.programs import (
     PATTERN_TABLE,
     BarrierStep,
+    CommProgram,
     KeyHoldings,
     LocalShuffleStep,
     PairStep,
@@ -63,7 +66,7 @@ from repro.core.programs import (
 from repro.core.schedule import ExchangeStep, PhaseStart, multiphase_schedule
 from repro.hypercube.routing import ecube_path_edges
 from repro.hypercube.topology import Link
-from repro.model.params import PRESETS, MachineParams
+from repro.model.params import PRESETS, MachineParams, ipsc860
 from repro.plan.decision import PlanDecision, format_partition
 from repro.sim.fastpath import (
     KIND_BARRIER,
@@ -73,7 +76,7 @@ from repro.sim.fastpath import (
     CompiledProgram,
     compile_program,
     compile_schedule,
-    naive_step_circuits,
+    contended_timeline,
 )
 from repro.util.bitops import popcount
 from repro.util.validation import check_dimension, check_node, check_partition
@@ -87,6 +90,7 @@ __all__ = [
     "verify_pattern",
     "verify_plan_decision",
     "verify_program_coefficients",
+    "verify_replay",
     "verify_rounds",
     "verify_schedule",
 ]
@@ -387,6 +391,55 @@ def _verify_schedule_coefficients(
     )]
 
 
+def verify_replay(
+    program: CommProgram, rounds: Sequence[Round], params: MachineParams
+) -> list[Violation]:
+    """Prove a contended program's price is the serialization of
+    ``rounds`` (the certified rounds) and nothing else.
+
+    Its sends-first replay (:func:`repro.sim.fastpath.contended_timeline`
+    at m = 40) must grant every node its circuits of ``rounds`` in round
+    order (``replay-mismatch``), and no two grants may hold one e-cube
+    link or endpoint port at once (``replay-overlap``).
+    """
+    target = f"fastpath program {program.name} d={program.d}"
+    sends = contended_timeline(program, 40.0, params).sends
+    # a stable sort by source keeps each node's grants in issue order
+    granted = [(s.src, s.step, s.dst) for s in sorted(sends, key=lambda s: s.src)]
+    expected = [(src, tag, dst) for src, _, tag, dst in sorted(
+        (src, index, rnd.tag, dst)
+        for index, rnd in enumerate(rounds) for src, dst in rnd.circuits(0)
+    )]
+    if granted != expected:
+        first = next((i for i, (got, want) in enumerate(zip(granted, expected))
+                      if got != want), min(len(granted), len(expected)))
+        return [Violation(
+            check="replay-mismatch",
+            target=target,
+            message=f"replayed send {first} is not the certified rounds' circuit",
+            counterexample={"granted": granted[first:first + 4],
+                            "expected": expected[first:first + 4]},
+            fix_hint="a contended program must carry the rounds it is certified on",
+        )]
+    held = sorted(
+        (str(resource), s.t_start, s.t_end, s.src, s.dst)
+        for s in sends
+        for resource in (*ecube_path_edges(s.src, s.dst), ("port", s.src), ("port", s.dst))
+    )
+    for before, after in zip(held, held[1:]):
+        if before[0] == after[0] and after[1] < before[2]:
+            return [Violation(
+                check="replay-overlap",
+                target=target,
+                message=f"{after[0]} is granted to {after[3]}->{after[4]} before "
+                        f"{before[3]}->{before[4]} releases it",
+                counterexample={"resource": after[0], "grants": [before[1:], after[1:]]},
+                fix_hint="the replay must serialize every circuit on its links "
+                         "and ports, as the event engine does",
+            )]
+    return []
+
+
 # ----------------------------------------------------------------------
 # declared algorithms: the exchange and the §9 patterns
 # ----------------------------------------------------------------------
@@ -407,7 +460,8 @@ def verify_schedule(d: int, partition: Sequence[int] | None = None) -> list[Viol
 
 
 def pattern_variants() -> list[tuple[str, str]]:
-    """Every §9 ``(pattern, algorithm)`` pair the verifier can certify:
+    """Every ``(pattern, algorithm)`` pair :func:`verify_pattern`
+    certifies without a partition — the §9 rows and the naive rotation;
     the multiphase rows are the complete exchange, which
     :func:`verify_schedule` certifies on its partition."""
     return [key for key, row in PATTERN_TABLE.items() if row.schedule != "multiphase"]
@@ -447,13 +501,16 @@ def verify_pattern(
 
 
 class _TagSlots(BlockBuffer):
-    """Fixed slots that find a round's blocks by scanning their tags,
-    so a corrupted round sends what the tags say rather than the slots
-    a correct schedule would have refilled."""
+    """Fixed slots that find a round's blocks by scanning their tags
+    (:meth:`~repro.core.programs.Round.take`'s rule), so a corrupted
+    round sends what the tags say rather than the slots a correct
+    schedule would have refilled."""
 
     def send(self, rnd: Round, dst: int) -> BlockSet:
-        self._vacated = self.slots_for(dst, rnd.reach)
-        return self.take(self._vacated)
+        bits = ~rnd.reach
+        slots = ((self.dests & bits) == (dst & bits)).nonzero()[0]
+        self._vacated.append(slots)
+        return self.take(slots)
 
 
 def verify_rounds(
@@ -535,11 +592,11 @@ def verify_rounds(
 def verify_plan_decision(decision: PlanDecision) -> list[Violation]:
     """Certify the schedule a planner decision would execute.
 
-    A partitioned decision is verified as a full exchange schedule; the
-    naive rotation baseline is *sanctioned contended* — for it the
-    verifier proves the weaker invariant the baseline does satisfy:
-    every rotation step in isolation is link-clean and port-disjoint
-    (its slowness comes from drift, not from an illegal schedule).
+    A partitioned decision is verified as a full exchange schedule, a
+    naive one as the ``alltoall/rotation`` row (:func:`verify_pattern`):
+    every rotation step in isolation is link-clean and port-disjoint,
+    and its rounds deliver every block (its slowness comes from drift,
+    not from an illegal schedule).
     """
     return _verify_plan_decision(decision, verify_schedule)
 
@@ -549,11 +606,9 @@ def _verify_plan_decision(
     schedule_check: Callable[[int, tuple[int, ...]], list[Violation]],
 ) -> list[Violation]:
     """:func:`verify_plan_decision` with a (memoized) ``schedule_check``."""
-    target = f"plan d={decision.d} m={decision.m:g} {decision.algorithm}"
     if decision.algorithm == "naive":
-        n = 1 << decision.d
-        rotation = [naive_step_circuits(decision.d, s) for s in range(1, n)]
-        return verify_circuit_steps(rotation, decision.d, target=target)
+        return verify_pattern("alltoall", "rotation", decision.d)
+    target = f"plan d={decision.d} m={decision.m:g} {decision.algorithm}"
     try:
         parts = check_partition(decision.partition, decision.d)
     except (TypeError, ValueError) as exc:
@@ -580,10 +635,10 @@ def check_schedules(
     """Statically certify every schedule the library can emit.
 
     For each dimension: every partition's exchange schedule (circuits,
-    delivery, fast-path coefficients), every §9 pattern program,
-    and — per machine preset — the collectives the model policy
-    actually emits at the sampled block sizes (exchange decisions and
-    pattern selections).  Returns a merged report; ``report.ok`` is
+    delivery, fast-path coefficients), every §9 pattern program, the
+    naive rotation (its iPSC-860 replay), and — per machine preset —
+    the collectives the model policy actually emits at the sampled
+    block sizes (exchange decisions and pattern selections).  Returns a merged report; ``report.ok`` is
     the certificate.
     """
     from repro.plan.patterns import PATTERNS, plan_pattern
@@ -617,11 +672,12 @@ def check_schedules(
             certify_schedule(d, parts)
         for pattern, algorithm in pattern_variants():
             violations = verify_pattern(pattern, algorithm, d)
-            violations.extend(
-                verify_program_coefficients(
-                    compile_program(pattern_program(pattern, algorithm, d))
-                )
-            )
+            program = pattern_program(pattern, algorithm, d)
+            if program.contended:
+                rounds = pattern_rounds(PATTERN_TABLE[pattern, algorithm], d, 0)
+                violations.extend(verify_replay(program, rounds, ipsc860()))
+            else:
+                violations.extend(verify_program_coefficients(compile_program(program)))
             for violation in violations:
                 report.add(violation)
             if not violations:

@@ -11,7 +11,6 @@ so the algorithm (standard / multiphase / naive) is selected per
 from repro.comm.communicator import Communicator
 from repro.comm.program import (
     SimulatedExchange,
-    naive_program,
     simulate_exchange,
     simulate_naive_exchange,
     simulate_planned_exchange,
@@ -20,7 +19,6 @@ from repro.comm.program import (
 __all__ = [
     "Communicator",
     "SimulatedExchange",
-    "naive_program",
     "simulate_exchange",
     "simulate_naive_exchange",
     "simulate_planned_exchange",

@@ -25,9 +25,8 @@ from typing import Any, Generator, Sequence
 
 import numpy as np
 
-from repro.comm.program import naive_program
 from repro.core.blocks import BlockBuffer
-from repro.core.programs import exchange_rounds
+from repro.core.programs import PATTERN_TABLE, exchange_rounds, pattern_rounds
 from repro.core.schedule import multiphase_schedule
 from repro.patterns.execute import pattern_node
 from repro.plan.decision import algorithm_name
@@ -115,13 +114,13 @@ class Communicator:
         * ``partition`` — an explicit multiphase partition (defaults to
           the single-phase Optimal Circuit-Switched algorithm).
 
-        All ranks must agree on the selection inputs.  A multiphase
-        exchange runs :func:`repro.patterns.execute.pattern_node` over
-        the ``alltoall/multiphase`` rounds with the rows in fixed-slot
-        :class:`~repro.core.blocks.BlockBuffer` holdings; a round is
-        tagged ``tag_base`` plus its step's index in the
-        :func:`~repro.core.schedule.multiphase_schedule` step list, and
-        step ``s`` of the naive rotation ``tag_base + s``.
+        All ranks must agree on the selection inputs.
+        :func:`repro.patterns.execute.pattern_node` runs the
+        ``alltoall/multiphase`` or ``alltoall/rotation`` rounds with the
+        rows in fixed-slot :class:`~repro.core.blocks.BlockBuffer`
+        holdings; a round is tagged ``tag_base`` plus its step's index
+        in the :func:`~repro.core.schedule.multiphase_schedule` step
+        list, and step ``s`` of the naive rotation ``tag_base + s``.
         """
         ctx = self.ctx
         d, n = ctx.d, ctx.n
@@ -144,38 +143,31 @@ class Communicator:
         if algorithm == "naive":
             if partition is not None:
                 raise ValueError("the naive baseline has no partition")
-            result = yield from self._naive_alltoall(rows, tag_base=tag_base)
-            return result
-        if algorithm is not None:
-            # a named algorithm determines (or constrains) the partition
-            if algorithm == "standard":
-                partition = (1,) * d if partition is None else partition
-            elif algorithm == "single-phase":
-                partition = (d,) if partition is None else partition
-            elif algorithm == "multiphase":
-                if partition is None:
+            rounds = pattern_rounds(PATTERN_TABLE["alltoall", "rotation"], d, 0)
+        else:
+            if algorithm is not None:
+                # a named algorithm determines (or constrains) the partition
+                if algorithm == "standard":
+                    partition = (1,) * d if partition is None else partition
+                elif algorithm == "single-phase":
+                    partition = (d,) if partition is None else partition
+                elif algorithm == "multiphase":
+                    if partition is None:
+                        raise ValueError(
+                            "algorithm='multiphase' needs an explicit partition "
+                            "(or use a planner to choose one)"
+                        )
+                else:
+                    raise ValueError(f"unknown algorithm {algorithm!r} for Alltoall")
+                if algorithm_name(tuple(partition)) != algorithm:
                     raise ValueError(
-                        "algorithm='multiphase' needs an explicit partition "
-                        "(or use a planner to choose one)"
+                        f"partition {tuple(partition)} realizes "
+                        f"{algorithm_name(tuple(partition))!r}, not {algorithm!r}"
                     )
-            else:
-                raise ValueError(f"unknown algorithm {algorithm!r} for Alltoall")
-            if algorithm_name(tuple(partition)) != algorithm:
-                raise ValueError(
-                    f"partition {tuple(partition)} realizes "
-                    f"{algorithm_name(tuple(partition))!r}, not {algorithm!r}"
-                )
-        parts = check_partition(partition if partition is not None else (d,), d)
+            parts = check_partition(partition if partition is not None else (d,), d)
+            rounds = exchange_rounds(multiphase_schedule(d, parts), d)
         buf = yield from pattern_node(
-            ctx, rounds=exchange_rounds(multiphase_schedule(d, parts), d),
-            holdings=partial(BlockBuffer.from_rows, d=d, rows=rows), tag_base=tag_base,
+            ctx, rounds=rounds, holdings=partial(BlockBuffer.from_rows, d=d, rows=rows),
+            tag_base=tag_base,
         )
-        return buf.result_rows()
-
-    def _naive_alltoall(self, rows: np.ndarray, *, tag_base: int) -> Generator:
-        """Rotation-order exchange of user rows — the contended §2
-        baseline, reachable as a policy target.  One shared schedule
-        implementation: :func:`repro.comm.program.naive_program`, which
-        keeps its own loop (it does not decompose into rounds)."""
-        buf = yield from naive_program(self.ctx, rows=rows, tag_base=tag_base)
         return buf.result_rows()

@@ -40,34 +40,31 @@ in one numpy pass at float equality with the runs here (``fast=True``
 below returns its :class:`~repro.sim.fastpath.ProgramTimeline`).  That
 is the default path everywhere; the event-engine run is the
 byte-verifying oracle, and :func:`repro.check.verify_schedule`
-certifies the rounds.  The naive rotation, :func:`naive_program`, is
-the one exchange that keeps its own loop: it sends all its messages
-before receiving any, so it does not decompose into rounds (its chain,
-:func:`repro.core.programs.naive_rotation_steps`, is contended and
-priced by the reservation replay).
+certifies the rounds.  The naive rotation is the ``alltoall/rotation``
+row, run by the same interpreter sends-first
+(:func:`simulate_naive_exchange`); its contended price is the fast
+path's sends-first replay of those rounds.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import partial
-from typing import Any, Generator, Sequence
+from typing import Any, Sequence
 
 from repro.core.blocks import BlockBuffer
 from repro.core.exchange import ExchangeOutcome, engine_buffer
-from repro.core.programs import exchange_rounds
+from repro.core.programs import PATTERN_TABLE, exchange_rounds, pattern_rounds
 from repro.core.schedule import multiphase_schedule
 from repro.core.shuffle import LayoutBuffer
 from repro.model.params import MachineParams
 from repro.patterns.execute import pattern_node
 from repro.sim.machine import RunResult, SimulatedHypercube
-from repro.sim.node import NodeContext
 from repro.sim.trace import PlanRecord, Trace
 from repro.util.validation import check_dimension, check_message_size, check_partition
 
 __all__ = [
     "SimulatedExchange",
-    "naive_program",
     "simulate_exchange",
     "simulate_naive_exchange",
     "simulate_planned_exchange",
@@ -182,15 +179,16 @@ def _exchange(d, m, parts, params, buffer, *, verify, fast, fault_plan) -> Simul
             d=d, m=m, partition=parts, params_name=params.name,
             time_us=timeline.total, trace=Trace(), run=None, timeline=timeline,
         )
+    rounds = exchange_rounds(multiphase_schedule(d, parts), d)
+    return _run(d, m, parts, params, rounds, buffer, verify=verify, fault_plan=fault_plan)
+
+
+def _run(d, m, partition, params, rounds, buffer, *, verify, fault_plan) -> SimulatedExchange:
+    """``rounds`` on the one SPMD interpreter, over ``buffer`` holdings
+    of pattern payloads."""
     run = SimulatedHypercube(d, params, fault_plan=fault_plan).run(
-        pattern_node,
-        rounds=exchange_rounds(multiphase_schedule(d, parts), d),
-        holdings=partial(buffer.initial, d=d, m=m),
+        pattern_node, rounds=rounds, holdings=partial(buffer.initial, d=d, m=m)
     )
-    return _measured(d, m, parts, params, run, verify)
-
-
-def _measured(d, m, partition, params, run: RunResult, verify: bool) -> SimulatedExchange:
     result = SimulatedExchange(
         d=d, m=m, partition=partition, params_name=params.name,
         time_us=run.time, trace=run.trace, run=run,
@@ -255,57 +253,6 @@ def simulate_planned_exchange(
 # ----------------------------------------------------------------------
 # negative control: a naive, contention-oblivious schedule
 # ----------------------------------------------------------------------
-def naive_program(
-    ctx: NodeContext,
-    *,
-    m: int | None = None,
-    rows=None,
-    tag_base: int = 0,
-) -> Generator:
-    """Rotation-order all-to-all that ignores the machine's idiosyncrasies.
-
-    Step ``s`` sends this node's block to ``(rank + s) mod n`` — the
-    textbook schedule for a crossbar.  Each rotation step is in fact
-    statically link-clean under e-cube, but without pairwise
-    synchronization the nearly-simultaneous send/receive traffic at
-    each node serializes (§7.2), nodes drift out of step, and circuits
-    from *different* steps start overlapping on links.  The measured
-    result is the §2 warning in action: circuit switching does not let
-    programmers ignore the network.
-
-    Correct (byte-verified) but slow; compare against the XOR schedule
-    at identical message count and volume.  Pass ``m`` for pattern
-    payloads, or ``rows`` (``(n, m)`` uint8, row ``j`` bound for rank
-    ``j``) to exchange user data — this is the one implementation of
-    the naive schedule, shared by ``simulate_naive_exchange`` and
-    ``Communicator.Alltoall(algorithm="naive")``.
-    """
-    if (m is None) == (rows is None):
-        raise ValueError("pass exactly one of m (pattern payload) or rows (user data)")
-    if rows is not None:
-        buf = BlockBuffer.from_rows(ctx.rank, ctx.d, rows)
-    else:
-        buf = BlockBuffer.initial(ctx.rank, ctx.d, m)
-    n = ctx.n
-    # FORCED discipline: post every receive, then synchronize (§7.3).
-    for s in range(1, n):
-        src = (ctx.rank - s) % n
-        yield ctx.post_recv(src, tag=tag_base + s)
-    yield ctx.barrier()
-    # the block received at step s refills the slot sent at step s
-    sent_slots = {}
-    for s in range(1, n):
-        dst = (ctx.rank + s) % n
-        sent_slots[s] = buf.slots_for(dst, 0)
-        outgoing = buf.take(sent_slots[s])
-        yield ctx.send(dst, outgoing, outgoing.nbytes, tag=tag_base + s, forced=True)
-    for s in range(1, n):
-        src = (ctx.rank - s) % n
-        received = yield ctx.recv(src, tag=tag_base + s)
-        buf.put(sent_slots[s], received)
-    return buf
-
-
 def simulate_naive_exchange(
     d: int,
     m: int,
@@ -316,9 +263,20 @@ def simulate_naive_exchange(
 ) -> SimulatedExchange:
     """Measure the naive rotation schedule (contended baseline).
 
+    Step ``s`` sends every node's block to ``(rank + s) mod n`` — the
+    textbook schedule for a crossbar.  Each rotation step is in fact
+    statically link-clean under e-cube, but without pairwise
+    synchronization the nearly-simultaneous send/receive traffic at
+    each node serializes (§7.2), nodes drift out of step, and circuits
+    from *different* steps start overlapping on links: circuit
+    switching does not let programmers ignore the network (§2).  The
+    run is the ``alltoall/rotation`` row on the one interpreter,
+    byte-verified.
+
     With ``fast=True`` the contended timing comes from the fast path's
-    reservation replay (:func:`repro.sim.fastpath.naive_exchange_time`)
-    — same greedy link/port serialization, no coroutines, no data
+    sends-first replay of the row's rounds
+    (:func:`repro.sim.fastpath.naive_exchange_time`) — same greedy
+    link/port serialization, no coroutines, no data
     movement (``verify`` is ignored).  On the event engine ``m`` must
     be a non-negative int.
     """
@@ -329,7 +287,7 @@ def simulate_naive_exchange(
 
 
 def _naive(d, m, params, *, verify, fast, fault_plan) -> SimulatedExchange:
-    """The naive rotation: priced by the reservation replay, or run
+    """The naive rotation: priced by the sends-first replay, or run
     byte-verified on the event engine."""
     if fast:
         from repro.sim.fastpath import naive_exchange_time
@@ -338,5 +296,5 @@ def _naive(d, m, params, *, verify, fast, fault_plan) -> SimulatedExchange:
             d=d, m=m, partition=(), params_name=params.name,
             time_us=naive_exchange_time(d, m, params), trace=Trace(), run=None,
         )
-    run = SimulatedHypercube(d, params, fault_plan=fault_plan).run(naive_program, m=m)
-    return _measured(d, m, (), params, run, verify)
+    rounds = pattern_rounds(PATTERN_TABLE["alltoall", "rotation"], d, 0)
+    return _run(d, m, (), params, rounds, BlockBuffer, verify=verify, fault_plan=fault_plan)

@@ -19,20 +19,21 @@ holdings of the lockstep :func:`repro.core.programs.replay_pattern`
 and of the SPMD :func:`repro.patterns.execute.pattern_node` it does
 both per round (:meth:`BlockBuffer.send`, :meth:`BlockBuffer.receive`).
 
-Fixed slots give a multiphase round its slots without reading a tag:
-across group G to partner p they are the slots whose G coordinate
-equals p's (:meth:`BlockBuffer.send`, one memoized slot matrix per
-cube and group), since a phase rewrites only the G coordinate of a
-destination and a round refills exactly the slots it sent.  The naive
-rotation and the schedule certificate, which must judge rounds that
-break that invariant, scan the tags (:meth:`BlockBuffer.slots_for`).
-The companion :mod:`repro.core.shuffle` module implements the
+Fixed slots give a round its slots without reading a tag: across
+group G to partner p they are the slots whose G coordinate equals p's
+(:meth:`BlockBuffer.send`, one memoized slot matrix per cube and
+group), since a phase rewrites only the G coordinate of a destination
+and a round refills exactly the slots it sent (a naive rotation
+round's group is every bit: it sends slot p).  A receive refills the
+oldest unanswered send's slots, so sends may run ahead.  The
+companion :mod:`repro.core.shuffle` module implements the
 physically-contiguous layout discipline of the real machine; the two
 are cross-validated in the test suite.
 """
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
 from functools import cache
 from typing import TYPE_CHECKING, Sequence
@@ -192,6 +193,8 @@ class BlockBuffer:
         self.d = d
         self.m = int(m)
         self._blocks = blocks
+        #: slots of the sends no receive has refilled yet, oldest first
+        self._vacated: deque[np.ndarray] = deque()
 
     # ------------------------------------------------------------------
     # construction
@@ -251,16 +254,6 @@ class BlockBuffer:
     # ------------------------------------------------------------------
     # exchange operations
     # ------------------------------------------------------------------
-    def slots_for(self, dst: int, reach: int) -> np.ndarray:
-        """Slots (row indices, ascending) of the blocks bound for
-        ``dst``'s downstream ``{dst ^ r : r a submask of reach}``, found
-        by scanning the tags: :meth:`repro.core.programs.Round.take`'s
-        rule.  ``reach = 0`` selects the blocks for ``dst`` itself, as
-        the naive rotation does.
-        """
-        bits = ~reach
-        return ((self._blocks.dests & bits) == (dst & bits)).nonzero()[0]
-
     def take(self, slots: np.ndarray) -> BlockSet:
         """Copy the blocks in ``slots`` out as a :class:`BlockSet`.
 
@@ -294,17 +287,20 @@ class BlockBuffer:
 
         The round's group is the cube bits outside ``rnd.reach``; the
         slots are those whose group coordinate is ``dst``'s, which in a
-        multiphase exchange hold exactly what :meth:`slots_for` would
-        find (module docstring): the paper's *effective block* for the
+        multiphase exchange or a naive rotation hold exactly the blocks
+        :meth:`repro.core.programs.Round.take` would pick by their tags
+        (module docstring): the paper's *effective block* for the
         partner, ``m * 2**(d - d_i)`` bytes.
         """
         lo, coordinate, rows = _coordinate_slots(self.d, rnd.reach)
-        slots = self._vacated = rows[(dst >> lo) & coordinate]
+        slots = rows[(dst >> lo) & coordinate]
+        self._vacated.append(slots)
         return self.take(slots)
 
     def receive(self, blocks: BlockSet) -> tuple[()]:
-        """Holdings call: refill the slots :meth:`send` vacated."""
-        self.put(self._vacated, blocks)
+        """Holdings call: refill the slots of the oldest unanswered
+        :meth:`send`."""
+        self.put(self._vacated.popleft(), blocks)
         return ()
 
     def shuffle(self, times: int) -> None:

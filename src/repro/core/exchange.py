@@ -33,6 +33,7 @@ from repro.core.blocks import BlockBuffer
 from repro.core.programs import (
     PATTERN_TABLE,
     PairStep,
+    Round,
     pattern_program,
     pattern_rounds,
     replay_pattern,
@@ -167,26 +168,30 @@ def run_exchange_on_rows(
     rows, d = _normalize_rows(send_rows)
     if d == 0:
         return [rows[0].copy()]
-    return _rows_exchange(rows, d, partition, buffer)
+    return _rows_exchange(rows, d, _multiphase_rounds(d, partition), buffer)
+
+
+def _multiphase_rounds(d: int, partition: Sequence[int] | None) -> tuple[Round, ...]:
+    parts = check_partition(partition if partition is not None else (d,), d)
+    return pattern_rounds(PATTERN_TABLE["alltoall", "multiphase"], d, 0, partition=parts)
 
 
 def _rows_exchange(
     rows: list[np.ndarray],
     d: int,
-    partition: Sequence[int] | None,
+    rounds: Sequence[Round],
     buffer: type[BlockBuffer] | type[LayoutBuffer],
 ) -> list[np.ndarray]:
-    """Multiphase exchange of already-normalized rows (``d >= 1``)."""
-    n = len(rows)
-    parts = check_partition(partition if partition is not None else (d,), d)
-    outcome = _replay([buffer.from_rows(x, d, rows[x]) for x in range(n)], d, parts)
+    """Exchange already-normalized rows (``d >= 1``) along ``rounds``."""
+    outcome = ExchangeOutcome([buffer.from_rows(x, d, row) for x, row in enumerate(rows)])
+    replay_pattern(rounds, outcome.buffers)
     outcome.verify(check_payload=False)
-    return [outcome.result_rows(x) for x in range(n)]
+    return [outcome.result_rows(x) for x in range(len(rows))]
 
 
 def _replay(buffers: list, d: int, parts: tuple[int, ...]) -> ExchangeOutcome:
     """Run the declared exchange's rounds over ``buffers``."""
-    rounds = pattern_rounds(PATTERN_TABLE[("alltoall", "multiphase")], d, 0, partition=parts)
+    rounds = _multiphase_rounds(d, parts)
     replay_pattern(rounds, buffers)
     chain = pattern_program("alltoall", "multiphase", d, partition=parts).steps
     return ExchangeOutcome(
@@ -219,8 +224,8 @@ def run_naive_exchange_on_rows(
     """Complete exchange of user data along the naive rotation schedule.
 
     Step ``s`` moves node ``x``'s block for ``(x + s) mod n`` — the
-    textbook crossbar order of :func:`repro.comm.program.naive_program`,
-    executed in lockstep on real bytes.  Data-wise the result equals
+    textbook crossbar order of the ``alltoall/rotation`` row, replayed
+    in lockstep on real bytes.  Data-wise the result equals
     :func:`run_exchange_on_rows` (any correct exchange must agree); the
     schedule only differs in *time* on the simulated machine, which is
     the point of keeping it as a baseline policy target.
@@ -228,21 +233,11 @@ def run_naive_exchange_on_rows(
     rows, d = _normalize_rows(send_rows)
     if d == 0:
         return [rows[0].copy()]
-    return _naive_rows_exchange(rows, d)
+    return _rows_exchange(rows, d, _rotation_rounds(d), BlockBuffer)
 
 
-def _naive_rows_exchange(rows: list[np.ndarray], d: int) -> list[np.ndarray]:
-    """Rotation-order exchange of already-normalized rows (``d >= 1``)."""
-    n = 1 << d
-    buffers = [BlockBuffer.from_rows(x, d, rows[x]) for x in range(n)]
-    for s in range(1, n):
-        slots = [buffers[x].slots_for((x + s) % n, 0) for x in range(n)]
-        taken = [buffers[x].take(slots[x]) for x in range(n)]
-        for x in range(n):
-            buffers[x].put(slots[x], taken[(x - s) % n])
-    for buf in buffers:
-        buf.verify_complete_exchange_result(check_payload=False)
-    return [buffers[x].result_rows() for x in range(n)]
+def _rotation_rounds(d: int) -> tuple[Round, ...]:
+    return pattern_rounds(PATTERN_TABLE["alltoall", "rotation"], d, 0)
 
 
 def run_planned_exchange_on_rows(
@@ -265,5 +260,5 @@ def run_planned_exchange_on_rows(
         return [rows[0].copy()]
     decision = planner.decide(d, rows[0].shape[1])
     if decision.algorithm == "naive":
-        return _naive_rows_exchange(rows, d)
-    return _rows_exchange(rows, d, decision.partition, buffer)
+        return _rows_exchange(rows, d, _rotation_rounds(d), BlockBuffer)
+    return _rows_exchange(rows, d, _multiphase_rounds(d, decision.partition), buffer)

@@ -53,10 +53,10 @@ exchange and collectives and the SPMD interpreter of
 :mod:`repro.patterns`, so the circuits the certificate proves are the
 circuits the engines run and the chain the fast path prices.
 
-Programs with ``contended=True`` (the naive rotation baseline) have no
-lockstep closed form — their cost is link/port serialization — and are
-refused by the compiler; :func:`repro.sim.fastpath.batch_program_times`
-routes them to the reservation replay instead.
+The naive rotation baseline, ``alltoall/rotation``, is ``contended``:
+its cost is link/port serialization, not a lockstep chain, so its
+program carries its rounds and :mod:`repro.sim.fastpath` replays them
+sends-first instead of compiling it.
 """
 
 from __future__ import annotations
@@ -83,7 +83,6 @@ __all__ = [
     "Round",
     "SendStep",
     "exchange_rounds",
-    "naive_rotation_steps",
     "pattern_program",
     "pattern_rounds",
     "replay_pattern",
@@ -147,9 +146,9 @@ class CommProgram:
 
     ``steps`` is the critical-path chain (see module docstring);
     ``contended`` marks programs whose cost is serialization rather
-    than the chain sum (the compiler refuses them); ``partition`` is
-    carried for exchange-backed programs so consumers can trace the
-    schedule a program prices.
+    than the chain sum (the compiler refuses them; their price replays
+    their ``rounds``); ``partition`` is carried for exchange-backed
+    programs so consumers can trace the schedule a program prices.
     """
 
     name: str
@@ -157,29 +156,11 @@ class CommProgram:
     steps: tuple[ProgramStep, ...] = field(default=())
     contended: bool = False
     partition: tuple[int, ...] | None = None
+    rounds: tuple["Round", ...] = ()
 
     @property
     def n_steps(self) -> int:
         return len(self.steps)
-
-
-# ----------------------------------------------------------------------
-# the naive rotation baseline
-# ----------------------------------------------------------------------
-def naive_rotation_steps(d: int) -> CommProgram:
-    """The naive rotation baseline, marked contended.
-
-    The step stream records one node's rotation chain (rank 0's — every
-    rank's is a relabeling) for structural verification, but the chain
-    sum is *not* the program's cost: the schedule's price is link/port
-    serialization, so the program carries ``contended=True`` and the
-    fast path prices it with the reservation replay.
-    """
-    check_dimension(d, minimum=1)
-    n = 1 << d
-    steps: list[ProgramStep] = [BarrierStep()]
-    steps.extend(SendStep(src=0, dst=s % n, bytes_per_m=1) for s in range(1, n))
-    return CommProgram(name="naive", d=d, steps=tuple(steps), contended=True)
 
 
 # ----------------------------------------------------------------------
@@ -244,8 +225,9 @@ class PatternAlgorithm:
     single-bit mask per round, ascending, or from the top bit down
     with ``descending``), ``"direct"`` (the root circuits to every node
     in ascending order), ``"pairwise"`` (every node swaps across
-    ascending masks) or ``"multiphase"`` (the paper's complete
-    exchange at a partition, :func:`exchange_rounds`).
+    ascending masks), ``"multiphase"`` (the paper's complete
+    exchange at a partition, :func:`exchange_rounds`) or
+    ``"rotation"`` (step ``s`` sends to ``(x + s) mod n``).
     """
 
     pattern: str
@@ -273,6 +255,7 @@ PATTERN_TABLE: Mapping[tuple[str, str], PatternAlgorithm] = {
         PatternAlgorithm("allgather", "doubling", "pairwise"),
         PatternAlgorithm("allgather", "exchange", "multiphase"),
         PatternAlgorithm("alltoall", "multiphase", "multiphase"),
+        PatternAlgorithm("alltoall", "rotation", "rotation"),
     )
 }
 
@@ -290,6 +273,8 @@ class Round:
     round's phase: a phase opens with a barrier and, when ``times`` is
     non-zero, closes with ``times`` elementary shuffles (every round
     of a phase records the same ``times``).
+    A rotation round (``offset`` non-zero) has every node send to
+    ``(x + offset) mod n`` instead (``sources`` is ``n - 1``).
     """
 
     mask: int
@@ -299,6 +284,7 @@ class Round:
     pairwise: bool = False
     phase: int = 0
     times: int = 0
+    offset: int = 0
 
     def sends(self, relative: int) -> bool:
         """Whether node ``root ^ relative`` sends this round."""
@@ -307,6 +293,14 @@ class Round:
     def receives(self, relative: int) -> bool:
         """Whether node ``root ^ relative`` receives this round."""
         return self.sends(relative ^ self.mask)
+
+    def sends_to(self, src: int) -> int:
+        """The node a sender ``src`` sends to."""
+        return (src + self.offset) & self.sources if self.offset else src ^ self.mask
+
+    def receives_from(self, dst: int) -> int:
+        """The node a receiver ``dst`` receives from."""
+        return (dst - self.offset) & self.sources if self.offset else dst ^ self.mask
 
     def circuits(self, root: int) -> list[tuple[int, int]]:
         """Every ``(src, dst)`` circuit the round holds, by source."""
@@ -317,7 +311,7 @@ class Round:
             if sub == 0:
                 break
             sub = (sub - 1) & self.sources
-        return sorted((src, src ^ self.mask) for src in senders)
+        return sorted((src, self.sends_to(src)) for src in senders)
 
     def take(self, held: dict[int, Any], dst: int, personal: bool) -> dict[int, Any]:
         """The blocks a sender passes to ``dst``: all it holds, or — for
@@ -370,11 +364,16 @@ def pattern_rounds(
     partition: Sequence[int] | None = None,
 ) -> tuple[Round, ...]:
     """Expand a declared schedule into rounds; ``partition`` (default
-    ``(d,)``) applies to the multiphase schedule only."""
+    ``(d,)``) applies to the multiphase schedule only.  A rotation
+    round reaches every key bit above the ``d`` destination bits, so
+    :meth:`Round.take` moves exactly the block for ``(x + s) mod n``.
+    """
     n = 1 << d
     if row.schedule == "multiphase":
         parts = partition if partition is not None else (d,)
         return exchange_rounds(multiphase_schedule(d, parts), d)
+    if row.schedule == "rotation":
+        return tuple(Round(mask=0, sources=n - 1, reach=-n, tag=s, offset=s) for s in range(1, n))
     if row.schedule == "direct":
         return tuple(
             Round(mask=root ^ dst, sources=0, reach=0, tag=0)
@@ -560,15 +559,18 @@ def _pattern_program(
                 steps.append(LocalShuffleStep(bytes_per_m=n))
         return CommProgram(name=row.name, d=d, steps=tuple(steps), partition=partition)
     semantics = row.semantics
-    held = len(semantics.starts(root, root, 1 << d))
+    n = 1 << d
+    held = len(semantics.starts(root, root, n))
     steps.append(BarrierStep())
     for rnd in rounds:
         # the root sends every round; personal blocks go only to the
         # receiver's downstream, copied blocks all go
-        blocks = 1 << popcount(rnd.reach) if semantics.personal else held
+        blocks = 1 << popcount(rnd.reach & (n - 1)) if semantics.personal else held
         if rnd.pairwise:
             steps.append(PairStep(shift=rnd.mask, bytes_per_m=blocks))
             held += blocks  # the partner held as many as the root
         else:
-            steps.append(SendStep(src=root, dst=root ^ rnd.mask, bytes_per_m=blocks))
+            steps.append(SendStep(src=root, dst=rnd.sends_to(root), bytes_per_m=blocks))
+    if row.schedule == "rotation":  # nodes drift apart: the chain is not the price
+        return CommProgram(row.name, d, tuple(steps), contended=True, rounds=rounds)
     return CommProgram(name=row.name, d=d, steps=tuple(steps))

@@ -8,12 +8,13 @@ This module runs a row two ways:
   :func:`~repro.patterns.scatter.scatter` and
   :func:`~repro.patterns.allgather.allgather` are thin wrappers over it;
 * :func:`pattern_node` is the one SPMD interpreter of every row on
-  :class:`~repro.sim.machine.SimulatedHypercube`: the §9 rows through
-  :func:`simulate_pattern`, which byte-verifies every node's final
-  blocks, and the complete exchange through
-  :func:`repro.comm.program.simulate_exchange`, the chaos workloads
-  and :meth:`repro.comm.communicator.Communicator.Alltoall` on user
-  rows.  The multiphase rows of :func:`simulate_pattern` (the complete
+  :class:`~repro.sim.machine.SimulatedHypercube`: the §9 rows and the
+  naive rotation through :func:`simulate_pattern`, which byte-verifies
+  every node's final blocks, and the complete exchange through
+  :func:`repro.comm.program.simulate_exchange` (the rotation through
+  ``simulate_naive_exchange``), the chaos workloads and
+  :meth:`repro.comm.communicator.Communicator.Alltoall` on user rows.
+  The multiphase rows of :func:`simulate_pattern` (the complete
   exchange and the exchange-backed allgather) go through ``Alltoall``.
 
 The interpreter walks the rounds :func:`repro.check.schedule.verify_pattern`
@@ -97,11 +98,24 @@ def pattern_node(
     ``ctx.exchange``, a one-way round a receive or a send, each tagged
     ``tag_base + rnd.tag``, and a shuffling phase closes by shuffling
     the holdings and charging a pass over the node's ``n·m`` bytes.
+    Rotation rounds run sends-first: every receive posted, one barrier
+    (no phase mark), every send, then every receive, in round order.
     Returns the node's final holdings.
     """
     rank = ctx.rank
     held = holdings(rank)
     send, receive = held.send, held.receive
+    if rounds and rounds[0].offset:
+        for rnd in rounds:
+            yield ctx.post_recv(rnd.receives_from(rank), tag=tag_base + rnd.tag)
+        yield ctx.barrier()
+        for rnd in rounds:
+            dst = rnd.sends_to(rank)
+            outgoing = send(rnd, dst)
+            yield ctx.send(dst, outgoing, _nbytes(outgoing), tag=tag_base + rnd.tag)
+        for rnd in rounds:
+            receive((yield ctx.recv(rnd.receives_from(rank), tag=tag_base + rnd.tag)))
+        return held
     relative = rank ^ root
     for rnd in rounds:
         if not rnd.pairwise and rnd.receives(relative):

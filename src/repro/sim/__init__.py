@@ -23,7 +23,6 @@ from repro.sim.fastpath import (
     exchange_times,
     naive_contention_summary,
     naive_exchange_time,
-    naive_step_circuits,
     naive_timeline,
     program_time,
     program_timeline,
@@ -82,7 +81,6 @@ __all__ = [
     "exchange_times",
     "naive_contention_summary",
     "naive_exchange_time",
-    "naive_step_circuits",
     "naive_timeline",
     "program_time",
     "program_timeline",

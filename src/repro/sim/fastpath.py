@@ -25,9 +25,8 @@ event engine to **float equality** (``==``, not approx).
 
 * :func:`program_time` / :func:`program_times` /
   :func:`program_timeline` / :func:`batch_program_times` — price any
-  compiled program.  Contended programs (the naive rotation) are
-  refused by the compiler; :func:`batch_program_times` routes them to
-  the reservation replay.
+  program.  A contended program (the naive rotation) is refused by
+  the compiler and priced by replaying its sends-first rounds.
 * :func:`exchange_time` / :func:`exchange_times` /
   :func:`exchange_timeline` / :func:`batch_exchange_times` — the
   complete exchange by ``(d, partition)``.  They read the exchange's
@@ -36,14 +35,12 @@ event engine to **float equality** (``==``, not approx).
   ``(d, partition)`` by :func:`compile_schedule`, and agree with
   :func:`repro.comm.program.simulate_exchange` to float equality.
 * :func:`naive_exchange_time` / :func:`naive_timeline` — the
-  *contended* naive rotation baseline, priced by replaying the event
-  engine's greedy link/port reservation discipline over the send
-  stream directly (a flat heap loop — no generators, no payload
-  movement, no trace records).  Edge conflicts serialize exactly as
-  :class:`repro.sim.network.Network.reserve` serializes them, so the
-  result matches the event engine's simulated time; the agreement
-  tests assert exact equality, and consumers may rely on a documented
-  tolerance of 1e-12 relative.
+  *contended* ``alltoall/rotation`` row, priced by the one sends-first
+  replay of its rounds on :class:`repro.sim.network.Network`'s
+  link/port id table (a flat heap loop — no generators, no payload
+  movement, no trace records).  Conflicts serialize exactly as the
+  engine serializes them; the agreement tests assert ``==``, and
+  consumers may rely on a documented tolerance of 1e-12 relative.
 * :func:`naive_contention_summary` — why the naive schedule is slow,
   quantified with the static analyzers
   (:func:`~repro.hypercube.contention.analyze_contention` /
@@ -80,8 +77,8 @@ from repro.hypercube.contention import (
     analyze_contention,
     count_edge_conflicts,
 )
-from repro.hypercube.routing import ecube_path_edges
 from repro.model.params import MachineParams
+from repro.sim.network import _add_ecube_ids
 from repro.util.bitops import popcount
 from repro.util.validation import check_block_size, check_dimension, check_partition
 
@@ -95,12 +92,12 @@ __all__ = [
     "batch_program_times",
     "compile_program",
     "compile_schedule",
+    "contended_timeline",
     "exchange_time",
     "exchange_timeline",
     "exchange_times",
     "naive_contention_summary",
     "naive_exchange_time",
-    "naive_step_circuits",
     "naive_timeline",
     "program_time",
     "program_timeline",
@@ -306,7 +303,8 @@ def compile_program(program: CommProgram) -> CompiledProgram:
     after validating each step structurally (endpoints inside the cube,
     no self-sends, shifts in range).  Contended programs (the naive
     rotation) have no lockstep closed form and are refused; price them
-    with :func:`naive_exchange_time` / :func:`batch_program_times`.
+    with :func:`program_time` or :func:`batch_program_times`, which
+    replay their rounds.
 
     >>> from repro.core.programs import pattern_program
     >>> compile_program(pattern_program("broadcast", "binomial", 3)).n_steps
@@ -315,8 +313,8 @@ def compile_program(program: CommProgram) -> CompiledProgram:
     if program.contended:
         raise ValueError(
             f"program {program.name!r} is contended: its cost is link/port "
-            f"serialization, not a lockstep chain; use batch_program_times "
-            f"(or naive_exchange_time) instead"
+            f"serialization, not a lockstep chain; use program_time or "
+            f"batch_program_times, which replay its rounds"
         )
     check_dimension(program.d, minimum=1)
     return _compile_program(program)
@@ -325,12 +323,16 @@ def compile_program(program: CommProgram) -> CompiledProgram:
 def program_times(
     program: CommProgram, ms: Sequence[float], params: MachineParams
 ) -> np.ndarray:
-    """Program times for a batch of block sizes, one numpy pass."""
+    """Program times for a batch of block sizes: one numpy pass, or one
+    sends-first replay per size for a contended program."""
+    if program.contended:
+        return np.array([_sends_first_replay(program, m, params, collect=False)[0] for m in ms])
     return compile_program(program).totals(ms, params)
 
 
 def program_time(program: CommProgram, m: float, params: MachineParams) -> float:
-    """Total time of one contention-free program, closed form.
+    """Total time of one program: closed form, or the sends-first
+    replay of a contended program's rounds.
 
     Equals the event engine's measured virtual time exactly:
 
@@ -357,27 +359,16 @@ def batch_program_times(
 ) -> np.ndarray:
     """Program times for a heterogeneous batch of ``(program, m)`` pairs.
 
-    Configurations sharing a program are evaluated in one vectorized
-    pass over their block sizes; the result is aligned with
-    ``configs``.  Contended programs named ``"naive"`` fall back to the
-    reservation replay (:func:`naive_exchange_time`); any other
-    contended program is refused — there is nothing exact to price it
-    with.
+    Configurations sharing a program are evaluated in one
+    :func:`program_times` call over their block sizes; the result is
+    aligned with ``configs``.
     """
     out = np.empty(len(configs), dtype=np.float64)
     groups: dict[CommProgram, list[int]] = {}
-    for index, (program, m) in enumerate(configs):
-        if program.contended:
-            if program.name != "naive":
-                raise ValueError(
-                    f"no contention model for contended program {program.name!r}"
-                )
-            out[index] = naive_exchange_time(program.d, m, params)
-            continue
+    for index, (program, _) in enumerate(configs):
         groups.setdefault(program, []).append(index)
     for program, indices in groups.items():
-        ms = [configs[i][1] for i in indices]
-        out[indices] = compile_program(program).totals(ms, params)
+        out[indices] = program_times(program, [configs[i][1] for i in indices], params)
     return out
 
 
@@ -477,16 +468,17 @@ def batch_exchange_times(
 
 
 # ----------------------------------------------------------------------
-# the contended naive baseline: reservation replay
+# contended programs: the sends-first replay of their rounds
 # ----------------------------------------------------------------------
 @dataclass(frozen=True)
 class NaiveSend:
-    """One FORCED send of the naive rotation schedule, as granted.
+    """One FORCED send of a sends-first replay, as granted.
 
-    ``t_issue`` is when the node asked for the circuit, ``t_start``
-    when every link and both endpoint ports were free (the difference
-    is serialization wait — the §2 edge-contention penalty in action),
-    ``t_end`` when the transfer left the wire.
+    ``step`` is its round's tag (the rotation offset).  ``t_issue`` is
+    when the node asked for the circuit, ``t_start`` when every link and
+    both endpoint ports were free (the difference is serialization wait
+    — the §2 edge-contention penalty in action), ``t_end`` when the
+    transfer left the wire.
     """
 
     src: int
@@ -505,7 +497,7 @@ class NaiveSend:
 
 @dataclass(frozen=True)
 class NaiveTimeline:
-    """The naive rotation baseline, priced send by send."""
+    """A contended program (the naive rotation), priced send by send."""
 
     d: int
     m: float
@@ -523,111 +515,99 @@ class NaiveTimeline:
         return sum(1 for send in self.sends if send.wait > 0.0)
 
 
-@lru_cache(maxsize=64)
-def _naive_resources(d: int) -> dict[tuple[int, int], tuple]:
-    """Reservation resource sets per (src, dst): e-cube links plus both
-    endpoint ports (the §7.2 serialization the naive schedule pays)."""
-    n = 1 << d
-    resources: dict[tuple[int, int], tuple] = {}
-    for src in range(n):
-        for step in range(1, n):
-            dst = (src + step) % n
-            links = tuple(ecube_path_edges(src, dst))
-            resources[(src, dst)] = links + (("port", src), ("port", dst))
-    return resources
-
-
-def _naive_replay(
-    d: int, m: float, params: MachineParams, *, collect: bool
+def _sends_first_replay(
+    program: CommProgram, m: float, params: MachineParams, *, collect: bool
 ) -> tuple[float, tuple[NaiveSend, ...]]:
-    """Replay the naive rotation schedule's reservations.
+    """Replay the reservations of a contended program's rounds.
 
     Mirrors the event engine exactly: after the initial barrier every
-    node issues its ``n-1`` FORCED sends sequentially, each send
-    greedily reserving its circuit links and both endpoint ports at
-    issue time (``Network.reserve`` semantics), and ties at equal
-    virtual times resolve in schedule order.  Receives consume no
-    virtual time, so the makespan is the last grant's completion.
+    node issues one FORCED send per round, in round order, each
+    greedily reserving its e-cube links and both endpoint ports (link
+    ``src·d + dim``, port ``d·2**d + v``, as ``Network`` numbers them)
+    at issue time, and ties at equal virtual times resolve in schedule
+    order.  Receives consume no virtual time, so the makespan is the
+    last grant's completion.
     """
+    rounds, d = program.rounds, program.d
+    if not rounds:
+        raise ValueError(
+            f"no contention model for contended program {program.name!r}: "
+            f"it has no sends-first rounds to replay"
+        )
     check_dimension(d, minimum=1)
     check_block_size(m)
     n = 1 << d
-    resources = _naive_resources(d)
-    free_at: dict[object, float] = {}
+    ports = d * n
+    free_at = [0.0] * (ports + n)
     t0 = params.global_sync_time(d)
-    heap: list[tuple[float, int, int, int]] = []
-    seq = 0
-    for rank in range(n):
-        seq += 1
-        heap.append((t0, seq, rank, 1))
-    heapq.heapify(heap)
-    latency, byte_time, hop_time = params.latency, params.byte_time, params.hop_time
-    transfer = latency + byte_time * m
+    heap = [(t0, rank + 1, rank, 0) for rank in range(n)]
+    seq = n
+    hop_time = params.hop_time
+    # a round's send carries the blocks for its receiver's downstream
+    transfer = [
+        params.latency + params.byte_time * ((1 << popcount(rnd.reach & (n - 1))) * m)
+        for rnd in rounds
+    ]
     finish = 0.0
     sends: list[NaiveSend] = []
     while heap:
-        t_issue, _, rank, step = heapq.heappop(heap)
-        dst = (rank + step) % n
-        duration = transfer + hop_time * popcount(rank ^ dst)
+        t_issue, _, rank, index = heapq.heappop(heap)
+        rnd = rounds[index]
+        dst = rnd.sends_to(rank)
+        hops = popcount(rank ^ dst)
+        held = [ports + rank, ports + dst]
+        _add_ecube_ids(held, d, rank, dst)
         t_start = t_issue
-        held = resources[(rank, dst)]
-        for resource in held:
-            t_free = free_at.get(resource, 0.0)
-            if t_free > t_start:
-                t_start = t_free
-        t_end = t_start + duration
-        for resource in held:
-            free_at[resource] = t_end
+        for i in held:
+            if free_at[i] > t_start:
+                t_start = free_at[i]
+        t_end = t_start + (transfer[index] + hop_time * hops)
+        for i in held:
+            free_at[i] = t_end
         # the engine schedules the completion relative to the current
         # clock; reproduce that exact float so ordering cannot drift
         fires_at = t_issue + (t_end - t_issue)
         if fires_at > finish:
             finish = fires_at
         if collect:
-            sends.append(
-                NaiveSend(
-                    src=rank, dst=dst, step=step,
-                    hops=popcount(rank ^ dst),
-                    t_issue=t_issue, t_start=t_start, t_end=t_end,
-                )
-            )
-        if step + 1 < n:
+            sends.append(NaiveSend(rank, dst, rnd.tag, hops, t_issue, t_start, t_end))
+        if index + 1 < len(rounds):
             seq += 1
-            heapq.heappush(heap, (fires_at, seq, rank, step + 1))
+            heapq.heappush(heap, (fires_at, seq, rank, index + 1))
     return finish, tuple(sends)
+
+
+def contended_timeline(program: CommProgram, m: float, params: MachineParams) -> NaiveTimeline:
+    """A contended program's sends-first replay, with every grant."""
+    total, sends = _sends_first_replay(program, m, params, collect=True)
+    return NaiveTimeline(d=program.d, m=float(m), total=total, sends=sends)
+
+
+def _rotation(d: int) -> CommProgram:
+    return pattern_program("alltoall", "rotation", d)
 
 
 @lru_cache(maxsize=4096)
 def naive_exchange_time(d: int, m: float, params: MachineParams) -> float:
-    """Contention-priced time of the naive rotation baseline.
+    """Contention-priced time of the naive rotation baseline: the
+    ``alltoall/rotation`` row's :func:`program_time`.
 
     Matches :func:`repro.comm.program.simulate_naive_exchange` exactly
     (asserted by the agreement tests; documented tolerance 1e-12
     relative), at a fraction of the cost: the replay prices the edge
     and port serialization without running coroutines or moving bytes.
     """
-    total, _ = _naive_replay(d, m, params, collect=False)
-    return total
+    return _sends_first_replay(_rotation(d), m, params, collect=False)[0]
 
 
 def naive_timeline(d: int, m: float, params: MachineParams) -> NaiveTimeline:
     """The naive baseline with its full per-send grant timeline."""
-    total, sends = _naive_replay(d, m, params, collect=True)
-    return NaiveTimeline(d=d, m=float(m), total=total, sends=sends)
+    return contended_timeline(_rotation(d), m, params)
 
 
 # ----------------------------------------------------------------------
 # why naive is slow: static contention profile + measured serialization
 # ----------------------------------------------------------------------
-def naive_step_circuits(d: int, step: int) -> list[tuple[int, int]]:
-    """The circuits rotation step ``step`` holds if nodes stay in step."""
-    check_dimension(d, minimum=1)
-    n = 1 << d
-    if not 1 <= step < n:
-        raise ValueError(f"rotation step {step} out of range 1..{n - 1}")
-    return [(src, (src + step) % n) for src in range(n)]
-
-
 @dataclass(frozen=True)
 class NaiveContentionSummary:
     """Static and replayed contention diagnostics of the naive schedule.
@@ -662,8 +642,7 @@ def naive_contention_summary(
 ) -> NaiveContentionSummary:
     """Price the naive baseline and explain where the time goes."""
     timeline = naive_timeline(d, m, params)
-    n = 1 << d
-    per_step = [naive_step_circuits(d, step) for step in range(1, n)]
+    per_step = [rnd.circuits(0) for rnd in _rotation(d).rounds]
     union_report = analyze_contention(
         circuit for circuits in per_step for circuit in circuits
     )

@@ -19,7 +19,12 @@ from repro.check import (
     verify_program_coefficients,
     verify_schedule,
 )
-from repro.check.schedule import check_schedules, pattern_variants, verify_rounds
+from repro.check.schedule import (
+    check_schedules,
+    pattern_variants,
+    verify_replay,
+    verify_rounds,
+)
 from repro.core.partitions import partitions
 from repro.core.programs import (
     PATTERN_TABLE,
@@ -29,11 +34,22 @@ from repro.core.programs import (
     pattern_rounds,
 )
 from repro.core.schedule import ExchangeStep, multiphase_schedule
+from repro.model.params import hypothetical, ipsc860
 from repro.plan.decision import PlanDecision
-from repro.sim.fastpath import compile_program, compile_schedule
+from repro.sim.fastpath import (
+    NaiveTimeline,
+    compile_program,
+    compile_schedule,
+    contended_timeline,
+)
 from repro.util.bitops import bit_reverse
 
 ALLTOALL = PATTERN_TABLE[("alltoall", "multiphase")]
+ROTATION = PATTERN_TABLE[("alltoall", "rotation")]
+#: the rows priced by compiled coefficients (the rotation is replayed)
+COMPILED_VARIANTS = [
+    key for key in pattern_variants() if not pattern_program(*key, 1).contended
+]
 
 
 def exchange(d, partition=None):
@@ -224,7 +240,7 @@ class TestExchangeProgramCoefficients:
 
 
 class TestProgramCoefficients:
-    @pytest.mark.parametrize("pattern,algorithm", pattern_variants())
+    @pytest.mark.parametrize("pattern,algorithm", COMPILED_VARIANTS)
     @pytest.mark.parametrize("d", [1, 3, 5])
     def test_compiled_pattern_programs_certify(self, pattern, algorithm, d):
         compiled = compile_program(pattern_program(pattern, algorithm, d))
@@ -278,6 +294,49 @@ class TestProgramCoefficients:
         forged = dataclasses.replace(compiled, kinds=compiled.kinds[:-1])
         violations = verify_program_coefficients(forged)
         assert any(v.check == "coeff-mismatch" for v in violations)
+
+
+class TestRotationReplay:
+    """The naive rotation's price is its sends-first replay, certified
+    against the rounds instead of compiled coefficients."""
+
+    def test_only_the_rotation_is_replayed(self):
+        assert set(pattern_variants()) - set(COMPILED_VARIANTS) == {("alltoall", "rotation")}
+
+    @pytest.mark.parametrize("params", [ipsc860(), hypothetical()], ids=lambda p: p.name)
+    @pytest.mark.parametrize("d", [1, 2, 3, 4, 5, 6])
+    def test_replay_certifies(self, params, d):
+        program = pattern_program("alltoall", "rotation", d)
+        assert verify_replay(program, pattern_rounds(ROTATION, d, 0), params) == []
+
+    def test_forged_rounds_rejected(self):
+        program = pattern_program("alltoall", "rotation", 3)
+        forged = dataclasses.replace(program, rounds=program.rounds[::-1])
+        violations = verify_replay(forged, pattern_rounds(ROTATION, 3, 0), ipsc860())
+        assert [v.check for v in violations] == ["replay-mismatch"]
+        # node 0's first grant is the last round's circuit
+        assert violations[0].counterexample["granted"][0] == (0, 7, 7)
+        assert violations[0].counterexample["expected"][0] == (0, 1, 1)
+
+    def test_overlapping_grants_rejected(self, monkeypatch):
+        program = pattern_program("alltoall", "rotation", 2)
+        honest = contended_timeline(program, 40.0, ipsc860())
+        # node 1's first send granted while node 0's first still holds
+        # node 1's port (node 0 -> 1)
+        first = honest.sends[0]
+        sends = tuple(
+            dataclasses.replace(send, t_start=first.t_start, t_end=first.t_end)
+            if (send.src, send.step) == (1, 1) else send
+            for send in honest.sends
+        )
+        assert (first.src, first.dst) == (0, 1)
+        monkeypatch.setattr(
+            "repro.check.schedule.contended_timeline",
+            lambda *args: NaiveTimeline(d=2, m=40.0, total=honest.total, sends=sends),
+        )
+        violations = verify_replay(program, pattern_rounds(ROTATION, 2, 0), ipsc860())
+        assert [v.check for v in violations] == ["replay-overlap"]
+        assert violations[0].counterexample["resource"] == "('port', 1)"
 
 
 class TestPatterns:
@@ -337,6 +396,26 @@ class TestDeliveryProof:
         assert {v.check for v in violations} == {"block-duplicated"}
         assert {v.step_index for v in violations} == {3}
 
+    @pytest.mark.parametrize("d", [2, 3, 4])
+    def test_dropped_rotation_round_is_undelivered(self, d):
+        rounds = pattern_rounds(ROTATION, d, 0)
+        for index in range(len(rounds)):
+            dropped = rounds[:index] + rounds[index + 1:]
+            violations = verify_rounds(ROTATION, dropped, d, 0, target="t")
+            assert [v.check for v in violations] == ["block-undelivered"]
+            # node 0 misses the block from the origin the round served
+            assert violations[0].counterexample["origin"] == (-rounds[index].offset) % (1 << d)
+
+    @pytest.mark.parametrize("d", [2, 3, 4])
+    def test_repeated_rotation_offset_is_rejected(self, d):
+        rounds = pattern_rounds(ROTATION, d, 0)
+        for index in range(len(rounds)):
+            repeated = rounds + rounds[index:index + 1]
+            violations = verify_rounds(ROTATION, repeated, d, 0, target="t")
+            assert violations
+            assert {v.check for v in violations} <= {"vacuous-step", "block-duplicated"}
+            assert {v.step_index for v in violations} == {len(rounds)}
+
     def test_schedule_must_suit_the_semantics(self):
         tree = PATTERN_TABLE[("broadcast", "binomial")]
         allgather = dataclasses.replace(tree, pattern="allgather")
@@ -363,6 +442,16 @@ class TestPlanDecisions:
             algorithm="naive", partition=None, predicted_us=None
         )
         assert verify_plan_decision(decision) == []
+
+    def test_naive_decision_gets_the_rotation_delivery_proof(self, monkeypatch):
+        """A naive decision is certified as the ``alltoall/rotation``
+        row: a rotation that loses a round fails its delivery proof."""
+        rounds = pattern_rounds(ROTATION, 4, 0)
+        monkeypatch.setattr(
+            "repro.check.schedule.pattern_rounds", lambda *args, **kwargs: rounds[:-1]
+        )
+        decision = self._decision(algorithm="naive", partition=None, predicted_us=None)
+        assert [v.check for v in verify_plan_decision(decision)] == ["block-undelivered"]
 
     def test_illegal_partition_rejected(self):
         decision = self._decision(partition=(3, 3))

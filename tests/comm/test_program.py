@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from repro.comm.program import (
-    naive_program,
     simulate_exchange,
     simulate_naive_exchange,
     simulate_planned_exchange,
@@ -14,6 +13,7 @@ from repro.comm.program import (
 from repro.core.blocks import BlockBuffer
 from repro.core.exchange import run_exchange, run_exchange_on_rows, run_planned_exchange_on_rows
 from repro.core.partitions import partitions
+from repro.core.programs import KeyHoldings
 from repro.model.cost import multiphase_time
 from repro.model.params import ipsc860
 from repro.patterns import simulate_pattern
@@ -89,10 +89,6 @@ class TestDataIntegrity:
         with pytest.raises(AssertionError, match="foreign destinations"):
             run(ipsc)
 
-    def test_needs_exactly_one_payload_source(self, ipsc):
-        with pytest.raises(ValueError, match="exactly one"):
-            next(naive_program(None, m=None, rows=None))
-
     def test_engines_same_time(self, ipsc):
         a = simulate_exchange(4, 16, (2, 2), ipsc, engine="tags")
         b = simulate_exchange(4, 16, (2, 2), ipsc, engine="layout")
@@ -136,6 +132,26 @@ class TestNaiveBaseline:
         naive = simulate_naive_exchange(d, 16, ipsc)
         n = 1 << d
         assert naive.trace.n_transmissions == n * (n - 1)
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 4, 5])
+    def test_rotation_row_byte_verifies_on_key_holdings(self, d, ipsc):
+        """The ``alltoall/rotation`` row runs on the one interpreter
+        with dict holdings too: every node ends with its n blocks, byte
+        for byte, in the naive run's time and with no phase mark."""
+        time_us, run = simulate_pattern("alltoall", "rotation", d, 40, ipsc)
+        assert time_us == simulate_naive_exchange(d, 40, ipsc).time_us
+        assert run.trace.n_transmissions == (1 << d) * ((1 << d) - 1)
+        assert run.trace.phase_marks == []
+
+    def test_rotation_row_rejects_a_lost_block(self, ipsc, monkeypatch):
+        receive = KeyHoldings.receive
+
+        def lose_one(self, blocks):
+            return receive(self, dict(list(blocks.items())[1:]))
+
+        monkeypatch.setattr(KeyHoldings, "receive", lose_one)
+        with pytest.raises(AssertionError, match="wrong blocks"):
+            simulate_pattern("alltoall", "rotation", 2, 8, ipsc)
 
 
 class TestValidation:

@@ -14,12 +14,21 @@ from hypothesis import strategies as st
 
 from repro.core.blocks import BlockBuffer, BlockSet, payload_pattern, payload_rows
 from repro.core.partitions import compositions, partitions
-from repro.core.programs import Round, exchange_rounds
+from repro.core.programs import PATTERN_TABLE, Round, exchange_rounds, pattern_rounds
 from repro.core.schedule import ExchangeStep, multiphase_schedule
 from repro.core.variants import ORDERINGS, multiphase_schedule_ordered
 from repro.hypercube.subcube import BitGroup
 
 SRC = str(Path(__file__).resolve().parents[2] / "src")
+
+
+def tag_slots(buf, dst, reach):
+    """The tag rule, the oracle of the fixed-slot coordinate rule: the
+    slots (ascending) of the blocks bound for ``dst``'s downstream
+    ``{dst ^ r : r a submask of reach}``, found by scanning the tags
+    (:meth:`repro.core.programs.Round.take`'s rule)."""
+    bits = ~reach
+    return ((buf.dests & bits) == (dst & bits)).nonzero()[0]
 
 
 class TestPayloadPattern:
@@ -105,20 +114,20 @@ class TestBlockBuffer:
         assert buf.total_bytes == 0
         assert buf.n_blocks == 4
 
-    def test_slots_for_a_group_coordinate(self):
+    def test_send_takes_a_group_coordinate(self):
         buf = BlockBuffer.initial(node=0, d=3, m=2)
         group = BitGroup(lo=1, width=2)  # bits 2,1
-        slots = buf.slots_for(0b010, ~group.mask)
+        rnd = Round(mask=0b010, sources=7, reach=~group.mask, tag=0, pairwise=True)
         # dests with bits 2,1 == 01 are {2, 3}
-        assert slots.tolist() == [2, 3]
-        taken = buf.take(slots)
+        assert tag_slots(buf, 0b010, ~group.mask).tolist() == [2, 3]
+        taken = buf.send(rnd, 0b010)
         assert taken.dests.tolist() == [2, 3]
         # effective block size = m * 2**(d - d_i)
         assert taken.nbytes == 2 * (1 << (3 - 2))
 
     def test_take_copies_and_keeps_the_slots(self):
         buf = BlockBuffer.initial(node=0, d=3, m=2)
-        slots = buf.slots_for(4, ~BitGroup(lo=2, width=1).mask)
+        slots = tag_slots(buf, 4, ~BitGroup(lo=2, width=1).mask)
         assert slots.tolist() == [4, 5, 6, 7]
         taken = buf.take(slots)
         taken.payload[:] = 0
@@ -134,22 +143,45 @@ class TestBlockBuffer:
 
     def test_put_rejects_count_mismatch(self):
         buf = BlockBuffer.initial(node=0, d=2, m=4)
-        taken = buf.take(buf.slots_for(2, ~BitGroup(lo=1, width=1).mask))
+        taken = buf.take(tag_slots(buf, 2, ~BitGroup(lo=1, width=1).mask))
         with pytest.raises(ValueError, match="2 blocks for 1 slots"):
             buf.put(np.array([3]), taken)
 
     def test_take_put_roundtrip(self):
         buf = BlockBuffer.initial(node=1, d=3, m=4)
         before = buf.payload.copy()
-        slots = buf.slots_for(5, 0)
+        slots = tag_slots(buf, 5, 0)
         buf.put(slots, buf.take(slots))
         assert buf.n_blocks == 8
         assert buf.dests.tolist() == list(range(8))
         assert np.array_equal(buf.payload, before)
 
-    def test_slots_for_reach_zero_is_one_destination(self):
+    def test_rotation_round_sends_one_destination(self):
+        """A rotation round reaches every bit above the destination's,
+        so it sends exactly slot ``dst``, the block for ``dst``."""
         buf = BlockBuffer.initial(node=2, d=3, m=1)
-        assert [buf.slots_for(dst, 0).tolist() for dst in range(8)] == [[j] for j in range(8)]
+        rotation = pattern_rounds(PATTERN_TABLE["alltoall", "rotation"], 3, 0)
+        assert [tag_slots(buf, dst, rotation[0].reach).tolist() for dst in range(8)] == [
+            [j] for j in range(8)
+        ]
+        assert [buf.send(rotation[0], dst).dests.tolist() for dst in range(8)] == [
+            [j] for j in range(8)
+        ]
+
+    def test_receives_refill_the_sends_in_order(self):
+        """Sends may run ahead of receives: each receive refills the
+        slots of the oldest send not yet answered."""
+        buf = BlockBuffer.initial(node=0, d=2, m=1)
+        rotation = pattern_rounds(PATTERN_TABLE["alltoall", "rotation"], 2, 0)
+        sent = [buf.send(rnd, rnd.sends_to(0)) for rnd in rotation]
+        for rnd, blocks in zip(rotation, sent):
+            blocks.dests[:] = 0  # as if from the partner: bound for node 0
+            buf.receive(blocks)
+        assert buf.dests.tolist() == [0, 0, 0, 0]
+        assert buf.origins.tolist() == [0, 0, 0, 0]
+        assert buf.payload[1:, 0].tolist() == [
+            payload_pattern(0, j, 1, 2)[0] for j in (1, 2, 3)
+        ]
 
     def test_keys_are_origin_times_n_plus_dest(self):
         buf = BlockBuffer.initial(node=2, d=2, m=1)
@@ -274,10 +306,7 @@ def _slot_exchange(d, m, partition, tamper=None):
     steps = [s for s in multiphase_schedule(d, partition) if isinstance(s, ExchangeStep)]
     for k, step in enumerate(steps):
         shift = step.offset << step.group.lo
-        slots = [
-            bufs[x].slots_for(x ^ shift, ~step.group.mask)
-            for x in range(n)
-        ]
+        slots = [tag_slots(bufs[x], x ^ shift, ~step.group.mask) for x in range(n)]
         taken = [bufs[x].take(slots[x]) for x in range(n)]
         for x in range(n):
             put = (slots[x], taken[x ^ shift])
@@ -424,15 +453,15 @@ def _check_slot_rule(bufs, rounds):
     for index, rnd in enumerate(rounds):
         sent = []
         for x in range(n):
-            partner = x ^ rnd.mask
-            by_tags = bufs[x].slots_for(partner, rnd.reach)
+            partner = rnd.sends_to(x)
+            by_tags = tag_slots(bufs[x], partner, rnd.reach)
             sent.append(bufs[x].send(rnd, partner))
             # not a bare assert: this file also runs under python -O
             np.testing.assert_array_equal(
-                bufs[x]._vacated, by_tags, err_msg=f"round {index} {rnd} rank {x}"
+                bufs[x]._vacated[-1], by_tags, err_msg=f"round {index} {rnd} rank {x}"
             )
         for x in range(n):
-            bufs[x].receive(sent[x ^ rnd.mask])
+            bufs[x].receive(sent[rnd.receives_from(x)])
     return bufs
 
 
@@ -471,6 +500,12 @@ class TestCoordinateSlots:
         for partition in partitions(d):
             bufs = [BlockBuffer.initial(x, d, 2) for x in range(1 << d)]
             BlockBuffer.verify_all(_check_slot_rule(bufs, _rounds(d, partition, ordering)))
+
+    @pytest.mark.parametrize("d", range(1, 7))
+    def test_equals_the_tag_rule_on_every_rotation_round(self, d):
+        rotation = pattern_rounds(PATTERN_TABLE["alltoall", "rotation"], d, 0)
+        bufs = [BlockBuffer.initial(x, d, 2) for x in range(1 << d)]
+        BlockBuffer.verify_all(_check_slot_rule(bufs, rotation))
 
     @pytest.mark.parametrize("d", range(1, 6))
     def test_equals_the_tag_rule_on_user_rows(self, d):

@@ -24,10 +24,12 @@ from repro.comm.program import (
 )
 from repro.core.partitions import partitions
 from repro.core.programs import (
+    PATTERN_TABLE,
     BarrierStep,
     LocalShuffleStep,
     PairStep,
     pattern_program,
+    pattern_rounds,
 )
 from repro.model.params import hypothetical, ipsc860
 from repro.plan import CollectivePlanner, ContentionPolicy, FixedPolicy
@@ -41,8 +43,8 @@ from repro.sim.fastpath import (
     exchange_times,
     naive_contention_summary,
     naive_exchange_time,
-    naive_step_circuits,
     naive_timeline,
+    program_time,
 )
 from tests.conftest import small_cube_cases
 from tests.core.pattern_oracle import multiphase_exchange_steps
@@ -163,6 +165,17 @@ class TestNaiveAgreement:
             fast = naive_exchange_time(d, m, params)
             assert fast == pytest.approx(event.time_us, rel=1e-12)
             assert fast == event.time_us  # exact in practice
+
+    @pytest.mark.parametrize("params", PRESET_PARAMS, ids=lambda p: p.name)
+    @pytest.mark.parametrize("d", [1, 2, 3, 4, 5, 6])
+    def test_rotation_row_replay_equals_event_engine(self, params, d):
+        """The one sends-first replay prices the ``alltoall/rotation``
+        row's rounds at ``==`` with the event engine's naive run."""
+        program = pattern_program("alltoall", "rotation", d)
+        assert program.contended
+        for m in (0, 40):
+            event = simulate_naive_exchange(d, m, params, verify=False)
+            assert program_time(program, m, params) == event.time_us
 
     def test_naive_timeline_reconstructs_trace(self, ipsc):
         """Per-send grant intervals equal the event engine's
@@ -339,9 +352,7 @@ class TestNaiveContentionSummary:
         assert summary.total_us == naive_exchange_time(4, 16, ipsc)
 
     def test_step_circuits_shape(self):
-        circuits = naive_step_circuits(3, 1)
-        assert circuits == [(x, (x + 1) % 8) for x in range(8)]
-        with pytest.raises(ValueError):
-            naive_step_circuits(3, 0)
-        with pytest.raises(ValueError):
-            naive_step_circuits(3, 8)
+        rounds = pattern_rounds(PATTERN_TABLE["alltoall", "rotation"], 3, 0)
+        assert rounds[0].circuits(0) == [(x, (x + 1) % 8) for x in range(8)]
+        # one round per rotation step 1..7: none for step 0 or 8
+        assert [rnd.offset for rnd in rounds] == list(range(1, 8))

@@ -20,7 +20,6 @@ from repro.core.programs import (
     PairStep,
     PATTERN_TABLE,
     SendStep,
-    naive_rotation_steps,
     pattern_program,
 )
 from repro.sim.fastpath import (
@@ -120,7 +119,7 @@ class TestCompile:
 
     def test_contended_program_refused(self):
         with pytest.raises(ValueError, match="contended"):
-            compile_program(naive_rotation_steps(3))
+            compile_program(pattern_program("alltoall", "rotation", 3))
 
     def test_send_outside_cube_refused(self):
         bad = CommProgram(name="bad", d=2, steps=(SendStep(0, 4, 1),))
@@ -187,7 +186,7 @@ class TestBatchProgramTimes:
 
     def test_naive_fallback_uses_reservation_replay(self, ipsc):
         configs = [
-            (naive_rotation_steps(3), 16.0),
+            (pattern_program("alltoall", "rotation", 3), 16.0),
             (pattern_program("broadcast", "binomial", 3), 16.0),
         ]
         batch = batch_program_times(configs, ipsc)
@@ -195,6 +194,7 @@ class TestBatchProgramTimes:
         assert batch[1] == program_time(configs[1][0], 16.0, ipsc)
 
     def test_unknown_contended_program_refused(self, ipsc):
+        # contended, but with no sends-first rounds to replay
         rogue = CommProgram(name="rogue", d=2, steps=(), contended=True)
         with pytest.raises(ValueError, match="no contention model"):
             batch_program_times([(rogue, 4.0)], ipsc)

@@ -17,6 +17,8 @@ one only when an output change is intended::
         > tests/golden/validate_model.txt
     PYTHONPATH=src python -m repro check --schedules --dims 2 3 4 5 --json \\
         > tests/golden/check_schedules_d2-5.json
+    PYTHONPATH=src python -m repro plan 7 40 --policy contention --json \\
+        > tests/golden/plan_contention_d7_m40.json
     PYTHONPATH=src python -m tests.test_golden_outputs \\
         > tests/golden/event_traces.json
     PYTHONPATH=src python -m tests.test_golden_outputs interpreter \\
@@ -36,7 +38,13 @@ engine's exchanges, both multiphase rows of ``simulate_pattern`` at
 every partition, a planner-driven exchange per preset, one exchange
 per offset ordering and every §9 row.  It was written while the
 exchange still had its own step-list loop; a §9 row's digest leaves
-out ``phase_marks``, the one record the interpreter adds there.
+out ``phase_marks``, the one record the interpreter adds there.  Its
+naive-rotation entries (``Communicator.Alltoall(algorithm="naive")``
+on user rows, a planner-driven naive run per preset, and the
+``float.hex`` of the rotation's reservation-replay price with every
+send it grants) were written while the rotation still had its own
+loops.  ``plan_contention_d7_m40.json`` prints the rotation's price
+beside the planner's choice.
 ``figure3_walkthrough.txt`` is the paper's Figure 3, block by block; it
 was written before the walkthrough stepped the exchange's declared
 rounds instead of its step list.
@@ -52,10 +60,16 @@ import sys
 from functools import partial
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from repro.cli import main
-from repro.comm import simulate_exchange, simulate_naive_exchange, simulate_planned_exchange
+from repro.comm import (
+    Communicator,
+    simulate_exchange,
+    simulate_naive_exchange,
+    simulate_planned_exchange,
+)
 from repro.core.blocks import BlockBuffer
 from repro.core.partitions import partitions
 from repro.core.programs import exchange_rounds
@@ -63,7 +77,8 @@ from repro.core.variants import ORDERINGS, multiphase_schedule_ordered
 from repro.model.params import PRESETS, ipsc860
 from repro.patterns import simulate_pattern
 from repro.patterns.execute import pattern_node
-from repro.plan import CollectivePlanner, ModelPolicy
+from repro.plan import CollectivePlanner, FixedPolicy, ModelPolicy
+from repro.sim.fastpath import naive_exchange_time, naive_timeline
 from repro.sim.machine import SimulatedHypercube
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
@@ -75,6 +90,7 @@ GOLDEN = Path(__file__).resolve().parent / "golden"
     (["validate", "--policy", "model"], "validate_model.txt"),
     (["check", "--schedules", "--dims", "2", "3", "4", "5", "--json"],
      "check_schedules_d2-5.json"),
+    (["plan", "7", "40", "--policy", "contention", "--json"], "plan_contention_d7_m40.json"),
 ])
 def test_output_matches_golden(argv, golden, capsys):
     assert main(argv) == 0
@@ -127,6 +143,24 @@ _SECTION9_ROWS = (
 )
 
 
+def _naive_alltoall_node(ctx, *, rows):
+    received = yield from Communicator(ctx).Alltoall(rows[ctx.rank], algorithm="naive")
+    return received
+
+
+def _naive_price_digest(d: int, m: float, params) -> str:
+    """SHA-256 over the ``float.hex`` of the rotation's price and of
+    every send its timeline grants."""
+    timeline = naive_timeline(d, m, params)
+    parts = [naive_exchange_time(d, m, params).hex(), timeline.total.hex()]
+    parts.extend(
+        f"{send.src} {send.dst} {send.step} {send.hops} {send.t_issue.hex()} "
+        f"{send.t_start.hex()} {send.t_end.hex()}"
+        for send in timeline.sends
+    )
+    return hashlib.sha256("\n".join(parts).encode()).hexdigest()
+
+
 def interpreter_trace_digests() -> dict[str, str]:
     """SHA-256 of every pinned run of the declared rows' rounds on the
     event engine, by the same scheme as :func:`event_trace_digests`:
@@ -135,7 +169,10 @@ def interpreter_trace_digests() -> dict[str, str]:
     exchange per preset, one exchange per offset ordering, and every
     §9 row at roots 0 and ``n - 1``.  A §9 row's digest sets the
     trace's ``phase_marks`` aside, after checking that they are the
-    one mark of phase 0 at time 0."""
+    one mark of phase 0 at time 0.  The naive rotation adds
+    ``Communicator.Alltoall(algorithm="naive")`` on user rows (checked
+    to deliver), a planner-driven naive run per preset, and its
+    reservation-replay price with every granted send at d 1..8."""
     digests = {}
     for preset, factory in PRESETS.items():
         params = factory()
@@ -167,6 +204,26 @@ def interpreter_trace_digests() -> dict[str, str]:
         planner = CollectivePlanner(ModelPolicy(params))
         result = simulate_planned_exchange(5, 40, planner, params)
         digests[f"{preset} d=5 planned m=40"] = _run_digest(result)
+        for d in range(2, 6):
+            n = 1 << d
+            for m in (0, 40):
+                rows = np.random.default_rng(d * 100 + m).integers(
+                    0, 256, size=(n, n, m), dtype=np.uint8
+                )
+                run = SimulatedHypercube(d, params).run(_naive_alltoall_node, rows=rows)
+                for rank, received in enumerate(run.node_results):
+                    assert np.array_equal(received, rows[:, rank])
+                digests[f"{preset} d={d} naive Alltoall m={m}"] = (
+                    _trace_digest(run.trace, run.time)
+                )
+        naive_planner = CollectivePlanner(FixedPolicy(naive=True))
+        result = simulate_planned_exchange(5, 40, naive_planner, params)
+        assert result.decision.algorithm == "naive"
+        result.verify()
+        digests[f"{preset} d=5 planned naive m=40"] = _run_digest(result)
+        for d in range(1, 9):
+            for m in (0, 40, 2.5):
+                digests[f"{preset} d={d} naive price m={m}"] = _naive_price_digest(d, m, params)
     params = ipsc860()
     for ordering in ORDERINGS:
         rounds = exchange_rounds(multiphase_schedule_ordered(5, (3, 2), ordering), 5)
