@@ -5,8 +5,9 @@ The acceptance bar for the length-prefixed binary transport
 workload as packed ``OP_QUERY`` record frames must achieve at least
 2x the throughput of the same workload spoken as JSON lines to the
 same server — both from a **cold** shard-backed registry, with
-byte-identical answers (the correctness test checks partitions and
-times cell by cell against the resolver's ground truth).
+byte-identical answers (``tests/service/test_wire.py`` checks
+partitions and times cell by cell against the resolver's ground
+truth on the same workload, :mod:`tests.service.wire_workload`).
 
 Both load generators pre-encode every request byte before the clock
 starts and parse responses only after it stops: the measured quantity
@@ -20,197 +21,36 @@ server-side p99 admission-to-response latency from the new
 from __future__ import annotations
 
 import asyncio
-import json
-import socket
 import time
 
 import pytest
 
-from repro.service import OptimizerRegistry
-from repro.service.async_server import AsyncOptimizerServer
-from repro.service import wire
-
-N_CLIENTS = 64
-FRAMES_PER_CLIENT = 3
-QUERIES_PER_FRAME = 32
-PER_CLIENT = FRAMES_PER_CLIENT * QUERIES_PER_FRAME
-N_QUERIES = N_CLIENTS * PER_CLIENT
-DIMS = (5, 6, 7)
-#: the distinct (d, m) cells the workload draws from — half inside the
-#: shards' 400 B sweep bound (grid cells), half beyond it (exact pool
-#: scoring), so both cold resolver paths are in the mix.  Clients
-#: revisit cells, as real traffic does: the JSON wire still pays its
-#: per-query encode/decode on every hit, which is exactly the tax the
-#: binary wire exists to remove.
-N_CELLS = 192
-CELLS = tuple(
-    (DIMS[i % len(DIMS)], round((0.97 if i % 2 else 400.97) + 1.03 * i, 3))
-    for i in range(N_CELLS)
+from tests.service.wire_workload import (
+    N_CELLS,
+    N_CLIENTS,
+    N_QUERIES,
+    DIMS,
+    binary_answers,
+    binary_load,
+    json_answers,
+    json_load,
+    save_shards,
+    server_address,
+    with_cold_server,
 )
-
-#: client k's j-th query — a deterministic scatter over the cells with
-#: repeats both across clients and *within* each frame (consecutive
-#: query pairs hit the same cell, the hot-cell shape of real traffic):
-#: the binary wire's within-frame np.unique dedup collapses those
-#: repeats before any Python object is built, while the JSON wire pays
-#: full per-query encode/decode either way
-WORKLOAD = tuple(
-    tuple(CELLS[(k * 7 + (j // 2) * 5) % N_CELLS] for j in range(PER_CLIENT))
-    for k in range(N_CLIENTS)
-)
-
-#: the JSON wire's bytes: one pre-encoded request line per query
-JSON_BLOBS = tuple(
-    b"".join(
-        json.dumps({"d": d, "m": m}).encode() + b"\n" for d, m in queries
-    )
-    for queries in WORKLOAD
-)
+from tests.service.wire_workload import binary_blobs as encode_binary_blobs
 
 
 @pytest.fixture(scope="module")
 def shard_dir(tmp_path_factory):
     directory = tmp_path_factory.mktemp("bench-wire-shards")
-    OptimizerRegistry().save_shards(directory, presets=["ipsc860"], dims=DIMS)
+    save_shards(directory)
     return directory
 
 
 @pytest.fixture(scope="module")
 def binary_blobs(shard_dir):
-    """The binary wire's bytes per client: a HELLO frame followed by
-    the client's queries packed into ``QUERIES_PER_FRAME``-record
-    ``OP_QUERY`` frames."""
-    catalog = list(OptimizerRegistry.from_shards(shard_dir).preset_names)
-    pid = catalog.index("ipsc860")
-    blobs = []
-    for queries in WORKLOAD:
-        frames = [wire.pack_frame(wire.OP_HELLO, wire.hello_payload())]
-        for j in range(0, PER_CLIENT, QUERIES_PER_FRAME):
-            chunk = queries[j : j + QUERIES_PER_FRAME]
-            records = wire.make_query_records([(pid, d, m) for d, m in chunk])
-            frames.append(
-                wire.pack_frame(wire.OP_QUERY, wire.encode_query_records(records))
-            )
-        blobs.append(b"".join(frames))
-    return tuple(blobs)
-
-
-def server_address(tmp_path_factory):
-    if hasattr(socket, "AF_UNIX"):
-        return f"unix:{tmp_path_factory.mktemp('bench-wire-sock') / 'srv.sock'}"
-    return "127.0.0.1:0"
-
-
-async def _open(server):
-    address = server.address
-    if address.kind == "unix":
-        return await asyncio.open_unix_connection(address.path)
-    return await asyncio.open_connection(address.host, address.port)
-
-
-async def _with_cold_server(shard_dir, address, drive):
-    """Start a cold shard-backed server, run ``drive(server)``, drain."""
-    registry = OptimizerRegistry.from_shards(shard_dir)
-    server = AsyncOptimizerServer(
-        registry, default_preset="ipsc860", max_batch=4096
-    )
-    await server.start(address)
-    try:
-        raw = await drive(server)
-    finally:
-        await server.aclose()
-    return raw, server
-
-
-async def _json_load(server):
-    """64 connections, each pipelining its pre-encoded lines."""
-
-    async def one_client(k):
-        reader, writer = await _open(server)
-        writer.write(JSON_BLOBS[k])
-        await writer.drain()
-        raw = [await reader.readline() for _ in range(PER_CLIENT)]
-        writer.close()
-        await writer.wait_closed()
-        return raw
-
-    return await asyncio.gather(*[one_client(k) for k in range(N_CLIENTS)])
-
-
-def _binary_load(blobs):
-    async def drive(server):
-        async def one_client(k):
-            reader, writer = await _open(server)
-            writer.write(blobs[k])
-            await writer.drain()
-            frames = [
-                await wire.read_frame(reader)
-                for _ in range(1 + FRAMES_PER_CLIENT)
-            ]
-            writer.close()
-            await writer.wait_closed()
-            return frames
-
-        return await asyncio.gather(*[one_client(k) for k in range(N_CLIENTS)])
-
-    return drive
-
-
-def _json_answers(raw):
-    """``(partitions, times)`` per client from raw response lines."""
-    out = []
-    for lines in raw:
-        docs = [json.loads(line) for line in lines]
-        assert all(doc["ok"] for doc in docs)
-        out.append((
-            [tuple(doc["partition"]) for doc in docs],
-            [doc["time_us"] for doc in docs],
-        ))
-    return out
-
-
-def _binary_answers(raw):
-    out = []
-    for frames in raw:
-        opcode = frames[0][1]
-        assert opcode == wire.OP_HELLO_OK
-        partitions, times = [], []
-        for _, answer, payload in frames[1:]:
-            assert answer == wire.OP_RESULT
-            frame_times, _, frame_parts = wire.decode_result_payload(payload)
-            partitions.extend(frame_parts)
-            times.extend(frame_times.tolist())
-        out.append((partitions, times))
-    return out
-
-
-def test_bench_wire_answers_match_json_and_ground_truth(
-    shard_dir, binary_blobs, tmp_path_factory
-):
-    """Both wires return the exact resolver answers, cell by cell."""
-    raw_json, _ = asyncio.run(
-        _with_cold_server(shard_dir, server_address(tmp_path_factory), _json_load)
-    )
-    raw_binary, server = asyncio.run(
-        _with_cold_server(
-            shard_dir, server_address(tmp_path_factory), _binary_load(binary_blobs)
-        )
-    )
-    json_answers = _json_answers(raw_json)
-    binary_answers = _binary_answers(raw_binary)
-    for k, queries in enumerate(WORKLOAD):
-        expected = OptimizerRegistry.from_shards(shard_dir).resolve(
-            [("ipsc860", d, m) for d, m in queries]
-        )
-        assert json_answers[k][0] == [e.partition for e in expected]
-        assert binary_answers[k][0] == [e.partition for e in expected]
-        assert json_answers[k][1] == [e.time_us for e in expected]
-        assert binary_answers[k][1] == [e.time_us for e in expected]
-    stats = server.stats
-    assert stats.binary_connections == N_CLIENTS
-    # the latency histogram saw every admitted frame
-    assert stats.latency.count == stats.requests
-    assert stats.p99_us > 0.0
+    return encode_binary_blobs(shard_dir)
 
 
 @pytest.mark.perf
@@ -222,8 +62,8 @@ def test_bench_wire_binary_beats_json(
     for _ in range(3):
         start = time.perf_counter()
         raw_json, json_server = asyncio.run(
-            _with_cold_server(
-                shard_dir, server_address(tmp_path_factory), _json_load
+            with_cold_server(
+                shard_dir, server_address(tmp_path_factory), json_load
             )
         )
         t_json = min(t_json, time.perf_counter() - start)
@@ -232,17 +72,17 @@ def test_bench_wire_binary_beats_json(
     for _ in range(3):
         start = time.perf_counter()
         raw_binary, binary_server = asyncio.run(
-            _with_cold_server(
+            with_cold_server(
                 shard_dir,
                 server_address(tmp_path_factory),
-                _binary_load(binary_blobs),
+                binary_load(binary_blobs),
             )
         )
         t_binary = min(t_binary, time.perf_counter() - start)
 
     # identical answers before any throughput claim
-    assert [a[0] for a in _binary_answers(raw_binary)] == [
-        a[0] for a in _json_answers(raw_json)
+    assert [a[0] for a in binary_answers(raw_binary)] == [
+        a[0] for a in json_answers(raw_json)
     ]
 
     speedup = t_json / t_binary

@@ -14,10 +14,11 @@ uses — what the socket transport adds is *concurrency*:
   synchronously as its lines arrive and answered strictly in request
   order, so a client may write hundreds of lines before reading one
   response;
-* **cross-client micro-batching** — every admitted query, from every
-  connection, lands in one shared :class:`_MicroBatcher`.  A batch
+* **cross-client micro-batching** — every admitted query's cell, from
+  every connection, lands in one shared :class:`_MicroBatcher`.  A batch
   flushes into a single coalesced
-  :func:`~repro.service.batch.resolve_queries` pass when it reaches
+  :func:`~repro.service.batch.resolve_queries` pass (answering in
+  :class:`~repro.service.batch.Answers` columns) when it reaches
   ``max_batch`` queries or, by default, at the end of the current
   event-loop turn — i.e. once every connection with readable data has
   been admitted, so concurrent clients coalesce while a lone serial
@@ -29,12 +30,13 @@ uses — what the socket transport adds is *concurrency*:
   binary protocol of :mod:`repro.service.wire`: a ``HELLO`` exchange
   carries the auth token and returns the preset catalog, then packed
   ``(preset_id, d, m)`` query frames answer with contiguous float64
-  time arrays plus provenance codes.  Query frames are deduplicated
-  with :func:`numpy.unique` and validated column-wise
-  (:func:`~repro.service.batch.queries_from_arrays`), so the Python
-  object work per frame is proportional to *distinct* cells, not
-  queries.  Any other first bytes fall back to the JSON-lines
-  transport byte-for-byte unchanged;
+  time arrays plus provenance codes.  A frame goes from decode to
+  ``OP_RESULT`` bytes as distinct cells and columns: one dict pass
+  validates and deduplicates it
+  (:func:`~repro.service.batch.queries_from_arrays`), and the answer
+  columns are gathered back to request order through its inverse — no
+  ``Query`` or ``QueryResult`` per query.  Any other first bytes fall
+  back to the JSON-lines transport byte-for-byte unchanged;
 * **graceful drain** — :meth:`AsyncOptimizerServer.aclose` (also
   triggered by the socket-only ``{"op": "shutdown"}`` request and by
   SIGINT/SIGTERM under :func:`run_server`) stops accepting, stops
@@ -74,12 +76,11 @@ from bisect import bisect_left
 from dataclasses import dataclass, field
 from typing import Any, AsyncIterator, Callable
 
-import numpy as np
-
 from repro.service import wire
 from repro.service.batch import (
+    Answers,
+    Cell,
     Query,
-    QueryResult,
     check_query_values,
     queries_from_arrays,
     resolve_queries,
@@ -89,6 +90,7 @@ from repro.service.config import ServerConfig
 from repro.service.registry import OptimizerRegistry
 from repro.service.server import (
     MAX_BATCH_QUERIES,
+    answer_docs,
     build_response,
     error_response,
     extract_queries,
@@ -315,7 +317,7 @@ class _MicroBatcher:
         self._stats = stats
         self._max_batch = max_batch
         self._hold_s = hold_s
-        self._pending: list[tuple[list[Query], asyncio.Future]] = []
+        self._pending: list[tuple[list[Cell], asyncio.Future]] = []
         self._pending_queries = 0
         self._scheduled: asyncio.TimerHandle | asyncio.Handle | None = None
 
@@ -325,12 +327,12 @@ class _MicroBatcher:
         ``shed_queries`` admission control watches."""
         return self._pending_queries
 
-    def submit(self, queries: list[Query]) -> "asyncio.Future[list[QueryResult]]":
-        """Queue one request's queries; the future resolves at flush."""
+    def submit(self, cells: list[Cell]) -> "asyncio.Future[Answers]":
+        """Queue one request's cells; the future resolves to their Answers."""
         loop = asyncio.get_running_loop()
         future: asyncio.Future = loop.create_future()
-        self._pending.append((queries, future))
-        self._pending_queries += len(queries)
+        self._pending.append((cells, future))
+        self._pending_queries += len(cells)
         if self._pending_queries >= self._max_batch:
             self.flush("size")
         elif self._scheduled is None:
@@ -359,10 +361,10 @@ class _MicroBatcher:
         stats.batched_requests += len(pending)
         stats.peak_batch_queries = max(stats.peak_batch_queries, n_queries)
         setattr(stats, f"flushes_{reason}", getattr(stats, f"flushes_{reason}") + 1)
-        flat = [query for queries, _ in pending for query in queries]
+        flat = [cell for cells, _ in pending for cell in cells]
         try:
-            # every query passed _admit_query, so skip re-normalization
-            results = resolve_queries(self._registry, flat, pre_normalized=True)
+            # every cell passed admission: the core call, in submit order
+            answers = resolve_queries(self._registry, flat, pre_normalized=True)
         except Exception as exc:  # pre-validated queries: only infrastructure
             # failures (e.g. a shard file going bad mid-serving) land here;
             # every waiter gets the error instead of the whole server dying
@@ -373,11 +375,11 @@ class _MicroBatcher:
                     )
             return
         offset = 0
-        for queries, future in pending:
-            chunk = results[offset : offset + len(queries)]
-            offset += len(queries)
+        for cells, future in pending:
+            end = offset + len(cells)
             if not future.done():
-                future.set_result(chunk)
+                future.set_result(answers.slice(offset, end))
+            offset = end
 
 class AsyncOptimizerServer:
     """Socket transport for one :class:`OptimizerRegistry`.
@@ -757,7 +759,7 @@ class AsyncOptimizerServer:
         nbytes: int,
     ) -> None:
         """Admit one ``OP_QUERY`` frame: decode, shed-check, validate
-        column-wise, deduplicate, and enter the shared micro-batch."""
+        and deduplicate into cells, and enter the shared micro-batch."""
         try:
             records = wire.decode_query_payload(payload)
         except WireError as exc:
@@ -777,11 +779,7 @@ class AsyncOptimizerServer:
             ), True, t0, nbytes))
             return
         try:
-            # within-frame dedup: Query construction and memo probing
-            # cost one pass over *distinct* cells; the writer scatters
-            # results back to request order through the inverse
-            unique, inverse = np.unique(records, return_inverse=True)
-            queries = queries_from_arrays(catalog, unique)
+            cells, inverse = queries_from_arrays(catalog, records)
         except (TypeError, ValueError, OverflowError) as exc:
             enqueue(("frame", error_frame(str(exc)), True, t0, nbytes))
             return
@@ -790,15 +788,7 @@ class AsyncOptimizerServer:
                 f"internal server error: {exc}"
             ), True, t0, nbytes))
             return
-        # np.unique sorts, so results come back in *cell* order; the
-        # writer needs the inverse to restore request order unless the
-        # frame already was sorted-and-distinct (then inverse is the
-        # identity and the scatter can be skipped)
-        identity = len(unique) == len(records) and bool(
-            np.array_equal(inverse, np.arange(len(records)))
-        )
-        scatter = None if identity else inverse
-        enqueue(("bquery", self._batcher.submit(queries), scatter, t0, nbytes))
+        enqueue(("bquery", self._batcher.submit(cells), inverse, t0, nbytes))
 
     # ------------------------------------------------------------------
     # shared admission plumbing
@@ -883,7 +873,7 @@ class AsyncOptimizerServer:
         """Admit one request line without yielding: immediate responses
         enqueue as ``("done", doc, t0, nbytes)``, query requests enter
         the shared micro-batch and enqueue as
-        ``("query", kind, id, future, t0, nbytes)``."""
+        ``("query", kind, id, queries, future, t0, nbytes)``."""
         self._count_admitted(nbytes)
         try:
             obj = json.loads(text)
@@ -931,7 +921,7 @@ class AsyncOptimizerServer:
             # admission-validate *before* entering the shared batch: one
             # client's bad query must never poison a flush that carries
             # other clients' requests
-            normalized = [self._admit_query(query) for query in queries]
+            cells = [self._admit_query(query) for query in queries]
         except (TypeError, ValueError, OverflowError) as exc:
             enqueue(("done", error_response(exc, request_id), t0, nbytes))
             return
@@ -939,16 +929,16 @@ class AsyncOptimizerServer:
             # answers in-band and keeps serving rather than dying
             enqueue(("done", self._internal_error(exc, request_id), t0, nbytes))
             return
-        enqueue(("query", kind, request_id, self._batcher.submit(normalized), t0, nbytes))
+        enqueue(("query", kind, request_id, queries, self._batcher.submit(cells), t0, nbytes))
 
-    def _admit_query(self, query: Query) -> Query:
+    def _admit_query(self, query: Query) -> Cell:
         """The :func:`~repro.service.batch.as_query` checks, applied in
         place: ``query_from_obj`` already coerced the field types, so
-        validating via the shared :func:`check_query_values` without
-        rebuilding the (frozen) Query keeps admission cheap."""
+        the shared :func:`check_query_values` validates it as it is, and
+        its cell key is what the batcher takes."""
         check_query_values(query.d, query.m)
         self.registry.params(query.preset)  # unknown presets fail here
-        return query
+        return query.preset, query.d, query.m
 
     @staticmethod
     def _internal_error(exc: BaseException, request_id: object | None) -> dict:
@@ -989,20 +979,20 @@ class AsyncOptimizerServer:
                 is_error = not doc.get("ok", True)
                 out = json.dumps(doc).encode() + b"\n"
             elif tag == "query":
-                _, kind, request_id, future, _, _ = item
+                _, kind, request_id, queries, future, _, _ = item
                 try:
-                    doc = build_response(kind, await future, request_id)
+                    doc = build_response(kind, answer_docs(await future, queries), request_id)
                 except Exception as exc:  # noqa: BLE001 — see _admit_line
                     doc = self._internal_error(exc, request_id)
                 is_error = not doc.get("ok", True)
                 out = json.dumps(doc).encode() + b"\n"
             elif tag == "frame":
                 out, is_error = item[1], item[2]
-            else:  # "bquery": a binary query's resolved future
-                _, future, scatter, _, _ = item
+            else:  # "bquery": a binary frame's cells and their inverse
+                _, future, inverse, _, _ = item
                 try:
                     out = pack_frame(
-                        OP_RESULT, wire.encode_results(await future, scatter)
+                        OP_RESULT, wire.encode_results(await future, inverse)
                     )
                 except Exception as exc:  # noqa: BLE001 — see _admit_line
                     out = error_frame(f"internal server error: {exc}")

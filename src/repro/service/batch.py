@@ -1,11 +1,13 @@
 """Batched query resolution over an optimizer registry.
 
-A :class:`QueryBatch` collects heterogeneous ``(preset, d, m)``
-lookups and answers them all in one pass:
+One key-based core answers ``(preset, d, m)`` cell keys in
+:class:`Answers` columns, which the binary wire encodes as they are;
+:class:`QueryResult` objects are built from them for callers that want
+objects.  In one core call:
 
-1. every query checks the registry's result memo first;
+1. every key checks the registry's result memo first;
 2. the misses are grouped by ``(preset, d)`` and deduplicated by block
-   size, so repeats inside one batch cost one cell;
+   size, so repeats inside one call cost one cell;
 3. each group does its partition lookups against the preset's stored
    :class:`~repro.model.optimizer.OptimizerTable` (a bisect, no model
    evaluation) and prices them with one
@@ -24,19 +26,23 @@ stored table's answer, whose switch points are located to ~1e-3 bytes.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any, Iterable, Sequence
+from functools import cache
+from typing import TYPE_CHECKING, Any, Iterable, Literal, NoReturn, Sequence, overload
 
 import numpy as np
 
 from repro.core.partitions import cached_partitions
 from repro.model.vectorized import grid_winners, multiphase_time_grid
+from repro.service.wire import SOURCE_CODES, SOURCE_NAMES
 from repro.util.validation import MAX_DIMENSION, check_block_size, check_dimension
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
     from repro.service.registry import OptimizerRegistry
 
 __all__ = [
+    "Answers",
     "Query",
     "QueryBatch",
     "QueryResult",
@@ -73,6 +79,35 @@ class QueryResult:
     tag: Any = None
 
 
+#: one lookup's key, and the unit the core resolves: ``(preset, d, m)``
+Cell = tuple[str, int, float]
+#: packed partitions: one bytes object per partition, shared by memo entries
+_packed = cache(bytes)
+
+
+@dataclass(slots=True)
+class Answers:
+    """One answer per key, as columns: ``source`` holds ``SOURCE_NAMES``
+    indices, ``parts`` partitions packed a byte per part, ``cells`` the
+    cell that answered (for a coalesced miss the group's key, equal up
+    to the sign of a zero ``m``)."""
+
+    cells: list[Cell]
+    time_us: list[float]
+    source: bytearray
+    parts: list[bytes]
+
+    def slice(self, start: int, stop: int) -> "Answers":
+        return Answers(self.cells[start:stop], self.time_us[start:stop],
+                       self.source[start:stop], self.parts[start:stop])
+
+    def results(self, tags: Iterable[Any]) -> list[QueryResult]:
+        """One :class:`QueryResult` per entry, echoing ``tags``."""
+        rows = zip(self.cells, self.time_us, self.source, self.parts, tags)
+        return [QueryResult(p, d, m, tuple(packed), t, SOURCE_NAMES[code], tag)
+                for (p, d, m), t, code, packed, tag in rows]
+
+
 def check_query_values(d: int, m: float) -> None:
     """The admission checks every transport shares: one place to add a
     rule so the stdio loop and the socket server cannot drift apart."""
@@ -82,49 +117,41 @@ def check_query_values(d: int, m: float) -> None:
 
 def queries_from_arrays(
     catalog: Sequence[str], records: np.ndarray
-) -> list[Query]:
-    """Normalized :class:`Query` objects for packed wire records.
+) -> tuple[list[Cell], list[int]]:
+    """The distinct cells of packed wire records, and the inverse.
 
     ``records`` is an array of ``(preset, d, m)`` records (the binary
     transport's :data:`repro.service.wire.QUERY_DTYPE`); ``catalog``
-    maps its integer preset indices to preset names.  Validation is the
-    same gate :func:`check_query_values` applies per query — dimension
-    in range, block size finite and non-negative — but evaluated over
-    whole columns in numpy, so the admission cost of a frame is
-    proportional to one pass, not one Python call per query.  The
-    returned queries are ``pre_normalized``-grade for
-    :func:`resolve_queries`.
+    maps its integer preset indices to preset names.  One dict pass over
+    ``records.tolist()`` deduplicates them; the cells come back in sorted
+    ``(preset, d, m)`` order, ``inverse[i]`` indexing record ``i``'s
+    cell.  Each distinct cell passes the :func:`check_query_values`
+    gate, so the cells are ``pre_normalized`` for :func:`resolve_queries`.
     """
-    presets = records["preset"]
-    dims = records["d"]
-    sizes = records["m"]
-    if presets.size and int(presets.max()) >= len(catalog):
-        bad = int(presets[presets >= len(catalog)][0])
-        raise ValueError(
-            f"preset index {bad} out of range for a catalog of {len(catalog)}"
-        )
-    if dims.size:
-        lo, hi = int(dims.min()), int(dims.max())
-        if lo < 1:
-            raise ValueError(f"cube dimension must be >= 1, got {lo}")
-        if hi > MAX_DIMENSION:
-            raise ValueError(
-                f"cube dimension {hi} exceeds the supported maximum "
-                f"{MAX_DIMENSION} ({2 ** MAX_DIMENSION} nodes); did you "
-                f"pass the node count instead?"
-            )
-    if sizes.size and not bool(np.isfinite(sizes).all()):
-        bad_m = float(sizes[~np.isfinite(sizes)][0])
-        raise ValueError(f"block size must be finite, got {bad_m}")
-    if sizes.size and bool((sizes < 0).any()):
-        raise ValueError(
-            f"block size must be >= 0, got {float(sizes[sizes < 0][0])}"
-        )
-    names = [catalog[int(p)] for p in presets.tolist()]
-    return [
-        Query(preset=name, d=d, m=m)
-        for name, d, m in zip(names, dims.tolist(), sizes.tolist())
-    ]
+    rows = records.tolist()
+    distinct = dict.fromkeys(rows)
+    for preset, d, m in distinct:
+        if not (preset < len(catalog) and 1 <= d <= MAX_DIMENSION and 0.0 <= m < math.inf):
+            _reject_records(catalog, list(distinct))
+    order = sorted(distinct)
+    index = {cell: i for i, cell in enumerate(order)}
+    return [(catalog[p], d, m) for p, d, m in order], [index[row] for row in rows]
+
+
+def _reject_records(catalog: Sequence[str], cells: Sequence[tuple]) -> NoReturn:
+    """Raise for the first failed check over a frame's distinct cells:
+    presets, then dimensions, then block sizes, each naming the first
+    offender in sorted ``(preset, d, m)`` order (NaN after ``inf``)."""
+    bad = [preset for preset, _, _ in cells if preset >= len(catalog)]
+    if bad:
+        raise ValueError(f"preset index {min(bad)} out of range for a catalog of {len(catalog)}")
+    lo, hi = min(d for _, d, _ in cells), max(d for _, d, _ in cells)
+    check_dimension(lo if lo < 1 else hi, minimum=1)
+    rank = {-math.inf: 0, math.inf: 1}
+    nonfinite = [(p, d, rank.get(m, 2), m) for p, d, m in cells if not math.isfinite(m)]
+    if nonfinite:
+        raise ValueError(f"block size must be finite, got {min(nonfinite)[3]}")
+    raise ValueError(f"block size must be >= 0, got {min(c for c in cells if c[2] < 0)[2]}")
 
 
 def as_query(item: "Query | tuple[str | None, int, float]") -> Query:
@@ -140,65 +167,69 @@ def as_query(item: "Query | tuple[str | None, int, float]") -> Query:
     return Query(query.preset, int(query.d), float(query.m), query.tag)
 
 
+@overload
 def resolve_queries(
-    registry: "OptimizerRegistry",
-    queries: Iterable[Query | tuple],
-    *,
-    pre_normalized: bool = False,
-) -> list[QueryResult]:
+    registry: "OptimizerRegistry", queries: Iterable[Query | tuple],
+    *, pre_normalized: Literal[False] = False,
+) -> list[QueryResult]: ...
+@overload
+def resolve_queries(
+    registry: "OptimizerRegistry", queries: list[Cell], *, pre_normalized: Literal[True]
+) -> Answers: ...
+def resolve_queries(registry, queries, *, pre_normalized=False):
     """Answer every query, coalescing misses into grid-kernel calls.
 
     Accepts :class:`Query` objects or bare ``(preset, d, m)`` tuples;
-    results come back in input order.  ``pre_normalized=True`` skips
-    re-validation for callers (like the socket transport's admission
-    path) whose queries already passed :func:`as_query`-grade checks —
-    on a hot serving path the redundant :class:`Query` reconstruction
-    is measurable.
+    results come back in input order.  ``pre_normalized=True`` is the
+    serving path's call: ``queries`` are :data:`Cell` keys that already
+    passed admission, nothing is re-validated, and the answer is the
+    core's :class:`Answers` columns, with no object built per query.
     """
     if pre_normalized:
-        return _resolve_normalized(registry, list(queries))
-    return _resolve_normalized(registry, [as_query(q) for q in queries])
+        return _resolve_normalized(registry, queries)
+    return _results(registry, [as_query(q) for q in queries])
 
 
-def _resolve_normalized(
-    registry: "OptimizerRegistry", normalized: list[Query]
-) -> list[QueryResult]:
-    for query in normalized:
-        registry.params(query.preset)  # reject unknown presets before any
+def _results(registry: "OptimizerRegistry", queries: list[Query]) -> list[QueryResult]:
+    keys = [(q.preset, q.d, q.m) for q in queries]
+    return _resolve_normalized(registry, keys).results(q.tag for q in queries)
+
+
+def _resolve_normalized(registry: "OptimizerRegistry", keys: list[Cell]) -> Answers:
+    for preset in dict.fromkeys(key[0] for key in keys):
+        registry.params(preset)  # reject unknown presets before any
         # stats/memo mutation, so a failed batch leaves no partial state
-    results: list[QueryResult | None] = [None] * len(normalized)
+    n = len(keys)
+    cells, times, source, parts = list(keys), [0.0] * n, bytearray(n), [b""] * n
     stats = registry.stats
+    memo_get = registry.memo_get
     #: (preset, d) -> m -> indices awaiting that cell
     pending: dict[tuple[str, int], dict[float, list[int]]] = {}
-
-    for i, query in enumerate(normalized):
-        stats.queries += 1
-        hit = registry.memo_get((query.preset, query.d, query.m))
+    misses = 0
+    for i, key in enumerate(keys):
+        hit = memo_get(key)
         if hit is not None:
-            partition, time_us = hit
-            stats.memo_hits += 1
-            results[i] = QueryResult(
-                query.preset, query.d, query.m, partition, time_us, "memo", query.tag
-            )
+            parts[i], times[i] = hit  # source stays 0, SOURCE_NAMES[0] == "memo"
         else:
-            stats.memo_misses += 1
-            group = pending.setdefault((query.preset, query.d), {})
-            group.setdefault(query.m, []).append(i)
+            misses += 1
+            pending.setdefault(key[:2], {}).setdefault(key[2], []).append(i)
+    stats.queries += n
+    stats.memo_hits += n - misses
+    stats.memo_misses += misses
 
     for (preset, d), by_m in pending.items():
         params = registry.params(preset)
         bound = registry.coverage(preset, d)
 
         def finish(
-            m: float, partition: tuple[int, ...], time_us: float, source: str
+            m: float, partition: tuple[int, ...], time_us: float, name: str
         ) -> None:
-            registry.memo_put((preset, d, m), (partition, time_us))
+            cell, packed, code = (preset, d, m), _packed(partition), SOURCE_CODES[name]
+            registry.memo_put(cell, (packed, time_us))
             waiting = by_m[m]
             stats.coalesced += len(waiting) - 1
             for i in waiting:
-                results[i] = QueryResult(
-                    preset, d, m, partition, time_us, source, normalized[i].tag
-                )
+                cells[i], times[i], source[i], parts[i] = cell, time_us, code, packed
 
         covered: list[float] = []
         beyond: list[float] = []
@@ -232,7 +263,7 @@ def _resolve_normalized(
             rows = {partition: row for row, partition in enumerate(pool)}
             for col, m in enumerate(beyond):
                 finish(m, winners[col], float(grid[rows[winners[col]], col]), "pool")
-    return results  # type: ignore[return-value]
+    return Answers(cells, times, source, parts)
 
 
 class QueryBatch:
@@ -269,4 +300,4 @@ class QueryBatch:
         """Answer every queued query (and clear the batch)."""
         queries, self._queries = self._queries, []
         # add()/extend() already normalized and validated each query
-        return _resolve_normalized(self._registry, queries)
+        return _results(self._registry, queries)

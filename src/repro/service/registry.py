@@ -125,7 +125,7 @@ class OptimizerRegistry:
         self._shards: dict[str, ShardFile] = {}
         self._tables: OrderedDict[tuple[str, int], OptimizerTable] = OrderedDict()
         self._memo: OrderedDict[
-            tuple[str, int, float], tuple[tuple[int, ...], float]
+            tuple[str, int, float], tuple[bytes, float]
         ] = OrderedDict()
         if shard_dir is not None:
             self._attach_shard_dir(Path(shard_dir))
@@ -238,14 +238,14 @@ class OptimizerRegistry:
     # ------------------------------------------------------------------
     def memo_get(
         self, key: tuple[str, int, float]
-    ) -> tuple[tuple[int, ...], float] | None:
+    ) -> tuple[bytes, float] | None:
         entry = self._memo.get(key)
         if entry is not None:
             self._memo.move_to_end(key)
         return entry
 
     def memo_put(
-        self, key: tuple[str, int, float], value: tuple[tuple[int, ...], float]
+        self, key: tuple[str, int, float], value: tuple[bytes, float]
     ) -> None:
         if self.memo_capacity == 0:
             return

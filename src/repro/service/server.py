@@ -21,7 +21,7 @@ so pipe-driven clients can interleave requests and replies.
 
 The request/response shaping lives in the public helpers
 :func:`query_from_obj`, :func:`extract_queries`, and
-:func:`result_to_dict` so every transport — this stdio loop and the
+:func:`answer_docs` so every transport — this stdio loop and the
 socket server of :mod:`repro.service.async_server` — speaks byte-for-
 byte the same protocol; :func:`handle_request` is the single source of
 truth for request semantics.
@@ -32,11 +32,13 @@ from __future__ import annotations
 import json
 from typing import IO, Any
 
-from repro.service.batch import Query, QueryResult, resolve_queries
+from repro.service.batch import Answers, Query, as_query, resolve_queries
 from repro.service.registry import OptimizerRegistry, RegistryStats
+from repro.service.wire import SOURCE_NAMES
 
 __all__ = [
     "MAX_BATCH_QUERIES",
+    "answer_docs",
     "build_response",
     "error_response",
     "extract_queries",
@@ -44,7 +46,6 @@ __all__ = [
     "handle_request",
     "overload_response",
     "query_from_obj",
-    "result_to_dict",
     "serve",
 ]
 
@@ -76,20 +77,19 @@ def query_from_obj(obj: dict, default_preset: str | None) -> Query:
     return Query(preset=preset, d=d, m=float(m), tag=obj.get("id"))
 
 
-def result_to_dict(result: QueryResult) -> dict:
-    """The JSON-ready response document for one :class:`QueryResult`."""
-    doc = {
-        "ok": True,
-        "preset": result.preset,
-        "d": result.d,
-        "m": result.m,
-        "partition": list(result.partition),
-        "time_us": result.time_us,
-        "source": result.source,
-    }
-    if result.tag is not None:
-        doc["id"] = result.tag
-    return doc
+def answer_docs(answers: Answers, queries: list[Query]) -> list[dict]:
+    """The JSON-ready result document of each query, in order, from the
+    resolver's answer columns; ``id`` echoes the query's tag."""
+    docs = []
+    for (preset, d, m), time_us, code, packed, query in zip(
+        answers.cells, answers.time_us, answers.source, answers.parts, queries
+    ):
+        doc = {"ok": True, "preset": preset, "d": d, "m": m, "partition": list(packed),
+               "time_us": time_us, "source": SOURCE_NAMES[code]}
+        if query.tag is not None:
+            doc["id"] = query.tag
+        docs.append(doc)
+    return docs
 
 
 def extract_queries(
@@ -134,17 +134,17 @@ def handle_op(obj: dict, registry: OptimizerRegistry) -> dict:
 
 
 def build_response(
-    kind: str, results: list, request_id: Any = None
+    kind: str, docs: list[dict], request_id: Any = None
 ) -> dict:
-    """Shape resolved results the way :func:`handle_request` does.
+    """Shape result documents the way :func:`handle_request` does.
 
     The ``single`` form returns the bare result document (its ``id``
     rides on the query tag); the ``batch`` form wraps the documents in
     ``{"ok": true, "results": [...]}`` with the request id echoed.
     """
     if kind == "single":
-        return result_to_dict(results[0])
-    response: dict = {"ok": True, "results": [result_to_dict(r) for r in results]}
+        return docs[0]
+    response: dict = {"ok": True, "results": docs}
     if request_id is not None:
         response["id"] = request_id
     return response
@@ -190,7 +190,10 @@ def handle_request(
             response = handle_op(obj, registry)
         else:
             kind, queries = extracted
-            return build_response(kind, resolve_queries(registry, queries), request_id)
+            queries = [as_query(q) for q in queries]
+            cells = [(q.preset, q.d, q.m) for q in queries]
+            answers = resolve_queries(registry, cells, pre_normalized=True)
+            return build_response(kind, answer_docs(answers, queries), request_id)
     except (TypeError, ValueError, OverflowError) as exc:
         # OverflowError: e.g. an integer m too large for float() —
         # still a malformed request, never a reason to die

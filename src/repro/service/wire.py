@@ -2,9 +2,9 @@
 
 JSON-lines framing is friendly but it is also the socket transport's
 remaining tax: every query round-trips through ``json.loads`` /
-``json.dumps`` and a per-query Python dict even though the batcher
-already normalizes queries into exactly the numpy buffers
-:func:`repro.service.batch.resolve_queries` consumes.  This module is
+``json.dumps`` and a per-query Python dict even though the resolver
+takes ``(preset, d, m)`` cell keys and answers in columns
+(:func:`repro.service.batch.resolve_queries`).  This module is
 the lean alternative — struct-packed query arrays in, contiguous
 float64 answer arrays plus provenance codes out — and it is the single
 source of truth for every frame constant: the server and both clients
@@ -95,7 +95,7 @@ from typing import TYPE_CHECKING, Any, Sequence
 import numpy as np
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.service.batch import QueryResult
+    from repro.service.batch import Answers, QueryResult
 
 __all__ = [
     "HEADER",
@@ -380,53 +380,29 @@ def decode_query_payload(payload: bytes) -> np.ndarray:
 # result payload codec
 # ----------------------------------------------------------------------
 def encode_results(
-    results: Sequence["QueryResult"], inverse: np.ndarray | None = None
+    answers: "Answers | Sequence[QueryResult]", inverse: Sequence[int] | None = None
 ) -> bytes:
-    """The ``OP_RESULT`` payload for resolved queries.
-
-    ``inverse`` (from ``np.unique(..., return_inverse=True)``) expands
-    deduplicated results back to the request's query order entirely in
-    numpy — the per-Python-object work stays proportional to the
-    number of *distinct* cells, not the number of queries.
-    """
-    n = len(results)
-    times = np.fromiter((r.time_us for r in results), dtype="<f8", count=n)
-    sources = np.fromiter(
-        (SOURCE_CODES[r.source] for r in results), dtype=np.uint8, count=n
-    )
-    nparts = np.fromiter(
-        (len(r.partition) for r in results), dtype=np.uint8, count=n
-    )
-    total = int(nparts.sum())
-    parts = np.fromiter(
-        (part for r in results for part in r.partition), dtype=np.uint8, count=total
-    )
-    if inverse is not None:
-        inverse = np.asarray(inverse).reshape(-1)
-        starts = np.zeros(n, dtype=np.int64)
-        if n > 1:
-            np.cumsum(nparts[:-1], out=starts[1:])
-        # int64 throughout: uint8 counts would promote the index math
-        # to float64 (int64 - uint64) and break fancy indexing
-        out_nparts = nparts[inverse].astype(np.int64)
-        out_total = int(out_nparts.sum())
-        # absolute index of every expanded part: each output query
-        # copies its unique cell's slice of the parts array
-        base = np.repeat(starts[inverse], out_nparts)
-        ends = np.cumsum(out_nparts)
-        within = np.arange(out_total, dtype=np.int64) - np.repeat(
-            ends - out_nparts, out_nparts
-        )
-        times = times[inverse]
-        sources = sources[inverse]
-        parts = parts[base + within]
-        nparts = out_nparts.astype(np.uint8)
+    """The ``OP_RESULT`` payload for resolved cells: the resolver's
+    :class:`~repro.service.batch.Answers` columns, or QueryResult objects
+    converted to the same columns first.  ``inverse[i]`` is the cell
+    answering query ``i`` (each cell in turn when ``None``): one gather
+    through it and one ``b"".join``, no object per query."""
+    if isinstance(answers, Sequence):
+        times = [r.time_us for r in answers]
+        source = bytearray(SOURCE_CODES[r.source] for r in answers)
+        parts = [bytes(r.partition) for r in answers]
+    else:
+        times, source, parts = answers.time_us, answers.source, answers.parts
+    if inverse is None:
+        inverse = range(len(times))
+    picked = [parts[i] for i in inverse]
+    count = len(picked)
     return b"".join((
-        _RESULT_COUNT.pack(len(times)),
-        times.tobytes(),
-        sources.tobytes(),
-        nparts.tobytes(),
-        parts.tobytes(),
+        _RESULT_COUNT.pack(count),
+        struct.pack(f"<{count}d", *[times[i] for i in inverse]),
+        bytes([source[i] for i in inverse]),
+        bytes(map(len, picked)),
+        *picked,
     ))
 
 
@@ -455,8 +431,8 @@ def decode_result_payload(
     nparts = np.frombuffer(payload, dtype=np.uint8, count=count, offset=offset)
     offset += count
     total = int(nparts.sum())
-    if len(payload) < offset + total:
-        raise WireError("result payload truncates its partition section")
+    if len(payload) != offset + total:
+        raise WireError("result payload length disagrees with its partition counts")
     parts = np.frombuffer(payload, dtype=np.uint8, count=total, offset=offset)
     if codes.size and int(codes.max()) >= len(SOURCE_NAMES):
         raise WireError(f"unknown source code {int(codes.max())}")

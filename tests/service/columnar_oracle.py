@@ -1,0 +1,245 @@
+"""The object-per-query serving pipeline, kept as a test oracle.
+
+Before answers travelled as cells and columns, a binary query frame was
+deduplicated with a structured :func:`numpy.unique`, turned into one
+:class:`~repro.service.batch.Query` per distinct record, resolved into
+one :class:`~repro.service.batch.QueryResult` each, and encoded by
+scattering numpy arrays built from those objects.  This module is that
+pipeline, JSON result documents included, verbatim in behaviour, for
+``test_columnar_answers.py`` to hold the columnar path to: the same
+bytes, the same registry counters and the same memo order.  Nothing
+under ``src/`` imports it.
+"""
+
+from __future__ import annotations
+
+import json
+
+import numpy as np
+
+from repro.core.partitions import cached_partitions
+from repro.model.vectorized import grid_winners, multiphase_time_grid
+from repro.service import wire
+from repro.service.batch import Query, QueryResult, check_query_values
+from repro.service.server import error_response, extract_queries
+from repro.util.validation import MAX_DIMENSION
+
+
+def queries_from_arrays(catalog, records) -> list[Query]:
+    """One :class:`Query` per record, validated column-wise."""
+    presets = records["preset"]
+    dims = records["d"]
+    sizes = records["m"]
+    if presets.size and int(presets.max()) >= len(catalog):
+        bad = int(presets[presets >= len(catalog)][0])
+        raise ValueError(
+            f"preset index {bad} out of range for a catalog of {len(catalog)}"
+        )
+    if dims.size:
+        lo, hi = int(dims.min()), int(dims.max())
+        if lo < 1:
+            raise ValueError(f"cube dimension must be >= 1, got {lo}")
+        if hi > MAX_DIMENSION:
+            raise ValueError(
+                f"cube dimension {hi} exceeds the supported maximum "
+                f"{MAX_DIMENSION} ({2 ** MAX_DIMENSION} nodes); did you "
+                f"pass the node count instead?"
+            )
+    if sizes.size and not bool(np.isfinite(sizes).all()):
+        bad_m = float(sizes[~np.isfinite(sizes)][0])
+        raise ValueError(f"block size must be finite, got {bad_m}")
+    if sizes.size and bool((sizes < 0).any()):
+        raise ValueError(
+            f"block size must be >= 0, got {float(sizes[sizes < 0][0])}"
+        )
+    names = [catalog[int(p)] for p in presets.tolist()]
+    return [
+        Query(preset=name, d=d, m=m)
+        for name, d, m in zip(names, dims.tolist(), sizes.tolist())
+    ]
+
+
+def resolve(registry, normalized: list[Query]) -> list[QueryResult]:
+    """One :class:`QueryResult` per query; memo values are
+    ``(partition, time_us)``, so give the oracle its own registry."""
+    for query in normalized:
+        registry.params(query.preset)
+    results: list[QueryResult | None] = [None] * len(normalized)
+    stats = registry.stats
+    pending: dict[tuple[str, int], dict[float, list[int]]] = {}
+
+    for i, query in enumerate(normalized):
+        stats.queries += 1
+        hit = registry.memo_get((query.preset, query.d, query.m))
+        if hit is not None:
+            partition, time_us = hit
+            stats.memo_hits += 1
+            results[i] = QueryResult(
+                query.preset, query.d, query.m, partition, time_us, "memo", query.tag
+            )
+        else:
+            stats.memo_misses += 1
+            group = pending.setdefault((query.preset, query.d), {})
+            group.setdefault(query.m, []).append(i)
+
+    for (preset, d), by_m in pending.items():
+        params = registry.params(preset)
+        bound = registry.coverage(preset, d)
+
+        def finish(m, partition, time_us, source):
+            registry.memo_put((preset, d, m), (partition, time_us))
+            waiting = by_m[m]
+            stats.coalesced += len(waiting) - 1
+            for i in waiting:
+                results[i] = QueryResult(
+                    preset, d, m, partition, time_us, source, normalized[i].tag
+                )
+
+        covered: list[float] = []
+        beyond: list[float] = []
+        for m in sorted(by_m):
+            (covered if m <= bound else beyond).append(m)
+        if covered:
+            table = registry.table(preset, d)
+            groups: dict[tuple[int, ...], list[float]] = {}
+            for m in covered:
+                groups.setdefault(table.lookup(m), []).append(m)
+            for partition, ms in groups.items():
+                grid = multiphase_time_grid(ms, d, [partition], params)
+                stats.grid_calls += 1
+                stats.grid_cells += grid.size
+                for col, m in enumerate(ms):
+                    finish(m, partition, float(grid[0, col]), "grid")
+        if beyond:
+            pool = cached_partitions(d)
+            grid = multiphase_time_grid(beyond, d, pool, params)
+            stats.grid_calls += 1
+            stats.grid_cells += grid.size
+            winners = grid_winners(grid, pool)
+            rows = {partition: row for row, partition in enumerate(pool)}
+            for col, m in enumerate(beyond):
+                finish(m, winners[col], float(grid[rows[winners[col]], col]), "pool")
+    return results  # type: ignore[return-value]
+
+
+def encode_results(results, inverse=None) -> bytes:
+    """The ``OP_RESULT`` payload, scattered through numpy arrays."""
+    n = len(results)
+    times = np.fromiter((r.time_us for r in results), dtype="<f8", count=n)
+    sources = np.fromiter(
+        (wire.SOURCE_CODES[r.source] for r in results), dtype=np.uint8, count=n
+    )
+    nparts = np.fromiter((len(r.partition) for r in results), dtype=np.uint8, count=n)
+    total = int(nparts.sum())
+    parts = np.fromiter(
+        (part for r in results for part in r.partition), dtype=np.uint8, count=total
+    )
+    if inverse is not None:
+        inverse = np.asarray(inverse).reshape(-1)
+        starts = np.zeros(n, dtype=np.int64)
+        if n > 1:
+            np.cumsum(nparts[:-1], out=starts[1:])
+        out_nparts = nparts[inverse].astype(np.int64)
+        out_total = int(out_nparts.sum())
+        base = np.repeat(starts[inverse], out_nparts)
+        ends = np.cumsum(out_nparts)
+        within = np.arange(out_total, dtype=np.int64) - np.repeat(
+            ends - out_nparts, out_nparts
+        )
+        times = times[inverse]
+        sources = sources[inverse]
+        parts = parts[base + within]
+        nparts = out_nparts.astype(np.uint8)
+    return b"".join((
+        wire._RESULT_COUNT.pack(len(times)),
+        times.tobytes(),
+        sources.tobytes(),
+        nparts.tobytes(),
+        parts.tobytes(),
+    ))
+
+
+def result_to_dict(result: QueryResult) -> dict:
+    """The JSON document for one result."""
+    doc = {
+        "ok": True,
+        "preset": result.preset,
+        "d": result.d,
+        "m": result.m,
+        "partition": list(result.partition),
+        "time_us": result.time_us,
+        "source": result.source,
+    }
+    if result.tag is not None:
+        doc["id"] = result.tag
+    return doc
+
+
+def build_response(kind: str, results: list, request_id=None) -> dict:
+    """The JSON response for one query request."""
+    if kind == "single":
+        return result_to_dict(results[0])
+    response: dict = {"ok": True, "results": [result_to_dict(r) for r in results]}
+    if request_id is not None:
+        response["id"] = request_id
+    return response
+
+
+def flush(registry, catalog, requests, *, default_preset, max_queries) -> list[bytes]:
+    """What the socket server wrote for one micro-batch flush.
+
+    ``requests`` are ``("binary", OP_QUERY payload)`` or ``("json",
+    request line)`` in admission order; every admitted query of the
+    flush is resolved in one call, in that order.  Returns each
+    request's answer: a whole frame, or a JSON line.
+    """
+    out: list[bytes | None] = [None] * len(requests)
+    pending = []
+    for index, (transport, data) in enumerate(requests):
+        if transport == "binary":
+            try:
+                records = wire.decode_query_payload(data)
+            except wire.WireError as exc:
+                out[index] = wire.error_frame(str(exc))
+                continue
+            if len(records) > max_queries:
+                out[index] = wire.error_frame(
+                    f"batch of {len(records)} queries exceeds the per-request "
+                    f"limit of {max_queries}"
+                )
+                continue
+            try:
+                unique, inverse = np.unique(records, return_inverse=True)
+                queries = queries_from_arrays(catalog, unique)
+            except (TypeError, ValueError, OverflowError) as exc:
+                out[index] = wire.error_frame(str(exc))
+                continue
+            identity = len(unique) == len(records) and bool(
+                np.array_equal(inverse, np.arange(len(records)))
+            )
+            pending.append((index, transport, queries, None if identity else inverse))
+            continue
+        obj = json.loads(data)
+        request_id = obj.get("id") if isinstance(obj, dict) else None
+        try:
+            kind, queries = extract_queries(
+                obj, default_preset=default_preset, max_queries=max_queries
+            )
+            for query in queries:
+                check_query_values(query.d, query.m)
+                registry.params(query.preset)
+        except (TypeError, ValueError, OverflowError) as exc:
+            out[index] = json.dumps(error_response(exc, request_id)).encode() + b"\n"
+            continue
+        pending.append((index, transport, queries, (kind, request_id)))
+    results = resolve(registry, [q for _, _, queries, _ in pending for q in queries])
+    offset = 0
+    for index, transport, queries, extra in pending:
+        chunk = results[offset:offset + len(queries)]
+        offset += len(queries)
+        if transport == "binary":
+            out[index] = wire.pack_frame(wire.OP_RESULT, encode_results(chunk, extra))
+        else:
+            doc = build_response(extra[0], chunk, extra[1])
+            out[index] = json.dumps(doc).encode() + b"\n"
+    return out  # type: ignore[return-value]

@@ -1,0 +1,230 @@
+"""The columnar serving path against the object-per-query oracle.
+
+Seeded streams of binary query frames, with JSON lines mixed into some
+flushes, go through the socket server's own admission, micro-batcher
+and response writer (driven in-process, so every flush holds exactly
+the requests listed) and through :mod:`tests.service.columnar_oracle`,
+the pipeline the columnar path replaced.  Each side has its own
+registry over the same shards, with a memo small enough to evict.
+After every flush the two must agree on every written byte, on
+``RegistryStats`` and on the memo's key order.
+"""
+
+from __future__ import annotations
+
+import asyncio
+import itertools
+import json
+
+import numpy as np
+import pytest
+
+from repro.service import wire
+from repro.service.async_server import AsyncOptimizerServer
+from repro.service.registry import OptimizerRegistry
+from tests.service import columnar_oracle
+
+PRESETS = ("hypothetical", "ipsc860")
+DIMS = (4, 5, 6, 7, 8)
+MEMO_CAPACITY = 48
+MAX_QUERIES = 64
+FRAME = 32
+FLUSHES = 12
+
+
+@pytest.fixture(scope="module")
+def shard_dir(tmp_path_factory):
+    directory = tmp_path_factory.mktemp("columnar-shards")
+    OptimizerRegistry().save_shards(directory, presets=list(PRESETS), dims=DIMS)
+    return directory
+
+
+def records(specs) -> bytes:
+    return wire.encode_query_records(wire.make_query_records(specs))
+
+
+def pool_cells(rng, n, *, beyond=False):
+    """``n`` seeded ``(preset, d, m)`` records; ``m`` past the shards'
+    400 B sweep bound when ``beyond``."""
+    low, high = (400.0, 4000.0) if beyond else (1.0, 400.0)
+    return [
+        (int(p), int(d), float(m))
+        for p, d, m in zip(
+            rng.integers(0, len(PRESETS), n), rng.choice(DIMS, n), rng.uniform(low, high, n)
+        )
+    ]
+
+
+def hot(rng):
+    cells = pool_cells(rng, 64)
+    return [[("binary", records([cells[i] for i in rng.integers(0, 64, FRAME)]))]
+            for _ in range(FLUSHES)]
+
+
+def cold(rng):
+    return [[("binary", records(pool_cells(rng, FRAME // 2) + pool_cells(
+        rng, FRAME // 2, beyond=True)))] for _ in range(FLUSHES)]
+
+
+def distinct_unsorted(rng):
+    cells = pool_cells(rng, 400)
+    return [[("binary", records([cells[i] for i in rng.permutation(400)[:FRAME]]))]
+            for _ in range(FLUSHES)]
+
+
+def duplicate_heavy(rng):
+    cells = pool_cells(rng, 3) + pool_cells(rng, 1, beyond=True)
+    return [[("binary", records([cells[i] for i in rng.integers(0, 4, FRAME)]))]
+            for _ in range(FLUSHES)]
+
+
+def signed_zero(rng):
+    """Frames holding ``m = -0.0`` and ``m = 0.0`` for the same cells,
+    in either order, with other cells around them."""
+    flushes = []
+    for _ in range(FLUSHES):
+        zeros = [(int(rng.integers(0, 2)), int(rng.choice(DIMS)), z)
+                 for z in (-0.0, 0.0) for _ in range(3)]
+        specs = zeros + pool_cells(rng, 6)
+        flushes.append([("binary", records([specs[i] for i in rng.permutation(len(specs))]))])
+    return flushes
+
+
+#: bad records, each pair of which is tried in one frame: which one the
+#: error names depends on the sorted cell order
+BAD = [
+    (len(PRESETS) + 3, 5, 8.0), (len(PRESETS), 6, 8.0),
+    (0, 0, 8.0), (1, 30, 8.0), (0, 27, 8.0),
+    (0, 5, float("inf")), (1, 4, -float("inf")), (0, 5, float("nan")),
+    (0, 5, -1.0), (1, 4, -7.5), (0, 5, -0.5),
+]
+
+
+def two_bad(rng):
+    flushes = []
+    for pair in itertools.combinations(BAD, 2):
+        good = pool_cells(rng, 10)
+        specs = good + list(pair)
+        # the pair alone, among valid cells, and a valid frame in the
+        # same flush: an error frame must not disturb its neighbours
+        flushes.append([
+            ("binary", records(list(pair)[::rng.choice([1, -1])])),
+            ("binary", records([specs[i] for i in rng.permutation(len(specs))])),
+            ("binary", records(good)),
+        ])
+    return flushes
+
+
+def json_line(rng, cells):
+    """A JSON request for ``cells``: the single form or a batch, with
+    an id, sometimes naming the preset and sometimes not."""
+    def doc(p, d, m):
+        query = {"d": d, "m": m}
+        if PRESETS[p] != "ipsc860" or rng.random() < 0.5:
+            query["preset"] = PRESETS[p]
+        return query
+    request_id = int(rng.integers(0, 1000))
+    if len(cells) == 1:
+        return json.dumps({**doc(*cells[0]), "id": request_id})
+    return json.dumps({"queries": [doc(*c) for c in cells], "id": request_id})
+
+
+def mixed(rng):
+    """Flushes mixing JSON and binary requests over shared cells, so
+    one core call coalesces across transports; each opens with a JSON
+    batch asking one zero-size cell as ``-0.0`` and ``0.0``, and some
+    carry a JSON request that fails admission."""
+    cells = pool_cells(rng, 48) + pool_cells(rng, 8, beyond=True)
+    flushes = []
+    for _ in range(FLUSHES):
+        p, d = int(rng.integers(0, len(PRESETS))), int(rng.choice(DIMS))
+        zeros = [(p, d, z) for z in ((-0.0, 0.0) if rng.random() < 0.5 else (0.0, -0.0))]
+        flush = [("json", json_line(rng, zeros))]
+        for _ in range(int(rng.integers(2, 6))):
+            pick = [cells[i] for i in rng.integers(0, len(cells), int(rng.integers(1, 12)))]
+            if rng.random() < 0.5:
+                flush.append(("binary", records(pick)))
+            else:
+                flush.append(("json", json_line(rng, pick)))
+        if rng.random() < 0.3:
+            flush.append(("json", json.dumps({"d": 0, "m": 1.0, "id": "bad"})))
+        flushes.append(flush)
+    return flushes
+
+
+STREAMS = {
+    "hot": hot,
+    "cold": cold,
+    "distinct_unsorted": distinct_unsorted,
+    "duplicate_heavy": duplicate_heavy,
+    "signed_zero": signed_zero,
+    "two_bad": two_bad,
+    "mixed": mixed,
+}
+
+
+class _Written:
+    """A stream writer that keeps what the server writes."""
+
+    def __init__(self) -> None:
+        self.chunks: list[bytes] = []
+
+    def write(self, data: bytes) -> None:
+        self.chunks.append(data)
+
+    async def drain(self) -> None:
+        pass
+
+
+async def columnar_flush(server, catalog, requests) -> list[bytes]:
+    """Admit ``requests`` in order, flush the batcher once, and return
+    what the response writer writes for each."""
+    responses: asyncio.Queue = asyncio.Queue()
+    for transport, data in requests:
+        if transport == "binary":
+            server._admit_query_frame(data, catalog, responses.put_nowait, 0.0, 0)
+        else:
+            server._admit_line(data, responses.put_nowait, 0.0, 0)
+    server._batcher.flush()
+    responses.put_nowait(None)
+    written = _Written()
+    await server._write_responses(responses, written, asyncio.Semaphore(0))
+    return written.chunks
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+@pytest.mark.parametrize("stream", sorted(STREAMS))
+def test_columnar_path_matches_the_object_pipeline(shard_dir, stream, seed):
+    flushes = STREAMS[stream](np.random.default_rng([seed, sorted(STREAMS).index(stream)]))
+    columnar = OptimizerRegistry.from_shards(shard_dir, memo_capacity=MEMO_CAPACITY)
+    oracle = OptimizerRegistry.from_shards(shard_dir, memo_capacity=MEMO_CAPACITY)
+    catalog = list(columnar.preset_names)
+    server = AsyncOptimizerServer(
+        columnar, default_preset="ipsc860", max_queries=MAX_QUERIES, max_batch=4096
+    )
+
+    async def scenario():
+        server._loop = asyncio.get_running_loop()
+        sources = set()
+        for number, requests in enumerate(flushes):
+            got = await columnar_flush(server, catalog, requests)
+            want = columnar_oracle.flush(
+                oracle, catalog, requests,
+                default_preset="ipsc860", max_queries=MAX_QUERIES,
+            )
+            assert got == want, f"flush {number}"
+            assert columnar.stats.as_dict() == oracle.stats.as_dict(), f"flush {number}"
+            assert list(columnar._memo) == list(oracle._memo), f"flush {number}"
+            for chunk in got:
+                if chunk[5] == wire.OP_RESULT:
+                    sources.update(wire.decode_result_payload(chunk[wire.HEADER_BYTES:])[1])
+        return sources
+
+    sources = asyncio.run(scenario())
+    assert len(columnar._memo) <= MEMO_CAPACITY
+    if stream != "duplicate_heavy":
+        assert columnar.stats.memo_misses > MEMO_CAPACITY  # the memo evicted
+    if stream in ("hot", "duplicate_heavy"):
+        assert "memo" in sources
+    if stream in ("cold", "duplicate_heavy"):
+        assert "pool" in sources

@@ -16,9 +16,9 @@ import random
 import numpy as np
 import pytest
 
-from repro.service import wire
+from repro.service import OptimizerRegistry, wire
 from repro.service.async_server import LatencyHistogram
-from repro.service.batch import QueryResult, queries_from_arrays
+from repro.service.batch import Answers, QueryResult, queries_from_arrays
 from repro.service.client import AsyncServiceClient
 from tests.service.protocol_cases import (
     BINARY_CASE_IDS,
@@ -27,6 +27,7 @@ from tests.service.protocol_cases import (
     VALID_FRAME,
     query_frame,
 )
+from tests.service import wire_workload
 from tests.service.test_async_server import started_server
 
 
@@ -114,6 +115,28 @@ class TestFrameCodec:
         with pytest.raises(wire.WireError):
             wire.decode_result_payload(payload[:3])
 
+    def test_trailing_result_bytes_rejected(self):
+        """A payload longer than its partition counts imply is as
+        malformed as a short one."""
+        payload = wire.encode_results(
+            [QueryResult("ipsc860", 7, 40.0, (4, 3), 1.0, "grid")]
+        )
+        with pytest.raises(wire.WireError, match="partition counts"):
+            wire.decode_result_payload(payload + b"\x00")
+
+    def test_answer_columns_and_results_encode_alike(self):
+        """The resolver's columns and the QueryResult objects built
+        from them encode to the same bytes, through any inverse."""
+        answers = Answers(
+            [("ipsc860", 5, 40.0), ("ipsc860", 7, 40.0)],
+            [1.5, 2.5], bytearray([1, 0]), [bytes((3, 2)), bytes((4, 3))],
+        )
+        results = answers.results([None, None])
+        for inverse in (None, [1, 0, 1, 1, 0], np.array([0, 0]), []):
+            assert wire.encode_results(answers, inverse) == wire.encode_results(
+                results, inverse
+            )
+
     def test_hello_payloads_roundtrip(self):
         assert wire.parse_hello(wire.hello_payload("tok")) == "tok"
         assert wire.parse_hello(wire.hello_payload(None)) == ""
@@ -135,10 +158,35 @@ class TestFrameCodec:
 class TestQueriesFromArrays:
     def test_catalog_indices_map_to_preset_names(self):
         records = wire.make_query_records([(1, 7, 40.0), (0, 5, 0.0)])
-        queries = queries_from_arrays(["hypothetical", "ipsc860"], records)
-        assert [(q.preset, q.d, q.m) for q in queries] == [
-            ("ipsc860", 7, 40.0), ("hypothetical", 5, 0.0),
+        cells, inverse = queries_from_arrays(["hypothetical", "ipsc860"], records)
+        assert cells == [("hypothetical", 5, 0.0), ("ipsc860", 7, 40.0)]
+        assert inverse == [1, 0]
+
+    def test_distinct_cells_sorted_like_np_unique(self):
+        specs = [(0, 7, 40.0), (0, 5, 40.0), (0, 7, 40.0), (0, 5, 0.0), (0, 5, -0.0)]
+        records = wire.make_query_records(specs)
+        cells, inverse = queries_from_arrays(["ipsc860"], records)
+        unique, expected = np.unique(records, return_inverse=True)
+        assert cells == [("ipsc860", int(d), float(m)) for _, d, m in unique.tolist()]
+        assert inverse == expected.tolist() == [2, 1, 2, 0, 0]
+
+    def test_first_bad_record_in_sorted_order_is_named(self):
+        """With several bad records the error names the one np.unique's
+        sorted order puts first: the smallest preset index, the lowest
+        or highest dimension, then -inf < inf < nan, then the most
+        negative block size."""
+        cases = [
+            ([(7, 7, 40.0), (3, 7, 40.0)], "preset index 3 out of range"),
+            ([(0, 30, 1.0), (0, 26, 1.0)], "cube dimension 30 exceeds"),
+            ([(0, 0, 1.0), (0, 30, 1.0)], "must be >= 1, got 0"),
+            ([(0, 7, float("nan")), (0, 7, float("inf"))], "finite, got inf$"),
+            ([(0, 7, float("inf")), (0, 7, -float("inf"))], "finite, got -inf"),
+            ([(0, 7, float("nan")), (0, 6, float("nan"))], "finite, got nan"),
+            ([(0, 7, -1.0), (0, 7, -2.0), (0, 8, -9.0)], ">= 0, got -2.0"),
         ]
+        for specs, needle in cases:
+            with pytest.raises(ValueError, match=needle):
+                queries_from_arrays(["ipsc860"], wire.make_query_records(specs))
 
     @pytest.mark.parametrize(
         ("spec", "needle"),
@@ -406,9 +454,9 @@ class TestBinaryAnswersMatchJson:
             assert b["preset"] == j["preset"]
 
     def test_distinct_unsorted_queries_keep_request_order(self, tmp_path):
-        """All-distinct frames tempt the server to skip the dedup
-        scatter — but np.unique sorts, so answers must still be
-        restored to request order, not cell order."""
+        """All-distinct frames tempt the server to skip the inverse
+        gather — but admission sorts the cells, so answers must still
+        be restored to request order, not cell order."""
 
         async def scenario():
             server = await started_server(tmp_path, default_preset="ipsc860")
@@ -649,3 +697,50 @@ class TestTinyJsonFallback:
 
         response = asyncio.run(scenario())
         assert response == {"ok": True, "results": []}
+
+
+class TestPipelinedClientsAgree:
+    """64 pipelined clients over each wire (:mod:`tests.service.wire_workload`,
+    the workload of ``benchmarks/test_bench_wire.py``)."""
+
+    @pytest.fixture(scope="class")
+    def shard_dir(self, tmp_path_factory):
+        directory = tmp_path_factory.mktemp("bench-wire-shards")
+        wire_workload.save_shards(directory)
+        return directory
+
+    @pytest.fixture(scope="class")
+    def binary_blobs(self, shard_dir):
+        return wire_workload.binary_blobs(shard_dir)
+
+    def test_bench_wire_answers_match_json_and_ground_truth(
+        self, shard_dir, binary_blobs, tmp_path_factory
+    ):
+        """Both wires return the exact resolver answers, cell by cell."""
+        raw_json, _ = asyncio.run(
+            wire_workload.with_cold_server(
+                shard_dir, wire_workload.server_address(tmp_path_factory),
+                wire_workload.json_load,
+            )
+        )
+        raw_binary, server = asyncio.run(
+            wire_workload.with_cold_server(
+                shard_dir, wire_workload.server_address(tmp_path_factory),
+                wire_workload.binary_load(binary_blobs),
+            )
+        )
+        json_answers = wire_workload.json_answers(raw_json)
+        binary_answers = wire_workload.binary_answers(raw_binary)
+        for k, queries in enumerate(wire_workload.WORKLOAD):
+            expected = OptimizerRegistry.from_shards(shard_dir).resolve(
+                [("ipsc860", d, m) for d, m in queries]
+            )
+            assert json_answers[k][0] == [e.partition for e in expected]
+            assert binary_answers[k][0] == [e.partition for e in expected]
+            assert json_answers[k][1] == [e.time_us for e in expected]
+            assert binary_answers[k][1] == [e.time_us for e in expected]
+        stats = server.stats
+        assert stats.binary_connections == wire_workload.N_CLIENTS
+        # the latency histogram saw every admitted frame
+        assert stats.latency.count == stats.requests
+        assert stats.p99_us > 0.0
