@@ -92,10 +92,10 @@ PATTERN_SWEEP = tuple(
 
 
 def run_event_patterns(ipsc) -> list[float]:
-    from repro.patterns import simulate_pattern
+    from repro.comm.program import simulate
 
     return [
-        simulate_pattern(pattern, algorithm, d, m, ipsc)[0]
+        simulate(pattern, algorithm, d, m, ipsc).time_us
         for pattern, algorithm, d, m in PATTERN_SWEEP
     ]
 

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import asyncio
 import json
+import os
 import signal
 import socket
 import subprocess
@@ -80,7 +81,7 @@ def _free_port() -> int:
 def _spawn(args: list[str]) -> subprocess.Popen:
     return subprocess.Popen(
         [sys.executable, "-m", "repro.cli", *args],
-        env={"PYTHONPATH": SRC, "PATH": "/usr/bin:/bin"},
+        env={**os.environ, "PYTHONPATH": SRC},
         stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
     )
 

@@ -12,7 +12,7 @@ Three measurements:
 
 from __future__ import annotations
 
-from repro.comm.program import simulate_exchange, simulate_naive_exchange
+from repro.comm.program import simulate, simulate_exchange
 from repro.core.partitions import partitions
 from repro.core.programs import PATTERN_TABLE, pattern_rounds
 from repro.hypercube.contention import analyze_contention
@@ -51,18 +51,16 @@ def test_bench_static_contention_validation(benchmark, archive):
 
 
 def test_bench_naive_vs_scheduled(benchmark, ipsc, archive):
-    """Measured cost of ignoring the machine (d=5, 64-byte blocks)."""
+    """Measured cost of ignoring the machine (d=5, 64-byte blocks).
+
+    The claims (over 1.5x slower, queueing only on the naive side) are
+    asserted in ``tests/comm/test_simulate.py``."""
     d, m = 5, 64
 
     naive = benchmark.pedantic(
-        simulate_naive_exchange, args=(d, m, ipsc), rounds=1, iterations=1
+        simulate, args=("alltoall", "rotation", d, m, ipsc), rounds=1, iterations=1
     )
-    naive.verify()
     ocs = simulate_exchange(d, m, (d,), ipsc)
-
-    assert naive.time_us > 1.5 * ocs.time_us
-    assert naive.trace.total_contention_wait > 0.0
-    assert ocs.trace.total_contention_wait == 0.0
 
     archive(
         "contention_measured.txt",

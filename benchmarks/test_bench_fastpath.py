@@ -15,7 +15,7 @@ import time
 
 import pytest
 
-from repro.comm.program import simulate_exchange, simulate_naive_exchange
+from repro.comm.program import simulate, simulate_exchange
 from repro.sim.fastpath import (
     _compile_schedule,
     batch_exchange_times,
@@ -38,9 +38,9 @@ def run_event_engine(ipsc) -> list[float]:
     times = []
     for d, m, partition in SWEEP_CONFIGS:
         if partition is None:
-            times.append(simulate_naive_exchange(d, m, ipsc, verify=False).time_us)
+            times.append(simulate("alltoall", "rotation", d, m, ipsc).time_us)
         else:
-            times.append(simulate_exchange(d, m, partition, ipsc, verify=False).time_us)
+            times.append(simulate_exchange(d, m, partition, ipsc).time_us)
     return times
 
 

@@ -21,12 +21,11 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.comm.program import simulate_exchange
+from repro.comm.program import simulate, simulate_exchange
 from repro.core.traffic import best_partition_for_traffic, uniform_traffic
 from repro.core.variants import ORDERINGS, multiphase_schedule_ordered
 from repro.model.optimizer import best_partition
 from repro.model.params import ipsc860
-from repro.patterns import simulate_pattern
 
 
 def fmt(partition) -> str:
@@ -43,9 +42,9 @@ def main() -> None:
     choice = best_partition(m, d, params)
     bound = simulate_exchange(d, m, choice.partition, params).time_us
     rows = [
-        ("one-to-all broadcast", simulate_pattern("broadcast", "binomial", d, m, params)[0]),
-        ("one-to-all personalized", simulate_pattern("scatter", "halving", d, m, params)[0]),
-        ("all-to-all broadcast", simulate_pattern("allgather", "doubling", d, m, params)[0]),
+        ("one-to-all broadcast", simulate("broadcast", "binomial", d, m, params).time_us),
+        ("one-to-all personalized", simulate("scatter", "halving", d, m, params).time_us),
+        ("all-to-all broadcast", simulate("allgather", "doubling", d, m, params).time_us),
         (f"complete exchange {fmt(choice.partition)}", bound),
     ]
     for name, t in rows:

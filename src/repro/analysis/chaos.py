@@ -27,21 +27,17 @@ always yields the identical report.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import partial
 from typing import Sequence
 
-from repro.core.blocks import BlockBuffer
-from repro.core.programs import exchange_rounds
-from repro.core.schedule import multiphase_schedule
+from repro.comm.program import simulate
 from repro.model.optimizer import best_partition
 from repro.model.params import MachineParams, PRESETS
-from repro.patterns.execute import pattern_node
 from repro.plan.decision import format_partition
 from repro.plan.policies import AdaptivePolicy, FixedPolicy, ModelPolicy, PlanningPolicy
 from repro.sim.faults import FaultPlan
 from repro.sim.machine import SimulatedHypercube
 from repro.sim.trace import Trace
-from repro.util.validation import check_block_size, check_dimension
+from repro.util.validation import check_dimension, check_message_size
 
 __all__ = [
     "ChaosCell",
@@ -111,7 +107,6 @@ def run_degraded_workload(
     *,
     n_steps: int,
     fault_plan: FaultPlan | None = None,
-    verify: bool = True,
 ) -> WorkloadResult:
     """Run ``n_steps`` sequential complete exchanges under ``policy``
     on one persistent degraded machine.
@@ -119,14 +114,16 @@ def run_degraded_workload(
     One :class:`~repro.sim.machine.SimulatedHypercube` carries the
     whole workload, so virtual time accumulates across steps and the
     fault plan's absolute outage windows land mid-workload.  Before
-    each step the policy decides; after each step the observed time
-    feeds back via ``policy.observe`` when the policy supports it
-    (drift-triggered re-planning).  With ``verify`` every node's final
-    buffer is byte-checked — a lost block fails loudly instead of
-    flattering the completion time.
+    each step the policy decides — a partition, or the naive rotation
+    (recorded as the partition ``()``); after each step the observed
+    time feeds back via ``policy.observe`` when the policy supports it
+    (drift-triggered re-planning).  Every step is a
+    :func:`~repro.comm.program.simulate` run, byte-checked on every
+    node — a lost block fails loudly instead of flattering the
+    completion time.
     """
     check_dimension(d, minimum=1)
-    m = int(check_block_size(m))
+    check_message_size(m)
     if n_steps < 1:
         raise ValueError(f"n_steps must be >= 1, got {n_steps}")
     machine = SimulatedHypercube(d, params, fault_plan=fault_plan)
@@ -136,20 +133,11 @@ def run_degraded_workload(
     n_replans = 0
     for _ in range(n_steps):
         decision = policy.decide(d, float(m))
-        if decision.partition is None:
-            raise ValueError(
-                f"policy {policy.name!r} chose the naive baseline; chaos "
-                f"workloads race partition schedules only"
-            )
-        partition = decision.partition
-        t_begin = machine.engine.now
-        run = machine.run(
-            pattern_node, rounds=exchange_rounds(multiphase_schedule(d, partition), d),
-            holdings=partial(BlockBuffer.initial, d=d, m=m),
+        algorithm = "rotation" if decision.algorithm == "naive" else "multiphase"
+        result = simulate(
+            "alltoall", algorithm, d, m, params, partition=decision.partition, machine=machine
         )
-        observed = run.time - t_begin
-        if verify:
-            BlockBuffer.verify_all(run.node_results)
+        partition, observed = result.partition, result.time_us
         if partitions and partition != partitions[-1]:
             n_switches += 1
         partitions.append(partition)
@@ -271,7 +259,6 @@ def chaos_sweep(
     threshold: float = 0.25,
     straggler_fraction: float = 0.25,
     params: MachineParams | None = None,
-    verify: bool = True,
 ) -> ChaosReport:
     """Sweep failure rate × straggler severity × policy.
 
@@ -284,7 +271,7 @@ def chaos_sweep(
     on that axis; the (0.0, 1.0) cell is the fault-free control.
     """
     check_dimension(d, minimum=1)
-    m = int(check_block_size(m))
+    check_message_size(m)
     p = params if params is not None else PRESETS["ipsc860"]()
     for name in policies:
         if name not in SWEEP_POLICIES:
@@ -321,7 +308,7 @@ def chaos_sweep(
                 )
                 result = run_degraded_workload(
                     d, m, policy, p,
-                    n_steps=n_steps, fault_plan=plan, verify=verify,
+                    n_steps=n_steps, fault_plan=plan,
                 )
                 report.cells.append(
                     ChaosCell(

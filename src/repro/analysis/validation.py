@@ -40,7 +40,8 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from repro.comm.program import simulate_planned_exchange
+from repro.comm.program import simulate
+from repro.core.programs import pattern_program
 from repro.model.params import MachineParams, PRESETS
 from repro.plan import (
     CollectivePlanner,
@@ -52,6 +53,7 @@ from repro.plan import (
 )
 from repro.plan.decision import format_partition
 from repro.plan.patterns import PATTERNS
+from repro.sim.fastpath import program_time
 
 __all__ = [
     "APP_WORKLOADS",
@@ -178,9 +180,10 @@ class PlanValidationReport:
     engine: str = "fast"
     rows: list[ValidationRow] = field(default_factory=list)
     verified_apps: list[str] = field(default_factory=list)
-    #: plan records observed in the simulator traces of the replayed
-    #: decisions (one per exchange-replay row — the audit trail the
-    #: trace keeps; pattern rows are priced closed-form, no trace)
+    #: plan records of the replayed exchange decisions, one per
+    #: exchange-replay row: the event engine's run records it in its
+    #: trace; the fast path, which keeps no trace, counts the decision
+    #: it prices.  Pattern rows record none.
     n_trace_decisions: int = 0
     #: event-engine boots observed while validating (``Engine.boot_count``
     #: delta) — 0 on ``engine="fast"``: the whole report is closed-form
@@ -231,22 +234,6 @@ class _ReplayPolicy:
                 f"m={self.decision.m}), asked for (d={d}, m={m})"
             )
         return self.decision
-
-
-def _simulate_pattern_event(
-    pattern: str,
-    algorithm: str,
-    d: int,
-    m: float,
-    partition: tuple[int, ...] | None,
-    params: MachineParams,
-) -> float:
-    """Run one pattern selection on the event engine (spot-check mode)."""
-    from repro.patterns.execute import simulate_pattern
-
-    return simulate_pattern(
-        pattern, algorithm, d, int(m), params, partition=partition
-    )[0]
 
 
 def _append_row(
@@ -303,27 +290,21 @@ def validate_policy(
     ``engine="fast"``.
 
     A ``fault_plan`` (:class:`repro.sim.faults.FaultPlan`) degrades the
-    machine the exchange decisions replay on, producing the drift rows
-    (``rel_error``) the adaptive policy thresholds on.  Only the event
-    engine understands faults, so a non-empty plan requires
-    ``engine="event"`` and an empty pattern grid (pattern replays have
-    no fault path).
+    machine of its own dimension: every decision at ``fault_plan.d``
+    replays on it (the others on the clean machine), producing the
+    drift rows (``rel_error``) the adaptive policy thresholds on.  Only
+    the event engine understands faults, so a non-empty plan requires
+    ``engine="event"``.
     """
     from repro.sim.engine import Engine
 
     if engine not in ENGINES:
         raise ValueError(f"unknown engine {engine!r}; expected one of {ENGINES}")
-    if fault_plan is not None and not fault_plan.is_empty:
-        if engine != "event":
-            raise ValueError(
-                "fault plans require engine='event'; the fast path models "
-                "the uniform machine only"
-            )
-        if pattern_configs is None or len(tuple(pattern_configs)) > 0:
-            raise ValueError(
-                "fault plans require pattern_configs=(); pattern replays "
-                "have no degraded-machine path"
-            )
+    if fault_plan is not None and not fault_plan.is_empty and engine != "event":
+        raise ValueError(
+            "fault plans require engine='event'; the fast path models "
+            "the uniform machine only"
+        )
     p = params if params is not None else PRESETS["ipsc860"]()
     pol = policy if policy is not None else FixedPolicy(params=p)
     names = list(apps) if apps is not None else list(APP_WORKLOADS)
@@ -338,15 +319,31 @@ def validate_policy(
     report = PlanValidationReport(policy=pol.name, params_name=p.name, engine=engine)
     boots_before = Engine.boot_count
 
+    def price(pattern: str, algorithm: str, d: int, m: float, partition) -> float:
+        return program_time(pattern_program(pattern, algorithm, d, partition=partition), m, p)
+
+    def plan_at(d: int):
+        return fault_plan if fault_plan is not None and fault_plan.d == d else None
+
     def replay_exchange(app: str, decision: PlanDecision) -> None:
-        result = simulate_planned_exchange(
-            decision.d, int(decision.m), CollectivePlanner(_ReplayPolicy(decision)), p,
-            fast=(engine == "fast"), fault_plan=fault_plan,
-        )
-        report.n_trace_decisions += len(result.trace.plan_decisions)
+        d, m = decision.d, decision.m
+        if engine == "fast":
+            naive = decision.algorithm == "naive"
+            simulated = price(
+                "alltoall", "rotation" if naive else "multiphase", d, m, decision.partition
+            )
+            report.n_trace_decisions += 1
+        else:
+            # replayed through a planner, so the run's trace records it
+            result = simulate(
+                "alltoall", "multiphase", d, int(m), p,
+                planner=CollectivePlanner(_ReplayPolicy(decision)), fault_plan=plan_at(d),
+            )
+            simulated = result.time_us
+            report.n_trace_decisions += len(result.trace.plan_decisions)
         _append_row(
             report, app, decision.d, decision.m, decision.algorithm,
-            decision.partition, decision.predicted_us, result.time_us,
+            decision.partition, decision.predicted_us, simulated,
         )
 
     for name in names:
@@ -365,20 +362,12 @@ def validate_policy(
         for pattern in PATTERNS:
             selection = plan_pattern(pattern, m, d, p)
             if engine == "fast":
-                from repro.core.programs import pattern_program
-                from repro.sim.fastpath import program_time
-
-                simulated = program_time(
-                    pattern_program(
-                        pattern, selection.algorithm, d,
-                        partition=selection.partition,
-                    ),
-                    m, p,
-                )
+                simulated = price(pattern, selection.algorithm, d, m, selection.partition)
             else:
-                simulated = _simulate_pattern_event(
-                    pattern, selection.algorithm, d, m, selection.partition, p
-                )
+                simulated = simulate(
+                    pattern, selection.algorithm, d, int(m), p,
+                    partition=selection.partition, fault_plan=plan_at(d),
+                ).time_us
             _append_row(
                 report, f"pattern:{pattern}", d, float(m), selection.algorithm,
                 selection.partition, selection.predicted_us, simulated,

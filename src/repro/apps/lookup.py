@@ -21,7 +21,7 @@ from typing import Sequence
 
 import numpy as np
 
-from repro.core.exchange import run_exchange_on_rows, run_planned_exchange_on_rows
+from repro.core.exchange import replay
 from repro.util.bitops import log2_exact
 
 __all__ = ["DistributedTable", "distributed_lookup"]
@@ -89,9 +89,7 @@ def distributed_lookup(
         raise ValueError("pass either a planner or an explicit partition, not both")
 
     def exchange(rows):
-        if planner is not None:
-            return run_planned_exchange_on_rows(rows, planner)
-        return run_exchange_on_rows(rows, partition)
+        return replay("multiphase", rows=rows, partition=partition, planner=planner).rows()
 
     n = table.n_nodes
     if len(queries) != n:

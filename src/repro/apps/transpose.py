@@ -18,7 +18,7 @@ from typing import Sequence
 
 import numpy as np
 
-from repro.core.exchange import run_exchange_on_rows, run_planned_exchange_on_rows
+from repro.core.exchange import replay
 from repro.util.bitops import log2_exact
 
 __all__ = [
@@ -110,10 +110,7 @@ def distributed_transpose(
             rows[j] = np.ascontiguousarray(sub).view(np.uint8).reshape(-1)
         send_rows.append(rows)
 
-    if planner is not None:
-        recv_rows = run_planned_exchange_on_rows(send_rows, planner)
-    else:
-        recv_rows = run_exchange_on_rows(send_rows, partition)
+    recv_rows = replay("multiphase", rows=send_rows, partition=partition, planner=planner).rows()
 
     # Node x now holds sub-block (j, x) from every j; transpose each
     # sub-block locally and lay them out as the x-th strip of A^T.

@@ -1,17 +1,20 @@
-"""The complete exchange on the simulated machine.
+"""Running a declared row on the simulated machine.
 
-The exchange is declared once, as the ``alltoall/multiphase`` row of
-:data:`repro.core.programs.PATTERN_TABLE`: its rounds are expanded
-from the :func:`~repro.core.schedule.multiphase_schedule` step list
-(:func:`~repro.core.programs.exchange_rounds`; each round records its
-phase and that phase's closing shuffle).  :func:`simulate_exchange`
-boots :func:`repro.patterns.execute.pattern_node`, the one SPMD
-interpreter every declared row runs on, over those rounds: every node
-moves real blocks (either data engine,
-:func:`~repro.core.exchange.engine_buffer`) while the simulator
-charges wire, shuffle and synchronization time.  The result is at
-once a *measurement* (virtual µs) and a byte-verified exchange.
-``Communicator.Alltoall`` runs the same interpreter on user rows.
+Every algorithm is one row of :data:`repro.core.programs.PATTERN_TABLE`:
+the paper's complete exchange (``alltoall/multiphase``, its rounds
+expanded from the :func:`~repro.core.schedule.multiphase_schedule`
+step list by :func:`~repro.core.programs.exchange_rounds`; each round
+records its phase and that phase's closing shuffle), its naive
+rotation baseline (``alltoall/rotation``) and the §9 broadcast,
+scatter and allgather rows.  :func:`simulate` runs any row: it boots
+:func:`repro.patterns.execute.pattern_node`, the one SPMD interpreter,
+over the row's rounds, every node moving real blocks while the
+simulator charges wire, shuffle and synchronization time, and
+byte-checks every node's final holdings against the row's
+``semantics.ends``.  The result is at once a *measurement* (virtual
+µs) and a verified run.  A fault plan degrades the machine for any
+row.  ``Communicator.Alltoall`` runs the same interpreter on user
+rows.
 
 Implementation notes mirroring paper §7:
 
@@ -24,26 +27,23 @@ Implementation notes mirroring paper §7:
 * shuffles perform the actual numpy permutation *and* charge ρ per
   byte of the full buffer.
 
-The tag engine's buffer is fixed-slot
-(:meth:`~repro.core.blocks.BlockBuffer.send` takes a round's slots by
-the partner's coordinate, :meth:`~repro.core.blocks.BlockBuffer.receive`
-refills them).  A wrong slot plan fails the final check
+The exchange rows hold pattern payloads in either data engine
+(:func:`~repro.core.exchange.engine_buffer`).  The tag engine's buffer
+is fixed-slot (:meth:`~repro.core.blocks.BlockBuffer.send` takes a
+round's slots by the partner's coordinate,
+:meth:`~repro.core.blocks.BlockBuffer.receive` refills them).  A wrong
+slot plan fails the final check
 (:meth:`~repro.core.blocks.BlockBuffer.verify_all`), which stacks many
 nodes' buffers per pass, a few hundred kilobytes at a time, and
 re-checks a failing chunk node by node so the first failing rank
-raises its own message.
+raises its own message.  The other rows move seeded random blocks.
 
-The fast path prices the same rounds without booting the engine: they
-are lowered to a :class:`~repro.core.programs.CommProgram` chain — the
-exchange's one compiled form — which :mod:`repro.sim.fastpath` prices
-in one numpy pass at float equality with the runs here (``fast=True``
-below returns its :class:`~repro.sim.fastpath.ProgramTimeline`).  That
-is the default path everywhere; the event-engine run is the
-byte-verifying oracle, and :func:`repro.check.verify_schedule`
-certifies the rounds.  The naive rotation is the ``alltoall/rotation``
-row, run by the same interpreter sends-first
-(:func:`simulate_naive_exchange`); its contended price is the fast
-path's sends-first replay of those rounds.
+Pricing needs no run: :func:`repro.sim.fastpath.program_time` of the
+row's :func:`~repro.core.programs.pattern_program` equals the virtual
+time here, float for float (the rotation's through the fast path's
+sends-first replay of its rounds).  That is the default path
+everywhere; the event-engine run is the byte-verifying oracle, and
+:func:`repro.check.verify_schedule` certifies the rounds.
 """
 
 from __future__ import annotations
@@ -52,60 +52,170 @@ from dataclasses import dataclass
 from functools import partial
 from typing import Any, Sequence
 
+import numpy as np
+
 from repro.core.blocks import BlockBuffer
 from repro.core.exchange import ExchangeOutcome, engine_buffer
-from repro.core.programs import PATTERN_TABLE, exchange_rounds, pattern_rounds
-from repro.core.schedule import multiphase_schedule
-from repro.core.shuffle import LayoutBuffer
+from repro.core.programs import (
+    PATTERN_TABLE,
+    KeyHoldings,
+    PatternAlgorithm,
+    pattern_rounds,
+    resolve_pattern,
+)
 from repro.model.params import MachineParams
 from repro.patterns.execute import pattern_node
 from repro.sim.machine import RunResult, SimulatedHypercube
 from repro.sim.trace import PlanRecord, Trace
-from repro.util.validation import check_dimension, check_message_size, check_partition
+from repro.util.validation import check_message_size, check_partition
 
-__all__ = [
-    "SimulatedExchange",
-    "simulate_exchange",
-    "simulate_naive_exchange",
-    "simulate_planned_exchange",
-]
+__all__ = ["SimulatedExchange", "simulate", "simulate_exchange"]
 
 
 @dataclass
 class SimulatedExchange:
-    """A measured, verified complete exchange on the simulated machine."""
+    """A measured, byte-verified run of one declared row."""
 
     d: int
     m: int
+    #: the multiphase partition that ran; ``()`` for the other rounds
     partition: tuple[int, ...]
     params_name: str
-    #: virtual completion time in µs — the 'measured' value of the
+    #: virtual time of the run in µs — the 'measured' value of the
     #: paper's solid curves
     time_us: float
     trace: Trace
-    #: the event-engine run, or ``None`` for a fast-path timing (no
-    #: processes were booted, no data moved)
-    run: RunResult | None
+    run: RunResult
+    #: the row that ran (the rotation when a planner chose the naive
+    #: baseline for the complete exchange)
+    row: PatternAlgorithm
+    root: int
+    #: the starting blocks by key, or ``None`` for the exchange rows'
+    #: pattern payloads
+    blocks: np.ndarray | None
     #: the planner decision behind this run, when a planner chose the
-    #: algorithm (``None`` for directly requested partitions)
+    #: algorithm (``None`` for directly requested rows)
     decision: Any = None
-    #: the fast path's per-step :class:`~repro.sim.fastpath.ProgramTimeline`
-    #: of the exchange program (``None`` on event-engine runs and naive
-    #: fast-path timings)
-    timeline: Any = None
 
     @property
     def time_s(self) -> float:
         return self.time_us * 1e-6
 
     def verify(self, *, check_payload: bool = True) -> None:
-        """Byte-verify every node's final buffer."""
-        if self.run is None:
-            raise ValueError(
-                "fast-path timings move no data, so there is nothing to "
-                "byte-verify; rerun with fast=False for a verified exchange"
-            )
-        ExchangeOutcome(self.run.node_results).verify(check_payload=check_payload)
+        """Byte-verify every node's final holdings: the row's
+        ``semantics.ends`` keys, each the block it started as."""
+        held = self.run.node_results
+        if self.blocks is None:
+            ExchangeOutcome(held).verify(check_payload=check_payload)
+            return
+        n = 1 << self.d
+        for rank, final in enumerate(held):
+            keys = self.row.semantics.ends(rank, self.root, n)
+            if isinstance(final, BlockBuffer):
+                final = dict(zip(keys, final.result_rows()))
+            if set(final) != set(keys) or check_payload and not all(
+                np.array_equal(final[key], self.blocks[key]) for key in keys
+            ):
+                raise AssertionError(f"node {rank} ended {self.row.name} with the wrong blocks")
+
+
+def simulate(
+    pattern: str,
+    algorithm: str,
+    d: int,
+    m: int,
+    params: MachineParams,
+    *,
+    partition: Sequence[int] | None = None,
+    root: int = 0,
+    planner=None,
+    engine: str = "tags",
+    fault_plan=None,
+    machine: SimulatedHypercube | None = None,
+) -> SimulatedExchange:
+    """Run one declared row on the simulated machine, byte-verified.
+
+    ``partition`` applies to the multiphase rows (``alltoall/multiphase``
+    and ``allgather/exchange``; default ``(d,)``), ``root`` to the
+    rooted ones, ``engine`` (``"tags"`` or ``"layout"``) to the
+    complete exchange's holdings.  ``planner`` — any object with
+    ``decide(d, m)``, normally a :class:`repro.plan.CollectivePlanner`
+    — picks a multiphase row's partition instead, or the naive
+    rotation's rounds (always on the tag engine); the decision is
+    recorded in the trace and attached to the result.  Every argument,
+    ``m`` (a non-negative int) included, is checked before the planner
+    is asked or a machine boots; one that does not apply raises
+    :class:`ValueError`.
+
+    The run takes a fresh machine, degraded by ``fault_plan``
+    (:class:`repro.sim.faults.FaultPlan`) when one is given, or the
+    caller's ``machine`` (built for ``d`` and ``params``, its own
+    fault plan included), whose clock and trace carry on across runs:
+    ``time_us`` is then the time this run took.
+
+    >>> from repro.model.params import ipsc860
+    >>> simulate("scatter", "halving", 3, 16, ipsc860(), root=5).trace.n_transmissions
+    7
+    >>> from repro.plan import CollectivePlanner, ModelPolicy
+    >>> planner = CollectivePlanner(ModelPolicy(ipsc860()))
+    >>> result = simulate("alltoall", "multiphase", 3, 16, ipsc860(), planner=planner)
+    >>> result.decision.partition == result.partition
+    True
+    >>> len(result.trace.plan_decisions)
+    1
+    """
+    if planner is not None and partition is not None:
+        raise ValueError("pass either planner= or partition=, not both")
+    row, partition, root = resolve_pattern(pattern, algorithm, d, partition=partition, root=root)
+    check_message_size(m)
+    buffer = engine_buffer(engine)
+    if planner is not None and row.schedule != "multiphase":
+        raise ValueError(
+            f"planner= applies only to the multiphase rows "
+            f"(allgather/exchange, alltoall/multiphase), not {row.name}"
+        )
+    if machine is not None and (fault_plan is not None or machine.cube.dimension != d):
+        raise ValueError(f"machine= must be a d={d} machine carrying its own fault plan")
+    decision = None
+    if planner is not None:
+        decision = planner.decide(d, m)
+        partition = None if decision.algorithm == "naive" else check_partition(
+            decision.partition, d
+        )
+    if row.schedule == "multiphase" and partition is None:  # the planner chose naive
+        rotation = PATTERN_TABLE["alltoall", "rotation"]
+        rounds = pattern_rounds(rotation, d, 0)
+        row = rotation if row.pattern == "alltoall" else row
+    else:
+        rounds = pattern_rounds(row, d, root, partition=partition)
+    if rounds[0].offset:  # sends-first: a layout buffer holds one vacated run at a time
+        buffer = BlockBuffer
+    n = 1 << d
+    blocks = None
+    if row.pattern == "alltoall":
+        holdings = partial(buffer.initial, d=d, m=m)
+    else:
+        # block ``key`` is row ``key``, one per node
+        blocks = np.random.default_rng(12345).integers(0, 256, size=(n, m), dtype=np.uint8)
+        if row.schedule == "multiphase":  # allgather/exchange
+            def holdings(rank: int) -> BlockBuffer:
+                # the node's one block fills every row of its send matrix
+                return BlockBuffer.from_rows(rank, d, np.broadcast_to(blocks[rank], (n, m)))
+        else:
+            holdings = partial(KeyHoldings, row, root=root, d=d, block=blocks.__getitem__)
+    if machine is None:
+        machine = SimulatedHypercube(d, params, fault_plan=fault_plan)
+    start = machine.engine.now
+    run = machine.run(pattern_node, rounds=rounds, holdings=holdings, root=root)
+    result = SimulatedExchange(
+        d=d, m=m, partition=partition or (), params_name=params.name,
+        time_us=run.time - start, trace=run.trace, run=run,
+        row=row, root=root, blocks=blocks, decision=decision,
+    )
+    result.verify()
+    if decision is not None:
+        result.trace.record_plan(PlanRecord.from_decision(decision))
+    return result
 
 
 def simulate_exchange(
@@ -115,186 +225,16 @@ def simulate_exchange(
     params: MachineParams,
     *,
     engine: str = "tags",
-    verify: bool = True,
-    fast: bool = False,
     fault_plan=None,
 ) -> SimulatedExchange:
-    """Run one complete exchange on a fresh simulated machine.
-
-    This is the library's "measured" data point: the virtual time the
-    calibrated machine needs for the given partition and block size.
-
-    With ``fast=True`` the timing comes from the vectorized lockstep
-    engine (:mod:`repro.sim.fastpath`) instead of booting coroutine
-    processes — float-identical for these contention-free schedules,
-    orders of magnitude cheaper, but no data moves (``verify`` is
-    ignored; there are no buffers to check), so ``m`` may be
-    fractional.  The event engine moves ``m``-byte blocks: there an
-    ``m`` that is not a non-negative int raises :class:`ValueError`
-    before the machine boots, as does an unknown ``engine`` on either
-    path.
-
-    A ``fault_plan`` (:class:`repro.sim.faults.FaultPlan`) degrades the
-    machine; only the event engine understands one — the lockstep fast
-    path assumes the uniform machine, so ``fast=True`` with a non-empty
-    plan raises.
+    """The complete exchange at ``partition``: :func:`simulate` of the
+    ``alltoall/multiphase`` row.
 
     >>> from repro.model.params import ipsc860
-    >>> result = simulate_exchange(3, 16, (2, 1), ipsc860())
-    >>> result.time_us > 0
-    True
-    >>> simulate_exchange(3, 16, (2, 1), ipsc860(), fast=True).time_us == result.time_us
+    >>> simulate_exchange(3, 16, (2, 1), ipsc860()).time_us > 0
     True
     """
-    check_dimension(d, minimum=1)
-    parts = check_partition(partition if partition is not None else (d,), d)
-    buffer = _check_run(m, engine, fast, fault_plan)
-    return _exchange(d, m, parts, params, buffer, verify=verify, fast=fast, fault_plan=fault_plan)
-
-
-def _check_run(m, engine: str, fast: bool, fault_plan) -> type[BlockBuffer] | type[LayoutBuffer]:
-    """Check a run's arguments before anything is priced or booted;
-    returns the data engine's buffer class."""
-    buffer = engine_buffer(engine)
-    if fast and fault_plan is not None and not fault_plan.is_empty:
-        # the lockstep fast path models the uniform machine only;
-        # pricing a degraded machine there would ignore the plan
-        raise ValueError(
-            "fault plans require the event engine: pass fast=False "
-            "(the fast path assumes a uniform, failure-free machine)"
-        )
-    if not fast:
-        check_message_size(m)
-    return buffer
-
-
-def _exchange(d, m, parts, params, buffer, *, verify, fast, fault_plan) -> SimulatedExchange:
-    """The multiphase exchange at ``parts``: priced on the fast path,
-    or run by the one SPMD interpreter on the declared row's rounds."""
-    if fast:
-        from repro.sim.fastpath import exchange_timeline
-
-        timeline = exchange_timeline(d, m, parts, params)
-        return SimulatedExchange(
-            d=d, m=m, partition=parts, params_name=params.name,
-            time_us=timeline.total, trace=Trace(), run=None, timeline=timeline,
-        )
-    rounds = exchange_rounds(multiphase_schedule(d, parts), d)
-    return _run(d, m, parts, params, rounds, buffer, verify=verify, fault_plan=fault_plan)
-
-
-def _run(d, m, partition, params, rounds, buffer, *, verify, fault_plan) -> SimulatedExchange:
-    """``rounds`` on the one SPMD interpreter, over ``buffer`` holdings
-    of pattern payloads."""
-    run = SimulatedHypercube(d, params, fault_plan=fault_plan).run(
-        pattern_node, rounds=rounds, holdings=partial(buffer.initial, d=d, m=m)
+    return simulate(
+        "alltoall", "multiphase", d, m, params,
+        partition=partition, engine=engine, fault_plan=fault_plan,
     )
-    result = SimulatedExchange(
-        d=d, m=m, partition=partition, params_name=params.name,
-        time_us=run.time, trace=run.trace, run=run,
-    )
-    if verify:
-        result.verify()
-    return result
-
-
-def simulate_planned_exchange(
-    d: int,
-    m: int,
-    planner,
-    params: MachineParams,
-    *,
-    engine: str = "tags",
-    verify: bool = True,
-    fast: bool = False,
-    fault_plan=None,
-) -> SimulatedExchange:
-    """Run one complete exchange with the algorithm chosen by a planner.
-
-    ``planner`` is any object with ``decide(d, m) -> PlanDecision``
-    (normally :class:`repro.plan.CollectivePlanner`).  The decision —
-    standard, multiphase, single-phase, or the naive rotation baseline
-    — is recorded in the run's trace (``trace.plan_decisions``) and
-    attached to the result, so a measured time can always be traced
-    back to why that algorithm ran; the run itself is
-    :func:`simulate_exchange`'s or :func:`simulate_naive_exchange`'s.
-
-    With ``fast=True`` the decision is priced by the fast-path engine
-    instead of being replayed on the event machine: float-identical on
-    contention-free schedules, reservation-replay pricing for the
-    naive baseline, no data movement (``verify`` is ignored).  The
-    arguments (``m`` on the event engine, ``engine`` and the fault
-    plan on either path) are checked before the planner is asked.
-
-    >>> from repro.model.params import ipsc860
-    >>> from repro.plan import CollectivePlanner, ModelPolicy
-    >>> planner = CollectivePlanner(ModelPolicy(ipsc860()))
-    >>> result = simulate_planned_exchange(3, 16, planner, ipsc860())
-    >>> result.decision.partition == result.partition
-    True
-    >>> len(result.trace.plan_decisions)
-    1
-    """
-    check_dimension(d, minimum=1)
-    buffer = _check_run(m, engine, fast, fault_plan)
-    decision = planner.decide(d, m)
-    if decision.algorithm == "naive":
-        result = _naive(d, m, params, verify=verify, fast=fast, fault_plan=fault_plan)
-    else:
-        parts = check_partition(decision.partition, d)
-        result = _exchange(
-            d, m, parts, params, buffer, verify=verify, fast=fast, fault_plan=fault_plan
-        )
-    result.trace.record_plan(PlanRecord.from_decision(decision))
-    result.decision = decision
-    return result
-
-
-# ----------------------------------------------------------------------
-# negative control: a naive, contention-oblivious schedule
-# ----------------------------------------------------------------------
-def simulate_naive_exchange(
-    d: int,
-    m: int,
-    params: MachineParams,
-    *,
-    verify: bool = True,
-    fast: bool = False,
-) -> SimulatedExchange:
-    """Measure the naive rotation schedule (contended baseline).
-
-    Step ``s`` sends every node's block to ``(rank + s) mod n`` — the
-    textbook schedule for a crossbar.  Each rotation step is in fact
-    statically link-clean under e-cube, but without pairwise
-    synchronization the nearly-simultaneous send/receive traffic at
-    each node serializes (§7.2), nodes drift out of step, and circuits
-    from *different* steps start overlapping on links: circuit
-    switching does not let programmers ignore the network (§2).  The
-    run is the ``alltoall/rotation`` row on the one interpreter,
-    byte-verified.
-
-    With ``fast=True`` the contended timing comes from the fast path's
-    sends-first replay of the row's rounds
-    (:func:`repro.sim.fastpath.naive_exchange_time`) — same greedy
-    link/port serialization, no coroutines, no data
-    movement (``verify`` is ignored).  On the event engine ``m`` must
-    be a non-negative int.
-    """
-    check_dimension(d, minimum=1)
-    if not fast:
-        check_message_size(m)
-    return _naive(d, m, params, verify=verify, fast=fast, fault_plan=None)
-
-
-def _naive(d, m, params, *, verify, fast, fault_plan) -> SimulatedExchange:
-    """The naive rotation: priced by the sends-first replay, or run
-    byte-verified on the event engine."""
-    if fast:
-        from repro.sim.fastpath import naive_exchange_time
-
-        return SimulatedExchange(
-            d=d, m=m, partition=(), params_name=params.name,
-            time_us=naive_exchange_time(d, m, params), trace=Trace(), run=None,
-        )
-    rounds = pattern_rounds(PATTERN_TABLE["alltoall", "rotation"], d, 0)
-    return _run(d, m, (), params, rounds, BlockBuffer, verify=verify, fault_plan=fault_plan)

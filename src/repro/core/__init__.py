@@ -11,8 +11,6 @@ from repro.core.exchange import (
     ExchangeOutcome,
     run_exchange,
     run_exchange_on_rows,
-    run_naive_exchange_on_rows,
-    run_planned_exchange_on_rows,
 )
 from repro.core.multiphase import (
     effective_block_size,
@@ -88,8 +86,6 @@ __all__ = [
     "payload_pattern",
     "run_exchange",
     "run_exchange_on_rows",
-    "run_naive_exchange_on_rows",
-    "run_planned_exchange_on_rows",
     "schedule_stats",
     "schedule_stats_cache_info",
     "shuffle_permutation",

@@ -1,13 +1,15 @@
 """Abstract (un-timed) execution of the complete exchange.
 
-This module moves real bytes along the rounds of the exchange's one
-declaration, the ``alltoall/multiphase`` row of
-:data:`repro.core.programs.PATTERN_TABLE`, without the discrete-event
-machinery: :func:`~repro.core.programs.replay_pattern` advances all
-nodes in lockstep, one round at a time.  It is the fast path for
-correctness testing and for the application kernels when no timing is
-required, and it doubles as the reference oracle for the simulator
-(both must produce byte-identical results).
+:func:`replay` moves real bytes along the rounds of the two exchange
+rows of :data:`repro.core.programs.PATTERN_TABLE`, the paper's
+``alltoall/multiphase`` and its naive ``alltoall/rotation`` baseline,
+without the discrete-event machinery:
+:func:`~repro.core.programs.replay_pattern` advances all nodes in
+lockstep, one round at a time.  It runs on pattern payloads or on user
+rows, and is the fast path for correctness testing and for the
+application kernels when no timing is required; it doubles as the
+reference oracle for :func:`repro.comm.program.simulate` (both must
+produce byte-identical results).
 
 Two interchangeable data engines are provided:
 
@@ -33,15 +35,15 @@ from repro.core.blocks import BlockBuffer
 from repro.core.programs import (
     PATTERN_TABLE,
     PairStep,
-    Round,
+    SendStep,
     pattern_program,
     pattern_rounds,
     replay_pattern,
+    resolve_pattern,
 )
 from repro.core.shuffle import LayoutBuffer
 from repro.util.validation import (
     check_byte_rows,
-    check_dimension,
     check_message_size,
     check_partition,
 )
@@ -49,10 +51,9 @@ from repro.util.validation import (
 __all__ = [
     "ExchangeOutcome",
     "engine_buffer",
+    "replay",
     "run_exchange",
     "run_exchange_on_rows",
-    "run_naive_exchange_on_rows",
-    "run_planned_exchange_on_rows",
 ]
 
 Engine = Literal["tags", "layout"]
@@ -114,6 +115,85 @@ class ExchangeOutcome:
             return buf.payload
         return buf.result_rows()
 
+    def rows(self) -> list[np.ndarray]:
+        """Every node's :meth:`result_rows`, by node label."""
+        return [self.result_rows(node) for node in range(len(self.buffers))]
+
+
+def replay(
+    algorithm: str,
+    d: int | None = None,
+    m: int | None = None,
+    *,
+    rows: Sequence[np.ndarray] | np.ndarray | None = None,
+    partition: Sequence[int] | None = None,
+    planner=None,
+    engine: Engine = "tags",
+) -> ExchangeOutcome:
+    """Run one exchange row in lockstep and byte-verify it.
+
+    ``algorithm`` is ``"multiphase"`` or ``"rotation"``, the two
+    ``alltoall`` rows.  The blocks are pattern payloads of ``m`` bytes
+    (a non-negative int) on a ``d``-cube, or the user's ``rows``:
+    ``rows[x]`` is node ``x``'s ``(n, m)`` uint8 array, row ``j`` bound
+    for node ``j`` (one node, ``d = 0``, keeps its row).
+    ``partition`` (default ``(d,)``) applies to the multiphase row and
+    ``engine`` (``"tags"`` or ``"layout"``) to its buffers;
+    ``planner``, any object with ``decide(d, m)``, picks the multiphase
+    row's partition instead, or the rotation.  The rotation runs on the
+    tag engine.  Arguments are checked as
+    :func:`repro.comm.program.simulate` checks them, before the planner
+    is asked.
+
+    >>> outcome = replay("multiphase", 3, 8, partition=(2, 1))
+    >>> outcome.n_exchange_steps, outcome.bytes_sent_per_node
+    (4, 80)
+    >>> replay("rotation", rows=np.arange(8, dtype=np.uint8).reshape(2, 2, 2)).rows()[1].tolist()
+    [[2, 3], [6, 7]]
+    """
+    buffer = engine_buffer(engine)
+    if rows is not None:
+        if d is not None or m is not None:
+            raise ValueError("pass either d and m or rows=, not both")
+        rows, d = _normalize_rows(rows)
+        m = rows[0].shape[1]
+        if d == 0:
+            return ExchangeOutcome([buffer.from_rows(0, 0, rows[0])])
+    if planner is not None and partition is not None:
+        raise ValueError("pass either planner= or partition=, not both")
+    row, partition, _ = resolve_pattern("alltoall", algorithm, d, partition=partition)
+    if rows is None:
+        check_message_size(m)
+    if planner is not None:
+        if row.schedule != "multiphase":
+            raise ValueError(
+                f"planner= applies only to the multiphase rows "
+                f"(allgather/exchange, alltoall/multiphase), not {row.name}"
+            )
+        decision = planner.decide(d, m)
+        if decision.algorithm == "naive":
+            row, partition = PATTERN_TABLE["alltoall", "rotation"], None
+        else:
+            partition = check_partition(decision.partition, d)
+    if row.schedule == "rotation":
+        buffer = BlockBuffer
+    buffers = (
+        [buffer.initial(x, d, m) for x in range(1 << d)] if rows is None
+        else [buffer.from_rows(x, d, r) for x, r in enumerate(rows)]
+    )
+    rounds = pattern_rounds(row, d, 0, partition=partition)
+    replay_pattern(rounds, buffers)
+    chain = pattern_program("alltoall", row.algorithm, d, partition=partition).steps
+    outcome = ExchangeOutcome(
+        buffers=buffers,
+        n_exchange_steps=len(rounds),
+        bytes_sent_per_node=buffers[0].m * sum(
+            step.bytes_per_m for step in chain if isinstance(step, (PairStep, SendStep))
+        ),
+    )
+    outcome.verify(check_payload=rows is None)
+    return outcome
+
 
 def run_exchange(
     d: int,
@@ -122,33 +202,14 @@ def run_exchange(
     *,
     engine: Engine = "tags",
 ) -> ExchangeOutcome:
-    """Execute a complete exchange with pattern payloads and verify it.
+    """The multiphase exchange on pattern payloads (:func:`replay`);
+    ``partition`` defaults to ``(d,)``, the single-phase Optimal
+    Circuit-Switched algorithm.
 
-    Parameters
-    ----------
-    d:
-        Cube dimension (``2**d`` nodes).
-    m:
-        Block size in bytes, a non-negative int.
-    partition:
-        Multiphase partition; defaults to ``(d,)`` (the single-phase
-        Optimal Circuit-Switched algorithm).
-    engine:
-        ``"tags"`` (rule-based oracle) or ``"layout"`` (contiguous
-        superblock engine with explicit shuffles).
-
-    >>> outcome = run_exchange(3, 8, (2, 1))
-    >>> outcome.verify()
-    >>> outcome.n_exchange_steps
+    >>> run_exchange(3, 8, (2, 1)).n_exchange_steps
     4
     """
-    check_dimension(d, minimum=1)
-    check_message_size(m)
-    parts = check_partition(partition if partition is not None else (d,), d)
-    buffer = engine_buffer(engine)
-    outcome = _replay([buffer.initial(node, d, m) for node in range(1 << d)], d, parts)
-    outcome.verify()
-    return outcome
+    return replay("multiphase", d, m, partition=partition, engine=engine)
 
 
 def run_exchange_on_rows(
@@ -164,43 +225,7 @@ def run_exchange_on_rows(
     equal to ``send_rows[j][x]`` — the defining equation of the complete
     exchange (and of the block matrix transpose, Figure 2).
     """
-    buffer = engine_buffer(engine)
-    rows, d = _normalize_rows(send_rows)
-    if d == 0:
-        return [rows[0].copy()]
-    return _rows_exchange(rows, d, _multiphase_rounds(d, partition), buffer)
-
-
-def _multiphase_rounds(d: int, partition: Sequence[int] | None) -> tuple[Round, ...]:
-    parts = check_partition(partition if partition is not None else (d,), d)
-    return pattern_rounds(PATTERN_TABLE["alltoall", "multiphase"], d, 0, partition=parts)
-
-
-def _rows_exchange(
-    rows: list[np.ndarray],
-    d: int,
-    rounds: Sequence[Round],
-    buffer: type[BlockBuffer] | type[LayoutBuffer],
-) -> list[np.ndarray]:
-    """Exchange already-normalized rows (``d >= 1``) along ``rounds``."""
-    outcome = ExchangeOutcome([buffer.from_rows(x, d, row) for x, row in enumerate(rows)])
-    replay_pattern(rounds, outcome.buffers)
-    outcome.verify(check_payload=False)
-    return [outcome.result_rows(x) for x in range(len(rows))]
-
-
-def _replay(buffers: list, d: int, parts: tuple[int, ...]) -> ExchangeOutcome:
-    """Run the declared exchange's rounds over ``buffers``."""
-    rounds = _multiphase_rounds(d, parts)
-    replay_pattern(rounds, buffers)
-    chain = pattern_program("alltoall", "multiphase", d, partition=parts).steps
-    return ExchangeOutcome(
-        buffers=buffers,
-        n_exchange_steps=len(rounds),
-        bytes_sent_per_node=buffers[0].m * sum(
-            step.bytes_per_m for step in chain if isinstance(step, PairStep)
-        ),
-    )
+    return replay("multiphase", rows=send_rows, partition=partition, engine=engine).rows()
 
 
 def _normalize_rows(send_rows: Sequence[np.ndarray] | np.ndarray) -> tuple[list[np.ndarray], int]:
@@ -216,49 +241,3 @@ def _normalize_rows(send_rows: Sequence[np.ndarray] | np.ndarray) -> tuple[list[
         if r.shape[1] != rows[0].shape[1]:
             raise ValueError("all nodes must use the same block size")
     return rows, d
-
-
-def run_naive_exchange_on_rows(
-    send_rows: Sequence[np.ndarray] | np.ndarray,
-) -> list[np.ndarray]:
-    """Complete exchange of user data along the naive rotation schedule.
-
-    Step ``s`` moves node ``x``'s block for ``(x + s) mod n`` — the
-    textbook crossbar order of the ``alltoall/rotation`` row, replayed
-    in lockstep on real bytes.  Data-wise the result equals
-    :func:`run_exchange_on_rows` (any correct exchange must agree); the
-    schedule only differs in *time* on the simulated machine, which is
-    the point of keeping it as a baseline policy target.
-    """
-    rows, d = _normalize_rows(send_rows)
-    if d == 0:
-        return [rows[0].copy()]
-    return _rows_exchange(rows, d, _rotation_rounds(d), BlockBuffer)
-
-
-def _rotation_rounds(d: int) -> tuple[Round, ...]:
-    return pattern_rounds(PATTERN_TABLE["alltoall", "rotation"], d, 0)
-
-
-def run_planned_exchange_on_rows(
-    send_rows: Sequence[np.ndarray] | np.ndarray,
-    planner,
-    *,
-    engine: Engine = "tags",
-) -> list[np.ndarray]:
-    """Complete exchange of user data, algorithm chosen by a planner.
-
-    ``planner`` is any object with a ``decide(d, m) -> PlanDecision``
-    method (normally :class:`repro.plan.CollectivePlanner`); the
-    decision selects the naive rotation baseline or a multiphase
-    partition per ``(d, m)`` at call time.  This is the data-layer
-    entry point the apps route through.
-    """
-    buffer = engine_buffer(engine)
-    rows, d = _normalize_rows(send_rows)
-    if d == 0:
-        return [rows[0].copy()]
-    decision = planner.decide(d, rows[0].shape[1])
-    if decision.algorithm == "naive":
-        return _rows_exchange(rows, d, _rotation_rounds(d), BlockBuffer)
-    return _rows_exchange(rows, d, _multiphase_rounds(d, decision.partition), buffer)

@@ -15,7 +15,8 @@ that row: the priced chain :func:`pattern_program` returns (which
 :func:`repro.sim.fastpath.compile_program` prices in one numpy pass),
 the static certificate of :func:`repro.check.schedule.verify_pattern`,
 the data-level :func:`broadcast` / :func:`scatter` / :func:`allgather`,
-and :func:`simulate_pattern`, one SPMD interpreter on the event engine.
+and :func:`repro.comm.program.simulate`, which runs every row on one
+SPMD interpreter on the event engine.
 The planner scores candidates on the fast path and the event engine
 only runs as a spot-check.
 """
@@ -23,7 +24,6 @@ only runs as a spot-check.
 from repro.core.programs import pattern_program
 from repro.patterns.allgather import allgather, allgather_time
 from repro.patterns.broadcast import broadcast, broadcast_time
-from repro.patterns.execute import simulate_pattern
 from repro.patterns.scatter import scatter, scatter_direct_time, scatter_time
 
 __all__ = [
@@ -35,5 +35,4 @@ __all__ = [
     "scatter",
     "scatter_direct_time",
     "scatter_time",
-    "simulate_pattern",
 ]

@@ -18,7 +18,7 @@ hints simpler patterns can exploit.
 
 The doubling schedule and its exchange-backed rival are declared once,
 in :data:`repro.core.programs.PATTERN_TABLE`; run either on the
-simulated machine with :func:`repro.patterns.simulate_pattern`.
+simulated machine with :func:`repro.comm.program.simulate`.
 """
 
 from __future__ import annotations

@@ -13,7 +13,7 @@ the complete-exchange bound, as §3's upper-bound argument requires
 
 The schedule itself is declared once, in
 :data:`repro.core.programs.PATTERN_TABLE`; run it on the simulated
-machine with :func:`repro.patterns.simulate_pattern`.
+machine with :func:`repro.comm.program.simulate`.
 """
 
 from __future__ import annotations

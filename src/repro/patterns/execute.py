@@ -8,14 +8,11 @@ This module runs a row two ways:
   :func:`~repro.patterns.scatter.scatter` and
   :func:`~repro.patterns.allgather.allgather` are thin wrappers over it;
 * :func:`pattern_node` is the one SPMD interpreter of every row on
-  :class:`~repro.sim.machine.SimulatedHypercube`: the §9 rows and the
-  naive rotation through :func:`simulate_pattern`, which byte-verifies
-  every node's final blocks, and the complete exchange through
-  :func:`repro.comm.program.simulate_exchange` (the rotation through
-  ``simulate_naive_exchange``), the chaos workloads and
-  :meth:`repro.comm.communicator.Communicator.Alltoall` on user rows.
-  The multiphase rows of :func:`simulate_pattern` (the complete
-  exchange and the exchange-backed allgather) go through ``Alltoall``.
+  :class:`~repro.sim.machine.SimulatedHypercube`: every row runs on it
+  through :func:`repro.comm.program.simulate`, which byte-verifies
+  every node's final blocks (the chaos workloads included), and
+  :meth:`repro.comm.communicator.Communicator.Alltoall` runs the
+  exchange rows on user rows.
 
 The interpreter walks the rounds :func:`repro.check.schedule.verify_pattern`
 certifies and :func:`repro.core.programs.pattern_program` prices, with
@@ -25,7 +22,6 @@ the holdings protocol of the lockstep
 
 from __future__ import annotations
 
-from functools import partial
 from itertools import groupby
 from operator import attrgetter
 from typing import Any, Callable, Generator, Mapping, Sequence
@@ -36,18 +32,14 @@ from repro.core.blocks import BlockSet
 from repro.core.programs import (
     PATTERN_TABLE,
     KeyHoldings,
-    PatternAlgorithm,
     Round,
     pattern_rounds,
     replay_pattern,
-    resolve_pattern,
 )
-from repro.model.params import MachineParams
-from repro.sim.machine import RunResult, SimulatedHypercube
 from repro.sim.node import NodeContext
-from repro.util.validation import check_dimension, check_message_size, check_node
+from repro.util.validation import check_dimension, check_node
 
-__all__ = ["deliver", "pattern_node", "simulate_pattern"]
+__all__ = ["deliver", "pattern_node"]
 
 
 def deliver(
@@ -138,101 +130,3 @@ def pattern_node(
             held.shuffle(rnd.times)
             yield ctx.shuffle(held.m * ctx.n)
     return held
-
-
-def _exchange_node(
-    ctx: NodeContext, *, row: PatternAlgorithm, blocks: np.ndarray, partition, planner
-) -> Generator:
-    """A multiphase row through the complete exchange: the node's
-    starting blocks fill its send matrix (an allgather block goes to
-    every node), and the row received from origin ``o`` is the node's
-    ``o``-th ending block."""
-    from repro.comm.communicator import Communicator
-
-    semantics = row.semantics
-    sent = blocks[list(semantics.starts(ctx.rank, 0, ctx.n))]
-    gathered = yield from Communicator(ctx).Alltoall(
-        np.broadcast_to(sent, (ctx.n, blocks.shape[1])),
-        partition=partition, planner=planner,
-    )
-    return dict(zip(semantics.ends(ctx.rank, 0, ctx.n), gathered))
-
-
-def simulate_pattern(
-    pattern: str,
-    algorithm: str,
-    d: int,
-    m: int,
-    params: MachineParams,
-    *,
-    root: int = 0,
-    partition: Sequence[int] | None = None,
-    planner=None,
-) -> tuple[float, RunResult]:
-    """Measure one declared algorithm on the simulated machine,
-    byte-verified.
-
-    ``algorithm`` is a declared algorithm of ``pattern`` or ``"auto"``
-    (model-selected via :func:`repro.plan.plan_pattern` for the §9
-    patterns).  ``root`` applies to broadcast and scatter,
-    ``partition`` to the multiphase rows (allgather's ``exchange`` and
-    ``alltoall/multiphase``), ``planner`` only to allgather's ``exchange`` and
-    ``auto``: there a :class:`repro.plan.CollectivePlanner` picks the
-    exchange partition.  An argument that does not apply raises
-    :class:`ValueError`, as does an ``m`` that is not a non-negative
-    int.  Returns ``(virtual_time_us, run_result)``.
-
-    >>> from repro.model.params import ipsc860
-    >>> _, run = simulate_pattern("scatter", "halving", 3, 16, ipsc860(), root=5)
-    >>> run.trace.n_transmissions
-    7
-    """
-    check_message_size(m)
-    if planner is not None:
-        if pattern != "allgather" or algorithm not in ("exchange", "auto"):
-            raise ValueError(
-                f"planner= applies only to allgather's exchange and auto "
-                f"algorithms, not {pattern}/{algorithm}"
-            )
-        if partition is not None:
-            raise ValueError("pass either planner= or partition=, not both")
-    if algorithm == "auto":
-        if partition is not None:
-            raise ValueError(
-                "algorithm='auto' picks the partition; pass partition= "
-                "only with algorithm='exchange'"
-            )
-        from repro.plan.patterns import plan_pattern
-
-        decision = plan_pattern(pattern, float(m), d, params, planner=planner)
-        algorithm = decision.algorithm
-        if planner is None:
-            partition = decision.partition
-    row, partition, root = resolve_pattern(
-        pattern, algorithm, d, partition=partition, root=root
-    )
-    n = 1 << d
-    # block ``key`` is row ``key``: n of them, or n·n for the exchange
-    n_keys = max(n, 1 + max(max(row.semantics.ends(x, root, n)) for x in range(n)))
-    blocks = np.random.default_rng(12345).integers(
-        0, 256, size=(n_keys, int(m)), dtype=np.uint8
-    )
-    machine = SimulatedHypercube(d, params)
-    if row.schedule == "multiphase":
-        # the Alltoall selection inputs are mutually exclusive
-        run = machine.run(
-            _exchange_node, row=row, blocks=blocks,
-            partition=None if planner is not None else partition, planner=planner,
-        )
-    else:
-        run = machine.run(
-            pattern_node, rounds=pattern_rounds(row, d, root), root=root,
-            holdings=partial(KeyHoldings, row, root=root, d=d, block=blocks.__getitem__),
-        )
-    for rank, held in enumerate(run.node_results):
-        keys = row.semantics.ends(rank, root, n)
-        if set(held) != set(keys) or not all(
-            np.array_equal(held[key], blocks[key]) for key in keys
-        ):
-            raise AssertionError(f"node {rank} ended {row.name} with the wrong blocks")
-    return run.time, run

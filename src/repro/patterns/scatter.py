@@ -20,7 +20,7 @@ in the spirit of the paper's pair:
 
 Both schedules are declared once, in
 :data:`repro.core.programs.PATTERN_TABLE`; run them on the simulated
-machine with :func:`repro.patterns.simulate_pattern`.
+machine with :func:`repro.comm.program.simulate`.
 """
 
 from __future__ import annotations

@@ -33,7 +33,7 @@ event engine to **float equality** (``==``, not approx).
   program, the ``alltoall/multiphase`` row of
   :data:`repro.core.programs.PATTERN_TABLE`, compiled once per
   ``(d, partition)`` by :func:`compile_schedule`, and agree with
-  :func:`repro.comm.program.simulate_exchange` to float equality.
+  :func:`repro.comm.program.simulate` to float equality.
 * :func:`naive_exchange_time` / :func:`naive_timeline` — the
   *contended* ``alltoall/rotation`` row, priced by the one sends-first
   replay of its rounds on :class:`repro.sim.network.Network`'s
@@ -338,9 +338,9 @@ def program_time(program: CommProgram, m: float, params: MachineParams) -> float
 
     >>> from repro.core.programs import pattern_program
     >>> from repro.model.params import ipsc860
-    >>> from repro.patterns import simulate_pattern
+    >>> from repro.comm.program import simulate
     >>> fast = program_time(pattern_program("broadcast", "binomial", 4), 24, ipsc860())
-    >>> fast == simulate_pattern("broadcast", "binomial", 4, 24, ipsc860())[0]
+    >>> fast == simulate("broadcast", "binomial", 4, 24, ipsc860()).time_us
     True
     """
     return float(program_times(program, [m], params)[0])
@@ -388,7 +388,7 @@ def compile_schedule(d: int, partition: Sequence[int] | None = None) -> Compiled
     The result is the :class:`CompiledProgram` of the declared
     exchange, ``pattern_program("alltoall", "multiphase", d,
     partition=partition)``; ``partition=None`` selects the single-phase
-    ``(d,)`` schedule, like :func:`repro.comm.program.simulate_exchange`
+    ``(d,)`` schedule, like :func:`repro.comm.program.simulate`
     does.
 
     >>> from repro.core.programs import pattern_program
@@ -422,9 +422,9 @@ def exchange_time(
     Equals the event engine's measured virtual time exactly:
 
     >>> from repro.model.params import ipsc860
-    >>> from repro.comm.program import simulate_exchange
+    >>> from repro.comm.program import simulate
     >>> fast = exchange_time(4, 24, (2, 2), ipsc860())
-    >>> fast == simulate_exchange(4, 24, (2, 2), ipsc860()).time_us
+    >>> fast == simulate("alltoall", "multiphase", 4, 24, ipsc860(), partition=(2, 2)).time_us
     True
     """
     return float(exchange_times(d, [m], partition, params)[0])
@@ -592,10 +592,16 @@ def naive_exchange_time(d: int, m: float, params: MachineParams) -> float:
     """Contention-priced time of the naive rotation baseline: the
     ``alltoall/rotation`` row's :func:`program_time`.
 
-    Matches :func:`repro.comm.program.simulate_naive_exchange` exactly
-    (asserted by the agreement tests; documented tolerance 1e-12
-    relative), at a fraction of the cost: the replay prices the edge
-    and port serialization without running coroutines or moving bytes.
+    Matches the event engine's run of the row exactly (asserted by the
+    agreement tests; documented tolerance 1e-12 relative), at a
+    fraction of the cost: the replay prices the edge and port
+    serialization without running coroutines or moving bytes.
+
+    >>> from repro.comm.program import simulate
+    >>> from repro.model.params import ipsc860
+    >>> event = simulate("alltoall", "rotation", 4, 16, ipsc860())
+    >>> naive_exchange_time(4, 16, ipsc860()) == event.time_us
+    True
     """
     return _sends_first_replay(_rotation(d), m, params, collect=False)[0]
 

@@ -25,6 +25,7 @@ from repro.analysis.chaos import (
 from repro.analysis.validation import rel_drift, validate_policy
 from repro.hypercube.topology import Link
 from repro.plan import AdaptivePolicy, FixedPolicy
+from repro.sim.fastpath import naive_exchange_time
 from repro.sim.faults import FaultPlan, LinkDegradation, Straggler
 
 
@@ -102,12 +103,16 @@ class TestValidationOnDegradedRuns:
         with pytest.raises(ValueError, match="engine='event'"):
             validate_policy(params=ipsc, engine="fast", fault_plan=self._plan())
 
-    def test_fault_plan_requires_empty_pattern_grid(self, ipsc):
-        with pytest.raises(ValueError, match="pattern_configs"):
-            validate_policy(
-                params=ipsc, engine="event", fault_plan=self._plan(),
-                pattern_configs=((3, 16.0),),
-            )
+    def test_fault_plan_reaches_the_pattern_grid(self, ipsc):
+        """Pattern replays take the degraded machine too."""
+        kwargs = dict(
+            params=ipsc, apps=[], engine="event", pattern_configs=((3, 16.0),), traffic_configs=(),
+        )
+        clean = validate_policy(**kwargs)
+        degraded = validate_policy(fault_plan=self._plan(), **kwargs)
+        assert len(degraded.rows) == len(clean.rows) == 3
+        for before, after in zip(clean.rows, degraded.rows):
+            assert after.simulated_us > before.simulated_us
 
     def test_empty_plan_is_the_clean_path(self, ipsc):
         """An empty FaultPlan must change nothing — bit-identical rows
@@ -126,11 +131,18 @@ class TestValidationOnDegradedRuns:
 
 
 class TestRunDegradedWorkload:
-    def test_naive_policy_rejected(self, ipsc):
-        with pytest.raises(ValueError, match="naive"):
-            run_degraded_workload(
-                3, 8, FixedPolicy(naive=True), ipsc, n_steps=1
-            )
+    def test_naive_policy_runs_the_rotation(self, ipsc):
+        result = run_degraded_workload(3, 8, FixedPolicy(naive=True), ipsc, n_steps=2)
+        assert result.partitions == [(), ()]
+        assert result.step_times_us[0] == naive_exchange_time(3, 8, ipsc)
+
+    @pytest.mark.parametrize("m", [2.5, 7.9, True, -1])
+    def test_a_block_size_that_is_not_an_int_is_refused(self, ipsc, m):
+        """A fractional m is refused, not truncated to the int below."""
+        with pytest.raises(ValueError, match=f"m={m!r}"):
+            run_degraded_workload(3, m, FixedPolicy(params=ipsc), ipsc, n_steps=1)
+        with pytest.raises(ValueError, match=f"m={m!r}"):
+            chaos_sweep(3, m)
 
     def test_step_count_validated(self, ipsc):
         with pytest.raises(ValueError, match="n_steps"):

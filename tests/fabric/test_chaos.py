@@ -11,6 +11,7 @@ heartbeat window, and ``repro cluster status`` reflects it.
 from __future__ import annotations
 
 import json
+import os
 import signal
 import socket
 import subprocess
@@ -38,7 +39,7 @@ def _free_port() -> int:
 def _spawn(args: list[str]) -> subprocess.Popen:
     return subprocess.Popen(
         [sys.executable, "-m", "repro.cli", *args],
-        env={"PYTHONPATH": SRC, "PATH": "/usr/bin:/bin"},
+        env={**os.environ, "PYTHONPATH": SRC},
         stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
     )
 
@@ -46,7 +47,7 @@ def _spawn(args: list[str]) -> subprocess.Popen:
 def _cli_status(coordinator: str) -> dict:
     out = subprocess.run(
         [sys.executable, "-m", "repro.cli", "cluster", "status", coordinator, "--json"],
-        env={"PYTHONPATH": SRC, "PATH": "/usr/bin:/bin"},
+        env={**os.environ, "PYTHONPATH": SRC},
         capture_output=True, text=True, timeout=10,
     )
     assert out.returncode == 0, out.stderr

@@ -7,7 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.patterns import allgather, allgather_time, simulate_pattern
+from repro.comm.program import simulate
+from repro.patterns import allgather, allgather_time
 
 
 class TestDataLevel:
@@ -51,11 +52,11 @@ class TestModel:
 class TestSimulated:
     @pytest.mark.parametrize("d,m", [(1, 8), (3, 16), (5, 40), (6, 24)])
     def test_time_matches_model(self, d, m, ipsc):
-        t, _ = simulate_pattern("allgather", "doubling", d, m, ipsc)
+        t = simulate("allgather", "doubling", d, m, ipsc).time_us
         assert t == pytest.approx(allgather_time(m, d, ipsc))
 
     def test_no_contention(self, ipsc):
-        _, run = simulate_pattern("allgather", "doubling", 5, 32, ipsc)
+        run = simulate("allgather", "doubling", 5, 32, ipsc).run
         assert run.trace.total_contention_wait == 0.0
 
     @settings(deadline=None, max_examples=6)
@@ -63,4 +64,4 @@ class TestSimulated:
     def test_random_sizes_verified(self, d, m):
         from repro.model.params import ipsc860
 
-        simulate_pattern("allgather", "doubling", d, m, ipsc860())  # verifies internally
+        simulate("allgather", "doubling", d, m, ipsc860())  # verifies internally

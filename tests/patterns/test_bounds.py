@@ -16,13 +16,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.comm.program import simulate
 from repro.model.optimizer import best_partition
 from repro.patterns import (
     allgather_time,
     broadcast_time,
     scatter_direct_time,
     scatter_time,
-    simulate_pattern,
 )
 
 
@@ -49,6 +49,6 @@ class TestSimulatedBounds:
         from repro.comm.program import simulate_exchange
 
         bound = simulate_exchange(d, m, best_partition(m, d, ipsc).partition, ipsc).time_us
-        assert simulate_pattern("broadcast", "binomial", d, m, ipsc)[0] <= bound
-        assert simulate_pattern("scatter", "halving", d, m, ipsc)[0] <= bound
-        assert simulate_pattern("allgather", "doubling", d, m, ipsc)[0] <= bound
+        assert simulate("broadcast", "binomial", d, m, ipsc).time_us <= bound
+        assert simulate("scatter", "halving", d, m, ipsc).time_us <= bound
+        assert simulate("allgather", "doubling", d, m, ipsc).time_us <= bound

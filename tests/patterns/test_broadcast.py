@@ -7,7 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.patterns import broadcast, broadcast_time, simulate_pattern
+from repro.comm.program import simulate
+from repro.patterns import broadcast, broadcast_time
 
 
 class TestDataLevel:
@@ -52,7 +53,7 @@ class TestModel:
 class TestSimulated:
     @pytest.mark.parametrize("d,m", [(1, 8), (3, 16), (5, 40)])
     def test_time_matches_model(self, d, m, ipsc):
-        t, _ = simulate_pattern("broadcast", "binomial", d, m, ipsc)
+        t = simulate("broadcast", "binomial", d, m, ipsc).time_us
         assert t == pytest.approx(broadcast_time(m, d, ipsc))
 
     @settings(deadline=None, max_examples=10)
@@ -61,11 +62,12 @@ class TestSimulated:
         from repro.model.params import ipsc860
 
         root = data.draw(st.integers(min_value=0, max_value=(1 << d) - 1))
-        t, run = simulate_pattern("broadcast", "binomial", d, 16, ipsc860(), root=root)
+        result = simulate("broadcast", "binomial", d, 16, ipsc860(), root=root)
+        t, run = result.time_us, result.run
         assert t == pytest.approx(broadcast_time(16, d, ipsc860()))
 
     def test_no_contention(self, ipsc):
-        _, run = simulate_pattern("broadcast", "binomial", 5, 64, ipsc)
+        run = simulate("broadcast", "binomial", 5, 64, ipsc).run
         # the binomial tree is contention-free even with port
         # serialization: each node sends/receives sequentially anyway
         assert run.trace.total_contention_wait == 0.0

@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 from repro.core.programs import PATTERN_TABLE
-from repro.patterns import allgather, broadcast, scatter, simulate_pattern
+from repro.comm.program import simulate
+from repro.patterns import allgather, broadcast, scatter
 from repro.plan import CollectivePlanner, ModelPolicy
 from repro.util.bitops import popcount
 from tests.core.test_program_memo import BAD_ARGUMENTS
@@ -36,19 +37,19 @@ class TestZeroByteMessages:
 
     @pytest.mark.parametrize("pattern, algorithm", VARIANTS)
     def test_empty_blocks_still_pay_startups(self, ipsc, pattern, algorithm):
-        t, _ = simulate_pattern(pattern, algorithm, 3, 0, ipsc)
+        t = simulate(pattern, algorithm, 3, 0, ipsc).time_us
         assert t > 0
 
 
 class TestTraceShape:
     def test_broadcast_message_count(self, ipsc):
         """A binomial broadcast uses exactly n - 1 messages."""
-        _, run = simulate_pattern("broadcast", "binomial", 4, 8, ipsc)
+        run = simulate("broadcast", "binomial", 4, 8, ipsc).run
         assert run.trace.n_transmissions == 15
 
     def test_scatter_message_count(self, ipsc):
         """Recursive halving also uses exactly n - 1 messages."""
-        _, run = simulate_pattern("scatter", "halving", 4, 8, ipsc)
+        run = simulate("scatter", "halving", 4, 8, ipsc).run
         assert run.trace.n_transmissions == 15
 
     @pytest.mark.parametrize("pattern", ["broadcast", "scatter"])
@@ -56,7 +57,7 @@ class TestTraceShape:
         """n - 1 transmissions, every one from the root carrying m bytes,
         in ascending destination order."""
         m, root = 8, 5
-        _, run = simulate_pattern(pattern, "direct", 3, m, ipsc, root=root)
+        run = simulate(pattern, "direct", 3, m, ipsc, root=root).run
         records = run.trace.transmissions
         assert len(records) == 7
         assert {(r.src, r.nbytes) for r in records} == {(root, m)}
@@ -65,13 +66,13 @@ class TestTraceShape:
     def test_allgather_exchange_count(self, ipsc):
         """d synchronized exchanges per node: d * n trace records
         (each exchange logs both directions)."""
-        _, run = simulate_pattern("allgather", "doubling", 4, 8, ipsc)
+        run = simulate("allgather", "doubling", 4, 8, ipsc).run
         assert run.trace.n_transmissions == 4 * 16
 
     def test_allgather_volume_doubling(self, ipsc):
         """Per-step payloads follow m, 2m, 4m, ... per node."""
         m = 8
-        _, run = simulate_pattern("allgather", "doubling", 3, m, ipsc)
+        run = simulate("allgather", "doubling", 3, m, ipsc).run
         sizes = sorted({t.nbytes for t in run.trace.transmissions})
         assert sizes == [m, 2 * m, 4 * m]
 
@@ -82,8 +83,9 @@ class TestTraceShape:
         unchanged."""
         d, m = 3, 8
         root = 6 if PATTERN_TABLE[(pattern, algorithm)].semantics.rooted else 0
-        _, base = simulate_pattern(pattern, algorithm, d, m, ipsc)
-        t, run = simulate_pattern(pattern, algorithm, d, m, ipsc, root=root)
+        base = simulate(pattern, algorithm, d, m, ipsc).run
+        result = simulate(pattern, algorithm, d, m, ipsc, root=root)
+        t, run = result.time_us, result.run
 
         def shape(records, relabel):
             return sorted(
@@ -98,35 +100,28 @@ class TestTraceShape:
 
 
 class TestArgumentChecks:
-    @pytest.mark.parametrize("pattern, algorithm", [
-        ("broadcast", "binomial"), ("scatter", "halving"), ("allgather", "doubling"),
-    ])
-    @pytest.mark.parametrize("m", [-3, -1, 2.0, 1.5, True, "8", None])
-    def test_m_must_be_a_non_negative_int(self, ipsc, pattern, algorithm, m):
-        with pytest.raises(ValueError, match="m="):
-            simulate_pattern(pattern, algorithm, 3, m, ipsc)
-
     def test_numpy_integer_m_is_accepted(self, ipsc):
-        t, _ = simulate_pattern("broadcast", "binomial", 3, np.int64(4), ipsc)
-        assert t == simulate_pattern("broadcast", "binomial", 3, 4, ipsc)[0]
+        t = simulate("broadcast", "binomial", 3, np.int64(4), ipsc).time_us
+        assert t == simulate("broadcast", "binomial", 3, 4, ipsc).time_us
 
     @pytest.mark.parametrize("args, kwargs, error, match", BAD_ARGUMENTS + [
         (("allgather", "doubling", 3), {"planner": "p"}, ValueError, "planner"),
-        (("broadcast", "auto", 3), {"planner": "p"}, ValueError, "planner"),
+        (("broadcast", "auto", 3), {"planner": "p"}, ValueError, "no program"),
         (("scatter", "direct", 3), {"planner": "p"}, ValueError, "planner"),
         (("allgather", "exchange", 3), {"planner": "p", "partition": (3,)},
          ValueError, "planner"),
-        (("allgather", "auto", 3), {"partition": (2, 1)}, ValueError, "partition"),
+        (("allgather", "auto", 3), {"partition": (2, 1)}, ValueError, "no program"),
     ])
     def test_arguments_are_checked_like_pattern_program(
         self, ipsc, args, kwargs, error, match
     ):
         pattern, algorithm, d = args
         with pytest.raises(error, match=match):
-            simulate_pattern(pattern, algorithm, d, 16, ipsc, **kwargs)
+            simulate(pattern, algorithm, d, 16, ipsc, **kwargs)
 
     def test_planner_runs_the_exchange_it_decides(self, ipsc):
         planner = CollectivePlanner(ModelPolicy(ipsc))
-        _, run = simulate_pattern("allgather", "auto", 3, 16, ipsc, planner=planner)
-        assert planner.stats.decisions >= 1
-        assert run.time > 0
+        result = simulate("allgather", "exchange", 3, 16, ipsc, planner=planner)
+        assert planner.stats.decisions == 1
+        assert result.partition == result.decision.partition
+        assert result.run.time > 0

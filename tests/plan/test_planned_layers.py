@@ -20,12 +20,9 @@ from repro.apps import (
     distributed_transpose,
     run_adi,
 )
-from repro.comm import Communicator, simulate_exchange, simulate_planned_exchange
-from repro.core.exchange import (
-    run_exchange_on_rows,
-    run_naive_exchange_on_rows,
-    run_planned_exchange_on_rows,
-)
+from repro.comm import Communicator, simulate_exchange
+from repro.comm.program import simulate
+from repro.core.exchange import replay, run_exchange_on_rows
 from repro.model.cost import multiphase_time
 from repro.plan import CollectivePlanner, FixedPolicy, ModelPolicy, ServicePolicy, plan_pattern
 from repro.sim.fastpath import exchange_time
@@ -49,21 +46,21 @@ def _policies(ipsc):
 class TestNaiveRowsExchange:
     def test_matches_multiphase_result(self):
         rows = _random_rows(3, 5)
-        naive = run_naive_exchange_on_rows(rows)
+        naive = replay("rotation", rows=rows).rows()
         multiphase = run_exchange_on_rows(rows, (2, 1))
         for a, b in zip(naive, multiphase):
             assert np.array_equal(a, b)
 
     def test_defining_equation(self):
         rows = _random_rows(2, 4, seed=7)
-        out = run_naive_exchange_on_rows(rows)
+        out = replay("rotation", rows=rows).rows()
         for x in range(4):
             for j in range(4):
                 assert np.array_equal(out[x][j], rows[j][x])
 
     def test_single_node(self):
         rows = [np.arange(6, dtype=np.uint8).reshape(1, 6)]
-        out = run_naive_exchange_on_rows(rows)
+        out = replay("rotation", rows=rows).rows()
         assert np.array_equal(out[0], rows[0])
 
 
@@ -71,7 +68,7 @@ class TestPlannedRowsExchange:
     def test_planner_selects_per_call(self, ipsc):
         planner = CollectivePlanner(ModelPolicy(ipsc))
         rows = _random_rows(3, 8)
-        out = run_planned_exchange_on_rows(rows, planner)
+        out = replay("multiphase", rows=rows, planner=planner).rows()
         for x in range(8):
             for j in range(8):
                 assert np.array_equal(out[x][j], rows[j][x])
@@ -81,7 +78,7 @@ class TestPlannedRowsExchange:
     def test_naive_decision_routes_to_rotation(self):
         planner = CollectivePlanner(FixedPolicy(naive=True))
         rows = _random_rows(2, 4)
-        out = run_planned_exchange_on_rows(rows, planner)
+        out = replay("multiphase", rows=rows, planner=planner).rows()
         for x in range(4):
             for j in range(4):
                 assert np.array_equal(out[x][j], rows[j][x])
@@ -205,10 +202,10 @@ class TestCommunicatorPlanner:
             SimulatedHypercube(2, ipsc).run(program)
 
 
-class TestSimulatePlannedExchange:
+class TestSimulateWithAPlanner:
     def test_matches_direct_simulation(self, ipsc):
         planner = CollectivePlanner(ModelPolicy(ipsc))
-        planned = simulate_planned_exchange(4, 24, planner, ipsc)
+        planned = simulate("alltoall", "multiphase", 4, 24, ipsc, planner=planner)
         direct = simulate_exchange(4, 24, planned.partition, ipsc)
         assert planned.time_us == direct.time_us
         assert planned.decision.partition == planned.partition
@@ -216,7 +213,7 @@ class TestSimulatePlannedExchange:
 
     def test_naive_decision_runs_the_rotation_schedule(self, ipsc):
         planner = CollectivePlanner(FixedPolicy(naive=True))
-        result = simulate_planned_exchange(3, 16, planner, ipsc)
+        result = simulate("alltoall", "multiphase", 3, 16, ipsc, planner=planner)
         assert result.partition == ()
         assert result.decision.algorithm == "naive"
         assert result.trace.plan_decisions[0].predicted_us is None
@@ -225,7 +222,7 @@ class TestSimulatePlannedExchange:
 
     def test_predicted_agrees_with_simulated_for_model_policy(self, ipsc):
         planner = CollectivePlanner(ModelPolicy(ipsc))
-        result = simulate_planned_exchange(5, 40, planner, ipsc)
+        result = simulate("alltoall", "multiphase", 5, 40, ipsc, planner=planner)
         predicted = result.decision.predicted_us
         assert predicted == multiphase_time(40, 5, result.partition, ipsc)
         assert abs(result.time_us - predicted) / predicted < 0.01
@@ -310,44 +307,39 @@ class TestPatternsPlanning:
         with pytest.raises(ValueError, match="unknown pattern"):
             plan_pattern("reduce", 8.0, 3, ipsc)
 
-    @pytest.mark.parametrize("algorithm", ["binomial", "direct", "auto"])
+    @pytest.mark.parametrize("algorithm", ["binomial", "direct"])
     def test_simulated_broadcast_verifies_under_every_algorithm(self, ipsc, algorithm):
-        from repro.patterns import simulate_pattern
-
-        time_us, _ = simulate_pattern("broadcast", algorithm, 3, 16, ipsc)
+        time_us = simulate("broadcast", algorithm, 3, 16, ipsc).time_us
         assert time_us > 0
 
-    @pytest.mark.parametrize("algorithm", ["halving", "direct", "auto"])
+    @pytest.mark.parametrize("algorithm", ["halving", "direct"])
     def test_simulated_scatter_verifies_under_every_algorithm(self, ipsc, algorithm):
-        from repro.patterns import simulate_pattern
-
-        time_us, _ = simulate_pattern("scatter", algorithm, 3, 16, ipsc)
+        time_us = simulate("scatter", algorithm, 3, 16, ipsc).time_us
         assert time_us > 0
 
-    @pytest.mark.parametrize("algorithm", ["doubling", "exchange", "auto"])
+    @pytest.mark.parametrize("algorithm", ["doubling", "exchange"])
     def test_simulated_allgather_verifies_under_every_algorithm(self, ipsc, algorithm):
-        from repro.patterns import simulate_pattern
-
-        time_us, _ = simulate_pattern("allgather", algorithm, 3, 16, ipsc)
+        time_us = simulate("allgather", algorithm, 3, 16, ipsc).time_us
         assert time_us > 0
+
+    @pytest.mark.parametrize("pattern", ["broadcast", "scatter", "allgather"])
+    def test_the_planned_algorithm_runs_at_its_predicted_time(self, ipsc, pattern):
+        decision = plan_pattern(pattern, 16.0, 3, ipsc)
+        result = simulate(pattern, decision.algorithm, 3, 16, ipsc, partition=decision.partition)
+        assert result.time_us == decision.predicted_us
 
     def test_allgather_exchange_honours_planner(self, ipsc):
-        from repro.patterns import simulate_pattern
-
         planner = CollectivePlanner(ModelPolicy(ipsc))
-        time_us, run = simulate_pattern(
-            "allgather", "exchange", 3, 16, ipsc, planner=planner
-        )
+        result = simulate("allgather", "exchange", 3, 16, ipsc, planner=planner)
+        time_us, run = result.time_us, result.run
         assert time_us > 0
         assert planner.stats.policy_calls == 1
         assert len(run.trace.plan_decisions) == 1
 
     def test_direct_variants_cost_more_startups(self, ipsc):
-        from repro.patterns import simulate_pattern
-
-        t_tree, _ = simulate_pattern("broadcast", "binomial", 4, 16, ipsc)
-        t_direct, _ = simulate_pattern("broadcast", "direct", 4, 16, ipsc)
+        t_tree = simulate("broadcast", "binomial", 4, 16, ipsc).time_us
+        t_direct = simulate("broadcast", "direct", 4, 16, ipsc).time_us
         assert t_direct > t_tree
-        t_halving, _ = simulate_pattern("scatter", "halving", 4, 16, ipsc)
-        t_direct, _ = simulate_pattern("scatter", "direct", 4, 16, ipsc)
+        t_halving = simulate("scatter", "halving", 4, 16, ipsc).time_us
+        t_direct = simulate("scatter", "direct", 4, 16, ipsc).time_us
         assert t_direct > t_halving

@@ -132,10 +132,10 @@ class TestContentionPolicy:
             assert decision.naive_us > decision.predicted_us
 
     def test_naive_price_matches_event_engine(self, ipsc):
-        from repro.comm.program import simulate_naive_exchange
+        from repro.comm.program import simulate
 
         decision = ContentionPolicy(ipsc).decide(4, 16.0)
-        event = simulate_naive_exchange(4, 16, ipsc, verify=False)
+        event = simulate("alltoall", "rotation", 4, 16, ipsc)
         assert decision.naive_us == event.time_us
 
     def test_naive_selected_when_it_wins(self, ipsc):

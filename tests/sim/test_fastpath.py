@@ -17,11 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.comm.program import (
-    simulate_exchange,
-    simulate_naive_exchange,
-    simulate_planned_exchange,
-)
+from repro.comm.program import simulate, simulate_exchange
 from repro.core.partitions import partitions
 from repro.core.programs import (
     PATTERN_TABLE,
@@ -92,7 +88,7 @@ class TestContentionFreeAgreement:
         ms = (0, 7, 24) if d <= 6 else (0, 24)
         for partition in AGREEMENT_PARTITIONS[d]:
             for m in ms:
-                event = simulate_exchange(d, m, partition, params, verify=False)
+                event = simulate_exchange(d, m, partition, params)
                 assert exchange_time(d, m, partition, params) == event.time_us
 
     @settings(deadline=None, max_examples=30)
@@ -101,7 +97,7 @@ class TestContentionFreeAgreement:
     def test_property_random_schedules(self, case, m, params):
         """Random (d, partition, m, machine constants): still exact."""
         d, partition = case
-        event = simulate_exchange(d, m, partition, params, verify=False)
+        event = simulate_exchange(d, m, partition, params)
         assert exchange_time(d, m, partition, params) == event.time_us
 
     def test_default_partition_is_single_phase(self, ipsc):
@@ -121,13 +117,13 @@ class TestDegenerateSchedules:
     @pytest.mark.parametrize("params", PRESET_PARAMS, ids=lambda p: p.name)
     @pytest.mark.parametrize("m", [0, 1, 16])
     def test_d1_exchange(self, params, m):
-        event = simulate_exchange(1, m, (1,), params, verify=False)
+        event = simulate_exchange(1, m, (1,), params)
         assert exchange_time(1, m, (1,), params) == event.time_us
 
     @pytest.mark.parametrize("params", PRESET_PARAMS, ids=lambda p: p.name)
     @pytest.mark.parametrize("m", [0, 1, 16])
     def test_d1_naive(self, params, m):
-        event = simulate_naive_exchange(1, m, params, verify=False)
+        event = simulate("alltoall", "rotation", 1, m, params)
         assert naive_exchange_time(1, m, params) == event.time_us
 
     @pytest.mark.parametrize("params", PRESET_PARAMS, ids=lambda p: p.name)
@@ -135,16 +131,16 @@ class TestDegenerateSchedules:
     def test_single_phase_partitions(self, params, d):
         """(d,) has no shuffles at all — the k=1 special case."""
         for m in (0, 16):
-            event = simulate_exchange(d, m, (d,), params, verify=False)
+            event = simulate_exchange(d, m, (d,), params)
             assert exchange_time(d, m, (d,), params) == event.time_us
 
     @pytest.mark.parametrize("params", PRESET_PARAMS, ids=lambda p: p.name)
     def test_zero_byte_messages(self, params):
         """m=0: every duration collapses to startup + distance terms."""
         for d, partition in ((3, (2, 1)), (4, (1, 1, 1, 1)), (5, (5,))):
-            event = simulate_exchange(d, 0, partition, params, verify=False)
+            event = simulate_exchange(d, 0, partition, params)
             assert exchange_time(d, 0, partition, params) == event.time_us
-        event = simulate_naive_exchange(3, 0, params, verify=False)
+        event = simulate("alltoall", "rotation", 3, 0, params)
         assert naive_exchange_time(3, 0, params) == event.time_us
 
 
@@ -161,7 +157,7 @@ class TestNaiveAgreement:
     @pytest.mark.parametrize("d", [2, 3, 4, 5])
     def test_naive_times_match_event_engine(self, params, d):
         for m in (5, 16):
-            event = simulate_naive_exchange(d, m, params, verify=False)
+            event = simulate("alltoall", "rotation", d, m, params)
             fast = naive_exchange_time(d, m, params)
             assert fast == pytest.approx(event.time_us, rel=1e-12)
             assert fast == event.time_us  # exact in practice
@@ -174,13 +170,13 @@ class TestNaiveAgreement:
         program = pattern_program("alltoall", "rotation", d)
         assert program.contended
         for m in (0, 40):
-            event = simulate_naive_exchange(d, m, params, verify=False)
+            event = simulate("alltoall", "rotation", d, m, params)
             assert program_time(program, m, params) == event.time_us
 
     def test_naive_timeline_reconstructs_trace(self, ipsc):
         """Per-send grant intervals equal the event engine's
         transmission records (same src/dst/start/end multiset)."""
-        event = simulate_naive_exchange(3, 8, ipsc, verify=False)
+        event = simulate("alltoall", "rotation", 3, 8, ipsc)
         timeline = naive_timeline(3, 8, ipsc)
         got = sorted((s.src, s.dst, s.t_start, s.t_end) for s in timeline.sends)
         want = sorted(
@@ -300,38 +296,23 @@ class TestBatch:
             naive_exchange_time(3, m, ipsc)
 
 
-class TestFastSimulateVariants:
-    """The ``fast=True`` switches on the ``simulate_*`` entry points."""
+class TestPricedRuns:
+    """The fast path prices what :func:`simulate` runs, without a run."""
 
-    def test_simulate_exchange_fast(self, ipsc):
-        slow = simulate_exchange(5, 16, (3, 2), ipsc)
-        fast = simulate_exchange(5, 16, (3, 2), ipsc, fast=True)
-        assert fast.time_us == slow.time_us
-        assert fast.run is None
-        assert fast.timeline is not None
-        assert fast.timeline.total == slow.time_us
-
-    def test_simulate_naive_exchange_fast(self, ipsc):
-        slow = simulate_naive_exchange(4, 16, ipsc)
-        fast = simulate_naive_exchange(4, 16, ipsc, fast=True)
-        assert fast.time_us == slow.time_us
-        assert fast.run is None
-
-    def test_fast_result_refuses_verify(self, ipsc):
-        fast = simulate_exchange(4, 8, (2, 2), ipsc, fast=True)
-        with pytest.raises(ValueError, match="nothing to byte-verify"):
-            fast.verify()
+    def test_exchange_timeline_totals_the_run(self, ipsc):
+        run = simulate_exchange(5, 16, (3, 2), ipsc)
+        assert exchange_timeline(5, 16, (3, 2), ipsc).total == run.time_us
+        program = pattern_program("alltoall", "multiphase", 5, partition=(3, 2))
+        assert program_time(program, 16, ipsc) == run.time_us
 
     @pytest.mark.parametrize("naive", [False, True])
-    def test_simulate_planned_exchange_fast(self, ipsc, naive):
+    def test_a_planned_run_is_priced_by_the_row_it_ran(self, ipsc, naive):
         policy = FixedPolicy(naive=True) if naive else ContentionPolicy(ipsc)
-        slow = simulate_planned_exchange(4, 16, CollectivePlanner(policy), ipsc)
-        fast = simulate_planned_exchange(
-            4, 16, CollectivePlanner(policy), ipsc, fast=True
-        )
-        assert fast.time_us == slow.time_us
-        assert fast.decision.algorithm == slow.decision.algorithm
-        assert len(fast.trace.plan_decisions) == 1
+        run = simulate("alltoall", "multiphase", 4, 16, ipsc, planner=CollectivePlanner(policy))
+        assert (run.row.algorithm == "rotation") == naive
+        program = pattern_program("alltoall", run.row.algorithm, 4, partition=run.partition or None)
+        assert program_time(program, 16, ipsc) == run.time_us
+        assert len(run.trace.plan_decisions) == 1
 
 
 class TestNaiveContentionSummary:

@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 
 from repro.core.programs import pattern_program
 from repro.model.params import MachineParams, hypothetical, ipsc860
-from repro.patterns import simulate_pattern
+from repro.comm.program import simulate
 from repro.sim.fastpath import program_time
 
 #: every compiled pattern variant and the event-engine run that checks it
@@ -36,7 +36,7 @@ PRESETS = {"ipsc860": ipsc860, "hypothetical": hypothetical}
 
 
 def _simulate_event(pattern: str, algorithm: str, d: int, m: int, params) -> float:
-    return simulate_pattern(pattern, algorithm, d, m, params)[0]
+    return simulate(pattern, algorithm, d, m, params).time_us
 
 
 class TestDeterministicSweep:

@@ -34,17 +34,21 @@ engine learned to complete an exchange pair and a barrier with one
 event each, a change that must not move a single trace record.
 ``interpreter_traces.json`` pins, by the same scheme, the runs that
 moved onto the declared rows' one SPMD interpreter: the layout
-engine's exchanges, both multiphase rows of ``simulate_pattern`` at
-every partition, a planner-driven exchange per preset, one exchange
-per offset ordering and every §9 row.  It was written while the
-exchange still had its own step-list loop; a §9 row's digest leaves
-out ``phase_marks``, the one record the interpreter adds there.  Its
+engine's exchanges, both multiphase rows at every partition (through
+``Communicator.Alltoall``, the route they ran when pinned, rebuilt
+here by a test-local node program), a planner-driven exchange per
+preset, one exchange per offset ordering and every §9 row.  It was
+written while the exchange still had its own step-list loop; a §9
+row's digest leaves out ``phase_marks``, the one record the
+interpreter adds there.  Its
 naive-rotation entries (``Communicator.Alltoall(algorithm="naive")``
 on user rows, a planner-driven naive run per preset, and the
 ``float.hex`` of the rotation's reservation-replay price with every
 send it grants) were written while the rotation still had its own
-loops.  ``plan_contention_d7_m40.json`` prints the rotation's price
-beside the planner's choice.
+loops.  Its degraded-row entries, every row at d = 3 under one seeded
+fault plan, were written when fault plans first reached every row.
+``plan_contention_d7_m40.json`` prints the rotation's price beside the
+planner's choice.
 ``figure3_walkthrough.txt`` is the paper's Figure 3, block by block; it
 was written before the walkthrough stepped the exchange's declared
 rounds instead of its step list.
@@ -64,21 +68,17 @@ import numpy as np
 import pytest
 
 from repro.cli import main
-from repro.comm import (
-    Communicator,
-    simulate_exchange,
-    simulate_naive_exchange,
-    simulate_planned_exchange,
-)
+from repro.comm import Communicator, simulate_exchange
+from repro.comm.program import simulate
 from repro.core.blocks import BlockBuffer
 from repro.core.partitions import partitions
-from repro.core.programs import exchange_rounds
+from repro.core.programs import BLOCK_SEMANTICS, PATTERN_TABLE, exchange_rounds
 from repro.core.variants import ORDERINGS, multiphase_schedule_ordered
 from repro.model.params import PRESETS, ipsc860
-from repro.patterns import simulate_pattern
 from repro.patterns.execute import pattern_node
 from repro.plan import CollectivePlanner, FixedPolicy, ModelPolicy
 from repro.sim.fastpath import naive_exchange_time, naive_timeline
+from repro.sim.faults import FaultPlan
 from repro.sim.machine import SimulatedHypercube
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
@@ -123,7 +123,7 @@ def event_trace_digests() -> dict[str, str]:
                 for partition in partitions(d):
                     result = simulate_exchange(d, m, partition, params)
                     digests[f"{preset} d={d} {partition} m={m}"] = _run_digest(result)
-                result = simulate_naive_exchange(d, m, params)
+                result = simulate("alltoall", "rotation", d, m, params)
                 digests[f"{preset} d={d} naive m={m}"] = _run_digest(result)
     return digests
 
@@ -143,9 +143,56 @@ _SECTION9_ROWS = (
 )
 
 
+def degraded_plan() -> FaultPlan:
+    """The seeded d = 3 plan of the degraded-row pins: half the wires
+    slowed, a quarter of the nodes straggling, and outages early
+    enough to force retries."""
+    return FaultPlan.generate(
+        3, 5, degraded_link_fraction=0.5, straggler_fraction=0.25,
+        link_failure_rate=0.5, horizon_us=1500.0, outage_duration_range_us=(50.0, 400.0),
+    )
+
+
+def degraded_runs():
+    """``(key, pattern, algorithm, root)`` of every pinned degraded
+    run: each row at d = 3 and m = 40, rooted rows at roots 0 and 7."""
+    for (pattern, algorithm), row in sorted(PATTERN_TABLE.items()):
+        for root in (0, 7) if row.semantics.rooted else (0,):
+            yield f"ipsc860 d=3 {row.name} root={root} m=40 degraded", pattern, algorithm, root
+
+
 def _naive_alltoall_node(ctx, *, rows):
     received = yield from Communicator(ctx).Alltoall(rows[ctx.rank], algorithm="naive")
     return received
+
+
+def _multiphase_row_node(ctx, *, pattern, blocks, partition):
+    """A multiphase row the way its pins were written: the node's
+    starting blocks fill its send matrix (an allgather block goes to
+    every node) and run through ``Communicator.Alltoall``, whose tags
+    start at ``1 << 20``; the row received from origin ``o`` is the
+    node's ``o``-th ending block."""
+    semantics = BLOCK_SEMANTICS[pattern]
+    sent = blocks[list(semantics.starts(ctx.rank, 0, ctx.n))]
+    gathered = yield from Communicator(ctx).Alltoall(
+        np.broadcast_to(sent, (ctx.n, blocks.shape[1])), partition=partition
+    )
+    return dict(zip(semantics.ends(ctx.rank, 0, ctx.n), gathered))
+
+
+def _multiphase_row_run(pattern, d, m, params, partition):
+    """``(time, trace)`` of :func:`_multiphase_row_node` on every
+    node, checked to deliver every ending block."""
+    n = 1 << d
+    blocks = np.random.default_rng(12345).integers(
+        0, 256, size=(n * n if pattern == "alltoall" else n, m), dtype=np.uint8
+    )
+    run = SimulatedHypercube(d, params).run(
+        _multiphase_row_node, pattern=pattern, blocks=blocks, partition=partition
+    )
+    for held in run.node_results:
+        assert all(np.array_equal(block, blocks[key]) for key, block in held.items())
+    return run.time, run.trace
 
 
 def _naive_price_digest(d: int, m: float, params) -> str:
@@ -164,15 +211,16 @@ def _naive_price_digest(d: int, m: float, params) -> str:
 def interpreter_trace_digests() -> dict[str, str]:
     """SHA-256 of every pinned run of the declared rows' rounds on the
     event engine, by the same scheme as :func:`event_trace_digests`:
-    the layout engine's exchanges, both multiphase rows of
-    :func:`simulate_pattern` at every partition, a planner-driven
+    the layout engine's exchanges, both multiphase rows through
+    :func:`_multiphase_row_node` at every partition, a planner-driven
     exchange per preset, one exchange per offset ordering, and every
     §9 row at roots 0 and ``n - 1``.  A §9 row's digest sets the
     trace's ``phase_marks`` aside, after checking that they are the
     one mark of phase 0 at time 0.  The naive rotation adds
     ``Communicator.Alltoall(algorithm="naive")`` on user rows (checked
     to deliver), a planner-driven naive run per preset, and its
-    reservation-replay price with every granted send at d 1..8."""
+    reservation-replay price with every granted send at d 1..8.  Every
+    row also runs once at d = 3 under :func:`degraded_plan`."""
     digests = {}
     for preset, factory in PRESETS.items():
         params = factory()
@@ -184,25 +232,21 @@ def interpreter_trace_digests() -> dict[str, str]:
                     digests[f"{preset} d={d} {partition} m={m} layout"] = _run_digest(result)
                     for pattern in ("alltoall", "allgather"):
                         algorithm = "multiphase" if pattern == "alltoall" else "exchange"
-                        time_us, run = simulate_pattern(
-                            pattern, algorithm, d, m, params, partition=partition
-                        )
+                        time_us, trace = _multiphase_row_run(pattern, d, m, params, partition)
                         digests[f"{preset} d={d} {pattern}/{algorithm} {partition} m={m}"] = (
-                            _trace_digest(run.trace, time_us)
+                            _trace_digest(trace, time_us)
                         )
                 for pattern, algorithm in _SECTION9_ROWS:
                     for root in (0, n - 1) if pattern != "allgather" else (0,):
-                        time_us, run = simulate_pattern(
-                            pattern, algorithm, d, m, params, root=root
-                        )
+                        result = simulate(pattern, algorithm, d, m, params, root=root)
                         # the one phase the interpreter marks, at the start
-                        assert run.trace.phase_marks == [(0, 0.0)]
-                        trace = dataclasses.replace(run.trace, phase_marks=[])
+                        assert result.trace.phase_marks == [(0, 0.0)]
+                        trace = dataclasses.replace(result.trace, phase_marks=[])
                         digests[f"{preset} d={d} {pattern}/{algorithm} root={root} m={m}"] = (
-                            _trace_digest(trace, time_us)
+                            _trace_digest(trace, result.time_us)
                         )
         planner = CollectivePlanner(ModelPolicy(params))
-        result = simulate_planned_exchange(5, 40, planner, params)
+        result = simulate("alltoall", "multiphase", 5, 40, params, planner=planner)
         digests[f"{preset} d=5 planned m=40"] = _run_digest(result)
         for d in range(2, 6):
             n = 1 << d
@@ -217,9 +261,8 @@ def interpreter_trace_digests() -> dict[str, str]:
                     _trace_digest(run.trace, run.time)
                 )
         naive_planner = CollectivePlanner(FixedPolicy(naive=True))
-        result = simulate_planned_exchange(5, 40, naive_planner, params)
+        result = simulate("alltoall", "multiphase", 5, 40, params, planner=naive_planner)
         assert result.decision.algorithm == "naive"
-        result.verify()
         digests[f"{preset} d=5 planned naive m=40"] = _run_digest(result)
         for d in range(1, 9):
             for m in (0, 40, 2.5):
@@ -232,6 +275,9 @@ def interpreter_trace_digests() -> dict[str, str]:
         )
         BlockBuffer.verify_all(run.node_results)
         digests[f"ipsc860 d=5 (3, 2) m=16 {ordering}"] = _trace_digest(run.trace, run.time)
+    for key, pattern, algorithm, root in degraded_runs():
+        result = simulate(pattern, algorithm, 3, 40, params, root=root, fault_plan=degraded_plan())
+        digests[key] = _run_digest(result)
     return digests
 
 

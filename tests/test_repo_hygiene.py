@@ -3,11 +3,14 @@
 Build artifacts must never be tracked: a committed ``.pyc`` serves the
 wrong bytecode to whoever checks out next, and churns every diff.
 These tests pin the invariant (and that ``.gitignore`` keeps new
-clutter out) so it cannot regress silently.
+clutter out) so it cannot regress silently.  A child process a test
+starts inherits the caller's environment, ``PYTHONDONTWRITEBYTECODE``
+included, so a test run leaves no bytecode under ``src/``.
 """
 
 from __future__ import annotations
 
+import ast
 import subprocess
 from pathlib import Path
 
@@ -69,4 +72,40 @@ def test_transient_bench_metrics_are_not_tracked():
     assert offenders == [], (
         "BENCH_*.json are per-run measurements; the committed reference "
         f"is benchmarks/baselines.json — untrack: {offenders}"
+    )
+
+
+def _bare_env_lines(source: str) -> list[int]:
+    """Lines of every ``env=`` literal dict that does not spread
+    ``os.environ``."""
+    lines = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.keyword) and node.arg == "env" and isinstance(node.value, ast.Dict):
+            dict_ = node.value
+            spread = [value for key, value in zip(dict_.keys, dict_.values) if key is None]
+            if not any(ast.unparse(value) == "os.environ" for value in spread):
+                lines.append(node.value.lineno)
+    return lines
+
+
+def test_the_env_check_catches_a_bare_env():
+    assert _bare_env_lines('run(cmd, env={"PYTHONPATH": SRC, "PATH": "/bin"})') == [1]
+    assert _bare_env_lines('run(cmd, env={**os.environ, "PYTHONPATH": SRC})') == []
+
+
+def test_child_processes_inherit_the_callers_environment():
+    files = [
+        path
+        for root in ("tests", "benchmarks")
+        for path in sorted((REPO_ROOT / root).rglob("*.py"))
+        if "harness" not in path.relative_to(REPO_ROOT).parts
+    ]
+    offenders = [
+        f"{path.relative_to(REPO_ROOT)}:{line}"
+        for path in files
+        for line in _bare_env_lines(path.read_text())
+    ]
+    assert offenders == [], (
+        "build a child's env as {**os.environ, ...} so it keeps the caller's "
+        f"PYTHONDONTWRITEBYTECODE: {offenders}"
     )
