@@ -5,12 +5,11 @@ The paper's Figures 4-6 show dashed (predicted) against solid
 is the calibrated simulator, so for contention-free schedules the
 agreement must be essentially exact; this bench quantifies it across a
 grid of dimensions, block sizes, and partitions, and archives the
-relative errors.
+relative errors.  The 1% bound on the grid is asserted in
+``tests/analysis/test_paper_claims.py``.
 """
 
 from __future__ import annotations
-
-import pytest
 
 from repro.comm.program import simulate_exchange
 from repro.model.cost import multiphase_time
@@ -44,7 +43,6 @@ def test_bench_model_vs_simulation(benchmark, ipsc, archive):
     for d, m, partition, predicted, measured in rows:
         rel = abs(measured - predicted) / predicted
         worst = max(worst, rel)
-        assert measured == pytest.approx(predicted, rel=0.01)
         label = "{" + ",".join(map(str, sorted(partition))) + "}"
         lines.append(
             f"{d}  {m:4d}  {label:15s}  {predicted:13.1f}  {measured:13.1f}  {rel * 100:.4f}%"

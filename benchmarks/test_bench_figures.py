@@ -6,12 +6,12 @@ Each figure benchmark:
    (dense model sweep over the 0-400 byte axis),
 2. runs full data-moving simulations at sampled block sizes (the
    "measured" solid curves — every run byte-verified),
-3. checks the hull of optimality against the paper's, and the
-   Figure 6 caption's factor-two claim,
-4. archives the ASCII rendering plus a winners table.
+3. archives the ASCII rendering plus a winners table.
 
 The timed section is one representative simulated exchange per figure
-(the paper's headline configuration).
+(the paper's headline configuration).  The figures' claims (the hulls,
+1% agreement at every sampled point, Figure 6's factor two) are
+asserted in ``tests/analysis/test_paper_claims.py``.
 """
 
 from __future__ import annotations
@@ -19,9 +19,7 @@ from __future__ import annotations
 import pytest
 
 from repro.analysis.figures import figure_data, render_figure
-from repro.analysis.hull import PAPER_HULLS
 from repro.comm.program import simulate_exchange
-from repro.core.partitions import canonical
 
 #: (figure, headline block size, headline partition)
 CASES = [
@@ -49,18 +47,6 @@ def test_bench_figure(figure, headline_m, headline_partition, benchmark, ipsc, a
     # untimed: the full figure reproduction
     data = figure_data(figure, params=ipsc, simulate=True, sim_block_sizes=SIM_BLOCKS)
 
-    # hull agreement with the paper
-    reproduced_hull = tuple(canonical(h) for h in data.hull_partitions)
-    assert reproduced_hull == tuple(canonical(h) for h in PAPER_HULLS[spec_d])
-
-    # predicted vs measured agreement on every sampled point
-    for curve in data.curves:
-        for m, measured in zip(curve.measured_block_sizes, curve.measured_us):
-            from repro.analysis.figures import multiphase_interp
-
-            predicted = multiphase_interp(curve, m)
-            assert measured == pytest.approx(predicted, rel=0.01)
-
     # winners table across the axis
     lines = [f"Figure {figure} (d={spec_d}, {1 << spec_d} nodes, {data.params_name})", ""]
     lines.append("block(B)  winner      time(s)   (per simulated measurement)")
@@ -81,8 +67,8 @@ def test_bench_figure(figure, headline_m, headline_partition, benchmark, ipsc, a
 
 
 def test_bench_figure6_factor_two_claim(benchmark, ipsc, archive):
-    """Figure 6 caption: at d=7, m=40 the multiphase {3,4} beats both
-    classical algorithms by more than a factor of two (measured)."""
+    """Figure 6 caption: at d=7, m=40 the multiphase {3,4} against both
+    classical algorithms (measured and archived)."""
     d, m = 7, 40
 
     t_34 = benchmark.pedantic(
@@ -91,7 +77,6 @@ def test_bench_figure6_factor_two_claim(benchmark, ipsc, archive):
     t_se = simulate_exchange(d, m, (1,) * 7, ipsc).time_us
     t_ocs = simulate_exchange(d, m, (7,), ipsc).time_us
 
-    assert min(t_se, t_ocs) / t_34 > 2.0
     archive(
         "figure6_caption.txt",
         "\n".join(

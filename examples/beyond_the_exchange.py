@@ -23,7 +23,7 @@ import numpy as np
 
 from repro.comm.program import simulate, simulate_exchange
 from repro.core.traffic import best_partition_for_traffic, uniform_traffic
-from repro.core.variants import ORDERINGS, multiphase_schedule_ordered
+from repro.core.variants import ORDERINGS, ordered_rounds
 from repro.model.optimizer import best_partition
 from repro.model.params import ipsc860
 
@@ -69,12 +69,11 @@ def main() -> None:
     from functools import partial
 
     from repro.core.blocks import BlockBuffer
-    from repro.core.programs import exchange_rounds
     from repro.patterns.execute import pattern_node
     from repro.sim.machine import SimulatedHypercube
 
     for ordering in ORDERINGS:
-        rounds = exchange_rounds(multiphase_schedule_ordered(4, (2, 2), ordering), 4)
+        rounds = ordered_rounds(4, (2, 2), ordering)
         machine = SimulatedHypercube(4, params)
         run = machine.run(
             pattern_node, rounds=rounds, holdings=partial(BlockBuffer.initial, d=4, m=16)

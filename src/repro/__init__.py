@@ -69,7 +69,6 @@ from repro.comm import Communicator, simulate_exchange
 from repro.core import (
     ExchangeOutcome,
     multiphase_exchange,
-    multiphase_schedule,
     optimal_exchange,
     partition_count,
     partitions,
@@ -164,7 +163,6 @@ __all__ = [
     "hypothetical",
     "ipsc860",
     "multiphase_exchange",
-    "multiphase_schedule",
     "multiphase_time",
     "naive_contention_summary",
     "naive_exchange_time",

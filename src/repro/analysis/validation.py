@@ -294,7 +294,10 @@ def validate_policy(
     replays on it (the others on the clean machine), producing the
     drift rows (``rel_error``) the adaptive policy thresholds on.  Only
     the event engine understands faults, so a non-empty plan requires
-    ``engine="event"``.
+    ``engine="event"``.  The event engine moves whole bytes, so under
+    ``engine="event"`` every grid ``m`` must be integral (``16.0``
+    is); a fractional one raises :class:`ValueError` before any engine
+    boots.
     """
     from repro.sim.engine import Engine
 
@@ -316,6 +319,15 @@ def validate_policy(
         list(traffic_configs) if traffic_configs is not None
         else list(DEFAULT_TRAFFIC_CONFIGS)
     )
+    if engine == "event":
+        # the simulator moves whole bytes: a fractional m would run at
+        # int(m) while its row reports m
+        for config in (*patterns_grid, *traffic_grid):
+            if not float(config[1]).is_integer():
+                raise ValueError(
+                    f"engine='event' replays whole-byte blocks; got m={config[1]!r} "
+                    f"in config {tuple(config)!r}"
+                )
     report = PlanValidationReport(policy=pol.name, params_name=p.name, engine=engine)
     boots_before = Engine.boot_count
 

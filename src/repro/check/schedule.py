@@ -27,8 +27,7 @@ families:
   coefficients (:class:`repro.sim.fastpath.CompiledProgram`, the one
   compiled form of the exchange and of every §9 pattern program) must
   structurally match the program step stream they claim to price, and
-  an exchange-backed program's must also match the
-  :func:`~repro.core.schedule.multiphase_schedule` step list of its
+  an exchange-backed program's must also match the phases of its
   partition, recomputed independently of the rounds; the naive
   rotation's sends-first replay must grant exactly its certified
   circuits, never two on one link or port at once.
@@ -63,7 +62,6 @@ from repro.core.programs import (
     replay_pattern,
     resolve_pattern,
 )
-from repro.core.schedule import ExchangeStep, PhaseStart, multiphase_schedule
 from repro.hypercube.routing import ecube_path_edges
 from repro.hypercube.topology import Link
 from repro.model.params import PRESETS, MachineParams, ipsc860
@@ -255,10 +253,11 @@ def verify_program_coefficients(compiled: CompiledProgram) -> list[Violation]:
     An exchange-backed program (``program.partition`` set:
     ``alltoall/multiphase`` and ``allgather/exchange``) must also
     price the schedule the data engines execute: its coefficients are
-    recomputed from :func:`~repro.core.schedule.multiphase_schedule`
-    on that partition, independently of the rounds the chain is
-    derived from, so a program carrying another partition's steps is
-    a ``coeff-mismatch``.
+    recomputed from that partition's phases (a barrier, the offsets
+    ``1 .. 2**d_i - 1``, and a shuffle when there are several phases),
+    independently of the rounds the chain is derived from, so a
+    program carrying another partition's steps is a
+    ``coeff-mismatch``.
     """
     program = compiled.program
     target = f"fastpath program {program.name} d={program.d}"
@@ -348,7 +347,7 @@ def _verify_schedule_coefficients(
     the multiphase schedule of its ``partition``."""
     d = compiled.d
     try:
-        steps = multiphase_schedule(d, partition)
+        parts = check_partition(partition, d)
     except (TypeError, ValueError) as exc:
         return [Violation(
             check="program-structure",
@@ -358,14 +357,12 @@ def _verify_schedule_coefficients(
             fix_hint="an exchange-backed program carries a partition of its cube",
         )]
     expected: list[tuple[int, int, int]] = []
-    for step in steps:
-        if isinstance(step, PhaseStart):
-            expected.append((KIND_BARRIER, 0, 0))
-        elif isinstance(step, ExchangeStep):
-            expected.append(
-                (KIND_EXCHANGE, 2 ** (d - step.group.width), popcount(step.offset))
-            )
-        else:
+    for di in parts:
+        expected.append((KIND_BARRIER, 0, 0))
+        expected.extend(
+            (KIND_EXCHANGE, 2 ** (d - di), popcount(offset)) for offset in range(1, 1 << di)
+        )
+        if len(parts) > 1:
             expected.append((KIND_SHUFFLE, 2 ** d, 0))
     got = list(zip(compiled.kinds.tolist(), compiled.bytes_per_m.tolist(),
                    compiled.hops.tolist()))

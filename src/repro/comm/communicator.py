@@ -27,12 +27,11 @@ import numpy as np
 
 from repro.core.blocks import BlockBuffer
 from repro.core.programs import PATTERN_TABLE, exchange_rounds, pattern_rounds
-from repro.core.schedule import multiphase_schedule
 from repro.patterns.execute import pattern_node
 from repro.plan.decision import algorithm_name
 from repro.sim.node import NodeContext
 from repro.sim.trace import PlanRecord
-from repro.util.validation import check_byte_rows, check_partition
+from repro.util.validation import check_byte_rows
 
 __all__ = ["Communicator"]
 
@@ -118,9 +117,10 @@ class Communicator:
         :func:`repro.patterns.execute.pattern_node` runs the
         ``alltoall/multiphase`` or ``alltoall/rotation`` rounds with the
         rows in fixed-slot :class:`~repro.core.blocks.BlockBuffer`
-        holdings; a round is tagged ``tag_base`` plus its step's index
-        in the :func:`~repro.core.schedule.multiphase_schedule` step
-        list, and step ``s`` of the naive rotation ``tag_base + s``.
+        holdings; a round is tagged ``tag_base`` plus its
+        :func:`~repro.core.programs.exchange_rounds` tag (its position
+        in the phase-by-phase chain), and step ``s`` of the naive
+        rotation ``tag_base + s``.
         """
         ctx = self.ctx
         d, n = ctx.d, ctx.n
@@ -164,8 +164,7 @@ class Communicator:
                         f"partition {tuple(partition)} realizes "
                         f"{algorithm_name(tuple(partition))!r}, not {algorithm!r}"
                     )
-            parts = check_partition(partition if partition is not None else (d,), d)
-            rounds = exchange_rounds(multiphase_schedule(d, parts), d)
+            rounds = exchange_rounds(d, partition if partition is not None else (d,))
         buf = yield from pattern_node(
             ctx, rounds=rounds, holdings=partial(BlockBuffer.from_rows, d=d, rows=rows),
             tag_base=tag_base,

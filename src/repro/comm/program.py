@@ -2,9 +2,9 @@
 
 Every algorithm is one row of :data:`repro.core.programs.PATTERN_TABLE`:
 the paper's complete exchange (``alltoall/multiphase``, its rounds
-expanded from the :func:`~repro.core.schedule.multiphase_schedule`
-step list by :func:`~repro.core.programs.exchange_rounds`; each round
-records its phase and that phase's closing shuffle), its naive
+built from the partition by
+:func:`~repro.core.programs.exchange_rounds`; each round records its
+phase and that phase's closing shuffle), its naive
 rotation baseline (``alltoall/rotation``) and the §9 broadcast,
 scatter and allgather rows.  :func:`simulate` runs any row: it boots
 :func:`repro.patterns.execute.pattern_node`, the one SPMD interpreter,

@@ -1,8 +1,8 @@
 """The paper's primary contribution: complete-exchange algorithms.
 
 Exposes the three algorithms (Standard Exchange, Optimal
-Circuit-Switched, and the unifying multiphase algorithm), the compiled
-schedules they share, the block/shuffle data engines, and integer
+Circuit-Switched, and the unifying multiphase algorithm), the offset
+orderings of their rounds, the block/shuffle data engines, and integer
 partition enumeration.
 """
 
@@ -25,16 +25,6 @@ from repro.core.partitions import (
     partition_count_table,
     partitions,
 )
-from repro.core.schedule import (
-    ExchangeStep,
-    PhaseStart,
-    ShuffleStep,
-    multiphase_schedule,
-    optimal_schedule,
-    schedule_stats,
-    schedule_stats_cache_info,
-    standard_schedule,
-)
 from repro.core.shuffle import LayoutBuffer, apply_shuffle, shuffle_permutation
 from repro.core.standard import standard_exchange, standard_partition
 from repro.core.traffic import (
@@ -46,8 +36,8 @@ from repro.core.traffic import (
 from repro.core.variants import (
     ORDERINGS,
     distance_profile,
-    multiphase_schedule_ordered,
     offset_order,
+    ordered_rounds,
 )
 from repro.core.verify import alltoall_reference, assert_exchange_correct, exchange_defect
 
@@ -56,17 +46,14 @@ __all__ = [
     "ORDERINGS",
     "best_partition_for_traffic",
     "distance_profile",
-    "multiphase_schedule_ordered",
     "offset_order",
+    "ordered_rounds",
     "route_traffic",
     "traffic_time",
     "uniform_traffic",
     "BlockSet",
     "ExchangeOutcome",
-    "ExchangeStep",
     "LayoutBuffer",
-    "PhaseStart",
-    "ShuffleStep",
     "alltoall_reference",
     "apply_shuffle",
     "assert_exchange_correct",
@@ -75,10 +62,8 @@ __all__ = [
     "effective_block_size",
     "exchange_defect",
     "multiphase_exchange",
-    "multiphase_schedule",
     "optimal_exchange",
     "optimal_partition",
-    "optimal_schedule",
     "pairwise_partners",
     "partition_count",
     "partition_count_table",
@@ -86,11 +71,8 @@ __all__ = [
     "payload_pattern",
     "run_exchange",
     "run_exchange_on_rows",
-    "schedule_stats",
-    "schedule_stats_cache_info",
     "shuffle_permutation",
     "standard_exchange",
     "standard_partition",
-    "standard_schedule",
     "total_transmissions",
 ]

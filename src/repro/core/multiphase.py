@@ -21,13 +21,11 @@ from __future__ import annotations
 from typing import Sequence
 
 from repro.core.exchange import ExchangeOutcome, run_exchange
-from repro.core.schedule import multiphase_schedule
 from repro.util.validation import check_partition
 
 __all__ = [
     "effective_block_size",
     "multiphase_exchange",
-    "multiphase_schedule",
     "phase_transmissions",
     "total_transmissions",
 ]

@@ -17,14 +17,12 @@ final index rotation by ``d`` is the identity (paper §7.4).
 from __future__ import annotations
 
 from repro.core.exchange import ExchangeOutcome, run_exchange
-from repro.core.schedule import Step, optimal_schedule
 from repro.util.validation import check_dimension
 
 __all__ = [
     "contention_free_reason",
     "optimal_exchange",
     "optimal_partition",
-    "optimal_schedule",
     "optimal_transmissions",
     "pairwise_partners",
 ]
@@ -83,8 +81,3 @@ def optimal_exchange(d: int, m: int, *, engine: str = "tags") -> ExchangeOutcome
     7
     """
     return run_exchange(d, m, optimal_partition(d), engine=engine)  # type: ignore[arg-type]
-
-
-def schedule(d: int) -> list[Step]:
-    """The compiled OCS step sequence."""
-    return optimal_schedule(d)

@@ -65,7 +65,7 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Any, Callable, Mapping, Sequence, Union
 
-from repro.core.schedule import ExchangeStep, ShuffleStep, Step, multiphase_schedule
+from repro.hypercube.subcube import phase_bit_groups
 from repro.util.bitops import popcount
 from repro.util.validation import check_dimension, check_node, check_partition
 
@@ -270,9 +270,11 @@ class Round:
     ``reach`` holds the bits a receiver still forwards across in later
     rounds: its downstream is ``{dst ^ r : r a submask of reach}``.
     ``tag`` labels the round's messages.  ``phase`` numbers the
-    round's phase: a phase opens with a barrier and, when ``times`` is
-    non-zero, closes with ``times`` elementary shuffles (every round
-    of a phase records the same ``times``).
+    round's phase: a phase opens with a barrier (receives posted, then
+    a global synchronization: FORCED messages are fatal without it,
+    paper §7.3) and, when ``times`` is non-zero, closes with ``times``
+    elementary shuffles (every round of a phase records the same
+    ``times``).
     A rotation round (``offset`` non-zero) has every node send to
     ``(x + offset) mod n`` instead (``sources`` is ``n - 1``).
     """
@@ -326,34 +328,50 @@ class Round:
         return moving
 
 
-def exchange_rounds(steps: Sequence[Step], d: int) -> tuple[Round, ...]:
-    """The rounds of a multiphase step list (or a reordering of it from
-    :mod:`repro.core.variants`) on a ``d``-cube.
+def exchange_rounds(d: int, partition: Sequence[int]) -> tuple[Round, ...]:
+    """The rounds of the paper's multiphase complete exchange (§5) at
+    ``partition`` on a ``d``-cube.
 
-    Exchange step ``i`` becomes a pairwise round across
-    ``offset << group.lo``, tagged ``i``, whose ``reach`` is every bit
-    outside the phase's group: :meth:`Round.take` then moves exactly
-    the blocks whose destination matches the partner on the group's
-    bits, the paper's effective block of ``m·2**(d - d_i)`` bytes.
+    Phase ``i`` runs the pairwise offsets ``1 .. 2**d_i - 1`` on its
+    bit group ``g`` (:func:`~repro.hypercube.subcube.phase_bit_groups`)
+    in increasing order — the Schmiermund–Seidel schedule restricted to
+    the phase's subcube — one pairwise round across ``offset << g.lo``
+    each.  Its ``reach`` is every bit outside ``g``, so
+    :meth:`Round.take` moves exactly the blocks whose destination
+    matches the partner on the group's bits, the paper's effective
+    block of ``m·2**(d - d_i)`` bytes.  With ``k > 1`` phases each one
+    closes with ``times = d_i`` elementary shuffles (index-bit
+    rotations, one fused pass); a single phase records none, since the
+    rotation by ``d`` is the identity (paper §7.4).
 
-    >>> [(r.mask, r.phase, r.times) for r in exchange_rounds(multiphase_schedule(3, (2, 1)), 3)]
-    [(2, 0, 2), (4, 0, 2), (6, 0, 2), (1, 1, 1)]
+    The tags count the phase barriers and closing shuffles as well, so
+    a round's tag is its position in the phase-by-phase chain.
+    ``(1,) * d`` is the Standard Exchange and ``(d,)`` the Optimal
+    Circuit-Switched algorithm (§5.2).
+
+    >>> [(r.mask, r.tag, r.phase, r.times) for r in exchange_rounds(3, (2, 1))]
+    [(2, 1, 0, 2), (4, 2, 0, 2), (6, 3, 0, 2), (1, 6, 1, 1)]
     """
+    parts = check_partition(partition, d)
     n = 1 << d
-    closing = {step.phase_index: step.times for step in steps if isinstance(step, ShuffleStep)}
-    return tuple(
-        Round(
-            mask=step.offset << step.group.lo,
-            sources=n - 1,
-            reach=~step.group.mask,
-            tag=index,
-            pairwise=True,
-            phase=step.phase_index,
-            times=closing.get(step.phase_index, 0),
-        )
-        for index, step in enumerate(steps)
-        if isinstance(step, ExchangeStep)
-    )
+    shuffles = len(parts) > 1
+    rounds: list[Round] = []
+    tag = 0
+    for phase, (di, group) in enumerate(zip(parts, phase_bit_groups(parts, d))):
+        tag += 1  # the phase's barrier
+        for offset in range(1, 1 << di):
+            rounds.append(Round(
+                mask=offset << group.lo,
+                sources=n - 1,
+                reach=~group.mask,
+                tag=tag,
+                pairwise=True,
+                phase=phase,
+                times=di if shuffles else 0,
+            ))
+            tag += 1
+        tag += shuffles  # the closing shuffle
+    return tuple(rounds)
 
 
 def pattern_rounds(
@@ -370,8 +388,7 @@ def pattern_rounds(
     """
     n = 1 << d
     if row.schedule == "multiphase":
-        parts = partition if partition is not None else (d,)
-        return exchange_rounds(multiphase_schedule(d, parts), d)
+        return exchange_rounds(d, partition if partition is not None else (d,))
     if row.schedule == "rotation":
         return tuple(Round(mask=0, sources=n - 1, reach=-n, tag=s, offset=s) for s in range(1, n))
     if row.schedule == "direct":

@@ -11,13 +11,11 @@ named front door plus the algorithm-specific analysis helpers.
 from __future__ import annotations
 
 from repro.core.exchange import ExchangeOutcome, run_exchange
-from repro.core.schedule import Step, standard_schedule
 from repro.util.validation import check_dimension
 
 __all__ = [
     "standard_exchange",
     "standard_partition",
-    "standard_schedule",
     "standard_transmissions",
 ]
 
@@ -47,8 +45,3 @@ def standard_exchange(d: int, m: int, *, engine: str = "tags") -> ExchangeOutcom
     3
     """
     return run_exchange(d, m, standard_partition(d), engine=engine)  # type: ignore[arg-type]
-
-
-def schedule(d: int) -> list[Step]:
-    """The compiled Standard Exchange step sequence."""
-    return standard_schedule(d)

@@ -25,23 +25,24 @@ This module provides the orderings discussed there:
     between steps.
 
 All orderings are validated contention-free and produce byte-identical
-exchanges (tests), and :func:`distance_profile` exposes the per-step
+exchanges (tests), and :func:`distance_profile` exposes the per-round
 hop sequence the orderings differ by.
 """
 
 from __future__ import annotations
 
 from dataclasses import replace
+from itertools import groupby
 from typing import Sequence
 
-from repro.core.schedule import ExchangeStep, PhaseStart, Step, multiphase_schedule
+from repro.core.programs import Round, exchange_rounds
 from repro.util.bitops import gray_code, popcount
 
 __all__ = [
     "ORDERINGS",
     "distance_profile",
     "offset_order",
-    "multiphase_schedule_ordered",
+    "ordered_rounds",
 ]
 
 ORDERINGS = ("index", "distance", "distance_desc", "gray")
@@ -72,32 +73,36 @@ def offset_order(width: int, ordering: str) -> list[int]:
     raise ValueError(f"unknown ordering {ordering!r}; have {ORDERINGS}")
 
 
-def multiphase_schedule_ordered(
+def ordered_rounds(
     d: int, partition: Sequence[int], ordering: str = "index"
-) -> list[Step]:
-    """The multiphase schedule with a chosen within-phase offset order.
+) -> tuple[Round, ...]:
+    """The exchange's rounds with a chosen within-phase offset order.
 
-    Built from :func:`repro.core.schedule.multiphase_schedule` (which
-    runs each phase's offsets in index order) by reordering each
-    phase's exchange steps, so ``ordering='index'`` reproduces it
-    exactly.
+    Permutes each phase's masks of
+    :func:`repro.core.programs.exchange_rounds` (which runs each
+    phase's offsets in index order) and leaves every tag at its
+    position, so ``ordering='index'`` reproduces it exactly.
+
+    >>> [r.mask for r in ordered_rounds(3, (3,), "gray")]
+    [1, 3, 2, 6, 7, 5, 4]
     """
-    steps = multiphase_schedule(d, partition)
-    order: list[int] = []
-    for index, step in enumerate(steps):
-        if isinstance(step, PhaseStart):
-            order = offset_order(step.group.width, ordering)
-        elif isinstance(step, ExchangeStep):
-            # in index order offset o is the phase's o-th exchange; put
-            # the ordering's o-th offset there
-            steps[index] = replace(step, offset=order[step.offset - 1])
-    return steps
+    rounds: list[Round] = []
+    for _, phase in groupby(exchange_rounds(d, partition), key=lambda rnd: rnd.phase):
+        index_order = list(phase)
+        # a width-w phase has 2**w - 1 rounds, and in index order offset
+        # o is its o-th round; put the ordering's o-th offset there
+        order = offset_order(len(index_order).bit_length(), ordering)
+        rounds.extend(
+            replace(rnd, mask=index_order[offset - 1].mask)
+            for rnd, offset in zip(index_order, order)
+        )
+    return tuple(rounds)
 
 
-def distance_profile(steps: Sequence[Step]) -> list[int]:
-    """Per-exchange-step hop distances, in execution order.
+def distance_profile(rounds: Sequence[Round]) -> list[int]:
+    """Per-round hop distances, in execution order.
 
     The multiset is ordering-invariant (total distance is fixed at
     ``Σ d_i·2**(d_i-1)``); the sequence is what the orderings shape.
     """
-    return [step.hops for step in steps if isinstance(step, ExchangeStep)]
+    return [popcount(rnd.mask) for rnd in rounds]

@@ -171,6 +171,38 @@ class TestReplayEngines:
         )
         assert report.n_trace_decisions == len(report.rows)
 
+    @pytest.mark.parametrize("grids", [
+        {"pattern_configs": [(3, 2.5)], "traffic_configs": ()},
+        {"pattern_configs": (), "traffic_configs": [(3, 16.5, 4.0)]},
+    ], ids=["pattern", "traffic"])
+    def test_event_engine_refuses_fractional_m(self, ipsc, grids):
+        """The event engine moves whole bytes: a fractional ``m`` would
+        replay at ``int(m)`` while its row reports ``m``, so it is
+        refused before any engine boots."""
+        from repro.sim.engine import Engine
+
+        boots = Engine.boot_count
+        with pytest.raises(ValueError, match=r"m=(2\.5|16\.5)"):
+            validate_policy(params=ipsc, apps=[], engine="event", **grids)
+        assert Engine.boot_count == boots
+
+    def test_event_engine_runs_integral_float_m(self, ipsc):
+        report = validate_policy(
+            params=ipsc, apps=[], engine="event",
+            pattern_configs=[(3, 16.0)], traffic_configs=(),
+        )
+        fast = validate_policy(
+            params=ipsc, apps=[], pattern_configs=[(3, 16.0)], traffic_configs=(),
+        )
+        assert report.engine_boots > 0
+        assert [r.simulated_us for r in report.rows] == [r.simulated_us for r in fast.rows]
+
+    def test_fast_path_keeps_fractional_m(self, ipsc):
+        report = validate_policy(
+            params=ipsc, apps=[], pattern_configs=[(3, 2.5)], traffic_configs=(),
+        )
+        assert {r.m for r in report.rows} == {2.5}
+
     def test_unknown_engine_rejected(self, ipsc):
         with pytest.raises(ValueError, match="unknown engine"):
             validate_policy(params=ipsc, engine="warp")

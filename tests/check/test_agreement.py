@@ -54,12 +54,9 @@ def test_trace_carries_every_exchange_step(ipsc):
     d, parts = 4, (2, 2)
     result = simulate_exchange(d, 16, parts, ipsc)
     steps = per_step_circuits(result.trace.transmissions)
-    from repro.core.schedule import ExchangeStep, multiphase_schedule
+    from repro.core.programs import exchange_rounds
 
-    n_exchange = sum(
-        isinstance(s, ExchangeStep) for s in multiphase_schedule(d, parts)
-    )
-    assert len(steps) == n_exchange
+    assert len(steps) == len(exchange_rounds(d, parts))
     # every step is a full pairing of the cube
     assert all(len(circuits) == (1 << d) for circuits in steps)
 

@@ -16,8 +16,7 @@ from hypothesis import strategies as st
 from repro.core.blocks import BlockBuffer, BlockSet, payload_pattern, payload_rows
 from repro.core.partitions import compositions, partitions
 from repro.core.programs import PATTERN_TABLE, Round, exchange_rounds, pattern_rounds
-from repro.core.schedule import ExchangeStep, multiphase_schedule
-from repro.core.variants import ORDERINGS, multiphase_schedule_ordered
+from repro.core.variants import ORDERINGS, ordered_rounds
 from repro.hypercube.subcube import BitGroup
 
 SRC = str(Path(__file__).resolve().parents[2] / "src")
@@ -298,16 +297,15 @@ class TestVerification:
 def _slot_exchange(d, m, partition, tamper=None):
     """Lockstep multiphase exchange of pattern payloads on the slot API.
 
-    ``tamper(k, node, slots, incoming)`` sees every put of exchange step
+    ``tamper(k, node, slots, incoming)`` sees every put of exchange round
     ``k`` and returns the ``(slots, incoming)`` to put instead, or
     ``None`` to drop the put.
     """
     n = 1 << d
     bufs = [BlockBuffer.initial(x, d, m) for x in range(n)]
-    steps = [s for s in multiphase_schedule(d, partition) if isinstance(s, ExchangeStep)]
-    for k, step in enumerate(steps):
-        shift = step.offset << step.group.lo
-        slots = [tag_slots(bufs[x], x ^ shift, ~step.group.mask) for x in range(n)]
+    for k, rnd in enumerate(exchange_rounds(d, partition)):
+        shift = rnd.mask
+        slots = [tag_slots(bufs[x], x ^ shift, rnd.reach) for x in range(n)]
         taken = [bufs[x].take(slots[x]) for x in range(n)]
         for x in range(n):
             put = (slots[x], taken[x ^ shift])
@@ -467,7 +465,7 @@ def _check_slot_rule(bufs, rounds):
 
 
 def _rounds(d, partition, ordering="index"):
-    return exchange_rounds(multiphase_schedule_ordered(d, partition, ordering), d)
+    return ordered_rounds(d, partition, ordering)
 
 
 class TestCoordinateSlots:

@@ -1,6 +1,8 @@
-"""Tests for schedule compilation and static validation."""
+"""Tests for the exchange's rounds and their static validation."""
 
 from __future__ import annotations
+
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
@@ -8,98 +10,95 @@ from hypothesis import given, settings
 from repro.check import verify_pattern
 from repro.core.partitions import partitions
 from repro.core.programs import exchange_rounds
-from repro.core.schedule import (
-    ExchangeStep,
-    PhaseStart,
-    ShuffleStep,
-    multiphase_schedule,
-    optimal_schedule,
-    schedule_stats,
-    schedule_stats_cache_info,
-    standard_schedule,
-)
-from repro.hypercube.subcube import BitGroup
+from repro.sim.fastpath import KIND_BARRIER, KIND_EXCHANGE, KIND_SHUFFLE, compile_schedule
+from repro.util.bitops import popcount
 from tests.conftest import small_cube_cases
+
+
+def _round_with_mask(rounds, mask):
+    (rnd,) = [r for r in rounds if r.mask == mask]
+    return rnd
+
+
+def _phase_times(rounds):
+    """Each phase's closing shuffle count, in phase order."""
+    return [times for _, times in sorted({(r.phase, r.times) for r in rounds})]
 
 
 class TestCompilation:
     def test_step_kinds_and_order(self):
-        steps = multiphase_schedule(3, (2, 1))
-        kinds = [type(s).__name__ for s in steps]
-        assert kinds == [
-            "PhaseStart", "ExchangeStep", "ExchangeStep", "ExchangeStep", "ShuffleStep",
-            "PhaseStart", "ExchangeStep", "ShuffleStep",
+        rounds = exchange_rounds(3, (2, 1))
+        # tags count each phase's barrier and closing shuffle
+        assert [(r.mask, r.tag, r.phase, r.times) for r in rounds] == [
+            (2, 1, 0, 2), (4, 2, 0, 2), (6, 3, 0, 2), (1, 6, 1, 1),
         ]
+        assert all(r.pairwise and r.sources == 7 for r in rounds)
+        # the chain: barrier, exchanges, shuffle per phase
+        B, X, S = KIND_BARRIER, KIND_EXCHANGE, KIND_SHUFFLE
+        assert compile_schedule(3, (2, 1)).kinds.tolist() == [B, X, X, X, S, B, X, S]
 
     def test_standard_is_all_ones(self):
-        steps = standard_schedule(4)
-        exchanges = [s for s in steps if isinstance(s, ExchangeStep)]
-        assert len(exchanges) == 4  # d transmissions
-        assert all(s.offset == 1 for s in exchanges)
-        assert [s.group.lo for s in exchanges] == [3, 2, 1, 0]
+        rounds = exchange_rounds(4, (1,) * 4)
+        assert len(rounds) == 4  # d transmissions
+        assert all(popcount(r.mask) == 1 for r in rounds)
+        assert [r.mask for r in rounds] == [8, 4, 2, 1]  # top bit group first
         # d shuffles, one per phase
-        assert sum(1 for s in steps if isinstance(s, ShuffleStep)) == 4
+        assert _phase_times(rounds) == [1, 1, 1, 1]
 
     def test_optimal_has_no_shuffles(self):
-        steps = optimal_schedule(4)
-        assert not any(isinstance(s, ShuffleStep) for s in steps)
-        exchanges = [s for s in steps if isinstance(s, ExchangeStep)]
-        assert [s.offset for s in exchanges] == list(range(1, 16))
-        assert sum(1 for s in steps if isinstance(s, PhaseStart)) == 1
+        rounds = exchange_rounds(4, (4,))
+        assert all(r.times == 0 for r in rounds)
+        assert [r.mask for r in rounds] == list(range(1, 16))
+        assert {r.phase for r in rounds} == {0}
 
     def test_exchange_counts_per_phase(self):
-        steps = multiphase_schedule(6, (3, 2, 1))
-        per_phase = {}
-        for s in steps:
-            if isinstance(s, ExchangeStep):
-                per_phase[s.phase_index] = per_phase.get(s.phase_index, 0) + 1
-        assert per_phase == {0: 7, 1: 3, 2: 1}
+        rounds = exchange_rounds(6, (3, 2, 1))
+        assert Counter(r.phase for r in rounds) == {0: 7, 1: 3, 2: 1}
 
     def test_shuffle_times_match_phase_dims(self):
-        steps = multiphase_schedule(6, (3, 2, 1))
-        times = [s.times for s in steps if isinstance(s, ShuffleStep)]
-        assert times == [3, 2, 1]
+        assert _phase_times(exchange_rounds(6, (3, 2, 1))) == [3, 2, 1]
 
     def test_rejects_bad_partition(self):
         with pytest.raises(ValueError):
-            multiphase_schedule(4, (3, 2))
-
-    def test_exchange_step_offset_validation(self):
-        group = BitGroup(lo=0, width=2)
-        with pytest.raises(ValueError):
-            ExchangeStep(phase_index=0, group=group, offset=0)
-        with pytest.raises(ValueError):
-            ExchangeStep(phase_index=0, group=group, offset=4)
+            exchange_rounds(4, (3, 2))
 
     def test_partner_is_involution(self):
-        step = ExchangeStep(phase_index=0, group=BitGroup(lo=2, width=3), offset=5)
+        # phase 0 of (3, 2) is bits 4..2: offset 5 is mask 5 << 2
+        rnd = _round_with_mask(exchange_rounds(5, (3, 2)), 5 << 2)
         for node in range(32):
-            partner = step.partner(node)
-            assert step.partner(partner) == node
+            partner = rnd.sends_to(node)
+            assert rnd.sends_to(partner) == node
+            assert rnd.receives_from(node) == partner
             assert partner != node
 
     def test_hops(self):
-        step = ExchangeStep(phase_index=0, group=BitGroup(lo=1, width=3), offset=0b101)
-        assert step.hops == 2
+        # phase 0 of (3, 1) is bits 3..1: offset 0b101 is mask 0b1010
+        rounds = exchange_rounds(4, (3, 1))
+        rnd = _round_with_mask(rounds, 0b101 << 1)
+        assert popcount(rnd.mask) == 2
+        compiled = compile_schedule(4, (3, 1))
+        exchange_hops = compiled.hops[compiled.kinds == KIND_EXCHANGE].tolist()
+        assert exchange_hops == [popcount(r.mask) for r in rounds]
 
 
 class TestCircuits:
-    """An exchange step's circuits are its round's (Round.circuits)."""
+    """An exchange round's circuits pair every node with its partner."""
 
     def test_circuit_count(self):
-        step = ExchangeStep(phase_index=0, group=BitGroup(lo=0, width=2), offset=3)
-        (rnd,) = exchange_rounds([step], 4)
+        # phase 1 of (2, 2) is bits 1..0: offset 3 is mask 3
+        rnd = _round_with_mask(exchange_rounds(4, (2, 2)), 3)
         circuits = rnd.circuits(0)
         assert len(circuits) == 16
         # every node appears exactly once as a source
         assert sorted(c[0] for c in circuits) == list(range(16))
-        assert circuits == [(x, step.partner(x)) for x in range(16)]
+        assert circuits == [(x, rnd.sends_to(x)) for x in range(16)]
 
     def test_circuits_stay_in_subcube_dimensions(self):
-        step = ExchangeStep(phase_index=0, group=BitGroup(lo=1, width=2), offset=2)
-        (rnd,) = exchange_rounds([step], 4)
+        # phase 1 of (1, 2, 1) is bits 2..1: offset 2 is mask 2 << 1
+        rnd = _round_with_mask(exchange_rounds(4, (1, 2, 1)), 2 << 1)
+        assert ~rnd.reach & 15 == 0b0110
         for src, dst in rnd.circuits(0):
-            assert (src ^ dst) & ~step.group.mask == 0
+            assert (src ^ dst) & rnd.reach == 0
 
 
 class TestContentionValidation:
@@ -121,9 +120,23 @@ class TestContentionValidation:
 
 
 class TestStats:
+    """The aggregates of a schedule, read off its compiled chain."""
+
+    @staticmethod
+    def _stats(d, partition, m):
+        compiled = compile_schedule(d, partition)
+        exchange = compiled.kinds == KIND_EXCHANGE
+        return {
+            "n_transmissions": int(exchange.sum()),
+            "bytes_per_node": m * int(compiled.bytes_per_m[exchange].sum()),
+            "hop_sum": int(compiled.hops.sum()),
+            "n_phases": int((compiled.kinds == KIND_BARRIER).sum()),
+            "n_shuffles": int((compiled.kinds == KIND_SHUFFLE).sum()),
+        }
+
     def test_standard_stats(self):
         d, m = 4, 8
-        stats = schedule_stats(standard_schedule(d), d, m)
+        stats = self._stats(d, (1,) * d, m)
         assert stats["n_transmissions"] == d
         # d transmissions of m * 2**(d-1) bytes
         assert stats["bytes_per_node"] == d * m * (1 << (d - 1))
@@ -133,46 +146,21 @@ class TestStats:
 
     def test_optimal_stats(self):
         d, m = 4, 8
-        stats = schedule_stats(optimal_schedule(d), d, m)
+        stats = self._stats(d, (d,), m)
         assert stats["n_transmissions"] == (1 << d) - 1
         assert stats["bytes_per_node"] == ((1 << d) - 1) * m
         # sum of popcounts over 1..15 = d * 2**(d-1)
         assert stats["hop_sum"] == d * (1 << (d - 1))
+        assert stats["n_phases"] == 1
         assert stats["n_shuffles"] == 0
 
     def test_multiphase_volume_between_extremes(self):
         d, m = 6, 10
-        volumes = {}
-        for partition in partitions(d):
-            stats = schedule_stats(multiphase_schedule(d, partition), d, m)
-            volumes[partition] = stats["bytes_per_node"]
+        volumes = {
+            partition: self._stats(d, partition, m)["bytes_per_node"]
+            for partition in partitions(d)
+        }
         v_min = volumes[(d,)]
         v_max = volumes[(1,) * d]
         for partition, v in volumes.items():
             assert v_min <= v <= v_max, partition
-
-    def test_stats_memoized_per_schedule(self):
-        """Repeat queries of one schedule — at any block size — hit the
-        per-(d, partition) cache instead of re-walking the steps."""
-        d = 6
-        steps = multiphase_schedule(d, (4, 2))
-        first = schedule_stats(steps, d, 8)
-        hits_before = schedule_stats_cache_info().hits
-        again = schedule_stats(steps, d, 8)
-        rescaled = schedule_stats(steps, d, 16)
-        assert schedule_stats_cache_info().hits == hits_before + 2
-        # same answer, fresh dict (callers may mutate their copy)
-        assert again == first and again is not first
-        # only the m scaling differs between queries of one schedule
-        assert rescaled["bytes_per_node"] == 2 * first["bytes_per_node"]
-        for key in ("n_transmissions", "hop_sum", "n_phases", "n_shuffles"):
-            assert rescaled[key] == first[key]
-
-    def test_stats_cache_distinguishes_schedules(self):
-        """Different (d, partition) schedules never share a cache entry."""
-        a = schedule_stats(multiphase_schedule(4, (2, 2)), 4, 8)
-        b = schedule_stats(multiphase_schedule(4, (4,)), 4, 8)
-        assert a["n_transmissions"] != b["n_transmissions"]
-        misses_before = schedule_stats_cache_info().misses
-        schedule_stats(multiphase_schedule(5, (2, 1, 1, 1)), 5, 8)
-        assert schedule_stats_cache_info().misses == misses_before + 1

@@ -9,12 +9,11 @@ from hypothesis import strategies as st
 from repro.check.schedule import verify_rounds
 from repro.core.blocks import BlockBuffer
 from repro.core.programs import PATTERN_TABLE, exchange_rounds, replay_pattern
-from repro.core.schedule import multiphase_schedule
 from repro.core.variants import (
     ORDERINGS,
     distance_profile,
-    multiphase_schedule_ordered,
     offset_order,
+    ordered_rounds,
 )
 from tests.conftest import small_cube_cases
 
@@ -53,38 +52,38 @@ class TestOffsetOrder:
 
 class TestOrderedSchedules:
     def test_index_reproduces_default(self):
-        assert multiphase_schedule_ordered(5, (3, 2), "index") == multiphase_schedule(5, (3, 2))
+        assert ordered_rounds(5, (3, 2), "index") == exchange_rounds(5, (3, 2))
 
     @pytest.mark.parametrize("ordering", ORDERINGS)
     def test_certified(self, ordering):
         """Every ordering's rounds are contention-free and deliver."""
         row = PATTERN_TABLE[("alltoall", "multiphase")]
         for partition in ((5,), (3, 2), (1,) * 5):
-            steps = multiphase_schedule_ordered(5, partition, ordering)
-            assert verify_rounds(row, exchange_rounds(steps, 5), 5, 0, target="t") == []
+            rounds = ordered_rounds(5, partition, ordering)
+            assert verify_rounds(row, rounds, 5, 0, target="t") == []
 
     @settings(deadline=None, max_examples=20)
     @given(small_cube_cases(), st.sampled_from(ORDERINGS))
     def test_byte_identical_exchanges(self, case, ordering):
         """Any ordering moves the same bytes to the same places."""
         d, partition = case
-        steps = multiphase_schedule_ordered(d, partition, ordering)
+        rounds = ordered_rounds(d, partition, ordering)
         buffers = [BlockBuffer.initial(node, d, 4) for node in range(1 << d)]
-        assert replay_pattern(exchange_rounds(steps, d), buffers) == ([], [])
+        assert replay_pattern(rounds, buffers) == ([], [])
         for buf in buffers:
             buf.verify_complete_exchange_result()
 
     def test_distance_multiset_invariant(self):
         profiles = {
-            ordering: sorted(distance_profile(multiphase_schedule_ordered(5, (3, 2), ordering)))
+            ordering: sorted(distance_profile(ordered_rounds(5, (3, 2), ordering)))
             for ordering in ORDERINGS
         }
         baseline = profiles["index"]
         assert all(p == baseline for p in profiles.values())
 
     def test_profiles_differ_in_sequence(self):
-        asc = distance_profile(multiphase_schedule_ordered(4, (4,), "distance"))
-        desc = distance_profile(multiphase_schedule_ordered(4, (4,), "distance_desc"))
+        asc = distance_profile(ordered_rounds(4, (4,), "distance"))
+        desc = distance_profile(ordered_rounds(4, (4,), "distance_desc"))
         assert asc == sorted(asc)
         assert desc == sorted(desc, reverse=True)
         assert asc != desc
@@ -101,13 +100,13 @@ class TestSimulatedOrderings:
         from repro.sim.machine import SimulatedHypercube
 
         holdings = partial(BlockBuffer.initial, d=4, m=16)
-        steps = multiphase_schedule_ordered(4, (2, 2), ordering)
         machine = SimulatedHypercube(4, ipsc)
-        run = machine.run(pattern_node, rounds=exchange_rounds(steps, 4), holdings=holdings)
-        baseline_steps = multiphase_schedule(4, (2, 2))
+        run = machine.run(
+            pattern_node, rounds=ordered_rounds(4, (2, 2), ordering), holdings=holdings
+        )
         machine2 = SimulatedHypercube(4, ipsc)
         run2 = machine2.run(
-            pattern_node, rounds=exchange_rounds(baseline_steps, 4), holdings=holdings
+            pattern_node, rounds=exchange_rounds(4, (2, 2)), holdings=holdings
         )
         assert run.time == pytest.approx(run2.time)
         for buf in run.node_results:

@@ -11,7 +11,6 @@ import pytest
 from repro.comm.program import simulate_exchange
 from repro.core.blocks import BlockBuffer
 from repro.core.programs import exchange_rounds
-from repro.core.schedule import multiphase_schedule
 from repro.hypercube.topology import Hypercube, Link
 from repro.model.params import ipsc860
 from repro.patterns.execute import pattern_node
@@ -105,7 +104,7 @@ class TestExchangeUnderFaults:
         raise, never deliver a quietly-wrong result."""
         machine = SimulatedHypercube(3, ipsc860())
         machine.network.fail_link(Link(5, 7))
-        rounds = exchange_rounds(multiphase_schedule(3, (2, 1)), 3)
+        rounds = exchange_rounds(3, (2, 1))
         with pytest.raises(SimulationError, match="failed link"):
             machine.run(
                 pattern_node, rounds=rounds, holdings=partial(BlockBuffer.initial, d=3, m=8)
@@ -120,7 +119,7 @@ class TestExchangeUnderFaults:
         for link in Hypercube(2).links():
             machine = SimulatedHypercube(2, ipsc860())
             machine.network.fail_link(link, both_directions=False)
-            rounds = exchange_rounds(multiphase_schedule(2, (2,)), 2)
+            rounds = exchange_rounds(2, (2,))
             with pytest.raises(SimulationError):
                 machine.run(
                     pattern_node, rounds=rounds, holdings=partial(BlockBuffer.initial, d=2, m=4)

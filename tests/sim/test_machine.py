@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from repro.core.partitions import partitions
-from repro.core.schedule import ExchangeStep, PhaseStart, ShuffleStep, multiphase_schedule
+from repro.core.programs import exchange_rounds
 from repro.model.params import ipsc860
 from repro.sim.engine import SimulationError
 from repro.sim.machine import SimulatedHypercube
@@ -318,12 +318,14 @@ class TestDeterminism:
 
 def _expected_events(d: int, partition: tuple[int, ...]) -> int:
     """Events of one multiphase exchange, ``1 + phases + n/2·(exchange
-    steps) + n·(shuffle steps)``: one shared start; per phase one
-    barrier release (the phase mark takes none); one completion per
-    exchanging pair; a resumption per node per shuffle."""
+    rounds) + n·(shuffles)``: one shared start; per phase one barrier
+    release (the phase mark takes none); one completion per exchanging
+    pair; a resumption per node per closing shuffle."""
     n = 1 << d
-    per_step = {PhaseStart: 1, ExchangeStep: n // 2, ShuffleStep: n}
-    return 1 + sum(per_step[type(step)] for step in multiphase_schedule(d, partition))
+    rounds = exchange_rounds(d, partition)
+    phases = {rnd.phase: rnd.times for rnd in rounds}
+    shuffles = sum(1 for times in phases.values() if times)
+    return 1 + len(phases) + n // 2 * len(rounds) + n * shuffles
 
 
 class TestEventCount:
@@ -359,7 +361,6 @@ class TestOwnership:
         from functools import partial
 
         from repro.core.blocks import BlockBuffer
-        from repro.core.programs import exchange_rounds
         from repro.patterns.execute import pattern_node
         from repro.sim.faults import FaultPlan
 
@@ -371,7 +372,7 @@ class TestOwnership:
         try:
             machine = SimulatedHypercube(3, ipsc860(), fault_plan=plan)
             result = machine.run(
-                pattern_node, rounds=exchange_rounds(multiphase_schedule(3, (2, 1)), 3),
+                pattern_node, rounds=exchange_rounds(3, (2, 1)),
                 holdings=partial(BlockBuffer.initial, d=3, m=8),
             )
             assert len(result.trace.transmissions) > 0

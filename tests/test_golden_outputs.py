@@ -72,8 +72,8 @@ from repro.comm import Communicator, simulate_exchange
 from repro.comm.program import simulate
 from repro.core.blocks import BlockBuffer
 from repro.core.partitions import partitions
-from repro.core.programs import BLOCK_SEMANTICS, PATTERN_TABLE, exchange_rounds
-from repro.core.variants import ORDERINGS, multiphase_schedule_ordered
+from repro.core.programs import BLOCK_SEMANTICS, PATTERN_TABLE
+from repro.core.variants import ORDERINGS, ordered_rounds
 from repro.model.params import PRESETS, ipsc860
 from repro.patterns.execute import pattern_node
 from repro.plan import CollectivePlanner, FixedPolicy, ModelPolicy
@@ -269,7 +269,7 @@ def interpreter_trace_digests() -> dict[str, str]:
                 digests[f"{preset} d={d} naive price m={m}"] = _naive_price_digest(d, m, params)
     params = ipsc860()
     for ordering in ORDERINGS:
-        rounds = exchange_rounds(multiphase_schedule_ordered(5, (3, 2), ordering), 5)
+        rounds = ordered_rounds(5, (3, 2), ordering)
         run = SimulatedHypercube(5, params).run(
             pattern_node, rounds=rounds, holdings=partial(BlockBuffer.initial, d=5, m=16)
         )

@@ -52,7 +52,6 @@ DOCTEST_MODULES = [
     "repro.core.partitions",
     "repro.core.blocks",
     "repro.core.shuffle",
-    "repro.core.schedule",
     "repro.core.exchange",
     "repro.core.standard",
     "repro.core.optimal",
