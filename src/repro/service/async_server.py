@@ -4,11 +4,14 @@
 :mod:`repro.service.server` on an asyncio socket (TCP ``host:port`` or
 ``unix:path``) so many clients can hold connections open and pipeline
 requests.  The request semantics are untouched — classification,
-validation, and response shaping are the same
+range checks, and response encoding are the same
 :func:`~repro.service.server.extract_queries` /
+:func:`~repro.service.server.check_cells` /
 :func:`~repro.service.server.handle_op` /
 :func:`~repro.service.server.build_response` helpers the stdio loop
-uses — what the socket transport adds is *concurrency*:
+uses, so a JSON query line stays cells, ids and answer columns from
+:func:`json.loads` to its response bytes, and both transports write
+the same bytes — what the socket transport adds is *concurrency*:
 
 * **per-connection pipelining** — a connection's requests are admitted
   synchronously as its lines arrive and answered strictly in request
@@ -77,21 +80,14 @@ from dataclasses import dataclass, field
 from typing import Any, AsyncIterator, Callable
 
 from repro.service import wire
-from repro.service.batch import (
-    Answers,
-    Cell,
-    Query,
-    check_query_values,
-    queries_from_arrays,
-    resolve_queries,
-)
+from repro.service.batch import Answers, Cell, queries_from_arrays, resolve_queries
 from repro.service.client import Address, parse_address
 from repro.service.config import ServerConfig
 from repro.service.registry import OptimizerRegistry
 from repro.service.server import (
     MAX_BATCH_QUERIES,
-    answer_docs,
     build_response,
+    check_cells,
     error_response,
     extract_queries,
     handle_op,
@@ -873,7 +869,7 @@ class AsyncOptimizerServer:
         """Admit one request line without yielding: immediate responses
         enqueue as ``("done", doc, t0, nbytes)``, query requests enter
         the shared micro-batch and enqueue as
-        ``("query", kind, id, queries, future, t0, nbytes)``."""
+        ``("query", kind, id, tags, future, t0, nbytes)``."""
         self._count_admitted(nbytes)
         try:
             obj = json.loads(text)
@@ -917,11 +913,11 @@ class AsyncOptimizerServer:
                     response["id"] = request_id
                 enqueue(("done", response, t0, nbytes))
                 return
-            kind, queries = extracted
-            # admission-validate *before* entering the shared batch: one
+            kind, cells, tags = extracted
+            # range-check *before* entering the shared batch: one
             # client's bad query must never poison a flush that carries
             # other clients' requests
-            cells = [self._admit_query(query) for query in queries]
+            check_cells(cells, self.registry)
         except (TypeError, ValueError, OverflowError) as exc:
             enqueue(("done", error_response(exc, request_id), t0, nbytes))
             return
@@ -929,16 +925,7 @@ class AsyncOptimizerServer:
             # answers in-band and keeps serving rather than dying
             enqueue(("done", self._internal_error(exc, request_id), t0, nbytes))
             return
-        enqueue(("query", kind, request_id, queries, self._batcher.submit(cells), t0, nbytes))
-
-    def _admit_query(self, query: Query) -> Cell:
-        """The :func:`~repro.service.batch.as_query` checks, applied in
-        place: ``query_from_obj`` already coerced the field types, so
-        the shared :func:`check_query_values` validates it as it is, and
-        its cell key is what the batcher takes."""
-        check_query_values(query.d, query.m)
-        self.registry.params(query.preset)  # unknown presets fail here
-        return query.preset, query.d, query.m
+        enqueue(("query", kind, request_id, tags, self._batcher.submit(cells), t0, nbytes))
 
     @staticmethod
     def _internal_error(exc: BaseException, request_id: object | None) -> dict:
@@ -979,13 +966,12 @@ class AsyncOptimizerServer:
                 is_error = not doc.get("ok", True)
                 out = json.dumps(doc).encode() + b"\n"
             elif tag == "query":
-                _, kind, request_id, queries, future, _, _ = item
+                _, kind, request_id, tags, future, _, _ = item
                 try:
-                    doc = build_response(kind, answer_docs(await future, queries), request_id)
+                    out = build_response(kind, await future, tags, request_id)
                 except Exception as exc:  # noqa: BLE001 — see _admit_line
-                    doc = self._internal_error(exc, request_id)
-                is_error = not doc.get("ok", True)
-                out = json.dumps(doc).encode() + b"\n"
+                    out = json.dumps(self._internal_error(exc, request_id)).encode() + b"\n"
+                    is_error = True
             elif tag == "frame":
                 out, is_error = item[1], item[2]
             else:  # "bquery": a binary frame's cells and their inverse

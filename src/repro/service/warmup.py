@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import IO, Iterable
 
-from repro.service.batch import Query, as_query, resolve_queries
+from repro.service.batch import Query, check_query_values, resolve_queries
 from repro.service.registry import OptimizerRegistry
 from repro.service.server import extract_queries
 
@@ -102,22 +102,24 @@ def _load_from_lines(
         if extracted is None:  # an op request — nothing to warm
             report.skipped += 1
             continue
-        for item in extracted[1]:
+        # a malformed query drops its whole line above; a value out of
+        # range, or a preset the registry lacks, drops only that query
+        for cell in extracted[1]:
             report.queries += 1
+            preset, d, m = cell
             try:
-                query = as_query(item)
-            except (TypeError, ValueError, OverflowError):
+                check_query_values(d, m)
+            except (TypeError, ValueError):
                 report.skipped += 1
                 continue
-            if known_presets is not None and query.preset not in known_presets:
+            if known_presets is not None and preset not in known_presets:
                 report.skipped += 1
                 continue
-            key = (query.preset, query.d, query.m)
-            if key in seen:
+            if cell in seen:
                 continue
-            seen.add(key)
+            seen.add(cell)
             # drop the tag: warm-up results belong to no request
-            queries.append(Query(query.preset, query.d, query.m))
+            queries.append(Query(preset, d, m))
     report.unique = len(queries)
     return queries, report
 

@@ -4,8 +4,11 @@ Before answers travelled as cells and columns, a binary query frame was
 deduplicated with a structured :func:`numpy.unique`, turned into one
 :class:`~repro.service.batch.Query` per distinct record, resolved into
 one :class:`~repro.service.batch.QueryResult` each, and encoded by
-scattering numpy arrays built from those objects.  This module is that
-pipeline, JSON result documents included, verbatim in behaviour, for
+scattering numpy arrays built from those objects.  A JSON query line
+was decoded into one ``Query`` per query (:func:`query_from_obj`),
+checked with one :func:`~repro.service.batch.check_query_values` call
+each, and answered with :func:`json.dumps` of one result dict per
+query.  This module is those pipelines, verbatim in behaviour, for
 ``test_columnar_answers.py`` to hold the columnar path to: the same
 bytes, the same registry counters and the same memo order.  Nothing
 under ``src/`` imports it.
@@ -14,15 +17,123 @@ under ``src/`` imports it.
 from __future__ import annotations
 
 import json
+from typing import Any
 
 import numpy as np
 
 from repro.core.partitions import cached_partitions
 from repro.model.vectorized import grid_winners, multiphase_time_grid
 from repro.service import wire
-from repro.service.batch import Query, QueryResult, check_query_values
-from repro.service.server import error_response, extract_queries
+from repro.service.batch import (
+    Answers,
+    Query,
+    QueryResult,
+    as_query,
+    check_query_values,
+    resolve_queries,
+)
+from repro.service.wire import SOURCE_NAMES
 from repro.util.validation import MAX_DIMENSION
+
+
+def query_from_obj(obj: dict, default_preset: str | None) -> Query:
+    if not isinstance(obj, dict):
+        raise ValueError(f"query must be an object, got {type(obj).__name__}")
+    unknown = set(obj) - {"preset", "d", "m", "id"}
+    if unknown:
+        raise ValueError(f"unknown query fields {sorted(unknown)}")
+    try:
+        d, m = obj["d"], obj["m"]
+    except KeyError as missing:
+        raise ValueError(f"query is missing required field {missing}") from None
+    preset = obj.get("preset", default_preset)
+    if preset is None:
+        raise ValueError("query has no machine preset and the server has no default")
+    if not isinstance(preset, str):
+        raise ValueError(f"preset must be a string, got {preset!r}")
+    if not isinstance(d, int) or isinstance(d, bool):
+        raise ValueError(f"d must be an integer, got {d!r}")
+    if isinstance(m, bool) or not isinstance(m, (int, float)):
+        raise ValueError(f"m must be a number, got {m!r}")
+    return Query(preset=preset, d=d, m=float(m), tag=obj.get("id"))
+
+
+def answer_docs(answers: Answers, queries: list[Query]) -> list[dict]:
+    """The JSON-ready result document of each query, in order, from the
+    resolver's answer columns; ``id`` echoes the query's tag."""
+    docs = []
+    for (preset, d, m), time_us, code, packed, query in zip(
+        answers.cells, answers.time_us, answers.source, answers.parts, queries
+    ):
+        doc = {"ok": True, "preset": preset, "d": d, "m": m, "partition": list(packed),
+               "time_us": time_us, "source": SOURCE_NAMES[code]}
+        if query.tag is not None:
+            doc["id"] = query.tag
+        docs.append(doc)
+    return docs
+
+
+def extract_queries(
+    obj: Any,
+    *,
+    default_preset: str | None = None,
+    max_queries: int = 4096,
+) -> tuple[str, list[Query]] | None:
+    """Classify a decoded request as a query request."""
+    if isinstance(obj, dict) and "op" in obj:
+        return None
+    if isinstance(obj, list) or (isinstance(obj, dict) and "queries" in obj):
+        items = obj if isinstance(obj, list) else obj["queries"]
+        if not isinstance(items, list):
+            raise ValueError("'queries' must be an array")
+        if len(items) > max_queries:
+            raise ValueError(
+                f"batch of {len(items)} queries exceeds the per-request "
+                f"limit of {max_queries}"
+            )
+        return "batch", [query_from_obj(item, default_preset) for item in items]
+    if isinstance(obj, dict):
+        return "single", [query_from_obj(obj, default_preset)]
+    raise ValueError(f"request must be an object or array, got {type(obj).__name__}")
+
+
+def error_response(exc: BaseException, request_id: Any = None) -> dict:
+    response: dict = {"ok": False, "error": str(exc)}
+    if request_id is not None:
+        response["id"] = request_id
+    return response
+
+
+def handle_request(obj, registry, *, default_preset=None, max_queries=4096) -> dict:
+    """The stdio loop's answer to one decoded query request (ops are
+    not modelled): every range check runs before any preset check."""
+    request_id = obj.get("id") if isinstance(obj, dict) else None
+    try:
+        kind, queries = extract_queries(
+            obj, default_preset=default_preset, max_queries=max_queries
+        )
+        queries = [as_query(q) for q in queries]
+        cells = [(q.preset, q.d, q.m) for q in queries]
+        answers = resolve_queries(registry, cells, pre_normalized=True)
+        return build_response(kind, answer_docs(answers, queries), request_id)
+    except (TypeError, ValueError, OverflowError) as exc:
+        return error_response(exc, request_id)
+
+
+def serve(registry, lines, *, default_preset=None, max_queries=4096) -> bytes:
+    """What the stdio loop wrote for request ``lines``."""
+    out = []
+    for line in lines:
+        try:
+            obj = json.loads(line)
+        except json.JSONDecodeError as exc:
+            response = {"ok": False, "error": f"invalid JSON: {exc}"}
+        else:
+            response = handle_request(
+                obj, registry, default_preset=default_preset, max_queries=max_queries
+            )
+        out.append(json.dumps(response) + "\n")
+    return "".join(out).encode()
 
 
 def queries_from_arrays(catalog, records) -> list[Query]:
@@ -175,11 +286,11 @@ def result_to_dict(result: QueryResult) -> dict:
     return doc
 
 
-def build_response(kind: str, results: list, request_id=None) -> dict:
+def build_response(kind: str, docs: list[dict], request_id=None) -> dict:
     """The JSON response for one query request."""
     if kind == "single":
-        return result_to_dict(results[0])
-    response: dict = {"ok": True, "results": [result_to_dict(r) for r in results]}
+        return docs[0]
+    response: dict = {"ok": True, "results": docs}
     if request_id is not None:
         response["id"] = request_id
     return response
@@ -240,6 +351,6 @@ def flush(registry, catalog, requests, *, default_preset, max_queries) -> list[b
         if transport == "binary":
             out[index] = wire.pack_frame(wire.OP_RESULT, encode_results(chunk, extra))
         else:
-            doc = build_response(extra[0], chunk, extra[1])
+            doc = build_response(extra[0], [result_to_dict(r) for r in chunk], extra[1])
             out[index] = json.dumps(doc).encode() + b"\n"
     return out  # type: ignore[return-value]

@@ -44,9 +44,9 @@ class TestSingleClient:
             return response
 
         response = asyncio.run(scenario())
-        expected = handle_request(
+        expected = json.loads(handle_request(
             {"d": 7, "m": 40, "id": 9}, OptimizerRegistry(), default_preset="ipsc860"
-        )
+        ))
         assert response == expected
         assert response["partition"] == [4, 3] and response["id"] == 9
 
@@ -359,9 +359,9 @@ class TestSharedErrorPaths:
             except json.JSONDecodeError as exc:
                 expected = {"ok": False, "error": f"invalid JSON: {exc}"}
             else:
-                expected = handle_request(
+                expected = json.loads(handle_request(
                     obj, registry, max_queries=CASE_MAX_QUERIES
-                )
+                ))
             assert got == expected, case_id
 
 

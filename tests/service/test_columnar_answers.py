@@ -1,18 +1,19 @@
 """The columnar serving path against the object-per-query oracle.
 
-Seeded streams of binary query frames, with JSON lines mixed into some
-flushes, go through the socket server's own admission, micro-batcher
-and response writer (driven in-process, so every flush holds exactly
-the requests listed) and through :mod:`tests.service.columnar_oracle`,
-the pipeline the columnar path replaced.  Each side has its own
-registry over the same shards, with a memo small enough to evict.
-After every flush the two must agree on every written byte, on
-``RegistryStats`` and on the memo's key order.
+Seeded streams of binary query frames and JSON lines go through the
+socket server's own admission, micro-batcher and response writer
+(driven in-process, so every flush holds exactly the requests listed)
+and through :mod:`tests.service.columnar_oracle`, the pipeline the
+columnar path replaced.  Each side has its own registry over the same
+shards, with a memo small enough to evict.  After every flush the two
+must agree on every written byte, on ``RegistryStats`` and on the
+memo's key order.  The stdio loop must write the socket's bytes.
 """
 
 from __future__ import annotations
 
 import asyncio
+import io
 import itertools
 import json
 
@@ -22,6 +23,7 @@ import pytest
 from repro.service import wire
 from repro.service.async_server import AsyncOptimizerServer
 from repro.service.registry import OptimizerRegistry
+from repro.service.server import serve
 from tests.service import columnar_oracle
 
 PRESETS = ("hypothetical", "ipsc860")
@@ -152,6 +154,92 @@ def mixed(rng):
     return flushes
 
 
+#: an ``id`` of every JSON type; ``None`` sends none (or, now and
+#: then, ``null``)
+IDS = [
+    None, "naïve ☃ \"quoted\"\n", 7, -0, 2.5, 1e300, None, True, False,
+    [1, [2, "x"], {"k": None}], {"nested": {"é": [1.5, True, None]}},
+]
+
+#: lines whose error the socket server and the object-per-query stdio
+#: loop (``columnar_oracle.serve``) name differently: an unknown preset
+#: ahead of a later query's range error.  The socket server checks each
+#: query's preset with its values, in query order; that loop checked
+#: every value first.  Both transports now name the preset
+PRESET_FIRST = [
+    '[{"preset": "cray", "d": 5, "m": 8}, {"d": 5, "m": 8}, {"d": 0, "m": 8}]',
+]
+
+#: fixed JSON lines: integer, huge and signed-zero ``m``, a null preset,
+#: the forms' empty and id-carrying edges, and lines carrying two
+#: errors, which pin their precedence (shapes before ranges, ranges in
+#: query order)
+EDGE_LINES = [
+    '{"d": 5, "m": 40}',
+    '{"d": 6, "m": 40, "preset": "hypothetical", "id": "int m"}',
+    json.dumps({"d": 6, "m": 2 ** 60, "id": "2**60"}),
+    json.dumps([{"d": 5, "m": 8}, {"d": 5, "m": 10 ** 400}]),
+    json.dumps({"queries": [{"d": 5, "m": 10 ** 400, "preset": 3}]}),
+    '{"d": 5, "m": 8, "preset": null, "id": 1}',
+    '[{"d": 5, "m": 8, "preset": "ipsc860"}, {"d": 5, "m": 8, "preset": null}]',
+    "[]",
+    '{"queries": [], "id": [1, {"a": null}]}',
+    '[{"d": 7, "m": -0.0, "id": -0.0}, {"d": 7, "m": 0.0, "id": 0.0}, {"d": 7, "m": 0}]',
+    '{"d": 8, "m": -0.0, "preset": "hypothetical"}',
+    '{"d": 8, "m": 0.0, "preset": "hypothetical", "id": false}',
+    '{"queries": [{"d": 5, "m": 8, "id": "q\u00e9"}], "id": {"r": [1.5]}}',
+    '[{"d": 0, "m": 8}, {"d": 5, "m": 8}, {"d": 5, "m": "wide"}]',
+    '[{"d": 5, "m": "wide"}, {"d": 5, "m": 8}, {"d": 0, "m": 8}]',
+    '[{"d": 5, "m": -1}, {"d": 5, "m": 8}, {"d": 99, "m": 8}]',
+    '[{"d": 5, "m": 8}, {"d": 5, "m": NaN}, {"d": 5, "m": -Infinity}]',
+    '[{"d": 5, "m": Infinity, "id": 1}, {"preset": "cray", "d": 5, "m": 8}]',
+    '[{"d": 5, "m": 8}, {"d": true, "m": 8}, {"d": 0, "m": 8}]',
+    '[{"d": 5, "m": 8}, {"d": 5, "m": false}]',
+    '[{"d": 5, "m": 8}, 7]',
+    '[{"d": 5, "m": 8, "x": 1}, {"m": 8}]',
+    '{"d": 5, "id": "no m"}',
+    '{"queries": {"d": 5, "m": 8}}',
+    *PRESET_FIRST,
+]
+
+
+def json_edges(rng):
+    """JSON lines only: seeded queries with ids of every JSON type on
+    queries and requests, in the single, bare-array and ``queries``
+    forms, with :data:`EDGE_LINES` spread over the flushes."""
+    cells = pool_cells(rng, 24) + pool_cells(rng, 4, beyond=True)
+
+    def query(p, d, m):
+        doc = {"d": d, "m": int(m) if rng.random() < 0.3 else m}
+        if PRESETS[p] != "ipsc860" or rng.random() < 0.5:
+            doc["preset"] = PRESETS[p]
+        tag = IDS[int(rng.integers(0, len(IDS)))]
+        if tag is not None or rng.random() < 0.2:
+            doc["id"] = tag
+        return doc
+
+    flushes = []
+    for number in range(FLUSHES):
+        flush = []
+        for _ in range(int(rng.integers(2, 6))):
+            pick = [cells[i] for i in rng.integers(0, len(cells), int(rng.integers(1, 8)))]
+            queries = [query(*cell) for cell in pick]
+            form = rng.random()
+            if form < 0.3:
+                obj = queries[0]
+            elif form < 0.6:
+                obj = queries
+            else:
+                obj = {"queries": queries}
+                tag = IDS[int(rng.integers(0, len(IDS)))]
+                if tag is not None:
+                    obj["id"] = tag
+            flush.append(("json", json.dumps(obj)))
+        flush[1:1] = [("json", line) for line in EDGE_LINES[number::FLUSHES]]
+        flushes.append(flush)
+    return flushes
+
+
 STREAMS = {
     "hot": hot,
     "cold": cold,
@@ -160,6 +248,7 @@ STREAMS = {
     "signed_zero": signed_zero,
     "two_bad": two_bad,
     "mixed": mixed,
+    "json_edges": json_edges,
 }
 
 
@@ -228,3 +317,50 @@ def test_columnar_path_matches_the_object_pipeline(shard_dir, stream, seed):
         assert "memo" in sources
     if stream in ("cold", "duplicate_heavy"):
         assert "pool" in sources
+
+
+def test_stdio_loop_writes_the_socket_bytes(shard_dir):
+    """The stdio loop answers every JSON edge line with the bytes the
+    socket server writes for it alone, and with the object-per-query
+    stdio loop's bytes except on the :data:`PRESET_FIRST` lines."""
+    lines = [data for flush in json_edges(np.random.default_rng(3)) for _, data in flush]
+    assert set(EDGE_LINES) <= set(lines)
+    stdio, socket, parent = (
+        OptimizerRegistry.from_shards(shard_dir, memo_capacity=MEMO_CAPACITY)
+        for _ in range(3)
+    )
+    out = io.StringIO()
+    serve(stdio, io.StringIO("\n".join(lines)), out,
+          default_preset="ipsc860", max_queries=MAX_QUERIES)
+    server = AsyncOptimizerServer(
+        socket, default_preset="ipsc860", max_queries=MAX_QUERIES, max_batch=4096
+    )
+
+    async def one_line_per_flush():
+        server._loop = asyncio.get_running_loop()
+        catalog = list(socket.preset_names)
+        return [
+            b"".join(await columnar_flush(server, catalog, [("json", line)]))
+            for line in lines
+        ]
+
+    written = out.getvalue().encode()
+    assert written == b"".join(asyncio.run(one_line_per_flush()))
+    assert stdio.stats.as_dict() == socket.stats.as_dict()
+    assert list(stdio._memo) == list(socket._memo)
+
+    old = columnar_oracle.serve(
+        parent, lines, default_preset="ipsc860", max_queries=MAX_QUERIES
+    )
+    assert stdio.stats.as_dict() == parent.stats.as_dict()
+    assert list(stdio._memo) == list(parent._memo)
+    changed = [
+        (line, json.loads(new)["error"], json.loads(was)["error"])
+        for line, new, was in zip(lines, written.splitlines(), old.splitlines())
+        if new != was
+    ]
+    assert [line for line, _, _ in changed] == [
+        line for line in lines if line in PRESET_FIRST
+    ]
+    for _, new, was in changed:
+        assert "unknown machine preset" in new and "dimension" in was

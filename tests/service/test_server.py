@@ -123,9 +123,9 @@ class TestRobustness:
 
     def test_handle_request_direct(self):
         registry = OptimizerRegistry()
-        response = handle_request(
+        response = json.loads(handle_request(
             {"d": 6, "m": 24}, registry, default_preset="hypothetical"
-        )
+        ))
         assert response["ok"] and response["partition"] == [3, 3]
 
 

@@ -42,6 +42,27 @@ class TestLoadQueryLog:
         assert report.skipped == 4  # op, bad JSON, d=0, unknown preset
         assert "3 unique" in report.describe()
 
+    def test_a_malformed_query_skips_its_line_a_bad_value_only_itself(self):
+        queries, report = load_query_log(
+            [
+                # two values out of range among valid queries: each skips alone
+                '{"queries": [{"d": 5, "m": 8}, {"d": 0, "m": 8}, {"d": 6, "m": -1}, '
+                '{"d": 5, "m": 8.0}, {"d": 7, "m": 40}]}',
+                '[{"d": 5, "m": 9}, {"d": 5, "m": "wide"}]',  # malformed: whole line
+                '{"d": 5, "m": NaN, "id": 3}',
+                '{"preset": "cray", "d": 5, "m": 8}',
+                '[{"d": 5, "m": 1e999}, {"d": 99, "m": 8}, {"d": 6, "m": 8}]',
+                '{"op": "stats"}',
+                "not json",
+            ],
+            default_preset="ipsc860",
+            known_presets=("ipsc860", "hypothetical"),
+        )
+        assert [(q.preset, q.d, q.m) for q in queries] == [
+            ("ipsc860", 5, 8.0), ("ipsc860", 7, 40.0), ("ipsc860", 6, 8.0),
+        ]
+        assert (report.lines, report.queries, report.skipped, report.unique) == (7, 10, 9, 3)
+
     def test_reads_from_a_file(self, tmp_path):
         path = tmp_path / "queries.jsonl"
         path.write_text("\n".join(log_lines()) + "\n")
