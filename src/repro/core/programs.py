@@ -62,7 +62,7 @@ sends-first instead of compiling it.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Any, Callable, Mapping, Sequence, Union
 
 from repro.hypercube.subcube import phase_bit_groups
@@ -149,6 +149,8 @@ class CommProgram:
     than the chain sum (the compiler refuses them; their price replays
     their ``rounds``); ``partition`` is carried for exchange-backed
     programs so consumers can trace the schedule a program prices.
+    The hash is cached on the instance, outside the fields and the
+    pickled state (``str`` hashes differ between processes).
     """
 
     name: str
@@ -157,6 +159,16 @@ class CommProgram:
     contended: bool = False
     partition: tuple[int, ...] | None = None
     rounds: tuple["Round", ...] = ()
+
+    @cached_property
+    def _hash(self) -> int:
+        return hash((self.name, self.d, self.steps, self.contended, self.partition, self.rounds))
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __getstate__(self) -> dict[str, Any]:
+        return {key: value for key, value in self.__dict__.items() if key != "_hash"}
 
     @property
     def n_steps(self) -> int:

@@ -33,6 +33,12 @@ __all__ = ["PATTERNS", "PatternDecision", "pattern_candidates", "plan_pattern"]
 #: exchange has its own planner, :class:`repro.plan.CollectivePlanner`)
 PATTERNS = ("broadcast", "scatter", "allgather")
 
+#: pattern -> its algorithm rows, in PATTERN_TABLE order
+_ROWS = {
+    pattern: tuple(row for row in PATTERN_TABLE.values() if row.pattern == pattern)
+    for pattern in PATTERNS
+}
+
 
 @dataclass(frozen=True)
 class PatternDecision:
@@ -68,10 +74,9 @@ def pattern_candidates(
 
     check_dimension(d, minimum=1)
     m = check_block_size(m)
-    if pattern not in PATTERNS:
+    rows = _ROWS.get(pattern)
+    if rows is None:
         raise ValueError(f"unknown pattern {pattern!r}; expected one of {PATTERNS}")
-    rows = [row for row in PATTERN_TABLE.values() if row.pattern == pattern]
-
     scored: list[tuple[str, float, tuple[int, ...] | None]] = []
     for row in rows:
         partition: tuple[int, ...] | None = None
@@ -118,7 +123,7 @@ def plan_pattern(
     return PatternDecision(
         pattern=pattern,
         d=int(d),
-        m=check_block_size(m),
+        m=float(m),  # pattern_candidates checked it
         algorithm=name,
         predicted_us=time,
         partition=partition,

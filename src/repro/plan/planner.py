@@ -67,7 +67,10 @@ class CollectivePlanner:
     stats: PlannerStats = field(default_factory=PlannerStats)
     #: every decision handed out, in call order (cache hits included)
     log: list[PlanDecision] = field(default_factory=list)
-    _cache: dict[tuple[int, float], PlanDecision] = field(default_factory=dict)
+    #: (d, m) -> (the policy's decision, the one handed out on hits)
+    _cache: dict[tuple[int, float], tuple[PlanDecision, PlanDecision]] = field(
+        default_factory=dict
+    )
 
     @property
     def policy_name(self) -> str:
@@ -81,17 +84,17 @@ class CollectivePlanner:
         cached = self._cache.get(key)
         if cached is not None:
             self.stats.cache_hits += 1
-            decision = replace(cached, source="cache")
+            decision = cached[1]
         else:
             self.stats.policy_calls += 1
             decision = self.policy.decide(*key)
-            self._cache[key] = decision
+            self._cache[key] = (decision, replace(decision, source="cache"))
         self.log.append(decision)
         return decision
 
     def unique_decisions(self) -> list[PlanDecision]:
         """The distinct decisions taken this run, in first-seen order."""
-        return list(self._cache.values())
+        return [decision for decision, _ in self._cache.values()]
 
     def clear(self) -> None:
         """Drop the plan cache and log (a fresh 'run'); stats survive."""

@@ -60,7 +60,7 @@ import heapq
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Sequence
+from typing import ClassVar, Sequence
 
 import numpy as np
 
@@ -108,55 +108,6 @@ __all__ = [
 KIND_BARRIER, KIND_EXCHANGE, KIND_SHUFFLE, KIND_SEND = 0, 1, 2, 3
 
 
-def _step_durations(
-    d: int,
-    kinds: np.ndarray,
-    bytes_per_m: np.ndarray,
-    hops: np.ndarray,
-    ms: Sequence[float],
-    params: MachineParams,
-) -> np.ndarray:
-    """Per-step durations for each block size: shape ``(S, M)``.
-
-    Arithmetic mirrors the event engine term for term and in the same
-    order (latency + ``τ·nbytes`` first, hop term added last), so
-    integral block sizes reproduce its float results exactly.  Pairwise
-    rows use the §7.4 effective constants (``λ_x``, ``δ_x``); one-way
-    FORCED rows the plain ones (``λ``, ``δ``); barriers cost ``γ·d``;
-    shuffles ``ρ`` per byte.
-    """
-    ms_arr = np.asarray(ms, dtype=np.float64)
-    if ms_arr.ndim != 1:
-        raise ValueError(f"ms must be one-dimensional, got shape {ms_arr.shape}")
-    # a Python pass, not numpy reductions: pricing mostly asks for one
-    # size, where this is several times cheaper (NaN fails the test too)
-    for m in ms_arr.tolist():
-        if not 0 <= m < math.inf:
-            raise ValueError(f"block sizes must be finite and >= 0, got {m}")
-    out = np.zeros((len(kinds), ms_arr.size), dtype=np.float64)
-    barrier = kinds == KIND_BARRIER
-    out[barrier, :] = params.global_sync_time(d)
-    exchange = kinds == KIND_EXCHANGE
-    if exchange.any():
-        nbytes = bytes_per_m[exchange][:, None] * ms_arr[None, :]
-        hop_terms = params.exchange_hop_time * hops[exchange].astype(np.float64)
-        out[exchange, :] = (
-            params.exchange_latency + params.byte_time * nbytes + hop_terms[:, None]
-        )
-    send = kinds == KIND_SEND
-    if send.any():
-        nbytes = bytes_per_m[send][:, None] * ms_arr[None, :]
-        hop_terms = params.hop_time * hops[send].astype(np.float64)
-        out[send, :] = (
-            params.latency + params.byte_time * nbytes + hop_terms[:, None]
-        )
-    shuffle = kinds == KIND_SHUFFLE
-    if shuffle.any():
-        full_buffer = bytes_per_m[shuffle][:, None] * ms_arr[None, :]
-        out[shuffle, :] = params.permute_time * full_buffer
-    return out
-
-
 # ----------------------------------------------------------------------
 # the program compiler: any CommProgram, one numpy pass
 # ----------------------------------------------------------------------
@@ -188,6 +139,8 @@ class CompiledProgram:
     kinds: np.ndarray
     bytes_per_m: np.ndarray
     hops: np.ndarray
+    #: the last params priced and its step columns (one entry per program)
+    _priced: ClassVar[tuple[MachineParams, tuple[np.ndarray, ...]] | None] = None
 
     @property
     def d(self) -> int:
@@ -197,11 +150,35 @@ class CompiledProgram:
     def n_steps(self) -> int:
         return len(self.program.steps)
 
+    def _columns(self, params: MachineParams) -> tuple[np.ndarray, ...]:
+        """Per-step ``(latency, rate, hop term, bytes_per_m)`` columns on
+        ``params``; unused terms are ``-0.0``, the exact additive identity."""
+        priced = self._priced
+        if priced is None or not (priced[0] is params or priced[0] == params):
+            latency, rate, hop_rate = np.array([  # rows in KIND_* order
+                (params.global_sync_time(self.d), -0.0, -0.0),
+                (params.exchange_latency, params.byte_time, params.exchange_hop_time),
+                (-0.0, params.permute_time, -0.0),
+                (params.latency, params.byte_time, params.hop_time),
+            ])[self.kinds].T[:, :, None]
+            hop, bytes_per_m = hop_rate * self.hops[:, None], self.bytes_per_m[:, None] * 1.0
+            priced = (params, (latency, rate, hop, bytes_per_m))
+            object.__setattr__(self, "_priced", priced)
+        return priced[1]
+
     def durations(self, ms: Sequence[float], params: MachineParams) -> np.ndarray:
-        """Per-step durations for each block size: shape ``(S, M)``."""
-        return _step_durations(
-            self.d, self.kinds, self.bytes_per_m, self.hops, ms, params
-        )
+        """Per-step durations for each block size, shape ``(S, M)``: one
+        pass of ``(latency + rate·(bytes_per_m·m)) + hop``, the engine's order."""
+        ms_arr = np.asarray(ms, dtype=np.float64)
+        if ms_arr.ndim != 1:
+            raise ValueError(f"ms must be one-dimensional, got shape {ms_arr.shape}")
+        # a Python pass, not numpy reductions: pricing mostly asks for one
+        # size, where this is several times cheaper (NaN fails the test too)
+        for m in ms_arr.tolist():
+            if not 0 <= m < math.inf:
+                raise ValueError(f"block sizes must be finite and >= 0, got {m}")
+        latency, rate, hop, bytes_per_m = self._columns(params)
+        return latency + rate * (bytes_per_m * ms_arr) + hop
 
     def totals(self, ms: Sequence[float], params: MachineParams) -> np.ndarray:
         """Total program time per block size (engine-order ``cumsum``)."""
