@@ -142,7 +142,6 @@ class TestMain:
             "vectorized_sweep",
             "service_throughput",
             "planner_cache",
-            "async_serving",
             "fastpath",
             "apps_fastpath",
             "wire_protocol",

@@ -44,7 +44,7 @@ from repro.model.store import (
     save_shard,
     save_table,
 )
-from repro.model.vectorized import grid_winners, multiphase_time_grid, pack_partitions
+from repro.model.vectorized import grid_winners, multiphase_time_grid
 
 __all__ = [
     "HullShift",
@@ -77,7 +77,6 @@ __all__ = [
     "multiphase_time",
     "multiphase_time_grid",
     "optimal_time",
-    "pack_partitions",
     "phase_breakdown",
     "phase_cost",
     "standard_time",

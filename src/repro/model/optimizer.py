@@ -31,7 +31,12 @@ from typing import Iterable, Sequence
 from repro.core.partitions import cached_partitions
 from repro.model.cost import multiphase_time
 from repro.model.params import MachineParams
-from repro.model.vectorized import grid_winners, multiphase_time_grid
+from repro.model.vectorized import (
+    grid_winners,
+    multiphase_time_grid,
+    pool_rows,
+    price_rows,
+)
 from repro.util.validation import check_block_size, check_dimension
 
 __all__ = [
@@ -109,6 +114,10 @@ def evaluate_partitions(
     """
     check_block_size(m)
     check_dimension(d, minimum=1)
+    if method == "grid" and candidates is None:
+        # the full pool's coefficient rows are cached: no re-validation
+        pool, rows = pool_rows(d)
+        return _sorted_ranking(pool, price_rows(rows, float(m), params).tolist())
     pool = _candidate_pool(d, candidates)
     if method == "grid":
         times = multiphase_time_grid([float(m)], d, pool, params)[:, 0].tolist()

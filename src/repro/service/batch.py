@@ -10,15 +10,18 @@ objects.  In one core call:
    size, so repeats inside one call cost one cell;
 3. each group does its partition lookups against the preset's stored
    :class:`~repro.model.optimizer.OptimizerTable` (a bisect, no model
-   evaluation) and prices them with one
-   :func:`~repro.model.vectorized.multiphase_time_grid` call per
-   winning partition — exactly the needed cells, no cross product;
+   evaluation) and queues one kernel row per cell at its partition —
+   exactly the needed cells, no cross product;
 4. block sizes beyond the table's recorded sweep bound — where the
-   table's last segment would be an unverified extrapolation — are
-   scored exactly over the full candidate pool in one grid call,
-   matching :func:`~repro.model.optimizer.best_partition` bit for bit.
+   table's last segment would be an unverified extrapolation — queue
+   one row per partition of the full candidate pool, and the winner of
+   each is the first minimal row in ascending partition order,
+   matching :func:`~repro.model.optimizer.best_partition` bit for bit;
+5. every queued row of a preset, from every group of the call, is
+   priced by one :func:`~repro.model.vectorized.price_rows` call, and
+   the answers are memoized group by group in the order above.
 
-The grid kernel is bitwise-identical to the scalar model, so each
+The row kernel is bitwise-identical to the scalar model, so each
 result's ``time_us`` equals ``multiphase_time(m, d, partition,
 params)`` to the last bit; within the sweep bound the partition is the
 stored table's answer, whose switch points are located to ~1e-3 bytes.
@@ -29,12 +32,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cache
-from typing import TYPE_CHECKING, Any, Iterable, Literal, NoReturn, Sequence, overload
+from typing import (
+    TYPE_CHECKING, Any, Iterable, Iterator, Literal, NoReturn, Sequence, overload,
+)
 
 import numpy as np
 
-from repro.core.partitions import cached_partitions
-from repro.model.vectorized import grid_winners, multiphase_time_grid
+from repro.model.vectorized import partition_row, pool_rows, price_rows
 from repro.service.wire import SOURCE_CODES, SOURCE_NAMES
 from repro.util.validation import MAX_DIMENSION, check_block_size, check_dimension
 
@@ -73,7 +77,7 @@ class QueryResult:
     m: float
     partition: tuple[int, ...]
     time_us: float
-    #: ``"memo"`` (repeat query), ``"grid"`` (table + grid call), or
+    #: ``"memo"`` (repeat query), ``"grid"`` (table partition, priced), or
     #: ``"pool"`` (beyond the table's sweep bound: exact full-pool scoring)
     source: str
     tag: Any = None
@@ -83,6 +87,7 @@ class QueryResult:
 Cell = tuple[str, int, float]
 #: packed partitions: one bytes object per partition, shared by memo entries
 _packed = cache(bytes)
+_GRID, _POOL = SOURCE_CODES["grid"], SOURCE_CODES["pool"]
 
 
 @dataclass(slots=True)
@@ -177,7 +182,8 @@ def resolve_queries(
     registry: "OptimizerRegistry", queries: list[Cell], *, pre_normalized: Literal[True]
 ) -> Answers: ...
 def resolve_queries(registry, queries, *, pre_normalized=False):
-    """Answer every query, coalescing misses into grid-kernel calls.
+    """Answer every query, coalescing misses into one row-kernel call
+    per preset.
 
     Accepts :class:`Query` objects or bare ``(preset, d, m)`` tuples;
     results come back in input order.  ``pre_normalized=True`` is the
@@ -193,6 +199,52 @@ def resolve_queries(registry, queries, *, pre_normalized=False):
 def _results(registry: "OptimizerRegistry", queries: list[Query]) -> list[QueryResult]:
     keys = [(q.preset, q.d, q.m) for q in queries]
     return _resolve_normalized(registry, keys).results(q.tag for q in queries)
+
+
+class _Group:
+    """The memo misses of one ``(preset, d)`` group as kernel rows: a
+    row per covered cell, at its table partition, then, pool-major,
+    every partition of ``d``'s pool (ascending) at every block size
+    beyond the table's sweep bound."""
+
+    def __init__(
+        self, preset: str, d: int, by_m: dict[float, list[int]],
+        covered: dict[tuple[int, ...], list[float]], beyond: list[float],
+    ) -> None:
+        self.preset, self.d, self.by_m = preset, d, by_m
+        self.covered, self.beyond = covered, beyond
+        self.pool, self.pool_rows = pool_rows(d) if beyond else ((), None)
+        self.times = np.zeros(0)
+
+    def rows(self) -> tuple[np.ndarray, np.ndarray]:
+        """The group's ``(rows, ms)`` kernel input."""
+        rows: list[int] = []
+        ms: list[float] = []
+        for partition, block in self.covered.items():
+            rows += [partition_row(self.d, partition)] * len(block)
+            ms += block
+        if self.beyond:
+            rows.extend(np.repeat(self.pool_rows, len(self.beyond)).tolist())
+            ms.extend(self.beyond * len(self.pool))
+        return np.array(rows, dtype=np.intp), np.array(ms)
+
+    def answers(self) -> Iterator[tuple[float, bytes, float, int]]:
+        """``(m, packed partition, time_us, source code)`` per cell, from
+        the priced ``times``: covered cells partition by partition, then
+        each beyond-bound cell's pool winner (the first minimal row, so
+        the smallest tuple among the tied)."""
+        offset = 0
+        for partition, ms in self.covered.items():
+            packed = _packed(partition)
+            for m, time_us in zip(ms, self.times[offset:offset + len(ms)].tolist()):
+                yield m, packed, time_us, _GRID
+            offset += len(ms)
+        if self.beyond:
+            grid = self.times[offset:].reshape(len(self.pool), len(self.beyond))
+            best = grid.argmin(axis=0)
+            best_us = grid[best, np.arange(len(self.beyond))].tolist()
+            for m, row, time_us in zip(self.beyond, best.tolist(), best_us):
+                yield m, _packed(self.pool[row]), time_us, _POOL
 
 
 def _resolve_normalized(registry: "OptimizerRegistry", keys: list[Cell]) -> Answers:
@@ -217,52 +269,51 @@ def _resolve_normalized(registry: "OptimizerRegistry", keys: list[Cell]) -> Answ
     stats.memo_hits += n - misses
     stats.memo_misses += misses
 
+    groups: list[_Group] = []
     for (preset, d), by_m in pending.items():
-        params = registry.params(preset)
         bound = registry.coverage(preset, d)
+        inside: list[float] = []
+        beyond: list[float] = []
+        for m in sorted(by_m):
+            (inside if m <= bound else beyond).append(m)
 
-        def finish(
-            m: float, partition: tuple[int, ...], time_us: float, name: str
-        ) -> None:
-            cell, packed, code = (preset, d, m), _packed(partition), SOURCE_CODES[name]
-            registry.memo_put(cell, (packed, time_us))
+        # block sizes the table's sweep covers take their partition from
+        # the stored table (a bisect); the table is fetched only here, so
+        # an all-beyond group never loads (or sweeps) it.  Beyond the
+        # bound the table's last segment is just an extrapolation, so
+        # the full pool is scored exactly
+        covered: dict[tuple[int, ...], list[float]] = {}
+        if inside:
+            table = registry.table(preset, d)
+            for m in inside:
+                covered.setdefault(table.lookup(m), []).append(m)
+        group = _Group(preset, d, by_m, covered, beyond)
+        stats.grid_calls += len(covered) + bool(beyond)
+        stats.grid_cells += len(inside) + len(group.pool) * len(beyond)
+        groups.append(group)
+
+    # one kernel call per preset prices every group's rows
+    by_preset: dict[str, list[_Group]] = {}
+    for group in groups:
+        by_preset.setdefault(group.preset, []).append(group)
+    for preset, members in by_preset.items():
+        rows, ms = zip(*(group.rows() for group in members))
+        priced = price_rows(np.concatenate(rows), np.concatenate(ms), registry.params(preset))
+        offsets = np.cumsum([len(r) for r in rows])[:-1]
+        for group, times_us in zip(members, np.split(priced, offsets)):
+            group.times = times_us
+
+    # answer (and memoize) group by group, in the order of the misses
+    memo_put = registry.memo_put
+    for group in groups:
+        preset, d, by_m = group.preset, group.d, group.by_m
+        for m, packed, time_us, code in group.answers():
+            cell = (preset, d, m)
+            memo_put(cell, (packed, time_us))
             waiting = by_m[m]
             stats.coalesced += len(waiting) - 1
             for i in waiting:
                 cells[i], times[i], source[i], parts[i] = cell, time_us, code, packed
-
-        covered: list[float] = []
-        beyond: list[float] = []
-        for m in sorted(by_m):
-            (covered if m <= bound else beyond).append(m)
-
-        # block sizes the table's sweep covers: partition from the
-        # stored table (a bisect), price per winning partition so only
-        # the needed cells are evaluated; the table itself is fetched
-        # only here so an all-beyond group never loads (or sweeps) it
-        if covered:
-            table = registry.table(preset, d)
-            groups: dict[tuple[int, ...], list[float]] = {}
-            for m in covered:
-                groups.setdefault(table.lookup(m), []).append(m)
-            for partition, ms in groups.items():
-                grid = multiphase_time_grid(ms, d, [partition], params)
-                stats.grid_calls += 1
-                stats.grid_cells += grid.size
-                for col, m in enumerate(ms):
-                    finish(m, partition, float(grid[0, col]), "grid")
-
-        # beyond the sweep bound the table's last segment is just an
-        # extrapolation, so score the full candidate pool exactly
-        if beyond:
-            pool = cached_partitions(d)
-            grid = multiphase_time_grid(beyond, d, pool, params)
-            stats.grid_calls += 1
-            stats.grid_cells += grid.size
-            winners = grid_winners(grid, pool)
-            rows = {partition: row for row, partition in enumerate(pool)}
-            for col, m in enumerate(beyond):
-                finish(m, winners[col], float(grid[rows[winners[col]], col]), "pool")
     return Answers(cells, times, source, parts)
 
 

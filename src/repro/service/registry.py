@@ -12,7 +12,7 @@ arbitrary traffic:
   re-swept;
 * a **result memo** (``memo_capacity``) over resolved
   ``(preset, d, m)`` queries, so repeat lookups skip both the table
-  bisect and the grid call entirely.
+  bisect and the pricing kernel entirely.
 
 Every interaction is counted in :class:`RegistryStats`, which the
 JSON-lines server reports in-band (``{"op": "stats"}``) and the CLI
@@ -48,9 +48,9 @@ class RegistryStats:
     queries: int = 0
     #: queries answered straight from the result memo
     memo_hits: int = 0
-    #: queries that needed a table lookup + grid evaluation
+    #: queries that needed a table lookup + model evaluation
     memo_misses: int = 0
-    #: same-batch duplicates folded into an already-scheduled grid cell
+    #: same-batch duplicates folded into an already-scheduled cell
     coalesced: int = 0
     #: tables swept from scratch (no shard held them)
     tables_built: int = 0
@@ -58,9 +58,14 @@ class RegistryStats:
     tables_loaded: int = 0
     #: tables dropped by the LRU bound
     tables_evicted: int = 0
-    #: grid-kernel invocations issued by batch resolution
+    #: groups priced by batch resolution: one per ``(preset, d,
+    #: partition)`` group of covered misses and one per beyond-bound
+    #: pool.  A count of priced groups, not of kernel invocations: a
+    #: resolve call prices all its groups of one preset in one
+    #: :func:`~repro.model.vectorized.price_rows` call
     grid_calls: int = 0
-    #: total cells across those invocations
+    #: cells priced across those groups (a pool counts every partition
+    #: at every block size)
     grid_cells: int = 0
 
     @property

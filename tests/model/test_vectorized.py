@@ -20,7 +20,9 @@ from repro.model.vectorized import (
     grid_winners,
     multiphase_time_grid,
     multiphase_time_pairs,
-    pack_partitions,
+    partition_row,
+    pool_rows,
+    price_rows,
 )
 
 PRESET_PARAMS = (ipsc860(), hypothetical())
@@ -139,11 +141,6 @@ class TestValidation:
         assert multiphase_time_grid([1.0], 5, [], ipsc).shape == (0, 1)
         assert multiphase_time_grid([], 5, [(5,)], ipsc).shape == (1, 0)
 
-    def test_pack_partitions_pads_with_zeros(self):
-        pool, packed = pack_partitions([(4,), (2, 1, 1)], 4)
-        assert pool == ((4,), (2, 1, 1))
-        assert packed.tolist() == [[4, 0, 0], [2, 1, 1]]
-
 
 class TestWinners:
     def test_grid_winners_match_scalar_tiebreak(self, ipsc):
@@ -207,3 +204,138 @@ class TestOverflowDomain:
         assert not np.isnan(grid).any()
         for i, p in enumerate([(7,), (4, 3)]):
             assert grid[i, 0] == multiphase_time(5e306, 7, p, ipsc)
+
+
+#: block sizes at the edges of the float domain: signed zeros, the
+#: smallest subnormal, and sizes whose ``m*2**d`` overflows to inf (the
+#: dead-slot ``0*inf`` case)
+EDGE_BLOCK_SIZES = (0.0, -0.0, 5e-324, 2.2250738585072014e-308, 1e300, 1.7e308)
+
+
+def composition(max_d: int = 10):
+    """A ``(d, composition)`` pair: a partition of ``d`` in any order."""
+    return st.integers(min_value=1, max_value=max_d).flatmap(
+        lambda d: st.tuples(
+            st.just(d), st.sampled_from(cached_partitions(d)).flatmap(st.permutations)
+        )
+    ).map(lambda pair: (pair[0], tuple(pair[1])))
+
+
+class TestRowKernel:
+    @settings(deadline=None, max_examples=150)
+    @given(
+        cells=st.lists(
+            st.tuples(
+                composition(),
+                st.one_of(
+                    st.sampled_from(EDGE_BLOCK_SIZES),
+                    st.floats(min_value=0.0, max_value=1e6, allow_nan=False),
+                ),
+            ),
+            min_size=1,
+            max_size=40,
+        ),
+        params=params_strategy(),
+    )
+    def test_rows_equal_the_scalar_model_bit_for_bit(self, cells, params):
+        """Property: one call over rows of mixed ``d``, compositions in
+        any order and edge block sizes prices each row exactly as
+        ``multiphase_time`` does, ``float.hex`` for ``float.hex``."""
+        rows = [partition_row(d, p) for (d, p), _ in cells]
+        ms = [m for _, m in cells]
+        with np.errstate(over="ignore", invalid="ignore"):
+            times = price_rows(np.array(rows), np.array(ms), params)
+        assert times.shape == (len(cells),)
+        for ((d, p), m), got in zip(cells, times.tolist()):
+            assert got.hex() == multiphase_time(m, d, p, params).hex()
+
+    def test_pool_rows_are_sorted_and_priced_like_the_grid(self, ipsc):
+        pool, rows = pool_rows(7)
+        assert list(pool) == sorted(partitions(7))
+        ms = np.array([0.0, 1.0, 40.0, 400.0, 4096.0])
+        got = price_rows(rows[:, np.newaxis], ms[np.newaxis, :], ipsc)
+        assert got.tolist() == multiphase_time_grid(ms, 7, pool, ipsc).tolist()
+
+    def test_the_table_grows_with_partitions_not_block_sizes(self, ipsc):
+        from repro.model import vectorized
+        from repro.model.optimizer import evaluate_partitions
+
+        _, rows = pool_rows(8)
+        size = len(vectorized._TABLE)
+        ms = np.linspace(0.0, 4096.0, 10_000)
+        price_rows(np.repeat(rows, ms.size), np.tile(ms, rows.size), ipsc)
+        multiphase_time_grid(ms, 8, partitions(8), ipsc)
+        for m in ms[::100].tolist():
+            evaluate_partitions(m, 8, ipsc)
+        assert len(vectorized._TABLE) == size
+
+    def test_unknown_partitions_are_checked_before_they_enter_the_table(self):
+        from repro.model import vectorized
+
+        ones = partition_row(3, (1, 1, 1))
+        size = len(vectorized._TABLE)
+        with pytest.raises(ValueError, match="sums to"):
+            partition_row(5, (3, 3))
+        with pytest.raises(TypeError, match="bool"):
+            multiphase_time_grid([1.0], 3, [(True, True, 1)], ipsc860())
+        # a lookup is by value and (True, True, 1) == (1, 1, 1): the
+        # hit must not skip the check
+        with pytest.raises(TypeError, match="bool"):
+            partition_row(3, (True, True, 1))
+        assert partition_row(3, (np.int64(1),) * 3) == ones
+        assert len(vectorized._TABLE) == size
+
+    def test_threads_filling_the_table_agree_on_every_row(self, ipsc):
+        """Eight threads fill the table with the same new compositions
+        (every composition of 13 not yet in it), each in its own order,
+        with a short switch interval: every pair gets exactly one row,
+        every thread reads it back, and each row prices like the scalar
+        model."""
+        import sys
+        import threading
+
+        from repro.model import vectorized
+
+        def composition(d: int, cuts: int) -> tuple[int, ...]:
+            """The composition of ``d`` cut after part ``i`` for every
+            set bit ``i`` of ``cuts``."""
+            parts, run = [], 1
+            for bit in range(d - 1):
+                if cuts >> bit & 1:
+                    parts.append(run)
+                    run = 0
+                run += 1
+            return (*parts, run)
+
+        d = 13
+        new = [
+            p for p in (composition(d, c) for c in range(1 << (d - 1)))
+            if (d, p) not in vectorized._TABLE._index
+        ]
+        # other tests may already have priced the canonical pool of 13
+        assert len(new) >= (1 << (d - 1)) - len(cached_partitions(d))
+        size = len(vectorized._TABLE)
+        got: list[dict] = [{} for _ in range(8)]
+
+        def fill(k: int) -> None:
+            order = np.random.default_rng(k).permutation(len(new))
+            for i in order.tolist():
+                got[k][new[i]] = partition_row(d, new[i])
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=fill, args=(k,)) for k in range(8)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert all(rows == got[0] for rows in got)
+        assert len(vectorized._TABLE) == size + len(new)
+        assert sorted(got[0].values()) == list(range(size, size + len(new)))
+        times = price_rows(np.array(list(got[0].values())), 40.0, ipsc).tolist()
+        for p, time_us in zip(got[0], times):
+            assert time_us.hex() == multiphase_time(40.0, d, p, ipsc).hex()

@@ -163,6 +163,68 @@ class TestCrossClientBatching:
         assert stats.batches <= (n_clients * per_client) // 2
         assert stats.peak_batch_queries > 1
 
+    def test_pipelined_clients_answer_like_serial_requests(self, tmp_path):
+        """Cross-client batching changes how many flushes price the
+        cells, not the answers: 8 pipelined clients on a cold
+        shard-backed server get the partitions, times and sources one
+        strictly serial client gets from another cold server.  Half the
+        block sizes are beyond the shards' 400 B sweep bound."""
+        shard_dir = tmp_path / "shards"
+        OptimizerRegistry().save_shards(shard_dir, presets=["ipsc860"], dims=(5, 6, 7))
+        n_clients, per_client = 8, 10
+        lines = [
+            json.dumps({"d": 5 + i % 3, "m": (400.97 if i % 2 else 0.97) + 0.97 * i})
+            .encode() + b"\n"
+            for i in range(n_clients * per_client)
+        ]
+
+        async def cold(name, drive):
+            server = AsyncOptimizerServer(
+                OptimizerRegistry.from_shards(shard_dir), default_preset="ipsc860"
+            )
+            await server.start(sock_address(tmp_path / name))
+            try:
+                return await drive(server), server
+            finally:
+                await server.aclose()
+
+        async def send(server, requests):
+            """Write ``requests`` (lists of lines) one list at a time,
+            each after the previous list's answers are read."""
+            address = server.address
+            if address.kind == "unix":
+                reader, writer = await asyncio.open_unix_connection(address.path)
+            else:
+                reader, writer = await asyncio.open_connection(address.host, address.port)
+            answers = []
+            for chunk in requests:
+                writer.write(b"".join(chunk))
+                await writer.drain()
+                answers += [json.loads(await reader.readline()) for _ in chunk]
+            writer.close()
+            await writer.wait_closed()
+            return answers
+
+        async def serial(server):
+            return await send(server, [[line] for line in lines])
+
+        async def pipelined(server):
+            per = await asyncio.gather(*[
+                send(server, [lines[k * per_client:(k + 1) * per_client]])
+                for k in range(n_clients)
+            ])
+            return [r for answers in per for r in answers]
+
+        (tmp_path / "a").mkdir()
+        (tmp_path / "b").mkdir()
+        one_by_one, serial_server = asyncio.run(cold("a", serial))
+        batched, batched_server = asyncio.run(cold("b", pipelined))
+        assert all(r["ok"] for r in one_by_one)
+        assert batched == one_by_one
+        assert {r["source"] for r in batched} == {"grid", "pool"}
+        assert serial_server.stats.batches == len(lines)
+        assert batched_server.stats.batches < len(lines) // 2
+
     def test_max_batch_triggers_size_flush(self, tmp_path):
         async def scenario():
             server = await started_server(

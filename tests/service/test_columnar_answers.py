@@ -92,6 +92,31 @@ def signed_zero(rng):
     return flushes
 
 
+def wide_flush(rng):
+    """Flushes of 80 fresh cells over both presets and d 2..8 (d 2 and
+    3 have no shard, so their tables are swept in process), inside and
+    beyond the sweep bound, plus 16 repeats of earlier cells, in
+    32-record frames and one JSON batch.  Each flush misses more
+    distinct cells than the memo holds, so the memo evicts inside the
+    flush, and one resolve call prices every miss of every group."""
+    seen: list[tuple[int, int, float]] = []
+    flushes = []
+    for _ in range(FLUSHES):
+        n = 80
+        sizes = np.where(rng.random(n) < 0.5, rng.uniform(0.0, 400.0, n),
+                         rng.uniform(400.0, 4000.0, n))
+        fresh = [(int(p), int(d), float(m)) for p, d, m in
+                 zip(rng.integers(0, len(PRESETS), n), rng.integers(2, 9, n), sizes)]
+        again = [seen[i] for i in rng.integers(0, len(seen), 16)] if seen else []
+        specs = fresh + again
+        specs = [specs[i] for i in rng.permutation(len(specs))]
+        flush = [("binary", records(specs[i:i + FRAME])) for i in range(0, len(specs), FRAME)]
+        flush.insert(1, ("json", json_line(rng, specs[:5])))
+        flushes.append(flush)
+        seen += fresh
+    return flushes
+
+
 #: bad records, each pair of which is tried in one frame: which one the
 #: error names depends on the sorted cell order
 BAD = [
@@ -247,6 +272,7 @@ STREAMS = {
     "duplicate_heavy": duplicate_heavy,
     "signed_zero": signed_zero,
     "two_bad": two_bad,
+    "wide_flush": wide_flush,
     "mixed": mixed,
     "json_edges": json_edges,
 }
@@ -317,6 +343,9 @@ def test_columnar_path_matches_the_object_pipeline(shard_dir, stream, seed):
         assert "memo" in sources
     if stream in ("cold", "duplicate_heavy"):
         assert "pool" in sources
+    if stream == "wide_flush":
+        assert {"memo", "grid", "pool"} <= sources
+        assert columnar.stats.tables_built > 0
 
 
 def test_stdio_loop_writes_the_socket_bytes(shard_dir):
