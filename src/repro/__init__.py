@@ -98,14 +98,12 @@ from repro.plan import (
     plan_pattern,
 )
 from repro.service import (
-    AsyncServiceClient,
     OptimizerClient,
     OptimizerRegistry,
     Query,
     QueryBatch,
     QueryResult,
     ServerConfig,
-    ServiceClient,
     aconnect,
     connect,
 )
@@ -123,7 +121,6 @@ __version__ = "1.0.0"
 
 __all__ = [
     "ADIProblem",
-    "AsyncServiceClient",
     "CollectivePlanner",
     "Communicator",
     "ContentionPolicy",
@@ -140,7 +137,6 @@ __all__ = [
     "QueryBatch",
     "QueryResult",
     "ServerConfig",
-    "ServiceClient",
     "ServicePolicy",
     "SimulatedHypercube",
     "__version__",

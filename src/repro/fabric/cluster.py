@@ -9,12 +9,13 @@ its (preset, d) shard key through the coordinator's cached
 :class:`~repro.fabric.routing.RoutingTable`:
 
 - ``query_many`` groups the queries by target node and pipelines each
-  group over that node's connection (the existing single-server
+  group over that node's connection (the single-server client's
   pipelining, unchanged), reassembling answers into request order;
-- a node that drops, refuses, or answers ``RETRY_LATER`` (shedding)
-  fails only its group: those queries retry on the *next replica* in
-  their key's failover order, after a capped exponential backoff and a
-  forced routing-table refresh — node loss is a normal, retried event;
+- a node that drops, refuses, stalls past ``timeout``, or answers
+  ``RETRY_LATER`` (shedding) fails only its group: those queries retry
+  on the *next replica* in their key's failover order, after a capped
+  exponential backoff and a forced routing-table refresh — node loss
+  is a normal, retried event;
 - group submission is all-or-nothing: answers are committed by query
   index only when a group's full response pipeline arrived, so a
   connection cut mid-pipeline re-runs the whole group on a replica —
@@ -22,6 +23,16 @@ its (preset, d) shard key through the coordinator's cached
 - the routing table refreshes epoch-conditionally (``OP_ROUTES`` with
   the cached epoch; the coordinator answers ``{"unchanged": true}``
   when nothing moved).
+
+The route/commit/retry loop is written once, in :class:`_ClusterCore`,
+as a flow in the style of :mod:`repro.service.client`: a generator
+that yields three steps — ``("sleep", s)``, ``("refresh",)`` (a forced
+route refresh, answered with the fresh table) and ``("group", address,
+docs, frame_queries)`` (answered with the node's answers, or ``None``
+when the node failed).  The two clients are its blocking and asyncio
+drivers; node connections are :class:`~repro.service.client.ServerClient`
+/ :class:`~repro.service.client.AsyncServerClient`, and each
+coordinator round trip is one flow run on the same drivers.
 
 Routing tables come from a pluggable source: :class:`CoordinatorRoutes`
 asks a live coordinator, :class:`StaticRoutes` pins a table (tests
@@ -33,7 +44,6 @@ script membership changes without a coordinator).  The module-level
 from __future__ import annotations
 
 import asyncio
-import socket
 import time
 from dataclasses import dataclass
 from typing import Any, Iterable
@@ -41,11 +51,17 @@ from typing import Any, Iterable
 from repro.fabric.routing import RoutingTable
 from repro.service import wire as wire_proto
 from repro.service.client import (
+    _READ_FRAME,
     Address,
     AsyncServerClient,
     ServerClient,
     ServiceError,
     parse_address,
+    _adrive,
+    _check_frame_queries,
+    _checked,
+    _drive,
+    _Flow,
     _query_request,
 )
 
@@ -95,62 +111,46 @@ class RetryPolicy:
 
 
 # ----------------------------------------------------------------------
-# control-plane round trips (sync + async)
+# control-plane round trips: one flow each, on either driver
 # ----------------------------------------------------------------------
-def _check_control_answer(opcode: int, payload: bytes, expect: int) -> dict:
-    if opcode == wire_proto.OP_ERROR:
+def _control_flow(opcode: int, doc: dict, expect: int) -> _Flow:
+    yield wire_proto.pack_frame(opcode, wire_proto.fabric_payload(doc))
+    answer_op, payload = yield _READ_FRAME
+    if answer_op == wire_proto.OP_ERROR:
         raise RouteError(payload.decode("utf-8", "replace"))
-    if opcode != expect:
-        raise RouteError(f"coordinator answered opcode {opcode}, expected {expect}")
+    if answer_op != expect:
+        raise RouteError(f"coordinator answered opcode {answer_op}, expected {expect}")
     return wire_proto.parse_fabric_payload(payload)
 
 
+def _routes_flow(known_epoch: int | None) -> _Flow:
+    doc = yield from _control_flow(
+        wire_proto.OP_ROUTES,
+        {"epoch": -1 if known_epoch is None else known_epoch},
+        wire_proto.OP_ROUTES_OK,
+    )
+    return None if doc.get("unchanged") else RoutingTable.from_dict(doc)
+
+
+def _status_flow() -> _Flow:
+    return _control_flow(wire_proto.OP_STATUS, {}, wire_proto.OP_STATUS_OK)
+
+
 def _control_request(
-    address: str | Address, opcode: int, doc: dict, expect: int,
-    *, timeout: float | None,
-) -> dict:
-    """One blocking control-plane round trip against the coordinator."""
-    addr = parse_address(address)
-    if addr.kind == "unix":
-        sock = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
-        sock.settimeout(timeout)
-        sock.connect(addr.path)
-    else:
-        sock = socket.create_connection((addr.host, addr.port), timeout=timeout)
-        sock.settimeout(timeout)
-    try:
-        file = sock.makefile("rwb")
-        file.write(wire_proto.pack_frame(opcode, wire_proto.fabric_payload(doc)))
-        file.flush()
-        _, answer_op, payload = wire_proto.read_frame_blocking(file.read)
-    finally:
-        sock.close()
-    return _check_control_answer(answer_op, payload, expect)
+    address: str | Address, flow: _Flow, *, timeout: float | None
+) -> Any:
+    """One blocking control-plane round trip against the coordinator (a
+    JSON-wire client without a token sends nothing at connect, so the
+    coordinator sees only the flow's frame)."""
+    with ServerClient(address, timeout=timeout) as conn:
+        return conn._run(flow)
 
 
 async def _control_request_async(
-    address: str | Address, opcode: int, doc: dict, expect: int,
-    *, timeout: float | None,
-) -> dict:
-    addr = parse_address(address)
-    if addr.kind == "unix":
-        open_coro = asyncio.open_unix_connection(addr.path)
-    else:
-        open_coro = asyncio.open_connection(addr.host, addr.port)
-    reader, writer = await asyncio.wait_for(open_coro, timeout)
-    try:
-        writer.write(wire_proto.pack_frame(opcode, wire_proto.fabric_payload(doc)))
-        await writer.drain()
-        _, answer_op, payload = await asyncio.wait_for(
-            wire_proto.read_frame(reader), timeout
-        )
-    finally:
-        writer.close()
-        try:
-            await writer.wait_closed()
-        except (ConnectionError, OSError):
-            pass
-    return _check_control_answer(answer_op, payload, expect)
+    address: str | Address, flow: _Flow, *, timeout: float | None
+) -> Any:
+    async with await AsyncServerClient.connect(address, timeout=timeout) as conn:
+        return await conn._run(flow)
 
 
 def fetch_routes(
@@ -159,24 +159,14 @@ def fetch_routes(
 ) -> RoutingTable | None:
     """The coordinator's routing table, or ``None`` when ``known_epoch``
     is still current."""
-    doc = _control_request(
-        coordinator, wire_proto.OP_ROUTES,
-        {"epoch": -1 if known_epoch is None else known_epoch},
-        wire_proto.OP_ROUTES_OK, timeout=timeout,
-    )
-    if doc.get("unchanged"):
-        return None
-    return RoutingTable.from_dict(doc)
+    return _control_request(coordinator, _routes_flow(known_epoch), timeout=timeout)
 
 
 def fetch_status(
     coordinator: str | Address, *, timeout: float | None = 10.0
 ) -> dict:
     """The full membership document (``repro cluster status``)."""
-    return _control_request(
-        coordinator, wire_proto.OP_STATUS, {}, wire_proto.OP_STATUS_OK,
-        timeout=timeout,
-    )
+    return _control_request(coordinator, _status_flow(), timeout=timeout)
 
 
 def request_drain(
@@ -184,8 +174,9 @@ def request_drain(
 ) -> dict:
     """Ask the coordinator to drain one node (``repro cluster drain``)."""
     return _control_request(
-        coordinator, wire_proto.OP_DRAIN, {"node": node_id},
-        wire_proto.OP_DRAIN_OK, timeout=timeout,
+        coordinator,
+        _control_flow(wire_proto.OP_DRAIN, {"node": node_id}, wire_proto.OP_DRAIN_OK),
+        timeout=timeout,
     )
 
 
@@ -205,14 +196,9 @@ class CoordinatorRoutes:
         )
 
     async def table_async(self, known_epoch: int | None = None) -> RoutingTable | None:
-        doc = await _control_request_async(
-            self.coordinator, wire_proto.OP_ROUTES,
-            {"epoch": -1 if known_epoch is None else known_epoch},
-            wire_proto.OP_ROUTES_OK, timeout=self.timeout,
+        return await _control_request_async(
+            self.coordinator, _routes_flow(known_epoch), timeout=self.timeout
         )
-        if doc.get("unchanged"):
-            return None
-        return RoutingTable.from_dict(doc)
 
     def status(self) -> dict:
         return fetch_status(self.coordinator, timeout=self.timeout)
@@ -248,7 +234,7 @@ class StaticRoutes:
 
 
 # ----------------------------------------------------------------------
-# shared routing logic (pure: both clients delegate here)
+# shared routing logic (pure: the loop below delegates here)
 # ----------------------------------------------------------------------
 def _route_groups(
     table: RoutingTable, docs: list[dict], pending: list[int], attempt: int
@@ -291,8 +277,9 @@ def _commit_group(
 _NODE_FAILURES = (ConnectionError, OSError, wire_proto.WireError, ServiceError)
 
 
-class ClusterClient:
-    """Blocking cluster client (see module docstring for semantics)."""
+class _ClusterCore:
+    """The route/commit/retry loop both cluster clients drive (see the
+    module docstring for its steps and semantics)."""
 
     def __init__(
         self,
@@ -309,63 +296,35 @@ class ClusterClient:
         self._timeout = timeout
         self._retry = retry if retry is not None else RetryPolicy()
         self._table: RoutingTable | None = None
-        self._conns: dict[str, ServerClient] = {}
+        self._conns: dict[str, Any] = {}
 
-    # -- routing ------------------------------------------------------
-    @property
-    def table(self) -> RoutingTable:
-        if self._table is None:
-            self.refresh()
-        assert self._table is not None
-        return self._table
+    def _known_epoch(self, force: bool) -> int | None:
+        return None if force or self._table is None else self._table.epoch
 
-    def refresh(self, *, force: bool = False) -> RoutingTable:
-        known = None if force or self._table is None else self._table.epoch
-        fresh = self._routes.table(known)
+    def _adopt(self, fresh: RoutingTable | None) -> RoutingTable:
         if fresh is not None:
             self._table = fresh
         assert self._table is not None
         return self._table
 
-    def _conn(self, address: str) -> ServerClient:
-        client = self._conns.get(address)
-        if client is None:
-            client = ServerClient(
-                address, wire=self._wire, auth_token=self._auth_token,
-                timeout=self._timeout,
-            )
-            self._conns[address] = client
-        return client
+    def _table_flow(self) -> _Flow:
+        if self._table is None:
+            return (yield ("refresh",))
+        return self._table
 
-    def _drop_conn(self, address: str) -> None:
-        client = self._conns.pop(address, None)
-        if client is not None:
-            client.close()
+    def _query_flow(self, d: int, m: float, preset: str | None) -> _Flow:
+        answers = yield from self._query_many_flow([(d, m)], preset, None)
+        return _checked(answers[0])
 
-    # -- queries ------------------------------------------------------
-    def query(self, d: int, m: float, *, preset: str | None = None) -> dict:
-        doc: dict[str, Any] = {"d": d, "m": m}
-        if preset is not None:
-            doc["preset"] = preset
-        response = self.query_many([doc])[0]
-        if not response.get("ok", False):
-            raise ServiceError(response)
-        return response
-
-    def query_many(
-        self,
-        queries: Iterable,
-        *,
-        preset: str | None = None,
-        frame_queries: int | None = None,
-    ) -> list[dict]:
-        table = self.table
+    def _query_many_flow(
+        self, queries: Iterable, preset: str | None, frame_queries: int | None
+    ) -> _Flow:
+        _check_frame_queries(self._wire, frame_queries)
+        table = yield from self._table_flow()
         docs = [
             _query_request(q, preset if preset is not None else table.default_preset)
             for q in queries
         ]
-        if not docs:
-            return []
         results: list[dict | None] = [None] * len(docs)
         pending = list(range(len(docs)))
         failures = 0
@@ -373,22 +332,15 @@ class ClusterClient:
             if not pending:
                 break
             if failures:
-                time.sleep(self._retry.delay_s(failures - 1))
-                table = self.refresh(force=True)
+                yield ("sleep", self._retry.delay_s(failures - 1))
+                table = yield ("refresh",)
             groups, pending = _route_groups(table, docs, pending, attempt)
             for address, idxs in groups.items():
-                kwargs: dict[str, Any] = {}
-                if self._wire == "binary" and frame_queries is not None:
-                    kwargs["frame_queries"] = frame_queries
-                try:
-                    answers = self._conn(address).query_many(
-                        [docs[i] for i in idxs], **kwargs
-                    )
-                except _NODE_FAILURES:
-                    self._drop_conn(address)
+                answers = yield ("group", address, [docs[i] for i in idxs], frame_queries)
+                if answers is None:
                     pending.extend(idxs)
-                    continue
-                pending.extend(_commit_group(results, idxs, answers))
+                else:
+                    pending.extend(_commit_group(results, idxs, answers))
             if pending:
                 failures += 1
         if pending:
@@ -397,6 +349,63 @@ class ClusterClient:
                 f"{self._retry.attempts} attempts across replicas"
             )
         return [doc for doc in results if doc is not None]
+
+
+class ClusterClient(_ClusterCore):
+    """Blocking cluster client (see module docstring for semantics)."""
+
+    def _run(self, flow: _Flow) -> Any:
+        return _drive(flow, self._step)
+
+    def _step(self, step: tuple) -> Any:
+        kind, *args = step
+        if kind == "sleep":
+            time.sleep(*args)
+            return None
+        if kind == "refresh":
+            return self.refresh(force=True)
+        return self._group(*args)
+
+    def _group(self, address: str, docs: list[dict], frame_queries: int | None) -> Any:
+        """The node's answers to one group, or ``None`` (and its
+        connection dropped) when the node failed."""
+        try:
+            client = self._conns.get(address)
+            if client is None:
+                client = self._conns[address] = ServerClient(
+                    address, wire=self._wire, auth_token=self._auth_token,
+                    timeout=self._timeout,
+                )
+            return client.query_many(docs, frame_queries=frame_queries)
+        except _NODE_FAILURES:
+            self._drop_conn(address)
+            return None
+
+    # -- routing ------------------------------------------------------
+    @property
+    def table(self) -> RoutingTable:
+        return self._run(self._table_flow())
+
+    def refresh(self, *, force: bool = False) -> RoutingTable:
+        return self._adopt(self._routes.table(self._known_epoch(force)))
+
+    def _drop_conn(self, address: str) -> None:
+        client = self._conns.pop(address, None)
+        if client is not None:
+            client.close()
+
+    # -- queries ------------------------------------------------------
+    def query(self, d: int, m: float, *, preset: str | None = None) -> dict:
+        return self._run(self._query_flow(d, m, preset))
+
+    def query_many(
+        self,
+        queries: Iterable,
+        *,
+        preset: str | None = None,
+        frame_queries: int | None = None,
+    ) -> list[dict]:
+        return self._run(self._query_many_flow(queries, preset, frame_queries))
 
     # -- ops ----------------------------------------------------------
     def stats(self) -> dict:
@@ -418,44 +427,39 @@ class ClusterClient:
         self.close()
 
 
-class AsyncClusterClient:
+class AsyncClusterClient(_ClusterCore):
     """The same routing client on asyncio connections."""
 
-    def __init__(
-        self,
-        routes: CoordinatorRoutes | StaticRoutes,
-        *,
-        wire: str = "json",
-        auth_token: str | None = None,
-        timeout: float | None = 30.0,
-        retry: RetryPolicy | None = None,
-    ) -> None:
-        self._routes = routes
-        self._wire = wire
-        self._auth_token = auth_token
-        self._timeout = timeout
-        self._retry = retry if retry is not None else RetryPolicy()
-        self._table: RoutingTable | None = None
-        self._conns: dict[str, AsyncServerClient] = {}
+    async def _run(self, flow: _Flow) -> Any:
+        return await _adrive(flow, self._step)
+
+    async def _step(self, step: tuple) -> Any:
+        kind, *args = step
+        if kind == "sleep":
+            await asyncio.sleep(*args)
+            return None
+        if kind == "refresh":
+            return await self.refresh(force=True)
+        return await self._group(*args)
+
+    async def _group(
+        self, address: str, docs: list[dict], frame_queries: int | None
+    ) -> Any:
+        try:
+            client = self._conns.get(address)
+            if client is None:
+                client = self._conns[address] = await AsyncServerClient.connect(
+                    address, wire=self._wire, auth_token=self._auth_token,
+                    timeout=self._timeout,
+                )
+            return await client.query_many(docs, frame_queries=frame_queries)
+        except _NODE_FAILURES:
+            await self._drop_conn(address)
+            return None
 
     # -- routing ------------------------------------------------------
     async def refresh(self, *, force: bool = False) -> RoutingTable:
-        known = None if force or self._table is None else self._table.epoch
-        fresh = await self._routes.table_async(known)
-        if fresh is not None:
-            self._table = fresh
-        assert self._table is not None
-        return self._table
-
-    async def _conn(self, address: str) -> AsyncServerClient:
-        client = self._conns.get(address)
-        if client is None:
-            client = await AsyncServerClient.connect(
-                address, wire=self._wire, auth_token=self._auth_token,
-                timeout=self._timeout,
-            )
-            self._conns[address] = client
-        return client
+        return self._adopt(await self._routes.table_async(self._known_epoch(force)))
 
     async def _drop_conn(self, address: str) -> None:
         client = self._conns.pop(address, None)
@@ -464,13 +468,7 @@ class AsyncClusterClient:
 
     # -- queries ------------------------------------------------------
     async def query(self, d: int, m: float, *, preset: str | None = None) -> dict:
-        doc: dict[str, Any] = {"d": d, "m": m}
-        if preset is not None:
-            doc["preset"] = preset
-        response = (await self.query_many([doc]))[0]
-        if not response.get("ok", False):
-            raise ServiceError(response)
-        return response
+        return await self._run(self._query_flow(d, m, preset))
 
     async def query_many(
         self,
@@ -479,60 +477,21 @@ class AsyncClusterClient:
         preset: str | None = None,
         frame_queries: int | None = None,
     ) -> list[dict]:
-        table = self._table if self._table is not None else await self.refresh()
-        docs = [
-            _query_request(q, preset if preset is not None else table.default_preset)
-            for q in queries
-        ]
-        if not docs:
-            return []
-        results: list[dict | None] = [None] * len(docs)
-        pending = list(range(len(docs)))
-        failures = 0
-        for attempt in range(self._retry.attempts):
-            if not pending:
-                break
-            if failures:
-                await asyncio.sleep(self._retry.delay_s(failures - 1))
-                table = await self.refresh(force=True)
-            groups, pending = _route_groups(table, docs, pending, attempt)
-            for address, idxs in groups.items():
-                kwargs: dict[str, Any] = {}
-                if self._wire == "binary" and frame_queries is not None:
-                    kwargs["frame_queries"] = frame_queries
-                try:
-                    client = await self._conn(address)
-                    answers = await client.query_many(
-                        [docs[i] for i in idxs], **kwargs
-                    )
-                except _NODE_FAILURES:
-                    await self._drop_conn(address)
-                    pending.extend(idxs)
-                    continue
-                pending.extend(_commit_group(results, idxs, answers))
-            if pending:
-                failures += 1
-        if pending:
-            raise RouteError(
-                f"{len(pending)} of {len(docs)} queries unanswered after "
-                f"{self._retry.attempts} attempts across replicas"
-            )
-        return [doc for doc in results if doc is not None]
+        return await self._run(self._query_many_flow(queries, preset, frame_queries))
 
     # -- ops ----------------------------------------------------------
     async def stats(self) -> dict:
         if isinstance(self._routes, CoordinatorRoutes):
             status = await _control_request_async(
-                self._routes.coordinator, wire_proto.OP_STATUS, {},
-                wire_proto.OP_STATUS_OK, timeout=self._routes.timeout,
+                self._routes.coordinator, _status_flow(),
+                timeout=self._routes.timeout,
             )
         else:
             status = self._routes.status()
         return {"ok": True, "cluster": status}
 
     async def presets(self) -> list[str]:
-        table = self._table if self._table is not None else await self.refresh()
-        return list(table.presets)
+        return list((await self._run(self._table_flow())).presets)
 
     async def aclose(self) -> None:
         for address in list(self._conns):

@@ -27,10 +27,9 @@ repeated future use".  This subsystem is the *repeated future use*:
     frames, packed ``(preset_id, d, m)`` query records, contiguous
     answer arrays) negotiated per connection with JSON fallback.
 :mod:`repro.service.client`
-    :class:`ServerClient` / :class:`AsyncServerClient` — sync and
-    asyncio clients with pipelined ``query_many`` on either wire
-    (the old ``ServiceClient`` / ``AsyncServiceClient`` names remain
-    as deprecation shims).
+    :class:`ServerClient` / :class:`AsyncServerClient` — blocking and
+    asyncio drivers over one client protocol core, with pipelined
+    ``query_many`` on either wire.
 :mod:`repro.service.api`
     :func:`connect` / :func:`aconnect` — the one public entry point:
     hand it ``"HOST:PORT"`` for a server or ``"cluster:HOST:PORT"``
@@ -61,9 +60,7 @@ from repro.service.batch import Query, QueryBatch, QueryResult, as_query, resolv
 from repro.service.client import (
     Address,
     AsyncServerClient,
-    AsyncServiceClient,
     ServerClient,
-    ServiceClient,
     ServiceError,
     parse_address,
 )
@@ -77,7 +74,6 @@ __all__ = [
     "AsyncOptimizerClient",
     "AsyncOptimizerServer",
     "AsyncServerClient",
-    "AsyncServiceClient",
     "DEFAULT_DIMS",
     "LatencyHistogram",
     "MAX_BATCH_QUERIES",
@@ -90,7 +86,6 @@ __all__ = [
     "ServerClient",
     "ServerConfig",
     "ServerStats",
-    "ServiceClient",
     "ServiceError",
     "WarmupReport",
     "aconnect",

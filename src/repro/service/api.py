@@ -1,10 +1,8 @@
 """One way in: ``connect()`` / ``aconnect()`` and the client protocol.
 
-Callers used to juggle :class:`ServiceClient` vs
-:class:`AsyncServiceClient`, ``parse_address``, ``wire=``, and
-``auth_token=`` by hand — and none of that said anything about
-clusters.  These factories collapse the surface to a single decision,
-the *target string*:
+These factories reduce the client surface to one decision, the
+*target string* (``wire``, ``auth_token`` and ``timeout`` are keywords
+either way):
 
 ``"HOST:PORT"`` / ``":PORT"`` / ``"unix:PATH"``
     One server.  ``connect`` returns a
@@ -20,7 +18,10 @@ the *target string*:
 Both shapes satisfy :class:`OptimizerClient` (resp.
 :class:`AsyncOptimizerClient`) — context manager, ``query``,
 ``query_many``, ``stats``, ``close`` — so call sites are agnostic to
-whether one server or a whole fabric answers:
+whether one server or a whole fabric answers.  The two server clients
+drive one protocol core (:mod:`repro.service.client`), and the two
+cluster clients one route/commit/retry core over them
+(:mod:`repro.fabric.cluster`):
 
 >>> from repro.service import connect
 >>> # with connect("cluster:127.0.0.1:7840", wire="binary") as client:

@@ -1,25 +1,28 @@
 """Client library for the optimizer query service socket transport.
 
-Two clients over the same protocols the socket server speaks
-(:mod:`repro.service.async_server`) — the JSON-lines protocol of the
-stdio loop (:mod:`repro.service.server`) and, with ``wire="binary"``,
-the length-prefixed binary protocol of :mod:`repro.service.wire`:
+The client side of the socket server's two protocols
+(:mod:`repro.service.async_server`) — the JSON lines of
+:mod:`repro.service.server` and, with ``wire="binary"``, the frames of
+:mod:`repro.service.wire` — is written once, in :class:`_ServerCore`,
+as *flows*: generators that yield I/O steps and are sent each step's
+result.  A step is bytes to send, :data:`_READ_LINE` or
+:data:`_READ_FRAME` (answered with one line, or one
+``(opcode, payload)`` frame).  The flows cover HELLO / auth
+negotiation, ``request``, ``query``, pipelined ``query_many`` and the
+ops.  Two drivers run them, differing only in how a step moves bytes:
 
 :class:`ServerClient`
-    Blocking sockets, for scripts and the ``repro query --connect``
-    CLI.  :meth:`ServerClient.query_many` pipelines: every request is
-    written before the first response is read, so a server that
-    micro-batches across in-flight requests sees them all at once.
+    Blocking sockets, for scripts and ``repro query --connect``.
 :class:`AsyncServerClient`
-    The same surface on asyncio streams, for concurrent load
-    generators and services embedding the client in an event loop.
+    asyncio streams, for load generators and event-loop services.
 
-Prefer the :func:`repro.service.connect` / :func:`repro.service.aconnect`
-factories over constructing these directly — they return the same
-objects for a single server and a cluster-routing client for a
-``cluster:`` target, behind one :class:`~repro.service.api.OptimizerClient`
-protocol.  The pre-fabric names ``ServiceClient`` / ``AsyncServiceClient``
-remain as deprecation shims.
+Both bound every read by ``timeout`` and close the connection when
+connecting or negotiating fails; :mod:`repro.fabric.cluster` runs its
+node connections and coordinator round trips on them.  ``query_many``
+pipelines: every request is written before the first response is read,
+so a micro-batching server sees them all at once.  Prefer the
+:func:`repro.service.connect` / :func:`repro.service.aconnect`
+factories, which also understand ``cluster:`` targets.
 
 On the binary wire the client opens with a ``HELLO`` (carrying the
 optional ``auth_token``) and keeps the server's ``HELLO_OK`` preset
@@ -52,24 +55,28 @@ from __future__ import annotations
 import asyncio
 import json
 import socket
-import warnings
 from dataclasses import dataclass
-from typing import Any, Iterable, Sequence
+from typing import Any, Awaitable, Callable, Generator, Iterable, Sequence
 
 from repro.service import wire as wire_proto
 
 __all__ = [
     "Address",
     "AsyncServerClient",
-    "AsyncServiceClient",
     "ServerClient",
-    "ServiceClient",
     "ServiceError",
     "parse_address",
 ]
 
 #: wire protocol selectors accepted by the clients
 _WIRES = ("json", "binary")
+
+#: the read steps a flow yields (any other step is bytes to send)
+_READ_LINE = "read line"
+_READ_FRAME = "read frame"
+
+#: a flow: yields steps, is sent each step's result, returns the answer
+_Flow = Generator[Any, Any, Any]
 
 
 class ServiceError(RuntimeError):
@@ -231,12 +238,28 @@ class _BinarySession:
         return docs
 
 
-def _frame_chunk(n_specs: int, frame_queries: int | None) -> int:
+def _check_wire(wire: str) -> str:
+    if wire not in _WIRES:
+        raise ValueError(f"wire must be one of {_WIRES}, got {wire!r}")
+    return wire
+
+
+def _check_frame_queries(wire: str, frame_queries: int | None) -> None:
+    """The one ``query_many(frame_queries=...)`` check every client
+    (single-server and cluster, sync and async) runs first."""
     if frame_queries is None:
-        return max(n_specs, 1)
+        return
+    if wire != "binary":
+        raise ValueError("frame_queries applies to the binary wire only")
     if frame_queries < 1:
         raise ValueError(f"frame_queries must be >= 1, got {frame_queries}")
-    return frame_queries
+
+
+def _checked(response: dict) -> dict:
+    """``response``, or :class:`ServiceError` for an error answer."""
+    if not response.get("ok", False):
+        raise ServiceError(response)
+    return response
 
 
 def _hello_session(opcode: int, payload: bytes) -> _BinarySession:
@@ -251,7 +274,105 @@ def _hello_session(opcode: int, payload: bytes) -> _BinarySession:
     return _BinarySession(wire_proto.parse_hello_ok(payload))
 
 
-class ServerClient:
+def _json_lines(docs: Iterable[dict]) -> bytes:
+    return b"".join(json.dumps(doc).encode() + b"\n" for doc in docs)
+
+
+def _read_doc() -> _Flow:
+    """Read one JSON response line."""
+    line = yield _READ_LINE
+    if not line:
+        raise ConnectionError("server closed the connection")
+    return json.loads(line)
+
+
+def _drive(flow: _Flow, handle: Callable[[Any], Any]) -> Any:
+    """Run ``flow`` to its return value, answering each step it yields
+    with ``handle(step)``."""
+    result = None
+    while True:
+        try:
+            step = flow.send(result)
+        except StopIteration as done:
+            return done.value
+        result = handle(step)
+
+
+async def _adrive(flow: _Flow, handle: Callable[[Any], Awaitable[Any]]) -> Any:
+    """:func:`_drive` with an awaitable step handler."""
+    result = None
+    while True:
+        try:
+            step = flow.send(result)
+        except StopIteration as done:
+            return done.value
+        result = await handle(step)
+
+
+class _ServerCore:
+    """One server connection's client protocol, written once as flows
+    that both drivers run (see the module docstring)."""
+
+    def __init__(self, wire: str) -> None:
+        self.wire = _check_wire(wire)
+        self._session: _BinarySession | None = None
+
+    def _negotiate_flow(self, auth_token: str | None) -> _Flow:
+        if self.wire == "binary":
+            yield wire_proto.pack_frame(
+                wire_proto.OP_HELLO, wire_proto.hello_payload(auth_token)
+            )
+            self._session = _hello_session(*(yield _READ_FRAME))
+        elif auth_token is not None:
+            _checked((yield from self._request_flow({"op": "auth", "token": auth_token})))
+
+    def _request_flow(self, obj: dict) -> _Flow:
+        if self.wire == "binary":
+            raise ValueError(
+                "the binary wire carries query frames only; connect with "
+                "wire='json' for ops"
+            )
+        yield _json_lines([obj])
+        return (yield from _read_doc())
+
+    def _op_flow(self, op: str) -> _Flow:
+        return _checked((yield from self._request_flow({"op": op})))
+
+    def _presets_flow(self) -> _Flow:
+        if self._session is not None:
+            # the HELLO_OK already carried the catalog
+            return list(self._session.catalog)
+        return list((yield from self._op_flow("presets"))["presets"])
+
+    def _query_flow(self, d: int, m: float, preset: str | None) -> _Flow:
+        answers = yield from self._query_many_flow([(d, m)], preset, None)
+        return _checked(answers[0])
+
+    def _query_many_flow(
+        self, queries: Iterable, preset: str | None, frame_queries: int | None
+    ) -> _Flow:
+        _check_frame_queries(self.wire, frame_queries)
+        responses: list[dict] = []
+        session = self._session
+        if session is None:
+            docs = [_query_request(q, preset) for q in queries]
+            if docs:
+                yield _json_lines(docs)
+            for _ in docs:
+                responses.append((yield from _read_doc()))
+            return responses
+        specs = [session.spec(q, preset) for q in queries]
+        chunk = frame_queries or max(len(specs), 1)
+        groups = [specs[i : i + chunk] for i in range(0, len(specs), chunk)]
+        if groups:
+            yield b"".join(session.query_frame(g) for g in groups)
+        for group in groups:
+            opcode, payload = yield _READ_FRAME
+            responses.extend(session.frame_docs(opcode, payload, group))
+        return responses
+
+
+class ServerClient(_ServerCore):
     """Blocking client for one server connection.
 
     ``wire="binary"`` negotiates the binary protocol at connect (and
@@ -268,75 +389,43 @@ class ServerClient:
         wire: str = "json",
         auth_token: str | None = None,
     ) -> None:
-        if wire not in _WIRES:
-            raise ValueError(f"wire must be one of {_WIRES}, got {wire!r}")
+        super().__init__(wire)
         addr = parse_address(address)
         if addr.kind == "unix":
             sock = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
             sock.settimeout(timeout)
-            sock.connect(addr.path)
         else:
             sock = socket.create_connection((addr.host, addr.port), timeout=timeout)
-            sock.settimeout(timeout)
         self.address = addr
-        self.wire = wire
         self._sock = sock
         self._file = sock.makefile("rwb")
-        self._session: _BinarySession | None = None
-        if wire == "binary":
-            self._file.write(wire_proto.pack_frame(
-                wire_proto.OP_HELLO, wire_proto.hello_payload(auth_token)
-            ))
-            self._file.flush()
-            self._session = _hello_session(*self._read_frame())
-        elif auth_token is not None:
-            response = self.request({"op": "auth", "token": auth_token})
-            if not response.get("ok", False):
-                raise ServiceError(response)
+        try:
+            if addr.kind == "unix":
+                sock.connect(addr.path)
+            self._run(self._negotiate_flow(auth_token))
+        except BaseException:
+            self.close()
+            raise
 
-    # ------------------------------------------------------------------
-    # transport
-    # ------------------------------------------------------------------
-    def _write_lines(self, docs: Iterable[dict]) -> None:
-        payload = b"".join(json.dumps(doc).encode() + b"\n" for doc in docs)
-        self._file.write(payload)
+    def _run(self, flow: _Flow) -> Any:
+        return _drive(flow, self._step)
+
+    def _step(self, step: Any) -> Any:
+        if step is _READ_LINE:
+            return self._file.readline()
+        if step is _READ_FRAME:
+            return wire_proto.read_frame_blocking(self._file.read)[1:]
+        self._file.write(step)
         self._file.flush()
-
-    def _read_response(self) -> dict:
-        line = self._file.readline()
-        if not line:
-            raise ConnectionError("server closed the connection")
-        return json.loads(line)
-
-    def _read_frame(self) -> tuple[int, bytes]:
-        _, opcode, payload = wire_proto.read_frame_blocking(self._file.read)
-        return opcode, payload
+        return None
 
     def request(self, obj: dict) -> dict:
         """One request, one response — no interpretation of either."""
-        if self.wire == "binary":
-            raise ValueError(
-                "the binary wire carries query frames only; connect with "
-                "wire='json' for ops"
-            )
-        self._write_lines([obj])
-        return self._read_response()
+        return self._run(self._request_flow(obj))
 
-    # ------------------------------------------------------------------
-    # queries
-    # ------------------------------------------------------------------
     def query(self, d: int, m: float, *, preset: str | None = None) -> dict:
         """One lookup; raises :class:`ServiceError` on an error answer."""
-        doc: dict[str, Any] = {"d": d, "m": m}
-        if preset is not None:
-            doc["preset"] = preset
-        if self.wire == "binary":
-            response = self.query_many([doc])[0]
-        else:
-            response = self.request(doc)
-        if not response.get("ok", False):
-            raise ServiceError(response)
-        return response
+        return self._run(self._query_flow(d, m, preset))
 
     def query_many(
         self,
@@ -354,55 +443,19 @@ class ServerClient:
         to bound per-frame latency; the response documents match the
         JSON wire's shape.
         """
-        if self.wire != "binary":
-            if frame_queries is not None:
-                raise ValueError("frame_queries applies to the binary wire only")
-            docs = [_query_request(q, preset) for q in queries]
-            if not docs:
-                return []
-            self._write_lines(docs)
-            return [self._read_response() for _ in docs]
-        session = self._session
-        assert session is not None
-        specs = [session.spec(q, preset) for q in queries]
-        if not specs:
-            return []
-        chunk = _frame_chunk(len(specs), frame_queries)
-        groups = [specs[i : i + chunk] for i in range(0, len(specs), chunk)]
-        self._file.write(b"".join(session.query_frame(g) for g in groups))
-        self._file.flush()
-        responses: list[dict] = []
-        for group in groups:
-            opcode, payload = self._read_frame()
-            responses.extend(session.frame_docs(opcode, payload, group))
-        return responses
+        return self._run(self._query_many_flow(queries, preset, frame_queries))
 
-    # ------------------------------------------------------------------
-    # ops
-    # ------------------------------------------------------------------
     def stats(self) -> dict:
         """The server's live counters (registry stats; socket servers
         add a ``server`` section with transport/batcher counters)."""
-        response = self.request({"op": "stats"})
-        if not response.get("ok", False):
-            raise ServiceError(response)
-        return response
+        return self._run(self._op_flow("stats"))
 
     def presets(self) -> list[str]:
-        if self._session is not None:
-            # the HELLO_OK already carried the catalog
-            return list(self._session.catalog)
-        response = self.request({"op": "presets"})
-        if not response.get("ok", False):
-            raise ServiceError(response)
-        return list(response["presets"])
+        return self._run(self._presets_flow())
 
     def shutdown(self) -> dict:
         """Ask the server to drain and exit (socket transport only)."""
-        response = self.request({"op": "shutdown"})
-        if not response.get("ok", False):
-            raise ServiceError(response)
-        return response
+        return self._run(self._op_flow("shutdown"))
 
     def close(self) -> None:
         try:
@@ -421,7 +474,7 @@ class ServerClient:
         self.close()
 
 
-class AsyncServerClient:
+class AsyncServerClient(_ServerCore):
     """The same client surface on asyncio streams.
 
     >>> # client = await AsyncServerClient.connect("127.0.0.1:7831")
@@ -434,11 +487,12 @@ class AsyncServerClient:
         reader: asyncio.StreamReader,
         writer: asyncio.StreamWriter,
     ) -> None:
+        super().__init__("json")
         self.address = address
-        self.wire = "json"
         self._reader = reader
         self._writer = writer
-        self._session: _BinarySession | None = None
+        #: bound on every read and drain; :meth:`connect` sets it
+        self._timeout: float | None = None
 
     @classmethod
     async def connect(
@@ -449,66 +503,52 @@ class AsyncServerClient:
         wire: str = "json",
         auth_token: str | None = None,
     ) -> "AsyncServerClient":
-        if wire not in _WIRES:
-            raise ValueError(f"wire must be one of {_WIRES}, got {wire!r}")
+        _check_wire(wire)
         addr = parse_address(address)
-        if addr.kind == "unix":
-            open_coro = asyncio.open_unix_connection(addr.path)
-        else:
-            open_coro = asyncio.open_connection(addr.host, addr.port)
-        reader, writer = await asyncio.wait_for(open_coro, timeout)
+        async with asyncio.timeout(timeout):
+            if addr.kind == "unix":
+                reader, writer = await asyncio.open_unix_connection(addr.path)
+            else:
+                reader, writer = await asyncio.open_connection(addr.host, addr.port)
         client = cls(addr, reader, writer)
         client.wire = wire
-        if wire == "binary":
-            writer.write(wire_proto.pack_frame(
-                wire_proto.OP_HELLO, wire_proto.hello_payload(auth_token)
-            ))
-            await writer.drain()
-            client._session = _hello_session(*await client._read_frame())
-        elif auth_token is not None:
-            response = await client.request({"op": "auth", "token": auth_token})
-            if not response.get("ok", False):
-                raise ServiceError(response)
+        client._timeout = timeout
+        try:
+            await client._run(client._negotiate_flow(auth_token))
+        except BaseException:
+            await client.aclose()
+            raise
         return client
 
+    async def _run(self, flow: _Flow) -> Any:
+        return await _adrive(flow, self._step)
+
+    async def _step(self, step: Any) -> Any:
+        async with asyncio.timeout(self._timeout):
+            if step is _READ_LINE:
+                return await self._reader.readline()
+            if step is _READ_FRAME:
+                try:
+                    return (await wire_proto.read_frame(self._reader))[1:]
+                except asyncio.IncompleteReadError:
+                    raise ConnectionError(
+                        "server closed the connection mid-frame"
+                    ) from None
+            self._writer.write(step)
+            await self._writer.drain()
+            return None
+
     async def _write_lines(self, docs: Iterable[dict]) -> None:
-        payload = b"".join(json.dumps(doc).encode() + b"\n" for doc in docs)
-        self._writer.write(payload)
-        await self._writer.drain()
+        await self._step(_json_lines(docs))
 
     async def _read_response(self) -> dict:
-        line = await self._reader.readline()
-        if not line:
-            raise ConnectionError("server closed the connection")
-        return json.loads(line)
-
-    async def _read_frame(self) -> tuple[int, bytes]:
-        try:
-            _, opcode, payload = await wire_proto.read_frame(self._reader)
-        except asyncio.IncompleteReadError:
-            raise ConnectionError("server closed the connection mid-frame") from None
-        return opcode, payload
+        return await self._run(_read_doc())
 
     async def request(self, obj: dict) -> dict:
-        if self.wire == "binary":
-            raise ValueError(
-                "the binary wire carries query frames only; connect with "
-                "wire='json' for ops"
-            )
-        await self._write_lines([obj])
-        return await self._read_response()
+        return await self._run(self._request_flow(obj))
 
     async def query(self, d: int, m: float, *, preset: str | None = None) -> dict:
-        doc: dict[str, Any] = {"d": d, "m": m}
-        if preset is not None:
-            doc["preset"] = preset
-        if self.wire == "binary":
-            response = (await self.query_many([doc]))[0]
-        else:
-            response = await self.request(doc)
-        if not response.get("ok", False):
-            raise ServiceError(response)
-        return response
+        return await self._run(self._query_flow(d, m, preset))
 
     async def query_many(
         self,
@@ -521,48 +561,16 @@ class AsyncServerClient:
         responses stream back in order.  On the binary wire the queries
         pack into ``OP_QUERY`` record frames (one by default,
         ``frame_queries`` per frame to bound per-frame latency)."""
-        if self.wire != "binary":
-            if frame_queries is not None:
-                raise ValueError("frame_queries applies to the binary wire only")
-            docs = [_query_request(q, preset) for q in queries]
-            if not docs:
-                return []
-            await self._write_lines(docs)
-            return [await self._read_response() for _ in docs]
-        session = self._session
-        assert session is not None
-        specs = [session.spec(q, preset) for q in queries]
-        if not specs:
-            return []
-        chunk = _frame_chunk(len(specs), frame_queries)
-        groups = [specs[i : i + chunk] for i in range(0, len(specs), chunk)]
-        self._writer.write(b"".join(session.query_frame(g) for g in groups))
-        await self._writer.drain()
-        responses: list[dict] = []
-        for group in groups:
-            opcode, payload = await self._read_frame()
-            responses.extend(session.frame_docs(opcode, payload, group))
-        return responses
+        return await self._run(self._query_many_flow(queries, preset, frame_queries))
 
     async def stats(self) -> dict:
-        response = await self.request({"op": "stats"})
-        if not response.get("ok", False):
-            raise ServiceError(response)
-        return response
+        return await self._run(self._op_flow("stats"))
 
     async def presets(self) -> list[str]:
-        if self._session is not None:
-            return list(self._session.catalog)
-        response = await self.request({"op": "presets"})
-        if not response.get("ok", False):
-            raise ServiceError(response)
-        return list(response["presets"])
+        return await self._run(self._presets_flow())
 
     async def shutdown(self) -> dict:
-        response = await self.request({"op": "shutdown"})
-        if not response.get("ok", False):
-            raise ServiceError(response)
-        return response
+        return await self._run(self._op_flow("shutdown"))
 
     async def aclose(self) -> None:
         self._writer.close()
@@ -576,33 +584,3 @@ class AsyncServerClient:
 
     async def __aexit__(self, *exc_info) -> None:
         await self.aclose()
-
-
-# ----------------------------------------------------------------------
-# deprecation shims (pre-fabric names)
-# ----------------------------------------------------------------------
-def _deprecated(old: str, new: str) -> None:
-    warnings.warn(
-        f"repro.service.{old} is deprecated; use repro.service.{new}",
-        DeprecationWarning,
-        stacklevel=3,
-    )
-
-
-class ServiceClient(ServerClient):
-    """Deprecated name for :class:`ServerClient` — prefer
-    :func:`repro.service.connect`, which also understands ``cluster:``
-    targets."""
-
-    def __init__(self, *args: Any, **kwargs: Any) -> None:
-        _deprecated("ServiceClient", "connect()")
-        super().__init__(*args, **kwargs)
-
-
-class AsyncServiceClient(AsyncServerClient):
-    """Deprecated name for :class:`AsyncServerClient` — prefer
-    :func:`repro.service.aconnect`."""
-
-    def __init__(self, *args: Any, **kwargs: Any) -> None:
-        _deprecated("AsyncServiceClient", "aconnect()")
-        super().__init__(*args, **kwargs)

@@ -1,5 +1,5 @@
 """Tests for the unified client API: connect/aconnect, the
-OptimizerClient protocol, the deprecation shims, and ServerConfig."""
+OptimizerClient protocol, and ServerConfig."""
 
 from __future__ import annotations
 
@@ -12,16 +12,21 @@ from repro.service import (
     AsyncOptimizerClient,
     AsyncOptimizerServer,
     AsyncServerClient,
-    AsyncServiceClient,
     OptimizerClient,
     OptimizerRegistry,
     ServerClient,
     ServerConfig,
-    ServiceClient,
     aconnect,
     connect,
 )
 from repro.service.api import CLUSTER_SCHEME
+
+# a leaked client socket or a returning deprecation fails the module
+pytestmark = [
+    pytest.mark.filterwarnings("error::ResourceWarning"),
+    pytest.mark.filterwarnings("error::pytest.PytestUnraisableExceptionWarning"),
+    pytest.mark.filterwarnings("error::DeprecationWarning"),
+]
 
 
 @pytest.fixture(scope="module")
@@ -93,56 +98,6 @@ class TestConnect:
         # structural protocol checks need no live coordinator
         assert issubclass(ClusterClient, OptimizerClient)
         assert issubclass(AsyncClusterClient, AsyncOptimizerClient)
-
-
-class TestDeprecationShims:
-    def test_service_client_warns_but_works(self, registry):
-        async def scenario():
-            server = await AsyncOptimizerServer(
-                registry, ServerConfig(default_preset="ipsc860")
-            ).start("127.0.0.1:0")
-            try:
-                loop = asyncio.get_running_loop()
-                addr = str(server.address)
-
-                def blocking():
-                    with pytest.deprecated_call(match="use repro.service.connect"):
-                        client = ServiceClient(addr)
-                    with client:
-                        return client.query(7, 40.0)
-
-                return await loop.run_in_executor(None, blocking)
-            finally:
-                await server.aclose()
-
-        assert asyncio.run(scenario())["ok"]
-
-    def test_async_service_client_warns_but_works(self, registry):
-        async def scenario():
-            server = await AsyncOptimizerServer(
-                registry, ServerConfig(default_preset="ipsc860")
-            ).start("127.0.0.1:0")
-            try:
-                with pytest.deprecated_call(match="use repro.service.aconnect"):
-                    client = await AsyncServiceClient.connect(str(server.address))
-                try:
-                    return await client.query(7, 40.0)
-                finally:
-                    await client.aclose()
-            finally:
-                await server.aclose()
-
-        assert asyncio.run(scenario())["ok"]
-
-    def test_shims_are_subclasses(self):
-        assert issubclass(ServiceClient, ServerClient)
-        assert issubclass(AsyncServiceClient, AsyncServerClient)
-
-    def test_new_names_do_not_warn(self, recwarn):
-        with pytest.raises((ConnectionError, OSError)):
-            ServerClient("127.0.0.1:1", timeout=0.1)
-        deprecations = [w for w in recwarn if issubclass(w.category, DeprecationWarning)]
-        assert not deprecations
 
 
 class TestServerConfig:

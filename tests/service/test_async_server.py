@@ -9,7 +9,7 @@ import socket
 import pytest
 
 from repro.service.async_server import AsyncOptimizerServer
-from repro.service.client import AsyncServiceClient
+from repro.service.client import AsyncServerClient
 from repro.service.registry import OptimizerRegistry
 from repro.service.server import handle_request
 from tests.service.protocol_cases import CASE_IDS, CASE_MAX_QUERIES, ERROR_CASES, VALID_LINE
@@ -38,7 +38,7 @@ class TestSingleClient:
 
         async def scenario():
             server = await started_server(tmp_path, default_preset="ipsc860")
-            async with await AsyncServiceClient.connect(server.address) as client:
+            async with await AsyncServerClient.connect(server.address) as client:
                 response = await client.request({"d": 7, "m": 40, "id": 9})
             await server.aclose()
             return response
@@ -53,7 +53,7 @@ class TestSingleClient:
     def test_pipelined_responses_come_back_in_request_order(self, tmp_path):
         async def scenario():
             server = await started_server(tmp_path, default_preset="ipsc860")
-            async with await AsyncServiceClient.connect(server.address) as client:
+            async with await AsyncServerClient.connect(server.address) as client:
                 responses = await client.query_many(
                     [{"d": 5 + (i % 3), "m": 1.0 + i, "id": i} for i in range(30)]
                 )
@@ -68,7 +68,7 @@ class TestSingleClient:
     def test_batch_and_bare_array_forms(self, tmp_path):
         async def scenario():
             server = await started_server(tmp_path, default_preset="ipsc860")
-            async with await AsyncServiceClient.connect(server.address) as client:
+            async with await AsyncServerClient.connect(server.address) as client:
                 wrapped = await client.request(
                     {"queries": [{"d": 7, "m": 40}, {"d": 5, "m": 40}], "id": 3}
                 )
@@ -92,7 +92,7 @@ class TestCrossClientBatching:
 
         async def scenario():
             server = await started_server(tmp_path, default_preset="ipsc860")
-            async with await AsyncServiceClient.connect(server.address) as client:
+            async with await AsyncServerClient.connect(server.address) as client:
                 responses = await client.query_many([(7, 40.0), (7, 80.0)])
             await server.aclose()
             return responses, server
@@ -114,7 +114,7 @@ class TestCrossClientBatching:
             server = await started_server(
                 tmp_path, default_preset="ipsc860", hold_us=100_000.0
             )
-            async with await AsyncServiceClient.connect(server.address) as client:
+            async with await AsyncServerClient.connect(server.address) as client:
                 client._writer.write(b'{"d": 7, "m": 40, "id": 1}\n')
                 await client._writer.drain()
                 await asyncio.sleep(0.01)  # a later turn, well inside the hold
@@ -139,7 +139,7 @@ class TestCrossClientBatching:
             server = await started_server(tmp_path, registry=registry)
 
             async def one_client(k):
-                async with await AsyncServiceClient.connect(server.address) as client:
+                async with await AsyncServerClient.connect(server.address) as client:
                     return await client.query_many(
                         [("ipsc860", 7, 1.0 + k * per_client + i) for i in range(per_client)]
                     )
@@ -230,7 +230,7 @@ class TestCrossClientBatching:
             server = await started_server(
                 tmp_path, default_preset="ipsc860", max_batch=4
             )
-            async with await AsyncServiceClient.connect(server.address) as client:
+            async with await AsyncServerClient.connect(server.address) as client:
                 await client.query_many([(5, 1.0 + i) for i in range(8)])
             await server.aclose()
             return server
@@ -244,7 +244,7 @@ class TestOps:
     def test_stats_op_reports_registry_and_server(self, tmp_path):
         async def scenario():
             server = await started_server(tmp_path, default_preset="ipsc860")
-            async with await AsyncServiceClient.connect(server.address) as client:
+            async with await AsyncServerClient.connect(server.address) as client:
                 await client.query(7, 40)
                 stats = await client.stats()
                 presets = await client.presets()
@@ -264,7 +264,7 @@ class TestShutdownAndDrain:
     def test_shutdown_op_acks_then_drains(self, tmp_path):
         async def scenario():
             server = await started_server(tmp_path, default_preset="ipsc860")
-            client = await AsyncServiceClient.connect(server.address)
+            client = await AsyncServerClient.connect(server.address)
             # pipelined work and the shutdown on one connection: every
             # response precedes the ack, strictly in order
             docs = [{"d": 7, "m": 40, "id": 1}, {"d": 5, "m": 8, "id": 2}, {"op": "shutdown"}]
@@ -273,7 +273,7 @@ class TestShutdownAndDrain:
             await asyncio.wait_for(server.wait_closed(), timeout=10)
             refused = None
             try:
-                await AsyncServiceClient.connect(server.address)
+                await AsyncServerClient.connect(server.address)
             except OSError as exc:
                 refused = exc
             await client.aclose()
@@ -298,7 +298,7 @@ class TestShutdownAndDrain:
             server = await started_server(
                 tmp_path, default_preset="ipsc860", hold_us=250_000.0
             )
-            client = await AsyncServiceClient.connect(server.address)
+            client = await AsyncServerClient.connect(server.address)
             client._writer.write(
                 b'{"d": 7, "m": 40, "id": 1}\n{"d": 5, "m": 8, "id": 2}\n'
             )
@@ -330,7 +330,7 @@ class TestShutdownAndDrain:
                 max_pipeline=64,
                 drain_timeout=0.2,
             )
-            client = await AsyncServiceClient.connect(server.address)
+            client = await AsyncServerClient.connect(server.address)
             # several MB of eventual responses, far beyond socket and
             # transport buffers, written without ever reading one
             line = json.dumps({"queries": [{"d": 7, "m": 40.0}] * 200}).encode() + b"\n"
@@ -385,7 +385,7 @@ class TestSharedErrorPaths:
             server = await started_server(
                 tmp_path, max_queries=CASE_MAX_QUERIES
             )
-            async with await AsyncServiceClient.connect(server.address) as client:
+            async with await AsyncServerClient.connect(server.address) as client:
                 client._writer.write(line.encode() + b"\n" + VALID_LINE.encode() + b"\n")
                 await client._writer.drain()
                 first = await client._read_response()
@@ -404,7 +404,7 @@ class TestSharedErrorPaths:
 
         async def scenario():
             server = await started_server(tmp_path, max_queries=CASE_MAX_QUERIES)
-            async with await AsyncServiceClient.connect(server.address) as client:
+            async with await AsyncServerClient.connect(server.address) as client:
                 responses = []
                 for _, line, _ in ERROR_CASES:
                     client._writer.write(line.encode() + b"\n")
@@ -433,7 +433,7 @@ class TestTransportLimits:
             server = await started_server(
                 tmp_path, default_preset="ipsc860", max_line_bytes=1024
             )
-            async with await AsyncServiceClient.connect(server.address) as client:
+            async with await AsyncServerClient.connect(server.address) as client:
                 client._writer.write(b'{"d": 7, "m": ' + b"1" * 4096 + b"}\n")
                 await client._writer.drain()
                 response = await client._read_response()

@@ -234,12 +234,19 @@ class TestSocketServeCommand:
     """The async transport behind ``repro serve --socket`` and the
     connected one-shot ``repro query --connect``."""
 
+    # a leaked client socket or a returning deprecation fails the class
+    pytestmark = [
+        pytest.mark.filterwarnings("error::ResourceWarning"),
+        pytest.mark.filterwarnings("error::pytest.PytestUnraisableExceptionWarning"),
+        pytest.mark.filterwarnings("error::DeprecationWarning"),
+    ]
+
     def test_socket_serve_warm_query_shutdown(self, tmp_path, capsys):
         import json
         import threading
         import time
 
-        from repro.service.client import ServiceClient
+        from repro.service.client import ServerClient
 
         log = tmp_path / "warm.jsonl"
         log.write_text('{"d": 7, "m": 40}\n{"queries": [{"d": 5, "m": 8}]}\n')
@@ -271,7 +278,7 @@ class TestSocketServeCommand:
         err_parts.append(captured.err)
         assert "{2,3}" in captured.out and f"optimizer server at {spec}" in captured.out
 
-        with ServiceClient(spec) as client:
+        with ServerClient(spec) as client:
             client.shutdown()
         thread.join(10)
         assert not thread.is_alive() and outcome["rc"] == 0
@@ -312,9 +319,9 @@ class TestSocketServeCommand:
                 # d=0 is rejected by the server, in-band, as on stdio
                 main(["query", "0", "40", "--connect", spec])
         finally:
-            from repro.service.client import ServiceClient
+            from repro.service.client import ServerClient
 
-            with ServiceClient(spec) as client:
+            with ServerClient(spec) as client:
                 client.shutdown()
             thread.join(10)
 
