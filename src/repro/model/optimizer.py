@@ -20,13 +20,22 @@ whole candidate pool at once (or a whole block-size batch, via
 scalar model, so every result — including hull switch points located
 by bisection — matches the pure-Python path exactly; ``method="scalar"``
 keeps that path available as a reference and benchmark baseline.
+
+Past a stored table's sweep bound, :func:`pool_envelope` stores the
+enumeration's answer too: eq. (3) is affine in ``m`` for each
+partition, so the pool's lower envelope has a few segments, and inside
+each it certifies where the row kernel's own rounding cannot change
+the winner.
 """
 
 from __future__ import annotations
 
+import sys
 from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Iterable, Sequence
+
+import numpy as np
 
 from repro.core.partitions import cached_partitions
 from repro.model.cost import multiphase_time
@@ -36,16 +45,19 @@ from repro.model.vectorized import (
     multiphase_time_grid,
     pool_rows,
     price_rows,
+    row_lines,
 )
 from repro.util.validation import check_block_size, check_dimension
 
 __all__ = [
     "OptimalChoice",
     "OptimizerTable",
+    "PoolEnvelope",
     "best_partition",
     "best_partitions",
     "evaluate_partitions",
     "hull_of_optimality",
+    "pool_envelope",
 ]
 
 
@@ -277,3 +289,139 @@ def hull_of_optimality(
         boundaries=tuple(boundaries),
         segments=tuple(segments),
     )
+
+
+#: relative margin a certified winner keeps over every other partition,
+#: checked on its float lines.  It bounds the rounding of both the row
+#: kernel and that check: a kernel time is a sum of non-negative terms
+#: through at most ``N = 5 + k <= 30`` roundings (``k <= 24`` phases),
+#: so it is ``exact·(1+θ)`` with ``|θ| <= γ_N = N·u/(1-N·u)``, ``u =
+#: 2**-53``; a line's float value ``fl(fl(A)·m + fl(B))`` is within
+#: ``γ_4`` of exact.  ``(1+γ_30)(1+γ_4)/((1-γ_30)(1-γ_4))`` is below
+#: ``1 + 2**-46``, far inside this margin
+_CHECK_MARGIN = 2.0 ** -36
+#: the wider margin the candidate interval ends are solved for, so that
+#: the ends pass the check despite the solve's own rounding
+_SOLVE_MARGIN = 2.0 ** -32
+
+
+@dataclass(frozen=True)
+class PoolEnvelope:
+    """Certified pool winners of a ``d``-cube over block-size intervals.
+
+    On ``lows[i] <= m <= highs[i]`` the row kernel prices ``winners[i]``
+    (coefficient row ``rows[i]``) strictly below every other partition
+    of ``d``, so it is ``best_partition(m, d, params).partition`` there
+    with no pool scored.  The intervals are disjoint and ascending.  A
+    block size in none of them is not certified: below the bound the
+    envelope was built from, near a switch point or an exact tie, or
+    where an intermediate could underflow (subnormal ``m``) or overflow.
+    """
+
+    d: int
+    lows: tuple[float, ...]
+    highs: tuple[float, ...]
+    winners: tuple[tuple[int, ...], ...]
+    rows: tuple[int, ...]
+
+    def index(self, m: float) -> int:
+        """The interval holding ``m``, or ``-1`` when none does (score
+        the pool)."""
+        i = bisect_right(self.lows, m) - 1
+        return i if i >= 0 and m <= self.highs[i] else -1
+
+
+def pool_envelope(d: int, params: MachineParams, *, m_min: float = 0.0) -> PoolEnvelope:
+    """The certified lower envelope of ``d``'s partition pool on ``m >=
+    m_min``.
+
+    Each partition is a line ``A_p·m + B_p`` (:func:`row_lines`' integer
+    coefficients times the machine constants), priced for the whole
+    pool by a few numpy calls, with no per-partition Python.  Walking
+    the envelope from ``m_min`` gives its segment winners; for each,
+    the block sizes where every other line exceeds it by the margin
+    form an interval (each condition is affine in ``m``), and its float
+    ends are checked against the kernel's rounding bound.  An end that
+    fails drops the interval, so the certificate only ever shrinks.
+
+    >>> from repro.model.params import ipsc860
+    >>> pool_envelope(7, ipsc860(), m_min=400.0).winners
+    ((7,),)
+    """
+    check_dimension(d, minimum=1)
+    m_min = check_block_size(m_min)
+    empty = PoolEnvelope(d, (), (), (), ())
+    tau, rho = params.byte_time, params.permute_time
+    constants = (tau, rho, params.exchange_latency, params.exchange_hop_time,
+                 params.global_sync_per_dim)
+    if any(0.0 < c < sys.float_info.min for c in constants):
+        return empty  # a subnormal product has no relative error bound
+    pool, rows = pool_rows(d)
+    moved, shuffled, sends, hops, syncs = row_lines(rows)
+    slope = tau * moved + rho * shuffled
+    intercept = params.exchange_latency * sends + params.exchange_hop_time * hops
+    intercept += params.global_sync_per_dim * syncs
+    # keep every intermediate finite (m·2**d and each sum at most a
+    # quarter of the float range) and every m-product normal
+    ceiling = sys.float_info.max / 4
+    if float(intercept.max()) > ceiling / 4:
+        return empty
+    m_hi = ceiling / 2.0 ** d
+    if slope.max() > 0:
+        m_hi = min(m_hi, ceiling / 4 / float(slope.max()))
+    scales = [c for c in (tau, rho) if c > 0]
+    m_lo = max(m_min, 4 * sys.float_info.min / min(scales)) if scales else m_min
+    if m_lo > m_hi:
+        return empty
+
+    # the envelope's segment winners, left to right: each next winner is
+    # the flattest line of those crossing the current one first
+    at, w = m_lo, int(np.argmin(slope * m_lo + intercept))
+    winners = [w]
+    while True:
+        flatter = np.flatnonzero(slope < slope[w])
+        cross = (intercept[flatter] - intercept[w]) / (slope[w] - slope[flatter])
+        ahead = cross > at
+        if not ahead.any() or cross[ahead].min() >= m_hi:
+            break
+        at = float(cross[ahead].min())
+        first = flatter[cross == at]
+        w = int(first[np.argmin(slope[first])])
+        winners.append(w)
+
+    lows, highs, kept = [], [], []
+    for w in winners:
+        ends = _certified(slope, intercept, w, m_lo, m_hi)
+        if ends is not None:
+            lows.append(ends[0])
+            highs.append(ends[1])
+            kept.append(w)
+    return PoolEnvelope(d, tuple(lows), tuple(highs), tuple(pool[w] for w in kept),
+                        tuple(rows[kept].tolist()))
+
+
+def _certified(
+    slope: np.ndarray, intercept: np.ndarray, w: int, m_lo: float, m_hi: float
+) -> tuple[float, float] | None:
+    """The float interval of ``[m_lo, m_hi]`` where line ``w`` is below
+    every other by the margin, or ``None``."""
+    grow = 1.0 + _SOLVE_MARGIN
+    # line p clears w where (A_p - c·A_w)·m + (B_p - c·B_w) > 0
+    rise = slope - grow * slope[w]
+    gap = intercept - grow * intercept[w]
+    rise[w], gap[w] = 0.0, 1.0
+    up, down = rise > 0.0, rise < 0.0
+    if np.any(~(up | down) & (gap <= 0.0)):
+        return None  # a parallel line at or below w's
+    lo = max(m_lo, float((-gap[up] / rise[up]).max(initial=m_lo)))
+    hi = min(m_hi, float((gap[down] / -rise[down]).min(initial=m_hi)))
+    if not lo <= hi:
+        return None
+    # each condition is affine in m: holding at both ends, it holds between
+    for end in (lo, hi):
+        times = slope * end + intercept
+        bar = times[w] * (1.0 + _CHECK_MARGIN)
+        times[w] = np.inf
+        if not bool((times > bar).all()):
+            return None
+    return lo, hi

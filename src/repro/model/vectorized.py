@@ -61,6 +61,7 @@ __all__ = [
     "partition_row",
     "pool_rows",
     "price_rows",
+    "row_lines",
 ]
 
 
@@ -134,6 +135,19 @@ def pool_rows(d: int) -> tuple[tuple[tuple[int, ...], ...], np.ndarray]:
     table rows.  In that order the first minimal row of a time column is
     the winner under :func:`grid_winners`' tie rule."""
     return _TABLE.pool(d)
+
+
+def row_lines(rows: np.ndarray) -> np.ndarray:
+    """Each row's eq. (3) as a line ``A·m + B`` in integer coefficients:
+    a ``(5, len(rows))`` float array ``I, J, K, L, M`` with ``A = τ·I +
+    ρ·J`` and ``B = λ_x·K + δ_x·L + γ·M``, the slot coefficients summed
+    over the row's phases.  Every entry is an integer below ``2**53``,
+    so exact."""
+    n_tx, scale, hops, shuffle_cube, sync_dim = _TABLE.arrays[0][:, :, rows]
+    return np.stack([
+        (n_tx * scale).sum(axis=0), shuffle_cube.sum(axis=0), n_tx.sum(axis=0),
+        hops.sum(axis=0), sync_dim.sum(axis=0),
+    ])
 
 
 def price_rows(

@@ -8,18 +8,26 @@ objects.  In one core call:
 1. every key checks the registry's result memo first;
 2. the misses are grouped by ``(preset, d)`` and deduplicated by block
    size, so repeats inside one call cost one cell;
-3. each group does its partition lookups against the preset's stored
-   :class:`~repro.model.optimizer.OptimizerTable` (a bisect, no model
-   evaluation) and queues one kernel row per cell at its partition —
-   exactly the needed cells, no cross product;
+3. each group's block sizes the stored
+   :class:`~repro.model.optimizer.OptimizerTable` covers take their
+   partition from it (a bisect of its boundaries: admission already
+   checked the sizes) and queue one kernel row each — exactly the
+   needed cells, no cross product;
 4. block sizes beyond the table's recorded sweep bound — where the
-   table's last segment would be an unverified extrapolation — queue
-   one row per partition of the full candidate pool, and the winner of
-   each is the first minimal row in ascending partition order,
-   matching :func:`~repro.model.optimizer.best_partition` bit for bit;
+   table's last segment would be an unverified extrapolation — look up
+   the preset's certified pool envelope
+   (:func:`~repro.model.optimizer.pool_envelope`, built once per
+   ``(preset, d)``): inside a certified interval the winner is known
+   and the cell queues one row at it, like a covered cell.  Any other
+   (near a switch point, at a tie, or where an intermediate could
+   underflow or overflow) queues one row per partition of the full
+   pool, and its winner is the first minimal row in ascending partition
+   order.  Either way the answer is
+   :func:`~repro.model.optimizer.best_partition`'s, bit for bit;
 5. every queued row of a preset, from every group of the call, is
    priced by one :func:`~repro.model.vectorized.price_rows` call, and
-   the answers are memoized group by group in the order above.
+   the answers are memoized in one batch insert, group by group in the
+   order above.
 
 The row kernel is bitwise-identical to the scalar model, so each
 result's ``time_us`` equals ``multiphase_time(m, d, partition,
@@ -30,10 +38,13 @@ stored table's answer, whose switch points are located to ~1e-3 bytes.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
+from collections import defaultdict
 from dataclasses import dataclass
 from functools import cache
+from operator import itemgetter
 from typing import (
-    TYPE_CHECKING, Any, Iterable, Iterator, Literal, NoReturn, Sequence, overload,
+    TYPE_CHECKING, Any, Iterable, Literal, NoReturn, Sequence, cast, overload,
 )
 
 import numpy as np
@@ -201,119 +212,135 @@ def _results(registry: "OptimizerRegistry", queries: list[Query]) -> list[QueryR
     return _resolve_normalized(registry, keys).results(q.tag for q in queries)
 
 
-class _Group:
-    """The memo misses of one ``(preset, d)`` group as kernel rows: a
-    row per covered cell, at its table partition, then, pool-major,
-    every partition of ``d``'s pool (ascending) at every block size
-    beyond the table's sweep bound."""
-
-    def __init__(
-        self, preset: str, d: int, by_m: dict[float, list[int]],
-        covered: dict[tuple[int, ...], list[float]], beyond: list[float],
-    ) -> None:
-        self.preset, self.d, self.by_m = preset, d, by_m
-        self.covered, self.beyond = covered, beyond
-        self.pool, self.pool_rows = pool_rows(d) if beyond else ((), None)
-        self.times = np.zeros(0)
-
-    def rows(self) -> tuple[np.ndarray, np.ndarray]:
-        """The group's ``(rows, ms)`` kernel input."""
-        rows: list[int] = []
-        ms: list[float] = []
-        for partition, block in self.covered.items():
-            rows += [partition_row(self.d, partition)] * len(block)
-            ms += block
-        if self.beyond:
-            rows.extend(np.repeat(self.pool_rows, len(self.beyond)).tolist())
-            ms.extend(self.beyond * len(self.pool))
-        return np.array(rows, dtype=np.intp), np.array(ms)
-
-    def answers(self) -> Iterator[tuple[float, bytes, float, int]]:
-        """``(m, packed partition, time_us, source code)`` per cell, from
-        the priced ``times``: covered cells partition by partition, then
-        each beyond-bound cell's pool winner (the first minimal row, so
-        the smallest tuple among the tied)."""
-        offset = 0
-        for partition, ms in self.covered.items():
-            packed = _packed(partition)
-            for m, time_us in zip(ms, self.times[offset:offset + len(ms)].tolist()):
-                yield m, packed, time_us, _GRID
-            offset += len(ms)
-        if self.beyond:
-            grid = self.times[offset:].reshape(len(self.pool), len(self.beyond))
-            best = grid.argmin(axis=0)
-            best_us = grid[best, np.arange(len(self.beyond))].tolist()
-            for m, row, time_us in zip(self.beyond, best.tolist(), best_us):
-                yield m, _packed(self.pool[row]), time_us, _POOL
-
-
 def _resolve_normalized(registry: "OptimizerRegistry", keys: list[Cell]) -> Answers:
-    for preset in dict.fromkeys(key[0] for key in keys):
+    for preset in dict.fromkeys(map(itemgetter(0), keys)):
         registry.params(preset)  # reject unknown presets before any
         # stats/memo mutation, so a failed batch leaves no partial state
     n = len(keys)
-    cells, times, source, parts = list(keys), [0.0] * n, bytearray(n), [b""] * n
+    cells, source = list(keys), bytearray(n)  # source 0: SOURCE_NAMES[0] == "memo"
+    hits = registry.memo_get_many(keys)
     stats = registry.stats
-    memo_get = registry.memo_get
-    #: (preset, d) -> m -> indices awaiting that cell
-    pending: dict[tuple[str, int], dict[float, list[int]]] = {}
-    misses = 0
-    for i, key in enumerate(keys):
-        hit = memo_get(key)
-        if hit is not None:
-            parts[i], times[i] = hit  # source stays 0, SOURCE_NAMES[0] == "memo"
-        else:
-            misses += 1
-            pending.setdefault(key[:2], {}).setdefault(key[2], []).append(i)
     stats.queries += n
-    stats.memo_hits += n - misses
-    stats.memo_misses += misses
+    if None not in hits:
+        stats.memo_hits += n
+        entries = cast("list[tuple[bytes, float]]", hits)
+        return Answers(cells, [entry[1] for entry in entries], source,
+                       [entry[0] for entry in entries])
+    times, parts = [0.0] * n, [b""] * n
+    misses: list[int] = []
+    #: (preset, d) -> block sizes of its misses, repeats included
+    pending: defaultdict[tuple[str, int], list[float]] = defaultdict(list)
+    for i, hit in enumerate(hits):
+        if hit is None:
+            misses.append(i)
+            key = keys[i]
+            pending[key[:2]].append(key[2])
+        else:
+            parts[i], times[i] = hit
+    stats.memo_hits += n - len(misses)
+    stats.memo_misses += len(misses)
 
-    groups: list[_Group] = []
-    for (preset, d), by_m in pending.items():
-        bound = registry.coverage(preset, d)
-        inside: list[float] = []
-        beyond: list[float] = []
-        for m in sorted(by_m):
-            (inside if m <= bound else beyond).append(m)
+    # each distinct miss gets a slot in its preset's columns (kernel
+    # row, block size, packed partition), a group's slots contiguous and
+    # in memo order: covered cells partition by partition, then the
+    # beyond-bound cells ascending.  A pool-scored slot holds a
+    # placeholder row and partition until its pool is priced
+    slots: dict[str, tuple[list[int], list[float], list[bytes]]] = {}
+    #: per preset: (d, slots, block sizes) of each group's scored pool
+    pools: dict[str, list[tuple[int, list[int], list[float]]]] = {}
+    #: (preset, d, first slot, first beyond-bound slot, end slot)
+    groups: list[tuple[str, int, int, int, int]] = []
+    for (preset, d), sizes in pending.items():
+        if preset not in slots:
+            slots[preset], pools[preset] = ([], [], []), []
+        rows, ms, packs = slots[preset]
+        first = len(ms)
+        # a set keeps the first of equal keys: a repeated -0.0 / 0.0
+        # cell answers as the one asked first
+        ordered = sorted(set(sizes))
+        split = bisect_right(ordered, registry.coverage(preset, d))
+        inside, beyond = ordered[:split], ordered[split:]
 
         # block sizes the table's sweep covers take their partition from
-        # the stored table (a bisect); the table is fetched only here, so
-        # an all-beyond group never loads (or sweeps) it.  Beyond the
-        # bound the table's last segment is just an extrapolation, so
-        # the full pool is scored exactly
-        covered: dict[tuple[int, ...], list[float]] = {}
+        # the stored table (admission checked them: a bare bisect); the
+        # table is fetched only here, so an all-beyond group never loads
+        # (or sweeps) it
+        covered: defaultdict[tuple[int, ...], list[float]] = defaultdict(list)
         if inside:
             table = registry.table(preset, d)
+            boundaries, segments = table.boundaries, table.segments
+            if not segments:
+                table.lookup(inside[0])  # raises the empty-table error
             for m in inside:
-                covered.setdefault(table.lookup(m), []).append(m)
-        group = _Group(preset, d, by_m, covered, beyond)
+                covered[segments[bisect_right(boundaries, m)]].append(m)
+            for partition, block in covered.items():
+                rows += [partition_row(d, partition)] * len(block)
+                packs += [_packed(partition)] * len(block)
+                ms += block
+
+        # beyond the bound the table's last segment is just an
+        # extrapolation: a block size the certified envelope covers is
+        # priced at its winner alone, any other scores the full pool
+        pool_size = 0
+        if beyond:
+            envelope = registry.envelope(preset, d)
+            scored: list[int] = []
+            for m in beyond:
+                at = envelope.index(m)
+                if at >= 0:
+                    rows.append(envelope.rows[at])
+                    packs.append(_packed(envelope.winners[at]))
+                else:
+                    scored.append(len(ms))
+                    rows.append(0)
+                    packs.append(b"")
+                ms.append(m)
+            if scored:
+                pools[preset].append((d, scored, [ms[j] for j in scored]))
+            pool_size = len(pool_rows(d)[0])
         stats.grid_calls += len(covered) + bool(beyond)
-        stats.grid_cells += len(inside) + len(group.pool) * len(beyond)
-        groups.append(group)
+        stats.grid_cells += len(inside) + pool_size * len(beyond)
+        groups.append((preset, d, first, first + len(inside), len(ms)))
 
-    # one kernel call per preset prices every group's rows
-    by_preset: dict[str, list[_Group]] = {}
-    for group in groups:
-        by_preset.setdefault(group.preset, []).append(group)
-    for preset, members in by_preset.items():
-        rows, ms = zip(*(group.rows() for group in members))
-        priced = price_rows(np.concatenate(rows), np.concatenate(ms), registry.params(preset))
-        offsets = np.cumsum([len(r) for r in rows])[:-1]
-        for group, times_us in zip(members, np.split(priced, offsets)):
-            group.times = times_us
+    # one kernel call per preset prices every row of every group: the
+    # slots, then each scored pool, pool-major
+    priced: dict[str, list[float]] = {}
+    for preset, (rows, ms, packs) in slots.items():
+        row_in, m_in = [np.array(rows, dtype=np.intp)], [np.array(ms)]
+        for d, _, block in pools[preset]:
+            pool_row = pool_rows(d)[1]
+            row_in.append(np.repeat(pool_row, len(block)))
+            m_in.append(np.tile(block, len(pool_row)))
+        times_us = price_rows(np.concatenate(row_in), np.concatenate(m_in),
+                              registry.params(preset))
+        answer = priced[preset] = times_us[:len(ms)].tolist()
+        offset = len(ms)
+        for d, scored, block in pools[preset]:
+            # the winner is the first minimal row: the smallest tuple
+            # among the tied, as best_partition ranks them
+            pool = pool_rows(d)[0]
+            grid = times_us[offset:offset + len(pool) * len(block)].reshape(len(pool), -1)
+            offset += grid.size
+            best = grid.argmin(axis=0)
+            best_us = grid[best, np.arange(len(block))].tolist()
+            for j, row, time_us in zip(scored, best.tolist(), best_us):
+                answer[j], packs[j] = time_us, _packed(pool[row])
 
-    # answer (and memoize) group by group, in the order of the misses
-    memo_put = registry.memo_put
-    for group in groups:
-        preset, d, by_m = group.preset, group.d, group.by_m
-        for m, packed, time_us, code in group.answers():
-            cell = (preset, d, m)
-            memo_put(cell, (packed, time_us))
-            waiting = by_m[m]
-            stats.coalesced += len(waiting) - 1
-            for i in waiting:
-                cells[i], times[i], source[i], parts[i] = cell, time_us, code, packed
+    # memoize group by group, in the order of the misses, and answer
+    # every miss from its cell
+    memo: list[tuple[Cell, tuple[bytes, float]]] = []
+    answer_of: dict[Cell, tuple[Cell, tuple[bytes, float], int]] = {}
+    for preset, d, first, split, end in groups:
+        _, ms, packs = slots[preset]
+        answer = priced[preset]
+        for j in range(first, end):
+            cell, value = (preset, d, ms[j]), (packs[j], answer[j])
+            memo.append((cell, value))
+            answer_of[cell] = (cell, value, _GRID if j < split else _POOL)
+    for i in misses:
+        cells[i], (parts[i], times[i]), source[i] = answer_of[keys[i]]
+    stats.coalesced += len(misses) - len(memo)
+    registry.memo_put_many(memo)
     return Answers(cells, times, source, parts)
 
 

@@ -14,6 +14,11 @@ arbitrary traffic:
   ``(preset, d, m)`` queries, so repeat lookups skip both the table
   bisect and the pricing kernel entirely.
 
+Beside the tables it keeps one certified pool envelope per preset ×
+dimension (:func:`~repro.model.optimizer.pool_envelope`, built lazily
+from the table's sweep bound on): a few floats each, never evicted,
+that name the pool winner of most block sizes beyond the bound.
+
 Every interaction is counted in :class:`RegistryStats`, which the
 JSON-lines server reports in-band (``{"op": "stats"}``) and the CLI
 prints after a serving session.
@@ -23,10 +28,16 @@ from __future__ import annotations
 
 from collections import OrderedDict
 from dataclasses import dataclass
+from itertools import compress
 from pathlib import Path
 from typing import Callable, Iterable, Mapping, Sequence
 
-from repro.model.optimizer import OptimizerTable, hull_of_optimality
+from repro.model.optimizer import (
+    OptimizerTable,
+    PoolEnvelope,
+    hull_of_optimality,
+    pool_envelope,
+)
 from repro.model.params import PRESETS, MachineParams
 from repro.model.store import ShardFile, load_shard, save_shard
 
@@ -64,8 +75,10 @@ class RegistryStats:
     #: resolve call prices all its groups of one preset in one
     #: :func:`~repro.model.vectorized.price_rows` call
     grid_calls: int = 0
-    #: cells priced across those groups (a pool counts every partition
-    #: at every block size)
+    #: cells priced across those groups: a pool counts every partition
+    #: at every block size, also where its certified envelope names the
+    #: winner and the kernel prices that one row, so the count does not
+    #: depend on the envelope
     grid_cells: int = 0
 
     @property
@@ -132,6 +145,7 @@ class OptimizerRegistry:
         self._memo: OrderedDict[
             tuple[str, int, float], tuple[bytes, float]
         ] = OrderedDict()
+        self._envelopes: dict[tuple[str, int], PoolEnvelope] = {}
         if shard_dir is not None:
             self._attach_shard_dir(Path(shard_dir))
 
@@ -238,6 +252,17 @@ class OptimizerRegistry:
             return shard.m_max if shard.m_max is not None else 0.0
         return self.m_max
 
+    def envelope(self, preset: str, d: int) -> PoolEnvelope:
+        """The certified pool envelope of ``(preset, d)`` beyond its
+        :meth:`coverage` bound, built the first time it is asked for."""
+        key = (preset, int(d))
+        found = self._envelopes.get(key)
+        if found is None:
+            found = self._envelopes[key] = pool_envelope(
+                int(d), self.params(preset), m_min=self.coverage(preset, d)
+            )
+        return found
+
     # ------------------------------------------------------------------
     # result memo
     # ------------------------------------------------------------------
@@ -249,15 +274,40 @@ class OptimizerRegistry:
             self._memo.move_to_end(key)
         return entry
 
+    def memo_get_many(
+        self, keys: Sequence[tuple[str, int, float]]
+    ) -> list[tuple[bytes, float] | None]:
+        """:meth:`memo_get` of every key, in order: the same entries,
+        and the same touch order."""
+        found = list(map(self._memo.get, keys))
+        touch = self._memo.move_to_end
+        for key in compress(keys, found):
+            touch(key)
+        return found
+
     def memo_put(
         self, key: tuple[str, int, float], value: tuple[bytes, float]
     ) -> None:
+        self.memo_put_many([(key, value)])
+
+    def memo_put_many(
+        self, entries: Sequence[tuple[tuple[str, int, float], tuple[bytes, float]]]
+    ) -> None:
+        """Insert ``entries`` in order, then evict the oldest overflow:
+        the entries and LRU order that putting them one at a time,
+        evicting as it goes, would leave."""
         if self.memo_capacity == 0:
             return
-        self._memo[key] = value
-        self._memo.move_to_end(key)
-        while len(self._memo) > self.memo_capacity:
-            self._memo.popitem(last=False)
+        memo = self._memo
+        size = len(memo)
+        memo.update(entries)
+        if len(memo) - size < len(entries):
+            # a key was there already, or came twice: moving every key
+            # in entry order leaves each where its last put would
+            for key, _ in entries:
+                memo.move_to_end(key)
+        for _ in range(len(memo) - self.memo_capacity):
+            memo.popitem(last=False)
 
     # ------------------------------------------------------------------
     # queries

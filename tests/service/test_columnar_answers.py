@@ -16,10 +16,12 @@ import asyncio
 import io
 import itertools
 import json
+import math
 
 import numpy as np
 import pytest
 
+from repro.model.store import save_shard
 from repro.service import wire
 from repro.service.async_server import AsyncOptimizerServer
 from repro.service.registry import OptimizerRegistry
@@ -393,3 +395,86 @@ def test_stdio_loop_writes_the_socket_bytes(shard_dir):
     ]
     for _, new, was in changed:
         assert "unknown machine preset" in new and "dimension" in was
+
+
+@pytest.fixture(scope="module")
+def boundless_shard_dir(tmp_path_factory):
+    """Shards that record no sweep bound: coverage is 0.0, so every
+    ``m > 0`` is scored beyond the tables, through the envelope."""
+    directory = tmp_path_factory.mktemp("boundless-shards")
+    registry = OptimizerRegistry()
+    for preset in PRESETS:
+        tables = {d: registry.table(preset, d) for d in DIMS}
+        save_shard(tables, registry.params(preset), directory / f"{preset}.shard",
+                   m_max=None, preset=preset)
+    return directory
+
+
+def envelope_edges(registry, rng):
+    """Flushes at the certified envelopes' interval ends (and one ulp
+    either side) of both presets, from 0, with seeded sizes between them
+    and past them, and repeats of earlier cells."""
+    edges = []
+    for p, preset in enumerate(PRESETS):
+        for d in DIMS:
+            envelope = registry.envelope(preset, d)
+            for end in envelope.lows + envelope.highs:
+                edges += [(p, d, end), (p, d, math.nextafter(end, math.inf)),
+                          (p, d, math.nextafter(end, 0.0))]
+    edges = [cell for cell in edges if cell[2] < 1e6]  # the float-range ends are tested in tests/model
+    seen: list[tuple[int, int, float]] = []
+    flushes = []
+    for number in range(FLUSHES):
+        n = 24
+        fresh = [(int(p), int(d), float(m)) for p, d, m in zip(
+            rng.integers(0, len(PRESETS), n), rng.choice(DIMS, n),
+            np.where(rng.random(n) < 0.8, rng.uniform(0.0, 200.0, n), rng.uniform(200.0, 4e4, n)))]
+        specs = edges[number::FLUSHES] + fresh
+        specs += [seen[i] for i in rng.integers(0, len(seen), 8)] if seen else [(0, 8, 0.0)]
+        specs = [specs[i] for i in rng.permutation(len(specs))]
+        flush = [("binary", records(specs[i:i + FRAME])) for i in range(0, len(specs), FRAME)]
+        flush.append(("json", json_line(rng, specs[:3])))
+        flushes.append(flush)
+        seen += fresh
+    return flushes
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+def test_multi_segment_envelope_matches_the_object_pipeline(boundless_shard_dir, seed):
+    """On shards with no bound the §4.3 machine's envelope at d = 8 has
+    five segments, and both presets' envelopes leave slivers around
+    each switch point to the pool: every byte, counter and memo key
+    still matches the full-pool oracle."""
+    columnar = OptimizerRegistry.from_shards(boundless_shard_dir, memo_capacity=MEMO_CAPACITY)
+    oracle = OptimizerRegistry.from_shards(boundless_shard_dir, memo_capacity=MEMO_CAPACITY)
+    assert columnar.coverage("hypothetical", 8) == 0.0
+    assert len(columnar.envelope("hypothetical", 8).winners) == 5
+    flushes = envelope_edges(columnar, np.random.default_rng([seed, 99]))
+    sizes = [(PRESETS[p], int(d), m) for flush in flushes for transport, data in flush
+             if transport == "binary" for p, d, m in wire.decode_query_payload(data).tolist()]
+    certified = [columnar.envelope(p, d).index(m) >= 0 for p, d, m in sizes if m > 0]
+    assert any(certified) and not all(certified)  # both beyond-bound branches run
+    catalog = list(columnar.preset_names)
+    server = AsyncOptimizerServer(
+        columnar, default_preset="ipsc860", max_queries=MAX_QUERIES, max_batch=4096
+    )
+
+    async def scenario():
+        server._loop = asyncio.get_running_loop()
+        sources = set()
+        for number, requests in enumerate(flushes):
+            got = await columnar_flush(server, catalog, requests)
+            want = columnar_oracle.flush(
+                oracle, catalog, requests,
+                default_preset="ipsc860", max_queries=MAX_QUERIES,
+            )
+            assert got == want, f"flush {number}"
+            assert columnar.stats.as_dict() == oracle.stats.as_dict(), f"flush {number}"
+            assert list(columnar._memo) == list(oracle._memo), f"flush {number}"
+            for chunk in got:
+                if chunk[5] == wire.OP_RESULT:
+                    sources.update(wire.decode_result_payload(chunk[wire.HEADER_BYTES:])[1])
+        return sources
+
+    assert {"memo", "pool"} <= asyncio.run(scenario())
+    assert columnar.stats.memo_misses > MEMO_CAPACITY  # the memo evicted

@@ -2,7 +2,11 @@
 
 from __future__ import annotations
 
+from collections import OrderedDict
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.model.optimizer import hull_of_optimality
 from repro.model.params import hypothetical, ipsc860
@@ -162,6 +166,46 @@ class TestMemo:
         registry.resolve([("ipsc860", 6, 24.0)])
         registry.resolve([("ipsc860", 6, 32.0)])  # evicts the 24.0 entry
         assert registry.resolve([("ipsc860", 6, 24.0)])[0].source == "grid"
+
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        capacity=st.integers(0, 6),
+        before=st.lists(st.integers(0, 9), max_size=8),
+        batch=st.lists(st.tuples(st.integers(0, 9), st.integers()), max_size=10),
+        reads=st.lists(st.integers(0, 9), max_size=10),
+    )
+    def test_batch_calls_match_a_one_at_a_time_lru(self, capacity, before, batch, reads):
+        """``memo_put_many`` and ``memo_get_many`` leave the entries and
+        order of an LRU that puts and touches one key at a time,
+        existing and repeated keys included, evicting as it goes."""
+        def key(k):
+            return ("ipsc860", 5, float(k))
+
+        lru: OrderedDict = OrderedDict()
+
+        def put(k, value):
+            if capacity:
+                lru[k] = value
+                lru.move_to_end(k)
+                while len(lru) > capacity:
+                    lru.popitem(last=False)
+
+        def get(k):
+            if k in lru:
+                lru.move_to_end(k)
+            return lru.get(k)
+
+        registry = OptimizerRegistry(memo_capacity=capacity)
+        registry.memo_put_many([(key(k), (b"", float(k))) for k in before])
+        for k in before:
+            put(key(k), (b"", float(k)))
+        registry.memo_put_many([(key(k), (b"", value)) for k, value in batch])
+        for k, value in batch:
+            put(key(k), (b"", value))
+        assert list(registry._memo.items()) == list(lru.items())
+        assert registry.memo_get_many([key(k) for k in reads]) == [get(key(k)) for k in reads]
+        assert list(registry._memo) == list(lru)
 
 
 class TestDefaults:
