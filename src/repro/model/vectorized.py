@@ -14,9 +14,14 @@ into a coefficient table filled once per pair (the enumeration "needs
 to be done only once"), holding each phase slot's ``n_tx = 2**d_i - 1``,
 the exact scale ``2**(d - d_i)``, the hop distance ``d_i·2**(d_i-1)``
 and the masked ``2**d`` and ``d`` factors of the shuffle and global
-sync terms.  Rows of any mix of ``d`` and partitions are priced in one
-call, one numpy pass per phase slot; the table grows only with new
-``(d, partition)`` pairs, never with block sizes.
+sync terms.  The table is stored row-major, so one ``take`` gathers
+every coefficient of a call, and the kernel prices every phase slot of
+every row in one 2-D pass of a dozen array operations, whatever the
+mix of ``d`` and partitions; the table grows only with new
+``(d, partition)`` pairs, never with block sizes.  The pass holds a few
+temporaries of the result's size times the call's widest partition; a
+call larger than ``_PRICE_CHUNK_BYTES`` per temporary is priced in
+chunks of the result, so memory stays bounded whatever the call.
 :func:`multiphase_time_grid` (the block-size × partition cross product)
 and :func:`multiphase_time_pairs` (one partition per block size) are
 validating wrappers over it.
@@ -30,8 +35,9 @@ same order* as :func:`repro.model.cost.phase_cost` /
 * per phase: ``((transmission + distance) + shuffle) + global_sync``
   with ``transmission = n_tx * (λ_x + τ·(m·2**(d-d_i)))``,
   ``shuffle = ρ·(m·2**d)`` and ``global_sync = γ·d``;
-* per partition: left-to-right accumulation over the phases, starting
-  from ``0.0`` (Python's ``sum``);
+* per partition: left-to-right accumulation over the phase slots,
+  starting from ``0.0`` (Python's ``sum``), one slot at a time — never
+  a numpy reduction, whose pairwise order rounds differently;
 * powers of two are stored as floats, so the scale factors are exact.
 
 A slot a row does not use (its partition is shorter than the widest
@@ -40,7 +46,8 @@ coefficient ``0.0``: such a term is an exact ``±0.0``, and adding it
 leaves the running sum unchanged (every term is non-negative, so the
 sum is never ``-0.0``).  No slot is ever scaled by ``m·2**d`` unless it
 uses it, so an overflowing ``m`` gives the scalar model's ``inf``,
-never ``0·inf = NaN``.
+never ``0·inf = NaN``, and the overflow itself is silent (an invalid
+operation would still warn).
 """
 
 from __future__ import annotations
@@ -65,18 +72,27 @@ __all__ = [
 ]
 
 
+#: Bytes of one slot temporary a :func:`price_rows` pass holds.  A call
+#: whose result times its widest partition is larger is priced in
+#: chunks of the result, so a pass's few temporaries stay near 1 MB
+#: whatever the call's size (larger chunks also fall out of cache).
+_PRICE_CHUNK_BYTES = 1 << 18
+
+
 class _SlotTable:
     """Eq. (3) coefficients per phase slot of every ``(d, partition)``
-    priced so far: a ``(5, slots, rows)`` float array of ``n_tx``,
-    scale, hops, shuffle factor and sync factor, and each row's phase
-    count.  Growing copies both and publishes them as one tuple, so a
-    kernel reading a snapshot never sees a torn table."""
+    priced so far: a row-major ``(rows, 5, slots)`` float array of
+    ``n_tx``, scale, hops, shuffle factor and sync factor per slot, and
+    each row's phase count.  The rows grow (doubling) only when full,
+    the slots only when a wider partition arrives; growing copies both
+    arrays and publishes them as one tuple under the lock, so a kernel
+    reading a snapshot never sees a torn table."""
 
     def __init__(self) -> None:
         self._index: dict[tuple[int, tuple[int, ...]], int] = {}
         self._pools: dict[int, tuple[tuple[tuple[int, ...], ...], np.ndarray]] = {}
         self._lock = threading.Lock()
-        self.arrays = (np.zeros((5, 1, 64)), np.zeros(64, dtype=np.intp))
+        self.arrays = (np.zeros((64, 5, 1)), np.zeros(64, dtype=np.intp))
 
     def __len__(self) -> int:
         return len(self._index)
@@ -97,13 +113,16 @@ class _SlotTable:
                 return found
             row, width = len(self._index), len(parts)
             coef, widths = self.arrays
-            if row == widths.size or width > coef.shape[1]:
-                grown = np.zeros((5, max(width, coef.shape[1]), 2 * widths.size))
-                grown[:, : coef.shape[1], : widths.size] = coef
-                coef, widths = grown, np.concatenate([widths, np.zeros_like(widths)])
+            capacity, _, slots = coef.shape
+            if row == capacity or width > slots:
+                grown = np.zeros((2 * capacity if row == capacity else capacity, 5, max(width, slots)))
+                grown[:capacity, :, :slots] = coef
+                coef = grown
+                if row == capacity:
+                    widths = np.concatenate([widths, np.zeros_like(widths)])
             # the shuffle pass only runs in multi-phase schedules
             shuffled = 1 << d if width > 1 else 0
-            coef[:, :width, row] = np.transpose(
+            coef[row, :, :width] = np.transpose(
                 [((1 << di) - 1, 1 << (d - di), di << (di - 1), shuffled, d) for di in parts]
             )
             widths[row] = width
@@ -143,10 +162,12 @@ def row_lines(rows: np.ndarray) -> np.ndarray:
     ρ·J`` and ``B = λ_x·K + δ_x·L + γ·M``, the slot coefficients summed
     over the row's phases.  Every entry is an integer below ``2**53``,
     so exact."""
-    n_tx, scale, hops, shuffle_cube, sync_dim = _TABLE.arrays[0][:, :, rows]
+    n_tx, scale, hops, shuffle_cube, sync_dim = np.moveaxis(
+        _TABLE.arrays[0].take(rows, axis=0), 1, 0
+    )
     return np.stack([
-        (n_tx * scale).sum(axis=0), shuffle_cube.sum(axis=0), n_tx.sum(axis=0),
-        hops.sum(axis=0), sync_dim.sum(axis=0),
+        (n_tx * scale).sum(axis=-1), shuffle_cube.sum(axis=-1), n_tx.sum(axis=-1),
+        hops.sum(axis=-1), sync_dim.sum(axis=-1),
     ])
 
 
@@ -159,30 +180,83 @@ def price_rows(
 
     ``ms`` must be finite and ``>= 0``; nothing is re-checked here.
     Each element equals ``multiphase_time(m, d, partition, params)`` to
-    the last bit.  Temporaries are a few arrays of the result's shape,
-    one phase slot at a time.
+    the last bit.  One ``take`` gathers the rows' coefficients and one
+    pass prices every phase slot; the gathered coefficients and the
+    pass's few temporaries are the result's shape times the widest
+    row's slots, at most ``_PRICE_CHUNK_BYTES`` each (or one cell) by
+    chunking the result.
     """
     coef, widths = _TABLE.arrays
-    n_tx, scale, hops, shuffle_cube, sync_dim = coef
     rows = np.asarray(rows, dtype=np.intp)
     ms = np.asarray(ms, dtype=np.float64)
-    total = np.zeros(np.broadcast_shapes(rows.shape, ms.shape))
+    total = np.zeros(np.broadcast(rows, ms).shape)
     if total.size == 0:
         return total
-    lam_x, tau, delta_x = params.exchange_latency, params.byte_time, params.exchange_hop_time
-    rho, gamma = params.permute_time, params.global_sync_per_dim
-    for slot in range(int(widths.take(rows).max())):
-        phase = ms * scale[slot].take(rows)
-        phase *= tau
-        phase += lam_x
-        phase *= n_tx[slot].take(rows)
-        phase += delta_x * hops[slot].take(rows)
-        shuffle = ms * shuffle_cube[slot].take(rows)
-        shuffle *= rho
-        phase += shuffle
-        phase += gamma * sync_dim[slot].take(rows)
-        total += phase
+    width = int(widths.take(rows).max())
+    if rows.ndim < total.ndim:  # the slot axis goes in front of the result's
+        rows = rows.reshape((1,) * (total.ndim - rows.ndim) + rows.shape)
+    # an m near the float maximum overflows to the scalar model's inf
+    with np.errstate(over="ignore"):
+        _price_chunks(
+            total, rows, ms, coef, params, width,
+            max(1, _PRICE_CHUNK_BYTES // (8 * width)),
+        )
     return total
+
+
+def _price_chunks(
+    total: np.ndarray,
+    rows: np.ndarray,
+    ms: np.ndarray,
+    coef: np.ndarray,
+    params: MachineParams,
+    width: int,
+    cells: int,
+) -> None:
+    """Add every phase slot into ``total``, at most ``cells`` result
+    cells per pass: chunks of the leading axis, or one leading index at
+    a time when that alone is larger.  ``rows`` has ``total``'s
+    dimensions and ``ms`` broadcasts to it."""
+    if total.size <= cells:
+        _add_slots(total, rows, ms, coef, params, width)
+        return
+    ms = ms.reshape((1,) * (total.ndim - ms.ndim) + ms.shape)
+    step = total.shape[0] * cells // total.size
+    for start in range(0, total.shape[0], max(step, 1)):
+        at = slice(start, start + step) if step else start
+        # a length-1 axis broadcasts: keep it whole, or index it away
+        rows_at, ms_at = (a[at] if a.shape[0] > 1 else a if step else a[0] for a in (rows, ms))
+        _price_chunks(total[at], rows_at, ms_at, coef, params, width, cells)
+
+
+def _add_slots(
+    total: np.ndarray,
+    rows: np.ndarray,
+    ms: np.ndarray,
+    coef: np.ndarray,
+    params: MachineParams,
+    width: int,
+) -> None:
+    """Eq. (3) of every phase slot at once, each element in the scalar
+    model's order, added into ``total`` slot by slot, left to right."""
+    # one take, then the five coefficients slot-major: each slot is one
+    # contiguous plane shaped like ``rows``
+    n_tx, scale, hops, shuffle_cube, sync_dim = np.ascontiguousarray(
+        coef.take(rows, axis=0)[..., :width].transpose(
+            rows.ndim, rows.ndim + 1, *range(rows.ndim)
+        )
+    )
+    phase = ms * scale
+    phase *= params.byte_time
+    phase += params.exchange_latency
+    phase *= n_tx
+    phase += params.exchange_hop_time * hops
+    shuffle = ms * shuffle_cube
+    shuffle *= params.permute_time
+    phase += shuffle
+    phase += params.global_sync_per_dim * sync_dim
+    for slot in phase:
+        total += slot
 
 
 def _checked_rows(d: int, partitions: Iterable[Sequence[int]]) -> np.ndarray:

@@ -13,6 +13,7 @@ from repro.sim.fastpath import (
     NaiveContentionSummary,
     NaiveSend,
     NaiveTimeline,
+    ProgramStack,
     ProgramTimeline,
     batch_exchange_times,
     batch_program_times,
@@ -27,6 +28,7 @@ from repro.sim.fastpath import (
     program_time,
     program_timeline,
     program_times,
+    stack_programs,
 )
 from repro.sim.faults import (
     CrossTraffic,
@@ -62,6 +64,7 @@ __all__ = [
     "Network",
     "NodeContext",
     "Process",
+    "ProgramStack",
     "ProgramTimeline",
     "Request",
     "RetryRecord",
@@ -85,4 +88,5 @@ __all__ = [
     "program_time",
     "program_timeline",
     "program_times",
+    "stack_programs",
 ]

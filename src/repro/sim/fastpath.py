@@ -23,6 +23,16 @@ with the §7.4 effective constants, exactly as
 the rows in the engine's dispatch order — so prices agree with the
 event engine to **float equality** (``==``, not approx).
 
+There is one pricing pass.  :func:`stack_programs` stacks several
+compiled programs of one cube into a :class:`ProgramStack`, each padded
+to the longest with ``-0.0`` steps (the exact additive identity), and
+:meth:`ProgramStack.totals` prices all of them at once: one
+``durations`` evaluation over programs × steps × block sizes and one
+``cumsum`` along the steps.  A :class:`CompiledProgram` is the
+one-program case of the same pass, so a stack of ``C`` programs costs
+a handful of numpy calls, not ``C`` pricing loops; its temporaries are
+``C × steps × block sizes`` floats.
+
 * :func:`program_time` / :func:`program_times` /
   :func:`program_timeline` / :func:`batch_program_times` — price any
   program.  A contended program (the naive rotation) is refused by
@@ -87,6 +97,7 @@ __all__ = [
     "NaiveContentionSummary",
     "NaiveSend",
     "NaiveTimeline",
+    "ProgramStack",
     "ProgramTimeline",
     "batch_exchange_times",
     "batch_program_times",
@@ -102,17 +113,74 @@ __all__ = [
     "program_time",
     "program_timeline",
     "program_times",
+    "stack_programs",
 ]
 
-#: step-kind codes of a compiled program
-KIND_BARRIER, KIND_EXCHANGE, KIND_SHUFFLE, KIND_SEND = 0, 1, 2, 3
+#: step-kind codes of a compiled program; ``KIND_PAD`` pads a stack's
+#: shorter programs and prices ``-0.0``
+KIND_BARRIER, KIND_EXCHANGE, KIND_SHUFFLE, KIND_SEND, KIND_PAD = 0, 1, 2, 3, 4
 
 
 # ----------------------------------------------------------------------
 # the program compiler: any CommProgram, one numpy pass
 # ----------------------------------------------------------------------
+class _Steps:
+    """Step coefficient arrays ``kinds``, ``bytes_per_m`` and ``hops``,
+    shaped ``(..., S)``, on the ``d``-cube, and the one pass that
+    prices them."""
+
+    kinds: np.ndarray
+    bytes_per_m: np.ndarray
+    hops: np.ndarray
+    #: the last params priced and its step columns (one entry per instance)
+    _priced: ClassVar[tuple[MachineParams, tuple[np.ndarray, ...]] | None] = None
+
+    def _columns(self, params: MachineParams) -> tuple[np.ndarray, ...]:
+        """Per-step ``(latency, rate, hop term, bytes_per_m)`` columns on
+        ``params``; unused terms are ``-0.0``, the exact additive identity."""
+        priced = self._priced
+        if priced is None or not (priced[0] is params or priced[0] == params):
+            per_kind = np.array([  # rows in KIND_* order
+                (params.global_sync_time(self.d), -0.0, -0.0),
+                (params.exchange_latency, params.byte_time, params.exchange_hop_time),
+                (-0.0, params.permute_time, -0.0),
+                (params.latency, params.byte_time, params.hop_time),
+                (-0.0, -0.0, -0.0),
+            ])
+            kinds, hops = self.kinds, self.hops
+            latency, rate, hop_rate = (per_kind[:, k][kinds][..., None] for k in range(3))
+            # byte multipliers stay integers: below 2**53 they convert
+            # to float exactly when multiplied
+            priced = (params, (latency, rate, hop_rate * hops[..., None], self.bytes_per_m[..., None]))
+            object.__setattr__(self, "_priced", priced)
+        return priced[1]
+
+    def durations(self, ms: Sequence[float], params: MachineParams) -> np.ndarray:
+        """Per-step durations for each block size, shape ``(..., S, M)``:
+        one pass of ``(latency + rate·(bytes_per_m·m)) + hop``, the
+        engine's order."""
+        ms_arr = np.asarray(ms, dtype=np.float64)
+        if ms_arr.ndim != 1:
+            raise ValueError(f"ms must be one-dimensional, got shape {ms_arr.shape}")
+        # a Python pass, not numpy reductions: pricing mostly asks for one
+        # size, where this is several times cheaper (NaN fails the test too)
+        for m in ms_arr.tolist():
+            if not 0 <= m < math.inf:
+                raise ValueError(f"block sizes must be finite and >= 0, got {m}")
+        latency, rate, hop, bytes_per_m = self._columns(params)
+        return latency + rate * (bytes_per_m * ms_arr) + hop
+
+    def totals(self, ms: Sequence[float], params: MachineParams) -> np.ndarray:
+        """Total time per block size, shape ``(..., M)``: one
+        engine-order ``cumsum`` along the steps."""
+        durations = self.durations(ms, params)
+        if durations.shape[-2] == 0:
+            return np.zeros(durations.shape[:-2] + durations.shape[-1:])
+        return durations.cumsum(axis=-2)[..., -1, :]
+
+
 @dataclass(frozen=True)
-class CompiledProgram:
+class CompiledProgram(_Steps):
     """A :class:`~repro.core.programs.CommProgram` reduced to timing
     coefficients.
 
@@ -129,18 +197,17 @@ class CompiledProgram:
     ``kinds`` holds the ``KIND_*`` code of each step, ``bytes_per_m``
     its byte multiplier (0 for barriers) and ``hops`` its circuit
     length, so :meth:`durations` evaluates a whole block-size batch in
-    one vectorized pass.  ``totals`` accumulates the rows with
-    ``cumsum`` in program order, which is the event engine's dispatch
-    order along the program's critical-path chain, so the result equals
-    the engine's makespan to float equality.
+    one vectorized pass, shape ``(S, M)``.  ``totals`` accumulates the
+    rows with ``cumsum`` in program order, which is the event engine's
+    dispatch order along the program's critical-path chain, so the
+    result equals the engine's makespan to float equality.  It is the
+    one-program case of :meth:`ProgramStack.totals`.
     """
 
     program: CommProgram
     kinds: np.ndarray
     bytes_per_m: np.ndarray
     hops: np.ndarray
-    #: the last params priced and its step columns (one entry per program)
-    _priced: ClassVar[tuple[MachineParams, tuple[np.ndarray, ...]] | None] = None
 
     @property
     def d(self) -> int:
@@ -150,43 +217,6 @@ class CompiledProgram:
     def n_steps(self) -> int:
         return len(self.program.steps)
 
-    def _columns(self, params: MachineParams) -> tuple[np.ndarray, ...]:
-        """Per-step ``(latency, rate, hop term, bytes_per_m)`` columns on
-        ``params``; unused terms are ``-0.0``, the exact additive identity."""
-        priced = self._priced
-        if priced is None or not (priced[0] is params or priced[0] == params):
-            latency, rate, hop_rate = np.array([  # rows in KIND_* order
-                (params.global_sync_time(self.d), -0.0, -0.0),
-                (params.exchange_latency, params.byte_time, params.exchange_hop_time),
-                (-0.0, params.permute_time, -0.0),
-                (params.latency, params.byte_time, params.hop_time),
-            ])[self.kinds].T[:, :, None]
-            hop, bytes_per_m = hop_rate * self.hops[:, None], self.bytes_per_m[:, None] * 1.0
-            priced = (params, (latency, rate, hop, bytes_per_m))
-            object.__setattr__(self, "_priced", priced)
-        return priced[1]
-
-    def durations(self, ms: Sequence[float], params: MachineParams) -> np.ndarray:
-        """Per-step durations for each block size, shape ``(S, M)``: one
-        pass of ``(latency + rate·(bytes_per_m·m)) + hop``, the engine's order."""
-        ms_arr = np.asarray(ms, dtype=np.float64)
-        if ms_arr.ndim != 1:
-            raise ValueError(f"ms must be one-dimensional, got shape {ms_arr.shape}")
-        # a Python pass, not numpy reductions: pricing mostly asks for one
-        # size, where this is several times cheaper (NaN fails the test too)
-        for m in ms_arr.tolist():
-            if not 0 <= m < math.inf:
-                raise ValueError(f"block sizes must be finite and >= 0, got {m}")
-        latency, rate, hop, bytes_per_m = self._columns(params)
-        return latency + rate * (bytes_per_m * ms_arr) + hop
-
-    def totals(self, ms: Sequence[float], params: MachineParams) -> np.ndarray:
-        """Total program time per block size (engine-order ``cumsum``)."""
-        durations = self.durations(ms, params)
-        if durations.shape[0] == 0:
-            return np.zeros(durations.shape[1], dtype=np.float64)
-        return durations.cumsum(axis=0)[-1]
-
     def timeline(self, m: float, params: MachineParams) -> "ProgramTimeline":
         """Per-step start/finish times along the critical-path chain."""
         durations = self.durations([m], params)[:, 0]
@@ -195,6 +225,47 @@ class CompiledProgram:
         return ProgramTimeline(
             program=self.program, m=float(m), start=start, finish=finish
         )
+
+
+@dataclass(frozen=True)
+class ProgramStack(_Steps):
+    """Compiled programs of one cube, priced together.
+
+    ``kinds``, ``bytes_per_m`` and ``hops`` are ``(C, S)``: program
+    ``c``'s steps, then ``KIND_PAD`` steps up to the longest program's
+    ``S``.  A pad step prices ``-0.0`` at every ``m >= +0.0`` (``+0.0``
+    at ``m = -0.0``, which leaves any total that is not ``-0.0`` alone;
+    a program that opens with a barrier never totals ``-0.0``), so
+    :meth:`totals`, shape ``(C, M)``, equals each program's own
+    :meth:`CompiledProgram.totals` to the last bit.  The padded arrays
+    are built when a new params is priced; only its columns are kept.
+    """
+
+    programs: tuple[CompiledProgram, ...]
+
+    @property
+    def d(self) -> int:
+        return self.programs[0].d
+
+    @property
+    def kinds(self) -> np.ndarray:
+        return _padded([program.kinds for program in self.programs], KIND_PAD)
+
+    @property
+    def bytes_per_m(self) -> np.ndarray:
+        return _padded([program.bytes_per_m for program in self.programs], 0)
+
+    @property
+    def hops(self) -> np.ndarray:
+        return _padded([program.hops for program in self.programs], 0)
+
+
+def _padded(rows: Sequence[np.ndarray], fill: int) -> np.ndarray:
+    """``rows`` stacked, each padded with ``fill`` to the longest."""
+    out = np.full((len(rows), max(len(row) for row in rows)), fill, dtype=rows[0].dtype)
+    for i, row in enumerate(rows):
+        out[i, : len(row)] = row
+    return out
 
 
 @dataclass(frozen=True)
@@ -295,6 +366,28 @@ def compile_program(program: CommProgram) -> CompiledProgram:
         )
     check_dimension(program.d, minimum=1)
     return _compile_program(program)
+
+
+def stack_programs(programs: Sequence[CommProgram]) -> ProgramStack:
+    """Compile ``programs`` (at least one, all on one cube) and stack
+    them for one pricing pass.
+
+    >>> from repro.core.programs import pattern_program
+    >>> from repro.model.params import ipsc860
+    >>> stack = stack_programs([pattern_program("scatter", a, 4) for a in ("halving", "direct")])
+    >>> stack.kinds.shape
+    (2, 16)
+    >>> stack.totals([40.0], ipsc860())[:, 0].tolist() == [
+    ...     program_time(p.program, 40.0, ipsc860()) for p in stack.programs]
+    True
+    """
+    compiled = tuple(compile_program(program) for program in programs)
+    if not compiled:
+        raise ValueError("no programs to stack")
+    dims = {program.d for program in compiled}
+    if len(dims) > 1:
+        raise ValueError(f"stacked programs must share one cube, got d in {sorted(dims)}")
+    return ProgramStack(programs=compiled)
 
 
 def program_times(

@@ -7,6 +7,8 @@ whose text outputs must not move by one ulp when batching is on.
 
 from __future__ import annotations
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -339,3 +341,184 @@ class TestRowKernel:
         times = price_rows(np.array(list(got[0].values())), 40.0, ipsc).tolist()
         for p, time_us in zip(got[0], times):
             assert time_us.hex() == multiphase_time(40.0, d, p, ipsc).hex()
+
+
+#: block sizes every kernel shape is checked at: zero, the smallest
+#: subnormal, and sizes whose products overflow (m·2**d) or nearly do
+KERNEL_BLOCK_SIZES = (0.0, 5e-324, 1e300, 1.7e308)
+
+block_sizes = st.one_of(
+    st.sampled_from(KERNEL_BLOCK_SIZES),
+    st.floats(min_value=0.0, max_value=1e6, allow_nan=False),
+)
+
+
+def scalar_hexes(cells, params):
+    """``multiphase_time`` of each ``((d, partition), m)`` in ``cells``
+    (a nested list of any shape), flattened, as ``float.hex``."""
+    return [
+        multiphase_time(m, d, p, params).hex()
+        for (d, p), m in np.array(cells, dtype=object).reshape(-1, 2).tolist()
+    ]
+
+
+def assert_priced_like_the_scalar_model(times, cells, params):
+    """``times`` (any shape) against ``cells``, a same-shape nested
+    list of ``((d, partition), m)``, ``float.hex`` for ``float.hex``."""
+    assert [t.hex() for t in np.asarray(times).ravel().tolist()] == scalar_hexes(cells, params)
+
+
+class TestOnePassKernel:
+    """The one-pass kernel against the scalar model: every shape a
+    caller uses, rows of mixed widths in one call, block sizes at the
+    edges of the float domain, and results on both sides of a chunk.
+    Nothing here silences numpy: an overflow must not warn."""
+
+    @settings(deadline=None, max_examples=120)
+    @given(
+        pairs=st.lists(composition(), min_size=1, max_size=12),
+        ms=st.lists(block_sizes, min_size=1, max_size=12),
+        params=params_strategy(),
+        shape=st.sampled_from(["rows", "grid", "scalar m", "one row", "scalar row"]),
+    )
+    def test_every_shape_is_bit_identical(self, pairs, ms, params, shape):
+        """Overflow is silent; the one warning allowed is numpy's
+        invalid-value one, where a zero rate meets an overflowed
+        ``m·2**k`` and the scalar model's answer is NaN too."""
+        rows = np.array([partition_row(d, p) for d, p in pairs])
+        if shape == "rows":
+            k = min(len(pairs), len(ms))
+            args = rows[:k], np.array(ms[:k])
+            cells = [(pairs[i], ms[i]) for i in range(k)]
+        elif shape == "grid":
+            args = rows[:, np.newaxis], np.array(ms)[np.newaxis, :]
+            cells = [[(pair, m) for m in ms] for pair in pairs]
+        elif shape == "scalar m":
+            args = rows, ms[0]
+            cells = [(pair, ms[0]) for pair in pairs]
+        elif shape == "one row":
+            args = rows[0], np.array(ms)
+            cells = [(pairs[0], m) for m in ms]
+        else:
+            args = rows[0], ms[0]
+            cells = [(pairs[0], ms[0])]
+        want = scalar_hexes(cells, params)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            times = price_rows(*args, params)
+        assert times.shape == np.broadcast(*args).shape
+        assert [t.hex() for t in times.ravel().tolist()] == want
+        for warning in caught:
+            assert "invalid value" in str(warning.message) and "nan" in want
+
+    @pytest.mark.parametrize(
+        "d, p, m, other",
+        [
+            (6, (1, 2, 3), 7.0, lambda phases: sum(reversed(phases))),
+            # numpy's pairwise reduction keeps eight partial sums
+            (8, (1,) * 8, 40.0, lambda phases: float(np.sum(phases))),
+        ],
+        ids=["reversed", "numpy-sum"],
+    )
+    def test_phase_sums_run_left_to_right(self, ipsc, d, p, m, other):
+        """Phases whose sum rounds differently in another order must be
+        added left to right, as the scalar model does, in every call
+        shape: one cell, one row, two rows."""
+        from repro.model.cost import phase_cost
+
+        phases = [phase_cost(m, di, d, ipsc, n_phases=len(p)).total for di in p]
+        want = multiphase_time(m, d, p, ipsc)
+        assert want == sum(phases) != other(phases)
+        row = partition_row(d, p)
+        for rows, ms in ((row, m), ([row], m), ([row, row], [m, m])):
+            got = np.ravel(price_rows(np.array(rows), ms, ipsc)).tolist()
+            assert {t.hex() for t in got} == {want.hex()}
+
+    @pytest.mark.parametrize("offset", [-1, 0, 1], ids=["under", "at", "over"])
+    def test_results_around_the_chunk_size(self, ipsc, offset):
+        """Chunks of the result cover it exactly: a 1-D call, one row
+        against every block size, a grid whose chunks are several rows,
+        and a grid whose every row is larger than a chunk, just under,
+        at and over one chunk."""
+        from repro.model import vectorized
+
+        pool = [((3, p), partition_row(3, p)) for p in cached_partitions(3)]
+        width = max(len(p) for (_, p), _ in pool)
+        cells = vectorized._PRICE_CHUNK_BYTES // (8 * width) + offset
+        rng = np.random.default_rng(cells)
+        ms = rng.uniform(0.0, 4096.0, cells)
+        picks = rng.integers(0, len(pool), cells)
+        picks[0] = max(range(len(pool)), key=lambda i: len(pool[i][0][1]))
+        rows = np.array([pool[i][1] for i in picks])
+        assert_priced_like_the_scalar_model(
+            price_rows(rows, ms, ipsc), [(pool[i][0], m) for i, m in zip(picks, ms)], ipsc
+        )
+        pair, row = pool[picks[0]]
+        assert_priced_like_the_scalar_model(
+            price_rows(np.array(row), ms, ipsc), [(pair, m) for m in ms], ipsc
+        )
+        grid_rows = np.array([row for _, row in pool])
+        for width_ms in (cells // len(pool) + 1, cells + 1):
+            grid_ms = ms[:width_ms] if width_ms <= cells else np.append(ms, 1.5)
+            times = price_rows(grid_rows[:, np.newaxis], grid_ms[np.newaxis, :], ipsc)
+            assert_priced_like_the_scalar_model(
+                times, [[(pair, m) for m in grid_ms] for pair, _ in pool], ipsc
+            )
+
+    @pytest.mark.parametrize("m", [1e250, 1.7e308])
+    def test_overflowing_block_sizes_price_without_warnings(self, ipsc, m):
+        """Near the float maximum the answers are the scalar model's
+        ``inf`` (or finite), and pricing them prints nothing: the
+        kernel, the optimizer and the service resolver."""
+        from repro.service.batch import resolve_queries
+        from repro.service.registry import OptimizerRegistry
+
+        pool, rows = pool_rows(8)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            times = price_rows(rows, m, ipsc)
+            choice = best_partition(m, 8, ipsc)
+            results = resolve_queries(
+                OptimizerRegistry(), [("ipsc860", d, m) for d in range(4, 9)]
+            )
+        assert_priced_like_the_scalar_model(times, [((8, p), m) for p in pool], ipsc)
+        assert choice.time == multiphase_time(m, 8, choice.partition, ipsc)
+        for d, result in zip(range(4, 9), results):
+            want = best_partition(m, d, ipsc)
+            assert result.partition == want.partition
+            assert result.time_us.hex() == want.time.hex()
+
+    def test_invalid_operations_still_warn(self, ipsc):
+        """Only overflow is silenced: an infinite block size (outside
+        the kernel's domain) makes a dead slot's ``0·inf``, and numpy
+        still reports it."""
+        rows = np.array([partition_row(3, (3,)), partition_row(3, (1, 1, 1))])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(RuntimeWarning, match="invalid"):
+                price_rows(rows, np.inf, ipsc)
+
+
+class TestSlotTableGrowth:
+    @pytest.mark.parametrize("order", ["ascending", "descending"])
+    def test_capacity_follows_the_pairs(self, order):
+        """Rows double only when full and slots widen only to the widest
+        partition: registering pools in either order keeps the table
+        within twice its pairs (plus the initial 64 rows)."""
+        from repro.model.vectorized import _SlotTable
+
+        table = _SlotTable()
+        dims = range(1, 13) if order == "ascending" else range(12, 0, -1)
+        for d in dims:
+            table.pool(d)
+        coef, widths = table.arrays
+        assert len(table) == sum(len(cached_partitions(d)) for d in dims)
+        assert coef.shape[0] == widths.shape[0] < 2 * len(table) + 64
+        assert coef.shape[1:] == (5, 12)
+        # every row survived the growth copies, dead slots still zero
+        for (d, p), row in table._index.items():
+            alone = _SlotTable()
+            at = alone.row(d, p)
+            assert (coef[row, :, : len(p)] == alone.arrays[0][at]).all()
+            assert not coef[row, :, len(p):].any()
+            assert widths[row] == len(p)
