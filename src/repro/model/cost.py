@@ -129,7 +129,9 @@ def phase_cost(
         raise ValueError(f"n_phases must be >= 1, got {n_phases}")
     effective = m * (1 << (d - di))
     n_tx = (1 << di) - 1
-    transmission = n_tx * (params.exchange_latency + params.byte_time * effective)
+    # a zero rate prices +0.0, also where m·2**(d-d_i) overflowed to inf
+    moved = params.byte_time * effective if params.byte_time else 0.0
+    transmission = n_tx * (params.exchange_latency + moved)
     distance = params.exchange_hop_time * total_distance(di)
     shuffle = params.shuffle_time(m * (1 << d)) if n_phases > 1 else 0.0
     gsync = params.global_sync_time(d)
@@ -206,10 +208,8 @@ def degraded_multiphase_time(
     for di in parts:
         cost = phase_cost(m, di, d, params, n_phases=k)
         n_tx = (1 << di) - 1
-        transmission = n_tx * (
-            params.exchange_latency * lat_scale
-            + params.byte_time * bw_scale * cost.effective_block
-        )
+        moved = params.byte_time * bw_scale * cost.effective_block if params.byte_time else 0.0
+        transmission = n_tx * (params.exchange_latency * lat_scale + moved)
         total += (
             transmission
             + cost.distance

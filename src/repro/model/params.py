@@ -110,8 +110,9 @@ class MachineParams:
         )
 
     def shuffle_time(self, nbytes: float) -> float:
-        """Time for one fused permutation pass over ``nbytes``: ``ρ·b``."""
-        return self.permute_time * nbytes
+        """Time for one fused permutation pass over ``nbytes``: ``ρ·b``,
+        ``+0.0`` at ``ρ = 0`` even where ``b`` overflowed to ``inf``."""
+        return self.permute_time * nbytes if self.permute_time else 0.0
 
     def global_sync_time(self, d: int) -> float:
         """Global synchronization on a ``d``-cube: ``γ·d`` (150d

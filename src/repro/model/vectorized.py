@@ -45,9 +45,10 @@ row of the call), and the shuffle of a single-phase schedule, have
 coefficient ``0.0``: such a term is an exact ``±0.0``, and adding it
 leaves the running sum unchanged (every term is non-negative, so the
 sum is never ``-0.0``).  No slot is ever scaled by ``m·2**d`` unless it
-uses it, so an overflowing ``m`` gives the scalar model's ``inf``,
-never ``0·inf = NaN``, and the overflow itself is silent (an invalid
-operation would still warn).
+uses it, and a zero ``τ`` or ``ρ`` skips its product as the scalar
+model does, so an overflowing ``m`` gives the scalar model's ``inf``
+or finite time, never ``0·inf = NaN``, and the overflow itself is
+silent (an invalid operation would still warn).
 """
 
 from __future__ import annotations
@@ -246,12 +247,14 @@ def _add_slots(
             rows.ndim, rows.ndim + 1, *range(rows.ndim)
         )
     )
-    phase = ms * scale
+    # a zero rate adds +0.0, as in the scalar model, also where an
+    # m·2**(d-d_i) or m·2**d overflowed to inf: its product is skipped
+    phase = ms * scale if params.byte_time else np.zeros(np.broadcast(ms, scale).shape)
     phase *= params.byte_time
     phase += params.exchange_latency
     phase *= n_tx
     phase += params.exchange_hop_time * hops
-    shuffle = ms * shuffle_cube
+    shuffle = ms * shuffle_cube if params.permute_time else 0.0
     shuffle *= params.permute_time
     phase += shuffle
     phase += params.global_sync_per_dim * sync_dim

@@ -34,10 +34,10 @@ the same bytes — what the socket transport adds is *concurrency*:
   carries the auth token and returns the preset catalog, then packed
   ``(preset_id, d, m)`` query frames answer with contiguous float64
   time arrays plus provenance codes.  A frame goes from decode to
-  ``OP_RESULT`` bytes as distinct cells and columns: one dict pass
-  validates and deduplicates it
-  (:func:`~repro.service.batch.queries_from_arrays`), and the answer
-  columns are gathered back to request order through its inverse — no
+  ``OP_RESULT`` bytes as cells and columns in wire order, as a JSON
+  line does: one pass validates it into one cell per record
+  (:func:`~repro.service.batch.queries_from_arrays`), repeats included,
+  and the answer columns are packed as the resolver returns them — no
   ``Query`` or ``QueryResult`` per query.  Any other first bytes fall
   back to the JSON-lines transport byte-for-byte unchanged;
 * **graceful drain** — :meth:`AsyncOptimizerServer.aclose` (also
@@ -222,8 +222,9 @@ class ServerStats:
     flushes_size: int = 0
     flushes_drain: int = 0
     flushes_timer: int = 0
-    #: queries resolved through the batcher, requests they came from,
-    #: and the largest single flush (cross-client occupancy high-water)
+    #: queries resolved through the batcher (each binary record, as each
+    #: JSON query), requests they came from, and the largest single
+    #: flush (cross-client occupancy high-water)
     batched_queries: int = 0
     batched_requests: int = 0
     peak_batch_queries: int = 0
@@ -319,8 +320,9 @@ class _MicroBatcher:
 
     @property
     def pending_queries(self) -> int:
-        """Queries admitted but not yet flushed — the depth that
-        ``shed_queries`` admission control watches."""
+        """Queries admitted but not yet flushed, one per binary record
+        or JSON query — the depth that ``shed_queries`` admission
+        control watches."""
         return self._pending_queries
 
     def submit(self, cells: list[Cell]) -> "asyncio.Future[Answers]":
@@ -755,7 +757,8 @@ class AsyncOptimizerServer:
         nbytes: int,
     ) -> None:
         """Admit one ``OP_QUERY`` frame: decode, shed-check, validate
-        and deduplicate into cells, and enter the shared micro-batch."""
+        into one cell per record in wire order, and enter the shared
+        micro-batch, where the resolver coalesces repeats."""
         try:
             records = wire.decode_query_payload(payload)
         except WireError as exc:
@@ -775,7 +778,7 @@ class AsyncOptimizerServer:
             ), True, t0, nbytes))
             return
         try:
-            cells, inverse = queries_from_arrays(catalog, records)
+            cells = queries_from_arrays(catalog, records)
         except (TypeError, ValueError, OverflowError) as exc:
             enqueue(("frame", error_frame(str(exc)), True, t0, nbytes))
             return
@@ -784,7 +787,7 @@ class AsyncOptimizerServer:
                 f"internal server error: {exc}"
             ), True, t0, nbytes))
             return
-        enqueue(("bquery", self._batcher.submit(cells), inverse, t0, nbytes))
+        enqueue(("bquery", self._batcher.submit(cells), t0, nbytes))
 
     # ------------------------------------------------------------------
     # shared admission plumbing
@@ -974,12 +977,9 @@ class AsyncOptimizerServer:
                     is_error = True
             elif tag == "frame":
                 out, is_error = item[1], item[2]
-            else:  # "bquery": a binary frame's cells and their inverse
-                _, future, inverse, _, _ = item
+            else:  # "bquery": a binary frame's answer columns
                 try:
-                    out = pack_frame(
-                        OP_RESULT, wire.encode_results(await future, inverse)
-                    )
+                    out = pack_frame(OP_RESULT, wire.encode_results(await item[1]))
                 except Exception as exc:  # noqa: BLE001 — see _admit_line
                     out = error_frame(f"internal server error: {exc}")
                     is_error = True

@@ -131,31 +131,26 @@ def check_query_values(d: int, m: float) -> None:
     check_block_size(m)
 
 
-def queries_from_arrays(
-    catalog: Sequence[str], records: np.ndarray
-) -> tuple[list[Cell], list[int]]:
-    """The distinct cells of packed wire records, and the inverse.
+def queries_from_arrays(catalog: Sequence[str], records: np.ndarray) -> list[Cell]:
+    """One cell per packed wire record, in record order.
 
     ``records`` is an array of ``(preset, d, m)`` records (the binary
     transport's :data:`repro.service.wire.QUERY_DTYPE`); ``catalog``
-    maps its integer preset indices to preset names.  One dict pass over
-    ``records.tolist()`` deduplicates them; the cells come back in sorted
-    ``(preset, d, m)`` order, ``inverse[i]`` indexing record ``i``'s
-    cell.  Each distinct cell passes the :func:`check_query_values`
-    gate, so the cells are ``pre_normalized`` for :func:`resolve_queries`.
+    maps its integer preset indices to preset names.  Repeats stay: a
+    frame's cells enter the micro-batch as sent, like a JSON line's,
+    and the resolver coalesces repeated misses within its flush.  Each
+    record passes the :func:`check_query_values` gate, so the cells are
+    ``pre_normalized`` for :func:`resolve_queries`.
     """
     rows = records.tolist()
-    distinct = dict.fromkeys(rows)
-    for preset, d, m in distinct:
+    for preset, d, m in rows:
         if not (preset < len(catalog) and 1 <= d <= MAX_DIMENSION and 0.0 <= m < math.inf):
-            _reject_records(catalog, list(distinct))
-    order = sorted(distinct)
-    index = {cell: i for i, cell in enumerate(order)}
-    return [(catalog[p], d, m) for p, d, m in order], [index[row] for row in rows]
+            _reject_records(catalog, rows)
+    return [(catalog[p], d, m) for p, d, m in rows]
 
 
 def _reject_records(catalog: Sequence[str], cells: Sequence[tuple]) -> NoReturn:
-    """Raise for the first failed check over a frame's distinct cells:
+    """Raise for the first failed check over a frame's records:
     presets, then dimensions, then block sizes, each naming the first
     offender in sorted ``(preset, d, m)`` order (NaN after ``inf``)."""
     bad = [preset for preset, _, _ in cells if preset >= len(catalog)]

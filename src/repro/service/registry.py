@@ -55,13 +55,15 @@ SHARD_SUFFIX = ".shard"
 class RegistryStats:
     """Counters for one registry's lifetime."""
 
-    #: individual queries seen by :func:`repro.service.batch.resolve_queries`
+    #: individual queries seen by :func:`repro.service.batch.resolve_queries`,
+    #: repeats included: each binary record, as each JSON query
     queries: int = 0
     #: queries answered straight from the result memo
     memo_hits: int = 0
     #: queries that needed a table lookup + model evaluation
     memo_misses: int = 0
-    #: same-batch duplicates folded into an already-scheduled cell
+    #: same-batch duplicates (within a frame or line too) folded into an
+    #: already-scheduled cell
     coalesced: int = 0
     #: tables swept from scratch (no shard held them)
     tables_built: int = 0

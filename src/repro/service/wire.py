@@ -90,12 +90,9 @@ from __future__ import annotations
 import asyncio
 import json
 import struct
-from typing import TYPE_CHECKING, Any, Sequence
+from typing import Any, Sequence
 
 import numpy as np
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.service.batch import Answers, QueryResult
 
 __all__ = [
     "HEADER",
@@ -379,30 +376,24 @@ def decode_query_payload(payload: bytes) -> np.ndarray:
 # ----------------------------------------------------------------------
 # result payload codec
 # ----------------------------------------------------------------------
-def encode_results(
-    answers: "Answers | Sequence[QueryResult]", inverse: Sequence[int] | None = None
-) -> bytes:
-    """The ``OP_RESULT`` payload for resolved cells: the resolver's
-    :class:`~repro.service.batch.Answers` columns, or QueryResult objects
-    converted to the same columns first.  ``inverse[i]`` is the cell
-    answering query ``i`` (each cell in turn when ``None``): one gather
-    through it and one ``b"".join``, no object per query."""
-    if isinstance(answers, Sequence):
+def encode_results(answers: _batch.Answers | Sequence[_batch.QueryResult]) -> bytes:
+    """The ``OP_RESULT`` payload for resolved queries, in their order:
+    the resolver's :class:`~repro.service.batch.Answers` columns packed
+    as they are, or QueryResult objects converted to the same columns
+    first.  One ``b"".join``, no object per query."""
+    if isinstance(answers, _batch.Answers):
+        times, source, parts = answers.time_us, answers.source, answers.parts
+    else:
         times = [r.time_us for r in answers]
         source = bytearray(SOURCE_CODES[r.source] for r in answers)
         parts = [bytes(r.partition) for r in answers]
-    else:
-        times, source, parts = answers.time_us, answers.source, answers.parts
-    if inverse is None:
-        inverse = range(len(times))
-    picked = [parts[i] for i in inverse]
-    count = len(picked)
+    count = len(parts)
     return b"".join((
         _RESULT_COUNT.pack(count),
-        struct.pack(f"<{count}d", *[times[i] for i in inverse]),
-        bytes([source[i] for i in inverse]),
-        bytes(map(len, picked)),
-        *picked,
+        struct.pack(f"<{count}d", *times),
+        source,
+        bytes(map(len, parts)),
+        *parts,
     ))
 
 
@@ -444,3 +435,7 @@ def decode_result_payload(
         partitions.append(tuple(flat[cursor:cursor + k]))
         cursor += k
     return times, sources, partitions
+
+
+# last: batch imports this module's source codes
+from repro.service import batch as _batch  # noqa: E402

@@ -1,10 +1,10 @@
 """The object-per-query serving pipeline, kept as a test oracle.
 
 Before answers travelled as cells and columns, a binary query frame was
-deduplicated with a structured :func:`numpy.unique`, turned into one
-:class:`~repro.service.batch.Query` per distinct record, resolved into
-one :class:`~repro.service.batch.QueryResult` each, and encoded by
-scattering numpy arrays built from those objects.  A JSON query line
+validated column-wise with numpy, turned into one
+:class:`~repro.service.batch.Query` per record in wire order, resolved
+into one :class:`~repro.service.batch.QueryResult` each, and encoded
+from numpy arrays built from those objects.  A JSON query line
 was decoded into one ``Query`` per query (:func:`query_from_obj`),
 checked with one :func:`~repro.service.batch.check_query_values` call
 each, and answered with :func:`json.dumps` of one result dict per
@@ -137,10 +137,13 @@ def serve(registry, lines, *, default_preset=None, max_queries=4096) -> bytes:
 
 
 def queries_from_arrays(catalog, records) -> list[Query]:
-    """One :class:`Query` per record, validated column-wise."""
-    presets = records["preset"]
-    dims = records["d"]
-    sizes = records["m"]
+    """One :class:`Query` per record, in record order, validated
+    column-wise; an error names the first offender in sorted record
+    order."""
+    ordered = np.sort(records)
+    presets = ordered["preset"]
+    dims = ordered["d"]
+    sizes = ordered["m"]
     if presets.size and int(presets.max()) >= len(catalog):
         bad = int(presets[presets >= len(catalog)][0])
         raise ValueError(
@@ -163,11 +166,7 @@ def queries_from_arrays(catalog, records) -> list[Query]:
         raise ValueError(
             f"block size must be >= 0, got {float(sizes[sizes < 0][0])}"
         )
-    names = [catalog[int(p)] for p in presets.tolist()]
-    return [
-        Query(preset=name, d=d, m=m)
-        for name, d, m in zip(names, dims.tolist(), sizes.tolist())
-    ]
+    return [Query(preset=catalog[p], d=d, m=m) for p, d, m in records.tolist()]
 
 
 def resolve(registry, normalized: list[Query]) -> list[QueryResult]:
@@ -233,8 +232,8 @@ def resolve(registry, normalized: list[Query]) -> list[QueryResult]:
     return results  # type: ignore[return-value]
 
 
-def encode_results(results, inverse=None) -> bytes:
-    """The ``OP_RESULT`` payload, scattered through numpy arrays."""
+def encode_results(results) -> bytes:
+    """The ``OP_RESULT`` payload, packed from numpy arrays."""
     n = len(results)
     times = np.fromiter((r.time_us for r in results), dtype="<f8", count=n)
     sources = np.fromiter(
@@ -245,22 +244,6 @@ def encode_results(results, inverse=None) -> bytes:
     parts = np.fromiter(
         (part for r in results for part in r.partition), dtype=np.uint8, count=total
     )
-    if inverse is not None:
-        inverse = np.asarray(inverse).reshape(-1)
-        starts = np.zeros(n, dtype=np.int64)
-        if n > 1:
-            np.cumsum(nparts[:-1], out=starts[1:])
-        out_nparts = nparts[inverse].astype(np.int64)
-        out_total = int(out_nparts.sum())
-        base = np.repeat(starts[inverse], out_nparts)
-        ends = np.cumsum(out_nparts)
-        within = np.arange(out_total, dtype=np.int64) - np.repeat(
-            ends - out_nparts, out_nparts
-        )
-        times = times[inverse]
-        sources = sources[inverse]
-        parts = parts[base + within]
-        nparts = out_nparts.astype(np.uint8)
     return b"".join((
         wire._RESULT_COUNT.pack(len(times)),
         times.tobytes(),
@@ -320,15 +303,11 @@ def flush(registry, catalog, requests, *, default_preset, max_queries) -> list[b
                 )
                 continue
             try:
-                unique, inverse = np.unique(records, return_inverse=True)
-                queries = queries_from_arrays(catalog, unique)
+                queries = queries_from_arrays(catalog, records)
             except (TypeError, ValueError, OverflowError) as exc:
                 out[index] = wire.error_frame(str(exc))
                 continue
-            identity = len(unique) == len(records) and bool(
-                np.array_equal(inverse, np.arange(len(records)))
-            )
-            pending.append((index, transport, queries, None if identity else inverse))
+            pending.append((index, transport, queries, None))
             continue
         obj = json.loads(data)
         request_id = obj.get("id") if isinstance(obj, dict) else None
@@ -349,7 +328,7 @@ def flush(registry, catalog, requests, *, default_preset, max_queries) -> list[b
         chunk = results[offset:offset + len(queries)]
         offset += len(queries)
         if transport == "binary":
-            out[index] = wire.pack_frame(wire.OP_RESULT, encode_results(chunk, extra))
+            out[index] = wire.pack_frame(wire.OP_RESULT, encode_results(chunk))
         else:
             doc = build_response(extra[0], [result_to_dict(r) for r in chunk], extra[1])
             out[index] = json.dumps(doc).encode() + b"\n"

@@ -13,7 +13,6 @@ import json
 import math
 import random
 
-import numpy as np
 import pytest
 
 from repro.service import OptimizerRegistry, wire
@@ -86,19 +85,19 @@ class TestFrameCodec:
         assert sources == ["grid", "memo", "pool"]
         assert partitions == [(4, 3), (5,), (3, 2, 1)]
 
-    def test_results_scatter_through_inverse(self):
-        """Deduplicated results expand back to request order exactly."""
-        unique = [
+    def test_repeated_results_encode_in_query_order(self):
+        """Each query's answer is packed where it stands, repeats and
+        all: nothing is gathered or reordered."""
+        five, seven = (
             QueryResult("ipsc860", 5, 40.0, (3, 2), 1.5, "grid"),
-            QueryResult("ipsc860", 7, 40.0, (4, 3), 2.5, "grid"),
-        ]
-        inverse = np.array([1, 0, 1, 1, 0])
+            QueryResult("ipsc860", 7, 40.0, (4, 3), 2.5, "memo"),
+        )
         times, sources, partitions = wire.decode_result_payload(
-            wire.encode_results(unique, inverse)
+            wire.encode_results((seven, five, seven, seven, five))
         )
         assert times.tolist() == [2.5, 1.5, 2.5, 2.5, 1.5]
         assert partitions == [(4, 3), (3, 2), (4, 3), (4, 3), (3, 2)]
-        assert sources == ["grid"] * 5
+        assert sources == ["memo", "grid", "memo", "memo", "grid"]
 
     def test_empty_results(self):
         times, sources, partitions = wire.decode_result_payload(
@@ -126,16 +125,16 @@ class TestFrameCodec:
 
     def test_answer_columns_and_results_encode_alike(self):
         """The resolver's columns and the QueryResult objects built
-        from them encode to the same bytes, through any inverse."""
+        from them encode to the same bytes, whole and in any slice."""
         answers = Answers(
-            [("ipsc860", 5, 40.0), ("ipsc860", 7, 40.0)],
-            [1.5, 2.5], bytearray([1, 0]), [bytes((3, 2)), bytes((4, 3))],
+            [("ipsc860", 7, 40.0), ("ipsc860", 5, 40.0), ("ipsc860", 7, 40.0)],
+            [2.5, 1.5, 2.5], bytearray([0, 1, 0]),
+            [bytes((4, 3)), bytes((3, 2)), bytes((4, 3))],
         )
-        results = answers.results([None, None])
-        for inverse in (None, [1, 0, 1, 1, 0], np.array([0, 0]), []):
-            assert wire.encode_results(answers, inverse) == wire.encode_results(
-                results, inverse
-            )
+        for start, stop in ((0, 3), (1, 3), (0, 1), (2, 2)):
+            part = answers.slice(start, stop)
+            results = part.results([None] * (stop - start))
+            assert wire.encode_results(part) == wire.encode_results(results)
 
     def test_hello_payloads_roundtrip(self):
         assert wire.parse_hello(wire.hello_payload("tok")) == "tok"
@@ -158,23 +157,27 @@ class TestFrameCodec:
 class TestQueriesFromArrays:
     def test_catalog_indices_map_to_preset_names(self):
         records = wire.make_query_records([(1, 7, 40.0), (0, 5, 0.0)])
-        cells, inverse = queries_from_arrays(["hypothetical", "ipsc860"], records)
-        assert cells == [("hypothetical", 5, 0.0), ("ipsc860", 7, 40.0)]
-        assert inverse == [1, 0]
+        cells = queries_from_arrays(["hypothetical", "ipsc860"], records)
+        assert cells == [("ipsc860", 7, 40.0), ("hypothetical", 5, 0.0)]
 
-    def test_distinct_cells_sorted_like_np_unique(self):
+    def test_one_cell_per_record_in_wire_order(self):
+        """Repeats and both signed zeros stay, each where it was sent:
+        the resolver, not admission, coalesces a frame's repeats."""
         specs = [(0, 7, 40.0), (0, 5, 40.0), (0, 7, 40.0), (0, 5, 0.0), (0, 5, -0.0)]
-        records = wire.make_query_records(specs)
-        cells, inverse = queries_from_arrays(["ipsc860"], records)
-        unique, expected = np.unique(records, return_inverse=True)
-        assert cells == [("ipsc860", int(d), float(m)) for _, d, m in unique.tolist()]
-        assert inverse == expected.tolist() == [2, 1, 2, 0, 0]
+        cells = queries_from_arrays(["ipsc860"], wire.make_query_records(specs))
+        assert cells == [("ipsc860", d, m) for _, d, m in specs]
+        assert [math.copysign(1.0, m) for _, _, m in cells[3:]] == [1.0, -1.0]
+        assert all(type(d) is int and type(m) is float for _, d, m in cells)
+
+    def test_empty_frame_has_no_cells(self):
+        assert queries_from_arrays(["ipsc860"], wire.make_query_records([])) == []
 
     def test_first_bad_record_in_sorted_order_is_named(self):
-        """With several bad records the error names the one np.unique's
-        sorted order puts first: the smallest preset index, the lowest
-        or highest dimension, then -inf < inf < nan, then the most
-        negative block size."""
+        """With several bad records the error names the one sorted
+        ``(preset, d, m)`` order puts first, wherever it stands in the
+        frame: the smallest preset index, the lowest or highest
+        dimension, then -inf < inf < nan, then the most negative block
+        size."""
         cases = [
             ([(7, 7, 40.0), (3, 7, 40.0)], "preset index 3 out of range"),
             ([(0, 30, 1.0), (0, 26, 1.0)], "cube dimension 30 exceeds"),
@@ -454,9 +457,8 @@ class TestBinaryAnswersMatchJson:
             assert b["preset"] == j["preset"]
 
     def test_distinct_unsorted_queries_keep_request_order(self, tmp_path):
-        """All-distinct frames tempt the server to skip the inverse
-        gather — but admission sorts the cells, so answers must still
-        be restored to request order, not cell order."""
+        """Answers come back in request order, not in the order of
+        dimensions or cells."""
 
         async def scenario():
             server = await started_server(tmp_path, default_preset="ipsc860")
@@ -474,7 +476,7 @@ class TestBinaryAnswersMatchJson:
             (7, [4, 3]), (5, [3, 2]), (6, [3, 3]),
         ]
 
-    def test_dedup_resolves_distinct_cells_only(self, tmp_path):
+    def test_repeats_reach_the_batcher_and_coalesce_in_the_resolver(self, tmp_path):
         async def scenario():
             server = await started_server(tmp_path, default_preset="ipsc860")
             async with await AsyncServerClient.connect(
@@ -484,12 +486,15 @@ class TestBinaryAnswersMatchJson:
                     [(7, 40.0)] * 9 + [(5, 40.0)] * 7
                 )
             await server.aclose()
-            return responses, server.stats
+            return responses, server.stats, server.registry.stats
 
-        responses, stats = asyncio.run(scenario())
+        responses, stats, registry_stats = asyncio.run(scenario())
         assert [r["partition"] for r in responses] == [[4, 3]] * 9 + [[3, 2]] * 7
-        # 16 queries on the wire, 2 distinct cells through the batcher
-        assert stats.batched_queries == 2
+        # 16 queries on the wire and through the batcher, as a JSON line
+        # counts them; the resolver prices 2 distinct cells
+        assert stats.batched_queries == 16
+        assert registry_stats.queries == registry_stats.memo_misses == 16
+        assert registry_stats.coalesced == 14
 
 
 class TestAuthToken:
