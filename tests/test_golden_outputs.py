@@ -25,6 +25,10 @@ one only when an output change is intended::
         > tests/golden/interpreter_traces.json
     PYTHONPATH=src python examples/figure3_walkthrough.py \\
         > tests/golden/figure3_walkthrough.txt
+    PYTHONPATH=src python -m repro report > tests/golden/report.txt
+    for M in hypothetical ipsc860; do for D in 1 2 3 4 5 6 7 8 9 10; do \\
+        PYTHONPATH=src python -m repro --machine $M hull $D; done; done \\
+        > tests/golden/hulls.txt
 
 ``event_traces.json`` pins the event engine itself: one SHA-256 per
 byte-verified exchange over ``repr(trace)`` and the makespan's
@@ -52,6 +56,11 @@ planner's choice.
 ``figure3_walkthrough.txt`` is the paper's Figure 3, block by block; it
 was written before the walkthrough stepped the exchange's declared
 rounds instead of its step list.
+``report.txt`` (the paper-vs-reproduced table) and ``hulls.txt`` (every
+hull of optimality at 0.1 B, both presets, d 1..10) were written while
+the hull's switch points were still found by a sampled sweep and
+bisection; the exact line envelope that replaced it must print the
+same bytes.
 """
 
 from __future__ import annotations
@@ -101,6 +110,18 @@ def test_figure3_walkthrough_matches_golden(capsys):
     script = Path(__file__).resolve().parent.parent / "examples" / "figure3_walkthrough.py"
     runpy.run_path(str(script), run_name="__main__")
     assert capsys.readouterr().out == (GOLDEN / "figure3_walkthrough.txt").read_text()
+
+
+def test_report_matches_golden(capsys):
+    assert main(["report"]) == 0
+    assert capsys.readouterr().out == (GOLDEN / "report.txt").read_text()
+
+
+def test_hulls_match_golden(capsys):
+    for machine in ("hypothetical", "ipsc860"):
+        for d in range(1, 11):
+            assert main(["--machine", machine, "hull", str(d)]) == 0
+    assert capsys.readouterr().out == (GOLDEN / "hulls.txt").read_text()
 
 
 def _run_digest(result) -> str:
