@@ -35,12 +35,12 @@ PER_CLIENT = 50
 DIMS = (5, 6, 7)
 #: 400 distinct (d, m) cells — no repeats, so every query is a memo
 #: miss and the only amortization available is cross-request batching.
-#: Half the block sizes sit inside the shards' 400 B sweep bound (one
-#: winning-partition grid cell each when served one at a time), half
-#: beyond it (an exact full-pool scoring pass each) — the mixed shape
-#: of real traffic, and both of the resolver's cold paths.
+#: Half the block sizes sit below 400 B, half above it.  The first is
+#: 0.0, which no certified pool envelope covers (an exact full-pool
+#: scoring pass); the rest are certified (one winning-partition cell
+#: each) — both of the resolver's cold paths.
 WORKLOAD = tuple(
-    (DIMS[i % len(DIMS)], round(0.5 + (0.97 if i % 2 else 400.97) + 0.97 * i, 3))
+    (DIMS[i % len(DIMS)], round(0.5 + (0.97 if i % 2 else 400.97) + 0.97 * i, 3) if i else 0.0)
     for i in range(N_CLIENTS * PER_CLIENT)
 )
 
@@ -141,8 +141,8 @@ def test_bench_async_answers_match_serial_and_ground_truth(
             list(e.partition) for e in expected
         ]
         assert [r["time_us"] for r in responses] == [e.time_us for e in expected]
-    # both cold paths are exercised: stored-table cells and beyond-bound
-    # exact pool scoring
+    # both cold paths are exercised: certified winners and exact pool
+    # scoring
     sources = {r["source"] for r in _parse(raw_concurrent)}
     assert sources == {"grid", "pool"}
     # the concurrent run really coalesced across clients ...
@@ -150,9 +150,9 @@ def test_bench_async_answers_match_serial_and_ground_truth(
     assert stats.batched_queries == len(WORKLOAD)
     assert stats.batches <= len(WORKLOAD) // 2
     assert stats.peak_batch_queries > 1
-    # ... and every table came off disk: the registry stayed shard-backed
-    assert server.registry.stats.tables_built == 0
-    assert server.registry.stats.tables_loaded == len(DIMS)
+    # ... and every answer came from the pool envelopes: no table was
+    # loaded from the shards or rebuilt
+    assert server.registry.stats.tables_built == server.registry.stats.tables_loaded == 0
 
 
 def test_bench_async_client_library_sees_same_answers(shard_dir, tmp_path_factory):

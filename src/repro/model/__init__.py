@@ -17,7 +17,6 @@ from repro.model.cost import (
 from repro.model.crossover import (
     crossover_block_size,
     empirical_crossover,
-    empirical_crossovers,
     standard_wins,
 )
 from repro.model.optimizer import (
@@ -68,7 +67,6 @@ __all__ = [
     "crossover_block_size",
     "degraded_multiphase_time",
     "empirical_crossover",
-    "empirical_crossovers",
     "evaluate_partitions",
     "grid_winners",
     "hull_of_optimality",

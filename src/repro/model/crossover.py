@@ -11,35 +11,25 @@ For the hypothetical machine of §4.3 (τ = ρ = 1, λ = 200, δ = 20,
 d = 6) the threshold is just under 30 bytes, which the paper quotes as
 "blocks of size less than 30".
 
-Empirical crossovers on the *full* calibrated model (sync and shuffle
-overheads included) are located by bisection.  All model scoring runs
-through the vectorized kernel
-(:func:`repro.model.vectorized.multiphase_time_pairs`, the
-elementwise form of the grid kernel) by default:
-:func:`empirical_crossovers` drives any number of bisections in
-lockstep, scoring every active bracket's midpoint — two cells per
-bracket, exactly what the scalar path would touch — in one kernel
-call per iteration.  The kernel is bitwise-identical to the
-scalar model and the bracket updates replicate the scalar bisection
-exactly, so ``method="scalar"`` (the one-pair-at-a-time reference
-path) returns the same floats to the last bit.
+On the *full* calibrated model (sync and shuffle overheads included)
+each partition's price is still a line ``A·m + B`` in the block size
+(:func:`repro.model.vectorized.row_lines`), so an empirical crossover
+is the intersection of two lines, refined to the float where the row
+kernel's order of the two partitions flips.
 """
 
 from __future__ import annotations
 
-from typing import Sequence
+import sys
 
-from repro.model.cost import multiphase_time, optimal_time, standard_time
+import numpy as np
+
+from repro.model.cost import optimal_time, standard_time
 from repro.model.params import MachineParams
-from repro.model.vectorized import multiphase_time_pairs
+from repro.model.vectorized import partition_row, price_rows, row_lines
 from repro.util.validation import check_dimension
 
-__all__ = [
-    "crossover_block_size",
-    "empirical_crossover",
-    "empirical_crossovers",
-    "standard_wins",
-]
+__all__ = ["crossover_block_size", "empirical_crossover", "standard_wins"]
 
 
 def crossover_block_size(d: int, params: MachineParams) -> float:
@@ -70,150 +60,8 @@ def standard_wins(m: float, d: int, params: MachineParams) -> bool:
     return standard_time(m, d, params) < optimal_time(m, d, params)
 
 
-def _normalized_pairs(
-    pairs: Sequence[tuple[Sequence[int], Sequence[int]]],
-) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
-    return [(tuple(pa), tuple(pb)) for pa, pb in pairs]
-
-
-def _bisect_scalar(
-    d: int,
-    pa: tuple[int, ...],
-    pb: tuple[int, ...],
-    params: MachineParams,
-    m_max: float,
-    tol: float,
-) -> float | None:
-    """The reference one-pair bisection on scalar model calls."""
-
-    def diff(m: float) -> float:
-        return multiphase_time(m, d, pa, params) - multiphase_time(m, d, pb, params)
-
-    lo, hi = 0.0, float(m_max)
-    flo, fhi = diff(lo), diff(hi)
-    if flo == 0.0 and fhi == 0.0:  # repro: allow[float-eq] — exact bisection sentinel
-        return None  # identical cost curves: no crossover to report
-    if flo == 0.0:  # repro: allow[float-eq] — exact bisection sentinel
-        return lo
-    if flo * fhi > 0:
-        return None
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        fmid = diff(mid)
-        if fmid == 0.0:  # repro: allow[float-eq] — exact bisection sentinel
-            return mid
-        if flo * fmid < 0:
-            hi = mid
-        else:
-            lo, flo = mid, fmid
-    return 0.5 * (lo + hi)
-
-
-def _bisect_grid(
-    d: int,
-    pairs: list[tuple[tuple[int, ...], tuple[int, ...]]],
-    params: MachineParams,
-    m_max: float,
-    tol: float,
-) -> list[float | None]:
-    """Lockstep bisection for every pair at once.
-
-    Each iteration scores all active midpoints with one
-    :func:`multiphase_time_pairs` call — exactly the two cells per
-    still-open bracket the scalar path would evaluate, in a single
-    kernel invocation rather than a cross product or a call per pair;
-    the per-pair bracket updates mirror :func:`_bisect_scalar`
-    operation for operation, so the returned floats are bitwise
-    identical to the scalar path's.
-    """
-
-    def diffs_at(ms_by_pair: dict[int, float]) -> dict[int, float]:
-        order = sorted(ms_by_pair)
-        ms: list[float] = []
-        candidates: list[tuple[int, ...]] = []
-        for i in order:
-            ms.extend((ms_by_pair[i], ms_by_pair[i]))
-            candidates.extend(pairs[i])
-        times = multiphase_time_pairs(ms, d, candidates, params)
-        return {
-            i: float(times[2 * k] - times[2 * k + 1]) for k, i in enumerate(order)
-        }
-
-    n = len(pairs)
-    results: list[float | None] = [None] * n
-    lo = [0.0] * n
-    hi = [float(m_max)] * n
-    flo = [0.0] * n
-
-    ends_lo = diffs_at({i: 0.0 for i in range(n)})
-    ends_hi = diffs_at({i: hi[i] for i in range(n)})
-    active: list[int] = []
-    for i in range(n):
-        f0, f1 = ends_lo[i], ends_hi[i]
-        if f0 == 0.0 and f1 == 0.0:  # repro: allow[float-eq] — exact bisection sentinel
-            results[i] = None  # identical cost curves
-        elif f0 == 0.0:  # repro: allow[float-eq] — exact bisection sentinel
-            results[i] = lo[i]
-        elif f0 * f1 > 0:
-            results[i] = None
-        else:
-            flo[i] = f0
-            active.append(i)
-
-    while active:
-        converged = [i for i in active if hi[i] - lo[i] <= tol]
-        for i in converged:
-            results[i] = 0.5 * (lo[i] + hi[i])
-        active = [i for i in active if hi[i] - lo[i] > tol]
-        if not active:
-            break
-        mids = {i: 0.5 * (lo[i] + hi[i]) for i in active}
-        fmids = diffs_at(mids)
-        still: list[int] = []
-        for i in active:
-            fmid = fmids[i]
-            if fmid == 0.0:  # repro: allow[float-eq] — exact bisection sentinel
-                results[i] = mids[i]
-                continue
-            if flo[i] * fmid < 0:
-                hi[i] = mids[i]
-            else:
-                lo[i], flo[i] = mids[i], fmid
-            still.append(i)
-        active = still
-    return results
-
-
-def empirical_crossovers(
-    d: int,
-    params: MachineParams,
-    pairs: Sequence[tuple[Sequence[int], Sequence[int]]],
-    *,
-    m_max: float = 4096.0,
-    tol: float = 1e-6,
-    method: str = "grid",
-) -> list[float | None]:
-    """Crossover block sizes for many partition pairs at once.
-
-    Entry ``i`` is where ``pairs[i]``'s two cost curves meet on the
-    full calibrated model, or ``None`` if the sign never changes on
-    ``[0, m_max]``.  ``method="grid"`` (default) runs every bisection
-    in lockstep, one elementwise grid-kernel call per iteration
-    covering all still-open brackets; ``method="scalar"`` runs the
-    reference per-pair loop.  Both return bitwise-identical floats.
-    """
-    check_dimension(d, minimum=1)
-    normalized = _normalized_pairs(pairs)
-    if method == "grid":
-        if not normalized:
-            return []
-        return _bisect_grid(d, normalized, params, float(m_max), tol)
-    if method == "scalar":
-        return [
-            _bisect_scalar(d, pa, pb, params, float(m_max), tol)
-            for pa, pb in normalized
-        ]
-    raise ValueError(f"unknown method {method!r}; use 'grid' or 'scalar'")
+#: floats priced per kernel call while refining a crossover
+_STRIDE = 64
 
 
 def empirical_crossover(
@@ -223,19 +71,63 @@ def empirical_crossover(
     partition_a: tuple[int, ...] | None = None,
     partition_b: tuple[int, ...] | None = None,
     m_max: float = 4096.0,
-    tol: float = 1e-6,
-    method: str = "grid",
 ) -> float | None:
-    """Crossover block size between two partitions by bisection on the
-    *full* calibrated model (including sync and shuffle overheads).
+    """Crossover block size between two partitions on the *full*
+    calibrated model (including sync and shuffle overheads).
 
-    Defaults compare SE (``(1,)*d``) against OCS (``(d,)``).  Returns
-    the block size where the two predicted times are equal, or ``None``
-    if the sign never changes on ``[0, m_max]``.
+    Defaults compare SE (``(1,)*d``) against OCS (``(d,)``).  The two
+    partitions' lines intersect at one block size; the answer is the
+    float nearest it where the row kernel's order flips: there the
+    flatter partition prices at most the steeper one, and one float
+    lower (if ``m > 0``) strictly above it.  Returns ``None`` if the
+    lines are parallel (identical cost curves included) or the
+    crossover falls outside ``[0, m_max]``.
+
+    >>> from repro.model.params import hypothetical
+    >>> round(empirical_crossover(6, hypothetical()), 6)
+    29.473684
     """
     check_dimension(d, minimum=1)
     pa = partition_a if partition_a is not None else (1,) * d
     pb = partition_b if partition_b is not None else (d,)
-    return empirical_crossovers(
-        d, params, [(pa, pb)], m_max=m_max, tol=tol, method=method
-    )[0]
+    rows = np.array([partition_row(d, tuple(pa)), partition_row(d, tuple(pb))])
+    slope, intercept = row_lines(rows, params)
+    if slope[0] == slope[1]:
+        return None
+    if slope[0] < slope[1]:  # the steeper row first
+        rows, slope, intercept = rows[::-1], slope[::-1], intercept[::-1]
+    with np.errstate(invalid="ignore", over="ignore"):
+        m = float((intercept[1] - intercept[0]) / (slope[0] - slope[1]))
+    top = min(float(m_max), sys.float_info.max)
+    if not 0.0 <= m <= top:
+        return None
+    return _order_flip(rows, m, top, params)
+
+
+def _order_flip(
+    rows: np.ndarray, m: float, m_max: float, params: MachineParams
+) -> float | None:
+    """Walk the floats of ``[0, m_max]`` from ``m`` to the nearest one
+    where the kernel first prices ``rows[1]`` (the flatter) at most
+    ``rows[0]``, the float below it not; ``None`` if none does."""
+    column = rows[:, np.newaxis]
+
+    def flat_wins(ms: np.ndarray) -> np.ndarray:
+        times = price_rows(column, ms, params)
+        return times[1] <= times[0]
+
+    # consecutive non-negative floats have consecutive bit patterns
+    at, top = (int(np.float64(v).view(np.int64)) for v in (m, m_max))
+    down = bool(flat_wins(np.array([m]))[0])
+    step = -1 if down else 1
+    while True:
+        bits = at + step * np.arange(1, _STRIDE + 1)
+        bits = bits[(bits >= 0) & (bits <= top)]
+        if not bits.size:
+            return 0.0 if down else None
+        flipped = np.flatnonzero(flat_wins(bits.view(np.float64)) != down)
+        if flipped.size:
+            # walking down, the flip is the float above the first loser
+            found = bits[flipped[0]] + down
+            return float(np.int64(found).view(np.float64))
+        at = int(bits[-1])

@@ -3,10 +3,7 @@
 For a ``d``-cube there are ``p(d)`` candidate multiphase algorithms —
 a "trivial number" to enumerate (42 for the thousand-node cubes of
 1990).  The optimizer evaluates the analytic model for every partition
-at a given block size, returns the best, and sweeps block-size ranges
-to build the *hull of optimality* plotted in Figures 4–6: the
-lower envelope of the per-partition cost curves, annotated with the
-partition owning each segment.
+at a given block size and returns the best.
 
 Since the ordering of parts never changes the modelled cost (the tests
 assert this over all compositions), enumeration is over canonical
@@ -16,16 +13,17 @@ decreasing partitions only, served from the memoized pool in
 Evaluation runs on the vectorized grid kernel of
 :mod:`repro.model.vectorized` by default: one numpy call scores the
 whole candidate pool at once (or a whole block-size batch, via
-:func:`best_partitions`).  The grid kernel is bitwise-identical to the
-scalar model, so every result — including hull switch points located
-by bisection — matches the pure-Python path exactly; ``method="scalar"``
-keeps that path available as a reference and benchmark baseline.
+:func:`best_partitions`), bitwise-identical to the scalar model.
 
-Past a stored table's sweep bound, :func:`pool_envelope` stores the
-enumeration's answer too: eq. (3) is affine in ``m`` for each
-partition, so the pool's lower envelope has a few segments, and inside
-each it certifies where the row kernel's own rounding cannot change
-the winner.
+The paper stores the enumeration's answer "for repeated future use";
+under eq. (3) each partition's price is a line ``A_p·m + B_p``, so that
+answer is the pool's lower envelope.  One walk finds it: each next
+segment winner is the flattest line crossing the current one first,
+and the switch point is that exact float crossing.  The *hull of
+optimality* plotted in Figures 4–6 (:func:`hull_of_optimality`) is the
+walk cut at a block-size bound; :func:`pool_envelope` certifies, inside
+each segment, where the row kernel's own rounding cannot change the
+winner.
 """
 
 from __future__ import annotations
@@ -40,13 +38,7 @@ import numpy as np
 from repro.core.partitions import cached_partitions
 from repro.model.cost import multiphase_time
 from repro.model.params import MachineParams
-from repro.model.vectorized import (
-    grid_winners,
-    multiphase_time_grid,
-    pool_rows,
-    price_rows,
-    row_lines,
-)
+from repro.model.vectorized import multiphase_time_grid, pool_rows, price_rows, row_lines
 from repro.util.validation import check_block_size, check_dimension
 
 __all__ = [
@@ -119,9 +111,9 @@ def evaluate_partitions(
 ) -> list[tuple[tuple[int, ...], float]]:
     """Model every candidate partition at block size ``m``.
 
-    Returns ``(partition, predicted_time)`` pairs sorted by time.
-    ``method="grid"`` (default) scores the pool in one vectorized call;
-    ``method="scalar"`` is the one-pair-at-a-time reference path.  The
+    Returns ``(partition, predicted_time)`` pairs sorted by time.  The
+    ``"grid"`` method (default) scores the pool in one vectorized call;
+    the ``"scalar"`` one is the one-pair-at-a-time reference path.  The
     two are bitwise identical.
     """
     check_block_size(m)
@@ -219,75 +211,24 @@ class OptimizerTable:
 
 
 def hull_of_optimality(
-    d: int,
-    params: MachineParams,
-    *,
-    m_max: float = 400.0,
-    resolution: float = 0.25,
-    candidates: Iterable[tuple[int, ...]] | None = None,
-    method: str = "grid",
+    d: int, params: MachineParams, *, m_max: float = 400.0
 ) -> OptimizerTable:
-    """Sweep block sizes and record where the optimal partition changes.
+    """The hull of optimality on ``0 <= m <= m_max``: the pool's lower
+    envelope as walked by :func:`pool_envelope`, cut at ``m_max``.
 
-    ``resolution`` bounds the boundary-location error; segment switches
-    are refined by bisection to ~1e-3 bytes.  The default 0–400 byte
-    range matches the x-axis of Figures 4–6.
-
-    With ``method="grid"`` the whole sweep grid is scored by one
-    vectorized evaluation and only the boundary bisections fall back to
-    narrow (one block size, full pool) grid calls; ``method="scalar"``
-    re-models every partition at every step.  Identical tie-breaking
-    and bitwise-identical times make the two tables equal to the last
-    bit.
+    Its boundaries are the exact float crossings of consecutive winners'
+    lines; the default 0–400 byte range matches the x-axis of Figures
+    4–6.
     """
     check_dimension(d, minimum=1)
-    pool = _candidate_pool(d, candidates)
-
-    # the scalar path's sweep positions, replicated exactly (float
-    # accumulation included) so boundary bisections start from the
-    # same brackets
-    grid = [0.0]
-    m = 0.0
-    while m < m_max:
-        m = min(m + resolution, m_max)
-        grid.append(m)
-
-    if method == "grid":
-        winners = grid_winners(multiphase_time_grid(grid, d, pool, params), pool)
-
-        def winner(mi: float) -> tuple[int, ...]:
-            return grid_winners(multiphase_time_grid([mi], d, pool, params), pool)[0]
-
-    elif method == "scalar":
-
-        def winner(mi: float) -> tuple[int, ...]:
-            return min(pool, key=lambda p: (multiphase_time(mi, d, p, params), p))
-
-        winners = [winner(mi) for mi in grid]
-    else:
-        raise ValueError(f"unknown method {method!r}; use 'grid' or 'scalar'")
-
-    segments: list[tuple[int, ...]] = [winners[0]]
-    boundaries: list[float] = []
-    current = winners[0]
-    for idx in range(1, len(grid)):
-        nxt = winners[idx]
-        if nxt != current:
-            lo, hi = grid[idx - 1], grid[idx]
-            while hi - lo > 1e-3:
-                mid = 0.5 * (lo + hi)
-                if winner(mid) == current:
-                    lo = mid
-                else:
-                    hi = mid
-            boundaries.append(0.5 * (lo + hi))
-            segments.append(nxt)
-            current = nxt
+    pool, rows = pool_rows(d)
+    winners, switches = _walk(*row_lines(rows, params))
+    boundaries = tuple(m for m in switches if m < m_max)
     return OptimizerTable(
         d=d,
         params_name=params.name,
-        boundaries=tuple(boundaries),
-        segments=tuple(segments),
+        boundaries=boundaries,
+        segments=tuple(pool[w] for w in winners[: len(boundaries) + 1]),
     )
 
 
@@ -313,9 +254,9 @@ class PoolEnvelope:
     (coefficient row ``rows[i]``) strictly below every other partition
     of ``d``, so it is ``best_partition(m, d, params).partition`` there
     with no pool scored.  The intervals are disjoint and ascending.  A
-    block size in none of them is not certified: below the bound the
-    envelope was built from, near a switch point or an exact tie, or
-    where an intermediate could underflow (subnormal ``m``) or overflow.
+    block size in none of them is not certified: near a switch point or
+    an exact tie, or where an intermediate could underflow (``m`` near
+    zero or subnormal) or overflow.
     """
 
     d: int
@@ -331,73 +272,92 @@ class PoolEnvelope:
         return i if i >= 0 and m <= self.highs[i] else -1
 
 
-def pool_envelope(d: int, params: MachineParams, *, m_min: float = 0.0) -> PoolEnvelope:
-    """The certified lower envelope of ``d``'s partition pool on ``m >=
-    m_min``.
+def _walk(slope: np.ndarray, intercept: np.ndarray) -> tuple[list[int], list[float]]:
+    """The lower envelope of the lines ``slope·m + intercept`` on ``m >=
+    0``: its segment winners left to right (indices into the lines), and
+    the float crossing of each consecutive pair, where the next takes
+    over.  Each next winner is the flattest of the lines crossing the
+    current one first; equal lines keep the first, the smallest
+    partition of an ascending pool.
 
-    Each partition is a line ``A_p·m + B_p`` (:func:`row_lines`' integer
-    coefficients times the machine constants), priced for the whole
-    pool by a few numpy calls, with no per-partition Python.  Walking
-    the envelope from ``m_min`` gives its segment winners; for each,
-    the block sizes where every other line exceeds it by the margin
-    form an interval (each condition is affine in ``m``), and its float
-    ends are checked against the kernel's rounding bound.  An end that
-    fails drops the interval, so the certificate only ever shrinks.
+    Lines crossing within ``_CHECK_MARGIN`` (relative) of the first
+    crossing count as crossing with it: a segment that narrow (three
+    lines meeting at one exact point, split by rounding) never beats
+    its neighbours by the margin, so it is not a winner anyone could
+    certify or tell apart."""
+    # just right of m = 0 the least intercept wins, then the flattest
+    w = int(np.lexsort((slope, intercept))[0])
+    winners, switches, at = [w], [], 0.0
+    # an intercept overflowed to inf crosses nothing
+    with np.errstate(invalid="ignore", over="ignore"):
+        while True:
+            flatter = np.flatnonzero(slope < slope[w])
+            cross = (intercept[flatter] - intercept[w]) / (slope[w] - slope[flatter])
+            ahead = (cross > at) & (cross < np.inf)
+            if not ahead.any():
+                return winners, switches
+            at = float(cross[ahead].min())
+            first = flatter[ahead & (cross <= at * (1.0 + _CHECK_MARGIN))]
+            w = int(first[np.lexsort((intercept[first], slope[first]))[0]])
+            winners.append(w)
+            switches.append(at)
+
+
+def pool_envelope(d: int, params: MachineParams) -> PoolEnvelope:
+    """The certified lower envelope of ``d``'s partition pool.
+
+    Each partition is a line ``A_p·m + B_p`` (:func:`row_lines`), priced
+    for the whole pool by a few numpy calls, with no per-partition
+    Python.  Walking the envelope from ``m = 0`` gives its segment
+    winners; for each, the block sizes where every other line exceeds
+    it by the margin form an interval (each condition is affine in
+    ``m``), and its float ends are checked against the kernel's
+    rounding bound.  An end that fails drops the interval, so the
+    certificate only ever shrinks; it certifies nothing where the
+    bound does not hold (a subnormal constant, or an intercept near
+    the top of the float range).
 
     >>> from repro.model.params import ipsc860
-    >>> pool_envelope(7, ipsc860(), m_min=400.0).winners
-    ((7,),)
+    >>> pool_envelope(7, ipsc860()).winners
+    ((3, 2, 2), (4, 3), (7,))
     """
     check_dimension(d, minimum=1)
-    m_min = check_block_size(m_min)
-    empty = PoolEnvelope(d, (), (), (), ())
-    tau, rho = params.byte_time, params.permute_time
-    constants = (tau, rho, params.exchange_latency, params.exchange_hop_time,
-                 params.global_sync_per_dim)
-    if any(0.0 < c < sys.float_info.min for c in constants):
-        return empty  # a subnormal product has no relative error bound
     pool, rows = pool_rows(d)
-    moved, shuffled, sends, hops, syncs = row_lines(rows)
-    slope = tau * moved + rho * shuffled
-    intercept = params.exchange_latency * sends + params.exchange_hop_time * hops
-    intercept += params.global_sync_per_dim * syncs
-    # keep every intermediate finite (m·2**d and each sum at most a
-    # quarter of the float range) and every m-product normal
-    ceiling = sys.float_info.max / 4
-    if float(intercept.max()) > ceiling / 4:
-        return empty
-    m_hi = ceiling / 2.0 ** d
-    if slope.max() > 0:
-        m_hi = min(m_hi, ceiling / 4 / float(slope.max()))
-    scales = [c for c in (tau, rho) if c > 0]
-    m_lo = max(m_min, 4 * sys.float_info.min / min(scales)) if scales else m_min
-    if m_lo > m_hi:
-        return empty
-
-    # the envelope's segment winners, left to right: each next winner is
-    # the flattest line of those crossing the current one first
-    at, w = m_lo, int(np.argmin(slope * m_lo + intercept))
-    winners = [w]
-    while True:
-        flatter = np.flatnonzero(slope < slope[w])
-        cross = (intercept[flatter] - intercept[w]) / (slope[w] - slope[flatter])
-        ahead = cross > at
-        if not ahead.any() or cross[ahead].min() >= m_hi:
-            break
-        at = float(cross[ahead].min())
-        first = flatter[cross == at]
-        w = int(first[np.argmin(slope[first])])
-        winners.append(w)
-
+    slope, intercept = row_lines(rows, params)
+    winners, _ = _walk(slope, intercept)
     lows, highs, kept = [], [], []
-    for w in winners:
-        ends = _certified(slope, intercept, w, m_lo, m_hi)
+    safe = _safe_range(slope, intercept, d, params)
+    for w in winners if safe is not None else ():
+        ends = _certified(slope, intercept, w, *safe)
         if ends is not None:
             lows.append(ends[0])
             highs.append(ends[1])
             kept.append(w)
     return PoolEnvelope(d, tuple(lows), tuple(highs), tuple(pool[w] for w in kept),
                         tuple(rows[kept].tolist()))
+
+
+def _safe_range(
+    slope: np.ndarray, intercept: np.ndarray, d: int, params: MachineParams
+) -> tuple[float, float] | None:
+    """The block sizes where the rounding bound holds, or ``None``
+    where it holds nowhere: every ``m``-product normal, and every
+    intermediate finite (``m·2**d`` and each sum at most a quarter of
+    the float range)."""
+    tau, rho = params.byte_time, params.permute_time
+    constants = (tau, rho, params.exchange_latency, params.exchange_hop_time,
+                 params.global_sync_per_dim)
+    if any(0.0 < c < sys.float_info.min for c in constants):
+        return None  # a subnormal product has no relative error bound
+    ceiling = sys.float_info.max / 4
+    if float(intercept.max()) > ceiling / 4:
+        return None
+    m_hi = ceiling / 2.0 ** d
+    if slope.max() > 0:
+        m_hi = min(m_hi, ceiling / 4 / float(slope.max()))
+    scales = [c for c in (tau, rho) if c > 0]
+    m_lo = 4 * sys.float_info.min / min(scales) if scales else 0.0
+    return (m_lo, m_hi) if m_lo <= m_hi else None
 
 
 def _certified(

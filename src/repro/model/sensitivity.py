@@ -13,14 +13,12 @@ turns them into reproducible studies:
 * **latency sweep**: the SE/OCS crossover grows with λ — the startup
   cost is the whole reason multiphase exists.  The sweep locates each
   crossover on the *full* calibrated model (sync and shuffle overheads
-  included) by bisection, not the overhead-free §4.3 closed form.
+  included) as the intersection of the two partitions' cost lines,
+  not the overhead-free §4.3 closed form.
 
-Every study scores the model through the vectorized grid kernel by
-default (``method="grid"``); ``method="scalar"`` keeps the per-point
-reference path, which returns bitwise-identical results — the
-exact-agreement property tests assert this across presets and
-dimensions.  Each study returns plain data structures the ablation
-benchmark renders and asserts on.
+Every hull is the optimizer's exact line envelope
+(:func:`repro.model.optimizer.hull_of_optimality`).  Each study returns
+plain data structures the ablation benchmark renders and asserts on.
 """
 
 from __future__ import annotations
@@ -67,10 +65,9 @@ def hull_under(
     d: int,
     *,
     m_max: float = 400.0,
-    method: str = "grid",
 ) -> HullShift:
     """Hull of optimality for an arbitrary parameter variation."""
-    table = hull_of_optimality(d, params, m_max=m_max, method=method)
+    table = hull_of_optimality(d, params, m_max=m_max)
     return HullShift(
         label=label,
         params=params,
@@ -84,7 +81,6 @@ def free_permutation_study(
     *,
     m_max: float = 400.0,
     base: MachineParams | None = None,
-    method: str = "grid",
 ) -> tuple[HullShift, HullShift]:
     """Baseline vs ρ = 0 hulls (the §7.4 robustness claim).
 
@@ -95,8 +91,8 @@ def free_permutation_study(
     baseline = base if base is not None else ipsc860()
     free = baseline.with_overrides(permute_time=0.0, name=f"{baseline.name} (rho=0)")
     return (
-        hull_under("measured rho", baseline, d, m_max=m_max, method=method),
-        hull_under("rho = 0", free, d, m_max=m_max, method=method),
+        hull_under("measured rho", baseline, d, m_max=m_max),
+        hull_under("rho = 0", free, d, m_max=m_max),
     )
 
 
@@ -105,7 +101,6 @@ def sync_overhead_study(
     *,
     m_max: float = 400.0,
     base: MachineParams | None = None,
-    method: str = "grid",
 ) -> tuple[HullShift, HullShift]:
     """Baseline vs no-synchronization hulls.
 
@@ -121,8 +116,8 @@ def sync_overhead_study(
         name=f"{baseline.name} (no sync overheads)",
     )
     return (
-        hull_under("with sync overheads", baseline, d, m_max=m_max, method=method),
-        hull_under("without sync overheads", nosync, d, m_max=m_max, method=method),
+        hull_under("with sync overheads", baseline, d, m_max=m_max),
+        hull_under("without sync overheads", nosync, d, m_max=m_max),
     )
 
 
@@ -131,15 +126,14 @@ def latency_sweep(
     latencies: tuple[float, ...] = (10.0, 50.0, 95.0, 200.0, 400.0),
     *,
     base: MachineParams | None = None,
-    method: str = "grid",
 ) -> list[tuple[float, float]]:
     """SE/OCS crossover block size as a function of startup latency λ.
 
-    Returns ``(λ, crossover_bytes)`` pairs located by bisection on the
-    full calibrated model (each bisection scores both partitions
-    through one grid-kernel call per step); the crossover must grow
-    monotonically with λ (more startup pain favours the d-transmission
-    algorithm for longer).  The overhead-free closed form of §4.3
+    Returns ``(λ, crossover_bytes)`` pairs, each where the SE and OCS
+    lines of the full calibrated model intersect
+    (:func:`repro.model.crossover.empirical_crossover`); the crossover
+    must grow monotonically with λ (more startup pain favours the
+    d-transmission algorithm for longer).  The overhead-free closed form of §4.3
     remains available as
     :func:`repro.model.crossover.crossover_block_size`.
     """
@@ -147,10 +141,10 @@ def latency_sweep(
     out = []
     for lam in latencies:
         params = baseline.with_overrides(latency=lam)
-        cross = empirical_crossover(d, params, method=method)
+        cross = empirical_crossover(d, params)
         if cross is None:
             raise ValueError(
-                f"no SE/OCS crossover for λ={lam} within the bisection range"
+                f"no SE/OCS crossover for λ={lam} within the search range"
             )
         out.append((lam, cross))
     return out

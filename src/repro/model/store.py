@@ -226,9 +226,9 @@ def save_shard(
     into the two numeric regions, so a reader can open the shard by
     parsing only the header and ``memmap`` the rest.
 
-    ``m_max`` records the block-size bound the tables were swept to —
-    serving processes use it to know where table coverage ends and
-    exact re-evaluation must take over.  ``preset`` records the
+    ``m_max`` records the block-size bound the tables were built to
+    (their last segment runs to it); it gates no served answer, which
+    always comes from the pool envelope.  ``preset`` records the
     registry key the shard was saved under, so a renamed shard file
     cannot silently serve one machine's calibration as another's.
     """

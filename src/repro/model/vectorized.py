@@ -23,8 +23,8 @@ temporaries of the result's size times the call's widest partition; a
 call larger than ``_PRICE_CHUNK_BYTES`` per temporary is priced in
 chunks of the result, so memory stays bounded whatever the call.
 :func:`multiphase_time_grid` (the block-size × partition cross product)
-and :func:`multiphase_time_pairs` (one partition per block size) are
-validating wrappers over it.
+is a validating wrapper over it, and :func:`row_lines` gives each row's
+eq. (3) as the line ``A·m + B`` the optimizer's envelope walks.
 
 Bit-for-bit agreement with the scalar path is a hard requirement (the
 figure and table text outputs must not move by even one ulp), so the
@@ -65,7 +65,6 @@ from repro.util.validation import check_dimension, check_partition
 __all__ = [
     "grid_winners",
     "multiphase_time_grid",
-    "multiphase_time_pairs",
     "partition_row",
     "pool_rows",
     "price_rows",
@@ -157,19 +156,20 @@ def pool_rows(d: int) -> tuple[tuple[tuple[int, ...], ...], np.ndarray]:
     return _TABLE.pool(d)
 
 
-def row_lines(rows: np.ndarray) -> np.ndarray:
-    """Each row's eq. (3) as a line ``A·m + B`` in integer coefficients:
-    a ``(5, len(rows))`` float array ``I, J, K, L, M`` with ``A = τ·I +
-    ρ·J`` and ``B = λ_x·K + δ_x·L + γ·M``, the slot coefficients summed
-    over the row's phases.  Every entry is an integer below ``2**53``,
-    so exact."""
+def row_lines(rows: np.ndarray, params: MachineParams) -> tuple[np.ndarray, np.ndarray]:
+    """Each row's eq. (3) as a line ``A·m + B``: the slopes ``A = τ·I +
+    ρ·J`` and intercepts ``B = λ_x·K + δ_x·L + γ·M``, from the integer
+    coefficients ``I, J, K, L, M`` of the row's phase slots summed
+    (each below ``2**53``, so exact)."""
     n_tx, scale, hops, shuffle_cube, sync_dim = np.moveaxis(
         _TABLE.arrays[0].take(rows, axis=0), 1, 0
     )
-    return np.stack([
-        (n_tx * scale).sum(axis=-1), shuffle_cube.sum(axis=-1), n_tx.sum(axis=-1),
-        hops.sum(axis=-1), sync_dim.sum(axis=-1),
-    ])
+    slope = params.byte_time * (n_tx * scale).sum(axis=-1)
+    slope += params.permute_time * shuffle_cube.sum(axis=-1)
+    intercept = params.exchange_latency * n_tx.sum(axis=-1)
+    intercept += params.exchange_hop_time * hops.sum(axis=-1)
+    intercept += params.global_sync_per_dim * sync_dim.sum(axis=-1)
+    return slope, intercept
 
 
 def price_rows(
@@ -303,30 +303,6 @@ def multiphase_time_grid(
     rows = _checked_rows(d, partitions)
     m_arr = _checked_block_sizes(ms)
     return price_rows(rows[:, np.newaxis], m_arr[np.newaxis, :], params)
-
-
-def multiphase_time_pairs(
-    ms: Sequence[float] | np.ndarray,
-    d: int,
-    partitions: Iterable[Sequence[int]],
-    params: MachineParams,
-) -> np.ndarray:
-    """Predicted time for each ``(ms[i], partitions[i])`` pairing: a
-    ``(len(ms),)`` float64 vector, bitwise identical to::
-
-        [multiphase_time(m, d, p, params) for m, p in zip(ms, partitions)]
-
-    Use it when each block size pairs with its own candidate (the
-    lockstep crossover bisections), where the grid's cross product
-    would evaluate cells nobody reads.
-    """
-    rows = _checked_rows(d, partitions)
-    m_arr = _checked_block_sizes(ms)
-    if m_arr.shape[0] != rows.shape[0]:
-        raise ValueError(
-            f"{m_arr.shape[0]} block sizes paired with {rows.shape[0]} partitions"
-        )
-    return price_rows(rows, m_arr, params)
 
 
 def grid_winners(

@@ -1,10 +1,10 @@
-"""The collective planner: policy + per-run plan cache + audit log.
+"""The collective planner: policy + per-run plan cache.
 
 :class:`CollectivePlanner` is what call sites (the communicator, the
 apps, the patterns layer) actually hold.  It delegates each new
-``(d, m)`` to its policy exactly once, memoizes the decision for the
-run, and keeps an ordered log of every decision it handed out — the
-raw material for the predicted-vs-simulated validation report.
+``(d, m)`` to its policy exactly once and memoizes the decision for
+the run; the distinct decisions, in first-seen order, are the raw
+material for the predicted-vs-simulated validation report.
 
 The cache matters beyond speed: inside a simulated SPMD run every rank
 asks the shared planner for the same collective, and the cache is what
@@ -65,8 +65,6 @@ class CollectivePlanner:
 
     policy: PlanningPolicy
     stats: PlannerStats = field(default_factory=PlannerStats)
-    #: every decision handed out, in call order (cache hits included)
-    log: list[PlanDecision] = field(default_factory=list)
     #: (d, m) -> (the policy's decision, the one handed out on hits)
     _cache: dict[tuple[int, float], tuple[PlanDecision, PlanDecision]] = field(
         default_factory=dict
@@ -89,7 +87,6 @@ class CollectivePlanner:
             self.stats.policy_calls += 1
             decision = self.policy.decide(*key)
             self._cache[key] = (decision, replace(decision, source="cache"))
-        self.log.append(decision)
         return decision
 
     def unique_decisions(self) -> list[PlanDecision]:
@@ -97,6 +94,5 @@ class CollectivePlanner:
         return [decision for decision, _ in self._cache.values()]
 
     def clear(self) -> None:
-        """Drop the plan cache and log (a fresh 'run'); stats survive."""
+        """Drop the plan cache (a fresh 'run'); stats survive."""
         self._cache.clear()
-        self.log.clear()

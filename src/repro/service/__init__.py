@@ -5,14 +5,18 @@ The paper's punchline is that the block-size/partition enumeration
 repeated future use".  This subsystem is the *repeated future use*:
 
 :mod:`repro.service.registry`
-    :class:`OptimizerRegistry` — precomputes and shards
-    :class:`~repro.model.optimizer.OptimizerTable` objects per machine
-    preset × cube dimension (backed by the v2 shard files of
-    :mod:`repro.model.store`), with lazy loading, LRU eviction, a
-    result memo cache, and cache-hit statistics.
+    :class:`OptimizerRegistry` — one certified pool envelope
+    (:func:`~repro.model.optimizer.pool_envelope`) per machine preset ×
+    cube dimension, which every answer comes from, beside the
+    :class:`~repro.model.optimizer.OptimizerTable` objects it
+    precomputes and shards (the v2 shard files of
+    :mod:`repro.model.store`, which also carry the presets'
+    calibrations), with lazy loading, LRU eviction, a result memo
+    cache, and cache-hit statistics.
 :mod:`repro.service.batch`
     :class:`QueryBatch` — coalesces heterogeneous ``(preset, d, m)``
-    lookups into one row-kernel call per machine preset.
+    lookups into one row-kernel call per machine preset, each answer
+    ``best_partition``'s, bit for bit.
 :mod:`repro.service.server`
     :func:`serve` — the stdin/stdout JSON-lines request loop behind
     ``repro serve`` (and the one-shot ``repro query``), plus the

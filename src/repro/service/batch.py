@@ -8,37 +8,28 @@ objects.  In one core call:
 1. every key checks the registry's result memo first;
 2. the misses are grouped by ``(preset, d)`` and deduplicated by block
    size, so repeats inside one call cost one cell;
-3. each group's block sizes the stored
-   :class:`~repro.model.optimizer.OptimizerTable` covers take their
-   partition from it (a bisect of its boundaries: admission already
-   checked the sizes) and queue one kernel row each — exactly the
-   needed cells, no cross product;
-4. block sizes beyond the table's recorded sweep bound — where the
-   table's last segment would be an unverified extrapolation — look up
-   the preset's certified pool envelope
+3. each group looks up the preset's certified pool envelope
    (:func:`~repro.model.optimizer.pool_envelope`, built once per
-   ``(preset, d)``): inside a certified interval the winner is known
-   and the cell queues one row at it, like a covered cell.  Any other
-   (near a switch point, at a tie, or where an intermediate could
-   underflow or overflow) queues one row per partition of the full
-   pool, and its winner is the first minimal row in ascending partition
-   order.  Either way the answer is
-   :func:`~repro.model.optimizer.best_partition`'s, bit for bit;
-5. every queued row of a preset, from every group of the call, is
+   ``(preset, d)``): a block size inside a certified interval has a
+   known winner and queues one kernel row at it — exactly the needed
+   cell, no cross product.  Any other (near a switch point, at a tie,
+   or where an intermediate could underflow or overflow) queues one
+   row per partition of the full pool, and its winner is the first
+   minimal row in ascending partition order;
+4. every queued row of a preset, from every group of the call, is
    priced by one :func:`~repro.model.vectorized.price_rows` call, and
-   the answers are memoized in one batch insert, group by group in the
-   order above.
+   the answers are memoized in one batch insert, group by group,
+   ascending by block size.
 
 The row kernel is bitwise-identical to the scalar model, so each
 result's ``time_us`` equals ``multiphase_time(m, d, partition,
-params)`` to the last bit; within the sweep bound the partition is the
-stored table's answer, whose switch points are located to ~1e-3 bytes.
+params)`` to the last bit, and each partition is
+:func:`~repro.model.optimizer.best_partition`'s, for every block size.
 """
 
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
 from collections import defaultdict
 from dataclasses import dataclass
 from functools import cache
@@ -49,7 +40,7 @@ from typing import (
 
 import numpy as np
 
-from repro.model.vectorized import partition_row, pool_rows, price_rows
+from repro.model.vectorized import pool_rows, price_rows
 from repro.service.wire import SOURCE_CODES, SOURCE_NAMES
 from repro.util.validation import MAX_DIMENSION, check_block_size, check_dimension
 
@@ -88,8 +79,8 @@ class QueryResult:
     m: float
     partition: tuple[int, ...]
     time_us: float
-    #: ``"memo"`` (repeat query), ``"grid"`` (table partition, priced), or
-    #: ``"pool"`` (beyond the table's sweep bound: exact full-pool scoring)
+    #: ``"memo"`` (repeat query), ``"grid"`` (the certified envelope's
+    #: winner, priced alone), or ``"pool"`` (exact full-pool scoring)
     source: str
     tag: Any = None
 
@@ -236,71 +227,51 @@ def _resolve_normalized(registry: "OptimizerRegistry", keys: list[Cell]) -> Answ
     stats.memo_misses += len(misses)
 
     # each distinct miss gets a slot in its preset's columns (kernel
-    # row, block size, packed partition), a group's slots contiguous and
-    # in memo order: covered cells partition by partition, then the
-    # beyond-bound cells ascending.  A pool-scored slot holds a
-    # placeholder row and partition until its pool is priced
-    slots: dict[str, tuple[list[int], list[float], list[bytes]]] = {}
+    # row, block size, packed partition, source), a group's slots
+    # contiguous and ascending.  A pool-scored slot holds a placeholder
+    # row and partition until its pool is priced
+    slots: dict[str, tuple[list[int], list[float], list[bytes], bytearray]] = {}
     #: per preset: (d, slots, block sizes) of each group's scored pool
     pools: dict[str, list[tuple[int, list[int], list[float]]]] = {}
-    #: (preset, d, first slot, first beyond-bound slot, end slot)
-    groups: list[tuple[str, int, int, int, int]] = []
+    #: (preset, d, first slot, end slot)
+    groups: list[tuple[str, int, int, int]] = []
     for (preset, d), sizes in pending.items():
         if preset not in slots:
-            slots[preset], pools[preset] = ([], [], []), []
-        rows, ms, packs = slots[preset]
+            slots[preset], pools[preset] = ([], [], [], bytearray()), []
+        rows, ms, packs, codes = slots[preset]
         first = len(ms)
-        # a set keeps the first of equal keys: a repeated -0.0 / 0.0
-        # cell answers as the one asked first
-        ordered = sorted(set(sizes))
-        split = bisect_right(ordered, registry.coverage(preset, d))
-        inside, beyond = ordered[:split], ordered[split:]
-
-        # block sizes the table's sweep covers take their partition from
-        # the stored table (admission checked them: a bare bisect); the
-        # table is fetched only here, so an all-beyond group never loads
-        # (or sweeps) it
-        covered: defaultdict[tuple[int, ...], list[float]] = defaultdict(list)
-        if inside:
-            table = registry.table(preset, d)
-            boundaries, segments = table.boundaries, table.segments
-            if not segments:
-                table.lookup(inside[0])  # raises the empty-table error
-            for m in inside:
-                covered[segments[bisect_right(boundaries, m)]].append(m)
-            for partition, block in covered.items():
-                rows += [partition_row(d, partition)] * len(block)
-                packs += [_packed(partition)] * len(block)
-                ms += block
-
-        # beyond the bound the table's last segment is just an
-        # extrapolation: a block size the certified envelope covers is
-        # priced at its winner alone, any other scores the full pool
-        pool_size = 0
-        if beyond:
-            envelope = registry.envelope(preset, d)
-            scored: list[int] = []
-            for m in beyond:
-                at = envelope.index(m)
-                if at >= 0:
-                    rows.append(envelope.rows[at])
-                    packs.append(_packed(envelope.winners[at]))
-                else:
-                    scored.append(len(ms))
-                    rows.append(0)
-                    packs.append(b"")
-                ms.append(m)
-            if scored:
-                pools[preset].append((d, scored, [ms[j] for j in scored]))
-            pool_size = len(pool_rows(d)[0])
-        stats.grid_calls += len(covered) + bool(beyond)
-        stats.grid_cells += len(inside) + pool_size * len(beyond)
-        groups.append((preset, d, first, first + len(inside), len(ms)))
+        # a block size the certified envelope covers is priced at its
+        # winner alone; any other (near a switch point, at a tie, or
+        # where an intermediate could underflow or overflow) scores the
+        # full pool.  A set keeps the first of equal keys: a repeated
+        # -0.0 / 0.0 cell answers as the one asked first
+        envelope = registry.envelope(preset, d)
+        winners: set[int] = set()
+        scored: list[int] = []
+        for m in sorted(set(sizes)):
+            at = envelope.index(m)
+            if at >= 0:
+                winners.add(at)
+                rows.append(envelope.rows[at])
+                packs.append(_packed(envelope.winners[at]))
+                codes.append(_GRID)
+            else:
+                scored.append(len(ms))
+                rows.append(0)
+                packs.append(b"")
+                codes.append(_POOL)
+            ms.append(m)
+        if scored:
+            pools[preset].append((d, scored, [ms[j] for j in scored]))
+        certified = len(ms) - first - len(scored)
+        stats.grid_calls += len(winners) + bool(scored)
+        stats.grid_cells += certified + len(pool_rows(d)[0]) * len(scored)
+        groups.append((preset, d, first, len(ms)))
 
     # one kernel call per preset prices every row of every group: the
     # slots, then each scored pool, pool-major
     priced: dict[str, list[float]] = {}
-    for preset, (rows, ms, packs) in slots.items():
+    for preset, (rows, ms, packs, _) in slots.items():
         row_in, m_in = [np.array(rows, dtype=np.intp)], [np.array(ms)]
         for d, _, block in pools[preset]:
             pool_row = pool_rows(d)[1]
@@ -325,13 +296,13 @@ def _resolve_normalized(registry: "OptimizerRegistry", keys: list[Cell]) -> Answ
     # every miss from its cell
     memo: list[tuple[Cell, tuple[bytes, float]]] = []
     answer_of: dict[Cell, tuple[Cell, tuple[bytes, float], int]] = {}
-    for preset, d, first, split, end in groups:
-        _, ms, packs = slots[preset]
+    for preset, d, first, end in groups:
+        _, ms, packs, codes = slots[preset]
         answer = priced[preset]
         for j in range(first, end):
             cell, value = (preset, d, ms[j]), (packs[j], answer[j])
             memo.append((cell, value))
-            answer_of[cell] = (cell, value, _GRID if j < split else _POOL)
+            answer_of[cell] = (cell, value, codes[j])
     for i in misses:
         cells[i], (parts[i], times[i]), source[i] = answer_of[keys[i]]
     stats.coalesced += len(misses) - len(memo)

@@ -1,23 +1,23 @@
-"""Sharded registry of precomputed optimizer tables.
+"""Sharded registry of precomputed optimizer tables and pool envelopes.
 
-The registry is the storage half of the query service: it owns one
-:class:`~repro.model.optimizer.OptimizerTable` per (machine preset ×
-cube dimension), either loaded lazily from the v2 shard files of
-:mod:`repro.model.store` or built on demand by the grid-kernel hull
-sweep.  Two bounded caches keep a long-lived process healthy under
-arbitrary traffic:
+The registry is the storage half of the query service.  It answers
+from one certified pool envelope per (machine preset × cube dimension)
+(:func:`~repro.model.optimizer.pool_envelope`, built the first time it
+is asked for): a few floats each, never evicted, that name the pool
+winner of every block size outside the slivers around its switch
+points.  Beside them it owns one
+:class:`~repro.model.optimizer.OptimizerTable` per preset × dimension
+(the same envelope cut at 400 B), either loaded lazily from the v2
+shard files of :mod:`repro.model.store` or built on demand; the shards
+also carry the presets' calibrations.  Two bounded caches keep a
+long-lived process healthy under arbitrary traffic:
 
 * a **table LRU** (``max_loaded_tables``) over materialized tables —
   shard-backed tables reload lazily after eviction, built tables are
-  re-swept;
+  rebuilt;
 * a **result memo** (``memo_capacity``) over resolved
-  ``(preset, d, m)`` queries, so repeat lookups skip both the table
-  bisect and the pricing kernel entirely.
-
-Beside the tables it keeps one certified pool envelope per preset ×
-dimension (:func:`~repro.model.optimizer.pool_envelope`, built lazily
-from the table's sweep bound on): a few floats each, never evicted,
-that name the pool winner of most block sizes beyond the bound.
+  ``(preset, d, m)`` queries, so repeat lookups skip both the envelope
+  and the pricing kernel entirely.
 
 Every interaction is counted in :class:`RegistryStats`, which the
 JSON-lines server reports in-band (``{"op": "stats"}``) and the CLI
@@ -50,6 +50,9 @@ DEFAULT_DIMS: tuple[int, ...] = (2, 3, 4, 5, 6, 7, 8)
 #: shard files in a registry directory are named ``<preset><suffix>``
 SHARD_SUFFIX = ".shard"
 
+#: the block-size range of the tables a registry builds (Figures 4–6)
+_TABLE_BOUND = 400.0
+
 
 @dataclass
 class RegistryStats:
@@ -60,27 +63,25 @@ class RegistryStats:
     queries: int = 0
     #: queries answered straight from the result memo
     memo_hits: int = 0
-    #: queries that needed a table lookup + model evaluation
+    #: queries that needed an envelope lookup + model evaluation
     memo_misses: int = 0
     #: same-batch duplicates (within a frame or line too) folded into an
     #: already-scheduled cell
     coalesced: int = 0
-    #: tables swept from scratch (no shard held them)
+    #: tables built from scratch (no shard held them)
     tables_built: int = 0
     #: tables materialized from a shard file
     tables_loaded: int = 0
     #: tables dropped by the LRU bound
     tables_evicted: int = 0
     #: groups priced by batch resolution: one per ``(preset, d,
-    #: partition)`` group of covered misses and one per beyond-bound
-    #: pool.  A count of priced groups, not of kernel invocations: a
-    #: resolve call prices all its groups of one preset in one
+    #: winner)`` group of certified misses and one per scored pool.  A
+    #: count of priced groups, not of kernel invocations: a resolve
+    #: call prices all its groups of one preset in one
     #: :func:`~repro.model.vectorized.price_rows` call
     grid_calls: int = 0
-    #: cells priced across those groups: a pool counts every partition
-    #: at every block size, also where its certified envelope names the
-    #: winner and the kernel prices that one row, so the count does not
-    #: depend on the envelope
+    #: cells priced across those groups: one per certified miss, and a
+    #: scored pool's every partition at every block size
     grid_cells: int = 0
 
     @property
@@ -115,7 +116,8 @@ def _normalize_presets(
 
 
 class OptimizerRegistry:
-    """Precomputed optimal-partition tables, served preset × dimension.
+    """Optimal partitions served preset × dimension, from certified
+    pool envelopes, with stored tables beside them.
 
     >>> registry = OptimizerRegistry()
     >>> registry.lookup("ipsc860", 7, 40.0)
@@ -127,8 +129,6 @@ class OptimizerRegistry:
         presets: Mapping[str, MachineParams | Callable[[], MachineParams]] | None = None,
         *,
         shard_dir: str | Path | None = None,
-        m_max: float = 400.0,
-        resolution: float = 0.25,
         max_loaded_tables: int = 64,
         memo_capacity: int = 65536,
     ) -> None:
@@ -136,8 +136,6 @@ class OptimizerRegistry:
             raise ValueError(f"max_loaded_tables must be >= 1, got {max_loaded_tables}")
         if memo_capacity < 0:
             raise ValueError(f"memo_capacity must be >= 0, got {memo_capacity}")
-        self.m_max = float(m_max)
-        self.resolution = float(resolution)
         self.max_loaded_tables = int(max_loaded_tables)
         self.memo_capacity = int(memo_capacity)
         self.stats = RegistryStats()
@@ -201,7 +199,7 @@ class OptimizerRegistry:
     # ------------------------------------------------------------------
     def table(self, preset: str, d: int) -> OptimizerTable:
         """The optimizer table for ``(preset, d)`` — from the LRU, the
-        preset's shard, or a fresh grid-kernel sweep, in that order."""
+        preset's shard, or a fresh envelope walk, in that order."""
         key = (preset, int(d))
         cached = self._tables.get(key)
         if cached is not None:
@@ -213,9 +211,7 @@ class OptimizerRegistry:
             table = shard.load(int(d))
             self.stats.tables_loaded += 1
         else:
-            table = hull_of_optimality(
-                int(d), params, m_max=self.m_max, resolution=self.resolution
-            )
+            table = hull_of_optimality(int(d), params, m_max=_TABLE_BOUND)
             self.stats.tables_built += 1
         self._tables[key] = table
         while len(self._tables) > self.max_loaded_tables:
@@ -237,32 +233,17 @@ class OptimizerRegistry:
         return shard is not None and int(d) in shard
 
     def lookup(self, preset: str, d: int, m: float) -> tuple[int, ...]:
-        """The stored optimal partition for one ``(preset, d, m)``."""
-        return self.table(preset, d).lookup(m)
-
-    def coverage(self, preset: str, d: int) -> float:
-        """Block-size bound up to which the ``(preset, d)`` table's
-        answers are exact.  Shards record the bound they were swept
-        to; a shard that never recorded one is not trusted at all
-        (bound 0.0 — every query re-scores the full pool exactly).
-        Tables built in-process are exact up to this registry's
-        ``m_max``.  Queries beyond the bound are re-evaluated exactly
-        instead of trusting the table's last segment."""
-        self.params(preset)  # unknown presets raise like everywhere else
-        shard = self._shards.get(preset)
-        if shard is not None and int(d) in shard:
-            return shard.m_max if shard.m_max is not None else 0.0
-        return self.m_max
+        """The optimal partition for one ``(preset, d, m)``, answered as
+        :meth:`resolve` answers it."""
+        return self.resolve([(preset, d, m)])[0].partition
 
     def envelope(self, preset: str, d: int) -> PoolEnvelope:
-        """The certified pool envelope of ``(preset, d)`` beyond its
-        :meth:`coverage` bound, built the first time it is asked for."""
+        """The certified pool envelope of ``(preset, d)``, built the
+        first time it is asked for."""
         key = (preset, int(d))
         found = self._envelopes.get(key)
         if found is None:
-            found = self._envelopes[key] = pool_envelope(
-                int(d), self.params(preset), m_min=self.coverage(preset, d)
-            )
+            found = self._envelopes[key] = pool_envelope(int(d), self.params(preset))
         return found
 
     # ------------------------------------------------------------------
@@ -344,19 +325,19 @@ class OptimizerRegistry:
 
         Tables not yet materialized are computed first; the result is a
         directory :meth:`from_shards` (or ``repro serve --shards``) can
-        serve without re-running any sweep.
+        serve without any calibration of its own.
         """
         directory = Path(directory)
         directory.mkdir(parents=True, exist_ok=True)
         written: list[Path] = []
         for preset in presets if presets is not None else self.preset_names:
             tables = {int(d): self.table(preset, d) for d in dims}
-            # a table loaded from a shard is only exact up to the bound
-            # *that* shard was swept to, which may be tighter than this
-            # registry's m_max — record the tightest bound among the
-            # exported dims so a re-exported shard never overclaims
+            # the header records the range the tables span: a table
+            # re-exported from a shard spans what that shard recorded
             bound = min(
-                (self.coverage(preset, d) for d in dims), default=self.m_max
+                (self._shards[preset].m_max or 0.0 if self.has_shard(preset, d)
+                 else _TABLE_BOUND for d in dims),
+                default=_TABLE_BOUND,
             )
             path = directory / f"{preset}{SHARD_SUFFIX}"
             written.append(

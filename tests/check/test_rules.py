@@ -263,9 +263,16 @@ class TestRepositoryIsClean:
         assert report.ok, report.render()
         assert len(report.certified) == len(RULES)
 
-    def test_crossover_sentinels_are_allowlisted_not_invisible(self):
-        """The float-eq bisection sentinels exist and are suppressed by
-        inline allows — removing the comments must flag them again."""
-        crossover = SRC_ROOT / "repro" / "model" / "crossover.py"
-        text = crossover.read_text()
-        assert text.count("# repro: allow[float-eq]") >= 6
+    def test_inline_allows_suppress_and_removing_them_flags_again(self, tmp_path):
+        """Float-equality sentinels marked with inline allows pass;
+        the same source without the comments is flagged at each."""
+        source = (
+            "def sentinel(lo, hi):\n"
+            "    if lo == 0.0 and hi == 0.0:  # repro: allow[float-eq] — exact sentinel\n"
+            "        return None\n"
+            "    return lo if hi != 1.0 else hi  # repro: allow[float-eq] — exact sentinel\n"
+        )
+        assert checks(run_snippets(tmp_path / "allowed", {"a.py": source}), "float-eq") == []
+        bare = source.replace("  # repro: allow[float-eq] — exact sentinel", "")
+        flagged = checks(run_snippets(tmp_path / "bare", {"a.py": bare}), "float-eq")
+        assert sorted(v.line for v in flagged) == [2, 2, 4]

@@ -6,14 +6,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.model.crossover import (
-    crossover_block_size,
-    empirical_crossover,
-    empirical_crossovers,
-    standard_wins,
-)
+from repro.core.partitions import cached_partitions
+from repro.model.crossover import crossover_block_size, empirical_crossover, standard_wins
 from repro.model.cost import optimal_time, standard_time
-from repro.model.params import PRESETS
+from repro.model.params import PRESETS, ipsc860
+from tests.model.envelope_oracle import close_to_crossing, crossing, exact_line, order_flips_at
 
 
 class TestClosedForm:
@@ -74,7 +71,7 @@ class TestEmpirical:
 
     @settings(deadline=None)
     @given(st.integers(min_value=2, max_value=7))
-    def test_bisection_brackets_sign_change(self, d):
+    def test_crossover_separates_the_regimes(self, d):
         from repro.model.cost import multiphase_time
         from repro.model.params import ipsc860
 
@@ -91,41 +88,58 @@ class TestEmpirical:
         assert before <= 0 <= after or before >= 0 >= after
 
 
-class TestGridMigration:
-    """The bisection rides the grid kernel by default; the scalar
-    reference path must return bitwise-identical floats."""
+def check_crossover(d, pa, pb, params, m_max=4096.0):
+    """``empirical_crossover`` against the exact oracle: ``None``
+    exactly when the exact lines are parallel or meet outside ``[0,
+    m_max]``; otherwise a float where the scalar model's order of the
+    two flips, at the exact crossing up to float rounding."""
+    got = empirical_crossover(d, params, partition_a=pa, partition_b=pb, m_max=m_max)
+    a, b = exact_line(d, pa, params), exact_line(d, pb, params)
+    exact = crossing(a, b)
+    if exact is None or not 0 <= exact <= m_max:
+        assert got is None, (d, pa, pb, got)
+        return
+    steep, flat = (pa, pb) if a[0] > b[0] else (pb, pa)
+    assert got is not None, (d, pa, pb, float(exact))
+    assert order_flips_at(d, steep, flat, params, got), (d, pa, pb, got)
+    assert close_to_crossing(got, d, pa, pb, params), (d, pa, pb, got, float(exact))
+
+
+class TestAgainstTheOracle:
+    """One intersection of two lines, refined to the kernel's flip: an
+    exact-arithmetic oracle checks every answer."""
 
     @pytest.mark.parametrize("preset", sorted(PRESETS))
     @pytest.mark.parametrize("d", range(2, 9))
-    def test_default_pair_exact_agreement(self, d, preset):
-        params = PRESETS[preset]()
-        grid = empirical_crossover(d, params, method="grid")
-        scalar = empirical_crossover(d, params, method="scalar")
-        assert grid == scalar
+    def test_default_pair(self, d, preset):
+        check_crossover(d, (1,) * d, (d,), PRESETS[preset]())
 
-    def test_batched_matches_per_call(self, ipsc):
-        from repro.core.partitions import cached_partitions
-
+    @pytest.mark.parametrize("preset", sorted(PRESETS))
+    def test_every_pair_of_a_6_cube(self, preset):
         pool = cached_partitions(6)
-        pairs = [(a, b) for a in pool for b in pool]
-        batched = empirical_crossovers(6, ipsc, pairs, method="grid")
-        singles = [
-            empirical_crossovers(6, ipsc, [pair], method="scalar")[0]
-            for pair in pairs
-        ]
-        assert batched == singles
+        for pa in pool:
+            for pb in pool:
+                check_crossover(6, pa, pb, PRESETS[preset](), m_max=400.0)
 
-    def test_identical_pair_is_none_in_both_paths(self, ipsc):
-        for method in ("grid", "scalar"):
-            assert (
-                empirical_crossovers(6, ipsc, [((3, 3), (3, 3))], method=method)[0]
-                is None
-            )
+    def test_identical_and_reordered_pairs_are_none(self, ipsc):
+        assert empirical_crossover(6, ipsc, partition_a=(3, 3), partition_b=(3, 3)) is None
+        assert empirical_crossover(6, ipsc, partition_a=(4, 2), partition_b=(2, 4)) is None
 
-    def test_empty_batch(self, ipsc):
-        assert empirical_crossovers(6, ipsc, [], method="grid") == []
-        assert empirical_crossovers(6, ipsc, [], method="scalar") == []
+    def test_outside_the_range_is_none(self, ipsc):
+        m_star = empirical_crossover(6, ipsc)
+        assert m_star is not None
+        assert empirical_crossover(6, ipsc, m_max=m_star * 0.5) is None
+        assert empirical_crossover(6, ipsc, m_max=2 * m_star) == m_star
 
-    def test_rejects_unknown_method(self, ipsc):
-        with pytest.raises(ValueError, match="method"):
-            empirical_crossovers(6, ipsc, [((1,) * 6, (6,))], method="simd")
+    @settings(deadline=None, max_examples=60)
+    @given(
+        d=st.integers(min_value=2, max_value=10),
+        latency=st.floats(min_value=0.0, max_value=1000.0),
+        permute=st.floats(min_value=0.0, max_value=3.0),
+        data=st.data(),
+    )
+    def test_random_pairs_and_calibrations(self, d, latency, permute, data):
+        params = ipsc860().with_overrides(latency=latency, permute_time=permute)
+        pool = sorted(cached_partitions(d))
+        pa, pb = data.draw(st.sampled_from(pool)), data.draw(st.sampled_from(pool))
+        check_crossover(d, pa, pb, params)

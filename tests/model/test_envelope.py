@@ -20,7 +20,12 @@ from hypothesis import strategies as st
 
 from repro.core.partitions import cached_partitions
 from repro.model.cost import multiphase_time
-from repro.model.optimizer import _CHECK_MARGIN, best_partition, pool_envelope
+from repro.model.optimizer import (
+    _CHECK_MARGIN,
+    best_partition,
+    hull_of_optimality,
+    pool_envelope,
+)
 from repro.model.params import MachineParams, hypothetical, ipsc860
 from repro.model.vectorized import price_rows
 
@@ -51,20 +56,20 @@ def ulps(m: float, k: int) -> float:
     return m
 
 
-def probes(envelope, m_min: float) -> list[float]:
-    points = [m_min, *EXTREMES]
+def probes(envelope) -> list[float]:
+    points = [0.0, 400.0, *EXTREMES]
     for end in envelope.lows + envelope.highs:
         points += [ulps(end, k) for k in range(-4, 5)]
     return [m for m in points if 0.0 <= m < math.inf]
 
 
-def check(d: int, params: MachineParams, m_min: float) -> None:
-    envelope = pool_envelope(d, params, m_min=m_min)
+def check(d: int, params: MachineParams) -> None:
+    envelope = pool_envelope(d, params)
     assert len(envelope.lows) == len(envelope.highs) == len(envelope.winners)
     assert list(envelope.lows) == sorted(envelope.lows)
     for lo, hi, nxt in zip(envelope.lows, envelope.highs, envelope.lows[1:] + (math.inf,)):
-        assert m_min <= lo <= hi < nxt
-    for m in probes(envelope, m_min):
+        assert 0.0 <= lo <= hi < nxt
+    for m in probes(envelope):
         at = envelope.index(m)
         inside = [lo <= m <= hi for lo, hi in zip(envelope.lows, envelope.highs)]
         assert at == (inside.index(True) if any(inside) else -1), m
@@ -77,15 +82,14 @@ def check(d: int, params: MachineParams, m_min: float) -> None:
 
 
 @settings(max_examples=120, deadline=None)
-@given(params=params_strategy, d=st.integers(1, 12), m_min=st.sampled_from([0.0, 400.0]))
-def test_certified_winners_are_the_pool_winners(params, d, m_min):
-    check(d, params, m_min)
+@given(params=params_strategy, d=st.integers(1, 12))
+def test_certified_winners_are_the_pool_winners(params, d):
+    check(d, params)
 
 
 @pytest.mark.parametrize("params", [ipsc860(), hypothetical()], ids=lambda p: p.name)
-@pytest.mark.parametrize("m_min", [0.0, 400.0])
-def test_a_24_cube(params, m_min):
-    check(24, params, m_min)
+def test_a_24_cube(params):
+    check(24, params)
 
 
 @pytest.mark.parametrize("d, segments", [(4, 3), (7, 5), (8, 5)])
@@ -100,15 +104,28 @@ def test_hypothetical_envelope_from_zero(d, segments):
 
 
 @pytest.mark.parametrize("d", range(4, 9))
-def test_ipsc860_past_the_sweep_bound_is_one_segment(d):
-    """Past 400 B the single-phase optimal circuit-switched algorithm
-    wins on the iPSC-860 from the bound until the float range runs
-    out; subnormal and near-overflow sizes are not certified."""
-    envelope = pool_envelope(d, ipsc860(), m_min=400.0)
-    assert envelope.winners == ((d,),)
-    assert envelope.lows == (400.0,) and 1e300 < envelope.highs[0] < 1e306
+def test_ipsc860_single_phase_to_the_end_of_the_float_range(d):
+    """Past its last switch point the single-phase optimal
+    circuit-switched algorithm wins on the iPSC-860 until the float
+    range runs out; subnormal and near-overflow sizes are not
+    certified."""
+    envelope = pool_envelope(d, ipsc860())
+    assert envelope.winners[-1] == (d,)
+    assert envelope.lows[-1] < 400.0 and 1e300 < envelope.highs[-1] < 1e306
     assert envelope.index(sys.float_info.max) == -1
-    assert pool_envelope(d, ipsc860()).index(5e-324) == -1
+    assert envelope.index(5e-324) == -1
+
+
+@pytest.mark.parametrize("params", [ipsc860(), hypothetical()], ids=lambda p: p.name)
+@pytest.mark.parametrize("d", range(1, 11))
+def test_certified_winners_are_the_hull_segments(params, d):
+    """The certificate keeps every segment of the walk, in order, for
+    both presets: each leaves an interval between its switch points."""
+    hull = hull_of_optimality(d, params, m_max=math.inf)
+    envelope = pool_envelope(d, params)
+    assert envelope.winners == hull.segments
+    for hi, switch, lo in zip(envelope.highs, hull.boundaries, envelope.lows[1:]):
+        assert hi < switch < lo
 
 
 def test_no_certificate_where_the_bound_does_not_hold():

@@ -3,6 +3,8 @@ hull of optimality (Figures 4-6)."""
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -11,6 +13,7 @@ from hypothesis import strategies as st
 from repro.core.partitions import partition_count, partitions
 from repro.model.cost import multiphase_time
 from repro.model.optimizer import best_partition, evaluate_partitions, hull_of_optimality
+from tests.model.envelope_oracle import close_to_crossing, exact_envelope
 
 
 class TestEvaluate:
@@ -124,18 +127,39 @@ class TestHull:
         assert table.hull_partitions == ((1,),)
         assert table.boundaries == ()
 
-    def test_grid_and_scalar_methods_bitwise_equal(self, ipsc, hypo):
-        """The vectorized hull must reproduce the scalar hull exactly —
-        same segments and bit-identical switch points."""
+    @pytest.mark.parametrize("d", range(1, 11))
+    def test_hull_is_the_exact_envelope(self, ipsc, hypo, d):
+        """Against a brute-force oracle over every pairwise crossing:
+        the same segments, and each switch point the exact crossing of
+        its two lines up to float rounding."""
         for params in (ipsc, hypo):
-            for d in (1, 2, 5, 6, 7):
-                grid = hull_of_optimality(d, params)
-                scalar = hull_of_optimality(d, params, method="scalar")
-                assert grid == scalar
+            for m_max in (400.0, 4096.0):
+                table = hull_of_optimality(d, params, m_max=m_max)
+                segments, switches = exact_envelope(d, params, m_max)
+                assert list(table.segments) == segments
+                assert len(table.boundaries) == len(switches)
+                for i, (got, exact) in enumerate(zip(table.boundaries, switches)):
+                    assert close_to_crossing(got, d, *segments[i:i + 2], params), (
+                        params.name, d, got, float(exact))
 
-    def test_unknown_method_rejected(self, ipsc):
-        with pytest.raises(ValueError, match="method"):
-            hull_of_optimality(5, ipsc, method="turbo")
+    @pytest.mark.parametrize("d", range(2, 11))
+    def test_segments_win_the_dense_scan(self, ipsc, hypo, d):
+        """Scanning every segment's interior: the full-pool optimizer
+        names the table's partition."""
+        for params in (ipsc, hypo):
+            table = hull_of_optimality(d, params)
+            ends = (0.0, *table.boundaries, 400.0)
+            for lo, hi, segment in zip(ends, ends[1:], table.segments):
+                for frac in (0.01, 0.25, 0.5, 0.75, 0.99):
+                    m = lo + frac * (hi - lo)
+                    assert table.lookup(m) == best_partition(m, d, params).partition == segment
+
+    def test_boundaries_stop_below_m_max(self, hypo):
+        full = hull_of_optimality(7, hypo, m_max=math.inf)
+        cut = hull_of_optimality(7, hypo, m_max=10.0)
+        assert cut.boundaries == tuple(b for b in full.boundaries if b < 10.0)
+        assert cut.segments == full.segments[: len(cut.boundaries) + 1]
+        assert hull_of_optimality(7, hypo, m_max=0.0).segments == full.segments[:1]
 
     def test_hypothetical_machine_se_wins_small(self, hypo):
         """On the §4.3 machine SE genuinely owns the small-block end

@@ -13,6 +13,7 @@ from repro.model.sensitivity import (
     latency_sweep,
     sync_overhead_study,
 )
+from tests.model.envelope_oracle import close_to_crossing, crossing, exact_envelope, exact_line
 
 
 class TestFreePermutation:
@@ -63,40 +64,56 @@ class TestLatencySweep:
         assert 0 < sweep[95.0] < 200
 
 
-class TestGridScalarAgreement:
-    """The migrated grid-path studies must agree *exactly* — bitwise,
-    not approximately — with the scalar reference implementations,
-    across every preset and d ∈ {2..8}."""
+def assert_exact_hull(shift, d, m_max):
+    """A study's hull against the brute-force envelope oracle."""
+    segments, switches = exact_envelope(d, shift.params, m_max)
+    assert shift.hull == hull_partitions(segments)
+    assert len(shift.boundaries) == len(switches)
+    for i, got in enumerate(shift.boundaries):
+        assert close_to_crossing(got, d, *segments[i:i + 2], shift.params)
+
+
+def hull_partitions(segments):
+    return tuple(p for i, p in enumerate(segments) if i == 0 or segments[i - 1] != p)
+
+
+class TestAgainstTheOracle:
+    """Every study's hulls are the exact line envelope of their
+    calibration, and every crossover the exact SE/OCS intersection,
+    across every preset and d in {2..8}."""
 
     @pytest.mark.parametrize("preset", sorted(PRESETS))
     @pytest.mark.parametrize("d", range(2, 9))
-    def test_free_permutation_exact(self, d, preset):
-        base = PRESETS[preset]()
-        grid = free_permutation_study(d, m_max=60.0, base=base, method="grid")
-        scalar = free_permutation_study(d, m_max=60.0, base=base, method="scalar")
-        assert grid == scalar
+    def test_free_permutation(self, d, preset):
+        for shift in free_permutation_study(d, m_max=60.0, base=PRESETS[preset]()):
+            assert_exact_hull(shift, d, 60.0)
 
     @pytest.mark.parametrize("preset", sorted(PRESETS))
     @pytest.mark.parametrize("d", range(2, 9))
-    def test_sync_overheads_exact(self, d, preset):
-        base = PRESETS[preset]()
-        grid = sync_overhead_study(d, m_max=60.0, base=base, method="grid")
-        scalar = sync_overhead_study(d, m_max=60.0, base=base, method="scalar")
-        assert grid == scalar
+    def test_sync_overheads(self, d, preset):
+        for shift in sync_overhead_study(d, m_max=60.0, base=PRESETS[preset]()):
+            assert_exact_hull(shift, d, 60.0)
 
     @pytest.mark.parametrize("preset", sorted(PRESETS))
     @pytest.mark.parametrize("d", range(2, 9))
-    def test_latency_sweep_exact(self, d, preset):
+    def test_latency_sweep(self, d, preset):
         base = PRESETS[preset]()
         latencies = (10.0, 95.0, 400.0)
-
-        def run(method):
-            try:
-                return latency_sweep(d, latencies, base=base, method=method)
-            except ValueError:
-                return "no-crossover"
-
-        assert run("grid") == run("scalar")
+        try:
+            sweep = latency_sweep(d, latencies, base=base)
+        except ValueError:
+            sweep = None
+        crossings = []
+        for lam in latencies:
+            params = base.with_overrides(latency=lam)
+            exact = crossing(exact_line(d, (1,) * d, params), exact_line(d, (d,), params))
+            crossings.append(exact if exact is not None and 0 <= exact <= 4096 else None)
+        if sweep is None:
+            assert None in crossings
+            return
+        for (lam, got), exact in zip(sweep, crossings):
+            params = base.with_overrides(latency=lam)
+            assert close_to_crossing(got, d, (1,) * d, (d,), params), (lam, got, exact)
 
     @settings(deadline=None, max_examples=25)
     @given(
@@ -106,51 +123,7 @@ class TestGridScalarAgreement:
         permute=st.floats(min_value=0.0, max_value=3.0),
     )
     def test_hull_under_property(self, d, preset, latency, permute):
-        """Arbitrary calibration variations: the grid and scalar hulls
-        are the same object graph, switch points included."""
-        params = PRESETS[preset]().with_overrides(
-            latency=latency, permute_time=permute
-        )
-        grid = hull_under("varied", params, d, m_max=30.0, method="grid")
-        scalar = hull_under("varied", params, d, m_max=30.0, method="scalar")
-        assert grid == scalar
-
-    @settings(deadline=None, max_examples=15)
-    @given(
-        d=st.integers(min_value=2, max_value=8),
-        preset=st.sampled_from(sorted(PRESETS)),
-        lats=st.lists(
-            st.floats(min_value=0.5, max_value=600.0), min_size=1, max_size=4
-        ),
-    )
-    def test_latency_sweep_property(self, d, preset, lats):
-        """Random latency ladders: both paths return identical pairs,
-        or raise identically when a crossover is missing."""
-        base = PRESETS[preset]()
-        latencies = tuple(sorted(set(lats)))
-
-        def run(method):
-            try:
-                return latency_sweep(d, latencies, base=base, method=method)
-            except ValueError:
-                return "no-crossover"
-
-        assert run("grid") == run("scalar")
-
-
-class TestHullUnder:
-    def test_label_carried(self, ipsc):
-        shift = hull_under("base", ipsc, 5)
-        assert shift.label == "base"
-        assert shift.hull == ((3, 2), (5,))
-
-    def test_single_phase_threshold(self, ipsc):
-        shift = hull_under("base", ipsc, 5)
-        assert shift.single_phase_threshold == pytest.approx(100.3, abs=1.0)
-
-    def test_threshold_infinite_when_single_phase_never_wins(self, ipsc):
-        # make startups free: many-phase partitions win everywhere
-        cheap = ipsc.with_overrides(latency=0.0, sync_latency=0.0)
-        shift = hull_under("free startup", cheap, 5, m_max=100.0)
-        if len(shift.hull[-1]) > 1:
-            assert shift.single_phase_threshold == float("inf")
+        """Arbitrary calibration variations: the hull is the exact
+        envelope, switch points included."""
+        params = PRESETS[preset]().with_overrides(latency=latency, permute_time=permute)
+        assert_exact_hull(hull_under("varied", params, d, m_max=30.0), d, 30.0)

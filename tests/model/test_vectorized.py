@@ -21,7 +21,6 @@ from repro.model.params import hypothetical, ipsc860
 from repro.model.vectorized import (
     grid_winners,
     multiphase_time_grid,
-    multiphase_time_pairs,
     partition_row,
     pool_rows,
     price_rows,
@@ -88,38 +87,6 @@ class TestGridMatchesScalar:
         spot = [(0, 0), (7, 99), (14, 511), (3, 256)]
         for i, j in spot:
             assert grid[i, j] == multiphase_time(ms[j], 7, pool[i], ipsc)
-
-
-class TestPairsMatchScalar:
-    @settings(deadline=None, max_examples=120)
-    @given(
-        d=st.integers(min_value=1, max_value=10),
-        ms=st.lists(
-            st.floats(min_value=0.0, max_value=4096.0, allow_nan=False),
-            min_size=1,
-            max_size=24,
-        ),
-        params=params_strategy(),
-        data=st.data(),
-    )
-    def test_elementwise_agreement(self, d, ms, params, data):
-        """Property: each (m, partition) pairing equals the scalar
-        model exactly — the pairs kernel is the grid's diagonal."""
-        pool = list(cached_partitions(d))
-        candidates = data.draw(
-            st.lists(st.sampled_from(pool), min_size=len(ms), max_size=len(ms))
-        )
-        times = multiphase_time_pairs(ms, d, candidates, params)
-        assert times.shape == (len(ms),)
-        for i, (m, partition) in enumerate(zip(ms, candidates)):
-            assert times[i] == multiphase_time(m, d, partition, params)
-
-    def test_length_mismatch_rejected(self, ipsc):
-        with pytest.raises(ValueError, match="paired with"):
-            multiphase_time_pairs([1.0, 2.0], 5, [(5,)], ipsc)
-
-    def test_empty(self, ipsc):
-        assert multiphase_time_pairs([], 5, [], ipsc).shape == (0,)
 
 
 class TestValidation:
@@ -382,9 +349,8 @@ class TestOnePassKernel:
         shape=st.sampled_from(["rows", "grid", "scalar m", "one row", "scalar row"]),
     )
     def test_every_shape_is_bit_identical(self, pairs, ms, params, shape):
-        """Overflow is silent; the one warning allowed is numpy's
-        invalid-value one, where a zero rate meets an overflowed
-        ``m·2**k`` and the scalar model's answer is NaN too."""
+        """Overflow is silent, and no cell is NaN: a zero rate adds
+        ``+0.0`` even where ``m·2**k`` overflowed, so nothing warns."""
         rows = np.array([partition_row(d, p) for d, p in pairs])
         if shape == "rows":
             k = min(len(pairs), len(ms))
@@ -403,13 +369,13 @@ class TestOnePassKernel:
             args = rows[0], ms[0]
             cells = [(pairs[0], ms[0])]
         want = scalar_hexes(cells, params)
+        assert "nan" not in want
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             times = price_rows(*args, params)
+        assert caught == []
         assert times.shape == np.broadcast(*args).shape
         assert [t.hex() for t in times.ravel().tolist()] == want
-        for warning in caught:
-            assert "invalid value" in str(warning.message) and "nan" in want
 
     @pytest.mark.parametrize(
         "d, p, m, other",

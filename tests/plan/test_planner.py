@@ -68,14 +68,12 @@ class TestPlanCache:
         assert planner.stats.decisions == 2
 
 
-class TestLog:
-    def test_log_keeps_call_order_including_cache_hits(self, ipsc):
+class TestDecisions:
+    def test_decisions_in_call_order_including_cache_hits(self, ipsc):
         planner = CollectivePlanner(ModelPolicy(ipsc))
-        planner.decide(5, 40.0)
-        planner.decide(6, 24.0)
-        planner.decide(5, 40.0)
-        assert [(d.d, d.m) for d in planner.log] == [(5, 40.0), (6, 24.0), (5, 40.0)]
-        assert [d.source for d in planner.log] == ["policy", "policy", "cache"]
+        decisions = [planner.decide(5, 40.0), planner.decide(6, 24.0), planner.decide(5, 40.0)]
+        assert [(d.d, d.m) for d in decisions] == [(5, 40.0), (6, 24.0), (5, 40.0)]
+        assert [d.source for d in decisions] == ["policy", "policy", "cache"]
 
     def test_unique_decisions_in_first_seen_order(self, ipsc):
         planner = CollectivePlanner(ModelPolicy(ipsc))

@@ -194,7 +194,7 @@ def resolve(registry, normalized: list[Query]) -> list[QueryResult]:
 
     for (preset, d), by_m in pending.items():
         params = registry.params(preset)
-        bound = registry.coverage(preset, d)
+        envelope = registry.envelope(preset, d)
 
         def finish(m, partition, time_us, source):
             registry.memo_put((preset, d, m), (partition, time_us))
@@ -205,30 +205,32 @@ def resolve(registry, normalized: list[Query]) -> list[QueryResult]:
                     preset, d, m, partition, time_us, source, normalized[i].tag
                 )
 
-        covered: list[float] = []
-        beyond: list[float] = []
+        certified: dict[tuple[int, ...], list[float]] = {}
+        scored: list[float] = []
         for m in sorted(by_m):
-            (covered if m <= bound else beyond).append(m)
-        if covered:
-            table = registry.table(preset, d)
-            groups: dict[tuple[int, ...], list[float]] = {}
-            for m in covered:
-                groups.setdefault(table.lookup(m), []).append(m)
-            for partition, ms in groups.items():
-                grid = multiphase_time_grid(ms, d, [partition], params)
-                stats.grid_calls += 1
-                stats.grid_cells += grid.size
-                for col, m in enumerate(ms):
-                    finish(m, partition, float(grid[0, col]), "grid")
-        if beyond:
+            at = envelope.index(m)
+            if at >= 0:
+                certified.setdefault(envelope.winners[at], []).append(m)
+            else:
+                scored.append(m)
+        answers = {}
+        for partition, ms in certified.items():
+            grid = multiphase_time_grid(ms, d, [partition], params)
+            stats.grid_calls += 1
+            stats.grid_cells += grid.size
+            for col, m in enumerate(ms):
+                answers[m] = (partition, float(grid[0, col]), "grid")
+        if scored:
             pool = cached_partitions(d)
-            grid = multiphase_time_grid(beyond, d, pool, params)
+            grid = multiphase_time_grid(scored, d, pool, params)
             stats.grid_calls += 1
             stats.grid_cells += grid.size
             winners = grid_winners(grid, pool)
             rows = {partition: row for row, partition in enumerate(pool)}
-            for col, m in enumerate(beyond):
-                finish(m, winners[col], float(grid[rows[winners[col]], col]), "pool")
+            for col, m in enumerate(scored):
+                answers[m] = (winners[col], float(grid[rows[winners[col]], col]), "pool")
+        for m in sorted(by_m):
+            finish(m, *answers[m])
     return results  # type: ignore[return-value]
 
 

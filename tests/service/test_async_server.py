@@ -168,12 +168,13 @@ class TestCrossClientBatching:
         cells, not the answers: 8 pipelined clients on a cold
         shard-backed server get the partitions, times and sources one
         strictly serial client gets from another cold server.  Half the
-        block sizes are beyond the shards' 400 B sweep bound."""
+        block sizes are above the shards' 400 B tables, and the first is
+        0.0, which no envelope certifies, so the pool is scored too."""
         shard_dir = tmp_path / "shards"
         OptimizerRegistry().save_shards(shard_dir, presets=["ipsc860"], dims=(5, 6, 7))
         n_clients, per_client = 8, 10
         lines = [
-            json.dumps({"d": 5 + i % 3, "m": (400.97 if i % 2 else 0.97) + 0.97 * i})
+            json.dumps({"d": 5 + i % 3, "m": (400.0 if i % 2 else 0.0) + 0.97 * i})
             .encode() + b"\n"
             for i in range(n_clients * per_client)
         ]

@@ -5,7 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.model.cost import multiphase_time
-from repro.model.optimizer import best_partition
+from repro.model.optimizer import best_partition, hull_of_optimality
 from repro.model.params import ipsc860
 from repro.service.batch import Query, QueryBatch, resolve_queries
 from repro.service.registry import OptimizerRegistry
@@ -110,71 +110,56 @@ class TestCoalescing:
         assert len(batch) == 0
 
 
-class TestCoverageBound:
-    """Beyond the table's sweep bound the last hull segment is only an
-    extrapolation, so the service re-evaluates exactly."""
+class TestCertifiedOrScored:
+    """Every miss looks up its certified pool envelope: a certified
+    cell prices its winner alone (``"grid"``), any other scores the
+    full pool (``"pool"``); both are ``best_partition``'s answer."""
 
-    def test_beyond_bound_matches_exact_optimizer(self):
-        registry = OptimizerRegistry(m_max=100.0)
-        result = resolve_queries(registry, [("ipsc860", 7, 300.0)])[0]
-        # the d=7 table swept to 100 B ends on (4, 3); at 300 B the true
-        # optimum is the single-phase algorithm
-        assert result.partition == best_partition(300.0, 7, ipsc860()).partition == (7,)
-        assert result.time_us == multiphase_time(300.0, 7, (7,), ipsc860())
+    def test_certified_cell_prices_its_winner(self, registry):
+        for m in (40.0, 300.0, 1e250):
+            result = resolve_queries(registry, [("ipsc860", 7, m)])[0]
+            assert result.source == "grid"
+            assert result.partition == best_partition(m, 7, ipsc860()).partition
+            assert result.time_us == multiphase_time(m, 7, result.partition, ipsc860())
+        assert resolve_queries(registry, [("ipsc860", 7, 300.0)])[0].partition == (7,)
 
-    def test_beyond_bound_results_are_memoized(self):
-        registry = OptimizerRegistry(m_max=100.0)
-        resolve_queries(registry, [("ipsc860", 7, 300.0)])
-        assert resolve_queries(registry, [("ipsc860", 7, 300.0)])[0].source == "memo"
+    def test_switch_points_and_zero_score_the_pool(self, registry):
+        switches = hull_of_optimality(7, ipsc860()).boundaries
+        for m in (0.0, *switches, 1.7e308):
+            assert registry.envelope("ipsc860", 7).index(m) == -1
+            result = resolve_queries(registry, [("ipsc860", 7, m)])[0]
+            choice = best_partition(m, 7, ipsc860())
+            assert result.source == "pool"
+            assert (result.partition, result.time_us.hex()) == (
+                choice.partition, choice.time.hex())
 
-    def test_shard_records_its_sweep_bound(self, tmp_path):
-        OptimizerRegistry(m_max=100.0).save_shards(tmp_path, dims=(7,))
-        serving = OptimizerRegistry.from_shards(tmp_path)  # default m_max=400
-        assert serving.coverage("ipsc860", 7) == 100.0
-        result = resolve_queries(serving, [("ipsc860", 7, 300.0)])[0]
-        assert result.partition == (7,)
+    def test_both_kinds_are_memoized(self, registry):
+        cells = [("ipsc860", 7, 300.0), ("ipsc860", 7, 0.0)]
+        assert [r.source for r in resolve_queries(registry, cells)] == ["grid", "pool"]
+        assert [r.source for r in resolve_queries(registry, cells)] == ["memo", "memo"]
 
-    def test_shard_without_recorded_bound_is_never_trusted(self, tmp_path):
-        # save_shard's public default records no sweep bound; such a
-        # shard's tables must not be served as exact at any block size
-        from repro.model.optimizer import hull_of_optimality
+    def test_a_shard_bound_gates_nothing(self, tmp_path):
+        # a shard whose header records a 100 B bound, or none at all,
+        # answers 300 B from the envelope like any other registry
         from repro.model.store import save_shard
 
-        save_shard(
-            {7: hull_of_optimality(7, ipsc860(), m_max=100.0)},
-            ipsc860(),
-            tmp_path / "ipsc860.shard",
-        )
+        for m_max in (100.0, None):
+            save_shard({7: hull_of_optimality(7, ipsc860(), m_max=100.0)}, ipsc860(),
+                       tmp_path / "ipsc860.shard", m_max=m_max)
+            serving = OptimizerRegistry.from_shards(tmp_path)
+            result = resolve_queries(serving, [("ipsc860", 7, 300.0)])[0]
+            assert (result.partition, result.source) == ((7,), "grid")
+
+    def test_serving_never_touches_a_table(self, tmp_path):
+        cells = [("ipsc860", 7, m) for m in (0.0, 40.0, 300.0, 500.0)]
+        fresh = OptimizerRegistry()
+        resolve_queries(fresh, cells)
+        assert fresh.stats.tables_built == fresh.stats.tables_loaded == 0
+
+        OptimizerRegistry().save_shards(tmp_path, dims=(7,))
         serving = OptimizerRegistry.from_shards(tmp_path)
-        assert serving.coverage("ipsc860", 7) == 0.0
-        result = resolve_queries(serving, [("ipsc860", 7, 300.0)])[0]
-        assert result.source == "pool"
-        assert result.partition == best_partition(300.0, 7, ipsc860()).partition
-
-    def test_within_bound_uses_the_table(self):
-        registry = OptimizerRegistry(m_max=100.0)
-        result = resolve_queries(registry, [("ipsc860", 7, 40.0)])[0]
-        assert result.partition == (4, 3)
-
-    def test_beyond_bound_reports_pool_source(self):
-        registry = OptimizerRegistry(m_max=100.0)
-        result = resolve_queries(registry, [("ipsc860", 7, 300.0)])[0]
-        assert result.source == "pool"
-
-    def test_all_beyond_group_never_touches_the_table(self, tmp_path):
-        # a group whose every block size exceeds the sweep bound is
-        # answered by one full-pool grid call; the table must not be
-        # swept (fresh registry) nor loaded (shard-backed registry)
-        fresh = OptimizerRegistry(m_max=100.0)
-        resolve_queries(fresh, [("ipsc860", 7, 300.0), ("ipsc860", 7, 500.0)])
-        assert fresh.stats.tables_built == 0
-        assert fresh.stats.tables_loaded == 0
-
-        OptimizerRegistry(m_max=100.0).save_shards(tmp_path, dims=(7,))
-        serving = OptimizerRegistry.from_shards(tmp_path)
-        resolve_queries(serving, [("ipsc860", 7, 300.0)])
-        assert serving.stats.tables_loaded == 0
-        assert serving.stats.tables_built == 0
+        resolve_queries(serving, cells)
+        assert serving.stats.tables_built == serving.stats.tables_loaded == 0
 
 
 class TestValidation:

@@ -21,7 +21,6 @@ import math
 import numpy as np
 import pytest
 
-from repro.model.store import save_shard
 from repro.service import wire
 from repro.service.async_server import AsyncOptimizerServer
 from repro.service.registry import OptimizerRegistry
@@ -49,7 +48,7 @@ def records(specs) -> bytes:
 
 def pool_cells(rng, n, *, beyond=False):
     """``n`` seeded ``(preset, d, m)`` records; ``m`` past the shards'
-    400 B sweep bound when ``beyond``."""
+    400 B tables when ``beyond``."""
     low, high = (400.0, 4000.0) if beyond else (1.0, 400.0)
     return [
         (int(p), int(d), float(m))
@@ -96,8 +95,8 @@ def signed_zero(rng):
 
 def wide_flush(rng):
     """Flushes of 80 fresh cells over both presets and d 2..8 (d 2 and
-    3 have no shard, so their tables are swept in process), inside and
-    beyond the sweep bound, plus 16 repeats of earlier cells, in
+    3 have no shard table, and need none), below and above 400 B, plus
+    16 repeats of earlier cells, in
     32-record frames and one JSON batch.  Each flush misses more
     distinct cells than the memo holds, so the memo evicts inside the
     flush, and one resolve call prices every miss of every group."""
@@ -344,10 +343,13 @@ def test_columnar_path_matches_the_object_pipeline(shard_dir, stream, seed):
     if stream in ("hot", "duplicate_heavy"):
         assert "memo" in sources
     if stream in ("cold", "duplicate_heavy"):
-        assert "pool" in sources
+        assert "grid" in sources
+    if stream == "signed_zero":
+        assert "pool" in sources  # m = 0 is never certified
     if stream == "wide_flush":
-        assert {"memo", "grid", "pool"} <= sources
-        assert columnar.stats.tables_built > 0
+        assert {"memo", "grid"} <= sources
+    # serving answers from the envelopes alone: no table is touched
+    assert columnar.stats.tables_built == columnar.stats.tables_loaded == 0
 
 
 def test_stdio_loop_writes_the_socket_bytes(shard_dir):
@@ -397,19 +399,6 @@ def test_stdio_loop_writes_the_socket_bytes(shard_dir):
         assert "unknown machine preset" in new and "dimension" in was
 
 
-@pytest.fixture(scope="module")
-def boundless_shard_dir(tmp_path_factory):
-    """Shards that record no sweep bound: coverage is 0.0, so every
-    ``m > 0`` is scored beyond the tables, through the envelope."""
-    directory = tmp_path_factory.mktemp("boundless-shards")
-    registry = OptimizerRegistry()
-    for preset in PRESETS:
-        tables = {d: registry.table(preset, d) for d in DIMS}
-        save_shard(tables, registry.params(preset), directory / f"{preset}.shard",
-                   m_max=None, preset=preset)
-    return directory
-
-
 def envelope_edges(registry, rng):
     """Flushes at the certified envelopes' interval ends (and one ulp
     either side) of both presets, from 0, with seeded sizes between them
@@ -440,20 +429,19 @@ def envelope_edges(registry, rng):
 
 
 @pytest.mark.parametrize("seed", [1, 2])
-def test_multi_segment_envelope_matches_the_object_pipeline(boundless_shard_dir, seed):
-    """On shards with no bound the §4.3 machine's envelope at d = 8 has
-    five segments, and both presets' envelopes leave slivers around
-    each switch point to the pool: every byte, counter and memo key
-    still matches the full-pool oracle."""
-    columnar = OptimizerRegistry.from_shards(boundless_shard_dir, memo_capacity=MEMO_CAPACITY)
-    oracle = OptimizerRegistry.from_shards(boundless_shard_dir, memo_capacity=MEMO_CAPACITY)
-    assert columnar.coverage("hypothetical", 8) == 0.0
+def test_multi_segment_envelope_matches_the_object_pipeline(shard_dir, seed):
+    """The §4.3 machine's envelope at d = 8 has five segments, and both
+    presets' envelopes leave slivers around each switch point to the
+    pool: every byte, counter and memo key still matches the full-pool
+    oracle."""
+    columnar = OptimizerRegistry.from_shards(shard_dir, memo_capacity=MEMO_CAPACITY)
+    oracle = OptimizerRegistry.from_shards(shard_dir, memo_capacity=MEMO_CAPACITY)
     assert len(columnar.envelope("hypothetical", 8).winners) == 5
     flushes = envelope_edges(columnar, np.random.default_rng([seed, 99]))
     sizes = [(PRESETS[p], int(d), m) for flush in flushes for transport, data in flush
              if transport == "binary" for p, d, m in wire.decode_query_payload(data).tolist()]
     certified = [columnar.envelope(p, d).index(m) >= 0 for p, d, m in sizes if m > 0]
-    assert any(certified) and not all(certified)  # both beyond-bound branches run
+    assert any(certified) and not all(certified)  # both branches run
     catalog = list(columnar.preset_names)
     server = AsyncOptimizerServer(
         columnar, default_preset="ipsc860", max_queries=MAX_QUERIES, max_batch=4096

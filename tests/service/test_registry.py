@@ -8,8 +8,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.model.optimizer import hull_of_optimality
+from repro.model.optimizer import best_partition, hull_of_optimality
 from repro.model.params import hypothetical, ipsc860
+from repro.model.store import load_shard, save_shard
 from repro.service.registry import DEFAULT_DIMS, OptimizerRegistry
 
 
@@ -85,6 +86,7 @@ class TestShardBacking:
         registry = OptimizerRegistry.from_shards(shard_dir)
         assert registry.preset_names == ("hypothetical", "ipsc860")
         assert registry.lookup("ipsc860", 7, 40.0) == (4, 3)
+        assert registry.table("ipsc860", 7).lookup(40.0) == (4, 3)
         assert registry.stats.tables_loaded == 1
         assert registry.stats.tables_built == 0
 
@@ -111,11 +113,21 @@ class TestShardBacking:
     def test_reexported_shard_keeps_the_original_bound(self, tmp_path):
         first = tmp_path / "first"
         second = tmp_path / "second"
-        OptimizerRegistry(m_max=50.0).save_shards(first, dims=(7,))
-        # re-exporting through a wider registry must not overclaim the
-        # 0-50 B sweep as exact out to the new registry's 400 B default
+        first.mkdir()
+        save_shard({7: hull_of_optimality(7, ipsc860(), m_max=50.0)}, ipsc860(),
+                   first / "ipsc860.shard", m_max=50.0, preset="ipsc860")
+        # the header records the range the tables span: re-exporting
+        # must not claim the 0-50 B table out to 400 B
         OptimizerRegistry.from_shards(first).save_shards(second, dims=(7,))
-        assert OptimizerRegistry.from_shards(second).coverage("ipsc860", 7) == 50.0
+        assert load_shard(second / "ipsc860.shard").m_max == 50.0
+        OptimizerRegistry().save_shards(first, presets=["ipsc860"], dims=(7,))
+        assert load_shard(first / "ipsc860.shard").m_max == 400.0
+
+    @pytest.mark.parametrize("preset", ["hypothetical", "ipsc860"])
+    def test_lookup_answers_as_the_resolver(self, registry, preset):
+        params = registry.params(preset)
+        for m in (0.0, *hull_of_optimality(8, params).boundaries, 40.0, 1e6):
+            assert registry.lookup(preset, 8, m) == best_partition(m, 8, params).partition
 
     def test_eviction_drops_the_shard_cache_too(self, shard_dir):
         registry = OptimizerRegistry.from_shards(shard_dir, max_loaded_tables=1)

@@ -150,7 +150,7 @@ class TestServiceCommands:
         assert "ipsc860.shard" in out
         assert main(["query", "7", "40", "--shards", shard_dir]) == 0
         out = capsys.readouterr().out
-        assert "{3,4}" in out and "prebuilt shard directory" in out
+        assert "{3,4}" in out and "certified pool envelope" in out
 
     def test_shards_all_machines(self, tmp_path, capsys):
         shard_dir = str(tmp_path / "shards")
@@ -490,13 +490,15 @@ class TestReviewRegressions:
         assert doc["ranges"][-1]["hi"] is None
         assert doc["ranges"][0]["hi"] == doc["boundaries"][0]
 
-    def test_query_reports_in_process_sweep_for_missing_dim(self, tmp_path, capsys):
+    def test_query_answers_a_dim_missing_from_the_shards(self, tmp_path, capsys):
         shard_dir = str(tmp_path / "shards")
         assert main(["shards", shard_dir, "--dims", "5"]) == 0
         capsys.readouterr()
         assert main(["query", "7", "40", "--shards", shard_dir]) == 0
         out = capsys.readouterr().out
-        assert "in-process sweep (dimension not in the shard directory)" in out
+        assert "{3,4}" in out and "certified pool envelope" in out and "(grid)" in out
+        assert main(["query", "7", "0", "--shards", shard_dir]) == 0
+        assert "exact full-pool scoring" in capsys.readouterr().out
 
     def test_truncated_shard_is_a_clean_error(self, tmp_path):
         shard_dir = tmp_path / "shards"

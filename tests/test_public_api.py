@@ -29,6 +29,19 @@ class TestPublicSurface:
             for name in module.__all__:
                 assert hasattr(module, name), f"{module_name}.{name}"
 
+    def test_retired_switch_point_engines_are_gone(self):
+        """One switch-point engine, the line envelope: the bisections,
+        their pairs kernel and the registry's sweep bound are gone."""
+        from repro.service.registry import OptimizerRegistry
+
+        for module_name, name in (
+            ("repro.model", "empirical_crossovers"),
+            ("repro.model.crossover", "empirical_crossovers"),
+            ("repro.model.vectorized", "multiphase_time_pairs"),
+        ):
+            assert not hasattr(importlib.import_module(module_name), name)
+        assert not hasattr(OptimizerRegistry, "coverage")
+
     def test_every_module_has_docstring(self):
         package = repro
         for info in pkgutil.walk_packages(package.__path__, prefix="repro."):
