@@ -107,9 +107,10 @@ def empirical_crossover(
 def _order_flip(
     rows: np.ndarray, m: float, m_max: float, params: MachineParams
 ) -> float | None:
-    """Walk the floats of ``[0, m_max]`` from ``m`` to the nearest one
-    where the kernel first prices ``rows[1]`` (the flatter) at most
-    ``rows[0]``, the float below it not; ``None`` if none does."""
+    """Walk the floats of ``[0, m_max]`` from ``m``, toward the flip,
+    to the first where the kernel prices ``rows[1]`` (the flatter) at
+    most ``rows[0]`` and the float below it not; ``None`` if none
+    does."""
     column = rows[:, np.newaxis]
 
     def flat_wins(ms: np.ndarray) -> np.ndarray:

@@ -214,11 +214,16 @@ def hull_of_optimality(
     d: int, params: MachineParams, *, m_max: float = 400.0
 ) -> OptimizerTable:
     """The hull of optimality on ``0 <= m <= m_max``: the pool's lower
-    envelope as walked by :func:`pool_envelope`, cut at ``m_max``.
+    envelope (the walk :func:`pool_envelope` certifies), cut at
+    ``m_max``.
 
     Its boundaries are the exact float crossings of consecutive winners'
     lines; the default 0–400 byte range matches the x-axis of Figures
     4–6.
+
+    >>> from repro.model.params import ipsc860
+    >>> hull_of_optimality(5, ipsc860()).segments
+    ((3, 2), (5,))
     """
     check_dimension(d, minimum=1)
     pool, rows = pool_rows(d)
@@ -283,8 +288,7 @@ def _walk(slope: np.ndarray, intercept: np.ndarray) -> tuple[list[int], list[flo
     Lines crossing within ``_CHECK_MARGIN`` (relative) of the first
     crossing count as crossing with it: a segment that narrow (three
     lines meeting at one exact point, split by rounding) never beats
-    its neighbours by the margin, so it is not a winner anyone could
-    certify or tell apart."""
+    its neighbours by the margin, so no certificate could keep it."""
     # just right of m = 0 the least intercept wins, then the flattest
     w = int(np.lexsort((slope, intercept))[0])
     winners, switches, at = [w], [], 0.0
