@@ -140,7 +140,6 @@ class FabricNode:
             "in_flight": stats.in_flight,
             "p50_us": stats.p50_us,
             "p99_us": stats.p99_us,
-            "loaded_tables": self.registry.loaded_tables,
         }
 
     async def _open_control(self) -> tuple[asyncio.StreamReader, asyncio.StreamWriter]:

@@ -111,9 +111,9 @@ def evaluate_partitions(
 ) -> list[tuple[tuple[int, ...], float]]:
     """Model every candidate partition at block size ``m``.
 
-    Returns ``(partition, predicted_time)`` pairs sorted by time.  The
-    ``"grid"`` method (default) scores the pool in one vectorized call;
-    the ``"scalar"`` one is the one-pair-at-a-time reference path.  The
+    Returns ``(partition, predicted_time)`` pairs sorted by time.
+    ``method="grid"`` (default) scores the pool in one vectorized call;
+    ``method="scalar"`` is the one-pair-at-a-time reference path.  The
     two are bitwise identical.
     """
     check_block_size(m)

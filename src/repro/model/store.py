@@ -432,9 +432,7 @@ class ShardFile:
         """Drop the cached materialization for dimension ``d``.
 
         The memory mapping stays open, so a later :meth:`load`
-        re-materializes from it; callers with their own table cache
-        (the registry LRU) use this to make eviction actually free the
-        table instead of leaving a second copy here."""
+        re-materializes from it."""
         self._cache.pop(int(d), None)
 
     def tables(self) -> dict[int, OptimizerTable]:

@@ -7,12 +7,11 @@ repeated future use".  This subsystem is the *repeated future use*:
 :mod:`repro.service.registry`
     :class:`OptimizerRegistry` — one certified pool envelope
     (:func:`~repro.model.optimizer.pool_envelope`) per machine preset ×
-    cube dimension, which every answer comes from, beside the
-    :class:`~repro.model.optimizer.OptimizerTable` objects it
-    precomputes and shards (the v2 shard files of
-    :mod:`repro.model.store`, which also carry the presets'
-    calibrations), with lazy loading, LRU eviction, a result memo
-    cache, and cache-hit statistics.
+    cube dimension, which every answer comes from, with a result memo
+    cache and cache-hit statistics; it also writes and reads the
+    :class:`~repro.model.optimizer.OptimizerTable` shards (the v2
+    shard files of :mod:`repro.model.store`, which also carry the
+    presets' calibrations).
 :mod:`repro.service.batch`
     :class:`QueryBatch` — coalesces heterogeneous ``(preset, d, m)``
     lookups into one row-kernel call per machine preset, each answer

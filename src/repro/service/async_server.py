@@ -64,7 +64,7 @@ the same bytes — what the socket transport adds is *concurrency*:
   answered in-band and counted, then the connection closes.
 
 One event loop, one registry: resolution runs on the loop, so the
-registry needs no locking and the memo/LRU stay exactly as consistent
+registry needs no locking and the memo stays exactly as consistent
 as under the stdio loop.
 """
 

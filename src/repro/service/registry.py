@@ -5,19 +5,17 @@ from one certified pool envelope per (machine preset × cube dimension)
 (:func:`~repro.model.optimizer.pool_envelope`, built the first time it
 is asked for): a few floats each, never evicted, that name the pool
 winner of every block size outside the slivers around its switch
-points.  Beside them it owns one
-:class:`~repro.model.optimizer.OptimizerTable` per preset × dimension
-(the same envelope cut at 400 B), either loaded lazily from the v2
-shard files of :mod:`repro.model.store` or built on demand; the shards
-also carry the presets' calibrations.  Two bounded caches keep a
-long-lived process healthy under arbitrary traffic:
+points.  A bounded **result memo** (``memo_capacity``) over resolved
+``(preset, d, m)`` queries lets repeat lookups skip both the envelope
+and the pricing kernel entirely.
 
-* a **table LRU** (``max_loaded_tables``) over materialized tables —
-  shard-backed tables reload lazily after eviction, built tables are
-  rebuilt;
-* a **result memo** (``memo_capacity``) over resolved
-  ``(preset, d, m)`` queries, so repeat lookups skip both the envelope
-  and the pricing kernel entirely.
+The v2 shard files of :mod:`repro.model.store` carry the presets'
+calibrations and one :class:`~repro.model.optimizer.OptimizerTable`
+per preset × dimension (the same envelope cut at 400 B).  No answer
+reads a table: :meth:`OptimizerRegistry.table` loads one from a shard,
+or walks the envelope when no shard holds it, for
+:meth:`~OptimizerRegistry.save_shards` and for callers that want the
+stored form.
 
 Every interaction is counted in :class:`RegistryStats`, which the
 JSON-lines server reports in-band (``{"op": "stats"}``) and the CLI
@@ -68,11 +66,13 @@ class RegistryStats:
     #: same-batch duplicates (within a frame or line too) folded into an
     #: already-scheduled cell
     coalesced: int = 0
-    #: tables built from scratch (no shard held them)
+    #: :meth:`OptimizerRegistry.table` calls that walked the envelope
+    #: (no shard held the table)
     tables_built: int = 0
-    #: tables materialized from a shard file
+    #: :meth:`OptimizerRegistry.table` calls answered from a shard file
     tables_loaded: int = 0
-    #: tables dropped by the LRU bound
+    #: always 0: the registry keeps no table cache to evict from; the
+    #: field stays so the stats document keeps its keys
     tables_evicted: int = 0
     #: groups priced by batch resolution: one per ``(preset, d,
     #: winner)`` group of certified misses and one per scored pool.  A
@@ -117,7 +117,7 @@ def _normalize_presets(
 
 class OptimizerRegistry:
     """Optimal partitions served preset × dimension, from certified
-    pool envelopes, with stored tables beside them.
+    pool envelopes.
 
     >>> registry = OptimizerRegistry()
     >>> registry.lookup("ipsc860", 7, 40.0)
@@ -129,19 +129,14 @@ class OptimizerRegistry:
         presets: Mapping[str, MachineParams | Callable[[], MachineParams]] | None = None,
         *,
         shard_dir: str | Path | None = None,
-        max_loaded_tables: int = 64,
         memo_capacity: int = 65536,
     ) -> None:
-        if max_loaded_tables < 1:
-            raise ValueError(f"max_loaded_tables must be >= 1, got {max_loaded_tables}")
         if memo_capacity < 0:
             raise ValueError(f"memo_capacity must be >= 0, got {memo_capacity}")
-        self.max_loaded_tables = int(max_loaded_tables)
         self.memo_capacity = int(memo_capacity)
         self.stats = RegistryStats()
         self._presets = _normalize_presets(presets)
         self._shards: dict[str, ShardFile] = {}
-        self._tables: OrderedDict[tuple[str, int], OptimizerTable] = OrderedDict()
         self._memo: OrderedDict[
             tuple[str, int, float], tuple[bytes, float]
         ] = OrderedDict()
@@ -195,37 +190,17 @@ class OptimizerRegistry:
             ) from None
 
     # ------------------------------------------------------------------
-    # tables (LRU over materialized tables)
+    # tables and envelopes
     # ------------------------------------------------------------------
     def table(self, preset: str, d: int) -> OptimizerTable:
-        """The optimizer table for ``(preset, d)`` — from the LRU, the
-        preset's shard, or a fresh envelope walk, in that order."""
-        key = (preset, int(d))
-        cached = self._tables.get(key)
-        if cached is not None:
-            self._tables.move_to_end(key)
-            return cached
+        """The optimizer table for ``(preset, d)``: the preset's shard
+        copy (which the shard caches), or a fresh envelope walk."""
         params = self.params(preset)
-        shard = self._shards.get(preset)
-        if shard is not None and int(d) in shard:
-            table = shard.load(int(d))
+        if self.has_shard(preset, d):
             self.stats.tables_loaded += 1
-        else:
-            table = hull_of_optimality(int(d), params, m_max=_TABLE_BOUND)
-            self.stats.tables_built += 1
-        self._tables[key] = table
-        while len(self._tables) > self.max_loaded_tables:
-            (old_preset, old_d), _ = self._tables.popitem(last=False)
-            old_shard = self._shards.get(old_preset)
-            if old_shard is not None:
-                old_shard.unload(old_d)
-            self.stats.tables_evicted += 1
-        return table
-
-    @property
-    def loaded_tables(self) -> int:
-        """How many tables are currently materialized."""
-        return len(self._tables)
+            return self._shards[preset].load(int(d))
+        self.stats.tables_built += 1
+        return hull_of_optimality(int(d), params, m_max=_TABLE_BOUND)
 
     def has_shard(self, preset: str, d: int) -> bool:
         """Whether a shard file backs the ``(preset, d)`` table."""
@@ -303,18 +278,8 @@ class OptimizerRegistry:
         return resolve_queries(self, queries)
 
     # ------------------------------------------------------------------
-    # precompute / persist
+    # persist
     # ------------------------------------------------------------------
-    def precompute(
-        self,
-        presets: Sequence[str] | None = None,
-        dims: Sequence[int] = DEFAULT_DIMS,
-    ) -> None:
-        """Materialize tables for every requested preset × dimension."""
-        for preset in presets if presets is not None else self.preset_names:
-            for d in dims:
-                self.table(preset, d)
-
     def save_shards(
         self,
         directory: str | Path,
@@ -323,8 +288,7 @@ class OptimizerRegistry:
     ) -> list[Path]:
         """Write one shard file per preset into ``directory``.
 
-        Tables not yet materialized are computed first; the result is a
-        directory :meth:`from_shards` (or ``repro serve --shards``) can
+        Each table comes from :meth:`table`; the result is a directory :meth:`from_shards` (or ``repro serve --shards``) can
         serve without any calibration of its own.
         """
         directory = Path(directory)
@@ -332,13 +296,10 @@ class OptimizerRegistry:
         written: list[Path] = []
         for preset in presets if presets is not None else self.preset_names:
             tables = {int(d): self.table(preset, d) for d in dims}
-            # the header records the range the tables span: a table
-            # re-exported from a shard spans what that shard recorded
-            bound = min(
-                (self._shards[preset].m_max or 0.0 if self.has_shard(preset, d)
-                 else _TABLE_BOUND for d in dims),
-                default=_TABLE_BOUND,
-            )
+            # the header records the range the tables span (a
+            # re-export keeps its source shard's); no answer reads it
+            source = self._shards.get(preset)
+            bound = source.m_max if source is not None else _TABLE_BOUND
             path = directory / f"{preset}{SHARD_SUFFIX}"
             written.append(
                 save_shard(

@@ -127,3 +127,49 @@ class TestAgainstTheOracle:
         envelope, switch points included."""
         params = PRESETS[preset]().with_overrides(latency=latency, permute_time=permute)
         assert_exact_hull(hull_under("varied", params, d, m_max=30.0), d, 30.0)
+
+    @settings(deadline=None, max_examples=40)
+    @given(
+        d=st.integers(min_value=2, max_value=8),
+        preset=st.sampled_from(sorted(PRESETS)),
+        lats=st.lists(
+            st.floats(min_value=0.5, max_value=600.0), min_size=1, max_size=4
+        ),
+    )
+    def test_latency_sweep_property(self, d, preset, lats):
+        """Random latency ladders: each crossover is the exact SE/OCS
+        intersection up to rounding, and the sweep raises exactly when
+        one exact crossing falls outside [0, 4096]."""
+        base = PRESETS[preset]()
+        latencies = tuple(sorted(set(lats)))
+        exact = [
+            crossing(exact_line(d, (1,) * d, p), exact_line(d, (d,), p))
+            for p in (base.with_overrides(latency=lam) for lam in latencies)
+        ]
+        if any(x is None or not 0 <= x <= 4096 for x in exact):
+            with pytest.raises(ValueError):
+                latency_sweep(d, latencies, base=base)
+            return
+        sweep = latency_sweep(d, latencies, base=base)
+        assert [lam for lam, _ in sweep] == list(latencies)
+        for lam, got in sweep:
+            params = base.with_overrides(latency=lam)
+            assert close_to_crossing(got, d, (1,) * d, (d,), params), (lam, got)
+
+
+class TestHullUnder:
+    def test_label_carried(self, ipsc):
+        shift = hull_under("base", ipsc, 5)
+        assert shift.label == "base"
+        assert shift.hull == ((3, 2), (5,))
+
+    def test_single_phase_threshold(self, ipsc):
+        shift = hull_under("base", ipsc, 5)
+        assert shift.single_phase_threshold == pytest.approx(100.3, abs=1.0)
+
+    def test_threshold_infinite_when_single_phase_never_wins(self, ipsc):
+        # make startups free: many-phase partitions win everywhere
+        cheap = ipsc.with_overrides(latency=0.0, sync_latency=0.0)
+        shift = hull_under("free startup", cheap, 5, m_max=100.0)
+        if len(shift.hull[-1]) > 1:
+            assert shift.single_phase_threshold == float("inf")

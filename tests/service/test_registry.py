@@ -47,31 +47,21 @@ class TestTables:
     def test_table_matches_direct_hull(self, registry):
         assert registry.table("ipsc860", 5) == hull_of_optimality(5, ipsc860())
 
-    def test_table_is_cached(self, registry):
-        assert registry.table("ipsc860", 5) is registry.table("ipsc860", 5)
-        assert registry.stats.tables_built == 1
+    def test_every_call_walks_the_envelope(self, registry):
+        """No table cache: each build is counted, and none is evicted."""
+        assert registry.table("ipsc860", 5) == registry.table("ipsc860", 5)
+        assert registry.stats.tables_built == 2
+        assert registry.stats.tables_evicted == 0
 
     def test_lookup(self, registry):
         assert registry.lookup("ipsc860", 7, 40.0) == (4, 3)
 
-    def test_lru_eviction(self):
-        registry = OptimizerRegistry(max_loaded_tables=2)
+    def test_lookups_build_no_table(self, registry):
         for d in (4, 5, 6):
-            registry.table("ipsc860", d)
-        assert registry.loaded_tables == 2
-        assert registry.stats.tables_evicted == 1
-        # the evicted d=4 is rebuilt on demand
-        registry.table("ipsc860", 4)
-        assert registry.stats.tables_built == 4
-
-    def test_precompute(self, registry):
-        registry.precompute(["ipsc860"], dims=(4, 5))
-        assert registry.loaded_tables == 2
-        assert registry.stats.tables_built == 2
+            registry.lookup("ipsc860", d, 40.0)
+        assert registry.stats.tables_built == registry.stats.tables_loaded == 0
 
     def test_rejects_bad_bounds(self):
-        with pytest.raises(ValueError, match="max_loaded_tables"):
-            OptimizerRegistry(max_loaded_tables=0)
         with pytest.raises(ValueError, match="memo_capacity"):
             OptimizerRegistry(memo_capacity=-1)
 
@@ -95,14 +85,13 @@ class TestShardBacking:
         for d in (5, 6, 7):
             assert registry.table("ipsc860", d) == hull_of_optimality(d, ipsc860())
 
-    def test_evicted_shard_table_reloads(self, shard_dir):
-        registry = OptimizerRegistry.from_shards(shard_dir, max_loaded_tables=1)
-        registry.table("ipsc860", 5)
-        registry.table("ipsc860", 6)  # evicts d=5
-        registry.table("ipsc860", 5)  # reloads from the shard, no sweep
+    def test_shard_table_is_the_shards_cached_copy(self, shard_dir):
+        registry = OptimizerRegistry.from_shards(shard_dir)
+        first = registry.table("ipsc860", 5)
+        registry.table("ipsc860", 6)
+        assert registry.table("ipsc860", 5) is first
         assert registry.stats.tables_loaded == 3
         assert registry.stats.tables_built == 0
-        assert registry.stats.tables_evicted == 2
 
     def test_renamed_shard_file_rejected(self, tmp_path):
         OptimizerRegistry().save_shards(tmp_path, presets=["hypothetical"], dims=(5,))
@@ -128,14 +117,6 @@ class TestShardBacking:
         params = registry.params(preset)
         for m in (0.0, *hull_of_optimality(8, params).boundaries, 40.0, 1e6):
             assert registry.lookup(preset, 8, m) == best_partition(m, 8, params).partition
-
-    def test_eviction_drops_the_shard_cache_too(self, shard_dir):
-        registry = OptimizerRegistry.from_shards(shard_dir, max_loaded_tables=1)
-        registry.table("ipsc860", 5)
-        shard = registry._shards["ipsc860"]
-        assert 5 in shard._cache
-        registry.table("ipsc860", 6)  # evicts d=5 from the LRU...
-        assert 5 not in shard._cache  # ...and from the shard's cache
 
     def test_missing_dim_falls_back_to_sweep(self, shard_dir):
         registry = OptimizerRegistry.from_shards(shard_dir)
