@@ -29,6 +29,9 @@ one only when an output change is intended::
     for M in hypothetical ipsc860; do for D in 1 2 3 4 5 6 7 8 9 10; do \\
         PYTHONPATH=src python -m repro --machine $M hull $D; done; done \\
         > tests/golden/hulls.txt
+    PYTHONPATH=src python -m repro serve --shards tests/service/data \\
+        < tests/service/data/serve_shards_requests.jsonl \\
+        > tests/golden/serve_shards.jsonl
 
 ``event_traces.json`` pins the event engine itself: one SHA-256 per
 byte-verified exchange over ``repr(trace)`` and the makespan's
@@ -61,6 +64,13 @@ hull of optimality at 0.1 B, both presets, d 1..10) were written while
 the hull's switch points were still found by a sampled sweep and
 bisection; the exact line envelope that replaced it must print the
 same bytes.
+``serve_shards.jsonl`` is the stdio server's answer to a fixed request
+file (both presets, d 1..10, block sizes from 0 B to 1.7e308 B and every
+hull switch point one ulp either side), served from the checked-in
+shard files under ``tests/service/data/``.  Those shards and the golden
+were written while a shard still stored optimizer tables beside its
+calibration; a fresh ``repro shards`` directory must serve the same
+bytes as the old files.
 """
 
 from __future__ import annotations
@@ -122,6 +132,23 @@ def test_hulls_match_golden(capsys):
         for d in range(1, 11):
             assert main(["--machine", machine, "hull", str(d)]) == 0
     assert capsys.readouterr().out == (GOLDEN / "hulls.txt").read_text()
+
+
+SHARD_DATA = Path(__file__).resolve().parent / "service" / "data"
+
+
+def test_serve_from_shards_matches_golden(tmp_path, capsys, monkeypatch):
+    import io
+
+    fresh = tmp_path / "shards"
+    assert main(["shards", str(fresh), "--all-machines"]) == 0
+    capsys.readouterr()
+    requests = (SHARD_DATA / "serve_shards_requests.jsonl").read_text()
+    golden = (GOLDEN / "serve_shards.jsonl").read_text()
+    for directory in (SHARD_DATA, fresh):
+        monkeypatch.setattr(sys, "stdin", io.StringIO(requests))
+        assert main(["serve", "--shards", str(directory)]) == 0
+        assert capsys.readouterr().out == golden, directory
 
 
 def _run_digest(result) -> str:
