@@ -58,7 +58,7 @@ REQUEST_LINES = tuple(
 @pytest.fixture(scope="module")
 def shard_dir(tmp_path_factory):
     directory = tmp_path_factory.mktemp("bench-cluster-shards")
-    OptimizerRegistry().save_shards(directory, presets=["ipsc860"], dims=DIMS)
+    OptimizerRegistry().save_shards(directory, presets=["ipsc860"])
     return directory
 
 

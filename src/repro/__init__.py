@@ -40,7 +40,7 @@ Package map
 :mod:`repro.apps`
     Transpose, 2-D FFT, table lookup, ADI solver.
 :mod:`repro.service`
-    Long-lived optimizer query service: sharded table registry,
+    Long-lived optimizer query service: calibration registry,
     batched query resolution, JSON-lines serving over stdio and async
     TCP/Unix sockets with cross-client micro-batching, client library,
     memo warm-up from query logs.

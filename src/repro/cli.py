@@ -17,8 +17,9 @@ Commands
     sizes; ``--batch`` (the default) scores each dimension in one
     vectorized grid evaluation, ``--no-batch`` uses the scalar path.
 ``shards DIR``
-    Precompute optimizer tables and write one shard file per machine
-    preset — the §6 "done only once" step, persisted for serving.
+    Write one shard file per machine preset, holding its calibration:
+    what a serving process needs to build the §6 "done only once"
+    answer, the certified pool envelope, itself.
 ``serve``
     Long-lived JSON-lines query loop on stdin/stdout (one request per
     line; see :mod:`repro.service.server` for the protocol).  With
@@ -85,7 +86,7 @@ from repro.comm.program import simulate_exchange
 from repro.model.cost import multiphase_time, phase_breakdown
 from repro.model.optimizer import best_partition, hull_of_optimality
 from repro.model.params import PRESETS
-from repro.service import DEFAULT_DIMS, OptimizerRegistry, serve
+from repro.service import OptimizerRegistry, serve
 
 __all__ = ["build_parser", "main"]
 
@@ -182,13 +183,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
 
     p_shards = sub.add_parser(
-        "shards", help="precompute optimizer tables into a shard directory"
+        "shards", help="write machine calibrations into a shard directory"
     )
     p_shards.add_argument("dir", help="directory to write <preset>.shard files into")
-    p_shards.add_argument(
-        "--dims", type=int, nargs="+", default=None,
-        help="cube dimensions to precompute (default: 2..8)",
-    )
     p_shards.add_argument(
         "--all-machines", action="store_true",
         help="build shards for every preset, not just --machine",
@@ -574,12 +571,9 @@ def _registry(shards: str | None):
 
 
 def cmd_shards(args) -> int:
-    dims = tuple(args.dims) if args.dims else DEFAULT_DIMS
     names = sorted(PRESETS) if args.all_machines else [args.machine]
-    registry = OptimizerRegistry()
-    written = registry.save_shards(args.dir, presets=names, dims=dims)
-    for path in written:
-        print(f"wrote {path} (dims {', '.join(map(str, dims))})")
+    for path in OptimizerRegistry().save_shards(args.dir, presets=names):
+        print(f"wrote {path}")
     return 0
 
 
@@ -668,9 +662,7 @@ def cmd_serve(args) -> int:
     print(
         f"served {served} queries: {hits} memo hits "
         f"({hits / served if served else 0.0:.1%}), "
-        f"{stats.grid_calls - base['grid_calls']} grid calls, "
-        f"{stats.tables_loaded - base['tables_loaded']} tables loaded, "
-        f"{stats.tables_built - base['tables_built']} built",
+        f"{stats.grid_calls - base['grid_calls']} grid calls",
         file=sys.stderr,
     )
     return 0

@@ -205,7 +205,6 @@ class Coordinator:
                     address,
                     presets=[str(p) for p in doc.get("presets", [])],
                     default_preset=doc.get("default_preset"),
-                    shards=int(doc.get("shards", 0)),
                     stats=doc.get("stats") if isinstance(doc.get("stats"), dict) else None,
                 )
             except ValueError as exc:

@@ -39,7 +39,6 @@ class NodeInfo:
     address: str
     presets: tuple[str, ...] = ()
     default_preset: str | None = None
-    shards: int = 0
     state: str = "alive"
     last_seen: float = 0.0
     stats: dict = field(default_factory=dict)
@@ -56,7 +55,6 @@ class NodeInfo:
             "age_s": max(0.0, now - self.last_seen),
             "presets": list(self.presets),
             "default_preset": self.default_preset,
-            "shards": self.shards,
             "stats": dict(self.stats),
         }
 
@@ -124,7 +122,6 @@ class Membership:
         *,
         presets: Sequence[str] = (),
         default_preset: str | None = None,
-        shards: int = 0,
         stats: dict | None = None,
     ) -> NodeInfo:
         """Register (or re-register) a node and make it routable."""
@@ -137,7 +134,6 @@ class Membership:
             address=address,
             presets=tuple(presets),
             default_preset=default_preset,
-            shards=shards,
             state="alive",
             last_seen=self._now(),
             stats=dict(stats or {}),

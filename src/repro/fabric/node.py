@@ -31,7 +31,7 @@ from repro.service import wire as wire_proto
 from repro.service.async_server import AsyncOptimizerServer, ServerStats
 from repro.service.client import Address, parse_address
 from repro.service.config import ServerConfig
-from repro.service.registry import DEFAULT_DIMS, OptimizerRegistry
+from repro.service.registry import OptimizerRegistry
 
 __all__ = ["FabricNode", "run_node"]
 
@@ -113,19 +113,11 @@ class FabricNode:
     # control plane
     # ------------------------------------------------------------------
     def _join_doc(self) -> dict:
-        presets = list(self.registry.preset_names)
-        shards = sum(
-            1
-            for preset in presets
-            for d in DEFAULT_DIMS
-            if self.registry.has_shard(preset, d)
-        )
         return {
             "node": self._node_id,
             "address": self._advertise,
-            "presets": presets,
+            "presets": list(self.registry.preset_names),
             "default_preset": self.config.default_preset,
-            "shards": shards,
             "stats": self._stats_doc(),
         }
 

@@ -36,7 +36,6 @@ from repro.model.sensitivity import (
     sync_overhead_study,
 )
 from repro.model.store import (
-    ShardFile,
     load_shard,
     load_table,
     params_fingerprint,
@@ -57,7 +56,6 @@ __all__ = [
     "save_shard",
     "save_table",
     "sync_overhead_study",
-    "ShardFile",
     "OptimalChoice",
     "OptimizerTable",
     "PRESETS",

@@ -13,8 +13,8 @@ holds one pluggable policy:
     model;
 :class:`~repro.plan.policies.ServicePolicy`
     answers from an in-process
-    :class:`~repro.service.registry.OptimizerRegistry` (shard-backed
-    stored tables, result memo, coalesced grid calls);
+    :class:`~repro.service.registry.OptimizerRegistry` (certified
+    pool envelopes, result memo, coalesced grid calls);
 :class:`~repro.plan.policies.ContentionPolicy`
     the model policy plus a contention-aware price for the naive
     rotation baseline, from the fast-path reservation replay

@@ -11,8 +11,8 @@ A *policy* answers one question — "which algorithm should this
   the vectorized cost model and returns the argmin (the §6 optimizer,
   evaluated inline);
 * :class:`ServicePolicy` asks an in-process
-  :class:`~repro.service.registry.OptimizerRegistry` — shard-backed
-  stored tables, result memo, batched grid calls — the "stored for
+  :class:`~repro.service.registry.OptimizerRegistry` — certified pool
+  envelopes, result memo, batched grid calls — the "stored for
   repeated future use" answer.
 
 * :class:`ContentionPolicy` extends the model policy with a
@@ -355,7 +355,7 @@ class ServicePolicy:
     """Answer from an in-process optimizer query service.
 
     Lookups go through :func:`repro.service.batch.resolve_queries`, so
-    they ride the registry's shard-backed stored tables, result memo,
+    they ride the registry's certified pool envelopes, result memo,
     and coalesced grid calls; the decision's ``source`` records which
     of those actually served the answer (``service:memo`` /
     ``service:grid`` / ``service:pool``).

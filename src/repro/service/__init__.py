@@ -8,10 +8,8 @@ repeated future use".  This subsystem is the *repeated future use*:
     :class:`OptimizerRegistry` — one certified pool envelope
     (:func:`~repro.model.optimizer.pool_envelope`) per machine preset ×
     cube dimension, which every answer comes from, with a result memo
-    cache and cache-hit statistics; it also writes and reads the
-    :class:`~repro.model.optimizer.OptimizerTable` shards (the v2
-    shard files of :mod:`repro.model.store`, which also carry the
-    presets' calibrations).
+    cache and cache-hit statistics; it also writes and reads shard
+    files (:mod:`repro.model.store`), each one preset's calibration.
 :mod:`repro.service.batch`
     :class:`QueryBatch` — coalesces heterogeneous ``(preset, d, m)``
     lookups into one row-kernel call per machine preset, each answer
@@ -68,7 +66,7 @@ from repro.service.client import (
     parse_address,
 )
 from repro.service.config import ServerConfig
-from repro.service.registry import DEFAULT_DIMS, OptimizerRegistry, RegistryStats
+from repro.service.registry import OptimizerRegistry, RegistryStats
 from repro.service.server import MAX_BATCH_QUERIES, handle_request, serve
 from repro.service.warmup import WarmupReport, load_query_log, warm_registry
 
@@ -77,7 +75,6 @@ __all__ = [
     "AsyncOptimizerClient",
     "AsyncOptimizerServer",
     "AsyncServerClient",
-    "DEFAULT_DIMS",
     "LatencyHistogram",
     "MAX_BATCH_QUERIES",
     "OptimizerClient",

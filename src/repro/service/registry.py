@@ -1,4 +1,4 @@
-"""Sharded registry of precomputed optimizer tables and pool envelopes.
+"""Registry of machine calibrations and their certified pool envelopes.
 
 The registry is the storage half of the query service.  It answers
 from one certified pool envelope per (machine preset × cube dimension)
@@ -9,13 +9,12 @@ points.  A bounded **result memo** (``memo_capacity``) over resolved
 ``(preset, d, m)`` queries lets repeat lookups skip both the envelope
 and the pricing kernel entirely.
 
-The v2 shard files of :mod:`repro.model.store` carry the presets'
-calibrations and one :class:`~repro.model.optimizer.OptimizerTable`
-per preset × dimension (the same envelope cut at 400 B).  No answer
-reads a table: :meth:`OptimizerRegistry.table` loads one from a shard,
-or walks the envelope when no shard holds it, for
-:meth:`~OptimizerRegistry.save_shards` and for callers that want the
-stored form.
+A shard file (:mod:`repro.model.store`) is one preset's calibration:
+:meth:`~OptimizerRegistry.save_shards` writes a directory of them and
+:meth:`~OptimizerRegistry.from_shards` serves one, taking its presets
+from the files.  :meth:`OptimizerRegistry.table` walks the envelope into
+an :class:`~repro.model.optimizer.OptimizerTable` for callers that want
+the tabulated form; no answer reads it.
 
 Every interaction is counted in :class:`RegistryStats`, which the
 JSON-lines server reports in-band (``{"op": "stats"}``) and the CLI
@@ -37,19 +36,12 @@ from repro.model.optimizer import (
     pool_envelope,
 )
 from repro.model.params import PRESETS, MachineParams
-from repro.model.store import ShardFile, load_shard, save_shard
+from repro.model.store import load_shard, save_shard
 
-__all__ = ["DEFAULT_DIMS", "OptimizerRegistry", "RegistryStats", "SHARD_SUFFIX"]
-
-#: dimensions precomputed/sharded by default — the paper's figure range
-#: plus the neighbouring cubes a library is likely to be asked about
-DEFAULT_DIMS: tuple[int, ...] = (2, 3, 4, 5, 6, 7, 8)
+__all__ = ["OptimizerRegistry", "RegistryStats", "SHARD_SUFFIX"]
 
 #: shard files in a registry directory are named ``<preset><suffix>``
 SHARD_SUFFIX = ".shard"
-
-#: the block-size range of the tables a registry builds (Figures 4–6)
-_TABLE_BOUND = 400.0
 
 
 @dataclass
@@ -66,14 +58,6 @@ class RegistryStats:
     #: same-batch duplicates (within a frame or line too) folded into an
     #: already-scheduled cell
     coalesced: int = 0
-    #: :meth:`OptimizerRegistry.table` calls that walked the envelope
-    #: (no shard held the table)
-    tables_built: int = 0
-    #: :meth:`OptimizerRegistry.table` calls answered from a shard file
-    tables_loaded: int = 0
-    #: always 0: the registry keeps no table cache to evict from; the
-    #: field stays so the stats document keeps its keys
-    tables_evicted: int = 0
     #: groups priced by batch resolution: one per ``(preset, d,
     #: winner)`` group of certified misses and one per scored pool.  A
     #: count of priced groups, not of kernel invocations: a resolve
@@ -97,9 +81,6 @@ class RegistryStats:
             "memo_misses": self.memo_misses,
             "memo_hit_rate": self.memo_hit_rate,
             "coalesced": self.coalesced,
-            "tables_built": self.tables_built,
-            "tables_loaded": self.tables_loaded,
-            "tables_evicted": self.tables_evicted,
             "grid_calls": self.grid_calls,
             "grid_cells": self.grid_cells,
         }
@@ -136,7 +117,6 @@ class OptimizerRegistry:
         self.memo_capacity = int(memo_capacity)
         self.stats = RegistryStats()
         self._presets = _normalize_presets(presets)
-        self._shards: dict[str, ShardFile] = {}
         self._memo: OrderedDict[
             tuple[str, int, float], tuple[bytes, float]
         ] = OrderedDict()
@@ -157,23 +137,22 @@ class OptimizerRegistry:
                 "build it with 'repro shards' (or check the path)"
             )
         for path in paths:
-            shard = load_shard(path)
+            params, saved_as = load_shard(path)
             name = path.name[: -len(SHARD_SUFFIX)]
-            if shard.preset is not None and shard.preset != name:
+            if saved_as is not None and saved_as != name:
                 raise ValueError(
-                    f"shard {path} was saved for preset {shard.preset!r} but is "
+                    f"shard {path} was saved for preset {saved_as!r} but is "
                     f"named {name!r}; renaming a shard would serve the wrong "
                     "calibration"
                 )
             known = self._presets.get(name)
-            if known is not None and known != shard.params:
+            if known is not None and known != params:
                 raise ValueError(
                     f"shard {path} was built for a different {name!r} calibration; "
                     "rebuild the shard or drop the preset override"
                 )
             # shards may introduce presets the process didn't configure
-            self._presets[name] = shard.params
-            self._shards[name] = shard
+            self._presets[name] = params
 
     @property
     def preset_names(self) -> tuple[str, ...]:
@@ -193,19 +172,9 @@ class OptimizerRegistry:
     # tables and envelopes
     # ------------------------------------------------------------------
     def table(self, preset: str, d: int) -> OptimizerTable:
-        """The optimizer table for ``(preset, d)``: the preset's shard
-        copy (which the shard caches), or a fresh envelope walk."""
-        params = self.params(preset)
-        if self.has_shard(preset, d):
-            self.stats.tables_loaded += 1
-            return self._shards[preset].load(int(d))
-        self.stats.tables_built += 1
-        return hull_of_optimality(int(d), params, m_max=_TABLE_BOUND)
-
-    def has_shard(self, preset: str, d: int) -> bool:
-        """Whether a shard file backs the ``(preset, d)`` table."""
-        shard = self._shards.get(preset)
-        return shard is not None and int(d) in shard
+        """The optimizer table for ``(preset, d)``: a fresh walk of its
+        envelope up to 400 B."""
+        return hull_of_optimality(int(d), self.params(preset))
 
     def lookup(self, preset: str, d: int, m: float) -> tuple[int, ...]:
         """The optimal partition for one ``(preset, d, m)``, answered as
@@ -224,29 +193,16 @@ class OptimizerRegistry:
     # ------------------------------------------------------------------
     # result memo
     # ------------------------------------------------------------------
-    def memo_get(
-        self, key: tuple[str, int, float]
-    ) -> tuple[bytes, float] | None:
-        entry = self._memo.get(key)
-        if entry is not None:
-            self._memo.move_to_end(key)
-        return entry
-
     def memo_get_many(
         self, keys: Sequence[tuple[str, int, float]]
     ) -> list[tuple[bytes, float] | None]:
-        """:meth:`memo_get` of every key, in order: the same entries,
-        and the same touch order."""
+        """The memo entry of every key, in order (None for a miss); each
+        hit is touched in that order, to the LRU's newest end."""
         found = list(map(self._memo.get, keys))
         touch = self._memo.move_to_end
         for key in compress(keys, found):
             touch(key)
         return found
-
-    def memo_put(
-        self, key: tuple[str, int, float], value: tuple[bytes, float]
-    ) -> None:
-        self.memo_put_many([(key, value)])
 
     def memo_put_many(
         self, entries: Sequence[tuple[tuple[str, int, float], tuple[bytes, float]]]
@@ -281,32 +237,19 @@ class OptimizerRegistry:
     # persist
     # ------------------------------------------------------------------
     def save_shards(
-        self,
-        directory: str | Path,
-        presets: Sequence[str] | None = None,
-        dims: Sequence[int] = DEFAULT_DIMS,
+        self, directory: str | Path, presets: Sequence[str] | None = None
     ) -> list[Path]:
-        """Write one shard file per preset into ``directory``.
-
-        Each table comes from :meth:`table`; the result is a directory :meth:`from_shards` (or ``repro serve --shards``) can
-        serve without any calibration of its own.
-        """
+        """Write one shard file per preset, its calibration, into
+        ``directory``: a directory :meth:`from_shards` (or ``repro serve
+        --shards``) can serve without any calibration of its own."""
         directory = Path(directory)
         directory.mkdir(parents=True, exist_ok=True)
-        written: list[Path] = []
-        for preset in presets if presets is not None else self.preset_names:
-            tables = {int(d): self.table(preset, d) for d in dims}
-            # the header records the range the tables span (a
-            # re-export keeps its source shard's); no answer reads it
-            source = self._shards.get(preset)
-            bound = source.m_max if source is not None else _TABLE_BOUND
-            path = directory / f"{preset}{SHARD_SUFFIX}"
-            written.append(
-                save_shard(
-                    tables, self.params(preset), path, m_max=bound, preset=preset
-                )
+        return [
+            save_shard(
+                self.params(preset), directory / f"{preset}{SHARD_SUFFIX}", preset=preset
             )
-        return written
+            for preset in (presets if presets is not None else self.preset_names)
+        ]
 
     @classmethod
     def from_shards(cls, directory: str | Path, **kwargs) -> "OptimizerRegistry":

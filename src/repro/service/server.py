@@ -12,8 +12,8 @@ protocol is deliberately tiny:
     :func:`repro.service.batch.resolve_queries`; the response carries
     a ``results`` list in input order.
 * ``{"op": "stats", "id": 3}``
-    the registry's live counters (queries, memo hit rate, grid calls,
-    table loads/evictions).
+    the registry's live counters (queries, memo hits and misses, memo
+    hit rate, coalesced duplicates, grid calls and cells).
 
 Malformed lines answer ``{"ok": false, "error": ...}`` and the loop
 keeps serving; EOF ends the session.  Responses are flushed per line

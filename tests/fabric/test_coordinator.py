@@ -56,7 +56,7 @@ class TestControlProtocol:
             try:
                 addr = coordinator.address
                 reader, writer, welcome = await join(
-                    addr, "n0", presets=["ipsc860"], default_preset="ipsc860", shards=4
+                    addr, "n0", presets=["ipsc860"], default_preset="ipsc860"
                 )
                 assert welcome == {"epoch": 1, "heartbeat_s": 5.0, "miss_limit": 3}
                 writer.write(wire_proto.pack_frame(

@@ -132,8 +132,7 @@ class TestLifecycle:
 class TestStatus:
     def test_status_document(self, membership, clock):
         membership.join(
-            "n0", "127.0.0.1:1", presets=["ipsc860"], shards=8,
-            stats={"shed": 2},
+            "n0", "127.0.0.1:1", presets=["ipsc860"], stats={"shed": 2},
         )
         clock.advance(0.5)
         doc = membership.status()
@@ -145,7 +144,9 @@ class TestStatus:
         assert node["node"] == "n0"
         assert node["state"] == "alive"
         assert node["age_s"] == pytest.approx(0.5)
-        assert node["shards"] == 8
+        assert list(node) == [
+            "node", "address", "state", "age_s", "presets", "default_preset", "stats"
+        ]
         assert node["stats"] == {"shed": 2}
 
     def test_node_info_age_never_negative(self):

@@ -4,6 +4,9 @@ future use')."""
 from __future__ import annotations
 
 import json
+import struct
+from dataclasses import asdict
+from pathlib import Path
 
 import pytest
 
@@ -164,48 +167,55 @@ class TestDegenerateTables:
             table_from_dict(doc)
 
 
+SHARD_DATA = Path(__file__).resolve().parent.parent / "service" / "data"
+
+
+def _header(raw: bytes) -> tuple[dict, int]:
+    """A shard's header document and the byte length of its prefix."""
+    assert raw[:8] == b"RPROSHRD"
+    version, header_len = struct.unpack("<QQ", raw[8:24])
+    assert version == 2
+    return json.loads(raw[24 : 24 + header_len]), 24 + header_len
+
+
+def _rewrite_header(path: Path, header: dict) -> None:
+    encoded = json.dumps(header, sort_keys=True).encode()
+    prefix = b"RPROSHRD" + struct.pack("<QQ", 2, len(encoded))
+    path.write_bytes(prefix + encoded + b"\0" * ((-(len(prefix) + len(encoded))) % 8))
+
+
 class TestShardFiles:
-    @pytest.fixture(scope="class")
-    def tables(self):
-        params = ipsc860()
-        return {d: hull_of_optimality(d, params) for d in (1, 5, 6)}
+    def test_roundtrip(self, tmp_path):
+        path = save_shard(ipsc860(), tmp_path / "ipsc860.shard", preset="ipsc860")
+        assert load_shard(path) == (ipsc860(), "ipsc860")
 
-    def test_roundtrip_all_dims(self, tables, tmp_path):
-        path = save_shard(tables, ipsc860(), tmp_path / "ipsc860.shard")
-        shard = load_shard(path)
-        assert shard.dims == (1, 5, 6)
-        assert shard.params == ipsc860()
-        for d, expected in tables.items():
-            assert shard.load(d) == expected
+    def test_a_shard_is_its_header_with_an_empty_table_index(self, tmp_path):
+        path = save_shard(hypothetical(), tmp_path / "s.shard", preset="hypothetical")
+        raw = path.read_bytes()
+        header, end = _header(raw)
+        assert header == {
+            "fingerprint": params_fingerprint(hypothetical()),
+            "float64_count": 0,
+            "format_version": 2,
+            "int64_count": 0,
+            "params": json.loads(json.dumps(asdict(hypothetical()))),
+            "preset": "hypothetical",
+            "tables": {},
+        }
+        # padded to 8 and nothing after: a reader that expects tables
+        # finds the (empty) numeric regions exactly where it looks
+        assert len(raw) == end + (-end) % 8
+        assert not raw[end:].strip(b"\0")
 
-    def test_lazy_load_caches(self, tables, tmp_path):
-        path = save_shard(tables, ipsc860(), tmp_path / "s.shard")
-        shard = load_shard(path)
-        assert shard.load(5) is shard.load(5)
-
-    def test_unload_forces_rematerialization(self, tables, tmp_path):
-        path = save_shard(tables, ipsc860(), tmp_path / "s.shard")
-        shard = load_shard(path)
-        first = shard.load(5)
-        shard.unload(5)
-        again = shard.load(5)
-        assert again is not first and again == first
-        shard.unload(4)  # never loaded: a no-op, not an error
-
-    def test_contains_and_missing_dim(self, tables, tmp_path):
-        path = save_shard(tables, ipsc860(), tmp_path / "s.shard")
-        shard = load_shard(path)
-        assert 5 in shard and 4 not in shard
-        with pytest.raises(KeyError, match="no table for d=4"):
-            shard.load(4)
-
-    def test_accepts_iterable_of_tables(self, tables, tmp_path):
-        path = save_shard(tables.values(), ipsc860(), tmp_path / "s.shard")
-        assert load_shard(path).dims == (1, 5, 6)
-
-    def test_rejects_foreign_table(self, tables, tmp_path):
-        with pytest.raises(ValueError, match="built on"):
-            save_shard(tables, hypothetical(), tmp_path / "bad.shard")
+    def test_reads_a_shard_that_stores_tables(self):
+        """Shards written while a shard still carried its optimizer
+        tables serve the same: the tables after the header are
+        skipped."""
+        for preset, params in (("ipsc860", ipsc860()), ("hypothetical", hypothetical())):
+            path = SHARD_DATA / f"{preset}.shard"
+            header, _ = _header(path.read_bytes())
+            assert sorted(header["tables"]) == ["5", "7"] and header["float64_count"]
+            assert load_shard(path) == (params, preset)
 
     def test_rejects_non_shard_file(self, tmp_path):
         path = tmp_path / "not.shard"
@@ -213,8 +223,31 @@ class TestShardFiles:
         with pytest.raises(ValueError, match="not an optimizer shard"):
             load_shard(path)
 
-    def test_rejects_tampered_header(self, tables, tmp_path):
-        path = save_shard(tables, ipsc860(), tmp_path / "s.shard")
+    def test_rejects_other_versions(self, tmp_path):
+        path = save_shard(ipsc860(), tmp_path / "s.shard", preset="ipsc860")
+        raw = path.read_bytes()
+        path.write_bytes(raw[:8] + struct.pack("<Q", 3) + raw[16:])
+        with pytest.raises(ValueError, match="unsupported shard format 3"):
+            load_shard(path)
+
+    def test_truncated_header_is_a_clean_error(self, tmp_path):
+        path = save_shard(ipsc860(), tmp_path / "s.shard", preset="ipsc860")
+        raw = path.read_bytes()
+        _, end = _header(raw)
+        for cut in (20, end - 1):
+            path.write_bytes(raw[:cut])
+            with pytest.raises(ValueError, match="truncated header"):
+                load_shard(path)
+
+    def test_header_must_be_a_json_object(self, tmp_path):
+        path = tmp_path / "s.shard"
+        for body, message in ((b"{not json", "not JSON"), (b"[1, 2]", "not a JSON object")):
+            path.write_bytes(b"RPROSHRD" + struct.pack("<QQ", 2, len(body)) + body)
+            with pytest.raises(ValueError, match=message):
+                load_shard(path)
+
+    def test_rejects_tampered_header(self, tmp_path):
+        path = save_shard(ipsc860(), tmp_path / "s.shard", preset="ipsc860")
         raw = path.read_bytes()
         tampered = raw.replace(b'"latency": 95.0', b'"latency": 90.0')
         assert tampered != raw
@@ -222,33 +255,20 @@ class TestShardFiles:
         with pytest.raises(ValueError, match="fingerprint"):
             load_shard(path)
 
-    def test_truncated_payload_is_a_clean_error(self, tables, tmp_path):
-        path = save_shard(tables, ipsc860(), tmp_path / "s.shard")
-        raw = path.read_bytes()
-        path.write_bytes(raw[:-8])
-        with pytest.raises(ValueError, match="corrupt shard .* holds"):
-            load_shard(path)
+    def test_missing_header_field_is_a_clean_error(self, tmp_path):
+        path = save_shard(ipsc860(), tmp_path / "s.shard", preset="ipsc860")
+        header, _ = _header(path.read_bytes())
+        for field in ("fingerprint", "params"):
+            _rewrite_header(path, {k: v for k, v in header.items() if k != field})
+            with pytest.raises(ValueError, match=f"missing header field '{field}'"):
+                load_shard(path)
 
-    def test_missing_header_field_is_a_clean_error(self, tables, tmp_path):
-        import json
-        import struct
-
-        path = save_shard(tables, ipsc860(), tmp_path / "s.shard")
-        raw = path.read_bytes()
-        header_len = struct.unpack("<QQ", raw[8:24])[1]
-        header = json.loads(raw[24 : 24 + header_len])
-        del header["fingerprint"]
-        new_header = json.dumps(header, sort_keys=True).encode()
-        prefix = raw[:8] + struct.pack("<QQ", 2, len(new_header))
-        pad = b"\0" * ((-(len(prefix) + len(new_header))) % 8)
-        old_payload = 24 + header_len + ((-(24 + header_len)) % 8)
-        path.write_bytes(prefix + new_header + pad + raw[old_payload:])
-        with pytest.raises(ValueError, match="missing header field"):
-            load_shard(path)
-
-    def test_rejects_empty_shard(self, tmp_path):
-        with pytest.raises(ValueError, match="at least one"):
-            save_shard({}, ipsc860(), tmp_path / "empty.shard")
+    def test_a_shard_without_a_preset_loads(self, tmp_path):
+        path = save_shard(ipsc860(), tmp_path / "s.shard", preset="ipsc860")
+        header, _ = _header(path.read_bytes())
+        del header["preset"]
+        _rewrite_header(path, header)
+        assert load_shard(path) == (ipsc860(), None)
 
     def test_fingerprint_distinguishes_presets(self):
         assert params_fingerprint(ipsc860()) != params_fingerprint(hypothetical())

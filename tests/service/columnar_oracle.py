@@ -180,7 +180,7 @@ def resolve(registry, normalized: list[Query]) -> list[QueryResult]:
 
     for i, query in enumerate(normalized):
         stats.queries += 1
-        hit = registry.memo_get((query.preset, query.d, query.m))
+        [hit] = registry.memo_get_many([(query.preset, query.d, query.m)])
         if hit is not None:
             partition, time_us = hit
             stats.memo_hits += 1
@@ -197,7 +197,7 @@ def resolve(registry, normalized: list[Query]) -> list[QueryResult]:
         envelope = registry.envelope(preset, d)
 
         def finish(m, partition, time_us, source):
-            registry.memo_put((preset, d, m), (partition, time_us))
+            registry.memo_put_many([((preset, d, m), (partition, time_us))])
             waiting = by_m[m]
             stats.coalesced += len(waiting) - 1
             for i in waiting:

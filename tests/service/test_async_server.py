@@ -168,10 +168,10 @@ class TestCrossClientBatching:
         cells, not the answers: 8 pipelined clients on a cold
         shard-backed server get the partitions, times and sources one
         strictly serial client gets from another cold server.  Half the
-        block sizes are above the shards' 400 B tables, and the first is
+        block sizes are above 400 B, and the first is
         0.0, which no envelope certifies, so the pool is scored too."""
         shard_dir = tmp_path / "shards"
-        OptimizerRegistry().save_shards(shard_dir, presets=["ipsc860"], dims=(5, 6, 7))
+        OptimizerRegistry().save_shards(shard_dir, presets=["ipsc860"])
         n_clients, per_client = 8, 10
         lines = [
             json.dumps({"d": 5 + i % 3, "m": (400.0 if i % 2 else 0.0) + 0.97 * i})

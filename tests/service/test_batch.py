@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from pathlib import Path
+
 import pytest
 
 from repro.model.cost import multiphase_time
@@ -138,28 +140,23 @@ class TestCertifiedOrScored:
         assert [r.source for r in resolve_queries(registry, cells)] == ["grid", "pool"]
         assert [r.source for r in resolve_queries(registry, cells)] == ["memo", "memo"]
 
-    def test_a_shard_bound_gates_nothing(self, tmp_path):
-        # a shard whose header records a 100 B bound, or none at all,
-        # answers 300 B from the envelope like any other registry
-        from repro.model.store import save_shard
+    def test_serving_never_touches_a_table(self, tmp_path, monkeypatch):
+        """Every answer comes from the envelope, served fresh, from new
+        shards, or from shards that still store tables up to 400 B."""
+        def no_table(self, preset, d):
+            raise AssertionError("a served answer read a table")
 
-        for m_max in (100.0, None):
-            save_shard({7: hull_of_optimality(7, ipsc860(), m_max=100.0)}, ipsc860(),
-                       tmp_path / "ipsc860.shard", m_max=m_max)
-            serving = OptimizerRegistry.from_shards(tmp_path)
-            result = resolve_queries(serving, [("ipsc860", 7, 300.0)])[0]
-            assert (result.partition, result.source) == ((7,), "grid")
-
-    def test_serving_never_touches_a_table(self, tmp_path):
+        monkeypatch.setattr(OptimizerRegistry, "table", no_table)
         cells = [("ipsc860", 7, m) for m in (0.0, 40.0, 300.0, 500.0)]
-        fresh = OptimizerRegistry()
-        resolve_queries(fresh, cells)
-        assert fresh.stats.tables_built == fresh.stats.tables_loaded == 0
-
-        OptimizerRegistry().save_shards(tmp_path, dims=(7,))
-        serving = OptimizerRegistry.from_shards(tmp_path)
-        resolve_queries(serving, cells)
-        assert serving.stats.tables_built == serving.stats.tables_loaded == 0
+        OptimizerRegistry().save_shards(tmp_path)
+        stored = Path(__file__).resolve().parent / "data"
+        answers = [
+            [(r.partition, r.time_us.hex(), r.source) for r in resolve_queries(reg, cells)]
+            for reg in (OptimizerRegistry(), OptimizerRegistry.from_shards(tmp_path),
+                        OptimizerRegistry.from_shards(stored))
+        ]
+        assert answers[0] == answers[1] == answers[2]
+        assert answers[0][2][0] == (7,) and answers[0][2][2] == "grid"
 
 
 class TestValidation:
@@ -186,4 +183,4 @@ class TestValidation:
             )
         assert registry.stats.queries == 0
         assert registry.stats.grid_calls == 0
-        assert registry.memo_get(("ipsc860", 6, 24.0)) is None
+        assert registry.memo_get_many([("ipsc860", 6, 24.0)]) == [None]

@@ -1,8 +1,9 @@
-"""Tests for the sharded optimizer-table registry."""
+"""Tests for the optimizer registry: presets, shard files, result memo."""
 
 from __future__ import annotations
 
 from collections import OrderedDict
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -10,8 +11,11 @@ from hypothesis import strategies as st
 
 from repro.model.optimizer import best_partition, hull_of_optimality
 from repro.model.params import hypothetical, ipsc860
-from repro.model.store import load_shard, save_shard
-from repro.service.registry import DEFAULT_DIMS, OptimizerRegistry
+from repro.model.store import load_shard
+from repro.service.registry import OptimizerRegistry
+
+#: shard files written while a shard still stored optimizer tables
+SHARD_DATA = Path(__file__).resolve().parent / "data"
 
 
 @pytest.fixture()
@@ -22,7 +26,7 @@ def registry():
 @pytest.fixture(scope="module")
 def shard_dir(tmp_path_factory):
     directory = tmp_path_factory.mktemp("shards")
-    OptimizerRegistry().save_shards(directory, dims=(5, 6, 7))
+    OptimizerRegistry().save_shards(directory)
     return directory
 
 
@@ -47,19 +51,8 @@ class TestTables:
     def test_table_matches_direct_hull(self, registry):
         assert registry.table("ipsc860", 5) == hull_of_optimality(5, ipsc860())
 
-    def test_every_call_walks_the_envelope(self, registry):
-        """No table cache: each build is counted, and none is evicted."""
-        assert registry.table("ipsc860", 5) == registry.table("ipsc860", 5)
-        assert registry.stats.tables_built == 2
-        assert registry.stats.tables_evicted == 0
-
     def test_lookup(self, registry):
         assert registry.lookup("ipsc860", 7, 40.0) == (4, 3)
-
-    def test_lookups_build_no_table(self, registry):
-        for d in (4, 5, 6):
-            registry.lookup("ipsc860", d, 40.0)
-        assert registry.stats.tables_built == registry.stats.tables_loaded == 0
 
     def test_rejects_bad_bounds(self):
         with pytest.raises(ValueError, match="memo_capacity"):
@@ -69,59 +62,42 @@ class TestTables:
 class TestShardBacking:
     def test_save_shards_layout(self, tmp_path):
         registry = OptimizerRegistry()
-        written = registry.save_shards(tmp_path, presets=["ipsc860"], dims=(5, 6))
+        written = registry.save_shards(tmp_path, presets=["ipsc860"])
         assert [p.name for p in written] == ["ipsc860.shard"]
+        assert load_shard(written[0]) == (ipsc860(), "ipsc860")
 
-    def test_from_shards_serves_without_building(self, shard_dir):
+    def test_from_shards_takes_the_presets_from_the_files(self, shard_dir):
         registry = OptimizerRegistry.from_shards(shard_dir)
         assert registry.preset_names == ("hypothetical", "ipsc860")
+        assert registry.params("hypothetical") == hypothetical()
         assert registry.lookup("ipsc860", 7, 40.0) == (4, 3)
         assert registry.table("ipsc860", 7).lookup(40.0) == (4, 3)
-        assert registry.stats.tables_loaded == 1
-        assert registry.stats.tables_built == 0
 
-    def test_shard_tables_equal_fresh_sweeps(self, shard_dir):
+    def test_table_is_the_hull_of_optimality(self, shard_dir):
         registry = OptimizerRegistry.from_shards(shard_dir)
-        for d in (5, 6, 7):
+        for d in range(1, 11):
             assert registry.table("ipsc860", d) == hull_of_optimality(d, ipsc860())
 
-    def test_shard_table_is_the_shards_cached_copy(self, shard_dir):
-        registry = OptimizerRegistry.from_shards(shard_dir)
-        first = registry.table("ipsc860", 5)
-        registry.table("ipsc860", 6)
-        assert registry.table("ipsc860", 5) is first
-        assert registry.stats.tables_loaded == 3
-        assert registry.stats.tables_built == 0
+    def test_serves_a_directory_of_shards_that_store_tables(self, tmp_path):
+        """A directory written while shards stored tables serves, and
+        re-exports as the same calibrations."""
+        registry = OptimizerRegistry.from_shards(SHARD_DATA)
+        assert registry.preset_names == ("hypothetical", "ipsc860")
+        assert registry.params("ipsc860") == ipsc860()
+        for path in registry.save_shards(tmp_path):
+            assert load_shard(path) == load_shard(SHARD_DATA / path.name)
 
     def test_renamed_shard_file_rejected(self, tmp_path):
-        OptimizerRegistry().save_shards(tmp_path, presets=["hypothetical"], dims=(5,))
+        OptimizerRegistry().save_shards(tmp_path, presets=["hypothetical"])
         (tmp_path / "hypothetical.shard").rename(tmp_path / "ipsc860.shard")
         with pytest.raises(ValueError, match="renaming a shard"):
             OptimizerRegistry.from_shards(tmp_path)
-
-    def test_reexported_shard_keeps_the_original_bound(self, tmp_path):
-        first = tmp_path / "first"
-        second = tmp_path / "second"
-        first.mkdir()
-        save_shard({7: hull_of_optimality(7, ipsc860(), m_max=50.0)}, ipsc860(),
-                   first / "ipsc860.shard", m_max=50.0, preset="ipsc860")
-        # the header records the range the tables span: re-exporting
-        # must not claim the 0-50 B table out to 400 B
-        OptimizerRegistry.from_shards(first).save_shards(second, dims=(7,))
-        assert load_shard(second / "ipsc860.shard").m_max == 50.0
-        OptimizerRegistry().save_shards(first, presets=["ipsc860"], dims=(7,))
-        assert load_shard(first / "ipsc860.shard").m_max == 400.0
 
     @pytest.mark.parametrize("preset", ["hypothetical", "ipsc860"])
     def test_lookup_answers_as_the_resolver(self, registry, preset):
         params = registry.params(preset)
         for m in (0.0, *hull_of_optimality(8, params).boundaries, 40.0, 1e6):
             assert registry.lookup(preset, 8, m) == best_partition(m, 8, params).partition
-
-    def test_missing_dim_falls_back_to_sweep(self, shard_dir):
-        registry = OptimizerRegistry.from_shards(shard_dir)
-        registry.table("ipsc860", 4)  # not in the shard (dims 5-7)
-        assert registry.stats.tables_built == 1
 
     def test_conflicting_preset_override_rejected(self, shard_dir):
         bad = ipsc860().with_overrides(latency=1.0)
@@ -199,8 +175,3 @@ class TestMemo:
         assert list(registry._memo.items()) == list(lru.items())
         assert registry.memo_get_many([key(k) for k in reads]) == [get(key(k)) for k in reads]
         assert list(registry._memo) == list(lru)
-
-
-class TestDefaults:
-    def test_default_dims_cover_paper_figures(self):
-        assert set((5, 6, 7)) <= set(DEFAULT_DIMS)

@@ -31,7 +31,7 @@ DIMS = (4, 5, 6)
 @pytest.fixture(scope="module")
 def shard_dir(tmp_path_factory):
     directory = tmp_path_factory.mktemp("parity-shards")
-    OptimizerRegistry().save_shards(directory, presets=list(PRESETS), dims=DIMS)
+    OptimizerRegistry().save_shards(directory, presets=list(PRESETS))
     return directory
 
 

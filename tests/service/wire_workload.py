@@ -57,7 +57,7 @@ JSON_BLOBS = tuple(
 
 
 def save_shards(directory) -> None:
-    OptimizerRegistry().save_shards(directory, presets=["ipsc860"], dims=DIMS)
+    OptimizerRegistry().save_shards(directory, presets=["ipsc860"])
 
 
 def binary_blobs(shard_dir) -> tuple[bytes, ...]:

@@ -8,6 +8,7 @@ import re
 import pytest
 
 from repro.cli import build_parser, main
+from repro.service.registry import RegistryStats
 
 
 class TestParser:
@@ -145,7 +146,7 @@ class TestJsonOutput:
 class TestServiceCommands:
     def test_shards_then_query(self, tmp_path, capsys):
         shard_dir = str(tmp_path / "shards")
-        assert main(["shards", shard_dir, "--dims", "5", "7"]) == 0
+        assert main(["shards", shard_dir]) == 0
         out = capsys.readouterr().out
         assert "ipsc860.shard" in out
         assert main(["query", "7", "40", "--shards", shard_dir]) == 0
@@ -154,7 +155,7 @@ class TestServiceCommands:
 
     def test_shards_all_machines(self, tmp_path, capsys):
         shard_dir = str(tmp_path / "shards")
-        assert main(["shards", shard_dir, "--dims", "5", "--all-machines"]) == 0
+        assert main(["shards", shard_dir, "--all-machines"]) == 0
         out = capsys.readouterr().out
         assert "hypothetical.shard" in out and "ipsc860.shard" in out
 
@@ -174,7 +175,7 @@ class TestServiceCommands:
         import sys as _sys
 
         shard_dir = str(tmp_path / "shards")
-        assert main(["shards", shard_dir, "--dims", "5", "6", "7", "--all-machines"]) == 0
+        assert main(["shards", shard_dir, "--all-machines"]) == 0
         capsys.readouterr()
         requests = "\n".join(
             [
@@ -192,8 +193,11 @@ class TestServiceCommands:
         assert lines[1]["partition"] == [3, 3]
         assert lines[2]["source"] == "memo"
         assert lines[3]["stats"]["memo_hits"] == 1
-        assert lines[3]["stats"]["tables_built"] == 0
-        assert "served 3 queries" in captured.err
+        assert list(lines[3]["stats"]) == list(RegistryStats().as_dict()) == [
+            "queries", "memo_hits", "memo_misses", "memo_hit_rate", "coalesced",
+            "grid_calls", "grid_cells",
+        ]
+        assert captured.err == "served 3 queries: 1 memo hits (33.3%), 2 grid calls\n"
 
     def test_serve_shard_dir_without_default_preset(self, tmp_path, capsys, monkeypatch):
         import io
@@ -202,7 +206,7 @@ class TestServiceCommands:
 
         shard_dir = str(tmp_path / "shards")
         assert main(
-            ["--machine", "hypothetical", "shards", shard_dir, "--dims", "5"]
+            ["--machine", "hypothetical", "shards", shard_dir]
         ) == 0
         capsys.readouterr()
         requests = (
@@ -356,7 +360,7 @@ class TestPlanCommand:
 
     def test_plan_service_with_shards(self, tmp_path, capsys):
         shard_dir = str(tmp_path / "shards")
-        assert main(["shards", shard_dir, "--dims", "7"]) == 0
+        assert main(["shards", shard_dir]) == 0
         capsys.readouterr()
         assert main(["plan", "7", "40", "--policy", "service", "--shards", shard_dir]) == 0
         out = capsys.readouterr().out
@@ -490,9 +494,12 @@ class TestReviewRegressions:
         assert doc["ranges"][-1]["hi"] is None
         assert doc["ranges"][0]["hi"] == doc["boundaries"][0]
 
-    def test_query_answers_a_dim_missing_from_the_shards(self, tmp_path, capsys):
+    def test_query_answers_from_a_calibration_shard(self, tmp_path, capsys):
         shard_dir = str(tmp_path / "shards")
-        assert main(["shards", shard_dir, "--dims", "5"]) == 0
+        assert main(["shards", shard_dir]) == 0
+        capsys.readouterr()
+        with pytest.raises(SystemExit):
+            main(["shards", shard_dir, "--dims", "5"])  # a shard stores no tables
         capsys.readouterr()
         assert main(["query", "7", "40", "--shards", shard_dir]) == 0
         out = capsys.readouterr().out

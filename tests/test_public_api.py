@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import doctest
 import importlib
+import inspect
 import pkgutil
 
 import pytest
@@ -41,6 +42,26 @@ class TestPublicSurface:
         ):
             assert not hasattr(importlib.import_module(module_name), name)
         assert not hasattr(OptimizerRegistry, "coverage")
+
+    def test_retired_shard_tables_are_gone(self):
+        """A shard is a calibration: the stored-table reader, the
+        registry's table bookkeeping and its single-key memo calls are
+        gone."""
+        from repro.service.registry import OptimizerRegistry, RegistryStats
+
+        for module_name, name in (
+            ("repro.model", "ShardFile"),
+            ("repro.model.store", "ShardFile"),
+            ("repro.service", "DEFAULT_DIMS"),
+            ("repro.service.registry", "DEFAULT_DIMS"),
+            ("repro.service.registry", "_TABLE_BOUND"),
+        ):
+            assert not hasattr(importlib.import_module(module_name), name)
+        for name in ("has_shard", "memo_get", "memo_put"):
+            assert not hasattr(OptimizerRegistry, name)
+        for name in ("tables_built", "tables_loaded", "tables_evicted"):
+            assert not hasattr(RegistryStats(), name)
+        assert "dims" not in inspect.signature(OptimizerRegistry.save_shards).parameters
 
     def test_every_module_has_docstring(self):
         package = repro
