@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import json
+import struct
 from pathlib import Path
 
 import pytest
@@ -139,6 +141,23 @@ class TestCertifiedOrScored:
         cells = [("ipsc860", 7, 300.0), ("ipsc860", 7, 0.0)]
         assert [r.source for r in resolve_queries(registry, cells)] == ["grid", "pool"]
         assert [r.source for r in resolve_queries(registry, cells)] == ["memo", "memo"]
+
+    def test_a_shard_bound_gates_nothing(self, tmp_path):
+        # a shard whose header records a 100 B bound, or none at all,
+        # answers 300 B from the envelope like any other registry
+        raw = (Path(__file__).resolve().parent / "data" / "ipsc860.shard").read_bytes()
+        header_end = 24 + struct.unpack("<QQ", raw[8:24])[1]
+        header = json.loads(raw[24:header_end])
+        tables = raw[header_end + (-header_end) % 8 :]
+        for m_max in (100.0, None):
+            header["m_max"] = m_max
+            encoded = json.dumps(header, sort_keys=True).encode()
+            prefix = raw[:16] + struct.pack("<Q", len(encoded))
+            padding = b"\0" * ((-(len(prefix) + len(encoded))) % 8)
+            (tmp_path / "ipsc860.shard").write_bytes(prefix + encoded + padding + tables)
+            serving = OptimizerRegistry.from_shards(tmp_path)
+            result = resolve_queries(serving, [("ipsc860", 7, 300.0)])[0]
+            assert (result.partition, result.source) == ((7,), "grid")
 
     def test_serving_never_touches_a_table(self, tmp_path, monkeypatch):
         """Every answer comes from the envelope, served fresh, from new

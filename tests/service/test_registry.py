@@ -54,6 +54,29 @@ class TestTables:
     def test_lookup(self, registry):
         assert registry.lookup("ipsc860", 7, 40.0) == (4, 3)
 
+    def test_every_call_walks_the_envelope(self, registry, monkeypatch):
+        """No table cache: each call is a fresh walk of the envelope."""
+        import repro.service.registry as registry_module
+
+        walks = []
+
+        def counted(d, params):
+            walks.append(d)
+            return hull_of_optimality(d, params)
+
+        monkeypatch.setattr(registry_module, "hull_of_optimality", counted)
+        assert registry.table("ipsc860", 5) == registry.table("ipsc860", 5)
+        assert walks == [5, 5]
+
+    def test_lookups_build_no_table(self, registry, monkeypatch):
+        def no_table(self, preset, d):
+            raise AssertionError("a lookup read a table")
+
+        monkeypatch.setattr(OptimizerRegistry, "table", no_table)
+        for d in (4, 5, 6):
+            expected = best_partition(40.0, d, ipsc860()).partition
+            assert registry.lookup("ipsc860", d, 40.0) == expected
+
     def test_rejects_bad_bounds(self):
         with pytest.raises(ValueError, match="memo_capacity"):
             OptimizerRegistry(memo_capacity=-1)
@@ -86,6 +109,15 @@ class TestShardBacking:
         assert registry.params("ipsc860") == ipsc860()
         for path in registry.save_shards(tmp_path):
             assert load_shard(path) == load_shard(SHARD_DATA / path.name)
+
+    def test_missing_dim_falls_back_to_sweep(self):
+        """Shards that stored tables for d 5 and 7 only answer every
+        other d from its envelope, as a fresh registry does."""
+        registry = OptimizerRegistry.from_shards(SHARD_DATA)
+        fresh = OptimizerRegistry()
+        for d in (4, 6, 8):
+            assert registry.table("ipsc860", d) == hull_of_optimality(d, ipsc860())
+            assert registry.lookup("ipsc860", d, 40.0) == fresh.lookup("ipsc860", d, 40.0)
 
     def test_renamed_shard_file_rejected(self, tmp_path):
         OptimizerRegistry().save_shards(tmp_path, presets=["hypothetical"])

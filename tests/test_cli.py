@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import re
+from pathlib import Path
 
 import pytest
 
@@ -505,6 +506,15 @@ class TestReviewRegressions:
         out = capsys.readouterr().out
         assert "{3,4}" in out and "certified pool envelope" in out and "(grid)" in out
         assert main(["query", "7", "0", "--shards", shard_dir]) == 0
+        assert "exact full-pool scoring" in capsys.readouterr().out
+
+    def test_query_answers_a_dim_missing_from_the_shards(self, capsys):
+        # shards that stored tables for d 5 and 7 answer d 6 from its envelope
+        shard_dir = str(Path(__file__).resolve().parent / "service" / "data")
+        assert main(["query", "6", "40", "--shards", shard_dir]) == 0
+        out = capsys.readouterr().out
+        assert "{3,3}" in out and "certified pool envelope" in out and "(grid)" in out
+        assert main(["query", "6", "0", "--shards", shard_dir]) == 0
         assert "exact full-pool scoring" in capsys.readouterr().out
 
     def test_truncated_shard_is_a_clean_error(self, tmp_path):
