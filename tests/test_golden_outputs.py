@@ -32,6 +32,9 @@ one only when an output change is intended::
     PYTHONPATH=src python -m repro serve --shards tests/service/data \\
         < tests/service/data/serve_shards_requests.jsonl \\
         > tests/golden/serve_shards.jsonl
+    cat tests/service/data/serve_repeat_requests.jsonl \\
+        tests/service/data/serve_repeat_requests.jsonl \\
+        | PYTHONPATH=src python -m repro serve > tests/golden/serve_repeat.jsonl
 
 ``event_traces.json`` pins the event engine itself: one SHA-256 per
 byte-verified exchange over ``repr(trace)`` and the makespan's
@@ -71,6 +74,12 @@ shard files under ``tests/service/data/``.  Those shards and the golden
 were written while a shard still stored optimizer tables beside its
 calibration; a fresh ``repro shards`` directory must serve the same
 bytes as the old files.
+``serve_repeat.jsonl`` is one stdio session's answer to a request file
+sent twice (both presets, block sizes up to 1.7e308 B, zeros of both
+signs in either order, ids of every JSON kind and non-ASCII text, single
+and batch forms, bad queries and one malformed line).  Its second half
+is answered from the result memo: it pins the text of repeated answers,
+written while every result document was still formatted afresh.
 """
 
 from __future__ import annotations
@@ -149,6 +158,15 @@ def test_serve_from_shards_matches_golden(tmp_path, capsys, monkeypatch):
         monkeypatch.setattr(sys, "stdin", io.StringIO(requests))
         assert main(["serve", "--shards", str(directory)]) == 0
         assert capsys.readouterr().out == golden, directory
+
+
+def test_serve_repeated_requests_matches_golden(capsys, monkeypatch):
+    import io
+
+    requests = (SHARD_DATA / "serve_repeat_requests.jsonl").read_text()
+    monkeypatch.setattr(sys, "stdin", io.StringIO(requests * 2))
+    assert main(["serve"]) == 0
+    assert capsys.readouterr().out == (GOLDEN / "serve_repeat.jsonl").read_text()
 
 
 def _run_digest(result) -> str:
