@@ -152,7 +152,9 @@ def _coordinate_slots(d: int, reach: int) -> tuple[int, int, tuple[np.ndarray, .
     ``reach``, ``lo .. lo + w - 1``: ``rows[c]`` holds, ascending, the
     slots whose group coordinate is ``c`` (the rows of one read-only
     ``(2**w, n >> w)`` matrix, kept as arrays so a lookup builds no
-    view)."""
+    view).  The memo is unbounded over a finite key space: the rounds
+    the builders make give one ``reach`` per contiguous bit group, so
+    at most ``d(d+1)/2`` entries per ``d``, each ``2**d`` slot indices."""
     n = 1 << d
     mask = ~reach & (n - 1)
     lo, width = (mask & -mask).bit_length() - 1, popcount(mask)

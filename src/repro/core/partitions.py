@@ -99,9 +99,11 @@ def cached_partitions(
 
     The optimizer and the batched sweeps enumerate the same pool for
     every block size they evaluate; the paper notes the enumeration
-    "needs to be done only once", so cache it.  ``p(d)`` tuples for all
-    supported ``d`` total a few thousand objects — the cache is
-    unbounded on purpose.
+    "needs to be done only once", so cache it.  The cache is unbounded
+    on purpose: it holds one pool per ``(d, max_part)`` asked for, and
+    the library asks only ``max_part=None`` at ``d`` up to
+    ``MAX_DIMENSION``, ``p(d)`` tuples each (1575 at d = 24, a few
+    thousand objects in all).
 
     >>> cached_partitions(4)
     ((4,), (3, 1), (2, 2), (2, 1, 1), (1, 1, 1, 1))
@@ -130,7 +132,9 @@ def partition_count(d: int) -> int:
     ``p(d) = sum_{j>=1} (-1)^(j+1) * [p(d - j(3j-1)/2) + p(d - j(3j+1)/2)]``
 
     with ``p(0) = 1`` and ``p(negative) = 0`` — the classical Euler
-    recurrence the paper quotes in §6.
+    recurrence the paper quotes in §6.  The memo is unbounded: it holds
+    one int per ``d`` up to the largest asked for, since the recurrence
+    fills every smaller one.
 
     >>> [partition_count(d) for d in (5, 7, 10, 15, 20)]
     [7, 15, 42, 176, 627]

@@ -572,6 +572,8 @@ def _pattern_program(
     partition: tuple[int, ...] | None,
     root: int,
 ) -> CommProgram:
+    """The memo behind :func:`pattern_program`, keyed by the resolved
+    arguments: bounded at 512 programs, least recently used first out."""
     row = PATTERN_TABLE[(pattern, algorithm)]
     rounds = pattern_rounds(row, d, root, partition=partition)
     steps: list[ProgramStep] = []

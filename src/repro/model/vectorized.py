@@ -86,7 +86,14 @@ class _SlotTable:
     each row's phase count.  The rows grow (doubling) only when full,
     the slots only when a wider partition arrives; growing copies both
     arrays and publishes them as one tuple under the lock, so a kernel
-    reading a snapshot never sees a torn table."""
+    reading a snapshot never sees a torn table.
+
+    Nothing is evicted: a row is kept per distinct ``(d, partition)``
+    for the life of the process.  Partitions keep their order, so the
+    key space is the ordered partitions of ``d`` up to
+    ``MAX_DIMENSION`` (``2**(d-1)`` at each ``d``); the serving and
+    optimizer paths price only the canonical pools, ``p(d)`` rows per
+    ``d``."""
 
     def __init__(self) -> None:
         self._index: dict[tuple[int, tuple[int, ...]], int] = {}

@@ -110,7 +110,8 @@ def _candidate_table(
     pattern: str, d: int, partition: tuple[int, ...] | None
 ) -> _CandidateTable:
     """The candidates of ``pattern`` on the ``d``-cube; an exchange-based
-    one runs at ``partition`` and is left out when that is ``None``."""
+    one runs at ``partition`` and is left out when that is ``None``.
+    Bounded at 512 tables, least recently used first out."""
     from repro.sim.fastpath import stack_programs
 
     names, partitions, programs = [], [], []

@@ -87,7 +87,9 @@ class QueryResult:
 
 #: one lookup's key, and the unit the core resolves: ``(preset, d, m)``
 Cell = tuple[str, int, float]
-#: packed partitions: one bytes object per partition, shared by memo entries
+#: packed partitions: one bytes object per partition, shared by memo
+#: entries.  Unbounded over a finite key space: the winners of the
+#: canonical pools, so at most p(d) entries per d up to MAX_DIMENSION
 _packed = cache(bytes)
 _GRID, _POOL = SOURCE_CODES["grid"], SOURCE_CODES["pool"]
 

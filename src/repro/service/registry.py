@@ -183,7 +183,10 @@ class OptimizerRegistry:
 
     def envelope(self, preset: str, d: int) -> PoolEnvelope:
         """The certified pool envelope of ``(preset, d)``, built the
-        first time it is asked for."""
+        first time it is asked for and kept for the registry's life:
+        at most one per preset and ``d`` up to ``MAX_DIMENSION``, since
+        an unknown preset or dimension raises before anything is
+        stored."""
         key = (preset, int(d))
         found = self._envelopes.get(key)
         if found is None:

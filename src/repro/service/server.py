@@ -25,22 +25,33 @@ response bytes: :func:`extract_queries` turns the decoded request into
 :func:`check_cells` range-checks them in one loop, the resolver answers
 them in :class:`~repro.service.batch.Answers` columns, and
 :func:`build_response` writes the response line straight from those
-columns.  Every transport — this stdio loop and the socket server of
-:mod:`repro.service.async_server` — calls the same helpers, so both
-write byte-for-byte the same lines; :func:`handle_request` is the
-single source of truth for request semantics.
+columns.  Every transport — this stdio loop, the socket server of
+:mod:`repro.service.async_server` and the fabric's nodes — calls the
+same helpers, so all write byte-for-byte the same lines;
+:func:`handle_request` is the single source of truth for request
+semantics.
+
+A repeated answer's text is not formatted again.  The result memo
+already stores the answer; the writer keeps the text of a document's
+head (everything before its ``source``) in a process-wide LRU of at
+most 4096 entries, about 1.5 MB.  Only answers the memo gave are
+admitted, since a fresh ``grid`` or ``pool`` answer is written once
+anyway, and only when ``m`` and ``time_us`` are both nonzero: the
+cache's key compares floats by ``==``, which does not tell ``-0.0``
+from ``0.0``, and each zero must keep printing its own sign.
 """
 
 from __future__ import annotations
 
 import json
 import math
+from functools import lru_cache
 from json.encoder import encode_basestring_ascii
 from typing import IO, Any
 
 from repro.service.batch import Answers, Cell, check_query_values, resolve_queries
 from repro.service.registry import OptimizerRegistry, RegistryStats
-from repro.service.wire import SOURCE_NAMES
+from repro.service.wire import SOURCE_CODES, SOURCE_NAMES
 from repro.util.validation import MAX_DIMENSION
 
 __all__ = [
@@ -144,18 +155,47 @@ def check_cells(cells: list[Cell], registry: OptimizerRegistry) -> None:
     """Range-check extracted cells in query order: each cell's
     dimension, then its block size, then its preset, raising for the
     first failure.  A cell that passes is ``pre_normalized`` for
-    :func:`~repro.service.batch.resolve_queries`."""
+    :func:`~repro.service.batch.resolve_queries`.  Each distinct preset
+    is looked up once: one already seen passed."""
     params = registry.params
+    known: set[str] = set()
     for preset, d, m in cells:
         if not (1 <= d <= MAX_DIMENSION and 0.0 <= m < math.inf):
             check_query_values(d, m)
-        params(preset)  # unknown presets raise here
+        if preset not in known:
+            params(preset)  # unknown presets raise here
+            known.add(preset)
 
 
 #: each source code's text closing a result document with no ``id``
 _SOURCE_TAILS = tuple(f'"{name}"}}' for name in SOURCE_NAMES)
 #: ... and the text before its ``id``
 _SOURCE_ID_TAILS = tuple(f'"{name}", "id": ' for name in SOURCE_NAMES)
+_MEMO = SOURCE_CODES["memo"]
+
+
+def _render_head(preset: str, d: int, m: float, packed: bytes, time_us: float) -> str:
+    """A result document's text from ``{"ok": true, "preset": ...`` up
+    to and including ``"source": ``, as :func:`json.dumps` writes it.
+    A cell's ``m`` is finite (:func:`check_cells` saw to that), so
+    ``repr`` prints it as :func:`json.dumps` does, as it prints the
+    partition's list of ints; an infinite ``time_us`` prints
+    ``Infinity``."""
+    time_text = repr(time_us) if math.isfinite(time_us) else json.dumps(time_us)
+    return (
+        f'{{"ok": true, "preset": {encode_basestring_ascii(preset)}, "d": {d}, '
+        f'"m": {m!r}, "partition": {list(packed)!r}, '
+        f'"time_us": {time_text}, "source": '
+    )
+
+
+#: the heads of repeated answers, process-wide and bounded: at most
+#: 4096 entries (under 400 B each by tracemalloc, so at most about
+#: 1.5 MB), least recently used first out.  The key is every field the head prints, so two
+#: registries that share a preset name under different calibrations
+#: answer with their own ``time_us``.  Only memo answers with nonzero
+#: ``m`` and ``time_us`` are admitted (see :func:`build_response`)
+_repeated_head = lru_cache(maxsize=4096)(_render_head)
 
 
 def build_response(
@@ -168,19 +208,25 @@ def build_response(
     on the query tag); the ``batch`` form wraps the documents in
     ``{"ok": true, "results": [...]}`` with the request id echoed.  The
     bytes equal :func:`json.dumps` of the same documents; only ``id``
-    values go through it.  A cell's ``m`` is finite (:func:`check_cells`
-    saw to that), so ``repr`` prints it as :func:`json.dumps` does.
+    values go through it.
+
+    A document's head (:func:`_render_head`) is read from the bounded
+    :data:`_repeated_head` cache when its answer came from the result
+    memo and its ``m`` and ``time_us`` are both nonzero; every other
+    head is rendered afresh.  A fresh ``grid`` or ``pool`` answer is
+    rendered once whatever happens, so caching it would only cost.  A
+    zero bypasses the cache because the cache's key compares floats by
+    ``==``, which does not tell ``-0.0`` from ``0.0``: each zero keeps
+    printing its own sign.
     """
     docs = []
     for (preset, d, m), time_us, code, packed, tag in zip(
         answers.cells, answers.time_us, answers.source, answers.parts, tags
     ):
-        time_text = repr(time_us) if math.isfinite(time_us) else json.dumps(time_us)
-        head = (
-            f'{{"ok": true, "preset": {encode_basestring_ascii(preset)}, "d": {d}, '
-            f'"m": {m!r}, "partition": [{", ".join(map(str, packed))}], '
-            f'"time_us": {time_text}, "source": '
-        )
+        if code == _MEMO and m and time_us:
+            head = _repeated_head(preset, d, m, packed, time_us)
+        else:
+            head = _render_head(preset, d, m, packed, time_us)
         if tag is None:
             docs.append(head + _SOURCE_TAILS[code])
         else:

@@ -340,6 +340,9 @@ def _lower_program(program: CommProgram) -> CompiledProgram:
 
 @lru_cache(maxsize=512)
 def _compile_program(program: CommProgram) -> CompiledProgram:
+    """The memo behind :func:`compile_program`, keyed by the program's
+    content: bounded at 512 compiled programs, least recently used
+    first out."""
     return _lower_program(program)
 
 
@@ -447,6 +450,8 @@ def batch_program_times(
 # ----------------------------------------------------------------------
 @lru_cache(maxsize=512)
 def _compile_schedule(d: int, partition: tuple[int, ...]) -> CompiledProgram:
+    """The memo behind :func:`compile_schedule`: bounded at 512
+    ``(d, partition)`` exchanges, least recently used first out."""
     return _lower_program(
         pattern_program("alltoall", "multiphase", d, partition=partition)
     )
@@ -665,7 +670,9 @@ def naive_exchange_time(d: int, m: float, params: MachineParams) -> float:
     Matches the event engine's run of the row exactly (asserted by the
     agreement tests; documented tolerance 1e-12 relative), at a
     fraction of the cost: the replay prices the edge and port
-    serialization without running coroutines or moving bytes.
+    serialization without running coroutines or moving bytes.  Its
+    memo, keyed by ``(d, m, params)``, is bounded at 4096 prices, least
+    recently used first out.
 
     >>> from repro.comm.program import simulate
     >>> from repro.model.params import ipsc860

@@ -8,7 +8,7 @@ import json
 import pytest
 
 from repro.service.registry import OptimizerRegistry
-from repro.service.server import handle_request, serve
+from repro.service.server import check_cells, handle_request, serve
 from tests.service.protocol_cases import CASE_IDS, CASE_MAX_QUERIES, ERROR_CASES, VALID_LINE
 
 
@@ -217,3 +217,28 @@ class TestHugeIntegerBlockSize:
         responses, _ = run_session([huge, '{"preset": "ipsc860", "d": 7, "m": 40}'])
         assert not responses[0]["ok"]
         assert responses[1]["ok"] and responses[1]["partition"] == [4, 3]
+
+
+class TestCheckCells:
+    """``check_cells`` looks each distinct preset up once per line and
+    still raises the first cell's first fault."""
+
+    def test_each_preset_is_looked_up_once(self, monkeypatch):
+        registry = OptimizerRegistry()
+        asked = []
+        params = registry.params
+        monkeypatch.setattr(registry, "params", lambda name: asked.append(name) or params(name))
+        cells = [("ipsc860", 4, 40.0), ("hypothetical", 5, 8.0)] * 16
+        check_cells(cells, registry)
+        assert asked == ["ipsc860", "hypothetical"]
+
+    @pytest.mark.parametrize("bad,needle", [
+        (("ipsc860", 0, 8.0), "cube dimension"),
+        (("ipsc860", 4, -1.5), "block size"),
+        (("nosuch", 0, 8.0), "cube dimension"),
+        (("nosuch", 4, 8.0), "nosuch"),
+    ])
+    def test_a_later_cell_of_a_seen_preset_is_still_checked(self, bad, needle):
+        cells = [("ipsc860", 4, 40.0), ("ipsc860", 5, 8.0), bad, ("other", 6, 8.0)]
+        with pytest.raises(ValueError, match=needle):
+            check_cells(cells, OptimizerRegistry())
