@@ -191,10 +191,9 @@ def _render_head(preset: str, d: int, m: float, packed: bytes, time_us: float) -
 
 #: the heads of repeated answers, process-wide and bounded: at most
 #: 4096 entries (under 400 B each by tracemalloc, so at most about
-#: 1.5 MB), least recently used first out.  The key is every field the head prints, so two
-#: registries that share a preset name under different calibrations
-#: answer with their own ``time_us``.  Only memo answers with nonzero
-#: ``m`` and ``time_us`` are admitted (see :func:`build_response`)
+#: 1.5 MB), least recently used first out.  The key is every field the
+#: head prints, so two registries that share a preset name under
+#: different calibrations answer with their own ``time_us``
 _repeated_head = lru_cache(maxsize=4096)(_render_head)
 
 
