@@ -33,19 +33,24 @@ semantics.
 
 A repeated answer's text is not formatted again.  The result memo
 already stores the answer; the writer keeps the text of a document's
-head (everything before its ``source``) in a process-wide LRU of at
-most 4096 entries, about 1.5 MB.  Only answers the memo gave are
+head (everything before its ``source``) in a process-wide cache of at
+most 4096 heads, under 1.3 MB.  Only answers the memo gave are
 admitted, since a fresh ``grid`` or ``pool`` answer is written once
 anyway, and only when ``m`` and ``time_us`` are both nonzero: the
 cache's key compares floats by ``==``, which does not tell ``-0.0``
-from ``0.0``, and each zero must keep printing its own sign.
+from ``0.0``, and each zero must keep printing its own sign.  A full
+cache admits nothing, so repeated answers beyond its bound cost one
+lookup each, not an insert and an eviction; it empties and refills
+once its heads have missed 65536 times.  Every head, cached or not,
+takes its partition's text from a cache keyed by the packed partition,
+which saves about as much per document as that lookup costs.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from functools import lru_cache
+from functools import cache
 from json.encoder import encode_basestring_ascii
 from typing import IO, Any
 
@@ -174,6 +179,15 @@ _SOURCE_ID_TAILS = tuple(f'"{name}", "id": ' for name in SOURCE_NAMES)
 _MEMO = SOURCE_CODES["memo"]
 
 
+@cache
+def _partition_text(packed: bytes) -> str:
+    """A packed partition's JSON text, ``[3, 2]``.  Keyed as
+    :data:`repro.service.batch._packed` is, and as bounded: the winners
+    of the canonical pools, at most p(d) entries per d up to
+    ``MAX_DIMENSION``."""
+    return repr(list(packed))
+
+
 def _render_head(preset: str, d: int, m: float, packed: bytes, time_us: float) -> str:
     """A result document's text from ``{"ok": true, "preset": ...`` up
     to and including ``"source": ``, as :func:`json.dumps` writes it.
@@ -184,17 +198,54 @@ def _render_head(preset: str, d: int, m: float, packed: bytes, time_us: float) -
     time_text = repr(time_us) if math.isfinite(time_us) else json.dumps(time_us)
     return (
         f'{{"ok": true, "preset": {encode_basestring_ascii(preset)}, "d": {d}, '
-        f'"m": {m!r}, "partition": {list(packed)!r}, '
+        f'"m": {m!r}, "partition": {_partition_text(packed)}, '
         f'"time_us": {time_text}, "source": '
     )
 
 
-#: the heads of repeated answers, process-wide and bounded: at most
-#: 4096 entries (under 400 B each by tracemalloc, so at most about
-#: 1.5 MB), least recently used first out.  The key is every field the
-#: head prints, so two registries that share a preset name under
-#: different calibrations answer with their own ``time_us``
-_repeated_head = lru_cache(maxsize=4096)(_render_head)
+#: the most heads :data:`_repeated_heads` holds
+_HEADS_MAX = 4096
+#: the misses a full :data:`_repeated_heads` takes before it empties
+_HEADS_STALE = 16 * _HEADS_MAX
+
+
+class _HeadCache(dict):
+    """The heads of repeated answers, process-wide, keyed by every
+    field a head prints, ``(preset, d, m, packed, time_us)``: two
+    registries that share a preset name under different calibrations
+    answer with their own ``time_us``.
+
+    :func:`build_response` admits heads until the cache holds
+    :data:`_HEADS_MAX` and then admits none.  Each entry keeps about
+    310 B alive (key, floats, text and table slot: 1.22 MiB for 4096
+    distinct cells by tracemalloc), so the cache stays under 1.3 MB.  A
+    client that cycles through more distinct repeated answers than the
+    bound pays one lookup per document, where an LRU would pay an
+    insert and an eviction on top of the render and lose its hits all
+    the same.  After :data:`_HEADS_STALE` misses while full the heads
+    it holds are taken to be stale: it empties and refills from the
+    traffic of the moment, so at most one such miss in seventeen pays
+    an insert."""
+
+    __slots__ = ("misses",)
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.misses = 0
+
+    def missed(self, count: int) -> None:
+        """Count misses that found the cache full; empty it once its
+        heads have missed more than :data:`_HEADS_STALE` times."""
+        self.misses += count
+        if self.misses > _HEADS_STALE:
+            self.clear()
+
+    def clear(self) -> None:
+        super().clear()
+        self.misses = 0
+
+
+_repeated_heads = _HeadCache()
 
 
 def build_response(
@@ -210,7 +261,7 @@ def build_response(
     values go through it.
 
     A document's head (:func:`_render_head`) is read from the bounded
-    :data:`_repeated_head` cache when its answer came from the result
+    :data:`_repeated_heads` cache when its answer came from the result
     memo and its ``m`` and ``time_us`` are both nonzero; every other
     head is rendered afresh.  A fresh ``grid`` or ``pool`` answer is
     rendered once whatever happens, so caching it would only cost.  A
@@ -219,17 +270,28 @@ def build_response(
     printing its own sign.
     """
     docs = []
+    heads = _repeated_heads
+    missed = 0
     for (preset, d, m), time_us, code, packed, tag in zip(
         answers.cells, answers.time_us, answers.source, answers.parts, tags
     ):
         if code == _MEMO and m and time_us:
-            head = _repeated_head(preset, d, m, packed, time_us)
+            key = (preset, d, m, packed, time_us)
+            head = heads.get(key)
+            if head is None:
+                head = _render_head(preset, d, m, packed, time_us)
+                if len(heads) < _HEADS_MAX:
+                    heads[key] = head
+                else:
+                    missed += 1
         else:
             head = _render_head(preset, d, m, packed, time_us)
         if tag is None:
             docs.append(head + _SOURCE_TAILS[code])
         else:
             docs.append(f"{head}{_SOURCE_ID_TAILS[code]}{json.dumps(tag)}}}")
+    if missed:
+        heads.missed(missed)
     if kind == "single":
         text = docs[0]
     elif request_id is None:

@@ -1,14 +1,14 @@
 """The JSON writer's text cache for repeated answers.
 
 :func:`repro.service.server.build_response` reads a result document's
-head from ``server._repeated_head``, a process-wide LRU of at most 4096
-entries, when the answer came from the result memo and its ``m`` and
+head from ``server._repeated_heads``, a process-wide cache of at most
+4096 heads, when the answer came from the result memo and its ``m`` and
 ``time_us`` are both nonzero; every other head is rendered afresh.
 These tests hold every line to :func:`json.dumps` of the same documents
 (:mod:`tests.service.columnar_oracle`), check that each zero keeps its
 sign, that two calibrations of one preset name never share a head, that
-fresh answers leave the cache empty and that it never grows past its
-bound.
+fresh answers leave the cache empty, that it never grows past its bound
+and that a full cache admits nothing until its heads go stale.
 """
 
 from __future__ import annotations
@@ -22,7 +22,8 @@ from hypothesis import strategies as st
 
 from repro.model.params import ipsc860
 from repro.service.registry import OptimizerRegistry
-from repro.service.server import _repeated_head, handle_request
+from repro.service import server
+from repro.service.server import _repeated_heads, handle_request
 from tests.service import columnar_oracle
 
 BOUND = 4096
@@ -30,9 +31,9 @@ BOUND = 4096
 
 @pytest.fixture(autouse=True)
 def cold_cache():
-    _repeated_head.cache_clear()
+    _repeated_heads.clear()
     yield
-    _repeated_head.cache_clear()
+    _repeated_heads.clear()
 
 
 def answer(obj, registry) -> str:
@@ -89,7 +90,7 @@ def test_each_zero_keeps_its_sign_when_repeated():
         assert [doc["source"] for doc in docs] == ["memo"] * 4
         signs = [math.copysign(1.0, doc["m"]) for doc in docs]
         assert signs == [math.copysign(1.0, m) for m in (first, second, second, first)]
-    assert _repeated_head.cache_info().currsize == 0
+    assert len(_repeated_heads) == 0
 
 
 def test_two_calibrations_of_one_preset_answer_their_own_times():
@@ -105,7 +106,7 @@ def test_two_calibrations_of_one_preset_answer_their_own_times():
         assert [doc["time_us"] for doc in lines[name]] == [want] * 3, name
         assert [doc["source"] for doc in lines[name]] == ["grid", "memo", "memo"]
     assert lines["base"][0]["time_us"] != lines["slow"][0]["time_us"]
-    assert _repeated_head.cache_info().currsize == 2
+    assert len(_repeated_heads) == 2
 
 
 def test_fresh_answers_leave_the_cache_empty():
@@ -114,7 +115,7 @@ def test_fresh_answers_leave_the_cache_empty():
              for i in range(40) for d in range(4, 9) for p in ("ipsc860", "hypothetical")]
     docs = json.loads(answer(batch, registry))["results"]
     assert {doc["source"] for doc in docs} <= {"grid", "pool"}
-    assert _repeated_head.cache_info().currsize == 0
+    assert len(_repeated_heads) == 0
 
 
 def test_the_cache_never_grows_past_its_bound():
@@ -127,6 +128,30 @@ def test_the_cache_never_grows_past_its_bound():
             assert line == json.dumps(json.loads(line)) + "\n"
             sources = {doc["source"] for doc in json.loads(line)["results"]}
             assert (sources == {"memo"}) if repeat else ("memo" not in sources)
-    info = _repeated_head.cache_info()
-    assert info.maxsize == BOUND
-    assert info.currsize == BOUND
+    assert server._HEADS_MAX == BOUND
+    assert len(_repeated_heads) == BOUND
+
+
+def test_a_full_cache_admits_nothing_until_its_heads_go_stale(monkeypatch):
+    monkeypatch.setattr(server, "_HEADS_MAX", 8)
+    monkeypatch.setattr(server, "_HEADS_STALE", 32)
+    served, oracle = OptimizerRegistry(), OptimizerRegistry()
+
+    def send(batch):
+        assert answer(batch, served) == oracle_line(batch, oracle)
+
+    first = [{"preset": "ipsc860", "d": 5, "m": 1.0 + i} for i in range(8)]
+    later = [{"preset": "ipsc860", "d": 5, "m": 100.5 + i} for i in range(40)]
+    for batch in (first, first, later):
+        send(batch)
+    held = set(_repeated_heads)
+    assert sorted(key[2] for key in held) == [query["m"] for query in first]
+    send(later[:32])  # 32 repeated answers miss a full cache: none admitted
+    assert set(_repeated_heads) == held and _repeated_heads.misses == 32
+    send(first)
+    assert set(_repeated_heads) == held and _repeated_heads.misses == 32
+    send(later[32:33])  # one miss more and its heads count as stale
+    assert len(_repeated_heads) == 0 and _repeated_heads.misses == 0
+    send(later[33:] + first)
+    assert {key[2] for key in _repeated_heads} == {q["m"] for q in later[33:] + first[:1]}
+    assert _repeated_heads.misses == len(first) - 1
