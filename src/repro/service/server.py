@@ -210,10 +210,12 @@ _HEADS_STALE = 16 * _HEADS_MAX
 
 
 class _HeadCache(dict):
-    """The heads of repeated answers, process-wide, keyed by every
-    field a head prints, ``(preset, d, m, packed, time_us)``: two
+    """The heads of repeated answers, process-wide.  An entry is keyed
+    by its ``time_us`` and holds ``(m, d, packed, preset, head)``; a
+    lookup hits only when all five fields a head prints match, so two
     registries that share a preset name under different calibrations
-    answer with their own ``time_us``.
+    answer with their own ``time_us``.  A float key hashes without a
+    tuple being built, which makes a miss about half as dear.
 
     :func:`build_response` admits heads until the cache holds
     :data:`_HEADS_MAX` and then admits none.  Each entry keeps about
@@ -276,12 +278,16 @@ def build_response(
         answers.cells, answers.time_us, answers.source, answers.parts, tags
     ):
         if code == _MEMO and m and time_us:
-            key = (preset, d, m, packed, time_us)
-            head = heads.get(key)
-            if head is None:
+            entry = heads.get(time_us)
+            if (
+                entry is not None and entry[0] == m and entry[1] == d
+                and entry[2] == packed and entry[3] == preset
+            ):
+                head = entry[4]
+            else:
                 head = _render_head(preset, d, m, packed, time_us)
                 if len(heads) < _HEADS_MAX:
-                    heads[key] = head
+                    heads[time_us] = (m, d, packed, preset, head)
                 else:
                     missed += 1
         else:

@@ -21,6 +21,8 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.model.params import ipsc860
+from repro.service.batch import Answers
+from repro.service.wire import SOURCE_CODES
 from repro.service.registry import OptimizerRegistry
 from repro.service import server
 from repro.service.server import _repeated_heads, handle_request
@@ -145,7 +147,7 @@ def test_a_full_cache_admits_nothing_until_its_heads_go_stale(monkeypatch):
     for batch in (first, first, later):
         send(batch)
     held = set(_repeated_heads)
-    assert sorted(key[2] for key in held) == [query["m"] for query in first]
+    assert sorted(entry[0] for entry in _repeated_heads.values()) == [q["m"] for q in first]
     send(later[:32])  # 32 repeated answers miss a full cache: none admitted
     assert set(_repeated_heads) == held and _repeated_heads.misses == 32
     send(first)
@@ -153,5 +155,25 @@ def test_a_full_cache_admits_nothing_until_its_heads_go_stale(monkeypatch):
     send(later[32:33])  # one miss more and its heads count as stale
     assert len(_repeated_heads) == 0 and _repeated_heads.misses == 0
     send(later[33:] + first)
-    assert {key[2] for key in _repeated_heads} == {q["m"] for q in later[33:] + first[:1]}
+    assert {entry[0] for entry in _repeated_heads.values()} == {
+        q["m"] for q in later[33:] + first[:1]
+    }
     assert _repeated_heads.misses == len(first) - 1
+
+
+def test_answers_that_share_a_time_keep_their_own_heads(monkeypatch):
+    monkeypatch.setattr(server, "_HEADS_MAX", 1)  # the first head stays
+    memo = SOURCE_CODES["memo"]
+    # each differs from the first in one field the head prints
+    cells = [("ipsc860", 5, 40.0), ("ipsc860", 6, 40.0), ("hypothetical", 5, 40.0),
+             ("ipsc860", 5, 40.0), ("ipsc860", 5, 41.0)]
+    parts = [bytes([3, 2]), bytes([3, 2]), bytes([3, 2]), bytes([5]), bytes([3, 2])]
+    answers = Answers(cells, [1234.5] * 5, bytearray([memo] * 5), parts)
+    for _ in range(2):
+        line = server.build_response("batch", answers, [None] * 5).decode("ascii")
+        docs = json.loads(line)["results"]
+        assert [(doc["preset"], doc["d"], doc["m"]) for doc in docs] == cells
+        assert [doc["partition"] for doc in docs] == [list(p) for p in parts]
+        assert line == json.dumps(json.loads(line)) + "\n"
+    assert list(_repeated_heads.values())[0][:4] == (40.0, 5, bytes([3, 2]), "ipsc860")
+    assert _repeated_heads.misses == 8
